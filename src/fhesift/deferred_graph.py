@@ -679,18 +679,24 @@ class ResidualFunction:
                 raise MissingAssignment(f"no value for sqrt request {sid}")
         if decrypt is None:
             decrypt = lambda ct: ct.value
-        acc = None
-        for params, coeff in self.monomials:
-            vals = [bools[p[1]] if p[0] == "b" else sqrts[p[1]] for p in params]
-            if vals:
-                prod = balanced_fold(vals, lambda x, y: x * y)
-                term = prod * decrypt(coeff)
-            else:
-                term = decrypt(coeff)
-            acc = term if acc is None else acc + term
-        if acc is None:
-            return 0.0
-        return acc
+        return sum_of_products(
+            ([bools[p[1]] if p[0] == "b" else sqrts[p[1]] for p in params], decrypt(coeff))
+            for params, coeff in self.monomials
+        )
+
+
+def sum_of_products(terms) -> Value:
+    """Sum of ``prod(values) * coeff`` over (values, coeff) terms.
+
+    Products fold as balanced trees and terms add left to right, mirroring
+    the server-side walk; every evaluator of residual tables goes through
+    here so their results agree bit for bit.  No terms sum to 0.0.
+    """
+    acc = None
+    for vals, coeff in terms:
+        term = balanced_fold(vals, lambda x, y: x * y) * coeff if vals else coeff
+        acc = term if acc is None else acc + term
+    return 0.0 if acc is None else acc
 
 
 @dataclass

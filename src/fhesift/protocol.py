@@ -15,11 +15,17 @@ Every batch is padded with decoy records to a power of two (at least 8),
 shuffled, and only then given wire ids, so a record's id and position say
 nothing about which comparison it belongs to.  Decoy operand values are
 resampled from the real operand pool.
+
+Padding is columnar: each operand's values and levels are built as plain
+columns, decoys index those columns, and one permutation gathers every
+column into the wire records.  The deferred package is sized from the
+lowered program, allocated once and filled in place; the client parses
+it once and evaluates the residual tables straight from views into it.
 """
 
 from __future__ import annotations
 
-import io
+import functools
 import struct
 from dataclasses import dataclass, field
 
@@ -32,9 +38,9 @@ from .deferred_graph import (
     Expr,
     GraphBuilder,
     LoweredProgram,
-    ResidualFunction,
     SqrtRequest,
     lower,
+    sum_of_products,
 )
 
 CMP_DTYPE = np.dtype(
@@ -42,8 +48,30 @@ CMP_DTYPE = np.dtype(
 )
 RESP_DTYPE = np.dtype([("id", "<u4"), ("value", "<f8"), ("level", "<u4")])
 SQRT_DTYPE = RESP_DTYPE
+# (value field, level field) of each operand a record carries
+_CMP_OPERANDS = (("lhs", "lhs_level"), ("rhs", "rhs_level"))
+_SQRT_OPERANDS = (("value", "level"),)
 
+# Deferred package layout, all little-endian and unaligned:
+#   _PKG_HEADER, n_cmp CMP_DTYPE records, n_sqrt SQRT_DTYPE records, then
+#   per slot in name order: _SLOT_NAME, the UTF-8 name, _SLOT_HEADER, one
+#   _WIRE_ID per lane for each bool then each sqrt parameter, _MONO_COUNT,
+#   and per monomial its _mono_header(n_params) and one _COEFF per lane.
 _PKG_MAGIC = b"DCGPKG01"
+_PKG_HEADER = struct.Struct("<8sIII")  # magic, n_cmp, n_sqrt, n_slots
+_SLOT_NAME = struct.Struct("<H")  # name length in bytes
+_SLOT_HEADER = struct.Struct("<III")  # width, n_bool, n_sqrt
+_MONO_COUNT = struct.Struct("<I")
+_WIRE_ID = np.dtype("<u4")
+_COEFF = np.dtype("<f8")
+_PARAM_KINDS = ("b", "s")  # parameter kind code -> residual parameter key
+
+
+@functools.lru_cache(maxsize=None)
+def _mono_header(n_params: int) -> struct.Struct:
+    """n_params, then (kind code, slot-local index) per parameter, then the
+    coefficient level."""
+    return struct.Struct("<B" + "BH" * n_params + "I")
 
 
 @dataclass(frozen=True)
@@ -81,6 +109,8 @@ class ProtocolRun:
 
 
 def _lanes(v: Value, width: int) -> np.ndarray:
+    if isinstance(v, np.ndarray) and v.shape == (width,):
+        return v
     return np.broadcast_to(np.asarray(v, dtype=np.float64), (width,))
 
 
@@ -109,8 +139,8 @@ class Client:
 
     def resolve_comparisons(self, blob: bytes) -> bytes:
         recs = np.frombuffer(blob, dtype=CMP_DTYPE)
-        lhs = self._decrypt(Ciphertext(recs["lhs"].copy(), int(self.ctx.params.depth_budget)))
-        rhs = self._decrypt(Ciphertext(recs["rhs"].copy(), int(self.ctx.params.depth_budget)))
+        lhs = self._decrypt(Ciphertext(recs["lhs"], int(self.ctx.params.depth_budget)))
+        rhs = self._decrypt(Ciphertext(recs["rhs"], int(self.ctx.params.depth_budget)))
         bools = np.greater(lhs, rhs).astype(np.float64)
         out = np.empty(len(recs), dtype=RESP_DTYPE)
         out["id"] = recs["id"]
@@ -120,7 +150,7 @@ class Client:
 
     def resolve_sqrts(self, blob: bytes) -> bytes:
         recs = np.frombuffer(blob, dtype=SQRT_DTYPE)
-        args = self._decrypt(Ciphertext(recs["value"].copy(), int(self.ctx.params.depth_budget)))
+        args = self._decrypt(Ciphertext(recs["value"], int(self.ctx.params.depth_budget)))
         with np.errstate(invalid="ignore"):
             roots = np.sqrt(args)
         out = np.empty(len(recs), dtype=RESP_DTYPE)
@@ -130,31 +160,25 @@ class Client:
         return out.tobytes()
 
     def resolve_package(self, blob: bytes) -> dict[str, Value]:
-        """Decrypt a deferred package and finish the computation locally."""
+        """Decrypt a deferred package and finish the computation locally,
+        evaluating each slot's residual table straight from the parsed views."""
         pkg = parse_package(blob)
-        cmp_vals = pkg["comparisons"]
-        lhs = self._decrypt(Ciphertext(cmp_vals["lhs"].copy(), 0))
-        rhs = self._decrypt(Ciphertext(cmp_vals["rhs"].copy(), 0))
+        cmps = pkg["comparisons"]
+        lhs = self._decrypt(Ciphertext(cmps["lhs"], 0))
+        rhs = self._decrypt(Ciphertext(cmps["rhs"], 0))
         bool_wire = np.greater(lhs, rhs).astype(np.float64)
-        sqrt_wire = None
+        del lhs, rhs
+        sqrt_wire = np.empty(0)
         if len(pkg["sqrts"]):
-            args = self._decrypt(Ciphertext(pkg["sqrts"]["value"].copy(), 0))
+            args = self._decrypt(Ciphertext(pkg["sqrts"]["value"], 0))
             with np.errstate(invalid="ignore"):
                 sqrt_wire = np.sqrt(args)
         results: dict[str, Value] = {}
         for name, slot in pkg["slots"].items():
-            bools = {i: bool_wire[ids] for i, ids in enumerate(slot["bool_ids"])}
-            sqrts = {i: sqrt_wire[ids] for i, ids in enumerate(slot["sqrt_ids"])}
-            monos = []
-            for params, coeff, level in slot["monomials"]:
-                monos.append((params, Ciphertext(coeff, int(level))))
-            rf = ResidualFunction(
-                tuple(range(len(slot["bool_ids"]))),
-                tuple(range(len(slot["sqrt_ids"]))),
-                tuple(monos),
-                slot["width"],
-            )
-            out = rf.evaluate(bools, sqrts, decrypt=self._decrypt)
+            params = {"b": bool_wire[slot["bool_ids"]], "s": sqrt_wire[slot["sqrt_ids"]]}
+            out = sum_of_products(
+                ([params[k][i] for k, i in refs], self._decrypt(Ciphertext(coeff, level)))
+                for refs, coeff, level in slot["monomials"])
             if isinstance(out, np.ndarray) and slot["width"] == 1:
                 out = float(out[0])
             results[name] = out
@@ -164,63 +188,56 @@ class Client:
 # -- request batching -------------------------------------------------------------
 
 
-def _pad_and_shuffle(recs: np.ndarray, policy: DecoyPolicy, rng, operand_fields) -> tuple:
-    """Append decoys, shuffle, assign sequential wire ids.
+def _pad_and_shuffle(wire: np.ndarray, widths: list[int], operands, operand_fields,
+                     rng) -> np.ndarray:
+    """Fill ``wire`` with real lanes plus decoys, shuffled, with sequential ids.
 
-    Returns (wire records, wire ids of the original records in order).
-    ``operand_fields`` pairs each value field with its level field; a
+    ``operands`` holds, for each (value, level) pair in ``operand_fields``,
+    one ciphertext per entry; entry i contributes ``widths[i]`` lanes.  A
     decoy operand is a (value, level) draw from the pool of all real
-    operands, so decoy marginals match the real traffic.
+    operands, so decoy marginals match the real traffic.  Returns the wire
+    ids of the real lanes in entry order.
     """
-    n = len(recs)
-    total = policy.padded_size(n)
-    if total > n:
-        pad = total - n
-        decoys = np.empty(pad, dtype=recs.dtype)
+    n = int(sum(widths))
+    total = len(wire)
+    k = len(operand_fields)
+    values, levels = [], []
+    for cts in operands:
+        col = np.empty(total)
+        lev = np.empty(total, dtype=np.uint32)
         if n:
-            pool_v = np.concatenate([recs[v] for v, _ in operand_fields])
-            pool_l = np.concatenate([recs[l] for _, l in operand_fields])
-        else:
-            pool_v = rng.uniform(0.0, 1.0, size=8)
-            pool_l = np.zeros(8, dtype=np.uint32)
-        for v, l in operand_fields:
-            idx = rng.integers(0, len(pool_v), size=pad)
-            decoys[v] = pool_v[idx]
-            decoys[l] = pool_l[idx]
-        full = np.concatenate([recs, decoys])
-    else:
-        full = recs.copy()
+            np.concatenate([_lanes(ct.value, w) for w, ct in zip(widths, cts)], out=col[:n])
+            lev[:n] = np.repeat(np.array([ct.level for ct in cts], dtype=np.uint32), widths)
+        values.append(col)
+        levels.append(lev)
+    if total > n:
+        # the pool is every real operand column back to back: draw i is
+        # lane i % n of operand i // n
+        for col, lev in zip(values, levels):
+            src, lane = np.divmod(rng.integers(0, k * n, size=total - n), n)
+            col[n:] = np.choose(src, [c[lane] for c in values])
+            lev[n:] = np.choose(src, [c[lane] for c in levels])
+        del src, lane
     perm = rng.permutation(total)
-    wire = full[perm]
-    wire["id"] = np.arange(total, dtype=np.uint32)
-    inv = np.empty(total, dtype=np.int64)
-    inv[perm] = np.arange(total)
-    return wire, inv[:n]
+    seq = np.arange(total, dtype=np.uint32)
+    wire["id"] = seq
+    for v, l in operand_fields:
+        # mode="clip" lets take write straight into the strided field;
+        # popping frees each column once it is on the wire
+        np.take(values.pop(0), perm, out=wire[v], mode="clip")
+        np.take(levels.pop(0), perm, out=wire[l], mode="clip")
+    ids = np.empty(total, dtype=np.uint32)
+    ids[perm] = seq
+    return ids[:n]
 
 
-def _cmp_records(entries) -> np.ndarray:
-    """entries: list of (width, lhs ciphertext, rhs ciphertext)."""
-    total = sum(w for w, _, _ in entries)
-    recs = np.zeros(total, dtype=CMP_DTYPE)
-    pos = 0
-    for w, lhs, rhs in entries:
-        recs["lhs"][pos:pos + w] = _lanes(lhs.value, w)
-        recs["lhs_level"][pos:pos + w] = lhs.level
-        recs["rhs"][pos:pos + w] = _lanes(rhs.value, w)
-        recs["rhs_level"][pos:pos + w] = rhs.level
-        pos += w
-    return recs
-
-
-def _sqrt_records(entries) -> np.ndarray:
-    total = sum(w for w, _ in entries)
-    recs = np.zeros(total, dtype=SQRT_DTYPE)
-    pos = 0
-    for w, arg in entries:
-        recs["value"][pos:pos + w] = _lanes(arg.value, w)
-        recs["level"][pos:pos + w] = arg.level
-        pos += w
-    return recs
+def _request_batch(dtype: np.dtype, operand_fields, widths: list[int], operands,
+                   policy: DecoyPolicy, rng) -> tuple[memoryview, np.ndarray]:
+    """One padded, shuffled request batch as wire bytes, plus the wire ids
+    of its real lanes."""
+    buf = np.empty(policy.padded_size(sum(widths)) * dtype.itemsize, dtype=np.uint8)
+    ids = _pad_and_shuffle(buf.view(dtype), widths, operands, operand_fields, rng)
+    return buf.data, ids
 
 
 def _collect_requests(builder: GraphBuilder, roots) -> tuple[list[Comparison], list[SqrtRequest]]:
@@ -278,17 +295,17 @@ def run_interactive(ctx: CkksContext, builder: GraphBuilder, slots: dict[str, Ex
     full = ctx.params.depth_budget
     for round_no, tier in enumerate(sorted(by_tier), start=1):
         tier_cmps, tier_sqrts = by_tier[tier]
-        cmp_entries = [(c.width, ev.eval(c.lhs), ev.eval(c.rhs)) for c in tier_cmps]
-        sqrt_entries = [(builder.sqrts[r.id].arg.width, ev.eval(r.arg)) for r in tier_sqrts]
-        creq = _cmp_records(cmp_entries)
-        sreq = _sqrt_records(sqrt_entries)
-        cwire, cids = _pad_and_shuffle(
-            creq, policy, rng, (("lhs", "lhs_level"), ("rhs", "rhs_level")))
-        swire, sids = _pad_and_shuffle(sreq, policy, rng, (("value", "level"),))
-        creq_blob = cwire.tobytes()
-        sreq_blob = swire.tobytes()
-        cresp_blob = client.resolve_comparisons(creq_blob) if len(cwire) else b""
-        sresp_blob = client.resolve_sqrts(sreq_blob) if len(swire) else b""
+        pairs = [(ev.eval(c.lhs), ev.eval(c.rhs)) for c in tier_cmps]
+        cwidths = [c.width for c in tier_cmps]
+        swidths = [builder.sqrts[r.id].arg.width for r in tier_sqrts]
+        creq_blob, cids = _request_batch(
+            CMP_DTYPE, _CMP_OPERANDS, cwidths,
+            ([lhs for lhs, _ in pairs], [rhs for _, rhs in pairs]), policy, rng)
+        sreq_blob, sids = _request_batch(
+            SQRT_DTYPE, _SQRT_OPERANDS, swidths, ([ev.eval(r.arg) for r in tier_sqrts],),
+            policy, rng)
+        cresp_blob = client.resolve_comparisons(creq_blob) if creq_blob else b""
+        sresp_blob = client.resolve_sqrts(sreq_blob) if sreq_blob else b""
         cresp = np.frombuffer(cresp_blob, dtype=RESP_DTYPE)
         sresp = np.frombuffer(sresp_blob, dtype=RESP_DTYPE)
         pos = 0
@@ -297,17 +314,16 @@ def run_interactive(ctx: CkksContext, builder: GraphBuilder, slots: dict[str, Ex
             ev.bool_cts[c.id] = _bind_response(c.width, vals, full)
             pos += c.width
         pos = 0
-        for r in tier_sqrts:
-            w = builder.sqrts[r.id].arg.width
+        for r, w in zip(tier_sqrts, swidths):
             vals = sresp["value"][sids[pos:pos + w]]
             ev.sqrt_cts[r.id] = _bind_response(w, vals, full)
             pos += w
         trace.append(RoundTrace(
             round=round_no,
-            n_real_comparisons=len(creq),
-            n_real_sqrts=len(sreq),
-            n_wire_comparisons=len(cwire),
-            n_wire_sqrts=len(swire),
+            n_real_comparisons=len(cids),
+            n_real_sqrts=len(sids),
+            n_wire_comparisons=policy.padded_size(len(cids)),
+            n_wire_sqrts=policy.padded_size(len(sids)),
             request_bytes=len(creq_blob) + len(sreq_blob),
             response_bytes=len(cresp_blob) + len(sresp_blob),
         ))
@@ -320,128 +336,133 @@ def run_interactive(ctx: CkksContext, builder: GraphBuilder, slots: dict[str, Ex
 
 
 def serialize_package(program: LoweredProgram, policy: DecoyPolicy = DecoyPolicy(),
-                      seed: int = 0) -> bytes:
+                      seed: int = 0) -> memoryview:
     """Binary single-round package.
 
-    Layout: magic, comparison records, sqrt records (both padded and
-    shuffled like interactive batches), then per-slot residual tables
-    that reference wire ids per lane.
+    Layout (see the constants at the top of the module): header,
+    comparison records, sqrt records (both padded and shuffled like
+    interactive batches), then per-slot residual tables that reference
+    wire ids per lane.  The size follows from the program and the policy,
+    so the package is allocated once and every part is written in place.
     """
     rng = np.random.default_rng(seed)
     cmp_ids = sorted(program.cmp_operands)
     sqrt_ids = sorted(program.sqrt_args)
     widths = {c.id: c.width for c in program.comparisons}
-    cmp_entries = []
-    for cid in cmp_ids:
-        lhs, rhs = program.cmp_operands[cid]
-        cmp_entries.append((widths[cid], lhs, rhs))
-    sqrt_entries = [(program.sqrt_args[sid].width, program.sqrt_args[sid]) for sid in sqrt_ids]
-    creq = _cmp_records(cmp_entries)
-    sreq = _sqrt_records(sqrt_entries)
-    cwire, cpos = _pad_and_shuffle(creq, policy, rng, (("lhs", "lhs_level"), ("rhs", "rhs_level")))
-    swire, spos = _pad_and_shuffle(sreq, policy, rng, (("value", "level"),))
+    cmp_widths = [widths[cid] for cid in cmp_ids]
+    sqrt_widths = [program.sqrt_args[sid].width for sid in sqrt_ids]
+    n_cmp = policy.padded_size(sum(cmp_widths))
+    n_sqrt = policy.padded_size(sum(sqrt_widths))
+    names = sorted(program.slots)
+    encoded = [name.encode() for name in names]
 
-    cmp_wire_ids: dict[int, np.ndarray] = {}
-    pos = 0
-    for cid, (w, _, _) in zip(cmp_ids, cmp_entries):
-        cmp_wire_ids[cid] = cpos[pos:pos + w].astype(np.uint32)
-        pos += w
-    sqrt_wire_ids: dict[int, np.ndarray] = {}
-    pos = 0
-    for sid, (w, _) in zip(sqrt_ids, sqrt_entries):
-        sqrt_wire_ids[sid] = spos[pos:pos + w].astype(np.uint32)
-        pos += w
-
-    # streamed into one buffer; the wire arrays dominate the package, so
-    # they are dropped as soon as their bytes are written
-    del creq, sreq
-    buf = io.BytesIO()
-    buf.write(_PKG_MAGIC)
-    buf.write(struct.pack("<III", len(cwire), len(swire), len(program.slots)))
-    buf.write(memoryview(np.ascontiguousarray(cwire)))
-    buf.write(memoryview(np.ascontiguousarray(swire)))
-    del cwire, swire
-    for name in sorted(program.slots):
+    size = (_PKG_HEADER.size + n_cmp * CMP_DTYPE.itemsize + n_sqrt * SQRT_DTYPE.itemsize)
+    for name, nb in zip(names, encoded):
         rf = program.slots[name]
-        nb = name.encode()
+        n_params = len(rf.bool_params) + len(rf.sqrt_params)
+        size += (_SLOT_NAME.size + len(nb) + _SLOT_HEADER.size
+                 + n_params * rf.width * _WIRE_ID.itemsize + _MONO_COUNT.size)
+        for params, _ in rf.monomials:
+            size += _mono_header(len(params)).size + rf.width * _COEFF.itemsize
+    # every byte is written below, so the buffer need not be zeroed first
+    buf = np.empty(size, dtype=np.uint8)
+
+    _PKG_HEADER.pack_into(buf, 0, _PKG_MAGIC, n_cmp, n_sqrt, len(names))
+    off = _PKG_HEADER.size
+    cwire = np.frombuffer(buf, dtype=CMP_DTYPE, count=n_cmp, offset=off)
+    cmp_pos = _pad_and_shuffle(
+        cwire, cmp_widths, ([program.cmp_operands[cid][0] for cid in cmp_ids],
+                            [program.cmp_operands[cid][1] for cid in cmp_ids]),
+        _CMP_OPERANDS, rng)
+    off += cwire.nbytes
+    swire = np.frombuffer(buf, dtype=SQRT_DTYPE, count=n_sqrt, offset=off)
+    sqrt_pos = _pad_and_shuffle(
+        swire, sqrt_widths, ([program.sqrt_args[sid] for sid in sqrt_ids],),
+        _SQRT_OPERANDS, rng)
+    off += swire.nbytes
+    del cwire, swire
+    wire_ids = {("b", cid): ids for cid, ids in zip(cmp_ids, _split(cmp_pos, cmp_widths))}
+    wire_ids.update(
+        (("s", sid), ids) for sid, ids in zip(sqrt_ids, _split(sqrt_pos, sqrt_widths)))
+
+    for name, nb in zip(names, encoded):
+        rf = program.slots[name]
         width = rf.width
-        buf.write(struct.pack("<H", len(nb)))
-        buf.write(nb)
-        buf.write(struct.pack("<III", width, len(rf.bool_params), len(rf.sqrt_params)))
-        for cid in rf.bool_params:
-            buf.write(_lane_ids(cmp_wire_ids[cid], width).tobytes())
-        for sid in rf.sqrt_params:
-            buf.write(_lane_ids(sqrt_wire_ids[sid], width).tobytes())
-        buf.write(struct.pack("<I", len(rf.monomials)))
-        bool_local = {cid: i for i, cid in enumerate(rf.bool_params)}
-        sqrt_local = {sid: i for i, sid in enumerate(rf.sqrt_params)}
+        _SLOT_NAME.pack_into(buf, off, len(nb))
+        off += _SLOT_NAME.size
+        buf[off:off + len(nb)] = np.frombuffer(nb, dtype=np.uint8)
+        off += len(nb)
+        _SLOT_HEADER.pack_into(buf, off, width, len(rf.bool_params), len(rf.sqrt_params))
+        off += _SLOT_HEADER.size
+        # parameter key -> (kind code, slot-local index), bools first
+        local = {(_PARAM_KINDS[code], pid): (code, i)
+                 for code, pids in enumerate((rf.bool_params, rf.sqrt_params))
+                 for i, pid in enumerate(pids)}
+        table = np.frombuffer(buf, dtype=_WIRE_ID, count=len(local) * width, offset=off)
+        for row, key in zip(table.reshape(len(local), width), local):
+            row[:] = _lane_ids(wire_ids[key], width)
+        off += table.nbytes
+        _MONO_COUNT.pack_into(buf, off, len(rf.monomials))
+        off += _MONO_COUNT.size
         for params, coeff in rf.monomials:
-            buf.write(struct.pack("<B", len(params)))
-            for kind, pid in params:
-                if kind == "b":
-                    buf.write(struct.pack("<BH", 0, bool_local[pid]))
-                else:
-                    buf.write(struct.pack("<BH", 1, sqrt_local[pid]))
-            buf.write(struct.pack("<I", coeff.level))
-            lanes = np.ascontiguousarray(_lanes(coeff.value, width), dtype="<f8")
-            buf.write(memoryview(lanes))
-    return buf.getvalue()
+            head = _mono_header(len(params))
+            refs = [x for key in params for x in local[key]]
+            head.pack_into(buf, off, len(params), *refs, coeff.level)
+            off += head.size
+            lanes = np.frombuffer(buf, dtype=_COEFF, count=width, offset=off)
+            lanes[:] = coeff.value
+            off += lanes.nbytes
+    if off != size:
+        raise AssertionError(f"package layout wrote {off} of {size} bytes")
+    return buf.data
+
+
+def _split(pos: np.ndarray, widths: list[int]) -> list[np.ndarray]:
+    return np.split(pos, np.cumsum(widths)[:-1]) if widths else []
 
 
 def _lane_ids(ids: np.ndarray, width: int) -> np.ndarray:
-    if len(ids) == width:
+    if len(ids) in (1, width):
         return ids
-    if len(ids) == 1:
-        return np.repeat(ids, width)
     raise ValueError(f"parameter width {len(ids)} does not divide slot width {width}")
 
 
-def parse_package(blob: bytes) -> dict:
-    if blob[:8] != _PKG_MAGIC:
+def parse_package(blob) -> dict:
+    """Package tables as views into ``blob``; nothing is copied."""
+    if blob[:len(_PKG_MAGIC)] != _PKG_MAGIC:
         raise ValueError("not a deferred package")
-    off = 8
-    n_cmp, n_sqrt, n_slots = struct.unpack_from("<III", blob, off)
-    off += 12
+    _, n_cmp, n_sqrt, n_slots = _PKG_HEADER.unpack_from(blob, 0)
+    off = _PKG_HEADER.size
     cmps = np.frombuffer(blob, dtype=CMP_DTYPE, count=n_cmp, offset=off)
-    off += n_cmp * CMP_DTYPE.itemsize
+    off += cmps.nbytes
     sqrts = np.frombuffer(blob, dtype=SQRT_DTYPE, count=n_sqrt, offset=off)
-    off += n_sqrt * SQRT_DTYPE.itemsize
+    off += sqrts.nbytes
     slots: dict[str, dict] = {}
     for _ in range(n_slots):
-        (name_len,) = struct.unpack_from("<H", blob, off)
-        off += 2
-        name = blob[off:off + name_len].decode()
+        (name_len,) = _SLOT_NAME.unpack_from(blob, off)
+        off += _SLOT_NAME.size
+        name = bytes(blob[off:off + name_len]).decode()
         off += name_len
-        width, n_bool, n_sq = struct.unpack_from("<III", blob, off)
-        off += 12
-        bool_ids = []
-        for _ in range(n_bool):
-            bool_ids.append(np.frombuffer(blob, dtype="<u4", count=width, offset=off).copy())
-            off += 4 * width
-        sqrt_ids = []
-        for _ in range(n_sq):
-            sqrt_ids.append(np.frombuffer(blob, dtype="<u4", count=width, offset=off).copy())
-            off += 4 * width
-        (n_monos,) = struct.unpack_from("<I", blob, off)
-        off += 4
+        width, n_bool, n_sq = _SLOT_HEADER.unpack_from(blob, off)
+        off += _SLOT_HEADER.size
+        table = np.frombuffer(blob, dtype=_WIRE_ID, count=(n_bool + n_sq) * width, offset=off)
+        table = table.reshape(n_bool + n_sq, width)
+        off += table.nbytes
+        (n_monos,) = _MONO_COUNT.unpack_from(blob, off)
+        off += _MONO_COUNT.size
         monomials = []
         for _ in range(n_monos):
-            (n_params,) = struct.unpack_from("<B", blob, off)
-            off += 1
-            params = []
-            for _ in range(n_params):
-                kind, local = struct.unpack_from("<BH", blob, off)
-                off += 3
-                params.append(("b" if kind == 0 else "s", local))
-            (level,) = struct.unpack_from("<I", blob, off)
-            off += 4
-            coeff = np.frombuffer(blob, dtype="<f8", count=width, offset=off).copy()
-            off += 8 * width
-            monomials.append((tuple(params), coeff, level))
+            head = _mono_header(blob[off])
+            _, *refs, level = head.unpack_from(blob, off)
+            off += head.size
+            coeff = np.frombuffer(blob, dtype=_COEFF, count=width, offset=off)
+            off += coeff.nbytes
+            params = tuple(zip([_PARAM_KINDS[k] for k in refs[::2]], refs[1::2]))
+            monomials.append((params, coeff, level))
         slots[name] = {
             "width": width,
-            "bool_ids": bool_ids,
-            "sqrt_ids": sqrt_ids,
+            "bool_ids": table[:n_bool],
+            "sqrt_ids": table[n_bool:],
             "monomials": monomials,
         }
     return {"comparisons": cmps, "sqrts": sqrts, "slots": slots}
@@ -483,13 +504,12 @@ def run_deferred(ctx: CkksContext, builder: GraphBuilder, slots: dict[str, Expr]
     results = client.resolve_package(blob)
     n_cmp = sum(c.width for c in program.comparisons)
     n_sqrt = sum(a.width for a in program.sqrt_args.values())
-    pkg = parse_package(blob)
     trace = [RoundTrace(
         round=1,
         n_real_comparisons=n_cmp,
         n_real_sqrts=n_sqrt,
-        n_wire_comparisons=len(pkg["comparisons"]),
-        n_wire_sqrts=len(pkg["sqrts"]),
+        n_wire_comparisons=policy.padded_size(n_cmp),
+        n_wire_sqrts=policy.padded_size(n_sqrt),
         request_bytes=len(blob),
         response_bytes=0,
     )]

@@ -497,7 +497,7 @@ def run_pipeline(img, cfg: PipelineConfig | None = None, sim: SimParams | None =
     sim = sim if sim is not None else SimParams()
     img = validate_image(img)
 
-    if mode in ("plaintext", "plaintext-oracle"):
+    if mode == "plaintext":
         from . import oracle
 
         kps = oracle.run_reference(img, cfg)

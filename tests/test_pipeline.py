@@ -44,6 +44,8 @@ def test_config_validation():
         PipelineConfig(orientation_weighting="cubed")
     with pytest.raises(ConfigError):
         run_pipeline(np.zeros((16, 16)), mode="hybrid")
+    with pytest.raises(ConfigError, match="unknown mode"):
+        run_pipeline(np.zeros((16, 16)), mode="plaintext-oracle")
 
 
 def test_sigma_ladder_doubles_over_an_octave():

@@ -1,5 +1,6 @@
 """Client/server delegation: batching, decoys, rounds, packages."""
 
+import hashlib
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ from fhesift import (
     run_interactive,
     serialize_package,
 )
+from fhesift import protocol
 from fhesift.errors import DeferralUnsupported
 from fhesift.kernels import max2, running_max
 
@@ -215,3 +217,92 @@ def test_lane_batched_comparisons_ride_one_record_per_lane():
     assert np.array_equal(run.results["abs"], [1.0, 5.0, 2.0])
     assert run.rounds[0].n_real_comparisons == 3
     assert run.rounds[0].n_wire_comparisons == 8
+
+
+def _wire_toy():
+    """Width-1 and width-5 comparisons, a width-1 parameter in a width-5
+    slot, and scalar and lane-batched sqrts."""
+    ctx = CkksContext(SimParams(depth_budget=20))
+    b = GraphBuilder()
+    x = b.cipher(ctx.encrypt(4.0), name="x")
+    y = b.cipher(ctx.encrypt(9.0), name="y")
+    v = b.cipher(ctx.encrypt(np.array([1.0, 5.0, -2.0, 0.5, 3.25])), name="v")
+    slots = {
+        "pick": b.simplify(b.select(b.compare(x, y), x, y)),
+        "abs": b.simplify(b.select(b.compare(v, b.plain(0.0)), v, b.neg(v))),
+        "flip": b.simplify(b.select(b.compare(y, x), v, b.mul(v, x))),
+        "root": b.sqrt_deferred(y),
+        "norm": b.sqrt_deferred(b.mul(v, v)),
+    }
+    return ctx, b, slots
+
+
+def _sha(blob) -> str:
+    return hashlib.sha256(bytes(blob)).hexdigest()
+
+
+# sha256 digests recorded from the structured-record serializer; the wire
+# format is a contract, so any change to them is a format change
+PACKAGE_SHA256 = {
+    (True, 0): "7ef0edb60536840c0656bf3076d099f47d7fd1d62f204bd036d9a861e248faaf",
+    (True, 7): "9adf334fcaa0cbd158a385b08a1cee3bf384f585f56c93361a42df07ba23166b",
+    (False, 0): "c3168efe03c4d8de8d804551f589dc58941e8a490b51594b3c8ac5d369a16722",
+}
+REQUEST_SHA256 = [
+    ("c", "bda474dfcba566552c031873b31d8ff4b04fad59f08fc6a93f6fc2a707253e5d"),
+    ("s", "bc1c41cfe0f159d0fedada0e2cd781302a79639588c38c2707ff13a2d33d0dc5"),
+    ("c", "10bdf51abd459765ad409e3869a15df77f35cc37e1241bb8469c80ae39258239"),
+    ("c", "d3c439612a1d5f8e1b97c05122979bacd16cd2285127b16632458b38eb1a0a3b"),
+]
+
+
+@pytest.mark.parametrize("decoys,seed", sorted(PACKAGE_SHA256))
+def test_package_bytes_match_recorded_digest(decoys, seed):
+    ctx, b, slots = _wire_toy()
+    prog = lower(b, slots, ctx)
+    blob = serialize_package(prog, DecoyPolicy(enabled=decoys), seed=seed)
+    assert _sha(blob) == PACKAGE_SHA256[decoys, seed]
+
+
+class _RecordingClient(Client):
+    def __init__(self, ctx):
+        super().__init__(ctx)
+        self.requests = []
+
+    def resolve_comparisons(self, blob):
+        self.requests.append(("c", _sha(blob)))
+        return super().resolve_comparisons(blob)
+
+    def resolve_sqrts(self, blob):
+        self.requests.append(("s", _sha(blob)))
+        return super().resolve_sqrts(blob)
+
+
+def test_interactive_request_bytes_match_recorded_digests():
+    ctx, b, slots = _wire_toy()
+    z = b.cipher(ctx.encrypt(np.array([2.0, 6.0, -1.0, 4.0, 3.0])), name="z")
+    slots["chain"] = max2(b, max2(b, slots["abs"], z), b.sqrt_deferred(b.mul(z, z)))
+    client = _RecordingClient(ctx)
+    run = run_interactive(ctx, b, slots, client, seed=11)
+    assert [(r.n_real_comparisons, r.n_wire_comparisons, r.n_real_sqrts, r.n_wire_sqrts)
+            for r in run.rounds] == [(6, 8, 11, 16), (5, 8, 0, 0), (5, 8, 0, 0)]
+    assert client.requests == REQUEST_SHA256
+    assert np.array_equal(run.results["chain"].value, [2.0, 6.0, 2.0, 4.0, 3.25])
+
+
+@pytest.mark.parametrize("decoys", [True, False])
+def test_run_deferred_parses_the_package_once(monkeypatch, decoys):
+    ctx, b, slots = _wire_toy()
+    parse = protocol.parse_package
+    blobs = []
+
+    def counting_parse(blob):
+        blobs.append(blob)
+        return parse(blob)
+
+    monkeypatch.setattr(protocol, "parse_package", counting_parse)
+    run = run_deferred(ctx, b, slots, Client(ctx), DecoyPolicy(enabled=decoys), seed=2)
+    assert len(blobs) == 1
+    pkg = parse(blobs[0])
+    assert run.rounds[0].n_wire_comparisons == len(pkg["comparisons"])
+    assert run.rounds[0].n_wire_sqrts == len(pkg["sqrts"])
