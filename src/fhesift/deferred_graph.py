@@ -584,7 +584,8 @@ class CipherEvaluator:
 
     BoolVar / Sqrt nodes must already be bound to encrypted values (the
     interactive protocol binds them round by round); hitting an unbound
-    parameter raises MissingAssignment.
+    parameter raises MissingAssignment.  A subtraction, built as an ADD
+    with a NEG child, costs one ``ctx.sub`` and no negation.
     """
 
     def __init__(self, ctx: CkksContext, builder: GraphBuilder,
@@ -605,6 +606,9 @@ class CipherEvaluator:
             # Public constants ride along unencrypted; wrap at full level.
             return Ciphertext(n.payload, ctx.params.depth_budget, 0.0)
         if n.op == ADD:
+            sub = _as_subtraction(n)
+            if sub is not None:
+                return ctx.sub(m[sub[0].id], m[sub[1].id])
             return ctx.add(m[n.a.id], m[n.c.id])
         if n.op == NEG:
             return ctx.neg(m[n.a.id])
@@ -637,13 +641,28 @@ class CipherEvaluator:
                 memo[n.id] = self._compute(n)
                 stack.pop()
                 continue
-            kids = [k for k in (n.a, n.c) if k is not None and k.id not in memo]
+            operands = (_as_subtraction(n) if n.op == ADD else None) or (n.a, n.c)
+            kids = [k for k in operands if k is not None and k.id not in memo]
             if kids:
                 stack.extend(kids)
                 continue
             stack.pop()
             memo[n.id] = self._compute(n)
         return memo[root.id]
+
+
+def _as_subtraction(n: Expr) -> tuple[Expr, Expr] | None:
+    """(x, y) when ADD node n is x + (-y), else None.
+
+    The cipher walk computes such a node as one ``ctx.sub(x, y)`` and never
+    evaluates the NEG child: in IEEE arithmetic x + (-y) and x - y agree
+    bit for bit, signed zeros included, with the same level and noise bound.
+    """
+    if n.c.op == NEG:
+        return n.a, n.c.a
+    if n.a.op == NEG:
+        return n.c, n.a.a
+    return None
 
 
 # -- lowering ---------------------------------------------------------------------

@@ -137,27 +137,28 @@ class Client:
     def unattributed_decrypts(self) -> int:
         return self.sk.decrypt_calls - self.attributed_decrypts
 
-    def resolve_comparisons(self, blob: bytes) -> bytes:
+    def resolve_comparisons(self, blob) -> memoryview:
         recs = np.frombuffer(blob, dtype=CMP_DTYPE)
         lhs = self._decrypt(Ciphertext(recs["lhs"], int(self.ctx.params.depth_budget)))
         rhs = self._decrypt(Ciphertext(recs["rhs"], int(self.ctx.params.depth_budget)))
-        bools = np.greater(lhs, rhs).astype(np.float64)
-        out = np.empty(len(recs), dtype=RESP_DTYPE)
-        out["id"] = recs["id"]
-        out["value"] = self.ctx.encrypt(bools).value
-        out["level"] = self.ctx.params.depth_budget
-        return out.tobytes()
+        return self._response(recs["id"], np.greater(lhs, rhs).astype(np.float64))
 
-    def resolve_sqrts(self, blob: bytes) -> bytes:
+    def resolve_sqrts(self, blob) -> memoryview:
         recs = np.frombuffer(blob, dtype=SQRT_DTYPE)
         args = self._decrypt(Ciphertext(recs["value"], int(self.ctx.params.depth_budget)))
         with np.errstate(invalid="ignore"):
             roots = np.sqrt(args)
-        out = np.empty(len(recs), dtype=RESP_DTYPE)
-        out["id"] = recs["id"]
-        out["value"] = self.ctx.encrypt(roots).value
+        return self._response(recs["id"], roots)
+
+    def _response(self, ids: np.ndarray, values: np.ndarray) -> memoryview:
+        """Answer records as wire bytes: each request id with its value
+        freshly encrypted at full depth.  The bytes are a view of the
+        records, not a copy."""
+        out = np.empty(len(ids), dtype=RESP_DTYPE)
+        out["id"] = ids
+        out["value"] = self.ctx.encrypt(values).value
         out["level"] = self.ctx.params.depth_budget
-        return out.tobytes()
+        return out.view(np.uint8).data
 
     def resolve_package(self, blob: bytes) -> dict[str, Value]:
         """Decrypt a deferred package and finish the computation locally,

@@ -30,12 +30,13 @@ identical float operations in identical order.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .ckks_sim import CkksContext, SimParams, gather
-from .deferred_graph import CipherEvaluator, GraphBuilder, LoweredProgram, lower
+from .deferred_graph import CipherEvaluator, GraphBuilder, lower
 from .errors import ConfigError, DeferralUnsupported, DepthExhausted
 from .kernels import bin_mask, convolve2d, gaussian_kernel1d, vec_argmax_onehot, weighted_histogram
 from .protocol import Client, DecoyPolicy, run_deferred, run_interactive
@@ -238,18 +239,16 @@ class _GraphPlan:
     def __init__(self, builder: GraphBuilder):
         self.builder = builder
         self.slots: dict = {}
-        self.nf_slots: set[str] = set()
         self.stage_slots: dict[str, list[str]] = {st: [] for st in _GRAPH_STAGES}
         self.stage_cmps: dict[str, list[int]] = {st: [] for st in _GRAPH_STAGES}
         self.stage_sqrts: dict[str, list[int]] = {st: [] for st in _GRAPH_STAGES}
-        self.stage_exprs: dict[str, list] = {st: [] for st in _GRAPH_STAGES}
+        # expressions whose normal-form coefficients are the stage's pure work
+        self.stage_roots: dict[str, list] = {st: [] for st in _GRAPH_STAGES}
         self.sites: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
 
-    def add_slot(self, stage: str, name: str, e, nf: bool = True):
+    def add_slot(self, stage: str, name: str, e):
         self.slots[name] = e
         self.stage_slots[stage].append(name)
-        if nf:
-            self.nf_slots.add(name)
 
     def mark_stage(self, stage: str, cmp_lo: int, sqrt_lo: int):
         b = self.builder
@@ -257,24 +256,31 @@ class _GraphPlan:
         self.stage_sqrts[stage].extend(range(sqrt_lo, len(b.sqrts)))
 
 
-class _OpBracket:
-    """Attributes simulator op-count deltas to a named stage."""
+@contextmanager
+def _stage(ctx: CkksContext, report: RunReport, name: str, depth_stage: str | None = None):
+    """Guard one stage: add its simulator ops to ``report.stage_ops[name]``
+    and re-raise DepthExhausted naming ``depth_stage`` (default ``name``).
 
-    def __init__(self, ctx: CkksContext, report: RunReport, stage: str):
-        self.ctx, self.report, self.stage = ctx, report, stage
+    Yields ``note(cts)``, which lowers ``report.stage_min_level[name]`` to
+    the lowest level among ``cts``.
+    """
 
-    def __enter__(self):
-        self.before = self.ctx.snapshot_counts()
-        return self
+    def note(cts):
+        low = min((ct.level for ct in cts), default=None)
+        if low is not None:
+            report.stage_min_level[name] = min(report.stage_min_level.get(name, low), low)
 
-    def __exit__(self, *exc):
-        after = self.ctx.snapshot_counts()
-        acc = self.report.stage_ops.setdefault(self.stage, {})
-        for k, n in after.items():
-            d = n - self.before.get(k, 0)
+    before = ctx.snapshot_counts()
+    try:
+        yield note
+    except DepthExhausted as e:
+        raise DepthExhausted(str(e), stage=depth_stage or name) from e
+    finally:
+        acc = report.stage_ops.setdefault(name, {})
+        for k, n in ctx.snapshot_counts().items():
+            d = n - before.get(k, 0)
             if d:
                 acc[k] = acc.get(k, 0) + d
-        return False
 
 
 def _or(b: GraphBuilder, p, q):
@@ -358,18 +364,18 @@ def _build_site_graph(ctx, plan: _GraphPlan, gauss, dog, dims, cfg: PipelineConf
             edge_ok = b.sub(b.plain(1.0), b.compare(b.mul(tr, tr), b.mul(b.plain(r), det2)))
             kp_mask = b.mul(b.mul(det_mask, accept), edge_ok)
             plan.mark_stage("localize", cmp_lo, sqrt_lo)
-            plan.add_slot("localize", f"{p}/mask", b.simplify(kp_mask))
-            plan.add_slot("localize", f"{p}/det", b.simplify(det))
-            plan.add_slot("localize", f"{p}/num_x", b.simplify(num_x))
-            plan.add_slot("localize", f"{p}/num_y", b.simplify(num_y))
-            plan.add_slot("localize", f"{p}/num_s", b.simplify(num_s))
+            for name, e in (("mask", kp_mask), ("det", det), ("num_x", num_x),
+                            ("num_y", num_y), ("num_s", num_s)):
+                e = b.simplify(e)
+                plan.stage_roots["localize"].append(e)
+                plan.add_slot("localize", f"{p}/{name}", e)
 
             # gradients of the Gaussian level, shared by orientation and
             # descriptor.  The 1/2 central-difference factor is folded
             # into the plaintext weights; angles do not see scale.
             g_lvl = gauss[o][l]
             grads = {}
-            with _OpBracket(ctx, report, "orient"):
+            with _stage(ctx, report, "orient"):
                 for vv in range(-4, 4):
                     for uu in range(-4, 4):
                         gxr = ctx.sub(gather(g_lvl, (ys + vv, xs + uu + 1)),
@@ -399,12 +405,14 @@ def _build_site_graph(ctx, plan: _GraphPlan, gauss, dog, dims, cfg: PipelineConf
             bins = [b.simplify(e) for e in weighted_histogram(b, triples, nb)]
             wsum = b.simplify(b.sum_([w for _, _, w in triples]))
             plan.mark_stage("orient", cmp_lo, sqrt_lo)
+            # the bins are roots in both modes; the one-hot slots are not,
+            # since their coefficients hang on the tournament's answers
+            plan.stage_roots["orient"] += [wsum, *bins]
             plan.add_slot("orient", f"{p}/wsum", wsum)
             if with_argmax:
-                plan.stage_exprs["orient"].extend(bins)
                 onehot = vec_argmax_onehot(b, bins)
                 for k in range(nb):
-                    plan.add_slot("orient", f"{p}/oh{k:02d}", onehot[k], nf=False)
+                    plan.add_slot("orient", f"{p}/oh{k:02d}", onehot[k])
             else:
                 for k in range(nb):
                     plan.add_slot("orient", f"{p}/bin{k:02d}", bins[k])
@@ -427,7 +435,9 @@ def _build_site_graph(ctx, plan: _GraphPlan, gauss, dog, dims, cfg: PipelineConf
                         term = b.mul(masks[k], w)
                         entries[e] = term if entries[e] is None else b.add(entries[e], term)
             for e in range(128):
-                plan.add_slot("descriptor", f"{p}/d{e:03d}", b.simplify(entries[e]))
+                d = b.simplify(entries[e])
+                plan.stage_roots["descriptor"].append(d)
+                plan.add_slot("descriptor", f"{p}/d{e:03d}", d)
             plan.mark_stage("descriptor", cmp_lo, sqrt_lo)
 
 
@@ -481,15 +491,6 @@ def _assemble(plan: _GraphPlan, values: dict, cfg: PipelineConfig,
 # -- run ---------------------------------------------------------------------------
 
 
-def _note_level(report: RunReport, stage: str, cts):
-    levels = [ct.level for ct in cts]
-    if not levels:
-        return
-    low = min(levels)
-    cur = report.stage_min_level.get(stage)
-    report.stage_min_level[stage] = low if cur is None else min(cur, low)
-
-
 def run_pipeline(img, cfg: PipelineConfig | None = None, sim: SimParams | None = None,
                  mode: str = "plaintext", seed: int = 0,
                  keep_slots: bool = False) -> PipelineResult:
@@ -515,31 +516,45 @@ def run_pipeline(img, cfg: PipelineConfig | None = None, sim: SimParams | None =
     client = Client(ctx)
     report = RunReport(mode, img.shape, seed, sim.depth_budget)
 
-    with _OpBracket(ctx, report, "scale-space"):
-        img_ct = ctx.encrypt(img)
-        try:
-            gauss, dog, dims = _scale_space_cipher(ctx, img_ct, cfg)
-        except DepthExhausted as e:
-            raise DepthExhausted(str(e), stage="scale-space") from e
-    _note_level(report, "scale-space",
-                [g for lv in gauss for g in lv] + [d for lv in dog for d in lv])
+    with _stage(ctx, report, "scale-space") as note:
+        gauss, dog, dims = _scale_space_cipher(ctx, ctx.encrypt(img), cfg)
+        note([g for lv in gauss for g in lv] + [d for lv in dog for d in lv])
 
     plan = _GraphPlan(GraphBuilder())
+    b = plan.builder
     _build_site_graph(ctx, plan, gauss, dog, dims, cfg,
                       with_argmax=(mode == "interactive"), report=report)
-    report.dependency_depth = plan.builder.dependency_depth(plan.slots.values())
+    report.dependency_depth = b.dependency_depth(plan.slots.values())
+    ev = CipherEvaluator(ctx, b)
+    _evaluate_pure(ctx, plan, report, ev)
 
     if mode == "deferred":
-        program = _lower_by_stage(ctx, plan, report)
-        with _OpBracket(ctx, report, "protocol"):
-            run = run_deferred(ctx, plan.builder, plan.slots, client, DecoyPolicy(),
+        with _stage(ctx, report, "protocol"):
+            # every ciphertext lowering needs is already in the memo
+            program = lower(b, plan.slots, ctx, evaluator=ev)
+            # the program tables hold every ciphertext that outlives
+            # lowering; dropping the memo releases all intermediates
+            ev.memo.clear()
+            run = run_deferred(ctx, b, plan.slots, client, DecoyPolicy(),
                                seed=seed, program=program)
         values = {k: np.atleast_1d(np.asarray(v)) for k, v in run.results.items()}
         report.rounds = run.rounds
         report.leakage = run.leakage
         report.package_bytes = run.package_bytes
     else:
-        values = _run_interactive_staged(ctx, plan, client, report, seed)
+        # past the pure evaluation, only the orientation argmax tournament
+        # evaluates anything on the server, so it owns any depth failure
+        with _stage(ctx, report, "protocol", depth_stage="orient"):
+            run = run_interactive(ctx, b, plan.slots, client, DecoyPolicy(), seed=seed,
+                                  evaluator=ev, evaluate_slots=False)
+        report.rounds = run.rounds
+        values = {}
+        for stage in _GRAPH_STAGES:
+            with _stage(ctx, report, stage) as note:
+                cts = {name: ev.eval(plan.slots[name]) for name in plan.stage_slots[stage]}
+                note(cts.values())
+                for name, ct in cts.items():
+                    values[name] = np.atleast_1d(np.asarray(client.decrypt_value(ct)))
 
     kps = _assemble(plan, values, cfg,
                     orientation_from=("onehot" if mode == "interactive" else "bins"))
@@ -549,97 +564,20 @@ def run_pipeline(img, cfg: PipelineConfig | None = None, sim: SimParams | None =
     return PipelineResult(kps, report, slots=values if keep_slots else None)
 
 
-def _lower_by_stage(ctx, plan: _GraphPlan, report: RunReport) -> LoweredProgram:
-    """Lower stage by stage so depth errors name their stage, then merge."""
-    b = plan.builder
-    ev = CipherEvaluator(ctx, b)
-    merged = LoweredProgram([], {}, {}, {},
-                            {"bool_params": 0, "sqrt_params": 0, "monomials": 0})
-    seen: set[int] = set()
-    for stage in _GRAPH_STAGES:
-        names = plan.stage_slots[stage]
-        if not names:
-            continue
-        group = {n: plan.slots[n] for n in names}
-        try:
-            with _OpBracket(ctx, report, stage):
-                part = lower(b, group, ctx, evaluator=ev)
-        except DepthExhausted as e:
-            raise DepthExhausted(str(e), stage=stage) from e
-        for cmp in part.comparisons:
-            if cmp.id not in seen:
-                seen.add(cmp.id)
-                merged.comparisons.append(cmp)
-        merged.cmp_operands.update(part.cmp_operands)
-        merged.sqrt_args.update(part.sqrt_args)
-        merged.slots.update(part.slots)
-        merged.leakage["monomials"] += part.leakage["monomials"]
-        _note_level(report, stage,
-                    [ct for rf in part.slots.values() for _, ct in rf.monomials])
-        _note_level(report, stage,
-                    [ct for pair in part.cmp_operands.values() for ct in pair])
-    merged.comparisons.sort(key=lambda c: c.id)
-    merged.leakage["bool_params"] = len(merged.cmp_operands)
-    merged.leakage["sqrt_params"] = len(merged.sqrt_args)
-    # the program tables hold every ciphertext that outlives lowering;
-    # dropping the evaluator memo releases all intermediates
-    ev.memo.clear()
-    return merged
-
-
-def _run_interactive_staged(ctx, plan: _GraphPlan, client: Client, report: RunReport,
-                            seed: int) -> dict:
-    """One tier-merged protocol run with per-stage evaluation around it.
-
-    Pure comparison operands, sqrt arguments and residual coefficients
-    are evaluated before the protocol, stage by stage, so running out of
-    depth is attributed to the stage that caused it; the protocol then
-    reuses those ciphertexts through the shared evaluator's memo.
+def _evaluate_pure(ctx, plan: _GraphPlan, report: RunReport, ev: CipherEvaluator):
+    """Evaluate, stage by stage, all server work that needs no client answer:
+    pure comparison operands, pure sqrt arguments and the normal-form
+    coefficients of the stage's roots.  Both protocols then find these
+    ciphertexts in ``ev``'s memo, so running out of depth is attributed
+    to the stage that caused it.
     """
     b = plan.builder
-    ev = CipherEvaluator(ctx, b)
     for stage in _GRAPH_STAGES:
-        try:
-            with _OpBracket(ctx, report, stage):
-                seenops = []
-                for cid in plan.stage_cmps[stage]:
-                    cmp = b.comparisons[cid]
-                    for side in (cmp.lhs, cmp.rhs):
-                        if side.pure:
-                            seenops.append(ev.eval(side))
-                for sid in plan.stage_sqrts[stage]:
-                    arg = b.sqrts[sid].arg
-                    if arg.pure:
-                        seenops.append(ev.eval(arg))
-                for name in plan.stage_slots[stage]:
-                    if name in plan.nf_slots:
-                        for coeff in b.normal_form(plan.slots[name]).values():
-                            seenops.append(ev.eval(coeff))
-                for e in plan.stage_exprs[stage]:
-                    for coeff in b.normal_form(e).values():
-                        seenops.append(ev.eval(coeff))
-                _note_level(report, stage, seenops)
-        except DepthExhausted as e:
-            raise DepthExhausted(str(e), stage=stage) from e
-
-    try:
-        with _OpBracket(ctx, report, "protocol"):
-            run = run_interactive(ctx, b, plan.slots, client, DecoyPolicy(), seed=seed,
-                                  evaluator=ev, evaluate_slots=False)
-    except DepthExhausted as e:
-        # everything pure was pre-evaluated; what runs out of depth here
-        # is the orientation argmax tournament
-        raise DepthExhausted(str(e), stage="orient") from e
-    report.rounds = run.rounds
-
-    values: dict = {}
-    for stage in _GRAPH_STAGES:
-        try:
-            with _OpBracket(ctx, report, stage):
-                cts = {name: ev.eval(plan.slots[name]) for name in plan.stage_slots[stage]}
-                _note_level(report, stage, list(cts.values()))
-                for name, ct in cts.items():
-                    values[name] = np.atleast_1d(np.asarray(client.decrypt_value(ct)))
-        except DepthExhausted as e:
-            raise DepthExhausted(str(e), stage=stage) from e
-    return values
+        with _stage(ctx, report, stage) as note:
+            exprs = [side for cid in plan.stage_cmps[stage]
+                     for side in (b.comparisons[cid].lhs, b.comparisons[cid].rhs)]
+            exprs += [b.sqrts[sid].arg for sid in plan.stage_sqrts[stage]]
+            exprs = [e for e in exprs if e.pure]
+            exprs += [c for root in plan.stage_roots[stage]
+                      for c in b.normal_form(root).values()]
+            note([ev.eval(e) for e in exprs])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fhesift import (
+    Ciphertext,
     CipherEvaluator,
     CkksContext,
     GraphBuilder,
@@ -56,6 +57,44 @@ def test_sub_is_add_neg():
     d = b.sub(x, y)
     assert format_expr(d) == "x - y"
     assert PlainEvaluator(b).eval(d) == 3.0
+
+
+def _literal_walk(ctx, e):
+    """Node-by-node cipher walk: every ADD is ctx.add, every NEG ctx.neg."""
+    if e.op == "cipher":
+        return e.payload
+    if e.op == "neg":
+        return ctx.neg(_literal_walk(ctx, e.a))
+    return ctx.add(_literal_walk(ctx, e.a), _literal_walk(ctx, e.c))
+
+
+def test_cipher_walk_lowers_subtraction_to_one_sub():
+    # signed zeros in every pairing, plus different levels and noise bounds
+    xv = np.array([5.0, 0.0, -0.0, 0.0, -0.0, 1e-300, 3.5])
+    yv = np.array([2.0, 0.0, 0.0, -0.0, -0.0, -1e-300, 7.25])
+    ct_x = Ciphertext(xv, 7, np.linspace(0.0, 1e-9, 7))
+    ct_y = Ciphertext(yv, 4, np.full(7, 3e-10))
+    b = GraphBuilder()
+    x = b.cipher(ct_x, name="x")
+    nx = b.neg(x)  # interned before y, so it becomes the ADD's left child
+    y = b.cipher(ct_y, name="y")
+    cases = {
+        "x - y": (b.sub(x, y), 0),
+        "neg(x) + y": (b.add(nx, y), 0),
+        "x - x": (b.sub(x, x), 0),
+        # -x - y needs one negation whichever way it is computed
+        "neg(x) + neg(y)": (b.add(nx, b.neg(y)), 1),
+    }
+    assert cases["neg(x) + y"][0].a is nx
+    for label, (e, negs) in cases.items():
+        ctx = _ctx()
+        got = CipherEvaluator(ctx, b).eval(e)
+        assert ctx.op_counts["add"] == 7 and ctx.op_counts["neg"] == 7 * negs, label
+        want = _literal_walk(_ctx(), e)
+        assert got.level == want.level, label
+        assert np.asarray(got.value).tobytes() == np.asarray(want.value).tobytes(), label
+        assert np.asarray(got.noise_bound).tobytes() == \
+            np.asarray(want.noise_bound).tobytes(), label
 
 
 def test_operator_sugar():

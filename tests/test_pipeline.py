@@ -1,6 +1,8 @@
 """Pipeline behavior beyond the acceptance checks: configuration, stage
 attribution, noisy-mode exclusion bands, slot-level mode agreement."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -12,12 +14,14 @@ from fhesift import (
     compare_keypoints,
     keypoints_from_text,
     keypoints_to_text,
+    protocol,
     run_pipeline,
 )
 from fhesift.errors import ConfigError, DeferralUnsupported, DepthExhausted
 from fhesift.oracle import ambiguous_keypoints, ambiguous_sites, run_with_margins, site_of
 from fhesift.sift_pipeline import (
     SQRT_MAGNITUDE,
+    STAGES,
     Keypoint,
     parse_keypoint_line,
     validate_image,
@@ -154,13 +158,49 @@ def test_second_octave_blurs_exhaust_a_three_level_budget(images):
     assert ei.value.stage == "scale-space"
 
 
-def test_reports_carry_per_stage_tables(blob16):
-    out = run_pipeline(blob16, CFG16, mode="deferred", seed=SEED)
-    r = out.report
-    assert set(r.stage_ops) >= {"scale-space", "localize", "orient", "descriptor", "protocol"}
+@pytest.mark.parametrize("mode", ["interactive", "deferred"])
+def test_reports_carry_per_stage_tables(blob16, mode):
+    r = run_pipeline(blob16, CFG16, mode=mode, seed=SEED).report
+    assert set(r.stage_ops) == set(STAGES)
+    # the protocol adds no ciphertext of its own to the level table
+    assert set(r.stage_min_level) == set(STAGES) - {"protocol"}
     assert all(v >= 0 for ops in r.stage_ops.values() for v in ops.values())
     assert r.stage_min_level["scale-space"] == 28  # two blur levels per octave
     assert min(r.stage_min_level.values()) >= 0
+
+
+# sha256 of every blob16 slot (name, then little-endian float64 lanes, in
+# name order) and of the deferred package.  Exact-mode outputs are a
+# contract: reorganizing how the server evaluates must leave them unchanged.
+BLOB16_SLOTS_SHA256 = {
+    "interactive": "3009a0f001f858af0fab65dce5ccb9b10b6bd1ab1df9de758c923c11933efd91",
+    "deferred": "9a1e337e87bd44d6435980460f1b14acf4bae18f69b637b2f13895e7a6ed7629",
+}
+BLOB16_PACKAGE_SHA256 = "c2e4aa4715d8e4c1912a7f13872967e09c9b7e41fec5469fab39995f210c69f0"
+
+
+def _slots_sha(slots: dict) -> str:
+    h = hashlib.sha256()
+    for name in sorted(slots):
+        h.update(name.encode())
+        h.update(np.ascontiguousarray(slots[name], dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("mode", ["interactive", "deferred"])
+def test_blob16_outputs_match_recorded_digests(blob16, monkeypatch, mode):
+    serialize = protocol.serialize_package
+    packages = []
+
+    def recording_serialize(*args, **kwargs):
+        blob = serialize(*args, **kwargs)
+        packages.append(hashlib.sha256(blob).hexdigest())
+        return blob
+
+    monkeypatch.setattr(protocol, "serialize_package", recording_serialize)
+    out = run_pipeline(blob16, CFG16, mode=mode, seed=SEED, keep_slots=True)
+    assert _slots_sha(out.slots) == BLOB16_SLOTS_SHA256[mode]
+    assert packages == ([BLOB16_PACKAGE_SHA256] if mode == "deferred" else [])
 
 
 # -- orientation weighting variants ----------------------------------------------------
