@@ -124,6 +124,8 @@ def _flat_report(report: RunReport) -> list[tuple[str, str]]:
             put(f"ops.{stage}.{op}", report.stage_ops[stage][op])
     for stage in sorted(report.stage_min_level):
         put(f"min_level.{stage}", report.stage_min_level[stage])
+    for stage in sorted(report.cmp_lanes):
+        put(f"cmp_lanes.{stage}", report.cmp_lanes[stage])
     put("decrypts.server", report.server_decrypt_calls)
     put("decrypts.client", report.client_decrypt_calls)
     if report.leakage is not None:

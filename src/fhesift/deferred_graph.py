@@ -2,8 +2,10 @@
 
 Programs are built as hash-consed expression DAGs.  Arithmetic stays
 server-side; comparisons and square roots become unresolved parameters
-(BoolVar / Sqrt nodes) that only a key-holding client can resolve.  The
-engine can:
+(BoolVar / Sqrt nodes) that only a key-holding client can resolve.  A
+BoolVar can also be reindexed: its lanes gathered through an index map,
+which is free like ``ckks_sim.gather`` and lets one comparison per source
+lane serve every lane that reads it.  The engine can:
 
   * simplify an expression to its multilinear normal form over those
     parameters (booleans are idempotent, a squared sqrt collapses to its
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ckks_sim import Ciphertext, CkksContext, Value
+from .ckks_sim import Ciphertext, CkksContext, Value, gather
 from .errors import (
     DeferralUnsupported,
     MissingAssignment,
@@ -47,6 +49,7 @@ NEG = "neg"
 MUL = "mul"
 BOOL = "bool"
 SQRT = "sqrt"
+REINDEX = "reindex"
 
 _POSITIVE = "positive"
 _NEGATIVE = "negative"
@@ -122,6 +125,16 @@ class SqrtRequest:
     arg: Expr
 
 
+@dataclass(frozen=True, eq=False)
+class Reindex:
+    """Comparison ``source`` with its lanes gathered through ``index``:
+    lane i of the parameter is lane ``index[i]`` of the comparison."""
+
+    id: int
+    source: int
+    index: np.ndarray
+
+
 @dataclass(frozen=True)
 class Rational:
     """A division kept symbolic: num/den plus what is known about sign(den)."""
@@ -148,13 +161,17 @@ def _sqrt_key(sqrt_id: int):
     return ("s", sqrt_id)
 
 
+def _reindex_key(reindex_id: int):
+    return ("r", reindex_id)
+
+
 class GraphBuilder:
     """Single-writer construction context for one program's DAG.
 
     Node identity is structural: identical (op, children, payload) terms
     intern to the same node, so repeated subterms share comparisons and
     coefficients for free.  Plain scalars intern by value; array payloads
-    and ciphertexts intern by object identity.
+    and ciphertexts intern by object identity; reindexing maps by content.
     """
 
     def __init__(self, allow_sign_resolution: bool = True):
@@ -162,10 +179,15 @@ class GraphBuilder:
         self.nodes: list[Expr] = []
         self.comparisons: list[Comparison] = []
         self.sqrts: list[SqrtRequest] = []
+        self.reindexed: list[Reindex] = []
         self._intern: dict = {}
+        # map bytes -> (map id, canonical map, lowest and highest lane)
+        self._index_maps: dict[bytes, tuple[int, np.ndarray, int, int]] = {}
+        # id(array) -> (array, entry): an array passed again skips hashing;
+        # holding it keeps its id from being reused
+        self._index_objs: dict[int, tuple[np.ndarray, tuple]] = {}
         self._cmp_by_pair: dict[tuple[int, int], int] = {}
-        self._bool_nodes: dict[int, Expr] = {}
-        self._sqrt_nodes: dict[int, Expr] = {}
+        self._param_nodes: dict[tuple, Expr] = {}  # normal-form key -> node
         self._nf_memo: dict[int, dict] = {}
         self._tier_memo: dict[int, int] = {}
         self._cipher_count = 0
@@ -283,10 +305,10 @@ class GraphBuilder:
         lhs, rhs = self.as_expr(lhs), self.as_expr(rhs)
         pair = (lhs.id, rhs.id)
         if pair in self._cmp_by_pair:
-            return self._bool_nodes[self._cmp_by_pair[pair]]
+            return self._param_nodes[_bool_key(self._cmp_by_pair[pair])]
         rev = (rhs.id, lhs.id)
         if rev in self._cmp_by_pair:
-            canonical = self._bool_nodes[self._cmp_by_pair[rev]]
+            canonical = self._param_nodes[_bool_key(self._cmp_by_pair[rev])]
             return self.sub(self.plain(1.0), canonical)
         cmp_id = len(self.comparisons)
         self.comparisons.append(Comparison(cmp_id, lhs, rhs, self._bw(lhs, rhs)))
@@ -294,7 +316,48 @@ class GraphBuilder:
             BOOL, payload=cmp_id, key=(BOOL, cmp_id), width=self._bw(lhs, rhs), pure=False
         )
         self._cmp_by_pair[pair] = cmp_id
-        self._bool_nodes[cmp_id] = node
+        self._param_nodes[_bool_key(cmp_id)] = node
+        return node
+
+    def reindex(self, param: Expr, index) -> Expr:
+        """BoolVar ``param`` with its lanes gathered through ``index``.
+
+        Lane i of the result is lane ``index[i]`` of the comparison, so one
+        comparison over per-pixel operands serves every window position
+        that reads the pixel.  Free, like ``ckks_sim.gather``.  Equal maps
+        of one parameter intern to one node; an array passed again is
+        recognised by identity, so, like array payloads, it must not change
+        afterwards.  Ids count up in creation order, so within a normal
+        form reindexed parameters sort as the per-position comparisons they
+        stand for would.
+        """
+        if not isinstance(param, Expr) or param.op != BOOL:
+            raise ValueError("only a comparison parameter can be reindexed")
+        seen = self._index_objs.get(id(index))
+        if seen is not None and seen[0] is index:
+            map_id, idx, lo, hi = seen[1]
+        else:
+            idx = np.asarray(index)
+            if idx.ndim != 1 or idx.size == 0 or idx.dtype.kind not in "iu":
+                raise ValueError("index map must be a non-empty 1-D integer array")
+            idx = np.ascontiguousarray(idx, dtype=np.intp)
+            raw = idx.tobytes()
+            if raw not in self._index_maps:
+                self._index_maps[raw] = (len(self._index_maps), idx, int(idx.min()), int(idx.max()))
+            map_id, idx, lo, hi = entry = self._index_maps[raw]
+            if isinstance(index, np.ndarray):
+                self._index_objs[id(index)] = (index, entry)
+        if param.width < 2 or lo < 0 or hi >= param.width:
+            raise ValueError(
+                f"index map reaches outside the {param.width} lanes of comparison "
+                f"{param.payload}")
+        key = (REINDEX, param.payload, map_id)
+        if key in self._intern:
+            return self._intern[key]
+        rid = len(self.reindexed)
+        self.reindexed.append(Reindex(rid, param.payload, idx))
+        node = self._node(REINDEX, a=param, payload=rid, key=key, width=len(idx), pure=False)
+        self._param_nodes[_reindex_key(rid)] = node
         return node
 
     def select(self, cond, then, els) -> Expr:
@@ -318,7 +381,7 @@ class GraphBuilder:
         sqrt_id = len(self.sqrts)
         self.sqrts.append(SqrtRequest(sqrt_id, arg))
         node = self._node(SQRT, a=arg, payload=sqrt_id, key=key, width=arg.width, pure=False)
-        self._sqrt_nodes[sqrt_id] = node
+        self._param_nodes[_sqrt_key(sqrt_id)] = node
         return node
 
     # -- rationals -----------------------------------------------------------
@@ -420,7 +483,8 @@ class GraphBuilder:
     # -- multilinear normal form ------------------------------------------------
 
     def _mul_terms(self, p1, c1, p2, c2):
-        params = {k for k in p1 if k[0] == "b"} | {k for k in p2 if k[0] == "b"}
+        # boolean parameters, reindexed or not, are idempotent
+        params = {k for k in p1 if k[0] != "s"} | {k for k in p2 if k[0] != "s"}
         sqrt_keys = [k for k in p1 if k[0] == "s"] + [k for k in p2 if k[0] == "s"]
         coeff = self.mul(c1, c2)
         seen: dict = {}
@@ -442,9 +506,9 @@ class GraphBuilder:
     def normal_form(self, e: Expr) -> dict:
         """Map frozenset(param keys) -> pure coefficient Expr.
 
-        Parameters are ("b", comparison id) and ("s", sqrt id).  Booleans
-        are idempotent so monomials are genuine sets; a squared sqrt
-        parameter is substituted by its argument.
+        Parameters are ("b", comparison id), ("r", reindex id) and
+        ("s", sqrt id).  Booleans are idempotent so monomials are genuine
+        sets; a squared sqrt parameter is substituted by its argument.
         """
         memo = self._nf_memo
         if e.id in memo:
@@ -465,6 +529,10 @@ class GraphBuilder:
                 continue
             if n.op == SQRT:
                 memo[n.id] = {frozenset({_sqrt_key(n.payload)}): self.plain(1.0)}
+                stack.pop()
+                continue
+            if n.op == REINDEX:
+                memo[n.id] = {frozenset({_reindex_key(n.payload)}): self.plain(1.0)}
                 stack.pop()
                 continue
             kids = [k for k in (n.a, n.c) if k is not None]
@@ -498,9 +566,6 @@ class GraphBuilder:
     def sorted_terms(nf: dict) -> list:
         return sorted(nf.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
 
-    def _param_node(self, key) -> Expr:
-        return self._bool_nodes[key[1]] if key[0] == "b" else self._sqrt_nodes[key[1]]
-
     def simplify(self, e: Expr) -> Expr:
         """Rebuild e from its multilinear normal form, canonically ordered.
 
@@ -509,7 +574,7 @@ class GraphBuilder:
         terms = self.sorted_terms(self.normal_form(e))
         out = None
         for params, coeff in terms:
-            factors = [self._param_node(k) for k in sorted(params)]
+            factors = [self._param_nodes[k] for k in sorted(params)]
             term = self.mul(self.product(factors), coeff) if factors else coeff
             out = term if out is None else self.add(out, term)
         return out if out is not None else self.plain(0.0)
@@ -555,6 +620,8 @@ class PlainEvaluator:
             return float(out) if out.ndim == 0 else out
         if n.op == SQRT:
             return np.sqrt(m[n.a.id])
+        if n.op == REINDEX:
+            return np.asarray(m[n.a.id])[self.b.reindexed[n.payload].index]
         raise AssertionError(n.op)  # pragma: no cover
 
     def eval(self, root: Expr) -> Value:
@@ -584,7 +651,8 @@ class CipherEvaluator:
 
     BoolVar / Sqrt nodes must already be bound to encrypted values (the
     interactive protocol binds them round by round); hitting an unbound
-    parameter raises MissingAssignment.  A subtraction, built as an ADD
+    parameter raises MissingAssignment.  A reindexed BoolVar gathers its
+    bound comparison.  A subtraction, built as an ADD
     with a NEG child, costs one ``ctx.sub`` and no negation.
     """
 
@@ -627,6 +695,8 @@ class CipherEvaluator:
             if n.payload not in self.sqrt_cts:
                 raise MissingAssignment(f"sqrt request {n.payload} is unresolved")
             return self.sqrt_cts[n.payload]
+        if n.op == REINDEX:
+            return gather(m[n.a.id], self.b.reindexed[n.payload].index)
         raise AssertionError(n.op)  # pragma: no cover
 
     def eval(self, root: Expr) -> Ciphertext:
@@ -675,33 +745,44 @@ class ResidualFunction:
     ``monomials`` holds (sorted parameter-key tuple, coefficient) pairs in
     canonical order.  Evaluation sums every term left to right and folds
     parameter products as balanced trees, mirroring the server-side walk.
+    ``reindexed`` lists the reindexed comparisons the monomials read.
     """
 
     bool_params: tuple[int, ...]
     sqrt_params: tuple[int, ...]
     monomials: tuple[tuple[tuple, Ciphertext], ...]
     width: int
+    reindexed: tuple[Reindex, ...] = ()
+
+    def bool_rows(self) -> list[tuple[tuple, int, np.ndarray | None]]:
+        """(parameter key, comparison id, lane index map or None) for each
+        boolean parameter: plain comparisons first, then reindexed ones."""
+        return ([(_bool_key(cid), cid, None) for cid in self.bool_params]
+                + [(_reindex_key(r.id), r.source, r.index) for r in self.reindexed])
 
     def evaluate(self, bools: dict[int, Value], sqrts: dict[int, Value] | None = None,
                  decrypt=None) -> Value:
         """Combine resolved parameter values with the coefficients.
 
-        ``decrypt`` maps a coefficient ciphertext to its value; the client
-        passes its key's decrypt method so every read is accounted for.
+        ``bools`` maps comparison ids to their resolved lanes; a reindexed
+        parameter gathers them.  ``decrypt`` maps a coefficient ciphertext
+        to its value; the client passes its key's decrypt method so every
+        read is accounted for.
         """
         sqrts = sqrts or {}
-        for cid in self.bool_params:
+        values = {}
+        for key, cid, index in self.bool_rows():
             if cid not in bools:
                 raise MissingAssignment(f"no boolean assignment for comparison {cid}")
+            values[key] = bools[cid] if index is None else np.asarray(bools[cid])[index]
         for sid in self.sqrt_params:
             if sid not in sqrts:
                 raise MissingAssignment(f"no value for sqrt request {sid}")
+            values[_sqrt_key(sid)] = sqrts[sid]
         if decrypt is None:
             decrypt = lambda ct: ct.value
         return sum_of_products(
-            ([bools[p[1]] if p[0] == "b" else sqrts[p[1]] for p in params], decrypt(coeff))
-            for params, coeff in self.monomials
-        )
+            ([values[p] for p in params], decrypt(coeff)) for params, coeff in self.monomials)
 
 
 def sum_of_products(terms) -> Value:
@@ -747,16 +828,18 @@ def lower(builder: GraphBuilder, slots: dict[str, Expr], ctx: CkksContext,
 
     for name in slots:
         nf = builder.sorted_terms(builder.normal_form(slots[name]))
-        bool_ids = sorted({k[1] for params, _ in nf for k in params if k[0] == "b"})
-        sqrt_ids = sorted({k[1] for params, _ in nf for k in params if k[0] == "s"})
-        used_cmp.update(bool_ids)
-        used_sqrt.update(sqrt_ids)
+        ids = {kind: sorted({k[1] for params, _ in nf for k in params if k[0] == kind})
+               for kind in ("b", "r", "s")}
+        reindexed = tuple(builder.reindexed[rid] for rid in ids["r"])
+        used_cmp.update(ids["b"])
+        used_cmp.update(r.source for r in reindexed)
+        used_sqrt.update(ids["s"])
         monos = []
         width = slots[name].width
         for params, coeff in nf:
             monos.append((tuple(sorted(params)), ev.eval(coeff)))
         residuals[name] = ResidualFunction(
-            tuple(bool_ids), tuple(sqrt_ids), tuple(monos), width
+            tuple(ids["b"]), tuple(ids["s"]), tuple(monos), width, reindexed
         )
         total_monomials += len(monos)
 
@@ -811,6 +894,8 @@ def format_expr(e: Expr) -> str:
             s = f"c{n.payload + 1}"
         elif n.op == SQRT:
             s = f"s{n.payload + 1}"
+        elif n.op == REINDEX:
+            s = f"r{n.payload + 1}"
         elif n.op == ADD:
             def neg_plain(k: Expr) -> bool:
                 return k.op == PLAIN and not isinstance(k.payload, np.ndarray) and k.payload < 0
@@ -838,32 +923,35 @@ def format_expr(e: Expr) -> str:
 
 
 def format_normal_form(builder: GraphBuilder, slots: dict[str, Expr]) -> str:
-    """Stable text dump of lowered structure, for golden tests."""
+    """Stable text dump of lowered structure, for golden tests.
+
+    A reindexed parameter prints as its comparison indexed by the lane map,
+    ``r1 = c1[2 0 1]``; the comparison is listed with the others.
+    """
     lines = []
-    used: list[int] = []
-    used_sqrt: list[int] = []
+    used: dict[str, set[int]] = {"b": set(), "r": set(), "s": set()}
     rendered = {}
     for name in sorted(slots):
         terms = builder.sorted_terms(builder.normal_form(slots[name]))
         for params, _ in terms:
-            for k in params:
-                if k[0] == "b" and k[1] not in used:
-                    used.append(k[1])
-                if k[0] == "s" and k[1] not in used_sqrt:
-                    used_sqrt.append(k[1])
+            for kind, pid in params:
+                used[kind].add(pid)
         rendered[name] = terms
+    used["b"].update(builder.reindexed[rid].source for rid in used["r"])
     lines.append("params:")
-    for cid in sorted(used):
+    for cid in sorted(used["b"]):
         cmp = builder.comparisons[cid]
         lines.append(f"  c{cid + 1} = [{format_expr(cmp.lhs)} > {format_expr(cmp.rhs)}]")
-    for sid in sorted(used_sqrt):
+    for rid in sorted(used["r"]):
+        r = builder.reindexed[rid]
+        lines.append(f"  r{rid + 1} = c{r.source + 1}[{' '.join(map(str, r.index))}]")
+    for sid in sorted(used["s"]):
         req = builder.sqrts[sid]
         lines.append(f"  s{sid + 1} = sqrt({format_expr(req.arg)})")
+    names = {"b": "c", "r": "r", "s": "s"}
     for name in sorted(slots):
         lines.append(f"slot {name}:")
         for params, coeff in rendered[name]:
-            key = "*".join(
-                (f"c{p[1] + 1}" if p[0] == "b" else f"s{p[1] + 1}") for p in sorted(params)
-            )
+            key = "*".join(f"{names[kind]}{pid + 1}" for kind, pid in sorted(params))
             lines.append(f"  {key or '1'} : {format_expr(coeff)}")
     return "\n".join(lines) + "\n"

@@ -95,7 +95,7 @@ def vec_argmax_onehot(b: GraphBuilder, xs) -> list[Expr]:
 # -- orientation binning ----------------------------------------------------------
 
 
-def bin_mask(b: GraphBuilder, dx, dy, n_bins: int) -> list[Expr]:
+def bin_mask(b: GraphBuilder, dx, dy, n_bins: int, index=None) -> list[Expr]:
     """Sector masks for atan2(dy, dx) over n equal bins from angle 0.
 
     Boundary j points along angle 2*pi*j/n; the signed cross product
@@ -104,6 +104,11 @@ def bin_mask(b: GraphBuilder, dx, dy, n_bins: int) -> list[Expr]:
     which partitions all nonzero gradients exactly (bins narrower than
     pi), shares each boundary comparison between adjacent bins, and
     sends a zero gradient to no bin at all.
+
+    With an ``index`` map, each boundary comparison is reindexed through
+    it (see ``GraphBuilder.reindex``), so the masks have one lane per map
+    entry.  Calls over the same dx, dy share their comparisons, whatever
+    the map: per-pixel gradients are then compared once per boundary.
     """
     if n_bins < 3:
         raise ValueError("need at least 3 bins for sector masks")
@@ -114,6 +119,8 @@ def bin_mask(b: GraphBuilder, dx, dy, n_bins: int) -> list[Expr]:
         ang = 2.0 * math.pi * j / n_bins
         u = b.sub(b.mul(b.plain(math.cos(ang)), dy), b.mul(b.plain(math.sin(ang)), dx))
         below.append(b.compare(zero, u))
+    if index is not None:
+        below = [b.reindex(c, index) for c in below]
     masks = []
     for i in range(n_bins):
         at_or_above = b.sub(b.plain(1.0), below[i])
@@ -143,17 +150,19 @@ def bin_mask_tan(b: GraphBuilder, dx, dy, n_bins: int) -> list[Expr]:
 def weighted_histogram(b: GraphBuilder, grads, n_bins: int) -> list[Expr]:
     """Histogram of gradient angles with per-gradient weights.
 
-    ``grads`` is a sequence of (dx, dy, weight) triples.  Every gradient
-    touches every bin (mask * weight, zero or not), so the operation
-    count is independent of the data.
+    ``grads`` is a sequence of (dx, dy, weight) triples, or of
+    (dx, dy, weight, index) quadruples whose masks are reindexed through
+    ``index`` (see ``bin_mask``).  Every gradient touches every bin
+    (mask * weight, zero or not), so the operation count is independent
+    of the data.
     """
     grads = list(grads)
     if not grads:
         raise EmptyInput("weighted_histogram over no gradients")
     bins: list[Expr | None] = [None] * n_bins
-    for dx, dy, w in grads:
+    for dx, dy, w, *index in grads:
         w = b.as_expr(w)
-        masks = bin_mask(b, dx, dy, n_bins)
+        masks = bin_mask(b, dx, dy, n_bins, *index)
         for k in range(n_bins):
             term = b.mul(masks[k], w)
             bins[k] = term if bins[k] is None else b.add(bins[k], term)

@@ -21,6 +21,11 @@ columns, decoys index those columns, and one permutation gathers every
 column into the wire records.  The deferred package is sized from the
 lowered program, allocated once and filled in place; the client parses
 it once and evaluates the residual tables straight from views into it.
+
+A reindexed comparison has no records of its own.  In a package its
+wire-id row is its source comparison's ids gathered through the lane
+map; interactively the client answers the source, and the server
+gathers the bound answer.
 """
 
 from __future__ import annotations
@@ -141,7 +146,9 @@ class Client:
         recs = np.frombuffer(blob, dtype=CMP_DTYPE)
         lhs = self._decrypt(Ciphertext(recs["lhs"], int(self.ctx.params.depth_budget)))
         rhs = self._decrypt(Ciphertext(recs["rhs"], int(self.ctx.params.depth_budget)))
-        return self._response(recs["id"], np.greater(lhs, rhs).astype(np.float64))
+        answer = np.greater(lhs, rhs).astype(np.float64)
+        del lhs, rhs  # the operand columns are dead before the answer is encrypted
+        return self._response(recs["id"], answer)
 
     def resolve_sqrts(self, blob) -> memoryview:
         recs = np.frombuffer(blob, dtype=SQRT_DTYPE)
@@ -360,7 +367,7 @@ def serialize_package(program: LoweredProgram, policy: DecoyPolicy = DecoyPolicy
     size = (_PKG_HEADER.size + n_cmp * CMP_DTYPE.itemsize + n_sqrt * SQRT_DTYPE.itemsize)
     for name, nb in zip(names, encoded):
         rf = program.slots[name]
-        n_params = len(rf.bool_params) + len(rf.sqrt_params)
+        n_params = len(rf.bool_params) + len(rf.reindexed) + len(rf.sqrt_params)
         size += (_SLOT_NAME.size + len(nb) + _SLOT_HEADER.size
                  + n_params * rf.width * _WIRE_ID.itemsize + _MONO_COUNT.size)
         for params, _ in rf.monomials:
@@ -393,15 +400,19 @@ def serialize_package(program: LoweredProgram, policy: DecoyPolicy = DecoyPolicy
         off += _SLOT_NAME.size
         buf[off:off + len(nb)] = np.frombuffer(nb, dtype=np.uint8)
         off += len(nb)
-        _SLOT_HEADER.pack_into(buf, off, width, len(rf.bool_params), len(rf.sqrt_params))
+        bool_rows = rf.bool_rows()
+        _SLOT_HEADER.pack_into(buf, off, width, len(bool_rows), len(rf.sqrt_params))
         off += _SLOT_HEADER.size
         # parameter key -> (kind code, slot-local index), bools first
-        local = {(_PARAM_KINDS[code], pid): (code, i)
-                 for code, pids in enumerate((rf.bool_params, rf.sqrt_params))
-                 for i, pid in enumerate(pids)}
-        table = np.frombuffer(buf, dtype=_WIRE_ID, count=len(local) * width, offset=off)
-        for row, key in zip(table.reshape(len(local), width), local):
-            row[:] = _lane_ids(wire_ids[key], width)
+        local = {key: (0, i) for i, (key, _, _) in enumerate(bool_rows)}
+        local.update((("s", sid), (1, i)) for i, sid in enumerate(rf.sqrt_params))
+        # a reindexed comparison reads its source's wire ids through its map
+        rows = [wire_ids[("b", cid)] if index is None else wire_ids[("b", cid)][index]
+                for _, cid, index in bool_rows]
+        rows += [wire_ids[("s", sid)] for sid in rf.sqrt_params]
+        table = np.frombuffer(buf, dtype=_WIRE_ID, count=len(rows) * width, offset=off)
+        for row, ids in zip(table.reshape(len(rows), width), rows):
+            row[:] = _lane_ids(ids, width)
         off += table.nbytes
         _MONO_COUNT.pack_into(buf, off, len(rf.monomials))
         off += _MONO_COUNT.size

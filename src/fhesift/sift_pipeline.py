@@ -42,6 +42,7 @@ from .kernels import bin_mask, convolve2d, gaussian_kernel1d, vec_argmax_onehot,
 from .protocol import Client, DecoyPolicy, run_deferred, run_interactive
 
 MARGIN = 5  # descriptor window -4..3 plus the gradient ring
+WINDOW = range(-4, 4)  # descriptor window offsets; orientation reads the inner ones
 ORIENTATION_RADIUS = 2
 DESCRIPTOR_SIGMA = 4.0
 NORM_EPS = 1e-12
@@ -156,6 +157,7 @@ class RunReport:
     rounds: list = field(default_factory=list)
     stage_ops: dict = field(default_factory=dict)
     stage_min_level: dict = field(default_factory=dict)
+    cmp_lanes: dict = field(default_factory=dict)
     server_decrypt_calls: int = 0
     client_decrypt_calls: int = 0
     leakage: dict | None = None
@@ -254,6 +256,23 @@ class _GraphPlan:
         b = self.builder
         self.stage_cmps[stage].extend(range(cmp_lo, len(b.comparisons)))
         self.stage_sqrts[stage].extend(range(sqrt_lo, len(b.sqrts)))
+
+    def cmp_lanes(self) -> dict[str, int]:
+        """Comparison lanes each stage asks of its own pure operands
+        (tier 1); comparisons that wait on answers show in the rounds."""
+        b = self.builder
+        return {st: sum(b.comparisons[c].width for c in cids
+                        if b.comparison_tier(b.comparisons[c]) == 1)
+                for st, cids in self.stage_cmps.items()}
+
+    def waiting_stage(self) -> str | None:
+        """The first stage owning requests that wait on earlier answers
+        (tier > 1), if any.  Past the pure evaluation, only their operands
+        make the server evaluate while the protocol runs."""
+        b = self.builder
+        return next((st for st in _GRAPH_STAGES
+                     if any(b.comparison_tier(b.comparisons[c]) > 1 for c in self.stage_cmps[st])
+                     or any(b.sqrt_tier(b.sqrts[q]) > 1 for q in self.stage_sqrts[st])), None)
 
 
 @contextmanager
@@ -370,28 +389,36 @@ def _build_site_graph(ctx, plan: _GraphPlan, gauss, dog, dims, cfg: PipelineConf
                 plan.stage_roots["localize"].append(e)
                 plan.add_slot("localize", f"{p}/{name}", e)
 
-            # gradients of the Gaussian level, shared by orientation and
-            # descriptor.  The 1/2 central-difference factor is folded
-            # into the plaintext weights; angles do not see scale.
+            # gradients of the Gaussian level, once per pixel of the region
+            # the descriptor window covers; orientation reads its inner
+            # part.  Window position (uu, vv) reads the block through a lane
+            # map from sites to pixels, so the bin masks below ask each
+            # pixel's comparisons once and reindex them per position.  The
+            # 1/2 central-difference factor is folded into the plaintext
+            # weights; angles do not see scale.
             g_lvl = gauss[o][l]
-            grads = {}
+            ry = np.arange(ys.min() + WINDOW[0], ys.max() + WINDOW[-1] + 1)
+            rx = np.arange(xs.min() + WINDOW[0], xs.max() + WINDOW[-1] + 1)
+            py, px = (a.ravel() for a in np.meshgrid(ry, rx, indexing="ij"))
             with _stage(ctx, report, "orient"):
-                for vv in range(-4, 4):
-                    for uu in range(-4, 4):
-                        gxr = ctx.sub(gather(g_lvl, (ys + vv, xs + uu + 1)),
-                                      gather(g_lvl, (ys + vv, xs + uu - 1)))
-                        gyr = ctx.sub(gather(g_lvl, (ys + vv + 1, xs + uu)),
-                                      gather(g_lvl, (ys + vv - 1, xs + uu)))
-                        grads[(uu, vv)] = (
-                            b.cipher(gxr, name=f"{p}gx{uu:+d}{vv:+d}"),
-                            b.cipher(gyr, name=f"{p}gy{uu:+d}{vv:+d}"),
-                        )
+                gx = ctx.sub(gather(g_lvl, (py, px + 1)), gather(g_lvl, (py, px - 1)))
+                gy = ctx.sub(gather(g_lvl, (py + 1, px)), gather(g_lvl, (py - 1, px)))
+            gx_e, gy_e = b.cipher(gx, name=f"{p}gx"), b.cipher(gy, name=f"{p}gy")
+            lanes, grads = {}, {}
+            for vv in WINDOW:
+                for uu in WINDOW:
+                    at = (ys + vv - ry[0]) * len(rx) + (xs + uu - rx[0])
+                    lanes[(uu, vv)] = at
+                    grads[(uu, vv)] = (
+                        b.cipher(gather(gx, at), name=f"{p}gx{uu:+d}{vv:+d}"),
+                        b.cipher(gather(gy, at), name=f"{p}gy{uu:+d}{vv:+d}"),
+                    )
 
             # orientation histogram over the inner window
             cmp_lo, sqrt_lo = len(b.comparisons), len(b.sqrts)
             sw = 1.5 * sigmas[l]
             rad = ORIENTATION_RADIUS
-            triples = []
+            quads = []
             for vv in range(-rad, rad + 1):
                 for uu in range(-rad, rad + 1):
                     dx_e, dy_e = grads[(uu, vv)]
@@ -401,10 +428,9 @@ def _build_site_graph(ctx, plan: _GraphPlan, gauss, dog, dims, cfg: PipelineConf
                         w = b.mul(mag2, b.plain(0.25 * gwin))
                     else:
                         w = b.mul(b.sqrt_deferred(mag2), b.plain(0.5 * gwin))
-                    triples.append((dx_e, dy_e, w))
-            bins = [b.simplify(e) for e in weighted_histogram(b, triples, nb)]
-            wsum = b.simplify(b.sum_([w for _, _, w in triples]))
-            plan.mark_stage("orient", cmp_lo, sqrt_lo)
+                    quads.append((gx_e, gy_e, w, lanes[(uu, vv)]))
+            bins = [b.simplify(e) for e in weighted_histogram(b, quads, nb)]
+            wsum = b.simplify(b.sum_([w for _, _, w, _ in quads]))
             # the bins are roots in both modes; the one-hot slots are not,
             # since their coefficients hang on the tournament's answers
             plan.stage_roots["orient"] += [wsum, *bins]
@@ -416,6 +442,7 @@ def _build_site_graph(ctx, plan: _GraphPlan, gauss, dog, dims, cfg: PipelineConf
             else:
                 for k in range(nb):
                     plan.add_slot("orient", f"{p}/bin{k:02d}", bins[k])
+            plan.mark_stage("orient", cmp_lo, sqrt_lo)
 
             # descriptor: 4x4 cells of 2x2 pixels, 8 angle bins, fixed
             # Gaussian weight, nearest-cell assignment
@@ -429,7 +456,7 @@ def _build_site_graph(ctx, plan: _GraphPlan, gauss, dog, dims, cfg: PipelineConf
                         -(uu * uu + vv * vv) / (2.0 * DESCRIPTOR_SIGMA * DESCRIPTOR_SIGMA))
                     mag2 = b.add(b.mul(dx_e, dx_e), b.mul(dy_e, dy_e))
                     w = b.mul(mag2, b.plain(0.25 * gwin))
-                    masks = bin_mask(b, dx_e, dy_e, 8)
+                    masks = bin_mask(b, gx_e, gy_e, 8, lanes[(uu, vv)])
                     for k in range(8):
                         e = (cv * 4 + cu) * 8 + k
                         term = b.mul(masks[k], w)
@@ -525,6 +552,7 @@ def run_pipeline(img, cfg: PipelineConfig | None = None, sim: SimParams | None =
     _build_site_graph(ctx, plan, gauss, dog, dims, cfg,
                       with_argmax=(mode == "interactive"), report=report)
     report.dependency_depth = b.dependency_depth(plan.slots.values())
+    report.cmp_lanes = plan.cmp_lanes()
     ev = CipherEvaluator(ctx, b)
     _evaluate_pure(ctx, plan, report, ev)
 
@@ -542,9 +570,7 @@ def run_pipeline(img, cfg: PipelineConfig | None = None, sim: SimParams | None =
         report.leakage = run.leakage
         report.package_bytes = run.package_bytes
     else:
-        # past the pure evaluation, only the orientation argmax tournament
-        # evaluates anything on the server, so it owns any depth failure
-        with _stage(ctx, report, "protocol", depth_stage="orient"):
+        with _stage(ctx, report, "protocol", depth_stage=plan.waiting_stage()):
             run = run_interactive(ctx, b, plan.slots, client, DecoyPolicy(), seed=seed,
                                   evaluator=ev, evaluate_slots=False)
         report.rounds = run.rounds

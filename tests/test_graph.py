@@ -501,6 +501,107 @@ def test_residual_evaluate_counts_decrypts():
     assert len(seen) == len(prog.slots["pick"].monomials)
 
 
+# -- reindexed parameters -----------------------------------------------------------
+
+
+def _pixel_comparison(ctx, b):
+    """One comparison over four 'pixel' lanes, [p > 0]."""
+    p = b.cipher(ctx.encrypt(np.array([1.5, -2.0, 0.25, -0.5])), name="p")
+    return b.compare(p, b.plain(0.0))
+
+
+def test_reindex_interns_equal_maps_to_one_node():
+    ctx = _ctx()
+    b = GraphBuilder()
+    c = _pixel_comparison(ctx, b)
+    r1 = b.reindex(c, np.array([2, 0, 1]))
+    assert b.reindex(c, [2, 0, 1]) is r1  # equal content, new object, other dtype
+    assert b.reindex(c, np.array([2, 0, 1], dtype=np.uint8)) is r1
+    r2 = b.reindex(c, np.array([3, 3, 0]))
+    assert r2 is not r1
+    assert (r1.width, r2.width) == (3, 3)
+    assert [(r.id, r.source) for r in b.reindexed] == [(0, c.payload), (1, c.payload)]
+    assert len(b.comparisons) == 1  # reindexing never asks a new comparison
+
+
+def test_reindex_normal_form_keys_and_tier():
+    ctx = _ctx()
+    b = GraphBuilder()
+    c = _pixel_comparison(ctx, b)
+    r1 = b.reindex(c, np.array([2, 0, 1]))
+    r2 = b.reindex(c, np.array([0, 1, 2]))
+    assert b.normal_form(r1) == {frozenset({("r", 0)}): b.plain(1.0)}
+    assert b.tier(r1) == b.tier(c) == 1
+    # reindexed booleans are idempotent, and sort by creation order
+    assert set(b.normal_form(b.mul(r1, r1))) == {frozenset({("r", 0)})}
+    y = b.cipher(ctx.encrypt(np.array([1.0, 2.0, 3.0])), name="y")
+    e = b.simplify(b.add(b.mul(r2, y), b.mul(r1, b.mul(r2, y))))
+    assert [sorted(k) for k, _ in b.sorted_terms(b.normal_form(e))] == \
+        [[("r", 1)], [("r", 0), ("r", 1)]]
+    # a comparison on a reindexed parameter waits one more round
+    assert b.comparison_tier(b.comparisons[b.compare(e, y).payload]) == 2
+
+
+def test_reindex_evaluators_and_residual_agree_bitwise():
+    ctx = _ctx()
+    b = GraphBuilder()
+    c = _pixel_comparison(ctx, b)
+    rng = np.random.default_rng(12)
+    y = b.cipher(ctx.encrypt(rng.uniform(-3, 3, 3)), name="y")
+    z = b.cipher(ctx.encrypt(rng.uniform(-3, 3, 3)), name="z")
+    r1 = b.reindex(c, np.array([2, 0, 1]))
+    r2 = b.reindex(c, np.array([1, 1, 3]))
+    e = b.simplify(b.add(b.select(r1, b.mul(y, z), z), b.mul(b.mul(r1, r2), b.mul(y, b.plain(0.7)))))
+    want = PlainEvaluator(b).eval(e)
+    assert np.array_equal(PlainEvaluator(b).eval(r2), [0.0, 0.0, 0.0])
+    bits = PlainEvaluator(b).bool_value(b.comparisons[c.payload])
+    assert np.array_equal(bits, [1.0, 0.0, 1.0, 0.0])
+    ce = CipherEvaluator(ctx, b, bool_cts={c.payload: ctx.encrypt(bits)})
+    got = ce.eval(e)
+    assert got.value.tobytes() == np.asarray(want).tobytes()
+    prog = lower(b, {"e": e}, ctx)
+    rf = prog.slots["e"]
+    assert rf.bool_params == () and [r.id for r in rf.reindexed] == [0, 1]
+    assert [cmp.id for cmp in prog.comparisons] == [c.payload]
+    assert prog.leakage["bool_params"] == 1
+    assert rf.evaluate({c.payload: bits}).tobytes() == np.asarray(want).tobytes()
+    with pytest.raises(MissingAssignment):
+        rf.evaluate({})
+
+
+def test_reindex_rejects_bad_maps_and_width_mismatch():
+    ctx = _ctx()
+    b = GraphBuilder()
+    c = _pixel_comparison(ctx, b)
+    with pytest.raises(ValueError):
+        b.reindex(c, np.array([0, 4]))  # the comparison has 4 lanes
+    with pytest.raises(ValueError):
+        b.reindex(c, np.array([-1, 0]))
+    with pytest.raises(ValueError):
+        b.reindex(c, np.array([[0, 1]]))
+    with pytest.raises(ValueError):
+        b.reindex(c, np.array([0.0, 1.0]))
+    with pytest.raises(ValueError):
+        b.reindex(b.sub(b.plain(1.0), c), np.array([0, 1]))  # not a parameter
+    scalar = b.compare(b.cipher(ctx.encrypt(1.0)), b.plain(0.0))
+    with pytest.raises(ValueError):
+        b.reindex(scalar, np.array([0, 0]))
+    r = b.reindex(c, np.array([0, 1, 2]))
+    with pytest.raises(ValueError, match="width mismatch"):
+        b.mul(r, b.cipher(ctx.encrypt(np.zeros(4))))
+
+
+def test_format_renders_reindexed_parameters():
+    ctx = _ctx()
+    b = GraphBuilder()
+    c = _pixel_comparison(ctx, b)
+    y = b.cipher(ctx.encrypt(np.array([1.0, 2.0, 3.0])), name="y")
+    r = b.reindex(c, np.array([2, 0, 1]))
+    assert format_expr(r) == "r1"
+    text = format_normal_form(b, {"out": b.simplify(b.mul(r, y))})
+    assert text == "params:\n  c1 = [p > 0]\n  r1 = c1[2 0 1]\nslot out:\n  r1 : y\n"
+
+
 # -- formatting ---------------------------------------------------------------------
 
 

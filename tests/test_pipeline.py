@@ -19,7 +19,9 @@ from fhesift import (
 )
 from fhesift.errors import ConfigError, DeferralUnsupported, DepthExhausted
 from fhesift.oracle import ambiguous_keypoints, ambiguous_sites, run_with_margins, site_of
+from fhesift.cli import _flat_report
 from fhesift.sift_pipeline import (
+    MARGIN,
     SQRT_MAGNITUDE,
     STAGES,
     Keypoint,
@@ -169,14 +171,39 @@ def test_reports_carry_per_stage_tables(blob16, mode):
     assert min(r.stage_min_level.values()) >= 0
 
 
+@pytest.mark.parametrize("mode", ["interactive", "deferred"])
+def test_comparison_lanes_follow_the_closed_form(blob16, mode):
+    # comparisons are asked once per pixel of the region the descriptor
+    # window covers, not once per window position; a fallback to
+    # per-position comparisons would multiply orient and descriptor
+    r = run_pipeline(blob16, CFG16, mode=mode, seed=SEED).report
+    h, w = blob16.shape
+    layers = CFG16.scales_per_octave  # one octave
+    sites = (h - 2 * MARGIN) * (w - 2 * MARGIN) * layers
+    pixels = (h - 3) * (w - 3) * layers  # sites widened by the window -4..3
+    want = {
+        "detect": 54 * sites,  # 26 neighbours, strict max and strict min, 2 contrast tests
+        "localize": 4 * sites,  # three offset bounds and the edge test
+        "orient": CFG16.orientation_bins * pixels,
+        # 8 boundaries every 45 degrees; the 4 at multiples of 90 are orient's
+        "descriptor": 4 * pixels,
+    }
+    assert r.cmp_lanes == want
+    assert r.rounds[0].n_real_comparisons == sum(want.values())
+    kv = dict(_flat_report(r))
+    assert {k: int(kv[f"cmp_lanes.{k}"]) for k in want} == want
+
+
 # sha256 of every blob16 slot (name, then little-endian float64 lanes, in
 # name order) and of the deferred package.  Exact-mode outputs are a
 # contract: reorganizing how the server evaluates must leave them unchanged.
+# The package digest changes with the comparisons it carries; it was
+# recorded after gradient comparisons moved to one per pixel.
 BLOB16_SLOTS_SHA256 = {
     "interactive": "3009a0f001f858af0fab65dce5ccb9b10b6bd1ab1df9de758c923c11933efd91",
     "deferred": "9a1e337e87bd44d6435980460f1b14acf4bae18f69b637b2f13895e7a6ed7629",
 }
-BLOB16_PACKAGE_SHA256 = "c2e4aa4715d8e4c1912a7f13872967e09c9b7e41fec5469fab39995f210c69f0"
+BLOB16_PACKAGE_SHA256 = "c9c5f7a164124e6bdff4babd676be58b95ff2af4f1bc23fa17730f773188b183"
 
 
 def _slots_sha(slots: dict) -> str:

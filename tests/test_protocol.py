@@ -1,17 +1,20 @@
 """Client/server delegation: batching, decoys, rounds, packages."""
 
 import hashlib
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fhesift import (
+    CipherEvaluator,
     CkksContext,
     Client,
     DecoyPolicy,
     GraphBuilder,
     PlainEvaluator,
+    SecretKey,
     SimParams,
     dump_package,
     lower,
@@ -306,3 +309,71 @@ def test_run_deferred_parses_the_package_once(monkeypatch, decoys):
     pkg = parse(blobs[0])
     assert run.rounds[0].n_wire_comparisons == len(pkg["comparisons"])
     assert run.rounds[0].n_wire_sqrts == len(pkg["sqrts"])
+
+
+def _reindex_toy():
+    """One six-lane comparison read through two lane maps and directly."""
+    ctx = CkksContext(SimParams(depth_budget=20))
+    b = GraphBuilder()
+    v = b.cipher(ctx.encrypt(np.array([1.0, -5.0, 2.5, -0.5, 3.0, -1.0])), name="v")
+    y = b.cipher(ctx.encrypt(np.array([2.0, 7.0, -1.0])), name="y")
+    z = b.cipher(ctx.encrypt(np.array([0.5, -4.0, 6.0])), name="z")
+    c = b.compare(v, b.plain(0.0))
+    maps = {"a": np.array([0, 2, 4]), "b": np.array([4, 4, 1])}
+    ra, rb = (b.reindex(c, maps[k]) for k in "ab")
+    slots = {
+        "direct": b.simplify(b.select(c, v, b.neg(v))),
+        "a": b.simplify(b.select(ra, y, z)),
+        "b": b.simplify(b.add(b.select(rb, z, y), b.mul(ra, rb))),
+    }
+    return ctx, b, c, maps, slots
+
+
+def test_reindexed_parameters_share_their_comparisons_wire_ids():
+    ctx, b, c, maps, slots = _reindex_toy()
+    want = {name: PlainEvaluator(b).eval(e) for name, e in slots.items()}
+    prog = lower(b, slots, ctx)
+    assert [cmp.id for cmp in prog.comparisons] == [c.payload]
+    pkg = parse_package(serialize_package(prog, DecoyPolicy(), seed=4))
+    assert len(pkg["comparisons"]) == 8  # six real lanes, padded once
+    direct = pkg["slots"]["direct"]["bool_ids"][0]
+    assert np.array_equal(pkg["slots"]["a"]["bool_ids"][0], direct[maps["a"]])
+    assert [list(row) for row in pkg["slots"]["b"]["bool_ids"]] == \
+        [list(direct[maps["a"]]), list(direct[maps["b"]])]
+
+    rd = run_deferred(ctx, b, slots, Client(ctx), seed=4)
+    assert rd.rounds[0].n_real_comparisons == 6
+    ev = CipherEvaluator(ctx, b)
+    ri = run_interactive(ctx, b, slots, Client(ctx), seed=4, evaluator=ev)
+    assert [(r.n_real_comparisons, r.n_wire_comparisons) for r in ri.rounds] == [(6, 8)]
+    assert list(ev.bool_cts) == [c.payload]  # one answer per source lane, gathered
+    for name in slots:
+        assert rd.results[name].tobytes() == ri.results[name].value.tobytes(), name
+        assert np.array_equal(rd.results[name], want[name]), name
+
+
+def test_comparison_answers_are_encrypted_after_the_operands_are_freed(monkeypatch):
+    ctx = CkksContext(SimParams(depth_budget=20))
+    client = Client(ctx)
+    recs = np.zeros(8, dtype=protocol.CMP_DTYPE)
+    recs["id"] = np.arange(8)
+    recs["lhs"] = np.arange(8.0)
+    recs["rhs"] = 3.5
+    decrypted = []
+    decrypt, encrypt = SecretKey.decrypt, CkksContext.encrypt
+
+    def tracking_decrypt(sk, ct):
+        out = decrypt(sk, ct)
+        decrypted.append(weakref.ref(out))
+        return out
+
+    def checking_encrypt(self, x):
+        assert all(ref() is None for ref in decrypted), "an operand column is still held"
+        return encrypt(self, x)
+
+    monkeypatch.setattr(SecretKey, "decrypt", tracking_decrypt)
+    monkeypatch.setattr(CkksContext, "encrypt", checking_encrypt)
+    resp = np.frombuffer(client.resolve_comparisons(recs.tobytes()), dtype=protocol.RESP_DTYPE)
+    assert len(decrypted) == client.attributed_decrypts == 2
+    assert ctx.snapshot_counts()["encrypt"] == 8
+    assert np.array_equal(resp["value"], (np.arange(8.0) > 3.5).astype(np.float64))
