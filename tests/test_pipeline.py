@@ -17,9 +17,9 @@ from fhesift import (
     protocol,
     run_pipeline,
 )
+from fhesift.cli import _flat_report
 from fhesift.errors import ConfigError, DeferralUnsupported, DepthExhausted
 from fhesift.oracle import ambiguous_keypoints, ambiguous_sites, run_with_margins, site_of
-from fhesift.cli import _flat_report
 from fhesift.sift_pipeline import (
     MARGIN,
     SQRT_MAGNITUDE,
@@ -197,8 +197,8 @@ def test_comparison_lanes_follow_the_closed_form(blob16, mode):
 # sha256 of every blob16 slot (name, then little-endian float64 lanes, in
 # name order) and of the deferred package.  Exact-mode outputs are a
 # contract: reorganizing how the server evaluates must leave them unchanged.
-# The package digest changes with the comparisons it carries; it was
-# recorded after gradient comparisons moved to one per pixel.
+# The package digest also pins which comparison records ship, so it
+# changes whenever they do, even with every slot unchanged.
 BLOB16_SLOTS_SHA256 = {
     "interactive": "3009a0f001f858af0fab65dce5ccb9b10b6bd1ab1df9de758c923c11933efd91",
     "deferred": "9a1e337e87bd44d6435980460f1b14acf4bae18f69b637b2f13895e7a6ed7629",
