@@ -128,11 +128,13 @@ class SqrtRequest:
 @dataclass(frozen=True, eq=False)
 class Reindex:
     """Comparison ``source`` with its lanes gathered through ``index``:
-    lane i of the parameter is lane ``index[i]`` of the comparison."""
+    lane i of the parameter is lane ``index[i]`` of the comparison.
+    ``map_id`` names the map's content within its builder."""
 
     id: int
     source: int
     index: np.ndarray
+    map_id: int
 
 
 @dataclass(frozen=True)
@@ -355,7 +357,7 @@ class GraphBuilder:
         if key in self._intern:
             return self._intern[key]
         rid = len(self.reindexed)
-        self.reindexed.append(Reindex(rid, param.payload, idx))
+        self.reindexed.append(Reindex(rid, param.payload, idx, map_id))
         node = self._node(REINDEX, a=param, payload=rid, key=key, width=len(idx), pure=False)
         self._param_nodes[_reindex_key(rid)] = node
         return node
@@ -569,15 +571,21 @@ class GraphBuilder:
     def simplify(self, e: Expr) -> Expr:
         """Rebuild e from its multilinear normal form, canonically ordered.
 
-        Idempotent: simplify(simplify(e)) interns to the same node.
+        Idempotent: simplify(simplify(e)) interns to the same node.  The
+        rebuilt node's normal form is e's, term for term, so it is seeded
+        into the memo instead of being expanded again.  An empty form
+        rebuilds to ``plain(0.0)``, whose own form ``{(): plain(0.0)}`` stays.
         """
-        terms = self.sorted_terms(self.normal_form(e))
+        nf = self.normal_form(e)
         out = None
-        for params, coeff in terms:
+        for params, coeff in self.sorted_terms(nf):
             factors = [self._param_nodes[k] for k in sorted(params)]
             term = self.mul(self.product(factors), coeff) if factors else coeff
             out = term if out is None else self.add(out, term)
-        return out if out is not None else self.plain(0.0)
+        if out is None:
+            return self.plain(0.0)
+        self._nf_memo.setdefault(out.id, nf)
+        return out
 
 
 # -- evaluation ------------------------------------------------------------------
@@ -745,7 +753,8 @@ class ResidualFunction:
     ``monomials`` holds (sorted parameter-key tuple, coefficient) pairs in
     canonical order.  Evaluation sums every term left to right and folds
     parameter products as balanced trees, mirroring the server-side walk.
-    ``reindexed`` lists the reindexed comparisons the monomials read.
+    ``reindexed`` lists the reindexed comparisons the monomials read, and
+    ``coeff_refs`` each monomial's table in the program's ``coeff_tables``.
     """
 
     bool_params: tuple[int, ...]
@@ -753,12 +762,7 @@ class ResidualFunction:
     monomials: tuple[tuple[tuple, Ciphertext], ...]
     width: int
     reindexed: tuple[Reindex, ...] = ()
-
-    def bool_rows(self) -> list[tuple[tuple, int, np.ndarray | None]]:
-        """(parameter key, comparison id, lane index map or None) for each
-        boolean parameter: plain comparisons first, then reindexed ones."""
-        return ([(_bool_key(cid), cid, None) for cid in self.bool_params]
-                + [(_reindex_key(r.id), r.source, r.index) for r in self.reindexed])
+    coeff_refs: tuple[int, ...] = ()
 
     def evaluate(self, bools: dict[int, Value], sqrts: dict[int, Value] | None = None,
                  decrypt=None) -> Value:
@@ -771,7 +775,9 @@ class ResidualFunction:
         """
         sqrts = sqrts or {}
         values = {}
-        for key, cid, index in self.bool_rows():
+        rows = ([(_bool_key(cid), cid, None) for cid in self.bool_params]
+                + [(_reindex_key(r.id), r.source, r.index) for r in self.reindexed])
+        for key, cid, index in rows:
             if cid not in bools:
                 raise MissingAssignment(f"no boolean assignment for comparison {cid}")
             values[key] = bools[cid] if index is None else np.asarray(bools[cid])[index]
@@ -801,13 +807,21 @@ def sum_of_products(terms) -> Value:
 
 @dataclass
 class LoweredProgram:
-    """Lowered slots plus the requests their parameters stand for."""
+    """Lowered slots plus the requests their parameters stand for.
+
+    ``coeff_tables`` pools the coefficients as (ciphertext, slot width):
+    one table per coefficient node and width, never merged by value, so
+    which monomials share a table follows from the graph alone.
+    ``lane_maps`` pools the reindexed parameters' maps by builder map id.
+    """
 
     comparisons: list[Comparison]
     cmp_operands: dict[int, tuple[Ciphertext, Ciphertext]]
     sqrt_args: dict[int, Ciphertext]
     slots: dict[str, ResidualFunction]
     leakage: dict[str, int]
+    coeff_tables: list[tuple[Ciphertext, int]]
+    lane_maps: dict[int, np.ndarray]
 
 
 def lower(builder: GraphBuilder, slots: dict[str, Expr], ctx: CkksContext,
@@ -825,6 +839,9 @@ def lower(builder: GraphBuilder, slots: dict[str, Expr], ctx: CkksContext,
     used_sqrt: set[int] = set()
     residuals: dict[str, ResidualFunction] = {}
     total_monomials = 0
+    coeff_tables: list[tuple[Ciphertext, int]] = []
+    coeff_pool: dict[tuple[int, int], int] = {}  # (coefficient node id, width) -> table
+    lane_maps: dict[int, np.ndarray] = {}
 
     for name in slots:
         nf = builder.sorted_terms(builder.normal_form(slots[name]))
@@ -834,12 +851,18 @@ def lower(builder: GraphBuilder, slots: dict[str, Expr], ctx: CkksContext,
         used_cmp.update(ids["b"])
         used_cmp.update(r.source for r in reindexed)
         used_sqrt.update(ids["s"])
-        monos = []
+        for r in reindexed:
+            lane_maps.setdefault(r.map_id, r.index)
+        monos, refs = [], []
         width = slots[name].width
         for params, coeff in nf:
-            monos.append((tuple(sorted(params)), ev.eval(coeff)))
+            ref = coeff_pool.setdefault((coeff.id, width), len(coeff_tables))
+            if ref == len(coeff_tables):
+                coeff_tables.append((ev.eval(coeff), width))
+            monos.append((tuple(sorted(params)), coeff_tables[ref][0]))
+            refs.append(ref)
         residuals[name] = ResidualFunction(
-            tuple(ids["b"]), tuple(ids["s"]), tuple(monos), width, reindexed
+            tuple(ids["b"]), tuple(ids["s"]), tuple(monos), width, reindexed, tuple(refs)
         )
         total_monomials += len(monos)
 
@@ -868,8 +891,11 @@ def lower(builder: GraphBuilder, slots: dict[str, Expr], ctx: CkksContext,
         "bool_params": len(used_cmp),
         "sqrt_params": len(used_sqrt),
         "monomials": total_monomials,
+        "coeff_tables": len(coeff_tables),
+        "lane_maps": len(lane_maps),
     }
-    return LoweredProgram(comparisons, cmp_operands, sqrt_args, residuals, leakage)
+    return LoweredProgram(comparisons, cmp_operands, sqrt_args, residuals, leakage,
+                          coeff_tables, lane_maps)
 
 
 # -- pretty printing ----------------------------------------------------------------

@@ -22,16 +22,23 @@ column into the wire records.  The deferred package is sized from the
 lowered program, allocated once and filled in place; the client parses
 it once and evaluates the residual tables straight from views into it.
 
+The package ships every piece once, in pools the slots refer into: one
+wire-id row per requested comparison and sqrt, each lane map, and each
+coefficient table, pooled per coefficient node and width, never by
+value.  A slot parameter is a (row, map or none) reference and a
+monomial a row of pool indices.  The client decrypts each pooled table
+once and gathers each (row, map) pair once for all slots that read it.
+
 A reindexed comparison has no records of its own.  In a package its
-wire-id row is its source comparison's ids gathered through the lane
-map; interactively the client answers the source, and the server
-gathers the bound answer.
+parameter is its source comparison's row read through the lane map;
+interactively the client answers the source, and the server gathers the
+bound answer.
 """
 
 from __future__ import annotations
 
-import functools
 import struct
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,6 +50,7 @@ from .deferred_graph import (
     Expr,
     GraphBuilder,
     LoweredProgram,
+    ResidualFunction,
     SqrtRequest,
     lower,
     sum_of_products,
@@ -57,26 +65,60 @@ SQRT_DTYPE = RESP_DTYPE
 _CMP_OPERANDS = (("lhs", "lhs_level"), ("rhs", "rhs_level"))
 _SQRT_OPERANDS = (("value", "level"),)
 
-# Deferred package layout, all little-endian and unaligned:
-#   _PKG_HEADER, n_cmp CMP_DTYPE records, n_sqrt SQRT_DTYPE records, then
-#   per slot in name order: _SLOT_NAME, the UTF-8 name, _SLOT_HEADER, one
-#   _WIRE_ID per lane for each bool then each sqrt parameter, _MONO_COUNT,
-#   and per monomial its _mono_header(n_params) and one _COEFF per lane.
-_PKG_MAGIC = b"DCGPKG01"
-_PKG_HEADER = struct.Struct("<8sIII")  # magic, n_cmp, n_sqrt, n_slots
+# Deferred package layout, all little-endian and unaligned; every table
+# is read with one frombuffer:
+#   _PKG_HEADER;
+#   n_cmp CMP_DTYPE records, then n_sqrt SQRT_DTYPE records;
+#   the wire-id rows: one _LENGTH per row, then the rows' _WIRE_IDs back
+#     to back, each requested comparison's row first, then each sqrt's;
+#   the lane maps: one _LENGTH per map, then the maps' _LANEs back to back;
+#   the coefficient tables: one _LENGTH per table, the tables' _COEFF
+#     lanes back to back, then one _LEVEL per table;
+#   per slot in name order: _SLOT_NAME, the UTF-8 name, _SLOT_HEADER,
+#     n_params _PARAM references (row, map or _NONE), and the monomial
+#     table: n_monos rows of 1 + degree _REFs, the coefficient table,
+#     then slot-local parameter indices padded with _NONE.
+_PKG_MAGIC = b"DCGPKG02"
+# magic, n_cmp, n_sqrt, comparison rows, sqrt rows, n_maps, n_coeffs, n_slots
+_PKG_HEADER = struct.Struct("<8sIIIIIII")
 _SLOT_NAME = struct.Struct("<H")  # name length in bytes
-_SLOT_HEADER = struct.Struct("<III")  # width, n_bool, n_sqrt
-_MONO_COUNT = struct.Struct("<I")
+_SLOT_HEADER = struct.Struct("<IIII")  # width, n_params, n_monos, monomial row length
+_LENGTH = np.dtype("<u4")
 _WIRE_ID = np.dtype("<u4")
+_LANE = np.dtype("<u4")
 _COEFF = np.dtype("<f8")
-_PARAM_KINDS = ("b", "s")  # parameter kind code -> residual parameter key
+_LEVEL = np.dtype("<u4")
+_PARAM = np.dtype([("row", "<u4"), ("map", "<u4")])
+_REF = np.dtype("<u4")
+_NONE = 0xFFFFFFFF  # no lane map; an unused monomial column
 
 
-@functools.lru_cache(maxsize=None)
-def _mono_header(n_params: int) -> struct.Struct:
-    """n_params, then (kind code, slot-local index) per parameter, then the
-    coefficient level."""
-    return struct.Struct("<B" + "BH" * n_params + "I")
+def _table(buf, off: int, dtype, count: int) -> tuple[np.ndarray, int]:
+    """``count`` items of ``dtype`` at ``off`` as a view, and the offset
+    past them.  The writer fills such views; the parser reads them."""
+    arr = np.frombuffer(buf, dtype=dtype, count=count, offset=off)
+    return arr, off + arr.nbytes
+
+
+def _ragged(buf, off: int, dtype, count: int) -> tuple[list[np.ndarray], int]:
+    """``count`` _LENGTHs, then that many runs of ``dtype`` back to back,
+    as one view per run."""
+    lengths, off = _table(buf, off, _LENGTH, count)
+    flat, off = _table(buf, off, dtype, int(lengths.sum(dtype=np.int64)))
+    return (np.split(flat, np.cumsum(lengths[:-1], dtype=np.int64)) if count else []), off
+
+
+def _write_ragged(buf, off: int, dtype, runs) -> int:
+    lengths, _ = _table(buf, off, _LENGTH, len(runs))
+    lengths[:] = [np.size(r) for r in runs]
+    views, off = _ragged(buf, off, dtype, len(runs))
+    for view, run in zip(views, runs):
+        view[:] = run
+    return off
+
+
+def _ragged_size(dtype, lengths) -> int:
+    return len(lengths) * _LENGTH.itemsize + int(sum(lengths)) * dtype.itemsize
 
 
 @dataclass(frozen=True)
@@ -168,8 +210,13 @@ class Client:
         return out.view(np.uint8).data
 
     def resolve_package(self, blob: bytes) -> dict[str, Value]:
-        """Decrypt a deferred package and finish the computation locally,
-        evaluating each slot's residual table straight from the parsed views."""
+        """Decrypt a deferred package and finish the computation locally.
+
+        Each pooled coefficient table is decrypted once, each wire-id row
+        is read once, and each (row, map) parameter is gathered once and
+        kept until the last slot that reads it; every slot sums through
+        ``sum_of_products``.
+        """
         pkg = parse_package(blob)
         cmps = pkg["comparisons"]
         lhs = self._decrypt(Ciphertext(cmps["lhs"], 0))
@@ -181,13 +228,29 @@ class Client:
             args = self._decrypt(Ciphertext(pkg["sqrts"]["value"], 0))
             with np.errstate(invalid="ignore"):
                 sqrt_wire = np.sqrt(args)
+        rows = [(bool_wire if r < pkg["cmp_rows"] else sqrt_wire)[ids]
+                for r, ids in enumerate(pkg["rows"])]
+        del bool_wire, sqrt_wire
+        coeffs = [self._decrypt(Ciphertext(lanes, level)) for lanes, level in pkg["coeffs"]]
+        slots = {name: (slot["width"], slot["params"].tolist(), slot["monomials"].tolist())
+                 for name, slot in pkg["slots"].items()}
+        uses = Counter(p for _, params, _ in slots.values() for p in params)
+        gathered: dict[tuple[int, int], np.ndarray] = {}
         results: dict[str, Value] = {}
-        for name, slot in pkg["slots"].items():
-            params = {"b": bool_wire[slot["bool_ids"]], "s": sqrt_wire[slot["sqrt_ids"]]}
-            out = sum_of_products(
-                ([params[k][i] for k, i in refs], self._decrypt(Ciphertext(coeff, level)))
-                for refs, coeff, level in slot["monomials"])
-            if isinstance(out, np.ndarray) and slot["width"] == 1:
+        for name, (width, params, monos) in slots.items():
+            vals = []
+            for key in params:
+                row, lane_map = key
+                if key not in gathered:
+                    v = rows[row]
+                    gathered[key] = v if lane_map == _NONE else v[pkg["maps"][lane_map]]
+                vals.append(gathered[key])
+                uses[key] -= 1
+                if not uses[key]:
+                    del gathered[key]
+            out = sum_of_products(([vals[i] for i in refs if i != _NONE], coeffs[ref])
+                                  for ref, *refs in monos)
+            if isinstance(out, np.ndarray) and width == 1:
                 out = float(out[0])
             results[name] = out
         return results
@@ -349,9 +412,11 @@ def serialize_package(program: LoweredProgram, policy: DecoyPolicy = DecoyPolicy
 
     Layout (see the constants at the top of the module): header,
     comparison records, sqrt records (both padded and shuffled like
-    interactive batches), then per-slot residual tables that reference
-    wire ids per lane.  The size follows from the program and the policy,
-    so the package is allocated once and every part is written in place.
+    interactive batches), then the pools every slot refers into: one
+    wire-id row per requested comparison and sqrt, the lane maps and the
+    coefficient tables, each shipped once; then per-slot reference tables.
+    The size follows from the program and the policy, so the package is
+    allocated once and every part is written in place.
     """
     rng = np.random.default_rng(seed)
     cmp_ids = sorted(program.cmp_operands)
@@ -361,69 +426,56 @@ def serialize_package(program: LoweredProgram, policy: DecoyPolicy = DecoyPolicy
     sqrt_widths = [program.sqrt_args[sid].width for sid in sqrt_ids]
     n_cmp = policy.padded_size(sum(cmp_widths))
     n_sqrt = policy.padded_size(sum(sqrt_widths))
+    maps = list(program.lane_maps.values())
+    coeffs = program.coeff_tables
     names = sorted(program.slots)
+    rows = {("b", cid): i for i, cid in enumerate(cmp_ids)}
+    rows.update((("s", sid), len(cmp_ids) + i) for i, sid in enumerate(sqrt_ids))
+    map_refs = {mid: i for i, mid in enumerate(program.lane_maps)}
+    tables = [_slot_tables(program.slots[name], rows, map_refs) for name in names]
     encoded = [name.encode() for name in names]
 
-    size = (_PKG_HEADER.size + n_cmp * CMP_DTYPE.itemsize + n_sqrt * SQRT_DTYPE.itemsize)
-    for name, nb in zip(names, encoded):
-        rf = program.slots[name]
-        n_params = len(rf.bool_params) + len(rf.reindexed) + len(rf.sqrt_params)
+    size = (_PKG_HEADER.size + n_cmp * CMP_DTYPE.itemsize + n_sqrt * SQRT_DTYPE.itemsize
+            + _ragged_size(_WIRE_ID, cmp_widths + sqrt_widths)
+            + _ragged_size(_LANE, [len(m) for m in maps])
+            + _ragged_size(_COEFF, [w for _, w in coeffs]) + len(coeffs) * _LEVEL.itemsize)
+    for nb, (params, monos) in zip(encoded, tables):
         size += (_SLOT_NAME.size + len(nb) + _SLOT_HEADER.size
-                 + n_params * rf.width * _WIRE_ID.itemsize + _MONO_COUNT.size)
-        for params, _ in rf.monomials:
-            size += _mono_header(len(params)).size + rf.width * _COEFF.itemsize
+                 + params.size * _PARAM.itemsize + monos.size * _REF.itemsize)
     # every byte is written below, so the buffer need not be zeroed first
     buf = np.empty(size, dtype=np.uint8)
 
-    _PKG_HEADER.pack_into(buf, 0, _PKG_MAGIC, n_cmp, n_sqrt, len(names))
+    _PKG_HEADER.pack_into(buf, 0, _PKG_MAGIC, n_cmp, n_sqrt, len(cmp_ids), len(sqrt_ids),
+                          len(maps), len(coeffs), len(names))
     off = _PKG_HEADER.size
-    cwire = np.frombuffer(buf, dtype=CMP_DTYPE, count=n_cmp, offset=off)
+    cwire, off = _table(buf, off, CMP_DTYPE, n_cmp)
     cmp_pos = _pad_and_shuffle(
         cwire, cmp_widths, ([program.cmp_operands[cid][0] for cid in cmp_ids],
                             [program.cmp_operands[cid][1] for cid in cmp_ids]),
         _CMP_OPERANDS, rng)
-    off += cwire.nbytes
-    swire = np.frombuffer(buf, dtype=SQRT_DTYPE, count=n_sqrt, offset=off)
+    swire, off = _table(buf, off, SQRT_DTYPE, n_sqrt)
     sqrt_pos = _pad_and_shuffle(
         swire, sqrt_widths, ([program.sqrt_args[sid] for sid in sqrt_ids],),
         _SQRT_OPERANDS, rng)
-    off += swire.nbytes
     del cwire, swire
-    wire_ids = {("b", cid): ids for cid, ids in zip(cmp_ids, _split(cmp_pos, cmp_widths))}
-    wire_ids.update(
-        (("s", sid), ids) for sid, ids in zip(sqrt_ids, _split(sqrt_pos, sqrt_widths)))
+    off = _write_ragged(buf, off, _WIRE_ID,
+                        _split(cmp_pos, cmp_widths) + _split(sqrt_pos, sqrt_widths))
+    off = _write_ragged(buf, off, _LANE, maps)
+    off = _write_ragged(buf, off, _COEFF, [_lanes(ct.value, w) for ct, w in coeffs])
+    levels, off = _table(buf, off, _LEVEL, len(coeffs))
+    levels[:] = [ct.level for ct, _ in coeffs]
 
-    for name, nb in zip(names, encoded):
-        rf = program.slots[name]
-        width = rf.width
+    for name, nb, (params, monos) in zip(names, encoded, tables):
         _SLOT_NAME.pack_into(buf, off, len(nb))
         off += _SLOT_NAME.size
         buf[off:off + len(nb)] = np.frombuffer(nb, dtype=np.uint8)
         off += len(nb)
-        bool_rows = rf.bool_rows()
-        _SLOT_HEADER.pack_into(buf, off, width, len(bool_rows), len(rf.sqrt_params))
+        _SLOT_HEADER.pack_into(buf, off, program.slots[name].width, len(params), *monos.shape)
         off += _SLOT_HEADER.size
-        # parameter key -> (kind code, slot-local index), bools first
-        local = {key: (0, i) for i, (key, _, _) in enumerate(bool_rows)}
-        local.update((("s", sid), (1, i)) for i, sid in enumerate(rf.sqrt_params))
-        # a reindexed comparison reads its source's wire ids through its map
-        rows = [wire_ids[("b", cid)] if index is None else wire_ids[("b", cid)][index]
-                for _, cid, index in bool_rows]
-        rows += [wire_ids[("s", sid)] for sid in rf.sqrt_params]
-        table = np.frombuffer(buf, dtype=_WIRE_ID, count=len(rows) * width, offset=off)
-        for row, ids in zip(table.reshape(len(rows), width), rows):
-            row[:] = _lane_ids(ids, width)
-        off += table.nbytes
-        _MONO_COUNT.pack_into(buf, off, len(rf.monomials))
-        off += _MONO_COUNT.size
-        for params, coeff in rf.monomials:
-            head = _mono_header(len(params))
-            refs = [x for key in params for x in local[key]]
-            head.pack_into(buf, off, len(params), *refs, coeff.level)
-            off += head.size
-            lanes = np.frombuffer(buf, dtype=_COEFF, count=width, offset=off)
-            lanes[:] = coeff.value
-            off += lanes.nbytes
+        view, off = _table(buf, off, _PARAM, len(params))
+        view[:] = params
+        view, off = _table(buf, off, _REF, monos.size)
+        view[:] = monos.ravel()
     if off != size:
         raise AssertionError(f"package layout wrote {off} of {size} bytes")
     return buf.data
@@ -433,56 +485,75 @@ def _split(pos: np.ndarray, widths: list[int]) -> list[np.ndarray]:
     return np.split(pos, np.cumsum(widths)[:-1]) if widths else []
 
 
-def _lane_ids(ids: np.ndarray, width: int) -> np.ndarray:
-    if len(ids) in (1, width):
-        return ids
-    raise ValueError(f"parameter width {len(ids)} does not divide slot width {width}")
+def _slot_tables(rf: ResidualFunction, rows: dict, map_refs: dict[int, int]):
+    """A slot's (row, map) parameter references and its monomial table.
+
+    ``rows`` maps ("b", comparison id) and ("s", sqrt id) to wire-id rows,
+    ``map_refs`` builder map ids to pooled maps.  Parameters are numbered
+    slot-locally, plain comparisons, then reindexed ones, then sqrts, so
+    each monomial lists them in its sorted key order.
+    """
+    keys = ([(("b", cid), rows["b", cid], _NONE) for cid in rf.bool_params]
+            + [(("r", r.id), rows["b", r.source], map_refs[r.map_id]) for r in rf.reindexed]
+            + [(("s", sid), rows["s", sid], _NONE) for sid in rf.sqrt_params])
+    local = {key: i for i, (key, _, _) in enumerate(keys)}
+    params = np.array([(r, m) for _, r, m in keys], dtype=_PARAM)
+    degree = max((len(p) for p, _ in rf.monomials), default=0)
+    monos = [[ref, *(local[k] for k in mono), *[_NONE] * (degree - len(mono))]
+             for ref, (mono, _) in zip(rf.coeff_refs, rf.monomials)]
+    return params, np.array(monos, dtype=_REF).reshape(len(monos), 1 + degree)
 
 
 def parse_package(blob) -> dict:
-    """Package tables as views into ``blob``; nothing is copied."""
+    """Package tables as views into ``blob``; nothing is copied.
+
+    ``rows`` holds the wire-id row of each requested comparison, then of
+    each sqrt (``cmp_rows`` of the first kind); ``coeffs`` holds
+    (lanes, level) per coefficient table.  A slot's ``params`` are
+    (row, map) references, map ``_NONE`` for none, and each row of its
+    ``monomials`` is a coefficient table index followed by slot-local
+    parameter indices padded with ``_NONE``.
+    """
     if blob[:len(_PKG_MAGIC)] != _PKG_MAGIC:
         raise ValueError("not a deferred package")
-    _, n_cmp, n_sqrt, n_slots = _PKG_HEADER.unpack_from(blob, 0)
+    _, n_cmp, n_sqrt, n_crows, n_srows, n_maps, n_coeffs, n_slots = \
+        _PKG_HEADER.unpack_from(blob, 0)
     off = _PKG_HEADER.size
-    cmps = np.frombuffer(blob, dtype=CMP_DTYPE, count=n_cmp, offset=off)
-    off += cmps.nbytes
-    sqrts = np.frombuffer(blob, dtype=SQRT_DTYPE, count=n_sqrt, offset=off)
-    off += sqrts.nbytes
+    cmps, off = _table(blob, off, CMP_DTYPE, n_cmp)
+    sqrts, off = _table(blob, off, SQRT_DTYPE, n_sqrt)
+    rows, off = _ragged(blob, off, _WIRE_ID, n_crows + n_srows)
+    maps, off = _ragged(blob, off, _LANE, n_maps)
+    lanes, off = _ragged(blob, off, _COEFF, n_coeffs)
+    levels, off = _table(blob, off, _LEVEL, n_coeffs)
     slots: dict[str, dict] = {}
     for _ in range(n_slots):
         (name_len,) = _SLOT_NAME.unpack_from(blob, off)
         off += _SLOT_NAME.size
         name = bytes(blob[off:off + name_len]).decode()
         off += name_len
-        width, n_bool, n_sq = _SLOT_HEADER.unpack_from(blob, off)
+        width, n_params, n_monos, stride = _SLOT_HEADER.unpack_from(blob, off)
         off += _SLOT_HEADER.size
-        table = np.frombuffer(blob, dtype=_WIRE_ID, count=(n_bool + n_sq) * width, offset=off)
-        table = table.reshape(n_bool + n_sq, width)
-        off += table.nbytes
-        (n_monos,) = _MONO_COUNT.unpack_from(blob, off)
-        off += _MONO_COUNT.size
-        monomials = []
-        for _ in range(n_monos):
-            head = _mono_header(blob[off])
-            _, *refs, level = head.unpack_from(blob, off)
-            off += head.size
-            coeff = np.frombuffer(blob, dtype=_COEFF, count=width, offset=off)
-            off += coeff.nbytes
-            params = tuple(zip([_PARAM_KINDS[k] for k in refs[::2]], refs[1::2]))
-            monomials.append((params, coeff, level))
-        slots[name] = {
-            "width": width,
-            "bool_ids": table[:n_bool],
-            "sqrt_ids": table[n_bool:],
-            "monomials": monomials,
-        }
-    return {"comparisons": cmps, "sqrts": sqrts, "slots": slots}
+        params, off = _table(blob, off, _PARAM, n_params)
+        monos, off = _table(blob, off, _REF, n_monos * stride)
+        slots[name] = {"width": width, "params": params,
+                       "monomials": monos.reshape(n_monos, stride)}
+    return {"comparisons": cmps, "sqrts": sqrts, "rows": rows, "cmp_rows": n_crows,
+            "maps": maps, "coeffs": list(zip(lanes, levels.tolist())), "slots": slots}
 
 
 def dump_package(blob: bytes) -> str:
-    """Human-readable package listing, stable for golden comparisons."""
+    """Human-readable package listing, stable for golden comparisons.
+
+    Rows print as ``b<i>`` (comparisons) and ``s<i>`` (sqrts), maps as
+    ``m<i>``, coefficient tables as ``k<i>`` and slot parameters as
+    ``p<i>``.
+    """
     pkg = parse_package(blob)
+    n_crows = pkg["cmp_rows"]
+
+    def row_name(r: int) -> str:
+        return f"b{r}" if r < n_crows else f"s{r - n_crows}"
+
     lines = [f"comparisons: {len(pkg['comparisons'])}", f"sqrts: {len(pkg['sqrts'])}"]
     for rec in pkg["comparisons"]:
         lines.append(
@@ -491,17 +562,24 @@ def dump_package(blob: bytes) -> str:
         )
     for rec in pkg["sqrts"]:
         lines.append(f"  #{int(rec['id'])} arg={rec['value']:.6g}@{int(rec['level'])}")
+    lines.append(f"rows: {len(pkg['rows'])}")
+    for r, ids in enumerate(pkg["rows"]):
+        lines.append(f"  {row_name(r)} -> wire {ids.tolist()}")
+    lines.append(f"maps: {len(pkg['maps'])}")
+    for m, lanes in enumerate(pkg["maps"]):
+        lines.append(f"  m{m} -> lanes {lanes.tolist()}")
+    lines.append(f"coeffs: {len(pkg['coeffs'])}")
+    for k, (lanes, level) in enumerate(pkg["coeffs"]):
+        vals = " ".join(f"{v:.6g}" for v in lanes)
+        lines.append(f"  k{k} : [{vals}] @{level}")
     for name in sorted(pkg["slots"]):
         slot = pkg["slots"][name]
         lines.append(f"slot {name}: width={slot['width']}")
-        for i, ids in enumerate(slot["bool_ids"]):
-            lines.append(f"  b{i} -> wire {list(map(int, ids))}")
-        for i, ids in enumerate(slot["sqrt_ids"]):
-            lines.append(f"  s{i} -> wire {list(map(int, ids))}")
-        for params, coeff, level in slot["monomials"]:
-            key = "*".join(f"{k}{i}" for k, i in params) or "1"
-            vals = " ".join(f"{v:.6g}" for v in coeff)
-            lines.append(f"  {key} : [{vals}] @{level}")
+        for i, (r, m) in enumerate(slot["params"].tolist()):
+            lines.append(f"  p{i} = {row_name(r)}" + ("" if m == _NONE else f"[m{m}]"))
+        for ref, *mono in slot["monomials"].tolist():
+            key = "*".join(f"p{i}" for i in mono if i != _NONE) or "1"
+            lines.append(f"  {key} : k{ref}")
     return "\n".join(lines) + "\n"
 
 

@@ -3,16 +3,20 @@
 import numpy as np
 import pytest
 
+from conftest import SEED, make_blob16
+
 from fhesift import (
     Ciphertext,
     CipherEvaluator,
     CkksContext,
     GraphBuilder,
+    PipelineConfig,
     PlainEvaluator,
     SimParams,
     format_expr,
     format_normal_form,
     lower,
+    run_pipeline,
 )
 from fhesift.deferred_graph import balanced_fold
 from fhesift.errors import DeferralUnsupported, MissingAssignment, SignUnresolvable
@@ -255,6 +259,41 @@ def test_simplify_is_idempotent_and_value_preserving():
     assert nf_e == nf_s
 
 
+def test_simplified_roots_reuse_their_normal_form(monkeypatch):
+    # every root the blob16 pipeline simplifies: the rebuilt node's normal
+    # form is the original's, read from the memo instead of expanded again
+    built = []
+    for name in ("add", "mul"):
+        op = getattr(GraphBuilder, name)
+        monkeypatch.setattr(GraphBuilder, name,
+                            lambda b, x, y, op=op: built.append(op) or op(b, x, y))
+    simplify = GraphBuilder.simplify
+    roots = []
+
+    def checking_simplify(b, e):
+        want = {k: c.id for k, c in b.normal_form(e).items()}
+        out = simplify(b, e)
+        nodes, calls = len(b.nodes), len(built)
+        assert {k: c.id for k, c in b.normal_form(out).items()} == want
+        assert (len(b.nodes), len(built)) == (nodes, calls)  # no node, no term built
+        roots.append(out)
+        return out
+
+    monkeypatch.setattr(GraphBuilder, "simplify", checking_simplify)
+    run_pipeline(make_blob16(), PipelineConfig(octaves=1), mode="deferred", seed=SEED)
+    # per layer: five localize slots, 36 bins, the weight sum, 128 descriptors
+    assert len(roots) == 3 * (5 + 36 + 1 + 128)
+
+
+def test_simplify_keeps_the_zero_normal_form():
+    # an empty normal form rebuilds to plain(0.0), whose own form is not empty
+    b = GraphBuilder()
+    c = b.compare(b.cipher(_ctx().encrypt(1.0)), b.plain(0.0))
+    zero = b.simplify(b.sub(c, c))
+    assert zero is b.plain(0.0)
+    assert b.normal_form(zero) == {frozenset(): zero}
+
+
 def test_sorted_terms_orders_by_arity_then_keys():
     b = GraphBuilder()
     terms = {
@@ -443,7 +482,8 @@ def test_lower_emits_requests_and_residuals():
     prog = lower(b, {"pick": b.select(c, x, y), "root": s}, ctx)
     assert [c.id for c in prog.comparisons] == [0]
     assert list(prog.sqrt_args) == [0]
-    assert prog.leakage == {"bool_params": 1, "sqrt_params": 1, "monomials": 3}
+    assert prog.leakage == {"bool_params": 1, "sqrt_params": 1, "monomials": 3,
+                            "coeff_tables": 3, "lane_maps": 0}
     lhs, rhs = prog.cmp_operands[0]
     assert (lhs.value, rhs.value) == (4.0, 9.0)
     rf = prog.slots["pick"]

@@ -197,13 +197,14 @@ def test_comparison_lanes_follow_the_closed_form(blob16, mode):
 # sha256 of every blob16 slot (name, then little-endian float64 lanes, in
 # name order) and of the deferred package.  Exact-mode outputs are a
 # contract: reorganizing how the server evaluates must leave them unchanged.
-# The package digest also pins which comparison records ship, so it
-# changes whenever they do, even with every slot unchanged.
+# The package digest also pins which comparison records ship and the
+# package layout, so it changes whenever either does, even with every slot
+# unchanged.
 BLOB16_SLOTS_SHA256 = {
     "interactive": "3009a0f001f858af0fab65dce5ccb9b10b6bd1ab1df9de758c923c11933efd91",
     "deferred": "9a1e337e87bd44d6435980460f1b14acf4bae18f69b637b2f13895e7a6ed7629",
 }
-BLOB16_PACKAGE_SHA256 = "c9c5f7a164124e6bdff4babd676be58b95ff2af4f1bc23fa17730f773188b183"
+BLOB16_PACKAGE_SHA256 = "d706260395d992f6ad50def9557bd2627ccf447c902b9b7f2141b9b976c91b4d"
 
 
 def _slots_sha(slots: dict) -> str:
@@ -228,6 +229,19 @@ def test_blob16_outputs_match_recorded_digests(blob16, monkeypatch, mode):
     out = run_pipeline(blob16, CFG16, mode=mode, seed=SEED, keep_slots=True)
     assert _slots_sha(out.slots) == BLOB16_SLOTS_SHA256[mode]
     assert packages == ([BLOB16_PACKAGE_SHA256] if mode == "deferred" else [])
+
+
+def test_blob16_client_decrypts_each_pooled_table_once(blob16):
+    r = run_pipeline(blob16, CFG16, mode="deferred", seed=SEED).report
+    kv = dict(_flat_report(r))
+    tables = int(kv["leakage.coeff_tables"])
+    sqrt_records = int(r.rounds[0].n_wire_sqrts > 0)
+    # both operand columns, the sqrt arguments if any, each table once
+    assert r.client_decrypt_calls == int(kv["decrypts.client"]) == 2 + sqrt_records + tables
+    assert tables < int(kv["leakage.monomials"])  # tables are shared, not per monomial
+    # one lane map per position of the 8x8 descriptor window; orientation's
+    # 5x5 positions are among them and the layers of an octave share them
+    assert int(kv["leakage.lane_maps"]) == 64
 
 
 # -- orientation weighting variants ----------------------------------------------------

@@ -124,7 +124,8 @@ def test_deferred_is_one_round_and_reports_leakage():
     assert len(run.rounds) == 1
     assert run.rounds[0].n_wire_comparisons == 8
     assert run.package_bytes == run.rounds[0].request_bytes > 0
-    assert run.leakage == {"bool_params": 1, "sqrt_params": 1, "monomials": 3}
+    assert run.leakage == {"bool_params": 1, "sqrt_params": 1, "monomials": 3,
+                            "coeff_tables": 3, "lane_maps": 0}
     assert run.results["pick"] == 9.0
     assert run.results["root"] == 3.0
 
@@ -180,10 +181,13 @@ def test_parse_package_round_trip_and_magic():
     assert set(pkg["slots"]) == {"pick", "root"}
     pick = pkg["slots"]["pick"]
     assert pick["width"] == 1
-    assert len(pick["bool_ids"]) == 1
+    assert len(pick["params"]) == 1
+    assert pick["params"]["row"][0] < pkg["cmp_rows"]  # a comparison row
     assert len(pick["monomials"]) == 2
     with pytest.raises(ValueError):
         parse_package(b"JUNKJUNK" + bytes(16))
+    with pytest.raises(ValueError):  # the per-slot layout before the pools
+        parse_package(b"DCGPKG01" + bytes(16))
 
 
 def test_dump_package_golden():
@@ -197,9 +201,13 @@ def test_dump_package_golden():
 def test_decrypt_accounting_stays_on_the_client():
     ctx, b, slots = _toy()
     client = Client(ctx)
-    run_deferred(ctx, b, slots, client)
+    run = run_deferred(ctx, b, slots, client)
     assert client.attributed_decrypts == client.sk.decrypt_calls > 0
     assert client.unattributed_decrypts() == 0
+    # both operand columns, the sqrt arguments, then each pooled
+    # coefficient table once, however many monomials share it
+    assert run.rounds[0].n_wire_sqrts > 0
+    assert client.attributed_decrypts == 2 + 1 + run.leakage["coeff_tables"] == 6
 
     ctx2, b2, slots2 = _toy()
     client2 = Client(ctx2)
@@ -244,12 +252,13 @@ def _sha(blob) -> str:
     return hashlib.sha256(bytes(blob)).hexdigest()
 
 
-# sha256 digests recorded from the structured-record serializer; the wire
-# format is a contract, so any change to them is a format change
+# sha256 digests of the pooled layout (DCGPKG02); its comparison and sqrt
+# records are byte for byte those of the per-slot layout before it.  The
+# wire format is a contract, so any change to them is a format change
 PACKAGE_SHA256 = {
-    (True, 0): "7ef0edb60536840c0656bf3076d099f47d7fd1d62f204bd036d9a861e248faaf",
-    (True, 7): "9adf334fcaa0cbd158a385b08a1cee3bf384f585f56c93361a42df07ba23166b",
-    (False, 0): "c3168efe03c4d8de8d804551f589dc58941e8a490b51594b3c8ac5d369a16722",
+    (True, 0): "abdd53fe7c438c60c86d7be2cf3247f0f8b533018be3fdef81f5cb2f605a2f13",
+    (True, 7): "5551c026c05eae25cbee45e3afe193a464f67efecc78c306bbe718bfff9637f0",
+    (False, 0): "28d2c417f11fd76b71dc394e93858068200c7beb91439ef18d049c8929a481e8",
 }
 REQUEST_SHA256 = [
     ("c", "bda474dfcba566552c031873b31d8ff4b04fad59f08fc6a93f6fc2a707253e5d"),
@@ -329,6 +338,13 @@ def _reindex_toy():
     return ctx, b, c, maps, slots
 
 
+def _param_ids(pkg, slot) -> list[list[int]]:
+    """Each slot parameter's wire ids: its row, gathered through its map."""
+    rows, maps = pkg["rows"], pkg["maps"]
+    return [(rows[r] if m == protocol._NONE else rows[r][maps[m]]).tolist()
+            for r, m in pkg["slots"][slot]["params"].tolist()]
+
+
 def test_reindexed_parameters_share_their_comparisons_wire_ids():
     ctx, b, c, maps, slots = _reindex_toy()
     want = {name: PlainEvaluator(b).eval(e) for name, e in slots.items()}
@@ -336,10 +352,14 @@ def test_reindexed_parameters_share_their_comparisons_wire_ids():
     assert [cmp.id for cmp in prog.comparisons] == [c.payload]
     pkg = parse_package(serialize_package(prog, DecoyPolicy(), seed=4))
     assert len(pkg["comparisons"]) == 8  # six real lanes, padded once
-    direct = pkg["slots"]["direct"]["bool_ids"][0]
-    assert np.array_equal(pkg["slots"]["a"]["bool_ids"][0], direct[maps["a"]])
-    assert [list(row) for row in pkg["slots"]["b"]["bool_ids"]] == \
-        [list(direct[maps["a"]]), list(direct[maps["b"]])]
+    assert len(pkg["rows"]) == 1  # one wire-id row, for the one comparison
+    (direct,) = _param_ids(pkg, "direct")
+    assert direct == pkg["rows"][0].tolist()
+    a_ids = np.array(direct)[maps["a"]].tolist()
+    assert _param_ids(pkg, "a") == [a_ids]
+    assert _param_ids(pkg, "b") == [a_ids, np.array(direct)[maps["b"]].tolist()]
+    # slots "a" and "b" both read through maps["a"]; it ships once
+    assert [m.tolist() for m in pkg["maps"]] == [maps["a"].tolist(), maps["b"].tolist()]
 
     rd = run_deferred(ctx, b, slots, Client(ctx), seed=4)
     assert rd.rounds[0].n_real_comparisons == 6
@@ -350,6 +370,38 @@ def test_reindexed_parameters_share_their_comparisons_wire_ids():
     for name in slots:
         assert rd.results[name].tobytes() == ri.results[name].value.tobytes(), name
         assert np.array_equal(rd.results[name], want[name]), name
+
+
+def test_pools_share_by_graph_node_never_by_value():
+    """A pooled package shows which monomials share a coefficient table,
+    which follows from the graph; tables never merge because their lanes
+    are equal, which would leak the encrypted values."""
+    ctx = CkksContext(SimParams(depth_budget=20))
+    b = GraphBuilder()
+    u = b.cipher(ctx.encrypt(np.array([1.0, -2.0, 3.0, -4.0])), name="u")
+    w = b.cipher(ctx.encrypt(np.array([-1.0, 2.0, 0.5, 4.0])), name="w")
+    x = b.cipher(ctx.encrypt(np.array([2.0, 2.0, 2.0])), name="x")
+    y = b.cipher(ctx.encrypt(np.array([2.0, 2.0, 2.0])), name="y")  # x's lanes, its own node
+    lane_map = np.array([0, 1, 3])
+    ru = b.reindex(b.compare(u, b.plain(0.0)), lane_map)
+    rw = b.reindex(b.compare(w, b.plain(0.0)), lane_map.copy())  # equal content
+    slots = {"a": b.simplify(b.mul(ru, x)), "b": b.simplify(b.mul(rw, y)),
+             "c": b.simplify(b.mul(rw, x))}
+    prog = lower(b, slots, ctx)
+    assert (prog.leakage["coeff_tables"], prog.leakage["lane_maps"]) == (2, 1)
+    pkg = parse_package(serialize_package(prog, DecoyPolicy(), seed=1))
+    assert len(pkg["coeffs"]) == 2
+    (kx, _), (ky, _) = pkg["coeffs"]
+    assert kx.tobytes() == ky.tobytes()  # equal lanes, still two tables
+    refs = {name: pkg["slots"][name]["monomials"][:, 0].tolist() for name in slots}
+    assert refs == {"a": [0], "b": [1], "c": [0]}  # x is one table for two slots
+    assert [m.tolist() for m in pkg["maps"]] == [lane_map.tolist()]
+
+    client = Client(ctx)
+    run = run_deferred(ctx, b, slots, client, seed=1)
+    assert client.attributed_decrypts == 2 + 2
+    for name, e in slots.items():
+        assert np.array_equal(run.results[name], PlainEvaluator(b).eval(e)), name
 
 
 def test_comparison_answers_are_encrypted_after_the_operands_are_freed(monkeypatch):
