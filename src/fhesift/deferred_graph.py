@@ -21,15 +21,22 @@ Each unordered operand pair is recorded once; building the reversed
 comparison yields the complement ``1 - BoolVar``, which makes the reverse
 form a "greater or equal".  Ties therefore resolve deterministically.
 
-Evaluation-order discipline: normal forms keep monomials in a canonical
-order, parameter products fold as balanced trees and sums fold left.  The
-server-side ciphertext walk and the client-side residual walk perform the
-same float operations in the same order, so exact-mode results agree
-bit for bit across execution modes.
+Evaluation-order discipline: every walk over the graph (normal forms,
+plaintext and ciphertext evaluation, request collection, rendering) goes
+through ``schedule`` and handles nodes in id order.  Ids are handed out in
+creation order and a node is created after the nodes it reads, so id order
+is topological; resolution tiers are filled by one sweep in that order.
+Noise-mode multiplications draw their noise in that order too.  Normal
+forms keep monomials in a canonical order, parameter products fold as
+balanced trees and sums fold left.  The server-side ciphertext walk and
+the client-side residual walk perform the same float operations in the
+same order, so exact-mode results agree bit for bit across execution
+modes.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -155,16 +162,53 @@ class Rational:
         return self.num.b.rational_abs_le(self, bound)
 
 
-def _bool_key(cmp_id: int):
-    return ("b", cmp_id)
+# Normal-form key kind of each parameter opcode: a parameter is keyed
+# (kind, comparison / reindex / sqrt id).
+_PARAM_KEYS = {BOOL: "b", REINDEX: "r", SQRT: "s"}
 
 
-def _sqrt_key(sqrt_id: int):
-    return ("s", sqrt_id)
+def _param_key(n: Expr) -> tuple[str, int]:
+    return _PARAM_KEYS[n.op], n.payload
 
 
-def _reindex_key(reindex_id: int):
-    return ("r", reindex_id)
+def schedule(roots, done, kids) -> list[Expr]:
+    """The nodes reachable from ``roots`` through ``kids``, in id order.
+
+    Ids in ``done`` are skipped and not descended into, so a node reachable
+    only through them is left out too.  Every node is created after the
+    nodes it reads, so id order is a topological order: a walker that
+    handles the returned nodes in turn finds each kid already handled.
+    """
+    found = {r.id: r for r in roots if r.id not in done}
+    stack = list(found.values())
+    while stack:
+        for k in kids(stack.pop()):
+            if k.id not in found and k.id not in done:
+                found[k.id] = k
+                stack.append(k)
+    return [found[i] for i in sorted(found)]
+
+
+def operands(n: Expr):
+    """Every node n reads: a comparison its operands, any other node a and c."""
+    if n.op == BOOL:
+        cmp = n.b.comparisons[n.payload]
+        return cmp.lhs, cmp.rhs
+    return _args(n)
+
+
+def _args(n: Expr) -> tuple:
+    return () if n.a is None else (n.a,) if n.c is None else (n.a, n.c)
+
+
+def _bound(n: Expr):
+    """What n reads once comparisons and square roots are bound to values.
+
+    A subtraction x + (-y) reads x and y, not -y; see ``_as_subtraction``.
+    """
+    if n.op in (BOOL, SQRT):
+        return ()
+    return _as_subtraction(n) or _args(n)
 
 
 class GraphBuilder:
@@ -191,7 +235,7 @@ class GraphBuilder:
         self._cmp_by_pair: dict[tuple[int, int], int] = {}
         self._param_nodes: dict[tuple, Expr] = {}  # normal-form key -> node
         self._nf_memo: dict[int, dict] = {}
-        self._tier_memo: dict[int, int] = {}
+        self._tiers: list[int] = []  # tier of each node, by id
         self._cipher_count = 0
 
     # -- node construction -------------------------------------------------
@@ -307,10 +351,10 @@ class GraphBuilder:
         lhs, rhs = self.as_expr(lhs), self.as_expr(rhs)
         pair = (lhs.id, rhs.id)
         if pair in self._cmp_by_pair:
-            return self._param_nodes[_bool_key(self._cmp_by_pair[pair])]
+            return self._param_nodes["b", self._cmp_by_pair[pair]]
         rev = (rhs.id, lhs.id)
         if rev in self._cmp_by_pair:
-            canonical = self._param_nodes[_bool_key(self._cmp_by_pair[rev])]
+            canonical = self._param_nodes["b", self._cmp_by_pair[rev]]
             return self.sub(self.plain(1.0), canonical)
         cmp_id = len(self.comparisons)
         self.comparisons.append(Comparison(cmp_id, lhs, rhs, self._bw(lhs, rhs)))
@@ -318,7 +362,7 @@ class GraphBuilder:
             BOOL, payload=cmp_id, key=(BOOL, cmp_id), width=self._bw(lhs, rhs), pure=False
         )
         self._cmp_by_pair[pair] = cmp_id
-        self._param_nodes[_bool_key(cmp_id)] = node
+        self._param_nodes[_param_key(node)] = node
         return node
 
     def reindex(self, param: Expr, index) -> Expr:
@@ -359,7 +403,7 @@ class GraphBuilder:
         rid = len(self.reindexed)
         self.reindexed.append(Reindex(rid, param.payload, idx, map_id))
         node = self._node(REINDEX, a=param, payload=rid, key=key, width=len(idx), pure=False)
-        self._param_nodes[_reindex_key(rid)] = node
+        self._param_nodes[_param_key(node)] = node
         return node
 
     def select(self, cond, then, els) -> Expr:
@@ -383,7 +427,7 @@ class GraphBuilder:
         sqrt_id = len(self.sqrts)
         self.sqrts.append(SqrtRequest(sqrt_id, arg))
         node = self._node(SQRT, a=arg, payload=sqrt_id, key=key, width=arg.width, pure=False)
-        self._param_nodes[_sqrt_key(sqrt_id)] = node
+        self._param_nodes[_param_key(node)] = node
         return node
 
     # -- rationals -----------------------------------------------------------
@@ -443,35 +487,19 @@ class GraphBuilder:
     # -- dependency tiers ------------------------------------------------------
 
     def tier(self, e: Expr) -> int:
-        """Resolution wave the node becomes evaluable in (0 = pure)."""
-        memo = self._tier_memo
-        if e.id in memo:
-            return memo[e.id]
-        stack = [e]
-        while stack:
-            n = stack[-1]
-            if n.id in memo:
-                stack.pop()
-                continue
+        """Resolution wave the node becomes evaluable in (0 = pure).
+
+        Nodes are created after their operands, so one sweep in creation
+        order over the nodes not yet seen fills every tier."""
+        tiers = self._tiers
+        for n in self.nodes[len(tiers):]:
             if n.pure:
-                memo[n.id] = 0
-                stack.pop()
+                tiers.append(0)
                 continue
-            if n.op == BOOL:
-                cmp = self.comparisons[n.payload]
-                kids = [cmp.lhs, cmp.rhs]
-            elif n.op == SQRT:
-                kids = [n.a]
-            else:
-                kids = [k for k in (n.a, n.c) if k is not None]
-            pending = [k for k in kids if k.id not in memo]
-            if pending:
-                stack.extend(pending)
-                continue
-            stack.pop()
-            m = max((memo[k.id] for k in kids), default=0)
-            memo[n.id] = m + 1 if n.op in (BOOL, SQRT) else m
-        return memo[e.id]
+            ks = operands(n)  # one or two: every impure node reads something
+            t = max(tiers[ks[0].id], tiers[ks[-1].id])
+            tiers.append(t + 1 if n.op in (BOOL, SQRT) else t)
+        return tiers[e.id]
 
     def comparison_tier(self, cmp: Comparison) -> int:
         return 1 + max(self.tier(cmp.lhs), self.tier(cmp.rhs))
@@ -513,55 +541,28 @@ class GraphBuilder:
         sets; a squared sqrt parameter is substituted by its argument.
         """
         memo = self._nf_memo
-        if e.id in memo:
-            return memo[e.id]
-        stack = [e]
-        while stack:
-            n = stack[-1]
-            if n.id in memo:
-                stack.pop()
-                continue
+        # pure nodes and parameters are a normal form's leaves
+        kids = lambda n: () if n.pure or n.op in _PARAM_KEYS else operands(n)
+        for n in schedule([e], memo, kids):
             if n.pure:
                 memo[n.id] = {frozenset(): n}
-                stack.pop()
                 continue
-            if n.op == BOOL:
-                memo[n.id] = {frozenset({_bool_key(n.payload)}): self.plain(1.0)}
-                stack.pop()
+            if n.op in _PARAM_KEYS:
+                memo[n.id] = {frozenset({_param_key(n)}): self.plain(1.0)}
                 continue
-            if n.op == SQRT:
-                memo[n.id] = {frozenset({_sqrt_key(n.payload)}): self.plain(1.0)}
-                stack.pop()
-                continue
-            if n.op == REINDEX:
-                memo[n.id] = {frozenset({_reindex_key(n.payload)}): self.plain(1.0)}
-                stack.pop()
-                continue
-            kids = [k for k in (n.a, n.c) if k is not None]
-            pending = [k for k in kids if k.id not in memo]
-            if pending:
-                stack.extend(pending)
-                continue
-            stack.pop()
             if n.op == ADD:
-                out: dict = dict(memo[n.a.id])
-                for params, coeff in memo[n.c.id].items():
-                    out[params] = self.add(out[params], coeff) if params in out else coeff
+                out, terms = dict(memo[n.a.id]), memo[n.c.id].items()
             elif n.op == NEG:
-                out = {params: self.neg(coeff) for params, coeff in memo[n.a.id].items()}
-            elif n.op == MUL:
-                out = {}
-                for pa, ca in memo[n.a.id].items():
-                    for pc, cc in memo[n.c.id].items():
-                        params, coeff = self._mul_terms(pa, ca, pc, cc)
-                        out[params] = self.add(out[params], coeff) if params in out else coeff
-            else:  # pragma: no cover - exhaustive over opcodes
-                raise AssertionError(n.op)
-            memo[n.id] = {
-                params: coeff
-                for params, coeff in out.items()
-                if not self._is_const(coeff, 0.0)
-            }
+                out, terms = {}, ((params, self.neg(coeff))
+                                  for params, coeff in memo[n.a.id].items())
+            else:
+                out, terms = {}, (self._mul_terms(pa, ca, pc, cc)
+                                  for pa, ca in memo[n.a.id].items()
+                                  for pc, cc in memo[n.c.id].items())
+            for params, coeff in terms:
+                out[params] = self.add(out[params], coeff) if params in out else coeff
+            memo[n.id] = {params: coeff for params, coeff in out.items()
+                          if not self._is_const(coeff, 0.0)}
         return memo[e.id]
 
     @staticmethod
@@ -602,14 +603,6 @@ class PlainEvaluator:
         self.b = builder
         self.memo: dict[int, Value] = {}
 
-    def _kids(self, n: Expr):
-        if n.op == BOOL:
-            cmp = self.b.comparisons[n.payload]
-            return (cmp.lhs, cmp.rhs)
-        if n.op == SQRT:
-            return (n.a,)
-        return tuple(k for k in (n.a, n.c) if k is not None)
-
     def _compute(self, n: Expr) -> Value:
         m = self.memo
         if n.op == CIPHER:
@@ -619,7 +612,7 @@ class PlainEvaluator:
         if n.op == ADD:
             return m[n.a.id] + m[n.c.id]
         if n.op == NEG:
-            return -np.asarray(m[n.a.id]) if isinstance(m[n.a.id], np.ndarray) else -m[n.a.id]
+            return -m[n.a.id]
         if n.op == MUL:
             return m[n.a.id] * m[n.c.id]
         if n.op == BOOL:
@@ -633,25 +626,12 @@ class PlainEvaluator:
         raise AssertionError(n.op)  # pragma: no cover
 
     def eval(self, root: Expr) -> Value:
-        memo = self.memo
-        stack = [root]
-        while stack:
-            n = stack[-1]
-            if n.id in memo:
-                stack.pop()
-                continue
-            pending = [k for k in self._kids(n) if k.id not in memo]
-            if pending:
-                stack.extend(pending)
-                continue
-            stack.pop()
-            memo[n.id] = self._compute(n)
-        return memo[root.id]
+        for n in schedule([root], self.memo, operands):
+            self.memo[n.id] = self._compute(n)
+        return self.memo[root.id]
 
     def bool_value(self, cmp: Comparison) -> Value:
-        lhs, rhs = self.eval(cmp.lhs), self.eval(cmp.rhs)
-        out = np.greater(lhs, rhs).astype(np.float64)
-        return float(out) if out.ndim == 0 else out
+        return self.eval(self.b._param_nodes["b", cmp.id])
 
 
 class CipherEvaluator:
@@ -709,33 +689,21 @@ class CipherEvaluator:
 
     def eval(self, root: Expr) -> Ciphertext:
         memo = self.memo
-        stack = [root]
-        while stack:
-            n = stack[-1]
-            if n.id in memo:
-                stack.pop()
-                continue
-            if n.op in (BOOL, SQRT):
+        if root.id not in memo:  # most calls ask again for an evaluated node
+            for n in schedule([root], memo, _bound):
                 memo[n.id] = self._compute(n)
-                stack.pop()
-                continue
-            operands = (_as_subtraction(n) if n.op == ADD else None) or (n.a, n.c)
-            kids = [k for k in operands if k is not None and k.id not in memo]
-            if kids:
-                stack.extend(kids)
-                continue
-            stack.pop()
-            memo[n.id] = self._compute(n)
         return memo[root.id]
 
 
 def _as_subtraction(n: Expr) -> tuple[Expr, Expr] | None:
-    """(x, y) when ADD node n is x + (-y), else None.
+    """(x, y) when n is an ADD x + (-y), else None.
 
     The cipher walk computes such a node as one ``ctx.sub(x, y)`` and never
     evaluates the NEG child: in IEEE arithmetic x + (-y) and x - y agree
     bit for bit, signed zeros included, with the same level and noise bound.
     """
+    if n.op != ADD:
+        return None
     if n.c.op == NEG:
         return n.a, n.c.a
     if n.a.op == NEG:
@@ -775,8 +743,8 @@ class ResidualFunction:
         """
         sqrts = sqrts or {}
         values = {}
-        rows = ([(_bool_key(cid), cid, None) for cid in self.bool_params]
-                + [(_reindex_key(r.id), r.source, r.index) for r in self.reindexed])
+        rows = ([(("b", cid), cid, None) for cid in self.bool_params]
+                + [(("r", r.id), r.source, r.index) for r in self.reindexed])
         for key, cid, index in rows:
             if cid not in bools:
                 raise MissingAssignment(f"no boolean assignment for comparison {cid}")
@@ -784,7 +752,7 @@ class ResidualFunction:
         for sid in self.sqrt_params:
             if sid not in sqrts:
                 raise MissingAssignment(f"no value for sqrt request {sid}")
-            values[_sqrt_key(sid)] = sqrts[sid]
+            values["s", sid] = sqrts[sid]
         if decrypt is None:
             decrypt = lambda ct: ct.value
         return sum_of_products(
@@ -906,46 +874,48 @@ def _prec(op: str) -> int:
 
 
 def format_expr(e: Expr) -> str:
-    """Deterministic infix rendering; add(x, neg(y)) prints as x - y."""
+    """Deterministic infix rendering; add(x, neg(y)) prints as x - y.
 
-    def walk(n: Expr, parent_prec: int) -> str:
+    Each node's text is rendered once, after its operands', and dropped
+    after its last use, so a long sum renders without deep recursion.
+    """
+    order = schedule([e], (), _bound)
+    uses = Counter(k.id for n in order for k in _bound(n))
+    text: dict[int, str] = {}
+
+    def use(k: Expr, prec: int) -> str:
+        uses[k.id] -= 1
+        s = text[k.id] if uses[k.id] else text.pop(k.id)
+        return f"({s})" if _prec(k.op) < prec else s
+
+    def neg_plain(k: Expr) -> bool:
+        return k.op == PLAIN and not isinstance(k.payload, np.ndarray) and k.payload < 0
+
+    for n in order:
         if n.op == CIPHER:
             s = n.name or f"v{n.id}"
         elif n.op == PLAIN:
-            if isinstance(n.payload, np.ndarray):
-                s = f"plain<{n.width}>"
-            else:
-                s = f"{n.payload:g}"
-        elif n.op == BOOL:
-            s = f"c{n.payload + 1}"
-        elif n.op == SQRT:
-            s = f"s{n.payload + 1}"
-        elif n.op == REINDEX:
-            s = f"r{n.payload + 1}"
+            s = f"plain<{n.width}>" if isinstance(n.payload, np.ndarray) else f"{n.payload:g}"
+        elif n.op in _PARAM_KEYS:
+            s = {BOOL: "c", REINDEX: "r", SQRT: "s"}[n.op] + str(n.payload + 1)
         elif n.op == ADD:
-            def neg_plain(k: Expr) -> bool:
-                return k.op == PLAIN and not isinstance(k.payload, np.ndarray) and k.payload < 0
-            if n.c.op == NEG:
-                s = f"{walk(n.a, 1)} - {walk(n.c.a, 2)}"
-            elif n.a.op == NEG:
-                s = f"{walk(n.c, 1)} - {walk(n.a.a, 2)}"
+            sub = _as_subtraction(n)
+            if sub is not None:
+                s = f"{use(sub[0], 1)} - {use(sub[1], 2)}"
             elif neg_plain(n.c):
-                s = f"{walk(n.a, 1)} - {-n.c.payload:g}"
+                s = f"{use(n.a, 1)} - {-n.c.payload:g}"
             elif neg_plain(n.a):
-                s = f"{walk(n.c, 1)} - {-n.a.payload:g}"
+                s = f"{use(n.c, 1)} - {-n.a.payload:g}"
             else:
-                s = f"{walk(n.a, 1)} + {walk(n.c, 1)}"
+                s = f"{use(n.a, 1)} + {use(n.c, 1)}"
         elif n.op == NEG:
-            s = f"-{walk(n.a, 2)}"
+            s = f"-{use(n.a, 2)}"
         elif n.op == MUL:
-            s = f"{walk(n.a, 3)}*{walk(n.c, 3)}"
+            s = f"{use(n.a, 3)}*{use(n.c, 3)}"
         else:  # pragma: no cover
             raise AssertionError(n.op)
-        if _prec(n.op) < parent_prec:
-            return f"({s})"
-        return s
-
-    return walk(e, 0)
+        text[n.id] = s
+    return text[e.id]
 
 
 def format_normal_form(builder: GraphBuilder, slots: dict[str, Expr]) -> str:

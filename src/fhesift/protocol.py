@@ -45,6 +45,8 @@ import numpy as np
 
 from .ckks_sim import Ciphertext, CkksContext, SecretKey, Value
 from .deferred_graph import (
+    BOOL,
+    SQRT,
     CipherEvaluator,
     Comparison,
     Expr,
@@ -53,6 +55,8 @@ from .deferred_graph import (
     ResidualFunction,
     SqrtRequest,
     lower,
+    operands,
+    schedule,
     sum_of_products,
 )
 
@@ -313,28 +317,9 @@ def _request_batch(dtype: np.dtype, operand_fields, widths: list[int], operands,
 
 def _collect_requests(builder: GraphBuilder, roots) -> tuple[list[Comparison], list[SqrtRequest]]:
     """All comparisons/sqrts reachable from roots, including nested ones."""
-    seen: set[int] = set()
-    cmps: dict[int, Comparison] = {}
-    sqrts: dict[int, SqrtRequest] = {}
-    stack = list(roots)
-    while stack:
-        n = stack.pop()
-        if n.id in seen:
-            continue
-        seen.add(n.id)
-        if n.op == "bool":
-            cmp = builder.comparisons[n.payload]
-            cmps[cmp.id] = cmp
-            stack.extend((cmp.lhs, cmp.rhs))
-        elif n.op == "sqrt":
-            sqrts[n.payload] = builder.sqrts[n.payload]
-            stack.append(n.a)
-        else:
-            stack.extend(k for k in (n.a, n.c) if k is not None)
-    return (
-        [cmps[i] for i in sorted(cmps)],
-        [sqrts[i] for i in sorted(sqrts)],
-    )
+    nodes = schedule(roots, (), operands)
+    return ([builder.comparisons[n.payload] for n in nodes if n.op == BOOL],
+            [builder.sqrts[n.payload] for n in nodes if n.op == SQRT])
 
 
 def _bind_response(width: int, values: np.ndarray, level: int) -> Ciphertext:

@@ -18,7 +18,7 @@ from fhesift import (
     lower,
     run_pipeline,
 )
-from fhesift.deferred_graph import balanced_fold
+from fhesift.deferred_graph import balanced_fold, operands, schedule
 from fhesift.errors import DeferralUnsupported, MissingAssignment, SignUnresolvable
 
 
@@ -327,6 +327,51 @@ def test_tiers_and_dependency_depth():
     assert b.tier(s) == 3
     assert b.dependency_depth([first, second, s]) == 3
     assert b.dependency_depth([]) == 0
+
+
+# -- schedule -----------------------------------------------------------------------
+
+
+def test_schedule_returns_each_reachable_node_once_in_id_order():
+    ctx = _ctx()
+    b = GraphBuilder()
+    x, y, z, w = (b.cipher(ctx.encrypt(float(i))) for i in range(4))
+    p = b.mul(x, y)
+    q = b.add(p, z)
+    top = b.mul(q, p)  # reads p twice: directly and through q
+    b.add(w, x)  # not reachable from top
+    assert schedule([top, q, top], (), operands) == [x, y, z, p, q, top]
+    # done nodes are left out, and so is what is reachable only through them
+    assert schedule([top], {p.id}, operands) == [z, q, top]
+    assert schedule([top], {q.id: None}, operands) == [x, y, p, top]
+    assert schedule([top], {top.id}, operands) == []
+
+
+def test_blob16_nodes_are_created_after_their_operands(monkeypatch):
+    # id order is a topological order only if every node, including those
+    # normal_form and simplify create while lowering, reads older nodes
+    builders = []
+    init = GraphBuilder.__init__
+
+    def capture(b, *args, **kwargs):
+        init(b, *args, **kwargs)
+        builders.append(b)
+
+    monkeypatch.setattr(GraphBuilder, "__init__", capture)
+    run_pipeline(make_blob16(), PipelineConfig(octaves=1), mode="deferred", seed=SEED)
+    (b,) = builders
+    assert b.reindexed
+    for i, n in enumerate(b.nodes):
+        assert n.id == i
+        reads = [k for k in (n.a, n.c) if k is not None]
+        if n.op == "bool":
+            cmp = b.comparisons[n.payload]
+            reads += [cmp.lhs, cmp.rhs]
+        elif n.op == "sqrt":
+            reads.append(b.sqrts[n.payload].arg)
+        elif n.op == "reindex":  # its source comparison is a
+            assert (n.a.op, n.a.payload) == ("bool", b.reindexed[n.payload].source)
+        assert all(k.id < n.id for k in reads), n
 
 
 # -- rationals ----------------------------------------------------------------------
@@ -672,6 +717,17 @@ def test_format_normal_form_lists_params_and_terms():
     assert "slot out:" in text
     assert "  1 : y" in text
     assert "  c1 : x - y" in text
+
+
+def test_format_renders_sums_deeper_than_the_recursion_limit():
+    ctx = _ctx()
+    b = GraphBuilder()
+    total = b.sum_(b.cipher(ctx.encrypt(1.0)) for _ in range(5000))
+    # each partial sum is created after the leaf it adds, so the leaf reads first
+    want = " + ".join([f"v{i}" for i in range(4999, 1, -1)] + ["v0", "v1"])
+    assert format_expr(total) == want
+    text = format_normal_form(b, {"out": b.compare(total, b.plain(0.0))})
+    assert text.startswith(f"params:\n  c1 = [{want} > 0]\nslot out:\n")
 
 
 # -- helpers ------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from fhesift import (
     protocol,
     run_pipeline,
 )
-from fhesift.cli import _flat_report
+from fhesift.cli import _flat_report, render_kv
 from fhesift.errors import ConfigError, DeferralUnsupported, DepthExhausted
 from fhesift.oracle import ambiguous_keypoints, ambiguous_sites, run_with_margins, site_of
 from fhesift.sift_pipeline import (
@@ -199,12 +199,18 @@ def test_comparison_lanes_follow_the_closed_form(blob16, mode):
 # contract: reorganizing how the server evaluates must leave them unchanged.
 # The package digest also pins which comparison records ship and the
 # package layout, so it changes whenever either does, even with every slot
-# unchanged.
+# unchanged.  The report digest (``report.kv`` as the CLI writes it) pins
+# the per-stage accounting: op counts, minimum levels, comparison lanes,
+# leakage counts and decrypts.
 BLOB16_SLOTS_SHA256 = {
     "interactive": "3009a0f001f858af0fab65dce5ccb9b10b6bd1ab1df9de758c923c11933efd91",
     "deferred": "9a1e337e87bd44d6435980460f1b14acf4bae18f69b637b2f13895e7a6ed7629",
 }
 BLOB16_PACKAGE_SHA256 = "d706260395d992f6ad50def9557bd2627ccf447c902b9b7f2141b9b976c91b4d"
+BLOB16_REPORT_SHA256 = {
+    "interactive": "8d1b748a2cee8e141766ad2a1f7a630cbb2400f009761a7d19a1ceec55b1eb90",
+    "deferred": "3a092c092c46e33892827d146e3edaa7d341c70ddcc16ec40735ad5d3bc2baca",
+}
 
 
 def _slots_sha(slots: dict) -> str:
@@ -229,6 +235,8 @@ def test_blob16_outputs_match_recorded_digests(blob16, monkeypatch, mode):
     out = run_pipeline(blob16, CFG16, mode=mode, seed=SEED, keep_slots=True)
     assert _slots_sha(out.slots) == BLOB16_SLOTS_SHA256[mode]
     assert packages == ([BLOB16_PACKAGE_SHA256] if mode == "deferred" else [])
+    report = render_kv(_flat_report(out.report)).encode()
+    assert hashlib.sha256(report).hexdigest() == BLOB16_REPORT_SHA256[mode]
 
 
 def test_blob16_client_decrypts_each_pooled_table_once(blob16):
