@@ -58,19 +58,8 @@ def _parse_value(raw: str, typ):
 
 _SIM_FIELDS = {f.name: f for f in fields(SimParams)}
 _PIPE_FIELDS = {f.name: f for f in fields(PipelineConfig)}
-_FIELD_TYPES = {
-    "depth_budget": int,
-    "noise_per_mul": float,
-    "plain_mul_consumes_level": bool,
-    "octaves": int,
-    "scales_per_octave": int,
-    "base_sigma": float,
-    "orientation_bins": int,
-    "descriptor_grid": tuple,
-    "contrast_threshold": float,
-    "edge_threshold": float,
-    "orientation_weighting": str,
-}
+# each option parses as the type of its field's default
+_FIELD_TYPES = {name: type(f.default) for name, f in (_SIM_FIELDS | _PIPE_FIELDS).items()}
 
 
 def parse_settings(pairs) -> tuple[SimParams, PipelineConfig]:

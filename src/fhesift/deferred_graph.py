@@ -10,11 +10,13 @@ lane serve every lane that reads it.  The engine can:
   * simplify an expression to its multilinear normal form over those
     parameters (booleans are idempotent, a squared sqrt collapses to its
     argument), with pure-arithmetic expressions as coefficients;
-  * lower a set of named output slots to comparison/sqrt requests plus
-    residual functions whose coefficients are evaluated ciphertexts;
-  * evaluate expressions under three regimes: plaintext (comparisons
-    resolved inline), ciphertext (parameters bound to encrypted values
-    supplied by a client), and residual (client-side, on decrypted values).
+  * evaluate expressions under two regimes: plaintext (comparisons
+    resolved inline) and ciphertext (parameters bound to encrypted values
+    supplied by a client).
+
+``sum_of_products`` fixes the order in which a normal form's terms are
+summed; ``protocol`` lowers slots to package tables and sums them
+client-side through it.
 
 Comparison semantics are strict: ``compare(a, b)`` is the boolean [a > b].
 Each unordered operand pair is recorded once; building the reversed
@@ -711,159 +713,19 @@ def _as_subtraction(n: Expr) -> tuple[Expr, Expr] | None:
     return None
 
 
-# -- lowering ---------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ResidualFunction:
-    """Client-evaluable multilinear function with ciphertext coefficients.
-
-    ``monomials`` holds (sorted parameter-key tuple, coefficient) pairs in
-    canonical order.  Evaluation sums every term left to right and folds
-    parameter products as balanced trees, mirroring the server-side walk.
-    ``reindexed`` lists the reindexed comparisons the monomials read, and
-    ``coeff_refs`` each monomial's table in the program's ``coeff_tables``.
-    """
-
-    bool_params: tuple[int, ...]
-    sqrt_params: tuple[int, ...]
-    monomials: tuple[tuple[tuple, Ciphertext], ...]
-    width: int
-    reindexed: tuple[Reindex, ...] = ()
-    coeff_refs: tuple[int, ...] = ()
-
-    def evaluate(self, bools: dict[int, Value], sqrts: dict[int, Value] | None = None,
-                 decrypt=None) -> Value:
-        """Combine resolved parameter values with the coefficients.
-
-        ``bools`` maps comparison ids to their resolved lanes; a reindexed
-        parameter gathers them.  ``decrypt`` maps a coefficient ciphertext
-        to its value; the client passes its key's decrypt method so every
-        read is accounted for.
-        """
-        sqrts = sqrts or {}
-        values = {}
-        rows = ([(("b", cid), cid, None) for cid in self.bool_params]
-                + [(("r", r.id), r.source, r.index) for r in self.reindexed])
-        for key, cid, index in rows:
-            if cid not in bools:
-                raise MissingAssignment(f"no boolean assignment for comparison {cid}")
-            values[key] = bools[cid] if index is None else np.asarray(bools[cid])[index]
-        for sid in self.sqrt_params:
-            if sid not in sqrts:
-                raise MissingAssignment(f"no value for sqrt request {sid}")
-            values["s", sid] = sqrts[sid]
-        if decrypt is None:
-            decrypt = lambda ct: ct.value
-        return sum_of_products(
-            ([values[p] for p in params], decrypt(coeff)) for params, coeff in self.monomials)
-
-
 def sum_of_products(terms) -> Value:
     """Sum of ``prod(values) * coeff`` over (values, coeff) terms.
 
     Products fold as balanced trees and terms add left to right, mirroring
-    the server-side walk; every evaluator of residual tables goes through
-    here so their results agree bit for bit.  No terms sum to 0.0.
+    the server-side walk; the slot evaluator in ``protocol`` sums through
+    here so its results agree with that walk bit for bit.  No terms sum
+    to 0.0.
     """
     acc = None
     for vals, coeff in terms:
         term = balanced_fold(vals, lambda x, y: x * y) * coeff if vals else coeff
         acc = term if acc is None else acc + term
     return 0.0 if acc is None else acc
-
-
-@dataclass
-class LoweredProgram:
-    """Lowered slots plus the requests their parameters stand for.
-
-    ``coeff_tables`` pools the coefficients as (ciphertext, slot width):
-    one table per coefficient node and width, never merged by value, so
-    which monomials share a table follows from the graph alone.
-    ``lane_maps`` pools the reindexed parameters' maps by builder map id.
-    """
-
-    comparisons: list[Comparison]
-    cmp_operands: dict[int, tuple[Ciphertext, Ciphertext]]
-    sqrt_args: dict[int, Ciphertext]
-    slots: dict[str, ResidualFunction]
-    leakage: dict[str, int]
-    coeff_tables: list[tuple[Ciphertext, int]]
-    lane_maps: dict[int, np.ndarray]
-
-
-def lower(builder: GraphBuilder, slots: dict[str, Expr], ctx: CkksContext,
-          evaluator: CipherEvaluator | None = None) -> LoweredProgram:
-    """Lower named output slots to requests plus residual functions.
-
-    Every comparison and sqrt argument must be pure arithmetic (no nested
-    unresolved parameters), otherwise the program needs mid-stream
-    re-encryption and only the interactive path can run it.  Coefficients
-    are evaluated server-side here, consuming simulator levels; passing a
-    shared evaluator lets successive calls reuse each other's work.
-    """
-    ev = evaluator if evaluator is not None else CipherEvaluator(ctx, builder)
-    used_cmp: set[int] = set()
-    used_sqrt: set[int] = set()
-    residuals: dict[str, ResidualFunction] = {}
-    total_monomials = 0
-    coeff_tables: list[tuple[Ciphertext, int]] = []
-    coeff_pool: dict[tuple[int, int], int] = {}  # (coefficient node id, width) -> table
-    lane_maps: dict[int, np.ndarray] = {}
-
-    for name in slots:
-        nf = builder.sorted_terms(builder.normal_form(slots[name]))
-        ids = {kind: sorted({k[1] for params, _ in nf for k in params if k[0] == kind})
-               for kind in ("b", "r", "s")}
-        reindexed = tuple(builder.reindexed[rid] for rid in ids["r"])
-        used_cmp.update(ids["b"])
-        used_cmp.update(r.source for r in reindexed)
-        used_sqrt.update(ids["s"])
-        for r in reindexed:
-            lane_maps.setdefault(r.map_id, r.index)
-        monos, refs = [], []
-        width = slots[name].width
-        for params, coeff in nf:
-            ref = coeff_pool.setdefault((coeff.id, width), len(coeff_tables))
-            if ref == len(coeff_tables):
-                coeff_tables.append((ev.eval(coeff), width))
-            monos.append((tuple(sorted(params)), coeff_tables[ref][0]))
-            refs.append(ref)
-        residuals[name] = ResidualFunction(
-            tuple(ids["b"]), tuple(ids["s"]), tuple(monos), width, reindexed, tuple(refs)
-        )
-        total_monomials += len(monos)
-
-    cmp_operands: dict[int, tuple[Ciphertext, Ciphertext]] = {}
-    comparisons = []
-    for cid in sorted(used_cmp):
-        cmp = builder.comparisons[cid]
-        if not (cmp.lhs.pure and cmp.rhs.pure):
-            raise DeferralUnsupported(
-                f"comparison {cid} depends on other unresolved parameters; "
-                "it cannot ship in a single deferred package"
-            )
-        cmp_operands[cid] = (ev.eval(cmp.lhs), ev.eval(cmp.rhs))
-        comparisons.append(cmp)
-    sqrt_args: dict[int, Ciphertext] = {}
-    for sid in sorted(used_sqrt):
-        req = builder.sqrts[sid]
-        if not req.arg.pure:
-            raise DeferralUnsupported(
-                f"sqrt request {sid} depends on other unresolved parameters; "
-                "it cannot ship in a single deferred package"
-            )
-        sqrt_args[sid] = ev.eval(req.arg)
-
-    leakage = {
-        "bool_params": len(used_cmp),
-        "sqrt_params": len(used_sqrt),
-        "monomials": total_monomials,
-        "coeff_tables": len(coeff_tables),
-        "lane_maps": len(lane_maps),
-    }
-    return LoweredProgram(comparisons, cmp_operands, sqrt_args, residuals, leakage,
-                          coeff_tables, lane_maps)
 
 
 # -- pretty printing ----------------------------------------------------------------

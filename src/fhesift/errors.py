@@ -29,7 +29,7 @@ class DeferralUnsupported(FheSiftError):
 
 
 class MissingAssignment(FheSiftError):
-    """A residual function was evaluated without values for all its parameters."""
+    """A comparison or sqrt parameter was read before a value was bound to it."""
 
 
 class PgmError(FheSiftError):

@@ -22,12 +22,16 @@ column into the wire records.  The deferred package is sized from the
 lowered program, allocated once and filled in place; the client parses
 it once and evaluates the residual tables straight from views into it.
 
-The package ships every piece once, in pools the slots refer into: one
-wire-id row per requested comparison and sqrt, each lane map, and each
-coefficient table, pooled per coefficient node and width, never by
-value.  A slot parameter is a (row, map or none) reference and a
-monomial a row of pool indices.  The client decrypts each pooled table
-once and gathers each (row, map) pair once for all slots that read it.
+Lowering lives here, next to the layout it targets: ``lower`` turns the
+slots' normal forms into the package's pools and slot tables, so the
+serializer only pads, shuffles and writes them.  The package ships every
+piece once, in pools the slots refer into: one wire-id row per requested
+comparison and sqrt, each lane map, and each coefficient table, pooled
+per coefficient node and width, never by value.  A slot parameter is a
+(row, map or none) reference and a monomial a row of pool indices.  One
+slot evaluator, ``_evaluate_slots``, sums those tables for the client
+and for ``LoweredProgram.evaluate``: it gathers each (row, map) pair once
+for all slots that read it, and the client decrypts each pooled table once.
 
 A reindexed comparison has no records of its own.  In a package its
 parameter is its source comparison's row read through the lane map;
@@ -51,14 +55,12 @@ from .deferred_graph import (
     Comparison,
     Expr,
     GraphBuilder,
-    LoweredProgram,
-    ResidualFunction,
     SqrtRequest,
-    lower,
     operands,
     schedule,
     sum_of_products,
 )
+from .errors import DeferralUnsupported, MissingAssignment
 
 CMP_DTYPE = np.dtype(
     [("id", "<u4"), ("lhs", "<f8"), ("lhs_level", "<u4"), ("rhs", "<f8"), ("rhs_level", "<u4")]
@@ -102,6 +104,14 @@ def _table(buf, off: int, dtype, count: int) -> tuple[np.ndarray, int]:
     past them.  The writer fills such views; the parser reads them."""
     arr = np.frombuffer(buf, dtype=dtype, count=count, offset=off)
     return arr, off + arr.nbytes
+
+
+def _unpack(fmt: struct.Struct, buf, off: int) -> tuple[tuple, int]:
+    """``fmt``'s fields at ``off``, and the offset past them; a buffer too
+    short for them is a ValueError, like a short ``_table``."""
+    if off + fmt.size > len(buf):
+        raise ValueError("truncated deferred package")
+    return fmt.unpack_from(buf, off), off + fmt.size
 
 
 def _ragged(buf, off: int, dtype, count: int) -> tuple[list[np.ndarray], int]:
@@ -165,6 +175,159 @@ def _lanes(v: Value, width: int) -> np.ndarray:
     return np.broadcast_to(np.asarray(v, dtype=np.float64), (width,))
 
 
+# -- lowering ---------------------------------------------------------------------
+
+
+@dataclass
+class LoweredProgram:
+    """Requests plus slot tables, in the form the package ships them.
+
+    ``comparisons`` and ``sqrt_args`` hold the requests in id order, and
+    their wire-id rows are numbered in that order, comparisons first.
+    ``slots`` holds, in name order, each slot's ``width``, its (row, map)
+    ``params`` and its ``monomials`` table, as ``parse_package`` returns
+    them.  ``coeff_tables`` pools the coefficients as (ciphertext, slot
+    width): one table per coefficient node and width, never merged by
+    value, so which monomials share a table follows from the graph alone.
+    ``lane_maps`` pools the reindexed parameters' maps, one per builder map.
+    """
+
+    comparisons: list[Comparison]
+    cmp_operands: dict[int, tuple[Ciphertext, Ciphertext]]
+    sqrt_args: dict[int, Ciphertext]
+    slots: dict[str, dict]
+    leakage: dict[str, int]
+    coeff_tables: list[tuple[Ciphertext, int]]
+    lane_maps: list[np.ndarray]
+
+    def evaluate(self, bools: dict[int, Value], sqrts: dict[int, Value] | None = None,
+                 decrypt=lambda ct: ct.value) -> dict[str, Value]:
+        """Every slot's value from resolved parameters, as the client
+        computes it from a package.
+
+        ``bools`` maps comparison ids to their answers and ``sqrts`` sqrt
+        ids to their roots.  ``decrypt`` maps a coefficient ciphertext to
+        its value; by default it reads the carried value.
+        """
+        sqrts = sqrts or {}
+        rows = []
+        for kind, values, ids in (("comparison", bools, self.cmp_operands),
+                                  ("sqrt request", sqrts, self.sqrt_args)):
+            for i in ids:
+                if i not in values:
+                    raise MissingAssignment(f"no value for {kind} {i}")
+                rows.append(values[i])
+        coeffs = [_lanes(decrypt(ct), w) for ct, w in self.coeff_tables]
+        return _evaluate_slots(self.slots, rows, self.lane_maps, coeffs)
+
+
+def lower(builder: GraphBuilder, slots: dict[str, Expr], ctx: CkksContext,
+          evaluator: CipherEvaluator | None = None) -> LoweredProgram:
+    """Lower named output slots to requests plus package slot tables.
+
+    Every comparison and sqrt argument must be pure arithmetic (no nested
+    unresolved parameters), otherwise the program needs mid-stream
+    re-encryption and only the interactive path can run it.  Coefficients
+    are evaluated server-side here, consuming simulator levels; passing a
+    shared evaluator lets successive calls reuse each other's work.
+
+    A slot's parameters are numbered slot-locally in normal-form key
+    order: plain comparisons, then reindexed ones, then sqrts.  Each
+    monomial row is its coefficient table followed by those local indices
+    in the same order, padded with ``_NONE`` to the slot's highest degree.
+    """
+    ev = evaluator if evaluator is not None else CipherEvaluator(ctx, builder)
+    terms = {name: builder.sorted_terms(builder.normal_form(e)) for name, e in slots.items()}
+    keys = {name: sorted({k for params, _ in nf for k in params}) for name, nf in terms.items()}
+    used = set().union(*keys.values())
+    cmp_ids = sorted({pid for k, pid in used if k == "b"}
+                     | {builder.reindexed[pid].source for k, pid in used if k == "r"})
+    sqrt_ids = sorted(pid for k, pid in used if k == "s")
+    rows = {k: i for i, k in enumerate([("b", c) for c in cmp_ids] + [("s", s) for s in sqrt_ids])}
+    coeff_tables: list[tuple[Ciphertext, int]] = []
+    coeff_pool: dict[tuple[int, int], int] = {}  # (coefficient node id, width) -> table
+    map_pool: dict[int, int] = {}  # builder map id -> pooled map
+    lane_maps: list[np.ndarray] = []
+
+    def param(key) -> tuple[int, int]:
+        if key[0] != "r":
+            return rows[key], _NONE
+        r = builder.reindexed[key[1]]
+        if r.map_id not in map_pool:
+            map_pool[r.map_id] = len(lane_maps)
+            lane_maps.append(r.index)
+        return rows["b", r.source], map_pool[r.map_id]
+
+    tables: dict[str, dict] = {}
+    for name, nf in terms.items():
+        params = np.array([param(k) for k in keys[name]], dtype=_PARAM)
+        local = {k: i for i, k in enumerate(keys[name])}
+        width = slots[name].width
+        degree = max((len(p) for p, _ in nf), default=0)
+        monos = []
+        for mono, coeff in nf:
+            ref = coeff_pool.setdefault((coeff.id, width), len(coeff_tables))
+            if ref == len(coeff_tables):
+                coeff_tables.append((ev.eval(coeff), width))
+            monos.append([ref, *sorted(local[k] for k in mono), *[_NONE] * (degree - len(mono))])
+        tables[name] = {"width": width, "params": params,
+                        "monomials": np.array(monos, dtype=_REF).reshape(len(monos), 1 + degree)}
+
+    def shipped(request: str, *exprs: Expr) -> tuple[Ciphertext, ...]:
+        if not all(e.pure for e in exprs):
+            raise DeferralUnsupported(f"{request} depends on other unresolved parameters; "
+                                      "it cannot ship in a single deferred package")
+        return tuple(ev.eval(e) for e in exprs)
+
+    comparisons = [builder.comparisons[cid] for cid in cmp_ids]
+    cmp_operands = {c.id: shipped(f"comparison {c.id}", c.lhs, c.rhs) for c in comparisons}
+    sqrt_args = {sid: shipped(f"sqrt request {sid}", builder.sqrts[sid].arg)[0]
+                 for sid in sqrt_ids}
+
+    leakage = {
+        "bool_params": len(cmp_ids),
+        "sqrt_params": len(sqrt_ids),
+        "monomials": sum(len(nf) for nf in terms.values()),
+        "coeff_tables": len(coeff_tables),
+        "lane_maps": len(lane_maps),
+    }
+    return LoweredProgram(comparisons, cmp_operands, sqrt_args,
+                          {name: tables[name] for name in sorted(tables)},
+                          leakage, coeff_tables, lane_maps)
+
+
+def _evaluate_slots(slots: dict[str, dict], rows: list, maps: list[np.ndarray],
+                    coeffs: list[Value]) -> dict[str, Value]:
+    """Each slot's value from its tables, given the resolved lanes of every
+    wire-id row and the value of every coefficient table.
+
+    Each (row, map) parameter is gathered once and kept until the last
+    slot that reads it; every slot sums through ``sum_of_products``, so
+    its float operations are the server-side walk's.
+    """
+    tables = {name: (slot["width"], slot["params"].tolist(), slot["monomials"].tolist())
+              for name, slot in slots.items()}
+    uses = Counter(p for _, params, _ in tables.values() for p in params)
+    gathered: dict[tuple[int, int], Value] = {}
+    results: dict[str, Value] = {}
+    for name, (width, params, monos) in tables.items():
+        vals = []
+        for key in params:
+            if key not in gathered:
+                row, lane_map = key
+                v = rows[row]
+                gathered[key] = v if lane_map == _NONE else np.asarray(v)[maps[lane_map]]
+            vals.append(gathered[key])
+            uses[key] -= 1
+            if not uses[key]:
+                del gathered[key]
+        out = sum_of_products(([vals[i] for i in refs if i != _NONE], coeffs[ref])
+                              for ref, *refs in monos)
+        if isinstance(out, np.ndarray) and width == 1:
+            out = float(out[0])
+        results[name] = out
+    return results
+
 class Client:
     """Key holder; resolves comparison and sqrt requests, nothing else.
 
@@ -188,20 +351,24 @@ class Client:
     def unattributed_decrypts(self) -> int:
         return self.sk.decrypt_calls - self.attributed_decrypts
 
+    def _greater(self, recs: np.ndarray) -> np.ndarray:
+        """[lhs > rhs] as 0.0/1.0 per comparison record; both decrypted
+        operand columns are freed before this returns."""
+        return np.greater(self._decrypt(Ciphertext(recs["lhs"], 0)),
+                          self._decrypt(Ciphertext(recs["rhs"], 0))).astype(np.float64)
+
+    def _roots(self, recs: np.ndarray) -> np.ndarray:
+        """The square root of each sqrt record's decrypted argument."""
+        with np.errstate(invalid="ignore"):
+            return np.sqrt(self._decrypt(Ciphertext(recs["value"], 0)))
+
     def resolve_comparisons(self, blob) -> memoryview:
         recs = np.frombuffer(blob, dtype=CMP_DTYPE)
-        lhs = self._decrypt(Ciphertext(recs["lhs"], int(self.ctx.params.depth_budget)))
-        rhs = self._decrypt(Ciphertext(recs["rhs"], int(self.ctx.params.depth_budget)))
-        answer = np.greater(lhs, rhs).astype(np.float64)
-        del lhs, rhs  # the operand columns are dead before the answer is encrypted
-        return self._response(recs["id"], answer)
+        return self._response(recs["id"], self._greater(recs))
 
     def resolve_sqrts(self, blob) -> memoryview:
         recs = np.frombuffer(blob, dtype=SQRT_DTYPE)
-        args = self._decrypt(Ciphertext(recs["value"], int(self.ctx.params.depth_budget)))
-        with np.errstate(invalid="ignore"):
-            roots = np.sqrt(args)
-        return self._response(recs["id"], roots)
+        return self._response(recs["id"], self._roots(recs))
 
     def _response(self, ids: np.ndarray, values: np.ndarray) -> memoryview:
         """Answer records as wire bytes: each request id with its value
@@ -216,48 +383,18 @@ class Client:
     def resolve_package(self, blob: bytes) -> dict[str, Value]:
         """Decrypt a deferred package and finish the computation locally.
 
-        Each pooled coefficient table is decrypted once, each wire-id row
-        is read once, and each (row, map) parameter is gathered once and
-        kept until the last slot that reads it; every slot sums through
-        ``sum_of_products``.
+        Each pooled coefficient table is decrypted once and each wire-id
+        row read once; the slots are then summed as ``_evaluate_slots``
+        does for ``LoweredProgram.evaluate``.
         """
         pkg = parse_package(blob)
-        cmps = pkg["comparisons"]
-        lhs = self._decrypt(Ciphertext(cmps["lhs"], 0))
-        rhs = self._decrypt(Ciphertext(cmps["rhs"], 0))
-        bool_wire = np.greater(lhs, rhs).astype(np.float64)
-        del lhs, rhs
-        sqrt_wire = np.empty(0)
-        if len(pkg["sqrts"]):
-            args = self._decrypt(Ciphertext(pkg["sqrts"]["value"], 0))
-            with np.errstate(invalid="ignore"):
-                sqrt_wire = np.sqrt(args)
+        bool_wire = self._greater(pkg["comparisons"])
+        sqrt_wire = self._roots(pkg["sqrts"]) if len(pkg["sqrts"]) else np.empty(0)
         rows = [(bool_wire if r < pkg["cmp_rows"] else sqrt_wire)[ids]
                 for r, ids in enumerate(pkg["rows"])]
         del bool_wire, sqrt_wire
         coeffs = [self._decrypt(Ciphertext(lanes, level)) for lanes, level in pkg["coeffs"]]
-        slots = {name: (slot["width"], slot["params"].tolist(), slot["monomials"].tolist())
-                 for name, slot in pkg["slots"].items()}
-        uses = Counter(p for _, params, _ in slots.values() for p in params)
-        gathered: dict[tuple[int, int], np.ndarray] = {}
-        results: dict[str, Value] = {}
-        for name, (width, params, monos) in slots.items():
-            vals = []
-            for key in params:
-                row, lane_map = key
-                if key not in gathered:
-                    v = rows[row]
-                    gathered[key] = v if lane_map == _NONE else v[pkg["maps"][lane_map]]
-                vals.append(gathered[key])
-                uses[key] -= 1
-                if not uses[key]:
-                    del gathered[key]
-            out = sum_of_products(([vals[i] for i in refs if i != _NONE], coeffs[ref])
-                                  for ref, *refs in monos)
-            if isinstance(out, np.ndarray) and width == 1:
-                out = float(out[0])
-            results[name] = out
-        return results
+        return _evaluate_slots(pkg["slots"], rows, pkg["maps"], coeffs)
 
 
 # -- request batching -------------------------------------------------------------
@@ -399,49 +536,41 @@ def serialize_package(program: LoweredProgram, policy: DecoyPolicy = DecoyPolicy
     comparison records, sqrt records (both padded and shuffled like
     interactive batches), then the pools every slot refers into: one
     wire-id row per requested comparison and sqrt, the lane maps and the
-    coefficient tables, each shipped once; then per-slot reference tables.
-    The size follows from the program and the policy, so the package is
-    allocated once and every part is written in place.
+    coefficient tables, each shipped once; then the slot tables as
+    ``lower`` built them.  The size follows from the program and the
+    policy, so the package is allocated once and every part is written in
+    place.
     """
     rng = np.random.default_rng(seed)
-    cmp_ids = sorted(program.cmp_operands)
-    sqrt_ids = sorted(program.sqrt_args)
-    widths = {c.id: c.width for c in program.comparisons}
-    cmp_widths = [widths[cid] for cid in cmp_ids]
-    sqrt_widths = [program.sqrt_args[sid].width for sid in sqrt_ids]
+    cmp_widths = [c.width for c in program.comparisons]
+    sqrt_widths = [a.width for a in program.sqrt_args.values()]
     n_cmp = policy.padded_size(sum(cmp_widths))
     n_sqrt = policy.padded_size(sum(sqrt_widths))
-    maps = list(program.lane_maps.values())
+    maps = program.lane_maps
     coeffs = program.coeff_tables
-    names = sorted(program.slots)
-    rows = {("b", cid): i for i, cid in enumerate(cmp_ids)}
-    rows.update((("s", sid), len(cmp_ids) + i) for i, sid in enumerate(sqrt_ids))
-    map_refs = {mid: i for i, mid in enumerate(program.lane_maps)}
-    tables = [_slot_tables(program.slots[name], rows, map_refs) for name in names]
-    encoded = [name.encode() for name in names]
+    encoded = [name.encode() for name in program.slots]
 
     size = (_PKG_HEADER.size + n_cmp * CMP_DTYPE.itemsize + n_sqrt * SQRT_DTYPE.itemsize
             + _ragged_size(_WIRE_ID, cmp_widths + sqrt_widths)
             + _ragged_size(_LANE, [len(m) for m in maps])
             + _ragged_size(_COEFF, [w for _, w in coeffs]) + len(coeffs) * _LEVEL.itemsize)
-    for nb, (params, monos) in zip(encoded, tables):
+    for nb, slot in zip(encoded, program.slots.values()):
         size += (_SLOT_NAME.size + len(nb) + _SLOT_HEADER.size
-                 + params.size * _PARAM.itemsize + monos.size * _REF.itemsize)
+                 + slot["params"].nbytes + slot["monomials"].nbytes)
     # every byte is written below, so the buffer need not be zeroed first
     buf = np.empty(size, dtype=np.uint8)
 
-    _PKG_HEADER.pack_into(buf, 0, _PKG_MAGIC, n_cmp, n_sqrt, len(cmp_ids), len(sqrt_ids),
-                          len(maps), len(coeffs), len(names))
+    _PKG_HEADER.pack_into(buf, 0, _PKG_MAGIC, n_cmp, n_sqrt, len(cmp_widths),
+                          len(sqrt_widths), len(maps), len(coeffs), len(program.slots))
     off = _PKG_HEADER.size
     cwire, off = _table(buf, off, CMP_DTYPE, n_cmp)
     cmp_pos = _pad_and_shuffle(
-        cwire, cmp_widths, ([program.cmp_operands[cid][0] for cid in cmp_ids],
-                            [program.cmp_operands[cid][1] for cid in cmp_ids]),
+        cwire, cmp_widths, ([lhs for lhs, _ in program.cmp_operands.values()],
+                            [rhs for _, rhs in program.cmp_operands.values()]),
         _CMP_OPERANDS, rng)
     swire, off = _table(buf, off, SQRT_DTYPE, n_sqrt)
     sqrt_pos = _pad_and_shuffle(
-        swire, sqrt_widths, ([program.sqrt_args[sid] for sid in sqrt_ids],),
-        _SQRT_OPERANDS, rng)
+        swire, sqrt_widths, (list(program.sqrt_args.values()),), _SQRT_OPERANDS, rng)
     del cwire, swire
     off = _write_ragged(buf, off, _WIRE_ID,
                         _split(cmp_pos, cmp_widths) + _split(sqrt_pos, sqrt_widths))
@@ -450,12 +579,13 @@ def serialize_package(program: LoweredProgram, policy: DecoyPolicy = DecoyPolicy
     levels, off = _table(buf, off, _LEVEL, len(coeffs))
     levels[:] = [ct.level for ct, _ in coeffs]
 
-    for name, nb, (params, monos) in zip(names, encoded, tables):
+    for nb, slot in zip(encoded, program.slots.values()):
         _SLOT_NAME.pack_into(buf, off, len(nb))
         off += _SLOT_NAME.size
         buf[off:off + len(nb)] = np.frombuffer(nb, dtype=np.uint8)
         off += len(nb)
-        _SLOT_HEADER.pack_into(buf, off, program.slots[name].width, len(params), *monos.shape)
+        params, monos = slot["params"], slot["monomials"]
+        _SLOT_HEADER.pack_into(buf, off, slot["width"], len(params), *monos.shape)
         off += _SLOT_HEADER.size
         view, off = _table(buf, off, _PARAM, len(params))
         view[:] = params
@@ -470,25 +600,6 @@ def _split(pos: np.ndarray, widths: list[int]) -> list[np.ndarray]:
     return np.split(pos, np.cumsum(widths)[:-1]) if widths else []
 
 
-def _slot_tables(rf: ResidualFunction, rows: dict, map_refs: dict[int, int]):
-    """A slot's (row, map) parameter references and its monomial table.
-
-    ``rows`` maps ("b", comparison id) and ("s", sqrt id) to wire-id rows,
-    ``map_refs`` builder map ids to pooled maps.  Parameters are numbered
-    slot-locally, plain comparisons, then reindexed ones, then sqrts, so
-    each monomial lists them in its sorted key order.
-    """
-    keys = ([(("b", cid), rows["b", cid], _NONE) for cid in rf.bool_params]
-            + [(("r", r.id), rows["b", r.source], map_refs[r.map_id]) for r in rf.reindexed]
-            + [(("s", sid), rows["s", sid], _NONE) for sid in rf.sqrt_params])
-    local = {key: i for i, (key, _, _) in enumerate(keys)}
-    params = np.array([(r, m) for _, r, m in keys], dtype=_PARAM)
-    degree = max((len(p) for p, _ in rf.monomials), default=0)
-    monos = [[ref, *(local[k] for k in mono), *[_NONE] * (degree - len(mono))]
-             for ref, (mono, _) in zip(rf.coeff_refs, rf.monomials)]
-    return params, np.array(monos, dtype=_REF).reshape(len(monos), 1 + degree)
-
-
 def parse_package(blob) -> dict:
     """Package tables as views into ``blob``; nothing is copied.
 
@@ -501,9 +612,8 @@ def parse_package(blob) -> dict:
     """
     if blob[:len(_PKG_MAGIC)] != _PKG_MAGIC:
         raise ValueError("not a deferred package")
-    _, n_cmp, n_sqrt, n_crows, n_srows, n_maps, n_coeffs, n_slots = \
-        _PKG_HEADER.unpack_from(blob, 0)
-    off = _PKG_HEADER.size
+    (_, n_cmp, n_sqrt, n_crows, n_srows, n_maps, n_coeffs, n_slots), off = \
+        _unpack(_PKG_HEADER, blob, 0)
     cmps, off = _table(blob, off, CMP_DTYPE, n_cmp)
     sqrts, off = _table(blob, off, SQRT_DTYPE, n_sqrt)
     rows, off = _ragged(blob, off, _WIRE_ID, n_crows + n_srows)
@@ -512,16 +622,15 @@ def parse_package(blob) -> dict:
     levels, off = _table(blob, off, _LEVEL, n_coeffs)
     slots: dict[str, dict] = {}
     for _ in range(n_slots):
-        (name_len,) = _SLOT_NAME.unpack_from(blob, off)
-        off += _SLOT_NAME.size
-        name = bytes(blob[off:off + name_len]).decode()
-        off += name_len
-        width, n_params, n_monos, stride = _SLOT_HEADER.unpack_from(blob, off)
-        off += _SLOT_HEADER.size
+        (name_len,), off = _unpack(_SLOT_NAME, blob, off)
+        name, off = _table(blob, off, np.uint8, name_len)
+        (width, n_params, n_monos, stride), off = _unpack(_SLOT_HEADER, blob, off)
         params, off = _table(blob, off, _PARAM, n_params)
         monos, off = _table(blob, off, _REF, n_monos * stride)
-        slots[name] = {"width": width, "params": params,
-                       "monomials": monos.reshape(n_monos, stride)}
+        slots[name.tobytes().decode()] = {"width": width, "params": params,
+                                          "monomials": monos.reshape(n_monos, stride)}
+    if off != len(blob):
+        raise ValueError(f"{len(blob) - off} bytes follow the deferred package's last table")
     return {"comparisons": cmps, "sqrts": sqrts, "rows": rows, "cmp_rows": n_crows,
             "maps": maps, "coeffs": list(zip(lanes, levels.tolist())), "slots": slots}
 
@@ -568,13 +677,10 @@ def dump_package(blob: bytes) -> str:
     return "\n".join(lines) + "\n"
 
 
-def run_deferred(ctx: CkksContext, builder: GraphBuilder, slots: dict[str, Expr],
-                 client: Client, policy: DecoyPolicy = DecoyPolicy(),
-                 seed: int = 0, program: LoweredProgram | None = None) -> ProtocolRun:
-    """Single-round delegation; raises DeferralUnsupported when the
-    program needs resolved parameters to state its own requests."""
-    if program is None:
-        program = lower(builder, slots, ctx)
+def run_deferred(program: LoweredProgram, client: Client, policy: DecoyPolicy = DecoyPolicy(),
+                 seed: int = 0) -> ProtocolRun:
+    """Single-round delegation of a lowered program: serialize it, and
+    let the client resolve the package."""
     blob = serialize_package(program, policy, seed)
     results = client.resolve_package(blob)
     n_cmp = sum(c.width for c in program.comparisons)

@@ -36,10 +36,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ckks_sim import CkksContext, SimParams, gather
-from .deferred_graph import CipherEvaluator, GraphBuilder, lower
+from .deferred_graph import CipherEvaluator, GraphBuilder
 from .errors import ConfigError, DeferralUnsupported, DepthExhausted
 from .kernels import bin_mask, convolve2d, gaussian_kernel1d, vec_argmax_onehot, weighted_histogram
-from .protocol import Client, DecoyPolicy, run_deferred, run_interactive
+from .protocol import Client, DecoyPolicy, lower, run_deferred, run_interactive
 
 MARGIN = 5  # descriptor window -4..3 plus the gradient ring
 WINDOW = range(-4, 4)  # descriptor window offsets; orientation reads the inner ones
@@ -563,8 +563,7 @@ def run_pipeline(img, cfg: PipelineConfig | None = None, sim: SimParams | None =
             # the program tables hold every ciphertext that outlives
             # lowering; dropping the memo releases all intermediates
             ev.memo.clear()
-            run = run_deferred(ctx, b, plan.slots, client, DecoyPolicy(),
-                               seed=seed, program=program)
+            run = run_deferred(program, client, DecoyPolicy(), seed=seed)
         values = {k: np.atleast_1d(np.asarray(v)) for k, v in run.results.items()}
         report.rounds = run.rounds
         report.leakage = run.leakage

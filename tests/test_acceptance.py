@@ -152,7 +152,7 @@ def test_c03_deferred_interactive_and_plaintext_agree_on_random_programs():
         pe = PlainEvaluator(b)
         plain = {k: float(pe.eval(e)) for k, e in slots.items()}
         ri = run_interactive(ctx, b, slots, Client(ctx), seed=bi)
-        rd = run_deferred(ctx, b, slots, Client(ctx), seed=bi)
+        rd = run_deferred(lower(b, slots, ctx), Client(ctx), seed=bi)
         for k, p in plain.items():
             assert np.isfinite(p), (bi, k)
             iv = float(ri.results[k].value)

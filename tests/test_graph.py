@@ -531,13 +531,11 @@ def test_lower_emits_requests_and_residuals():
                             "coeff_tables": 3, "lane_maps": 0}
     lhs, rhs = prog.cmp_operands[0]
     assert (lhs.value, rhs.value) == (4.0, 9.0)
-    rf = prog.slots["pick"]
-    got = rf.evaluate({0: 0.0})
-    assert got == 9.0
+    assert prog.evaluate({0: 0.0}, {0: 3.0}) == {"pick": 9.0, "root": 3.0}
     with pytest.raises(MissingAssignment):
-        rf.evaluate({})
+        prog.evaluate({}, {0: 3.0})
     with pytest.raises(MissingAssignment):
-        prog.slots["root"].evaluate({}, {})
+        prog.evaluate({0: 0.0}, {})
 
 
 def test_lower_rejects_impure_comparison_operands():
@@ -581,9 +579,9 @@ def test_residual_evaluate_counts_decrypts():
     y = b.cipher(ctx.encrypt(9.0))
     prog = lower(b, {"pick": b.select(b.compare(x, y), x, y)}, ctx)
     seen = []
-    out = prog.slots["pick"].evaluate({0: 1.0}, decrypt=lambda ct: seen.append(ct) or ct.value)
-    assert out == 4.0
-    assert len(seen) == len(prog.slots["pick"].monomials)
+    out = prog.evaluate({0: 1.0}, decrypt=lambda ct: seen.append(ct) or ct.value)
+    assert out == {"pick": 4.0}
+    assert len(seen) == len(prog.coeff_tables) == prog.leakage["monomials"]
 
 
 # -- reindexed parameters -----------------------------------------------------------
@@ -645,13 +643,14 @@ def test_reindex_evaluators_and_residual_agree_bitwise():
     got = ce.eval(e)
     assert got.value.tobytes() == np.asarray(want).tobytes()
     prog = lower(b, {"e": e}, ctx)
-    rf = prog.slots["e"]
-    assert rf.bool_params == () and [r.id for r in rf.reindexed] == [0, 1]
+    # both parameters read the one comparison's row, each through its own map
+    assert prog.slots["e"]["params"].tolist() == [(0, 0), (0, 1)]
+    assert [m.tolist() for m in prog.lane_maps] == [[2, 0, 1], [1, 1, 3]]
     assert [cmp.id for cmp in prog.comparisons] == [c.payload]
     assert prog.leakage["bool_params"] == 1
-    assert rf.evaluate({c.payload: bits}).tobytes() == np.asarray(want).tobytes()
+    assert prog.evaluate({c.payload: bits})["e"].tobytes() == np.asarray(want).tobytes()
     with pytest.raises(MissingAssignment):
-        rf.evaluate({})
+        prog.evaluate({})
 
 
 def test_reindex_rejects_bad_maps_and_width_mismatch():

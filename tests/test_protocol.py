@@ -110,7 +110,7 @@ def test_deferred_matches_interactive_bitwise():
                   b.mul(b.select(c2, xs[2], xs[3]), b.sqrt_deferred(b.mul(xs[4], xs[4]))))
         slots = {"out": b.simplify(e)}
         ri = run_interactive(ctx, b, slots, Client(ctx), seed=trial)
-        rd = run_deferred(ctx, b, slots, Client(ctx), seed=trial)
+        rd = run_deferred(lower(b, slots, ctx), Client(ctx), seed=trial)
         assert rd.results["out"] == ri.results["out"].value
         want = PlainEvaluator(b).eval(e)
         assert rd.results["out"] == pytest.approx(want, rel=1e-12, abs=1e-12)
@@ -119,7 +119,7 @@ def test_deferred_matches_interactive_bitwise():
 def test_deferred_is_one_round_and_reports_leakage():
     ctx, b, slots = _toy()
     client = Client(ctx)
-    run = run_deferred(ctx, b, slots, client)
+    run = run_deferred(lower(b, slots, ctx), client)
     assert run.mode == "deferred"
     assert len(run.rounds) == 1
     assert run.rounds[0].n_wire_comparisons == 8
@@ -136,7 +136,7 @@ def test_deferred_rejects_chained_comparisons():
     xs = [b.cipher(ctx.encrypt(v)) for v in (1.0, 2.0, 3.0)]
     chain = running_max(b, xs, seed=0.0)
     with pytest.raises(DeferralUnsupported):
-        run_deferred(ctx, b, {"m": chain}, Client(ctx))
+        run_deferred(lower(b, {"m": chain}, ctx), Client(ctx))
 
 
 def test_decoys_pad_to_power_of_two_and_draw_from_real_pool():
@@ -190,6 +190,26 @@ def test_parse_package_round_trip_and_magic():
         parse_package(b"DCGPKG01" + bytes(16))
 
 
+def test_parse_package_rejects_a_truncated_blob():
+    with pytest.raises(ValueError):
+        parse_package(b"DCGPKG02")  # the magic and no header
+    ctx, b, slots = _toy()
+    blob = bytes(serialize_package(lower(b, slots, ctx), seed=1))
+    for cut in range(len(protocol._PKG_MAGIC), len(blob)):
+        with pytest.raises(ValueError):
+            parse_package(blob[:cut])
+
+
+def test_parse_package_rejects_trailing_bytes():
+    ctx, b, slots = _toy()
+    blob = bytes(serialize_package(lower(b, slots, ctx), seed=1))
+    assert set(parse_package(blob)["slots"]) == {"pick", "root"}
+    with pytest.raises(ValueError):
+        parse_package(blob + bytes(4))
+    with pytest.raises(ValueError):
+        Client(ctx).resolve_package(blob + bytes(4))
+
+
 def test_dump_package_golden():
     ctx, b, slots = _toy()
     prog = lower(b, slots, ctx)
@@ -201,7 +221,7 @@ def test_dump_package_golden():
 def test_decrypt_accounting_stays_on_the_client():
     ctx, b, slots = _toy()
     client = Client(ctx)
-    run = run_deferred(ctx, b, slots, client)
+    run = run_deferred(lower(b, slots, ctx), client)
     assert client.attributed_decrypts == client.sk.decrypt_calls > 0
     assert client.unattributed_decrypts() == 0
     # both operand columns, the sqrt arguments, then each pooled
@@ -224,7 +244,7 @@ def test_lane_batched_comparisons_ride_one_record_per_lane():
     b = GraphBuilder()
     v = b.cipher(ctx.encrypt(np.array([1.0, 5.0, -2.0])))
     e = b.select(b.compare(v, b.plain(0.0)), v, b.neg(v))
-    run = run_deferred(ctx, b, {"abs": b.simplify(e)}, Client(ctx))
+    run = run_deferred(lower(b, {"abs": b.simplify(e)}, ctx), Client(ctx))
     assert np.array_equal(run.results["abs"], [1.0, 5.0, 2.0])
     assert run.rounds[0].n_real_comparisons == 3
     assert run.rounds[0].n_wire_comparisons == 8
@@ -313,7 +333,7 @@ def test_run_deferred_parses_the_package_once(monkeypatch, decoys):
         return parse(blob)
 
     monkeypatch.setattr(protocol, "parse_package", counting_parse)
-    run = run_deferred(ctx, b, slots, Client(ctx), DecoyPolicy(enabled=decoys), seed=2)
+    run = run_deferred(lower(b, slots, ctx), Client(ctx), DecoyPolicy(enabled=decoys), seed=2)
     assert len(blobs) == 1
     pkg = parse(blobs[0])
     assert run.rounds[0].n_wire_comparisons == len(pkg["comparisons"])
@@ -361,7 +381,7 @@ def test_reindexed_parameters_share_their_comparisons_wire_ids():
     # slots "a" and "b" both read through maps["a"]; it ships once
     assert [m.tolist() for m in pkg["maps"]] == [maps["a"].tolist(), maps["b"].tolist()]
 
-    rd = run_deferred(ctx, b, slots, Client(ctx), seed=4)
+    rd = run_deferred(lower(b, slots, ctx), Client(ctx), seed=4)
     assert rd.rounds[0].n_real_comparisons == 6
     ev = CipherEvaluator(ctx, b)
     ri = run_interactive(ctx, b, slots, Client(ctx), seed=4, evaluator=ev)
@@ -370,6 +390,23 @@ def test_reindexed_parameters_share_their_comparisons_wire_ids():
     for name in slots:
         assert rd.results[name].tobytes() == ri.results[name].value.tobytes(), name
         assert np.array_equal(rd.results[name], want[name]), name
+
+
+@pytest.mark.parametrize("toy", [_reindex_toy, _wire_toy])
+def test_lowered_program_evaluates_as_the_client_resolves_its_package(toy):
+    """``LoweredProgram.evaluate`` on plaintext answers and the client on
+    the shuffled, decoy-padded package share one slot evaluator."""
+    ctx, b, *_, slots = toy()
+    prog = lower(b, slots, ctx)
+    pe = PlainEvaluator(b)
+    bools = {cmp.id: pe.bool_value(cmp) for cmp in prog.comparisons}
+    sqrts = {sid: np.sqrt(pe.eval(b.sqrts[sid].arg)) for sid in prog.sqrt_args}
+    got = prog.evaluate(bools, sqrts)
+    wire = run_deferred(prog, Client(ctx), DecoyPolicy(enabled=True), seed=3).results
+    assert list(got) == list(wire) == sorted(slots)
+    for name in slots:
+        assert type(got[name]) is type(wire[name]), name
+        assert np.asarray(got[name]).tobytes() == np.asarray(wire[name]).tobytes(), name
 
 
 def test_pools_share_by_graph_node_never_by_value():
@@ -398,7 +435,7 @@ def test_pools_share_by_graph_node_never_by_value():
     assert [m.tolist() for m in pkg["maps"]] == [lane_map.tolist()]
 
     client = Client(ctx)
-    run = run_deferred(ctx, b, slots, client, seed=1)
+    run = run_deferred(lower(b, slots, ctx), client, seed=1)
     assert client.attributed_decrypts == 2 + 2
     for name, e in slots.items():
         assert np.array_equal(run.results[name], PlainEvaluator(b).eval(e)), name
