@@ -204,3 +204,23 @@ def gather(ct: Ciphertext, index) -> Ciphertext:
     if isinstance(nb, np.ndarray):
         nb = _as_value(nb[index])
     return Ciphertext(v, ct.level, nb)
+
+
+def concat(cts) -> Ciphertext:
+    """Join batched ciphertexts lane by lane, in order, into one batch.
+
+    The batch sits at the lowest of the inputs' levels: lowering a
+    ciphertext's level is a modulus switch, which costs nothing, so like
+    ``gather`` this counts no operation.  Scalar noise bounds are
+    broadcast over their lanes.  A single input is returned as it is.
+    """
+    cts = list(cts)
+    if len(cts) == 1:
+        return cts[0]
+    v = np.concatenate([np.ravel(ct.value) for ct in cts])
+    if all(_zero_bound(ct.noise_bound) for ct in cts):
+        nb = 0.0
+    else:
+        nb = np.concatenate([np.broadcast_to(ct.noise_bound, np.shape(ct.value)).ravel()
+                             for ct in cts])
+    return Ciphertext(v, min(ct.level for ct in cts), nb)

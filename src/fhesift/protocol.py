@@ -114,19 +114,24 @@ def _unpack(fmt: struct.Struct, buf, off: int) -> tuple[tuple, int]:
     return fmt.unpack_from(buf, off), off + fmt.size
 
 
-def _ragged(buf, off: int, dtype, count: int) -> tuple[list[np.ndarray], int]:
-    """``count`` _LENGTHs, then that many runs of ``dtype`` back to back,
-    as one view per run."""
+def _ragged(buf, off: int, dtype, count: int) -> tuple[tuple[np.ndarray, np.ndarray], int]:
+    """``count`` _LENGTHs, then that many runs of ``dtype`` back to back:
+    the lengths, and the runs as one flat view."""
     lengths, off = _table(buf, off, _LENGTH, count)
     flat, off = _table(buf, off, dtype, int(lengths.sum(dtype=np.int64)))
-    return (np.split(flat, np.cumsum(lengths[:-1], dtype=np.int64)) if count else []), off
+    return (lengths, flat), off
+
+
+def _runs(lengths: np.ndarray, flat: np.ndarray) -> list[np.ndarray]:
+    """A ragged table's runs, one view each."""
+    return np.split(flat, np.cumsum(lengths[:-1], dtype=np.int64)) if len(lengths) else []
 
 
 def _write_ragged(buf, off: int, dtype, runs) -> int:
     lengths, _ = _table(buf, off, _LENGTH, len(runs))
     lengths[:] = [np.size(r) for r in runs]
-    views, off = _ragged(buf, off, dtype, len(runs))
-    for view, run in zip(views, runs):
+    ragged, off = _ragged(buf, off, dtype, len(runs))
+    for view, run in zip(_runs(*ragged), runs):
         view[:] = run
     return off
 
@@ -600,6 +605,17 @@ def _split(pos: np.ndarray, widths: list[int]) -> list[np.ndarray]:
     return np.split(pos, np.cumsum(widths)[:-1]) if widths else []
 
 
+def _check_refs(what: str, refs: np.ndarray, count: int, none_ok: bool = False):
+    """ValueError unless every reference is below ``count``, or is
+    ``_NONE`` where ``none_ok``."""
+    bad = refs >= count
+    if none_ok:
+        bad &= refs != _NONE
+    if bad.any():
+        raise ValueError(f"deferred package {what} {int(refs[bad][0])} is out of range "
+                         f"(there are {count})")
+
+
 def parse_package(blob) -> dict:
     """Package tables as views into ``blob``; nothing is copied.
 
@@ -609,6 +625,12 @@ def parse_package(blob) -> dict:
     (row, map) references, map ``_NONE`` for none, and each row of its
     ``monomials`` is a coefficient table index followed by slot-local
     parameter indices padded with ``_NONE``.
+
+    Every reference is checked against what it points into: a wire id
+    against its kind's records, a parameter's row and map against the
+    pools and the map's lanes against the row, a monomial's table and
+    parameter indices against the pool and the slot.  One out of range
+    is a ValueError, like a truncated package.
     """
     if blob[:len(_PKG_MAGIC)] != _PKG_MAGIC:
         raise ValueError("not a deferred package")
@@ -616,9 +638,14 @@ def parse_package(blob) -> dict:
         _unpack(_PKG_HEADER, blob, 0)
     cmps, off = _table(blob, off, CMP_DTYPE, n_cmp)
     sqrts, off = _table(blob, off, SQRT_DTYPE, n_sqrt)
-    rows, off = _ragged(blob, off, _WIRE_ID, n_crows + n_srows)
-    maps, off = _ragged(blob, off, _LANE, n_maps)
-    lanes, off = _ragged(blob, off, _COEFF, n_coeffs)
+    (row_lengths, ids), off = _ragged(blob, off, _WIRE_ID, n_crows + n_srows)
+    n_cmp_ids = int(row_lengths[:n_crows].sum(dtype=np.int64))
+    _check_refs("comparison wire id", ids[:n_cmp_ids], n_cmp)
+    _check_refs("sqrt wire id", ids[n_cmp_ids:], n_sqrt)
+    ragged, off = _ragged(blob, off, _LANE, n_maps)
+    maps = _runs(*ragged)
+    map_top = np.array([int(m.max()) if len(m) else -1 for m in maps], dtype=np.int64)
+    coeffs, off = _ragged(blob, off, _COEFF, n_coeffs)
     levels, off = _table(blob, off, _LEVEL, n_coeffs)
     slots: dict[str, dict] = {}
     for _ in range(n_slots):
@@ -627,12 +654,22 @@ def parse_package(blob) -> dict:
         (width, n_params, n_monos, stride), off = _unpack(_SLOT_HEADER, blob, off)
         params, off = _table(blob, off, _PARAM, n_params)
         monos, off = _table(blob, off, _REF, n_monos * stride)
-        slots[name.tobytes().decode()] = {"width": width, "params": params,
-                                          "monomials": monos.reshape(n_monos, stride)}
+        monos = monos.reshape(n_monos, stride)
+        _check_refs("parameter row", params["row"], n_crows + n_srows)
+        _check_refs("lane map", params["map"], n_maps, none_ok=True)
+        mapped = params[params["map"] != _NONE]
+        if np.any(map_top[mapped["map"]] >= row_lengths[mapped["row"]]):
+            raise ValueError("deferred package lane map reads past the end of its row")
+        if n_monos and not stride:
+            raise ValueError("deferred package monomial names no coefficient table")
+        _check_refs("coefficient table", monos[:, :1], n_coeffs)
+        _check_refs("parameter index", monos[:, 1:], n_params, none_ok=True)
+        slots[name.tobytes().decode()] = {"width": width, "params": params, "monomials": monos}
     if off != len(blob):
         raise ValueError(f"{len(blob) - off} bytes follow the deferred package's last table")
-    return {"comparisons": cmps, "sqrts": sqrts, "rows": rows, "cmp_rows": n_crows,
-            "maps": maps, "coeffs": list(zip(lanes, levels.tolist())), "slots": slots}
+    return {"comparisons": cmps, "sqrts": sqrts, "rows": _runs(row_lengths, ids),
+            "cmp_rows": n_crows, "maps": maps,
+            "coeffs": list(zip(_runs(*coeffs), levels.tolist())), "slots": slots}
 
 
 def dump_package(blob: bytes) -> str:

@@ -7,12 +7,17 @@ is processed identically; there is no data-dependent control flow, so
 operation counts and traffic shapes depend only on image dimensions and
 configuration.
 
-Lane layout: one ciphertext batches all sites of an (octave, layer)
-pair, so each comparison template covers every site at once.  Stage
-outputs are named graph slots; the client turns resolved slot values
-into the keypoint list.  Subpixel division, the orientation argmax (in
-deferred mode) and descriptor normalization happen client side, since
-none of them is expressible in deferred arithmetic.
+Lane layout: one graph per layer index, whose ciphertexts batch the
+sites of every octave back to back in octave order, so each comparison
+template covers every site of the layer index at once.  Octaves sit at
+different levels; ``ckks_sim.concat`` joins them at the lowest, for
+free.  The graph, and so the package's structure, does not depend on
+the octave count.  Stage outputs are named graph slots;
+``_GraphPlan.split`` cuts each back into one table per (octave, layer),
+and the client turns those into the keypoint list.  Subpixel division,
+the orientation argmax (in deferred mode) and descriptor normalization
+happen client side, since none of them is expressible in deferred
+arithmetic.
 
 Mode map: "plaintext" runs the branchy reference implementation on raw
 pixels; "interactive" resolves comparisons wave by wave, including a
@@ -29,13 +34,14 @@ identical float operations in identical order.
 
 from __future__ import annotations
 
+import itertools
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ckks_sim import CkksContext, SimParams, gather
+from .ckks_sim import CkksContext, SimParams, concat, gather
 from .deferred_graph import CipherEvaluator, GraphBuilder
 from .errors import ConfigError, DeferralUnsupported, DepthExhausted
 from .kernels import bin_mask, convolve2d, gaussian_kernel1d, vec_argmax_onehot, weighted_histogram
@@ -246,11 +252,25 @@ class _GraphPlan:
         self.stage_sqrts: dict[str, list[int]] = {st: [] for st in _GRAPH_STAGES}
         # expressions whose normal-form coefficients are the stage's pure work
         self.stage_roots: dict[str, list] = {st: [] for st in _GRAPH_STAGES}
-        self.sites: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+        # (ys, xs) of each octave with interior sites; every graph batches
+        # these octaves' sites back to back, in octave order
+        self.sites: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self.layers: dict[str, int] = {}  # graph name -> its layer index
 
     def add_slot(self, stage: str, name: str, e):
         self.slots[name] = e
         self.stage_slots[stage].append(name)
+
+    def split(self, values: dict) -> dict:
+        """Each graph slot's lanes as one table per octave, named
+        ``o{octave}l{layer}/...`` like the slot tables of a one-octave run."""
+        cuts = np.cumsum([len(ys) for ys, _ in self.sites.values()])[:-1]
+        out = {}
+        for name, v in values.items():
+            graph, field = name.split("/")
+            for o, part in zip(self.sites, np.split(v, cuts)):
+                out[f"o{o}l{self.layers[graph]}/{field}"] = part
+        return out
 
     def mark_stage(self, stage: str, cmp_lo: int, sqrt_lo: int):
         b = self.builder
@@ -317,155 +337,170 @@ def _build_site_graph(ctx, plan: _GraphPlan, gauss, dog, dims, cfg: PipelineConf
 
     for o in range(cfg.octaves):
         grid = _site_grid(*dims[o])
-        if grid is None:
-            continue
-        ys, xs = grid
-        for l in range(1, s + 1):
-            plan.sites[(o, l)] = (ys, xs)
-            p = f"o{o}l{l}"
+        if grid is not None:
+            plan.sites[o] = grid
+    if not plan.sites:
+        return
+    octs = list(plan.sites)
 
-            dcache: dict = {}
+    # Gradients are taken once per pixel of the region the descriptor
+    # window covers, octave by octave, and the octaves' pixel blocks sit
+    # back to back.  Window position (uu, vv) reads them through a lane
+    # map from sites to pixels.  A map depends on the octaves' shapes
+    # only, so every layer index shares it.
+    regions, parts, offset = [], {}, 0
+    for ys, xs in plan.sites.values():
+        ry = np.arange(ys.min() + WINDOW[0], ys.max() + WINDOW[-1] + 1)
+        rx = np.arange(xs.min() + WINDOW[0], xs.max() + WINDOW[-1] + 1)
+        for vv in WINDOW:
+            for uu in WINDOW:
+                at = offset + (ys + vv - ry[0]) * len(rx) + (xs + uu - rx[0])
+                parts.setdefault((uu, vv), []).append(at)
+        regions.append([a.ravel() for a in np.meshgrid(ry, rx, indexing="ij")])
+        offset += len(ry) * len(rx)
+    lanes = {key: np.concatenate(at) for key, at in parts.items()}
 
-            def dleaf(dl, dy, dx):
-                key = (dl, dy, dx)
-                if key not in dcache:
-                    ct = gather(dog[o][l + dl], (ys + dy, xs + dx))
-                    dcache[key] = b.cipher(ct, name=f"{p}d{dl:+d}{dy:+d}{dx:+d}")
-                return dcache[key]
+    # one graph per layer index, batching every octave's sites in octave
+    # order; it is named after the octaves it spans, so a one-octave
+    # graph's slots already carry their table names
+    span = f"o{octs[0]}" + (f"-{octs[-1]}" if len(octs) > 1 else "")
+    for l in range(1, s + 1):
+        p = f"{span}l{l}"
+        plan.layers[p] = l
 
-            # detect: strict max or strict min among the 26 neighbors,
-            # plus |v| above the contrast threshold.
-            cmp_lo, sqrt_lo = len(b.comparisons), len(b.sqrts)
-            v = dleaf(0, 0, 0)
-            neighbors = [dleaf(dl, dy, dx) for dl, dy, dx in _NEIGHBORS_26]
-            is_max = b.product([b.compare(v, n) for n in neighbors])
-            # strict minimum via negated operands; the naive reversed
-            # compare would canonicalize into a non-strict complement
-            is_min = b.product([b.compare(b.neg(v), b.neg(n)) for n in neighbors])
-            contrast = _or(b, b.compare(v, b.plain(t)), b.compare(b.plain(-t), v))
-            det_mask = b.mul(_or(b, is_max, is_min), contrast)
-            plan.mark_stage("detect", cmp_lo, sqrt_lo)
+        dcache: dict = {}
 
-            # localize: central differences, adjugate solve, acceptance
-            # and edge tests in cleared (division-free) form.
-            cmp_lo, sqrt_lo = len(b.comparisons), len(b.sqrts)
-            d0 = {(dy, dx): dleaf(0, dy, dx) for dy in (-1, 0, 1) for dx in (-1, 0, 1)}
-            half, quarter = b.plain(0.5), b.plain(0.25)
-            gx = b.mul(half, b.sub(d0[(0, 1)], d0[(0, -1)]))
-            gy = b.mul(half, b.sub(d0[(1, 0)], d0[(-1, 0)]))
-            gs = b.mul(half, b.sub(dleaf(1, 0, 0), dleaf(-1, 0, 0)))
-            v2 = b.add(v, v)
-            dxx = b.sub(b.add(d0[(0, 1)], d0[(0, -1)]), v2)
-            dyy = b.sub(b.add(d0[(1, 0)], d0[(-1, 0)]), v2)
-            dss = b.sub(b.add(dleaf(1, 0, 0), dleaf(-1, 0, 0)), v2)
-            dxy = b.mul(quarter, b.sub(b.sub(d0[(1, 1)], d0[(1, -1)]),
-                                       b.sub(d0[(-1, 1)], d0[(-1, -1)])))
-            dxs = b.mul(quarter, b.sub(b.sub(dleaf(1, 0, 1), dleaf(1, 0, -1)),
-                                       b.sub(dleaf(-1, 0, 1), dleaf(-1, 0, -1))))
-            dys = b.mul(quarter, b.sub(b.sub(dleaf(1, 1, 0), dleaf(1, -1, 0)),
-                                       b.sub(dleaf(-1, 1, 0), dleaf(-1, -1, 0))))
-            a00 = b.sub(b.mul(dyy, dss), b.mul(dys, dys))
-            a01 = b.sub(b.mul(dxs, dys), b.mul(dxy, dss))
-            a02 = b.sub(b.mul(dxy, dys), b.mul(dyy, dxs))
-            a11 = b.sub(b.mul(dxx, dss), b.mul(dxs, dxs))
-            a12 = b.sub(b.mul(dxy, dxs), b.mul(dxx, dys))
-            a22 = b.sub(b.mul(dxx, dyy), b.mul(dxy, dxy))
-            det = b.add(b.add(b.mul(dxx, a00), b.mul(dxy, a01)), b.mul(dxs, a02))
-            num_x = b.neg(b.add(b.add(b.mul(a00, gx), b.mul(a01, gy)), b.mul(a02, gs)))
-            num_y = b.neg(b.add(b.add(b.mul(a01, gx), b.mul(a11, gy)), b.mul(a12, gs)))
-            num_s = b.neg(b.add(b.add(b.mul(a02, gx), b.mul(a12, gy)), b.mul(a22, gs)))
-            accept = b.rational_div(num_x, det).abs_le(0.5)
-            accept = b.mul(accept, b.rational_div(num_y, det).abs_le(0.5))
-            accept = b.mul(accept, b.rational_div(num_s, det).abs_le(0.5))
-            tr = b.add(dxx, dyy)
-            det2 = b.sub(b.mul(dxx, dyy), b.mul(dxy, dxy))
-            # tr^2 <= r*det2 rejects det2 <= 0 on its own; no sign split
-            edge_ok = b.sub(b.plain(1.0), b.compare(b.mul(tr, tr), b.mul(b.plain(r), det2)))
-            kp_mask = b.mul(b.mul(det_mask, accept), edge_ok)
-            plan.mark_stage("localize", cmp_lo, sqrt_lo)
-            for name, e in (("mask", kp_mask), ("det", det), ("num_x", num_x),
-                            ("num_y", num_y), ("num_s", num_s)):
-                e = b.simplify(e)
-                plan.stage_roots["localize"].append(e)
-                plan.add_slot("localize", f"{p}/{name}", e)
+        def dleaf(dl, dy, dx):
+            key = (dl, dy, dx)
+            if key not in dcache:
+                ct = concat([gather(dog[o][l + dl], (ys + dy, xs + dx))
+                             for o, (ys, xs) in plan.sites.items()])
+                dcache[key] = b.cipher(ct, name=f"{p}d{dl:+d}{dy:+d}{dx:+d}")
+            return dcache[key]
 
-            # gradients of the Gaussian level, once per pixel of the region
-            # the descriptor window covers; orientation reads its inner
-            # part.  Window position (uu, vv) reads the block through a lane
-            # map from sites to pixels, so the bin masks below ask each
-            # pixel's comparisons once and reindex them per position.  The
-            # 1/2 central-difference factor is folded into the plaintext
-            # weights; angles do not see scale.
-            g_lvl = gauss[o][l]
-            ry = np.arange(ys.min() + WINDOW[0], ys.max() + WINDOW[-1] + 1)
-            rx = np.arange(xs.min() + WINDOW[0], xs.max() + WINDOW[-1] + 1)
-            py, px = (a.ravel() for a in np.meshgrid(ry, rx, indexing="ij"))
-            with _stage(ctx, report, "orient"):
-                gx = ctx.sub(gather(g_lvl, (py, px + 1)), gather(g_lvl, (py, px - 1)))
-                gy = ctx.sub(gather(g_lvl, (py + 1, px)), gather(g_lvl, (py - 1, px)))
-            gx_e, gy_e = b.cipher(gx, name=f"{p}gx"), b.cipher(gy, name=f"{p}gy")
-            lanes, grads = {}, {}
-            for vv in WINDOW:
-                for uu in WINDOW:
-                    at = (ys + vv - ry[0]) * len(rx) + (xs + uu - rx[0])
-                    lanes[(uu, vv)] = at
-                    grads[(uu, vv)] = (
-                        b.cipher(gather(gx, at), name=f"{p}gx{uu:+d}{vv:+d}"),
-                        b.cipher(gather(gy, at), name=f"{p}gy{uu:+d}{vv:+d}"),
-                    )
+        # detect: strict max or strict min among the 26 neighbors,
+        # plus |v| above the contrast threshold.
+        cmp_lo, sqrt_lo = len(b.comparisons), len(b.sqrts)
+        v = dleaf(0, 0, 0)
+        neighbors = [dleaf(dl, dy, dx) for dl, dy, dx in _NEIGHBORS_26]
+        is_max = b.product([b.compare(v, n) for n in neighbors])
+        # strict minimum via negated operands; the naive reversed
+        # compare would canonicalize into a non-strict complement
+        is_min = b.product([b.compare(b.neg(v), b.neg(n)) for n in neighbors])
+        contrast = _or(b, b.compare(v, b.plain(t)), b.compare(b.plain(-t), v))
+        det_mask = b.mul(_or(b, is_max, is_min), contrast)
+        plan.mark_stage("detect", cmp_lo, sqrt_lo)
 
-            # orientation histogram over the inner window
-            cmp_lo, sqrt_lo = len(b.comparisons), len(b.sqrts)
-            sw = 1.5 * sigmas[l]
-            rad = ORIENTATION_RADIUS
-            quads = []
-            for vv in range(-rad, rad + 1):
-                for uu in range(-rad, rad + 1):
-                    dx_e, dy_e = grads[(uu, vv)]
-                    gwin = math.exp(-(uu * uu + vv * vv) / (2.0 * sw * sw))
-                    mag2 = b.add(b.mul(dx_e, dx_e), b.mul(dy_e, dy_e))
-                    if cfg.orientation_weighting == MAGNITUDE_SQUARED:
-                        w = b.mul(mag2, b.plain(0.25 * gwin))
-                    else:
-                        w = b.mul(b.sqrt_deferred(mag2), b.plain(0.5 * gwin))
-                    quads.append((gx_e, gy_e, w, lanes[(uu, vv)]))
-            bins = [b.simplify(e) for e in weighted_histogram(b, quads, nb)]
-            wsum = b.simplify(b.sum_([w for _, _, w, _ in quads]))
-            # the bins are roots in both modes; the one-hot slots are not,
-            # since their coefficients hang on the tournament's answers
-            plan.stage_roots["orient"] += [wsum, *bins]
-            plan.add_slot("orient", f"{p}/wsum", wsum)
-            if with_argmax:
-                onehot = vec_argmax_onehot(b, bins)
-                for k in range(nb):
-                    plan.add_slot("orient", f"{p}/oh{k:02d}", onehot[k])
-            else:
-                for k in range(nb):
-                    plan.add_slot("orient", f"{p}/bin{k:02d}", bins[k])
-            plan.mark_stage("orient", cmp_lo, sqrt_lo)
+        # localize: central differences, adjugate solve, acceptance
+        # and edge tests in cleared (division-free) form.
+        cmp_lo, sqrt_lo = len(b.comparisons), len(b.sqrts)
+        d0 = {(dy, dx): dleaf(0, dy, dx) for dy in (-1, 0, 1) for dx in (-1, 0, 1)}
+        half, quarter = b.plain(0.5), b.plain(0.25)
+        gx = b.mul(half, b.sub(d0[(0, 1)], d0[(0, -1)]))
+        gy = b.mul(half, b.sub(d0[(1, 0)], d0[(-1, 0)]))
+        gs = b.mul(half, b.sub(dleaf(1, 0, 0), dleaf(-1, 0, 0)))
+        v2 = b.add(v, v)
+        dxx = b.sub(b.add(d0[(0, 1)], d0[(0, -1)]), v2)
+        dyy = b.sub(b.add(d0[(1, 0)], d0[(-1, 0)]), v2)
+        dss = b.sub(b.add(dleaf(1, 0, 0), dleaf(-1, 0, 0)), v2)
+        dxy = b.mul(quarter, b.sub(b.sub(d0[(1, 1)], d0[(1, -1)]),
+                                   b.sub(d0[(-1, 1)], d0[(-1, -1)])))
+        dxs = b.mul(quarter, b.sub(b.sub(dleaf(1, 0, 1), dleaf(1, 0, -1)),
+                                   b.sub(dleaf(-1, 0, 1), dleaf(-1, 0, -1))))
+        dys = b.mul(quarter, b.sub(b.sub(dleaf(1, 1, 0), dleaf(1, -1, 0)),
+                                   b.sub(dleaf(-1, 1, 0), dleaf(-1, -1, 0))))
+        a00 = b.sub(b.mul(dyy, dss), b.mul(dys, dys))
+        a01 = b.sub(b.mul(dxs, dys), b.mul(dxy, dss))
+        a02 = b.sub(b.mul(dxy, dys), b.mul(dyy, dxs))
+        a11 = b.sub(b.mul(dxx, dss), b.mul(dxs, dxs))
+        a12 = b.sub(b.mul(dxy, dxs), b.mul(dxx, dys))
+        a22 = b.sub(b.mul(dxx, dyy), b.mul(dxy, dxy))
+        det = b.add(b.add(b.mul(dxx, a00), b.mul(dxy, a01)), b.mul(dxs, a02))
+        num_x = b.neg(b.add(b.add(b.mul(a00, gx), b.mul(a01, gy)), b.mul(a02, gs)))
+        num_y = b.neg(b.add(b.add(b.mul(a01, gx), b.mul(a11, gy)), b.mul(a12, gs)))
+        num_s = b.neg(b.add(b.add(b.mul(a02, gx), b.mul(a12, gy)), b.mul(a22, gs)))
+        accept = b.rational_div(num_x, det).abs_le(0.5)
+        accept = b.mul(accept, b.rational_div(num_y, det).abs_le(0.5))
+        accept = b.mul(accept, b.rational_div(num_s, det).abs_le(0.5))
+        tr = b.add(dxx, dyy)
+        det2 = b.sub(b.mul(dxx, dyy), b.mul(dxy, dxy))
+        # tr^2 <= r*det2 rejects det2 <= 0 on its own; no sign split
+        edge_ok = b.sub(b.plain(1.0), b.compare(b.mul(tr, tr), b.mul(b.plain(r), det2)))
+        kp_mask = b.mul(b.mul(det_mask, accept), edge_ok)
+        plan.mark_stage("localize", cmp_lo, sqrt_lo)
+        for name, e in (("mask", kp_mask), ("det", det), ("num_x", num_x),
+                        ("num_y", num_y), ("num_s", num_s)):
+            e = b.simplify(e)
+            plan.stage_roots["localize"].append(e)
+            plan.add_slot("localize", f"{p}/{name}", e)
 
-            # descriptor: 4x4 cells of 2x2 pixels, 8 angle bins, fixed
-            # Gaussian weight, nearest-cell assignment
-            cmp_lo, sqrt_lo = len(b.comparisons), len(b.sqrts)
-            entries: list = [None] * 128
-            for vv in range(-4, 4):
-                for uu in range(-4, 4):
-                    dx_e, dy_e = grads[(uu, vv)]
-                    cu, cv = (uu + 4) // 2, (vv + 4) // 2
-                    gwin = math.exp(
-                        -(uu * uu + vv * vv) / (2.0 * DESCRIPTOR_SIGMA * DESCRIPTOR_SIGMA))
-                    mag2 = b.add(b.mul(dx_e, dx_e), b.mul(dy_e, dy_e))
+        # gradients of the Gaussian level over each octave's pixel block;
+        # orientation reads the window's inner part.  The bin masks below
+        # ask each pixel's comparisons once and reindex them per window
+        # position.  The 1/2 central-difference factor is folded into the
+        # plaintext weights; angles do not see scale.
+        with _stage(ctx, report, "orient"):
+            blocks = [(ctx.sub(gather(g, (py, px + 1)), gather(g, (py, px - 1))),
+                       ctx.sub(gather(g, (py + 1, px)), gather(g, (py - 1, px))))
+                      for g, (py, px) in zip((gauss[o][l] for o in octs), regions)]
+        gx, gy = (concat(block) for block in zip(*blocks))
+        gx_e, gy_e = b.cipher(gx, name=f"{p}gx"), b.cipher(gy, name=f"{p}gy")
+        grads = {(uu, vv): (b.cipher(gather(gx, at), name=f"{p}gx{uu:+d}{vv:+d}"),
+                            b.cipher(gather(gy, at), name=f"{p}gy{uu:+d}{vv:+d}"))
+                 for (uu, vv), at in lanes.items()}
+
+        # orientation histogram over the inner window
+        cmp_lo, sqrt_lo = len(b.comparisons), len(b.sqrts)
+        sw = 1.5 * sigmas[l]
+        rad = ORIENTATION_RADIUS
+        quads = []
+        for vv in range(-rad, rad + 1):
+            for uu in range(-rad, rad + 1):
+                dx_e, dy_e = grads[(uu, vv)]
+                gwin = math.exp(-(uu * uu + vv * vv) / (2.0 * sw * sw))
+                mag2 = b.add(b.mul(dx_e, dx_e), b.mul(dy_e, dy_e))
+                if cfg.orientation_weighting == MAGNITUDE_SQUARED:
                     w = b.mul(mag2, b.plain(0.25 * gwin))
-                    masks = bin_mask(b, gx_e, gy_e, 8, lanes[(uu, vv)])
-                    for k in range(8):
-                        e = (cv * 4 + cu) * 8 + k
-                        term = b.mul(masks[k], w)
-                        entries[e] = term if entries[e] is None else b.add(entries[e], term)
-            for e in range(128):
-                d = b.simplify(entries[e])
-                plan.stage_roots["descriptor"].append(d)
-                plan.add_slot("descriptor", f"{p}/d{e:03d}", d)
-            plan.mark_stage("descriptor", cmp_lo, sqrt_lo)
+                else:
+                    w = b.mul(b.sqrt_deferred(mag2), b.plain(0.5 * gwin))
+                quads.append((gx_e, gy_e, w, lanes[(uu, vv)]))
+        bins = [b.simplify(e) for e in weighted_histogram(b, quads, nb)]
+        wsum = b.simplify(b.sum_([w for _, _, w, _ in quads]))
+        # the bins are roots in both modes; the one-hot slots are not,
+        # since their coefficients hang on the tournament's answers
+        plan.stage_roots["orient"] += [wsum, *bins]
+        plan.add_slot("orient", f"{p}/wsum", wsum)
+        if with_argmax:
+            onehot = vec_argmax_onehot(b, bins)
+            for k in range(nb):
+                plan.add_slot("orient", f"{p}/oh{k:02d}", onehot[k])
+        else:
+            for k in range(nb):
+                plan.add_slot("orient", f"{p}/bin{k:02d}", bins[k])
+        plan.mark_stage("orient", cmp_lo, sqrt_lo)
+
+        # descriptor: 4x4 cells of 2x2 pixels, 8 angle bins, fixed
+        # Gaussian weight, nearest-cell assignment
+        cmp_lo, sqrt_lo = len(b.comparisons), len(b.sqrts)
+        entries: list = [None] * 128
+        for vv in range(-4, 4):
+            for uu in range(-4, 4):
+                dx_e, dy_e = grads[(uu, vv)]
+                cu, cv = (uu + 4) // 2, (vv + 4) // 2
+                gwin = math.exp(
+                    -(uu * uu + vv * vv) / (2.0 * DESCRIPTOR_SIGMA * DESCRIPTOR_SIGMA))
+                mag2 = b.add(b.mul(dx_e, dx_e), b.mul(dy_e, dy_e))
+                w = b.mul(mag2, b.plain(0.25 * gwin))
+                masks = bin_mask(b, gx_e, gy_e, 8, lanes[(uu, vv)])
+                for k in range(8):
+                    e = (cv * 4 + cu) * 8 + k
+                    term = b.mul(masks[k], w)
+                    entries[e] = term if entries[e] is None else b.add(entries[e], term)
+        for e in range(128):
+            d = b.simplify(entries[e])
+            plan.stage_roots["descriptor"].append(d)
+            plan.add_slot("descriptor", f"{p}/d{e:03d}", d)
+        plan.mark_stage("descriptor", cmp_lo, sqrt_lo)
 
 
 # -- assembly ----------------------------------------------------------------------
@@ -476,7 +511,8 @@ def _assemble(plan: _GraphPlan, values: dict, cfg: PipelineConfig,
     """Turn resolved slot lanes into the keypoint list (client side)."""
     kps = []
     nb = cfg.orientation_bins
-    for (o, l), (ys, xs) in sorted(plan.sites.items()):
+    for (o, (ys, xs)), l in itertools.product(plan.sites.items(),
+                                              range(1, cfg.scales_per_octave + 1)):
         p = f"o{o}l{l}"
         mask = np.asarray(values[f"{p}/mask"])
         # exact runs give literal 0.0/1.0; under injected noise the product
@@ -564,7 +600,7 @@ def run_pipeline(img, cfg: PipelineConfig | None = None, sim: SimParams | None =
             # lowering; dropping the memo releases all intermediates
             ev.memo.clear()
             run = run_deferred(program, client, DecoyPolicy(), seed=seed)
-        values = {k: np.atleast_1d(np.asarray(v)) for k, v in run.results.items()}
+        values = plan.split({k: np.atleast_1d(np.asarray(v)) for k, v in run.results.items()})
         report.rounds = run.rounds
         report.leakage = run.leakage
         report.package_bytes = run.package_bytes
@@ -580,6 +616,7 @@ def run_pipeline(img, cfg: PipelineConfig | None = None, sim: SimParams | None =
                 note(cts.values())
                 for name, ct in cts.items():
                     values[name] = np.atleast_1d(np.asarray(client.decrypt_value(ct)))
+        values = plan.split(values)
 
     kps = _assemble(plan, values, cfg,
                     orientation_from=("onehot" if mode == "interactive" else "bins"))

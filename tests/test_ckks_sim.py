@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fhesift import Ciphertext, CkksContext, SecretKey, SimParams, gather
+from fhesift import Ciphertext, CkksContext, SecretKey, SimParams, concat, gather
 from fhesift.errors import DepthExhausted
 
 
@@ -116,6 +116,41 @@ def test_gather_is_free_bookkeeping():
     assert ctx.snapshot_counts() == before
     assert out.level == grid.level
     assert np.array_equal(out.value, [[7.0, 7.0], [1.0, 1.0]])
+
+
+def test_concat_joins_lanes_at_the_lowest_level_for_free():
+    ctx = CkksContext(SimParams(depth_budget=6))
+    a = ctx.encrypt(np.array([1.0, 2.0]))
+    b = ctx.mul_plain(ctx.encrypt(np.array([3.0, 4.0, 5.0])), 2.0)
+    c = ctx.encrypt(7.0)
+    before = ctx.snapshot_counts()
+    out = concat([a, b, c])
+    assert ctx.snapshot_counts() == before
+    assert out.level == min(a.level, b.level, c.level) == 5
+    assert np.array_equal(out.value, [1.0, 2.0, 6.0, 8.0, 10.0, 7.0])
+    assert out.noise_bound == 0.0  # exact inputs stay on the scalar fast path
+
+
+def test_concat_joins_scalar_and_array_noise_bounds():
+    a = Ciphertext(np.array([1.0, 2.0]), 4, 0.5)
+    b = Ciphertext(np.array([3.0, 4.0, 5.0]), 3, np.array([0.1, 0.2, 0.3]))
+    c = Ciphertext(6.0, 5, 0.0)
+    out = concat([a, b, c])
+    assert out.level == 3
+    assert np.array_equal(out.value, [1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+    assert np.array_equal(out.noise_bound, [0.5, 0.5, 0.1, 0.2, 0.3, 0.0])
+
+
+def test_concat_leaves_its_inputs_alone():
+    a = Ciphertext(np.array([1.0, 2.0]), 4, np.array([0.1, 0.2]))
+    b = Ciphertext(np.array([3.0]), 2, 0.25)
+    out = concat([a, b])
+    out.value[:] = -1.0
+    out.noise_bound[:] = -1.0
+    assert np.array_equal(a.value, [1.0, 2.0]) and np.array_equal(b.value, [3.0])
+    assert np.array_equal(a.noise_bound, [0.1, 0.2]) and b.noise_bound == 0.25
+    assert (a.level, b.level) == (4, 2)
+    assert concat([a]) is a  # one input is already the batch
 
 
 def test_decrypt_counter():

@@ -6,7 +6,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from conftest import CFG32, SEED, make_blob16
+from conftest import ALL_NAMES, CFG32, SEED, config_for, make_blob16
 
 from fhesift import (
     PipelineConfig,
@@ -114,14 +114,32 @@ def test_three_modes_agree_on_16px_blob(blob16):
     assert compare_keypoints(ri.keypoints, rd.keypoints, descriptor_tol=0.0)["equal"]
 
 
-def test_rectangular_images_work():
+def _rect_image() -> np.ndarray:
+    """20x28 single-blob image; its second octave, 10x14, has no site."""
     yy, xx = np.mgrid[0:20, 0:28].astype(np.float64)
-    img = np.clip(0.02 + 0.001 * xx + 0.0007 * yy
-                  + 0.9 * np.exp(-((yy - 9.3) ** 2 + (xx - 13.6) ** 2) / 18.0), 0, 1)
+    return np.clip(0.02 + 0.001 * xx + 0.0007 * yy
+                   + 0.9 * np.exp(-((yy - 9.3) ** 2 + (xx - 13.6) ** 2) / 18.0), 0, 1)
+
+
+def test_rectangular_images_work():
+    img = _rect_image()
     rp = run_pipeline(img, CFG16, mode="plaintext")
     rd = run_pipeline(img, CFG16, mode="deferred", seed=SEED)
     assert len(rp.keypoints) >= 1
     assert compare_keypoints(rp.keypoints, rd.keypoints)["equal"]
+
+
+def test_an_octave_without_sites_is_left_out_of_the_batch():
+    cfg = PipelineConfig(octaves=2)
+    img = _rect_image()
+    rp = run_pipeline(img, cfg, mode="plaintext")
+    assert len(rp.keypoints) >= 1
+    for mode in ("interactive", "deferred"):
+        out = run_pipeline(img, cfg, mode=mode, seed=SEED, keep_slots=True)
+        # the first octave alone forms each layer's batch
+        assert {k.split("/")[0] for k in out.slots} == {"o0l1", "o0l2", "o0l3"}
+        assert {len(v) for v in out.slots.values()} == {(20 - 2 * MARGIN) * (28 - 2 * MARGIN)}
+        assert compare_keypoints(rp.keypoints, out.keypoints)["equal"], mode
 
 
 def test_identical_runs_are_byte_identical_and_seed_independent(blob16):
@@ -171,27 +189,71 @@ def test_reports_carry_per_stage_tables(blob16, mode):
     assert min(r.stage_min_level.values()) >= 0
 
 
-@pytest.mark.parametrize("mode", ["interactive", "deferred"])
-def test_comparison_lanes_follow_the_closed_form(blob16, mode):
+def _octave_sites(shape, cfg: PipelineConfig) -> list[tuple[int, int, int]]:
+    """(height, width, interior sites) of each octave's DoG layers."""
+    (h, w), out = shape, []
+    for _ in range(cfg.octaves):
+        out.append((h, w, max(h - 2 * MARGIN, 0) * max(w - 2 * MARGIN, 0)))
+        h, w = (h + 1) // 2, (w + 1) // 2
+    return out
+
+
+def _closed_form_cmp_lanes(shape, cfg: PipelineConfig) -> dict:
     # comparisons are asked once per pixel of the region the descriptor
     # window covers, not once per window position; a fallback to
     # per-position comparisons would multiply orient and descriptor
-    r = run_pipeline(blob16, CFG16, mode=mode, seed=SEED).report
-    h, w = blob16.shape
-    layers = CFG16.scales_per_octave  # one octave
-    sites = (h - 2 * MARGIN) * (w - 2 * MARGIN) * layers
-    pixels = (h - 3) * (w - 3) * layers  # sites widened by the window -4..3
-    want = {
-        "detect": 54 * sites,  # 26 neighbours, strict max and strict min, 2 contrast tests
-        "localize": 4 * sites,  # three offset bounds and the edge test
-        "orient": CFG16.orientation_bins * pixels,
+    want = dict.fromkeys(("detect", "localize", "orient", "descriptor"), 0)
+    layers = cfg.scales_per_octave
+    for h, w, sites in _octave_sites(shape, cfg):
+        if not sites:
+            continue
+        pixels = (h - 3) * (w - 3)  # sites widened by the window -4..3
+        want["detect"] += 54 * sites * layers  # 26 neighbours, strict max and min, 2 contrast tests
+        want["localize"] += 4 * sites * layers  # three offset bounds and the edge test
+        want["orient"] += cfg.orientation_bins * pixels * layers
         # 8 boundaries every 45 degrees; the 4 at multiples of 90 are orient's
-        "descriptor": 4 * pixels,
-    }
+        want["descriptor"] += 4 * pixels * layers
+    return want
+
+
+@pytest.mark.parametrize("mode", ["interactive", "deferred"])
+def test_comparison_lanes_follow_the_closed_form(blob16, mode):
+    r = run_pipeline(blob16, CFG16, mode=mode, seed=SEED).report
+    want = _closed_form_cmp_lanes(blob16.shape, CFG16)
     assert r.cmp_lanes == want
     assert r.rounds[0].n_real_comparisons == sum(want.values())
     kv = dict(_flat_report(r))
     assert {k: int(kv[f"cmp_lanes.{k}"]) for k in want} == want
+
+
+@pytest.mark.parametrize("name", ["blob32", "natural64"])
+def test_comparison_lanes_sum_the_closed_form_over_octaves(suite_runs, images, name):
+    want = _closed_form_cmp_lanes(images[name].shape, config_for(name))
+    for mode in ("interactive", "deferred"):
+        assert suite_runs[(name, mode)].report.cmp_lanes == want, mode
+
+
+def test_package_structure_does_not_depend_on_the_octave_count(suite_runs, blob16):
+    # one graph per layer index batches every octave's sites, so the 32 px
+    # runs (two octaves) and natural64 (three) ship what one octave ships
+    one = run_pipeline(blob16, CFG16, mode="deferred", seed=SEED).report.leakage
+    assert one == {"bool_params": 294, "sqrt_params": 0, "monomials": 8919,
+                   "coeff_tables": 545, "lane_maps": 64}
+    for name in ALL_NAMES:
+        assert suite_runs[(name, "deferred")].report.leakage == one, name
+
+
+@pytest.mark.parametrize("name", ["blob32", "natural64"])
+def test_slot_tables_are_split_back_per_octave_and_layer(suite_runs, images, name):
+    cfg = config_for(name)
+    sites = [n for _, _, n in _octave_sites(images[name].shape, cfg)]
+    want = {f"o{o}l{l}" for o, n in enumerate(sites) if n
+            for l in range(1, cfg.scales_per_octave + 1)}
+    for mode in ("interactive", "deferred"):
+        slots = suite_runs[(name, mode)].slots
+        assert {k.split("/")[0] for k in slots} == want, mode
+        for k, v in slots.items():
+            assert len(v) == sites[int(k[1:k.index("l")])], (mode, k)
 
 
 # sha256 of every blob16 slot (name, then little-endian float64 lanes, in
@@ -248,7 +310,7 @@ def test_blob16_client_decrypts_each_pooled_table_once(blob16):
     assert r.client_decrypt_calls == int(kv["decrypts.client"]) == 2 + sqrt_records + tables
     assert tables < int(kv["leakage.monomials"])  # tables are shared, not per monomial
     # one lane map per position of the 8x8 descriptor window; orientation's
-    # 5x5 positions are among them and the layers of an octave share them
+    # 5x5 positions are among them and every layer index shares them
     assert int(kv["leakage.lane_maps"]) == 64
 
 

@@ -210,6 +210,52 @@ def test_parse_package_rejects_trailing_bytes():
         Client(ctx).resolve_package(blob + bytes(4))
 
 
+def _patch_cmp_row(pkg):
+    pkg["rows"][0][0] = len(pkg["comparisons"])
+
+
+def _patch_sqrt_row(pkg):
+    pkg["rows"][pkg["cmp_rows"]][0] = len(pkg["sqrts"])
+
+
+def _patch_param_row(pkg):
+    pkg["slots"]["pick"]["params"]["row"][0] = len(pkg["rows"])
+
+
+def _patch_param_map(pkg):
+    pkg["slots"]["pick"]["params"]["map"][0] = len(pkg["maps"])  # the toy ships none
+
+
+def _patch_coeff_ref(pkg):
+    pkg["slots"]["pick"]["monomials"][0, 0] = len(pkg["coeffs"])
+
+
+def _patch_param_index(pkg):
+    monos = pkg["slots"]["pick"]["monomials"]
+    monos[monos[:, 1] != protocol._NONE, 1] = len(pkg["slots"]["pick"]["params"])
+
+
+@pytest.mark.parametrize("patch", [_patch_cmp_row, _patch_sqrt_row, _patch_param_row,
+                                   _patch_param_map, _patch_coeff_ref, _patch_param_index])
+def test_parse_package_rejects_a_reference_out_of_range(patch):
+    ctx, b, slots = _toy()
+    blob = bytearray(serialize_package(lower(b, slots, ctx), seed=1))
+    patch(parse_package(blob))  # the views write through into the blob
+    with pytest.raises(ValueError, match="out of range"):
+        parse_package(blob)
+    with pytest.raises(ValueError):
+        Client(ctx).resolve_package(blob)
+
+
+def test_parse_package_rejects_a_lane_map_past_its_row():
+    ctx, b, _, _, slots = _reindex_toy()
+    blob = bytearray(serialize_package(lower(b, slots, ctx), seed=1))
+    pkg = parse_package(blob)
+    pkg["maps"][0][0] = len(pkg["rows"][0])
+    with pytest.raises(ValueError, match="past the end"):
+        parse_package(blob)
+
+
 def test_dump_package_golden():
     ctx, b, slots = _toy()
     prog = lower(b, slots, ctx)
