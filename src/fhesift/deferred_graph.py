@@ -578,11 +578,16 @@ class GraphBuilder:
         rebuilt node's normal form is e's, term for term, so it is seeded
         into the memo instead of being expanded again.  An empty form
         rebuilds to ``plain(0.0)``, whose own form ``{(): plain(0.0)}`` stays.
+
+        A monomial's factors multiply in creation (node id) order, so
+        monomials that share their earliest-created factors share the
+        balanced products over them.  Key order would put every comparison
+        before every reindexed parameter and break that sharing.
         """
         nf = self.normal_form(e)
         out = None
         for params, coeff in self.sorted_terms(nf):
-            factors = [self._param_nodes[k] for k in sorted(params)]
+            factors = sorted((self._param_nodes[k] for k in params), key=lambda n: n.id)
             term = self.mul(self.product(factors), coeff) if factors else coeff
             out = term if out is None else self.add(out, term)
         if out is None:

@@ -132,7 +132,7 @@ def _run(img: np.ndarray, cfg: PipelineConfig, want_margins: bool):
             for dl, dy, dx in _NEIGHBORS_26:
                 nv = dv(dl, dy, dx)
                 is_max &= v > nv
-                is_min &= (-v) > (-nv)
+                is_min &= nv > v
                 if want_margins:
                     margin = np.minimum(margin, np.abs(v - nv))
             contrast = (v > t) | ((-t) > v)

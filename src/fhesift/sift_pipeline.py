@@ -12,7 +12,13 @@ sites of every octave back to back in octave order, so each comparison
 template covers every site of the layer index at once.  Octaves sit at
 different levels; ``ckks_sim.concat`` joins them at the lowest, for
 free.  The graph, and so the package's structure, does not depend on
-the octave count.  Stage outputs are named graph slots;
+the octave count.  Comparisons are asked once and read through lane
+maps (``GraphBuilder.reindex``), which are free: the bin masks once per
+pixel of the region the descriptor window covers, read through one map
+per window position; detection once per ordered pair of adjacent DoG
+samples of the site layers, over a ring of the sites widened by one
+sample, read through 9 maps, one per offset of the 3x3 neighbourhood.
+Stage outputs are named graph slots;
 ``_GraphPlan.split`` cuts each back into one table per (octave, layer),
 and the client turns those into the keypoint list.  Subpixel division,
 the orientation argmax (in deferred mode) and descriptor normalization
@@ -322,6 +328,25 @@ def _stage(ctx: CkksContext, report: RunReport, name: str, depth_stage: str | No
                 acc[k] = acc.get(k, 0) + d
 
 
+def _block_maps(sites: dict, window: range):
+    """Each octave's pixel block, the sites widened by ``window``, as
+    (ys, xs) pixel lists, and for every offset (u, v) of the window the
+    lane map from sites to block lanes, with the octaves' blocks back to
+    back in octave order.  A map depends on the octaves' shapes only, so
+    every layer index shares it."""
+    regions, parts, offset = [], {}, 0
+    for ys, xs in sites.values():
+        ry = np.arange(ys.min() + window[0], ys.max() + window[-1] + 1)
+        rx = np.arange(xs.min() + window[0], xs.max() + window[-1] + 1)
+        for vv in window:
+            for uu in window:
+                at = offset + (ys + vv - ry[0]) * len(rx) + (xs + uu - rx[0])
+                parts.setdefault((uu, vv), []).append(at)
+        regions.append([a.ravel() for a in np.meshgrid(ry, rx, indexing="ij")])
+        offset += len(ry) * len(rx)
+    return regions, {key: np.concatenate(at) for key, at in parts.items()}
+
+
 def _or(b: GraphBuilder, p, q):
     return b.sub(b.add(p, q), b.mul(p, q))
 
@@ -344,49 +369,70 @@ def _build_site_graph(ctx, plan: _GraphPlan, gauss, dog, dims, cfg: PipelineConf
     octs = list(plan.sites)
 
     # Gradients are taken once per pixel of the region the descriptor
-    # window covers, octave by octave, and the octaves' pixel blocks sit
-    # back to back.  Window position (uu, vv) reads them through a lane
-    # map from sites to pixels.  A map depends on the octaves' shapes
-    # only, so every layer index shares it.
-    regions, parts, offset = [], {}, 0
-    for ys, xs in plan.sites.values():
-        ry = np.arange(ys.min() + WINDOW[0], ys.max() + WINDOW[-1] + 1)
-        rx = np.arange(xs.min() + WINDOW[0], xs.max() + WINDOW[-1] + 1)
-        for vv in WINDOW:
-            for uu in WINDOW:
-                at = offset + (ys + vv - ry[0]) * len(rx) + (xs + uu - rx[0])
-                parts.setdefault((uu, vv), []).append(at)
-        regions.append([a.ravel() for a in np.meshgrid(ry, rx, indexing="ij")])
-        offset += len(ry) * len(rx)
-    lanes = {key: np.concatenate(at) for key, at in parts.items()}
+    # window covers.  Window position (uu, vv) reads them through a lane
+    # map from sites to pixels.
+    regions, lanes = _block_maps(plan.sites, WINDOW)
 
     # one graph per layer index, batching every octave's sites in octave
     # order; it is named after the octaves it spans, so a one-octave
     # graph's slots already carry their table names
     span = f"o{octs[0]}" + (f"-{octs[-1]}" if len(octs) > 1 else "")
+
+    # Detection asks [D_la(a) > D_lb(a + d)] once per ordered pair of
+    # adjacent samples of site layers (1 <= la, lb <= s, |la - lb| <= 1),
+    # over the ring: the sites widened by one sample.  Site p reads its
+    # max test against neighbour (dl, d) as (l, l + dl, d) at its own ring
+    # lane, and its min test as (l + dl, l, -d) at the ring lane of p + d,
+    # through 9 lane maps that every layer index shares; the graphs of
+    # layer indices l and l + 1 share the tests between their layers.
+    ring, ring_maps = _block_maps(plan.sites, range(-1, 2))
+    ring_tests: dict = {}
+
+    def ring_leaf(layer, dy, dx):
+        return b.cipher(concat([gather(dog[o][layer], (py + dy, px + dx))
+                                for o, (py, px) in zip(octs, ring)]))
+
+    def ring_test(la, lb, dy, dx):
+        key = (la, lb, dy, dx)
+        if key not in ring_tests:
+            # operand leaves of its own: the reversed call on another
+            # test's leaves would be the non-strict 1 - c
+            ring_tests[key] = b.compare(ring_leaf(la, 0, 0), ring_leaf(lb, dy, dx))
+        return ring_tests[key]
+
     for l in range(1, s + 1):
         p = f"{span}l{l}"
         plan.layers[p] = l
 
         dcache: dict = {}
 
-        def dleaf(dl, dy, dx):
-            key = (dl, dy, dx)
+        def dleaf(dl, dy, dx, tag=""):
+            key = (dl, dy, dx, tag)
             if key not in dcache:
                 ct = concat([gather(dog[o][l + dl], (ys + dy, xs + dx))
                              for o, (ys, xs) in plan.sites.items()])
-                dcache[key] = b.cipher(ct, name=f"{p}d{dl:+d}{dy:+d}{dx:+d}")
+                dcache[key] = b.cipher(ct, name=f"{p}{tag}d{dl:+d}{dy:+d}{dx:+d}")
             return dcache[key]
 
         # detect: strict max or strict min among the 26 neighbors,
         # plus |v| above the contrast threshold.
         cmp_lo, sqrt_lo = len(b.comparisons), len(b.sqrts)
         v = dleaf(0, 0, 0)
-        neighbors = [dleaf(dl, dy, dx) for dl, dy, dx in _NEIGHBORS_26]
-        is_max = b.product([b.compare(v, n) for n in neighbors])
-        # strict minimum via negated operands; the naive reversed
-        # compare would canonicalize into a non-strict complement
-        is_min = b.product([b.compare(b.neg(v), b.neg(n)) for n in neighbors])
+
+        def beats(dl, dy, dx, lower):
+            """[v > n] against neighbour n = (dl, dy, dx), or [n > v]."""
+            if 1 <= l + dl <= s:
+                if lower:
+                    return b.reindex(ring_test(l + dl, l, -dy, -dx), ring_maps[dx, dy])
+                return b.reindex(ring_test(l, l + dl, dy, dx), ring_maps[0, 0])
+            # DoG layers 0 and s + 1 hold no sites, so no other site reads
+            # this pair: it is asked at the site lanes, the min test on its
+            # own copy of v
+            n = dleaf(dl, dy, dx)
+            return b.compare(n, dleaf(0, 0, 0, "min")) if lower else b.compare(v, n)
+
+        is_max = b.product([beats(*nb, lower=False) for nb in _NEIGHBORS_26])
+        is_min = b.product([beats(*nb, lower=True) for nb in _NEIGHBORS_26])
         contrast = _or(b, b.compare(v, b.plain(t)), b.compare(b.plain(-t), v))
         det_mask = b.mul(_or(b, is_max, is_min), contrast)
         plan.mark_stage("detect", cmp_lo, sqrt_lo)

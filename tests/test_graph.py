@@ -625,6 +625,24 @@ def test_reindex_normal_form_keys_and_tier():
     assert b.comparison_tier(b.comparisons[b.compare(e, y).payload]) == 2
 
 
+def test_simplify_multiplies_factors_in_creation_order():
+    # reindexed factors created before a plain comparison come first, so
+    # the two monomials share the product over them; in key order every
+    # comparison would come before every reindexed parameter
+    ctx = _ctx()
+    b = GraphBuilder()
+    c = _pixel_comparison(ctx, b)
+    r1 = b.reindex(c, np.array([2, 0, 1]))
+    r2 = b.reindex(c, np.array([1, 1, 3]))
+    y = b.cipher(ctx.encrypt(np.array([1.0, 2.0, 3.0])), name="y")
+    c1, c2 = b.compare(y, b.plain(0.0)), b.compare(y, b.plain(2.0))
+    e1 = b.simplify(b.mul(c1, b.mul(r2, r1)))
+    e2 = b.simplify(b.mul(b.mul(r1, c2), r2))
+    shared = b.mul(r1, r2)
+    assert e1 is b.mul(shared, c1)
+    assert e2 is b.mul(shared, c2)
+
+
 def test_reindex_evaluators_and_residual_agree_bitwise():
     ctx = _ctx()
     b = GraphBuilder()

@@ -2,6 +2,7 @@
 attribution, noisy-mode exclusion bands, slot-level mode agreement."""
 
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
@@ -14,8 +15,10 @@ from fhesift import (
     compare_keypoints,
     keypoints_from_text,
     keypoints_to_text,
+    oracle,
     protocol,
     run_pipeline,
+    sift_pipeline,
 )
 from fhesift.cli import _flat_report, render_kv
 from fhesift.errors import ConfigError, DeferralUnsupported, DepthExhausted
@@ -152,6 +155,66 @@ def test_identical_runs_are_byte_identical_and_seed_independent(blob16):
     assert keypoints_to_text(c.keypoints) == keypoints_to_text(a.keypoints)
 
 
+def _tied_dog(shape, layers: int) -> np.ndarray:
+    """DoG layers 0..layers+1 of small integers on a zero background, which
+    fails the contrast test.  Each planted 3x3x3 block centres a site on 3
+    over neighbours of 2 (or on -3 over -2).  Per layer and sign, three of
+    the four blocks also raise one neighbour to the centre's value: in the
+    layer, below or above.  Localization accepts every block, so only the
+    strictness of the extremum test rejects the tied ones."""
+    dog = np.zeros((layers + 2, *shape))
+    blocks = list(itertools.product(range(1, layers + 1), (1.0, -1.0),
+                                    (None, (0, 0, 1), (-1, 0, 0), (1, 0, 0))))
+    spots = list(itertools.product(range(6, shape[0] - 6, 4), range(6, shape[1] - 6, 4)))
+    assert len(spots) >= len(blocks)
+    for (l, sign, tie), (y, x) in zip(blocks, spots):
+        dog[l - 1:l + 2, y - 1:y + 2, x - 1:x + 2] = 2 * sign
+        dog[l, y, x] = 3 * sign
+        if tie is not None:
+            dl, dy, dx = tie
+            dog[l + dl, y + dy, x + dx] = 3 * sign
+    return dog
+
+
+def test_strict_extrema_survive_ties(images, monkeypatch):
+    cfg = PipelineConfig(octaves=1)
+    img = images["blob32"]
+    s = cfg.scales_per_octave
+    dog = _tied_dog(img.shape, s)
+
+    # not vacuous: sites that pass the contrast test and equal their
+    # largest, or their smallest, neighbour
+    (h, w), m = img.shape, MARGIN
+    tied_max = tied_min = 0
+    for l in range(1, s + 1):
+        v = dog[l, m:h - m, m:w - m]
+        nbrs = np.stack([dog[l + dl, m + dy:h - m + dy, m + dx:w - m + dx]
+                         for dl, dy, dx in itertools.product((-1, 0, 1), repeat=3)
+                         if (dl, dy, dx) != (0, 0, 0)])
+        tie = (np.abs(v) > cfg.contrast_threshold) & np.any(nbrs == v, axis=0)
+        tied_max += np.sum(tie & np.all(v >= nbrs, axis=0))
+        tied_min += np.sum(tie & np.all(v <= nbrs, axis=0))
+    assert tied_max and tied_min
+
+    scale_space, scale_space_cipher = oracle.scale_space, sift_pipeline._scale_space_cipher
+
+    def tied(img, cfg):
+        gauss, _, dims = scale_space(img, cfg)
+        return gauss, [list(dog)], dims
+
+    def tied_cipher(ctx, img_ct, cfg):
+        gauss, _, dims = scale_space_cipher(ctx, img_ct, cfg)
+        return gauss, [[ctx.encrypt(d) for d in dog]], dims
+
+    monkeypatch.setattr(oracle, "scale_space", tied)
+    monkeypatch.setattr(sift_pipeline, "_scale_space_cipher", tied_cipher)
+    kps = {mode: run_pipeline(img, cfg, mode=mode, seed=SEED).keypoints
+           for mode in ("plaintext", "interactive", "deferred")}
+    assert len(kps["plaintext"]) == 2 * s  # the untied blocks, one per layer and sign
+    for mode in ("interactive", "deferred"):
+        assert compare_keypoints(kps["plaintext"], kps[mode])["equal"], mode
+
+
 # -- stage attribution ----------------------------------------------------------------
 
 
@@ -186,6 +249,8 @@ def test_reports_carry_per_stage_tables(blob16, mode):
     assert set(r.stage_min_level) == set(STAGES) - {"protocol"}
     assert all(v >= 0 for ops in r.stage_ops.values() for v in ops.values())
     assert r.stage_min_level["scale-space"] == 28  # two blur levels per octave
+    # detection compares gathered DoG samples and does no arithmetic
+    assert r.stage_ops["detect"] == {}
     assert min(r.stage_min_level.values()) >= 0
 
 
@@ -208,7 +273,13 @@ def _closed_form_cmp_lanes(shape, cfg: PipelineConfig) -> dict:
         if not sites:
             continue
         pixels = (h - 3) * (w - 3)  # sites widened by the window -4..3
-        want["detect"] += 54 * sites * layers  # 26 neighbours, strict max and min, 2 contrast tests
+        ring = (h - 8) * (w - 8)  # sites widened by one sample
+        # each ordered pair of adjacent site-layer samples once over the
+        # ring: 8 in-layer offsets per layer, 9 per ordered pair of adjacent
+        # layers.  At the sites: the 36 tests against DoG layers 0 and s + 1,
+        # which hold no sites, and 2 contrast tests per layer.  A fallback
+        # to per-site neighbour tests would ask 54 per site and layer
+        want["detect"] += (8 * layers + 18 * (layers - 1)) * ring + (36 + 2 * layers) * sites
         want["localize"] += 4 * sites * layers  # three offset bounds and the edge test
         want["orient"] += cfg.orientation_bins * pixels * layers
         # 8 boundaries every 45 degrees; the 4 at multiples of 90 are orient's
@@ -237,8 +308,8 @@ def test_package_structure_does_not_depend_on_the_octave_count(suite_runs, blob1
     # one graph per layer index batches every octave's sites, so the 32 px
     # runs (two octaves) and natural64 (three) ship what one octave ships
     one = run_pipeline(blob16, CFG16, mode="deferred", seed=SEED).report.leakage
-    assert one == {"bool_params": 294, "sqrt_params": 0, "monomials": 8919,
-                   "coeff_tables": 545, "lane_maps": 64}
+    assert one == {"bool_params": 234, "sqrt_params": 0, "monomials": 8919,
+                   "coeff_tables": 545, "lane_maps": 73}
     for name in ALL_NAMES:
         assert suite_runs[(name, "deferred")].report.leakage == one, name
 
@@ -268,10 +339,10 @@ BLOB16_SLOTS_SHA256 = {
     "interactive": "3009a0f001f858af0fab65dce5ccb9b10b6bd1ab1df9de758c923c11933efd91",
     "deferred": "9a1e337e87bd44d6435980460f1b14acf4bae18f69b637b2f13895e7a6ed7629",
 }
-BLOB16_PACKAGE_SHA256 = "d706260395d992f6ad50def9557bd2627ccf447c902b9b7f2141b9b976c91b4d"
+BLOB16_PACKAGE_SHA256 = "30c39a7025b9852e2f4ee6540df7d5be5131db37b0212d538a09e700eca743e1"
 BLOB16_REPORT_SHA256 = {
-    "interactive": "8d1b748a2cee8e141766ad2a1f7a630cbb2400f009761a7d19a1ceec55b1eb90",
-    "deferred": "3a092c092c46e33892827d146e3edaa7d341c70ddcc16ec40735ad5d3bc2baca",
+    "interactive": "eaa7eb6aacb7e82e57556919f71fbf2d892200bfc68d737fa6b191e02c0fa7cd",
+    "deferred": "c9fed18c584bd8b7b55c3769289b4f9ffd2ee5dc7dcb8d0fd74298c103a5040e",
 }
 
 
@@ -309,9 +380,10 @@ def test_blob16_client_decrypts_each_pooled_table_once(blob16):
     # both operand columns, the sqrt arguments if any, each table once
     assert r.client_decrypt_calls == int(kv["decrypts.client"]) == 2 + sqrt_records + tables
     assert tables < int(kv["leakage.monomials"])  # tables are shared, not per monomial
-    # one lane map per position of the 8x8 descriptor window; orientation's
-    # 5x5 positions are among them and every layer index shares them
-    assert int(kv["leakage.lane_maps"]) == 64
+    # one lane map per position of the 8x8 descriptor window (orientation's
+    # 5x5 positions are among them) and one per offset of detection's 3x3
+    # neighbourhood into the ring; every layer index shares them
+    assert int(kv["leakage.lane_maps"]) == 64 + 9
 
 
 # -- orientation weighting variants ----------------------------------------------------
