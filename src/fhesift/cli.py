@@ -3,9 +3,9 @@
 Three subcommands: ``run`` executes the pipeline on a PGM image and
 writes the keypoint list plus a run report, ``diff`` compares two
 keypoint files, ``report`` pretty-prints a saved report.  Exit codes:
-0 success, 1 malformed input or configuration (and ``diff`` mismatch),
-2 multiplicative depth exhausted, 3 program not expressible as a
-single deferred package.
+0 success, 1 malformed input or configuration (and ``diff`` mismatch,
+and a product too large to expand), 2 multiplicative depth exhausted,
+3 program not expressible as a single deferred package.
 
 All outputs are deterministic functions of the input image, the
 configuration and the seed; nothing records wall-clock time or host

@@ -46,6 +46,7 @@ import numpy as np
 from .ckks_sim import Ciphertext, CkksContext, Value, gather
 from .errors import (
     DeferralUnsupported,
+    FheSiftError,
     MissingAssignment,
     SignUnresolvable,
 )
@@ -59,6 +60,12 @@ MUL = "mul"
 BOOL = "bool"
 SQRT = "sqrt"
 REINDEX = "reindex"
+
+# Most term pairs a normal form may multiply out for one product node.  A
+# product of n complemented comparisons 1 - c has 2^n monomials; the
+# pipeline's largest product multiplies 144 pairs, whatever the image
+# size or option.
+MAX_PRODUCT_TERMS = 1 << 14
 
 _POSITIVE = "positive"
 _NEGATIVE = "negative"
@@ -207,10 +214,14 @@ def _bound(n: Expr):
     """What n reads once comparisons and square roots are bound to values.
 
     A subtraction x + (-y) reads x and y, not -y; see ``_as_subtraction``.
+    Every cipher walk calls this once or twice per node, so it spells out
+    ``_args`` rather than calling it.
     """
-    if n.op in (BOOL, SQRT):
+    if n.op == ADD:
+        return _as_subtraction(n) or (n.a, n.c)
+    if n.op in (BOOL, SQRT) or n.a is None:
         return ()
-    return _as_subtraction(n) or _args(n)
+    return (n.a,) if n.c is None else (n.a, n.c)
 
 
 class GraphBuilder:
@@ -558,9 +569,14 @@ class GraphBuilder:
                 out, terms = {}, ((params, self.neg(coeff))
                                   for params, coeff in memo[n.a.id].items())
             else:
+                fa, fc = memo[n.a.id], memo[n.c.id]
+                if len(fa) * len(fc) > MAX_PRODUCT_TERMS:
+                    raise FheSiftError(
+                        f"normal form of node {n.id} multiplies {len(fa)} by {len(fc)} "
+                        f"terms, {len(fa) * len(fc)} products, more than the "
+                        f"{MAX_PRODUCT_TERMS} allowed")
                 out, terms = {}, (self._mul_terms(pa, ca, pc, cc)
-                                  for pa, ca in memo[n.a.id].items()
-                                  for pc, cc in memo[n.c.id].items())
+                                  for pa, ca in fa.items() for pc, cc in fc.items())
             for params, coeff in terms:
                 out[params] = self.add(out[params], coeff) if params in out else coeff
             memo[n.id] = {params: coeff for params, coeff in out.items()
@@ -649,6 +665,11 @@ class CipherEvaluator:
     parameter raises MissingAssignment.  A reindexed BoolVar gathers its
     bound comparison.  A subtraction, built as an ADD
     with a NEG child, costs one ``ctx.sub`` and no negation.
+
+    ``memo`` keeps every computed ciphertext until ``declare`` names the
+    roots the caller will ask for; from then on each ciphertext is dropped
+    after its last read.  Either way each node is computed once, in the
+    same order.
     """
 
     def __init__(self, ctx: CkksContext, builder: GraphBuilder,
@@ -659,6 +680,35 @@ class CipherEvaluator:
         self.bool_cts = bool_cts if bool_cts is not None else {}
         self.sqrt_cts = sqrt_cts if sqrt_cts is not None else {}
         self.memo: dict[int, Ciphertext] = {}
+        self._reads: Counter | None = None  # node id -> reads still to come
+
+    def declare(self, roots) -> None:
+        """Name every root the evaluator will be asked for, repeats counted.
+
+        A node's reads still to come are its declared asks plus one per
+        node that reads it under ``_bound`` and is not yet computed.  Each
+        computed node, and each answered ask, uses up one read of what it
+        reads; a ciphertext is dropped from ``memo`` once its reads are
+        used up, and one that nothing declared reads is dropped now.
+        Afterwards only declared roots may be asked for, each as often as
+        declared.
+        """
+        roots = list(roots)
+        reads = Counter(r.id for r in roots)
+        reads.update(k.id for n in schedule(roots, self.memo, _bound) for k in _bound(n))
+        self._reads = reads
+        self.memo = {i: ct for i, ct in self.memo.items() if i in reads}
+
+    def _use(self, nodes) -> None:
+        """Use up one read of each node, dropping the ciphertexts read for the last time."""
+        reads, memo = self._reads, self.memo
+        for k in nodes:
+            i = k.id
+            left = reads[i] - 1
+            if left:
+                reads[i] = left
+            else:
+                del reads[i], memo[i]
 
     def _compute(self, n: Expr) -> Ciphertext:
         m = self.memo
@@ -695,11 +745,19 @@ class CipherEvaluator:
         raise AssertionError(n.op)  # pragma: no cover
 
     def eval(self, root: Expr) -> Ciphertext:
-        memo = self.memo
+        memo, reads = self.memo, self._reads
+        if reads is not None and root.id not in reads:
+            raise ValueError(f"node {root.id} was not declared, or was asked for "
+                             "more often than declared")
         if root.id not in memo:  # most calls ask again for an evaluated node
             for n in schedule([root], memo, _bound):
                 memo[n.id] = self._compute(n)
-        return memo[root.id]
+                if reads is not None:
+                    self._use(_bound(n))
+        ct = memo[root.id]
+        if reads is not None:
+            self._use((root,))
+        return ct
 
 
 def _as_subtraction(n: Expr) -> tuple[Expr, Expr] | None:

@@ -476,7 +476,10 @@ def run_interactive(ctx: CkksContext, builder: GraphBuilder, slots: dict[str, Ex
     """Resolve parameters wave by wave; rounds = dependency depth.
 
     Client answers come back encrypted at the full depth budget, which is
-    the only level-restoration mechanism in the system.
+    the only level-restoration mechanism in the system.  The evaluator is
+    told every operand, sqrt argument and slot it will be asked for, so it
+    frees each ciphertext after its last read; with ``evaluate_slots``
+    off, the caller must then evaluate each slot once.
     """
     rng = np.random.default_rng(seed)
     comparisons, sqrts = _collect_requests(builder, slots.values())
@@ -489,6 +492,8 @@ def run_interactive(ctx: CkksContext, builder: GraphBuilder, slots: dict[str, Ex
         by_tier.setdefault(t, ([], []))[1].append(req)
 
     ev = evaluator if evaluator is not None else CipherEvaluator(ctx, builder)
+    ev.declare([e for c in comparisons for e in (c.lhs, c.rhs)]
+               + [r.arg for r in sqrts] + list(slots.values()))
     trace: list[RoundTrace] = []
     full = ctx.params.depth_budget
     for round_no, tier in enumerate(sorted(by_tier), start=1):

@@ -658,9 +658,12 @@ def run_pipeline(img, cfg: PipelineConfig | None = None, sim: SimParams | None =
         values = {}
         for stage in _GRAPH_STAGES:
             with _stage(ctx, report, stage) as note:
-                cts = {name: ev.eval(plan.slots[name]) for name in plan.stage_slots[stage]}
-                note(cts.values())
-                for name, ct in cts.items():
+                # the protocol declared every slot, so the evaluator drops
+                # each slot's ciphertext once it is returned; decrypting it
+                # at once keeps one slot ciphertext alive at a time
+                for name in plan.stage_slots[stage]:
+                    ct = ev.eval(plan.slots[name])
+                    note([ct])
                     values[name] = np.atleast_1d(np.asarray(client.decrypt_value(ct)))
         values = plan.split(values)
 

@@ -4,6 +4,7 @@ import pytest
 
 from conftest import make_blob16
 
+from fhesift import deferred_graph
 from fhesift.cli import main, parse_settings
 from fhesift.errors import ConfigError
 from fhesift.pgm import format_pgm
@@ -169,6 +170,18 @@ def test_depth_exhaustion_exits_2(image_path, tmp_path, capsys):
                "--set", "octaves=1", "--set", "depth_budget=2"])
     assert rc == 2
     assert "depth budget exhausted in localize" in capsys.readouterr().err
+
+
+def test_oversized_normal_form_exits_1(image_path, tmp_path, capsys, monkeypatch):
+    # the pipeline's largest product multiplies 144 term pairs
+    monkeypatch.setattr(deferred_graph, "MAX_PRODUCT_TERMS", 100)
+    rc = main(["run", str(image_path), "--mode", "deferred",
+               "--out", str(tmp_path / "o"), "--set", "octaves=1"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: normal form of node ")
+    assert "more than the 100 allowed" in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_undeferrable_weighting_exits_3(image_path, tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Graph construction, normal forms, evaluators and lowering."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -18,8 +20,8 @@ from fhesift import (
     lower,
     run_pipeline,
 )
-from fhesift.deferred_graph import balanced_fold, operands, schedule
-from fhesift.errors import DeferralUnsupported, MissingAssignment, SignUnresolvable
+from fhesift.deferred_graph import MAX_PRODUCT_TERMS, balanced_fold, operands, schedule
+from fhesift.errors import DeferralUnsupported, FheSiftError, MissingAssignment, SignUnresolvable
 
 
 def _ctx(budget=30):
@@ -239,6 +241,26 @@ def test_squared_sqrt_with_impure_argument_fails():
     s = b.sqrt_deferred(b.select(b.compare(x, y), x, y))
     with pytest.raises(DeferralUnsupported):
         b.normal_form(b.mul(s, s))
+
+
+def test_normal_form_refuses_a_product_past_the_term_limit():
+    # each reversed comparison is 1 - c, two terms, so a product of n of
+    # them expands to 2^n monomials; the limit stops the balanced product
+    # where two 8-factor halves would multiply 256 by 256 terms
+    b = GraphBuilder()
+    ctx = _ctx()
+    xs = [b.cipher(ctx.encrypt(float(i))) for i in range(27)]
+    for lo, hi in zip(xs, xs[1:]):
+        b.compare(lo, hi)
+    factors = [b.compare(hi, lo) for lo, hi in zip(xs, xs[1:])]
+    assert len(factors) == 26 and len(b.comparisons) == 26
+    assert all(len(b.normal_form(f)) == 2 for f in factors)
+    prod = b.product(factors)
+    t0 = time.perf_counter()
+    with pytest.raises(FheSiftError, match=rf"node \d+ multiplies 256 by 256 terms, 65536 "
+                                           rf"products, more than the {MAX_PRODUCT_TERMS} allowed"):
+        b.normal_form(prod)
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_simplify_is_idempotent_and_value_preserving():
@@ -503,6 +525,40 @@ def test_cipher_evaluator_requires_bound_parameters():
         ce.eval(b.select(c, x, b.plain(0.0)))
     with pytest.raises(MissingAssignment):
         CipherEvaluator(ctx, b).eval(b.sqrt_deferred(x))
+
+
+def test_declared_roots_release_every_ciphertext_after_its_last_read():
+    b = GraphBuilder()
+    ctx0 = _ctx()
+    xv, yv = np.array([1.5, -2.0, 0.5, 3.0]), np.array([0.25, 4.0, -1.0, 2.0])
+    x = b.cipher(ctx0.encrypt(xv), name="x")
+    y = b.cipher(ctx0.encrypt(yv), name="y")
+    c = b.compare(x, y)
+    xy = b.mul(x, y)  # read by two roots
+    pre = b.mul(b.sub(xy, y), b.plain(0.5))  # evaluated before the declaration
+    r1 = b.add(xy, b.mul(c, x))
+    r2 = b.sub(b.mul(r1, xy), pre)  # reads root r1
+    r3 = b.mul(b.reindex(c, np.array([3, 0, 0, 1])), r1)
+    roots = [r1, r2, r3, r1]  # r1 is asked for twice
+
+    def run(declare):
+        ctx = _ctx()
+        ev = CipherEvaluator(ctx, b, bool_cts={c.payload: Ciphertext((xv > yv) * 1.0, 30)})
+        ev.eval(pre)
+        if declare:
+            ev.declare(roots)
+            # y, xy - y and 0.5 were read only to compute pre
+            assert sorted(ev.memo) == sorted([x.id, xy.id, pre.id])
+        return ctx, ev, [ev.eval(r) for r in roots]
+
+    keep_ctx, keep, want = run(declare=False)
+    ctx, ev, got = run(declare=True)
+    assert ev.memo == {} and len(keep.memo) > len(roots)
+    for g, w in zip(got, want):
+        assert (g.value.tobytes(), g.level) == (w.value.tobytes(), w.level)
+    assert ctx.snapshot_counts() == keep_ctx.snapshot_counts()  # nothing computed twice
+    with pytest.raises(ValueError, match="more often than declared"):
+        ev.eval(r1)
 
 
 def test_plain_evaluator_vectorizes_over_lanes():

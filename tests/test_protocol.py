@@ -438,6 +438,27 @@ def test_reindexed_parameters_share_their_comparisons_wire_ids():
         assert np.array_equal(rd.results[name], want[name]), name
 
 
+def test_interactive_frees_each_ciphertext_after_its_last_read():
+    _, b, _, _, slots = _reindex_toy()
+    ctx = CkksContext(SimParams(depth_budget=20))
+    ev = CipherEvaluator(ctx, b)
+    run = run_interactive(ctx, b, slots, Client(ctx), seed=4, evaluator=ev)
+    assert ev.memo == {}
+
+    # the same rounds, then the slots from an evaluator that keeps everything
+    keep_ctx = CkksContext(SimParams(depth_budget=20))
+    answered = CipherEvaluator(keep_ctx, b)
+    ref = run_interactive(keep_ctx, b, slots, Client(keep_ctx), seed=4, evaluator=answered,
+                          evaluate_slots=False)
+    keep = CipherEvaluator(keep_ctx, b, answered.bool_cts, answered.sqrt_cts)
+    want = {name: keep.eval(e) for name, e in slots.items()}
+    assert run.rounds == ref.rounds
+    assert list(run.results) == list(want)
+    for name, ct in run.results.items():
+        assert (ct.value.tobytes(), ct.level) == (want[name].value.tobytes(), want[name].level)
+    assert ctx.snapshot_counts() == keep_ctx.snapshot_counts()
+
+
 @pytest.mark.parametrize("toy", [_reindex_toy, _wire_toy])
 def test_lowered_program_evaluates_as_the_client_resolves_its_package(toy):
     """``LoweredProgram.evaluate`` on plaintext answers and the client on
