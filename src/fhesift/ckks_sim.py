@@ -87,11 +87,6 @@ class SecretKey:
         return v.copy() if isinstance(v, np.ndarray) else v
 
 
-def _join(a: Value, b: Value, op) -> Value:
-    out = op(np.asarray(a), np.asarray(b))
-    return _as_value(out)
-
-
 def _zero_bound(nb: Value) -> bool:
     return not isinstance(nb, np.ndarray) and nb == 0.0
 
@@ -132,22 +127,21 @@ class CkksContext:
         self._count("encrypt", ct.width)
         return ct
 
+    # Values and bounds are Python floats or float64 arrays, so the plain
+    # operators below keep floats as floats and send arrays through numpy.
+
     def add(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
-        v = _join(a.value, b.value, np.add)
-        nb = _join(a.noise_bound, b.noise_bound, np.add)
-        out = Ciphertext(v, min(a.level, b.level), nb)
+        out = Ciphertext(a.value + b.value, min(a.level, b.level), a.noise_bound + b.noise_bound)
         self._count("add", out.width)
         return out
 
     def sub(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
-        v = _join(a.value, b.value, np.subtract)
-        nb = _join(a.noise_bound, b.noise_bound, np.add)
-        out = Ciphertext(v, min(a.level, b.level), nb)
+        out = Ciphertext(a.value - b.value, min(a.level, b.level), a.noise_bound + b.noise_bound)
         self._count("add", out.width)
         return out
 
     def neg(self, a: Ciphertext) -> Ciphertext:
-        out = Ciphertext(_as_value(-np.asarray(a.value)), a.level, a.noise_bound)
+        out = Ciphertext(-a.value, a.level, a.noise_bound)
         self._count("neg", out.width)
         return out
 
@@ -157,23 +151,22 @@ class CkksContext:
             raise DepthExhausted(
                 f"ct-ct multiply at level {lvl}: no multiplicative levels left"
             )
-        v = _join(a.value, b.value, np.multiply)
+        v = a.value * b.value
         # |carried - ideal| stays bounded: cross terms use carried magnitudes,
         # which dominate the ideal ones once their own bounds are added in.
-        if _zero_bound(a.noise_bound) and _zero_bound(b.noise_bound):
+        na, nb = a.noise_bound, b.noise_bound
+        if _zero_bound(na) and _zero_bound(nb):
             bound = 0.0
         else:
-            av, bv = np.abs(np.asarray(a.value)), np.abs(np.asarray(b.value))
-            na, nb = np.asarray(a.noise_bound), np.asarray(b.noise_bound)
-            bound = (av + na) * nb + (bv + nb) * na + na * nb
+            bound = (abs(a.value) + na) * nb + (abs(b.value) + nb) * na + na * nb
         sigma = self.params.noise_per_mul
         if sigma > 0.0:
-            shape = np.asarray(v).shape
+            shape = np.shape(v)
             fresh = self._rng.normal(0.0, sigma, shape if shape else None)
             fresh = np.clip(fresh, -_CLIP_SIGMAS * sigma, _CLIP_SIGMAS * sigma)
-            v = _as_value(np.asarray(v) + fresh)
+            v = _as_value(v + fresh)
             bound = bound + _CLIP_SIGMAS * sigma
-        out = Ciphertext(v, lvl - 1, _as_value(bound))
+        out = Ciphertext(v, lvl - 1, bound)
         self._count("mul", out.width)
         return out
 
@@ -186,9 +179,7 @@ class CkksContext:
                 )
             lvl -= 1
         kv = _as_value(k)
-        v = _join(a.value, kv, np.multiply)
-        nb = _join(a.noise_bound, np.abs(np.asarray(kv)), np.multiply)
-        out = Ciphertext(v, lvl, nb)
+        out = Ciphertext(a.value * kv, lvl, a.noise_bound * abs(kv))
         self._count("mul_plain", out.width)
         return out
 

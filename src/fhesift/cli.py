@@ -51,8 +51,6 @@ def _parse_value(raw: str, typ):
         return float(raw)
     if typ is str:
         return raw
-    if typ is tuple:
-        return tuple(int(p) for p in raw.split(","))
     raise ConfigError(f"unsupported option type {typ!r}")
 
 

@@ -23,17 +23,21 @@ Each unordered operand pair is recorded once; building the reversed
 comparison yields the complement ``1 - BoolVar``, which makes the reverse
 form a "greater or equal".  Ties therefore resolve deterministically.
 
+Every node carries its resolution tier, set when it is built: 0 for
+pure arithmetic, and for a comparison or square root one more than its
+operands'; any other node takes the highest tier it reads.  The
+interactive protocol answers a tier's requests in one round.
+
 Evaluation-order discipline: every walk over the graph (normal forms,
-plaintext and ciphertext evaluation, request collection, rendering) goes
+plaintext and ciphertext evaluation, run planning, rendering) goes
 through ``schedule`` and handles nodes in id order.  Ids are handed out in
 creation order and a node is created after the nodes it reads, so id order
-is topological; resolution tiers are filled by one sweep in that order.
-Noise-mode multiplications draw their noise in that order too.  Normal
-forms keep monomials in a canonical order, parameter products fold as
-balanced trees and sums fold left.  The server-side ciphertext walk and
-the client-side residual walk perform the same float operations in the
-same order, so exact-mode results agree bit for bit across execution
-modes.
+is topological.  Noise-mode multiplications draw their noise in that order
+too.  Normal forms keep monomials in a canonical order, parameter products
+fold as balanced trees and sums fold left.  The server-side ciphertext
+walk and the client-side residual walk perform the same float operations
+in the same order, so exact-mode results agree bit for bit across
+execution modes.
 """
 
 from __future__ import annotations
@@ -86,11 +90,15 @@ def balanced_fold(items: list, combine):
 
 
 class Expr:
-    """One DAG node. Construct through a GraphBuilder, never directly."""
+    """One DAG node. Construct through a GraphBuilder, never directly.
 
-    __slots__ = ("b", "op", "a", "c", "payload", "id", "width", "pure", "name")
+    ``a`` and ``c`` are what the node reads, a comparison's being its two
+    operands.  ``tier`` is 0 for pure arithmetic.
+    """
 
-    def __init__(self, b, op, a, c, payload, ident, width, pure, name=None):
+    __slots__ = ("b", "op", "a", "c", "payload", "id", "width", "tier", "name")
+
+    def __init__(self, b, op, a, c, payload, ident, width, tier, name=None):
         self.b = b
         self.op = op
         self.a = a
@@ -98,7 +106,7 @@ class Expr:
         self.payload = payload
         self.id = ident
         self.width = width
-        self.pure = pure
+        self.tier = tier
         self.name = name
 
     # Arithmetic sugar; comparisons stay explicit via builder.compare.
@@ -133,12 +141,14 @@ class Comparison:
     lhs: Expr
     rhs: Expr
     width: int
+    tier: int
 
 
 @dataclass(frozen=True)
 class SqrtRequest:
     id: int
     arg: Expr
+    tier: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,15 +208,8 @@ def schedule(roots, done, kids) -> list[Expr]:
     return [found[i] for i in sorted(found)]
 
 
-def operands(n: Expr):
-    """Every node n reads: a comparison its operands, any other node a and c."""
-    if n.op == BOOL:
-        cmp = n.b.comparisons[n.payload]
-        return cmp.lhs, cmp.rhs
-    return _args(n)
-
-
-def _args(n: Expr) -> tuple:
+def operands(n: Expr) -> tuple:
+    """Every node n reads: its a and c."""
     return () if n.a is None else (n.a,) if n.c is None else (n.a, n.c)
 
 
@@ -215,7 +218,7 @@ def _bound(n: Expr):
 
     A subtraction x + (-y) reads x and y, not -y; see ``_as_subtraction``.
     Every cipher walk calls this once or twice per node, so it spells out
-    ``_args`` rather than calling it.
+    ``operands`` rather than calling it.
     """
     if n.op == ADD:
         return _as_subtraction(n) or (n.a, n.c)
@@ -248,15 +251,17 @@ class GraphBuilder:
         self._cmp_by_pair: dict[tuple[int, int], int] = {}
         self._param_nodes: dict[tuple, Expr] = {}  # normal-form key -> node
         self._nf_memo: dict[int, dict] = {}
-        self._tiers: list[int] = []  # tier of each node, by id
         self._cipher_count = 0
 
     # -- node construction -------------------------------------------------
 
-    def _node(self, op, a=None, c=None, payload=None, key=None, width=1, pure=True, name=None):
+    def _node(self, op, a=None, c=None, payload=None, key=None, width=1, name=None):
         if key is not None and key in self._intern:
             return self._intern[key]
-        node = Expr(self, op, a, c, payload, len(self.nodes), width, pure, name)
+        tier = 0 if a is None else a.tier if c is None else max(a.tier, c.tier)
+        if op == BOOL or op == SQRT:
+            tier += 1
+        node = Expr(self, op, a, c, payload, len(self.nodes), width, tier, name)
         self.nodes.append(node)
         if key is not None:
             self._intern[key] = node
@@ -277,17 +282,15 @@ class GraphBuilder:
             name = f"v{self._cipher_count}"
         self._cipher_count += 1
         return self._node(
-            CIPHER, payload=ct, key=(CIPHER, id(ct)), width=ct.width, pure=True, name=name
+            CIPHER, payload=ct, key=(CIPHER, id(ct)), width=ct.width, name=name
         )
 
     def plain(self, k, name: str | None = None) -> Expr:
         arr = np.asarray(k, dtype=np.float64)
         if arr.ndim == 0:
             val = float(arr)
-            return self._node(PLAIN, payload=val, key=(PLAIN, val), width=1, pure=True, name=name)
-        return self._node(
-            PLAIN, payload=arr, key=(PLAIN, id(arr)), width=arr.size, pure=True, name=name
-        )
+            return self._node(PLAIN, payload=val, key=(PLAIN, val), width=1, name=name)
+        return self._node(PLAIN, payload=arr, key=(PLAIN, id(arr)), width=arr.size, name=name)
 
     def as_expr(self, x) -> Expr:
         if isinstance(x, Expr):
@@ -307,9 +310,7 @@ class GraphBuilder:
         if self._is_const(y, 0.0):
             return x
         a, c = (x, y) if x.id <= y.id else (y, x)
-        return self._node(
-            ADD, a=a, c=c, key=(ADD, a.id, c.id), width=self._bw(x, y), pure=x.pure and y.pure
-        )
+        return self._node(ADD, a=a, c=c, key=(ADD, a.id, c.id), width=self._bw(x, y))
 
     def neg(self, x) -> Expr:
         x = self.as_expr(x)
@@ -317,7 +318,7 @@ class GraphBuilder:
             return self.plain(-np.asarray(x.payload))
         if x.op == NEG:
             return x.a
-        return self._node(NEG, a=x, key=(NEG, x.id), width=x.width, pure=x.pure)
+        return self._node(NEG, a=x, key=(NEG, x.id), width=x.width)
 
     def sub(self, x, y) -> Expr:
         return self.add(self.as_expr(x), self.neg(y))
@@ -333,9 +334,7 @@ class GraphBuilder:
         if self._is_const(x, 0.0) or self._is_const(y, 0.0):
             return self.plain(0.0)
         a, c = (x, y) if x.id <= y.id else (y, x)
-        return self._node(
-            MUL, a=a, c=c, key=(MUL, a.id, c.id), width=self._bw(x, y), pure=x.pure and y.pure
-        )
+        return self._node(MUL, a=a, c=c, key=(MUL, a.id, c.id), width=self._bw(x, y))
 
     def sum_(self, xs) -> Expr:
         xs = list(xs)
@@ -370,10 +369,9 @@ class GraphBuilder:
             canonical = self._param_nodes["b", self._cmp_by_pair[rev]]
             return self.sub(self.plain(1.0), canonical)
         cmp_id = len(self.comparisons)
-        self.comparisons.append(Comparison(cmp_id, lhs, rhs, self._bw(lhs, rhs)))
-        node = self._node(
-            BOOL, payload=cmp_id, key=(BOOL, cmp_id), width=self._bw(lhs, rhs), pure=False
-        )
+        node = self._node(BOOL, lhs, rhs, payload=cmp_id, key=(BOOL, cmp_id),
+                          width=self._bw(lhs, rhs))
+        self.comparisons.append(Comparison(cmp_id, lhs, rhs, node.width, node.tier))
         self._cmp_by_pair[pair] = cmp_id
         self._param_nodes[_param_key(node)] = node
         return node
@@ -415,7 +413,7 @@ class GraphBuilder:
             return self._intern[key]
         rid = len(self.reindexed)
         self.reindexed.append(Reindex(rid, param.payload, idx, map_id))
-        node = self._node(REINDEX, a=param, payload=rid, key=key, width=len(idx), pure=False)
+        node = self._node(REINDEX, a=param, payload=rid, key=key, width=len(idx))
         self._param_nodes[_param_key(node)] = node
         return node
 
@@ -438,8 +436,8 @@ class GraphBuilder:
         if key in self._intern:
             return self._intern[key]
         sqrt_id = len(self.sqrts)
-        self.sqrts.append(SqrtRequest(sqrt_id, arg))
-        node = self._node(SQRT, a=arg, payload=sqrt_id, key=key, width=arg.width, pure=False)
+        node = self._node(SQRT, a=arg, payload=sqrt_id, key=key, width=arg.width)
+        self.sqrts.append(SqrtRequest(sqrt_id, arg, node.tier))
         self._param_nodes[_param_key(node)] = node
         return node
 
@@ -497,32 +495,6 @@ class GraphBuilder:
         d2 = self.mul(r.den, r.den)
         return self.sub(self.plain(1.0), self.compare(n2, self.mul(b2, d2)))
 
-    # -- dependency tiers ------------------------------------------------------
-
-    def tier(self, e: Expr) -> int:
-        """Resolution wave the node becomes evaluable in (0 = pure).
-
-        Nodes are created after their operands, so one sweep in creation
-        order over the nodes not yet seen fills every tier."""
-        tiers = self._tiers
-        for n in self.nodes[len(tiers):]:
-            if n.pure:
-                tiers.append(0)
-                continue
-            ks = operands(n)  # one or two: every impure node reads something
-            t = max(tiers[ks[0].id], tiers[ks[-1].id])
-            tiers.append(t + 1 if n.op in (BOOL, SQRT) else t)
-        return tiers[e.id]
-
-    def comparison_tier(self, cmp: Comparison) -> int:
-        return 1 + max(self.tier(cmp.lhs), self.tier(cmp.rhs))
-
-    def sqrt_tier(self, req: SqrtRequest) -> int:
-        return 1 + self.tier(req.arg)
-
-    def dependency_depth(self, exprs) -> int:
-        return max((self.tier(e) for e in exprs), default=0)
-
     # -- multilinear normal form ------------------------------------------------
 
     def _mul_terms(self, p1, c1, p2, c2):
@@ -536,7 +508,7 @@ class GraphBuilder:
         for k, n in sorted(seen.items()):
             arg = self.sqrts[k[1]].arg
             if n >= 2:
-                if not arg.pure:
+                if arg.tier > 0:
                     raise DeferralUnsupported(
                         "cannot square a sqrt parameter whose argument is unresolved"
                     )
@@ -555,9 +527,9 @@ class GraphBuilder:
         """
         memo = self._nf_memo
         # pure nodes and parameters are a normal form's leaves
-        kids = lambda n: () if n.pure or n.op in _PARAM_KEYS else operands(n)
+        kids = lambda n: () if n.tier == 0 or n.op in _PARAM_KEYS else operands(n)
         for n in schedule([e], memo, kids):
-            if n.pure:
+            if n.tier == 0:
                 memo[n.id] = {frozenset(): n}
                 continue
             if n.op in _PARAM_KEYS:
@@ -639,8 +611,7 @@ class PlainEvaluator:
         if n.op == MUL:
             return m[n.a.id] * m[n.c.id]
         if n.op == BOOL:
-            cmp = self.b.comparisons[n.payload]
-            out = np.greater(m[cmp.lhs.id], m[cmp.rhs.id]).astype(np.float64)
+            out = np.greater(m[n.a.id], m[n.c.id]).astype(np.float64)
             return float(out) if out.ndim == 0 else out
         if n.op == SQRT:
             return np.sqrt(m[n.a.id])
@@ -660,16 +631,18 @@ class PlainEvaluator:
 class CipherEvaluator:
     """Evaluates a DAG to ciphertexts through a simulator context.
 
-    BoolVar / Sqrt nodes must already be bound to encrypted values (the
-    interactive protocol binds them round by round); hitting an unbound
-    parameter raises MissingAssignment.  A reindexed BoolVar gathers its
-    bound comparison.  A subtraction, built as an ADD
-    with a NEG child, costs one ``ctx.sub`` and no negation.
+    BoolVar / Sqrt nodes must be answered with encrypted values through
+    ``bind`` (the interactive protocol binds them round by round; the
+    constructor binds ``bool_cts`` and ``sqrt_cts``, keyed by comparison
+    and sqrt id); hitting an unbound parameter raises MissingAssignment.
+    A reindexed BoolVar gathers its bound comparison.  A subtraction,
+    built as an ADD with a NEG child, costs one ``ctx.sub`` and no
+    negation.
 
-    ``memo`` keeps every computed ciphertext until ``declare`` names the
-    roots the caller will ask for; from then on each ciphertext is dropped
-    after its last read.  Either way each node is computed once, in the
-    same order.
+    ``memo`` keeps every computed or bound ciphertext until ``declare``
+    names the roots the caller will ask for; from then on each ciphertext,
+    answers included, is dropped after its last read.  Either way each
+    node is computed once, in the same order.
     """
 
     def __init__(self, ctx: CkksContext, builder: GraphBuilder,
@@ -677,27 +650,40 @@ class CipherEvaluator:
                  sqrt_cts: dict[int, Ciphertext] | None = None):
         self.ctx = ctx
         self.b = builder
-        self.bool_cts = bool_cts if bool_cts is not None else {}
-        self.sqrt_cts = sqrt_cts if sqrt_cts is not None else {}
         self.memo: dict[int, Ciphertext] = {}
         self._reads: Counter | None = None  # node id -> reads still to come
+        for kind, cts in (("b", bool_cts), ("s", sqrt_cts)):
+            for i, ct in (cts or {}).items():
+                self.bind(builder._param_nodes[kind, i], ct)
 
-    def declare(self, roots) -> None:
-        """Name every root the evaluator will be asked for, repeats counted.
+    def bind(self, param: Expr, ct: Ciphertext) -> None:
+        """Answer comparison or sqrt node ``param`` with ``ct``."""
+        self.memo[param.id] = ct
 
-        A node's reads still to come are its declared asks plus one per
-        node that reads it under ``_bound`` and is not yet computed.  Each
-        computed node, and each answered ask, uses up one read of what it
-        reads; a ciphertext is dropped from ``memo`` once its reads are
-        used up, and one that nothing declared reads is dropped now.
-        Afterwards only declared roots may be asked for, each as often as
-        declared.
+    def declare(self, roots) -> list[Expr]:
+        """Plan the run: name every root the evaluator will be asked for,
+        repeats counted, and return the requests left to answer.
+
+        One walk follows what each node reads once bound (``_bound``) and,
+        past each comparison or sqrt not yet answered, its operands, which
+        the caller asks for once per request.  A node's reads still to come
+        are its asks plus one per node that reads it and is not yet
+        computed.  Each computed node, and each answered ask, uses up one
+        read of what it reads; a ciphertext is dropped from ``memo`` once
+        its reads are used up, and one that nothing declared reads is
+        dropped now.  Afterwards only declared roots and request operands
+        may be asked for, each as often as declared.
+
+        Returns the unanswered comparison and sqrt nodes in id order.
         """
         roots = list(roots)
+        kids = lambda n: operands(n) if n.op in (BOOL, SQRT) else _bound(n)
+        order = schedule(roots, self.memo, kids)
         reads = Counter(r.id for r in roots)
-        reads.update(k.id for n in schedule(roots, self.memo, _bound) for k in _bound(n))
+        reads.update(k.id for n in order for k in kids(n))
         self._reads = reads
         self.memo = {i: ct for i, ct in self.memo.items() if i in reads}
+        return [n for n in order if n.op in (BOOL, SQRT)]
 
     def _use(self, nodes) -> None:
         """Use up one read of each node, dropping the ciphertexts read for the last time."""
@@ -732,14 +718,10 @@ class CipherEvaluator:
             if n.c.op == PLAIN:
                 return ctx.mul_plain(x, n.c.payload)
             return ctx.mul(x, y)
-        if n.op == BOOL:
-            if n.payload not in self.bool_cts:
-                raise MissingAssignment(f"comparison {n.payload} is unresolved")
-            return self.bool_cts[n.payload]
+        if n.op == BOOL:  # bound answers are found in the memo
+            raise MissingAssignment(f"comparison {n.payload} is unresolved")
         if n.op == SQRT:
-            if n.payload not in self.sqrt_cts:
-                raise MissingAssignment(f"sqrt request {n.payload} is unresolved")
-            return self.sqrt_cts[n.payload]
+            raise MissingAssignment(f"sqrt request {n.payload} is unresolved")
         if n.op == REINDEX:
             return gather(m[n.a.id], self.b.reindexed[n.payload].index)
         raise AssertionError(n.op)  # pragma: no cover

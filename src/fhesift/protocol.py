@@ -48,18 +48,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ckks_sim import Ciphertext, CkksContext, SecretKey, Value
-from .deferred_graph import (
-    BOOL,
-    SQRT,
-    CipherEvaluator,
-    Comparison,
-    Expr,
-    GraphBuilder,
-    SqrtRequest,
-    operands,
-    schedule,
-    sum_of_products,
-)
+from .deferred_graph import SQRT, CipherEvaluator, Comparison, Expr, GraphBuilder, sum_of_products
 from .errors import DeferralUnsupported, MissingAssignment
 
 CMP_DTYPE = np.dtype(
@@ -140,17 +129,19 @@ def _ragged_size(dtype, lengths) -> int:
     return len(lengths) * _LENGTH.itemsize + int(sum(lengths)) * dtype.itemsize
 
 
+MIN_RECORDS = 8  # the smallest padded request batch
+
+
 @dataclass(frozen=True)
 class DecoyPolicy:
     """Padding rule for request batches."""
 
     enabled: bool = True
-    min_records: int = 8
 
     def padded_size(self, n: int) -> int:
         if n == 0 or not self.enabled:
             return n
-        target = max(n, self.min_records)
+        target = max(n, MIN_RECORDS)
         return 1 << (target - 1).bit_length()
 
 
@@ -279,7 +270,7 @@ def lower(builder: GraphBuilder, slots: dict[str, Expr], ctx: CkksContext,
                         "monomials": np.array(monos, dtype=_REF).reshape(len(monos), 1 + degree)}
 
     def shipped(request: str, *exprs: Expr) -> tuple[Ciphertext, ...]:
-        if not all(e.pure for e in exprs):
+        if any(e.tier > 0 for e in exprs):
             raise DeferralUnsupported(f"{request} depends on other unresolved parameters; "
                                       "it cannot ship in a single deferred package")
         return tuple(ev.eval(e) for e in exprs)
@@ -457,13 +448,6 @@ def _request_batch(dtype: np.dtype, operand_fields, widths: list[int], operands,
     return buf.data, ids
 
 
-def _collect_requests(builder: GraphBuilder, roots) -> tuple[list[Comparison], list[SqrtRequest]]:
-    """All comparisons/sqrts reachable from roots, including nested ones."""
-    nodes = schedule(roots, (), operands)
-    return ([builder.comparisons[n.payload] for n in nodes if n.op == BOOL],
-            [builder.sqrts[n.payload] for n in nodes if n.op == SQRT])
-
-
 def _bind_response(width: int, values: np.ndarray, level: int) -> Ciphertext:
     v = float(values[0]) if width == 1 else values.astype(np.float64)
     return Ciphertext(v, level)
@@ -476,51 +460,40 @@ def run_interactive(ctx: CkksContext, builder: GraphBuilder, slots: dict[str, Ex
     """Resolve parameters wave by wave; rounds = dependency depth.
 
     Client answers come back encrypted at the full depth budget, which is
-    the only level-restoration mechanism in the system.  The evaluator is
-    told every operand, sqrt argument and slot it will be asked for, so it
-    frees each ciphertext after its last read; with ``evaluate_slots``
-    off, the caller must then evaluate each slot once.
+    the only level-restoration mechanism in the system.  The evaluator's
+    ``declare`` plans the run: it returns the requests, grouped here by
+    tier, and frees each ciphertext, answers included, after its last
+    read; with ``evaluate_slots`` off, the caller must then evaluate each
+    slot once.  Requests the evaluator was built with answers to are not
+    asked again.
     """
     rng = np.random.default_rng(seed)
-    comparisons, sqrts = _collect_requests(builder, slots.values())
-    by_tier: dict[int, tuple[list[Comparison], list[SqrtRequest]]] = {}
-    for cmp in comparisons:
-        t = builder.comparison_tier(cmp)
-        by_tier.setdefault(t, ([], []))[0].append(cmp)
-    for req in sqrts:
-        t = builder.sqrt_tier(req)
-        by_tier.setdefault(t, ([], []))[1].append(req)
-
     ev = evaluator if evaluator is not None else CipherEvaluator(ctx, builder)
-    ev.declare([e for c in comparisons for e in (c.lhs, c.rhs)]
-               + [r.arg for r in sqrts] + list(slots.values()))
+    by_tier: dict[int, tuple[list[Expr], list[Expr]]] = {}
+    for n in ev.declare(slots.values()):
+        by_tier.setdefault(n.tier, ([], []))[n.op == SQRT].append(n)
     trace: list[RoundTrace] = []
     full = ctx.params.depth_budget
     for round_no, tier in enumerate(sorted(by_tier), start=1):
         tier_cmps, tier_sqrts = by_tier[tier]
-        pairs = [(ev.eval(c.lhs), ev.eval(c.rhs)) for c in tier_cmps]
-        cwidths = [c.width for c in tier_cmps]
-        swidths = [builder.sqrts[r.id].arg.width for r in tier_sqrts]
+        pairs = [(ev.eval(n.a), ev.eval(n.c)) for n in tier_cmps]
+        cwidths = [n.width for n in tier_cmps]
+        swidths = [n.width for n in tier_sqrts]
         creq_blob, cids = _request_batch(
             CMP_DTYPE, _CMP_OPERANDS, cwidths,
             ([lhs for lhs, _ in pairs], [rhs for _, rhs in pairs]), policy, rng)
         sreq_blob, sids = _request_batch(
-            SQRT_DTYPE, _SQRT_OPERANDS, swidths, ([ev.eval(r.arg) for r in tier_sqrts],),
+            SQRT_DTYPE, _SQRT_OPERANDS, swidths, ([ev.eval(n.a) for n in tier_sqrts],),
             policy, rng)
         cresp_blob = client.resolve_comparisons(creq_blob) if creq_blob else b""
         sresp_blob = client.resolve_sqrts(sreq_blob) if sreq_blob else b""
         cresp = np.frombuffer(cresp_blob, dtype=RESP_DTYPE)
         sresp = np.frombuffer(sresp_blob, dtype=RESP_DTYPE)
-        pos = 0
-        for c in tier_cmps:
-            vals = cresp["value"][cids[pos:pos + c.width]]
-            ev.bool_cts[c.id] = _bind_response(c.width, vals, full)
-            pos += c.width
-        pos = 0
-        for r, w in zip(tier_sqrts, swidths):
-            vals = sresp["value"][sids[pos:pos + w]]
-            ev.sqrt_cts[r.id] = _bind_response(w, vals, full)
-            pos += w
+        for nodes, resp, ids in ((tier_cmps, cresp, cids), (tier_sqrts, sresp, sids)):
+            pos = 0
+            for n in nodes:
+                ev.bind(n, _bind_response(n.width, resp["value"][ids[pos:pos + n.width]], full))
+                pos += n.width
         trace.append(RoundTrace(
             round=round_no,
             n_real_comparisons=len(cids),

@@ -72,7 +72,6 @@ class PipelineConfig:
     scales_per_octave: int = 3
     base_sigma: float = 1.6
     orientation_bins: int = 36
-    descriptor_grid: tuple[int, int, int] = (4, 4, 8)
     contrast_threshold: float = 0.03
     edge_threshold: float = 10.0
     orientation_weighting: str = MAGNITUDE_SQUARED
@@ -84,8 +83,6 @@ class PipelineConfig:
             raise ConfigError("base_sigma must be positive")
         if self.orientation_bins < 3:
             raise ConfigError("orientation_bins must be at least 3")
-        if tuple(self.descriptor_grid) != (4, 4, 8):
-            raise ConfigError("descriptor_grid: only (4, 4, 8) is supported")
         if self.orientation_weighting not in (MAGNITUDE_SQUARED, SQRT_MAGNITUDE):
             raise ConfigError(
                 f"unknown orientation_weighting {self.orientation_weighting!r}")
@@ -287,8 +284,7 @@ class _GraphPlan:
         """Comparison lanes each stage asks of its own pure operands
         (tier 1); comparisons that wait on answers show in the rounds."""
         b = self.builder
-        return {st: sum(b.comparisons[c].width for c in cids
-                        if b.comparison_tier(b.comparisons[c]) == 1)
+        return {st: sum(b.comparisons[c].width for c in cids if b.comparisons[c].tier == 1)
                 for st, cids in self.stage_cmps.items()}
 
     def waiting_stage(self) -> str | None:
@@ -297,8 +293,8 @@ class _GraphPlan:
         make the server evaluate while the protocol runs."""
         b = self.builder
         return next((st for st in _GRAPH_STAGES
-                     if any(b.comparison_tier(b.comparisons[c]) > 1 for c in self.stage_cmps[st])
-                     or any(b.sqrt_tier(b.sqrts[q]) > 1 for q in self.stage_sqrts[st])), None)
+                     if any(b.comparisons[c].tier > 1 for c in self.stage_cmps[st])
+                     or any(b.sqrts[q].tier > 1 for q in self.stage_sqrts[st])), None)
 
 
 @contextmanager
@@ -633,7 +629,7 @@ def run_pipeline(img, cfg: PipelineConfig | None = None, sim: SimParams | None =
     b = plan.builder
     _build_site_graph(ctx, plan, gauss, dog, dims, cfg,
                       with_argmax=(mode == "interactive"), report=report)
-    report.dependency_depth = b.dependency_depth(plan.slots.values())
+    report.dependency_depth = max((e.tier for e in plan.slots.values()), default=0)
     report.cmp_lanes = plan.cmp_lanes()
     ev = CipherEvaluator(ctx, b)
     _evaluate_pure(ctx, plan, report, ev)
@@ -688,7 +684,7 @@ def _evaluate_pure(ctx, plan: _GraphPlan, report: RunReport, ev: CipherEvaluator
             exprs = [side for cid in plan.stage_cmps[stage]
                      for side in (b.comparisons[cid].lhs, b.comparisons[cid].rhs)]
             exprs += [b.sqrts[sid].arg for sid in plan.stage_sqrts[stage]]
-            exprs = [e for e in exprs if e.pure]
+            exprs = [e for e in exprs if e.tier == 0]
             exprs += [c for root in plan.stage_roots[stage]
                       for c in b.normal_form(root).values()]
             note([ev.eval(e) for e in exprs])

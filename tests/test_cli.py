@@ -126,13 +126,12 @@ def test_report_rejects_malformed_lines(tmp_path, capsys):
 def test_parse_settings_routes_keys_to_the_right_config():
     sim, cfg = parse_settings([
         "depth_budget=12", "noise_per_mul=1e-9", "plain_mul_consumes_level=off",
-        "octaves=2", "base_sigma=1.8", "descriptor_grid=4,4,8",
+        "octaves=2", "base_sigma=1.8",
     ])
     assert sim.depth_budget == 12
     assert sim.noise_per_mul == 1e-9
     assert sim.plain_mul_consumes_level is False
     assert cfg.octaves == 2 and cfg.base_sigma == 1.8
-    assert cfg.descriptor_grid == (4, 4, 8)
     dsim, dcfg = parse_settings(None)
     assert dsim.depth_budget == 30 and dcfg.octaves == 3
 
@@ -140,6 +139,8 @@ def test_parse_settings_routes_keys_to_the_right_config():
 def test_parse_settings_errors():
     with pytest.raises(ConfigError, match="known options"):
         parse_settings(["octave=2"])
+    with pytest.raises(ConfigError, match="known options"):
+        parse_settings(["descriptor_grid=4,4,8"])
     with pytest.raises(ConfigError, match="expected key=value"):
         parse_settings(["octaves"])
     with pytest.raises(ConfigError, match="expected a boolean"):

@@ -11,6 +11,7 @@ from fhesift import (
     Ciphertext,
     CipherEvaluator,
     CkksContext,
+    Client,
     GraphBuilder,
     PipelineConfig,
     PlainEvaluator,
@@ -18,6 +19,7 @@ from fhesift import (
     format_expr,
     format_normal_form,
     lower,
+    run_interactive,
     run_pipeline,
 )
 from fhesift.deferred_graph import MAX_PRODUCT_TERMS, balanced_fold, operands, schedule
@@ -336,19 +338,52 @@ def test_tiers_and_dependency_depth():
     ctx = _ctx()
     x = b.cipher(ctx.encrypt(4.0))
     y = b.cipher(ctx.encrypt(1.0))
-    assert b.tier(b.mul(x, y)) == 0
+    assert b.mul(x, y).tier == 0
     c1 = b.compare(x, y)
     first = b.select(c1, x, y)
-    assert b.tier(c1) == 1
-    assert b.tier(first) == 1
+    assert c1.tier == 1
+    assert first.tier == 1
     c2 = b.compare(first, b.plain(2.0))
     second = b.select(c2, first, y)
-    assert b.comparison_tier(b.comparisons[c2.payload]) == 2
-    assert b.tier(second) == 2
+    assert b.comparisons[c2.payload].tier == 2 == c2.tier
+    assert second.tier == 2
     s = b.sqrt_deferred(second)
-    assert b.tier(s) == 3
-    assert b.dependency_depth([first, second, s]) == 3
-    assert b.dependency_depth([]) == 0
+    assert s.tier == 3 == b.sqrts[s.payload].tier
+    assert max(e.tier for e in (first, second, s)) == 3
+    assert x.tier == y.tier == b.plain(2.0).tier == 0
+
+
+def test_tiers_match_a_sweep_over_operands():
+    """Tiers set at build time equal a from-scratch sweep in id order, and
+    an interactive run takes one round per tier of its slots."""
+    ctx = _ctx(200)  # deep enough for any chain the generator builds
+    rng = np.random.default_rng(5)
+    for trial in range(10):
+        b = GraphBuilder()
+        pool = [b.cipher(ctx.encrypt(float(v))) for v in rng.uniform(-1.25, 1.25, 4)]
+        for _ in range(60):
+            x, y = (pool[int(i)] for i in rng.integers(len(pool), size=2))
+            r = rng.random()
+            if r < 0.15:
+                pool.append(b.compare(x, y))
+            elif r < 0.2:
+                pool.append(b.sqrt_deferred(b.add(b.mul(x, x), b.plain(0.25))))
+            elif r < 0.4:
+                pool.append(b.add(x, y))
+            elif r < 0.55:
+                pool.append(b.sub(x, y))
+            elif r < 0.8:
+                pool.append(b.mul(x, y))
+            else:
+                pool.append(b.select(b.compare(x, y), x, b.neg(y)))
+        sweep: list[int] = []
+        for n in b.nodes:
+            t = max((sweep[k.id] for k in operands(n)), default=0)
+            sweep.append(t + 1 if n.op in ("bool", "sqrt") else t)
+        assert [n.tier for n in b.nodes] == sweep, trial
+        slots = {f"s{i}": e for i, e in enumerate(pool[-8:])}
+        run = run_interactive(ctx, b, slots, Client(ctx), seed=trial)
+        assert len(run.rounds) == max(e.tier for e in slots.values()), trial
 
 
 # -- schedule -----------------------------------------------------------------------
@@ -546,9 +581,9 @@ def test_declared_roots_release_every_ciphertext_after_its_last_read():
         ev = CipherEvaluator(ctx, b, bool_cts={c.payload: Ciphertext((xv > yv) * 1.0, 30)})
         ev.eval(pre)
         if declare:
-            ev.declare(roots)
+            assert ev.declare(roots) == []  # the one comparison is answered
             # y, xy - y and 0.5 were read only to compute pre
-            assert sorted(ev.memo) == sorted([x.id, xy.id, pre.id])
+            assert sorted(ev.memo) == sorted([x.id, c.id, xy.id, pre.id])
         return ctx, ev, [ev.eval(r) for r in roots]
 
     keep_ctx, keep, want = run(declare=False)
@@ -670,7 +705,7 @@ def test_reindex_normal_form_keys_and_tier():
     r1 = b.reindex(c, np.array([2, 0, 1]))
     r2 = b.reindex(c, np.array([0, 1, 2]))
     assert b.normal_form(r1) == {frozenset({("r", 0)}): b.plain(1.0)}
-    assert b.tier(r1) == b.tier(c) == 1
+    assert r1.tier == c.tier == 1
     # reindexed booleans are idempotent, and sort by creation order
     assert set(b.normal_form(b.mul(r1, r1))) == {frozenset({("r", 0)})}
     y = b.cipher(ctx.encrypt(np.array([1.0, 2.0, 3.0])), name="y")
@@ -678,7 +713,7 @@ def test_reindex_normal_form_keys_and_tier():
     assert [sorted(k) for k, _ in b.sorted_terms(b.normal_form(e))] == \
         [[("r", 1)], [("r", 0), ("r", 1)]]
     # a comparison on a reindexed parameter waits one more round
-    assert b.comparison_tier(b.comparisons[b.compare(e, y).payload]) == 2
+    assert b.comparisons[b.compare(e, y).payload].tier == 2
 
 
 def test_simplify_multiplies_factors_in_creation_order():

@@ -48,8 +48,6 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         PipelineConfig(orientation_bins=2)
     with pytest.raises(ConfigError):
-        PipelineConfig(descriptor_grid=(2, 2, 8))
-    with pytest.raises(ConfigError):
         PipelineConfig(orientation_weighting="cubed")
     with pytest.raises(ConfigError):
         run_pipeline(np.zeros((16, 16)), mode="hybrid")

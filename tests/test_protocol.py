@@ -13,6 +13,7 @@ from fhesift import (
     Client,
     DecoyPolicy,
     GraphBuilder,
+    PipelineConfig,
     PlainEvaluator,
     SecretKey,
     SimParams,
@@ -21,11 +22,12 @@ from fhesift import (
     parse_package,
     run_deferred,
     run_interactive,
+    run_pipeline,
     serialize_package,
 )
-from fhesift import protocol
+from fhesift import deferred_graph, protocol, sift_pipeline
 from fhesift.errors import DeferralUnsupported
-from fhesift.kernels import max2, running_max
+from fhesift.kernels import max2, running_max, vec_argmax_onehot
 
 GOLDEN = Path(__file__).parent / "goldens"
 
@@ -53,7 +55,7 @@ def test_interactive_resolves_and_counts_rounds():
     client = Client(ctx)
     run = run_interactive(ctx, b, slots, client)
     assert run.mode == "interactive"
-    assert len(run.rounds) == 1 == b.dependency_depth(slots.values())
+    assert len(run.rounds) == 1 == max(e.tier for e in slots.values())
     assert run.results["pick"].value == 9.0
     assert run.results["root"].value == 3.0
     tr = run.rounds[0]
@@ -69,7 +71,7 @@ def test_interactive_rounds_follow_dependency_depth():
     xs = [b.cipher(ctx.encrypt(v)) for v in vals]
     chain = running_max(b, xs, seed=0.0)
     slots = {"m": chain}
-    assert b.dependency_depth([chain]) == len(vals)
+    assert chain.tier == len(vals)
     run = run_interactive(ctx, b, slots, Client(ctx))
     assert len(run.rounds) == len(vals)
     assert run.results["m"].value == 8.0
@@ -432,31 +434,120 @@ def test_reindexed_parameters_share_their_comparisons_wire_ids():
     ev = CipherEvaluator(ctx, b)
     ri = run_interactive(ctx, b, slots, Client(ctx), seed=4, evaluator=ev)
     assert [(r.n_real_comparisons, r.n_wire_comparisons) for r in ri.rounds] == [(6, 8)]
-    assert list(ev.bool_cts) == [c.payload]  # one answer per source lane, gathered
+    # one answer per source lane, gathered
+    assert CipherEvaluator(ctx, b).declare(slots.values()) == [c]
     for name in slots:
         assert rd.results[name].tobytes() == ri.results[name].value.tobytes(), name
         assert np.array_equal(rd.results[name], want[name]), name
 
 
-def test_interactive_frees_each_ciphertext_after_its_last_read():
-    _, b, _, _, slots = _reindex_toy()
+def _argmax_toy():
+    """Three rounds: a one-hot argmax over four scalars takes two, and the
+    root of the picked value's square plus 1/4 a third.  That root is the
+    one slot, so every answer is read only by a later round's operands."""
+    ctx = CkksContext(SimParams(depth_budget=20))
+    b = GraphBuilder()
+    xs = [b.cipher(ctx.encrypt(v), name=f"x{i}") for i, v in enumerate((3.0, -1.5, 7.25, 0.5))]
+    top = b.sum_(b.mul(m, x) for m, x in zip(vec_argmax_onehot(b, xs), xs))
+    return ctx, b, {"root": b.sqrt_deferred(b.add(b.mul(top, top), b.plain(0.25)))}
+
+
+def _check_release(b: GraphBuilder, slots: dict):
+    """An interactive run ends holding no ciphertext, and its slots match an
+    evaluator that keeps everything, given the same answers."""
     ctx = CkksContext(SimParams(depth_budget=20))
     ev = CipherEvaluator(ctx, b)
-    run = run_interactive(ctx, b, slots, Client(ctx), seed=4, evaluator=ev)
-    assert ev.memo == {}
+    # the client encrypts its answers in a context of its own, so ctx
+    # counts the server's work only
+    run = run_interactive(ctx, b, slots, Client(CkksContext(SimParams(depth_budget=20))),
+                          seed=4, evaluator=ev)
+    assert ev.memo == {}  # answers included
+    assert len(run.rounds) == max(e.tier for e in slots.values())
 
-    # the same rounds, then the slots from an evaluator that keeps everything
+    # an evaluator that keeps everything, given the same answers, asked
+    # for every request operand and then every slot
+    pe, enc = PlainEvaluator(b), CkksContext(SimParams(depth_budget=20))
     keep_ctx = CkksContext(SimParams(depth_budget=20))
-    answered = CipherEvaluator(keep_ctx, b)
-    ref = run_interactive(keep_ctx, b, slots, Client(keep_ctx), seed=4, evaluator=answered,
-                          evaluate_slots=False)
-    keep = CipherEvaluator(keep_ctx, b, answered.bool_cts, answered.sqrt_cts)
+    keep = CipherEvaluator(keep_ctx, b,
+                           {c.id: enc.encrypt(pe.bool_value(c)) for c in b.comparisons},
+                           {q.id: enc.encrypt(np.sqrt(pe.eval(q.arg))) for q in b.sqrts})
+    for e in [e for c in b.comparisons for e in (c.lhs, c.rhs)] + [q.arg for q in b.sqrts]:
+        keep.eval(e)
     want = {name: keep.eval(e) for name, e in slots.items()}
-    assert run.rounds == ref.rounds
     assert list(run.results) == list(want)
     for name, ct in run.results.items():
-        assert (ct.value.tobytes(), ct.level) == (want[name].value.tobytes(), want[name].level)
+        assert (np.asarray(ct.value).tobytes(), ct.level) == \
+            (np.asarray(want[name].value).tobytes(), want[name].level), name
     assert ctx.snapshot_counts() == keep_ctx.snapshot_counts()
+
+
+def test_interactive_frees_each_ciphertext_after_its_last_read():
+    _, b, _, _, slots = _reindex_toy()
+    _check_release(b, slots)
+
+
+def test_interactive_frees_answers_read_only_by_later_rounds():
+    _, b, slots = _argmax_toy()
+    _check_release(b, slots)
+    assert max(e.tier for e in slots.values()) == 3
+
+
+def test_declare_returns_the_unanswered_requests_and_declares_their_operands():
+    ctx = CkksContext(SimParams(depth_budget=20))
+    b = GraphBuilder()
+    x = b.cipher(ctx.encrypt(3.0), name="x")
+    y = b.cipher(ctx.encrypt(1.0), name="y")
+    c1 = b.compare(x, y)
+    arg = b.add(b.mul(x, x), b.plain(0.25))  # read by its sqrt request only
+    s = b.sqrt_deferred(arg)
+    c2 = b.compare(b.select(c1, x, y), b.plain(2.0))
+    slots = {"out": b.mul(c2, s)}
+
+    ev = CipherEvaluator(ctx, b)
+    assert ev.declare(slots.values()) == [c1, s, c2]
+    ev.eval(arg)  # asked for once, by its request
+    with pytest.raises(ValueError, match="more often than declared"):
+        ev.eval(arg)
+
+    # answers given to the constructor are not asked again, nor are their
+    # operands declared
+    pe = PlainEvaluator(b)
+    answered = CipherEvaluator(ctx, b, {c1.payload: ctx.encrypt(pe.eval(c1))},
+                               {s.payload: ctx.encrypt(pe.eval(s))})
+    assert answered.declare(slots.values()) == [c2]
+    with pytest.raises(ValueError, match="not declared"):
+        answered.eval(arg)
+    run = run_interactive(ctx, b, slots, Client(ctx), evaluator=answered)
+    assert len(run.rounds) == 1
+    assert run.results["out"].value == pe.eval(slots["out"])
+
+
+def test_one_walk_plans_the_interactive_run(blob16, monkeypatch):
+    """Past the pipeline's pure evaluation, ``declare``'s walk is the only
+    one before the first request batch goes out."""
+    calls = {"schedule": 0}
+    schedule, request_batch = deferred_graph.schedule, protocol._request_batch
+    at_first_batch = []
+
+    def counting_schedule(*args):
+        calls["schedule"] += 1
+        return schedule(*args)
+
+    def recording_batch(*args):
+        at_first_batch.append(calls["schedule"])
+        return request_batch(*args)
+
+    def starting_run(*args, **kwargs):
+        calls["schedule"] = 0
+        return protocol.run_interactive(*args, **kwargs)
+
+    for module in (deferred_graph, protocol, sift_pipeline):
+        if hasattr(module, "schedule"):
+            monkeypatch.setattr(module, "schedule", counting_schedule)
+    monkeypatch.setattr(protocol, "_request_batch", recording_batch)
+    monkeypatch.setattr(sift_pipeline, "run_interactive", starting_run)
+    run_pipeline(blob16, PipelineConfig(octaves=1), mode="interactive", seed=3)
+    assert at_first_batch[0] == 1
 
 
 @pytest.mark.parametrize("toy", [_reindex_toy, _wire_toy])
