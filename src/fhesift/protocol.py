@@ -11,16 +11,20 @@ resolve comparisons or square roots.  Two shapes of exchange exist:
     operands, sqrt arguments and residual coefficient tables.  One round,
     after which the client finishes the computation locally.
 
-Every batch is padded with decoy records to a power of two (at least 8),
-shuffled, and only then given wire ids, so a record's id and position say
-nothing about which comparison it belongs to.  Decoy operand values are
-resampled from the real operand pool.
+Every batch is padded with decoy records to a power of two (at least 8)
+and shuffled before it is written.  A record's wire id is its position
+in its batch, so neither says which comparison it belongs to, and an
+answer is one value per record, in request order.  Decoy operands draw
+their values and levels from the real operand pool: a real ciphertext
+shows its level, so a decoy must show one too.
 
 Padding is columnar: each operand's values and levels are built as plain
 columns, decoys index those columns, and one permutation gathers every
-column into the wire records.  The deferred package is sized from the
-lowered program, allocated once and filled in place; the client parses
-it once and evaluates the residual tables straight from views into it.
+column into the wire records.  The deferred package is one header and a
+fixed list of columnar sections, ``_SECTIONS``: the sizer, the writer and
+the parser each walk that list.  It is sized from the lowered program,
+allocated once and filled in place; the client parses it once and
+evaluates the residual tables straight from views into it.
 
 Lowering lives here, next to the layout it targets: ``lower`` turns the
 slots' normal forms into the package's pools and slot tables, so the
@@ -41,7 +45,6 @@ bound answer.
 
 from __future__ import annotations
 
-import struct
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -51,41 +54,44 @@ from .ckks_sim import Ciphertext, CkksContext, SecretKey, Value
 from .deferred_graph import SQRT, CipherEvaluator, Comparison, Expr, GraphBuilder, sum_of_products
 from .errors import DeferralUnsupported, MissingAssignment
 
-CMP_DTYPE = np.dtype(
-    [("id", "<u4"), ("lhs", "<f8"), ("lhs_level", "<u4"), ("rhs", "<f8"), ("rhs_level", "<u4")]
-)
-RESP_DTYPE = np.dtype([("id", "<u4"), ("value", "<f8"), ("level", "<u4")])
-SQRT_DTYPE = RESP_DTYPE
+# Wire records.  A record's wire id is its position in its batch, and a
+# response is one RESP_DTYPE value per request record, in request order.
+CMP_DTYPE = np.dtype([("lhs", "<f8"), ("lhs_level", "<u4"), ("rhs", "<f8"), ("rhs_level", "<u4")])
+SQRT_DTYPE = np.dtype([("value", "<f8"), ("level", "<u4")])
+RESP_DTYPE = np.dtype("<f8")  # every answer is encrypted at full depth
 # (value field, level field) of each operand a record carries
 _CMP_OPERANDS = (("lhs", "lhs_level"), ("rhs", "rhs_level"))
 _SQRT_OPERANDS = (("value", "level"),)
 
-# Deferred package layout, all little-endian and unaligned; every table
-# is read with one frombuffer:
-#   _PKG_HEADER;
-#   n_cmp CMP_DTYPE records, then n_sqrt SQRT_DTYPE records;
-#   the wire-id rows: one _LENGTH per row, then the rows' _WIRE_IDs back
-#     to back, each requested comparison's row first, then each sqrt's;
-#   the lane maps: one _LENGTH per map, then the maps' _LANEs back to back;
-#   the coefficient tables: one _LENGTH per table, the tables' _COEFF
-#     lanes back to back, then one _LEVEL per table;
-#   per slot in name order: _SLOT_NAME, the UTF-8 name, _SLOT_HEADER,
-#     n_params _PARAM references (row, map or _NONE), and the monomial
-#     table: n_monos rows of 1 + degree _REFs, the coefficient table,
-#     then slot-local parameter indices padded with _NONE.
-_PKG_MAGIC = b"DCGPKG02"
-# magic, n_cmp, n_sqrt, comparison rows, sqrt rows, n_maps, n_coeffs, n_slots
-_PKG_HEADER = struct.Struct("<8sIIIIIII")
-_SLOT_NAME = struct.Struct("<H")  # name length in bytes
-_SLOT_HEADER = struct.Struct("<IIII")  # width, n_params, n_monos, monomial row length
-_LENGTH = np.dtype("<u4")
-_WIRE_ID = np.dtype("<u4")
-_LANE = np.dtype("<u4")
-_COEFF = np.dtype("<f8")
-_LEVEL = np.dtype("<u4")
+_U4 = np.dtype("<u4")  # lengths, wire ids, lanes, levels and pool references
+_SLOT = np.dtype([("width", "<u4"), ("stride", "<u4")])  # stride: _U4s per monomial
 _PARAM = np.dtype([("row", "<u4"), ("map", "<u4")])
-_REF = np.dtype("<u4")
 _NONE = 0xFFFFFFFF  # no lane map; an unused monomial column
+
+# Deferred package layout, all little-endian and unaligned: _HEADER, then
+# each section below in order, every one read with one frombuffer.  A
+# section is (name, dtype, the header field counting its entries, ragged):
+# a plain section is that many items; a ragged one is that many _U4
+# lengths, then that many runs back to back.  Rows are the wire ids each
+# requested comparison or sqrt reads; slots are in name order, and each of
+# a slot's monomials is ``stride`` references: its coefficient table, then
+# slot-local parameter indices padded with _NONE.
+_SECTIONS = (
+    ("comparisons", CMP_DTYPE, "n_cmp", False),
+    ("sqrts", SQRT_DTYPE, "n_sqrt", False),
+    ("cmp_rows", _U4, "n_cmp_rows", True),
+    ("sqrt_rows", _U4, "n_sqrt_rows", True),
+    ("maps", _U4, "n_maps", True),
+    ("coeffs", np.dtype("<f8"), "n_coeffs", True),
+    ("levels", _U4, "n_coeffs", False),
+    ("slots", _SLOT, "n_slots", False),
+    ("names", np.dtype("u1"), "n_slots", True),  # UTF-8
+    ("params", _PARAM, "n_slots", True),  # (row, map or _NONE)
+    ("monomials", _U4, "n_slots", True),
+)
+_PKG_MAGIC = b"DCGPKG03"
+_HEADER = np.dtype([("magic", "S8")]
+                   + [(f, "<u4") for f in dict.fromkeys(f for _, _, f, _ in _SECTIONS)])
 
 
 def _table(buf, off: int, dtype, count: int) -> tuple[np.ndarray, int]:
@@ -95,38 +101,38 @@ def _table(buf, off: int, dtype, count: int) -> tuple[np.ndarray, int]:
     return arr, off + arr.nbytes
 
 
-def _unpack(fmt: struct.Struct, buf, off: int) -> tuple[tuple, int]:
-    """``fmt``'s fields at ``off``, and the offset past them; a buffer too
-    short for them is a ValueError, like a short ``_table``."""
-    if off + fmt.size > len(buf):
-        raise ValueError("truncated deferred package")
-    return fmt.unpack_from(buf, off), off + fmt.size
+def _package_size(counts: dict[str, int], lengths: dict[str, list[int]]) -> int:
+    """Bytes in a package with header ``counts`` and ragged run ``lengths``."""
+    return _HEADER.itemsize + sum(
+        counts[count] * _U4.itemsize + int(sum(lengths[name])) * dtype.itemsize if ragged
+        else counts[count] * dtype.itemsize for name, dtype, count, ragged in _SECTIONS)
 
 
-def _ragged(buf, off: int, dtype, count: int) -> tuple[tuple[np.ndarray, np.ndarray], int]:
-    """``count`` _LENGTHs, then that many runs of ``dtype`` back to back:
-    the lengths, and the runs as one flat view."""
-    lengths, off = _table(buf, off, _LENGTH, count)
-    flat, off = _table(buf, off, dtype, int(lengths.sum(dtype=np.int64)))
-    return (lengths, flat), off
+def _sections(buf, lengths: dict[str, list[int]] | None = None) -> dict:
+    """Every section that ``buf``'s header counts, as views into ``buf``: a
+    plain one as its table, a ragged one as (lengths, flat runs).  Given
+    ``lengths``, each ragged section's lengths are written before the
+    walk reads past them, so the writer and the parser share this walk.
+    Bytes past the last section are a ValueError, like a short table."""
+    header, off = _table(buf, 0, _HEADER, 1)
+    out = {}
+    for name, dtype, count, ragged in _SECTIONS:
+        if not ragged:
+            out[name], off = _table(buf, off, dtype, int(header[count][0]))
+            continue
+        lens, off = _table(buf, off, _U4, int(header[count][0]))
+        if lengths is not None:
+            lens[:] = lengths[name]
+        flat, off = _table(buf, off, dtype, int(lens.sum(dtype=np.int64)))
+        out[name] = lens, flat
+    if off != len(buf):
+        raise ValueError(f"{len(buf) - off} bytes follow the deferred package's last table")
+    return out
 
 
 def _runs(lengths: np.ndarray, flat: np.ndarray) -> list[np.ndarray]:
-    """A ragged table's runs, one view each."""
+    """A ragged section's runs, one view each."""
     return np.split(flat, np.cumsum(lengths[:-1], dtype=np.int64)) if len(lengths) else []
-
-
-def _write_ragged(buf, off: int, dtype, runs) -> int:
-    lengths, _ = _table(buf, off, _LENGTH, len(runs))
-    lengths[:] = [np.size(r) for r in runs]
-    ragged, off = _ragged(buf, off, dtype, len(runs))
-    for view, run in zip(_runs(*ragged), runs):
-        view[:] = run
-    return off
-
-
-def _ragged_size(dtype, lengths) -> int:
-    return len(lengths) * _LENGTH.itemsize + int(sum(lengths)) * dtype.itemsize
 
 
 MIN_RECORDS = 8  # the smallest padded request batch
@@ -267,7 +273,7 @@ def lower(builder: GraphBuilder, slots: dict[str, Expr], ctx: CkksContext,
                 coeff_tables.append((ev.eval(coeff), width))
             monos.append([ref, *sorted(local[k] for k in mono), *[_NONE] * (degree - len(mono))])
         tables[name] = {"width": width, "params": params,
-                        "monomials": np.array(monos, dtype=_REF).reshape(len(monos), 1 + degree)}
+                        "monomials": np.array(monos, dtype=_U4).reshape(len(monos), 1 + degree)}
 
     def shipped(request: str, *exprs: Expr) -> tuple[Ciphertext, ...]:
         if any(e.tier > 0 for e in exprs):
@@ -359,22 +365,16 @@ class Client:
             return np.sqrt(self._decrypt(Ciphertext(recs["value"], 0)))
 
     def resolve_comparisons(self, blob) -> memoryview:
-        recs = np.frombuffer(blob, dtype=CMP_DTYPE)
-        return self._response(recs["id"], self._greater(recs))
+        return self._response(self._greater(np.frombuffer(blob, dtype=CMP_DTYPE)))
 
     def resolve_sqrts(self, blob) -> memoryview:
-        recs = np.frombuffer(blob, dtype=SQRT_DTYPE)
-        return self._response(recs["id"], self._roots(recs))
+        return self._response(self._roots(np.frombuffer(blob, dtype=SQRT_DTYPE)))
 
-    def _response(self, ids: np.ndarray, values: np.ndarray) -> memoryview:
-        """Answer records as wire bytes: each request id with its value
-        freshly encrypted at full depth.  The bytes are a view of the
-        records, not a copy."""
-        out = np.empty(len(ids), dtype=RESP_DTYPE)
-        out["id"] = ids
-        out["value"] = self.ctx.encrypt(values).value
-        out["level"] = self.ctx.params.depth_budget
-        return out.view(np.uint8).data
+    def _response(self, values: np.ndarray) -> memoryview:
+        """Answers as wire bytes: each value freshly encrypted at full
+        depth, in request order.  The bytes are a uint8 view of the
+        encrypted lanes, not a copy, so ``len`` counts bytes."""
+        return np.asarray(self.ctx.encrypt(values).value, dtype=RESP_DTYPE).view(np.uint8).data
 
     def resolve_package(self, blob: bytes) -> dict[str, Value]:
         """Decrypt a deferred package and finish the computation locally.
@@ -398,13 +398,13 @@ class Client:
 
 def _pad_and_shuffle(wire: np.ndarray, widths: list[int], operands, operand_fields,
                      rng) -> np.ndarray:
-    """Fill ``wire`` with real lanes plus decoys, shuffled, with sequential ids.
+    """Fill ``wire`` with real lanes plus decoys, shuffled.
 
     ``operands`` holds, for each (value, level) pair in ``operand_fields``,
     one ciphertext per entry; entry i contributes ``widths[i]`` lanes.  A
     decoy operand is a (value, level) draw from the pool of all real
     operands, so decoy marginals match the real traffic.  Returns the wire
-    ids of the real lanes in entry order.
+    ids, that is the positions, of the real lanes in entry order.
     """
     n = int(sum(widths))
     total = len(wire)
@@ -427,15 +427,13 @@ def _pad_and_shuffle(wire: np.ndarray, widths: list[int], operands, operand_fiel
             lev[n:] = np.choose(src, [c[lane] for c in levels])
         del src, lane
     perm = rng.permutation(total)
-    seq = np.arange(total, dtype=np.uint32)
-    wire["id"] = seq
     for v, l in operand_fields:
         # mode="clip" lets take write straight into the strided field;
         # popping frees each column once it is on the wire
         np.take(values.pop(0), perm, out=wire[v], mode="clip")
         np.take(levels.pop(0), perm, out=wire[l], mode="clip")
     ids = np.empty(total, dtype=np.uint32)
-    ids[perm] = seq
+    ids[perm] = np.arange(total, dtype=np.uint32)
     return ids[:n]
 
 
@@ -492,7 +490,7 @@ def run_interactive(ctx: CkksContext, builder: GraphBuilder, slots: dict[str, Ex
         for nodes, resp, ids in ((tier_cmps, cresp, cids), (tier_sqrts, sresp, sids)):
             pos = 0
             for n in nodes:
-                ev.bind(n, _bind_response(n.width, resp["value"][ids[pos:pos + n.width]], full))
+                ev.bind(n, _bind_response(n.width, resp[ids[pos:pos + n.width]], full))
                 pos += n.width
         trace.append(RoundTrace(
             round=round_no,
@@ -513,85 +511,63 @@ def run_interactive(ctx: CkksContext, builder: GraphBuilder, slots: dict[str, Ex
 
 def serialize_package(program: LoweredProgram, policy: DecoyPolicy = DecoyPolicy(),
                       seed: int = 0) -> memoryview:
-    """Binary single-round package.
-
-    Layout (see the constants at the top of the module): header,
-    comparison records, sqrt records (both padded and shuffled like
-    interactive batches), then the pools every slot refers into: one
-    wire-id row per requested comparison and sqrt, the lane maps and the
-    coefficient tables, each shipped once; then the slot tables as
-    ``lower`` built them.  The size follows from the program and the
-    policy, so the package is allocated once and every part is written in
-    place.
-    """
+    """Binary single-round package, laid out as ``_SECTIONS``: the records,
+    padded and shuffled like interactive batches, the pools every slot
+    refers into, each piece shipped once, and the slot tables as ``lower``
+    built them.  The size follows from the program and the policy, so the
+    package is allocated once and every section is written in place."""
     rng = np.random.default_rng(seed)
     cmp_widths = [c.width for c in program.comparisons]
     sqrt_widths = [a.width for a in program.sqrt_args.values()]
-    n_cmp = policy.padded_size(sum(cmp_widths))
-    n_sqrt = policy.padded_size(sum(sqrt_widths))
-    maps = program.lane_maps
-    coeffs = program.coeff_tables
-    encoded = [name.encode() for name in program.slots]
+    slots = program.slots.values()
+    counts = {"n_cmp": policy.padded_size(sum(cmp_widths)),
+              "n_sqrt": policy.padded_size(sum(sqrt_widths)),
+              "n_cmp_rows": len(cmp_widths), "n_sqrt_rows": len(sqrt_widths),
+              "n_maps": len(program.lane_maps), "n_coeffs": len(program.coeff_tables),
+              "n_slots": len(slots)}
+    # every section's entries but the records' and the rows', which the
+    # shuffle writes
+    entries = {
+        "maps": program.lane_maps,
+        "coeffs": [_lanes(ct.value, w) for ct, w in program.coeff_tables],
+        "levels": [ct.level for ct, _ in program.coeff_tables],
+        "slots": [(slot["width"], slot["monomials"].shape[1]) for slot in slots],
+        "names": [np.frombuffer(name.encode(), dtype=np.uint8) for name in program.slots],
+        "params": [slot["params"] for slot in slots],
+        "monomials": [slot["monomials"].ravel() for slot in slots],
+    }
+    lengths = {name: [len(run) for run in entries[name]]
+               for name, _, _, ragged in _SECTIONS if ragged and name in entries}
+    lengths.update(cmp_rows=cmp_widths, sqrt_rows=sqrt_widths)
 
-    size = (_PKG_HEADER.size + n_cmp * CMP_DTYPE.itemsize + n_sqrt * SQRT_DTYPE.itemsize
-            + _ragged_size(_WIRE_ID, cmp_widths + sqrt_widths)
-            + _ragged_size(_LANE, [len(m) for m in maps])
-            + _ragged_size(_COEFF, [w for _, w in coeffs]) + len(coeffs) * _LEVEL.itemsize)
-    for nb, slot in zip(encoded, program.slots.values()):
-        size += (_SLOT_NAME.size + len(nb) + _SLOT_HEADER.size
-                 + slot["params"].nbytes + slot["monomials"].nbytes)
     # every byte is written below, so the buffer need not be zeroed first
-    buf = np.empty(size, dtype=np.uint8)
-
-    _PKG_HEADER.pack_into(buf, 0, _PKG_MAGIC, n_cmp, n_sqrt, len(cmp_widths),
-                          len(sqrt_widths), len(maps), len(coeffs), len(program.slots))
-    off = _PKG_HEADER.size
-    cwire, off = _table(buf, off, CMP_DTYPE, n_cmp)
-    cmp_pos = _pad_and_shuffle(
-        cwire, cmp_widths, ([lhs for lhs, _ in program.cmp_operands.values()],
-                            [rhs for _, rhs in program.cmp_operands.values()]),
-        _CMP_OPERANDS, rng)
-    swire, off = _table(buf, off, SQRT_DTYPE, n_sqrt)
-    sqrt_pos = _pad_and_shuffle(
-        swire, sqrt_widths, (list(program.sqrt_args.values()),), _SQRT_OPERANDS, rng)
-    del cwire, swire
-    off = _write_ragged(buf, off, _WIRE_ID,
-                        _split(cmp_pos, cmp_widths) + _split(sqrt_pos, sqrt_widths))
-    off = _write_ragged(buf, off, _LANE, maps)
-    off = _write_ragged(buf, off, _COEFF, [_lanes(ct.value, w) for ct, w in coeffs])
-    levels, off = _table(buf, off, _LEVEL, len(coeffs))
-    levels[:] = [ct.level for ct, _ in coeffs]
-
-    for nb, slot in zip(encoded, program.slots.values()):
-        _SLOT_NAME.pack_into(buf, off, len(nb))
-        off += _SLOT_NAME.size
-        buf[off:off + len(nb)] = np.frombuffer(nb, dtype=np.uint8)
-        off += len(nb)
-        params, monos = slot["params"], slot["monomials"]
-        _SLOT_HEADER.pack_into(buf, off, slot["width"], len(params), *monos.shape)
-        off += _SLOT_HEADER.size
-        view, off = _table(buf, off, _PARAM, len(params))
-        view[:] = params
-        view, off = _table(buf, off, _REF, monos.size)
-        view[:] = monos.ravel()
-    if off != size:
-        raise AssertionError(f"package layout wrote {off} of {size} bytes")
+    buf = np.empty(_package_size(counts, lengths), dtype=np.uint8)
+    buf[:_HEADER.itemsize].view(_HEADER)[0] = (_PKG_MAGIC, *(counts[f] for f in _HEADER.names[1:]))
+    sec = _sections(buf, lengths)
+    cmp_operands = program.cmp_operands.values()
+    sec["cmp_rows"][1][:] = _pad_and_shuffle(
+        sec["comparisons"], cmp_widths,
+        ([lhs for lhs, _ in cmp_operands], [rhs for _, rhs in cmp_operands]), _CMP_OPERANDS, rng)
+    sec["sqrt_rows"][1][:] = _pad_and_shuffle(
+        sec["sqrts"], sqrt_widths, (list(program.sqrt_args.values()),), _SQRT_OPERANDS, rng)
+    for name, runs in entries.items():
+        if name not in lengths:
+            sec[name][:] = runs
+        elif runs:
+            np.concatenate(runs, out=sec[name][1], casting="unsafe")
     return buf.data
 
 
-def _split(pos: np.ndarray, widths: list[int]) -> list[np.ndarray]:
-    return np.split(pos, np.cumsum(widths)[:-1]) if widths else []
-
-
-def _check_refs(what: str, refs: np.ndarray, count: int, none_ok: bool = False):
-    """ValueError unless every reference is below ``count``, or is
-    ``_NONE`` where ``none_ok``."""
+def _check_refs(what: str, refs: np.ndarray, count, none_ok: bool = False):
+    """ValueError unless every reference is below its ``count`` (one for
+    all, or one per reference), or is ``_NONE`` where ``none_ok``."""
     bad = refs >= count
     if none_ok:
         bad &= refs != _NONE
     if bad.any():
-        raise ValueError(f"deferred package {what} {int(refs[bad][0])} is out of range "
-                         f"(there are {count})")
+        i = np.flatnonzero(bad)[0]
+        raise ValueError(f"deferred package {what} {int(refs[i])} is out of range "
+                         f"(there are {int(np.broadcast_to(count, refs.shape)[i])})")
 
 
 def parse_package(blob) -> dict:
@@ -607,47 +583,56 @@ def parse_package(blob) -> dict:
     Every reference is checked against what it points into: a wire id
     against its kind's records, a parameter's row and map against the
     pools and the map's lanes against the row, a monomial's table and
-    parameter indices against the pool and the slot.  One out of range
-    is a ValueError, like a truncated package.
+    parameter indices against the pool and the slot.  So is every width:
+    a slot's coefficient tables have its width in lanes, and each of its
+    parameters, read through its map if it has one, 1 or that width.  One
+    out of range is a ValueError, like a truncated package.
     """
     if blob[:len(_PKG_MAGIC)] != _PKG_MAGIC:
         raise ValueError("not a deferred package")
-    (_, n_cmp, n_sqrt, n_crows, n_srows, n_maps, n_coeffs, n_slots), off = \
-        _unpack(_PKG_HEADER, blob, 0)
-    cmps, off = _table(blob, off, CMP_DTYPE, n_cmp)
-    sqrts, off = _table(blob, off, SQRT_DTYPE, n_sqrt)
-    (row_lengths, ids), off = _ragged(blob, off, _WIRE_ID, n_crows + n_srows)
-    n_cmp_ids = int(row_lengths[:n_crows].sum(dtype=np.int64))
-    _check_refs("comparison wire id", ids[:n_cmp_ids], n_cmp)
-    _check_refs("sqrt wire id", ids[n_cmp_ids:], n_sqrt)
-    ragged, off = _ragged(blob, off, _LANE, n_maps)
-    maps = _runs(*ragged)
+    sec = _sections(blob)
+    (cmp_lens, cmp_ids), (sqrt_lens, sqrt_ids) = sec["cmp_rows"], sec["sqrt_rows"]
+    _check_refs("comparison wire id", cmp_ids, len(sec["comparisons"]))
+    _check_refs("sqrt wire id", sqrt_ids, len(sec["sqrts"]))
+    row_lens = np.concatenate([cmp_lens, sqrt_lens]).astype(np.int64)
+    maps = _runs(*sec["maps"])
+    map_lens = sec["maps"][0].astype(np.int64)
     map_top = np.array([int(m.max()) if len(m) else -1 for m in maps], dtype=np.int64)
-    coeffs, off = _ragged(blob, off, _COEFF, n_coeffs)
-    levels, off = _table(blob, off, _LEVEL, n_coeffs)
-    slots: dict[str, dict] = {}
-    for _ in range(n_slots):
-        (name_len,), off = _unpack(_SLOT_NAME, blob, off)
-        name, off = _table(blob, off, np.uint8, name_len)
-        (width, n_params, n_monos, stride), off = _unpack(_SLOT_HEADER, blob, off)
-        params, off = _table(blob, off, _PARAM, n_params)
-        monos, off = _table(blob, off, _REF, n_monos * stride)
-        monos = monos.reshape(n_monos, stride)
-        _check_refs("parameter row", params["row"], n_crows + n_srows)
-        _check_refs("lane map", params["map"], n_maps, none_ok=True)
-        mapped = params[params["map"] != _NONE]
-        if np.any(map_top[mapped["map"]] >= row_lengths[mapped["row"]]):
-            raise ValueError("deferred package lane map reads past the end of its row")
-        if n_monos and not stride:
-            raise ValueError("deferred package monomial names no coefficient table")
-        _check_refs("coefficient table", monos[:, :1], n_coeffs)
-        _check_refs("parameter index", monos[:, 1:], n_params, none_ok=True)
-        slots[name.tobytes().decode()] = {"width": width, "params": params, "monomials": monos}
-    if off != len(blob):
-        raise ValueError(f"{len(blob) - off} bytes follow the deferred package's last table")
-    return {"comparisons": cmps, "sqrts": sqrts, "rows": _runs(row_lengths, ids),
-            "cmp_rows": n_crows, "maps": maps,
-            "coeffs": list(zip(_runs(*coeffs), levels.tolist())), "slots": slots}
+    coeff_lens = sec["coeffs"][0].astype(np.int64)
+
+    width = sec["slots"]["width"].astype(np.int64)
+    stride = sec["slots"]["stride"].astype(np.int64)
+    param_lens, params = sec["params"]
+    mono_lens, monos = sec["monomials"]
+    param_slot = np.repeat(np.arange(len(width)), param_lens)  # each parameter's slot
+    _check_refs("parameter row", params["row"], len(row_lens))
+    _check_refs("lane map", params["map"], len(maps), none_ok=True)
+    mapped = params["map"] != _NONE
+    if np.any(map_top[params["map"][mapped]] >= row_lens[params["row"][mapped]]):
+        raise ValueError("deferred package lane map reads past the end of its row")
+    lanes = row_lens[params["row"]]
+    lanes[mapped] = map_lens[params["map"][mapped]]
+    if np.any((lanes != 1) & (lanes != width[param_slot])):
+        raise ValueError("deferred package parameter has neither 1 lane nor its slot's width")
+
+    if np.any(stride == 0) or np.any(mono_lens % np.maximum(stride, 1)):
+        raise ValueError("deferred package monomials are not whole rows, each naming a table")
+    mono_slot = np.repeat(np.arange(len(width)), mono_lens)  # each reference's slot
+    starts = np.cumsum(mono_lens, dtype=np.int64) - mono_lens
+    lead = (np.arange(len(monos)) - starts[mono_slot]) % stride[mono_slot] == 0
+    _check_refs("coefficient table", monos[lead], len(coeff_lens))
+    _check_refs("parameter index", monos[~lead], param_lens[mono_slot[~lead]], none_ok=True)
+    if np.any(coeff_lens[monos[lead]] != width[mono_slot[lead]]):
+        raise ValueError("deferred package coefficient table's lanes differ from its slot's width")
+
+    names = [name.tobytes().decode() for name in _runs(*sec["names"])]
+    slots = {name: {"width": w, "params": p, "monomials": m.reshape(-1, k)}
+             for name, w, k, p, m in zip(names, width.tolist(), stride.tolist(),
+                                         _runs(param_lens, params), _runs(mono_lens, monos))}
+    return {"comparisons": sec["comparisons"], "sqrts": sec["sqrts"],
+            "rows": _runs(cmp_lens, cmp_ids) + _runs(sqrt_lens, sqrt_ids),
+            "cmp_rows": len(cmp_lens), "maps": maps,
+            "coeffs": list(zip(_runs(*sec["coeffs"]), sec["levels"].tolist())), "slots": slots}
 
 
 def dump_package(blob: bytes) -> str:
@@ -664,13 +649,13 @@ def dump_package(blob: bytes) -> str:
         return f"b{r}" if r < n_crows else f"s{r - n_crows}"
 
     lines = [f"comparisons: {len(pkg['comparisons'])}", f"sqrts: {len(pkg['sqrts'])}"]
-    for rec in pkg["comparisons"]:
+    for i, rec in enumerate(pkg["comparisons"]):
         lines.append(
-            f"  #{int(rec['id'])} lhs={rec['lhs']:.6g}@{int(rec['lhs_level'])}"
+            f"  #{i} lhs={rec['lhs']:.6g}@{int(rec['lhs_level'])}"
             f" rhs={rec['rhs']:.6g}@{int(rec['rhs_level'])}"
         )
-    for rec in pkg["sqrts"]:
-        lines.append(f"  #{int(rec['id'])} arg={rec['value']:.6g}@{int(rec['level'])}")
+    for i, rec in enumerate(pkg["sqrts"]):
+        lines.append(f"  #{i} arg={rec['value']:.6g}@{int(rec['level'])}")
     lines.append(f"rows: {len(pkg['rows'])}")
     for r, ids in enumerate(pkg["rows"]):
         lines.append(f"  {row_name(r)} -> wire {ids.tolist()}")

@@ -24,6 +24,7 @@ from fhesift.cli import _flat_report, render_kv
 from fhesift.errors import ConfigError, DeferralUnsupported, DepthExhausted
 from fhesift.oracle import ambiguous_keypoints, ambiguous_sites, run_with_margins, site_of
 from fhesift.sift_pipeline import (
+    MAGNITUDE_SQUARED,
     MARGIN,
     SQRT_MAGNITUDE,
     STAGES,
@@ -337,10 +338,10 @@ BLOB16_SLOTS_SHA256 = {
     "interactive": "3009a0f001f858af0fab65dce5ccb9b10b6bd1ab1df9de758c923c11933efd91",
     "deferred": "9a1e337e87bd44d6435980460f1b14acf4bae18f69b637b2f13895e7a6ed7629",
 }
-BLOB16_PACKAGE_SHA256 = "30c39a7025b9852e2f4ee6540df7d5be5131db37b0212d538a09e700eca743e1"
+BLOB16_PACKAGE_SHA256 = "d00fd164c7e5ffcb7b785748b548299d90850bd34be1b3ccc146385039cfd040"
 BLOB16_REPORT_SHA256 = {
-    "interactive": "eaa7eb6aacb7e82e57556919f71fbf2d892200bfc68d737fa6b191e02c0fa7cd",
-    "deferred": "c9fed18c584bd8b7b55c3769289b4f9ffd2ee5dc7dcb8d0fd74298c103a5040e",
+    "interactive": "bae453705a9de7a1d4e6a14e025d32538014d1988e572d169a6ef44defb9417e",
+    "deferred": "e4dd7817c6dcd8692b55c76e258e9a657e4e6cc6fda19422149d171b2bc2b7f9",
 }
 
 
@@ -395,6 +396,36 @@ def test_sqrt_weighting_runs_interactively_and_matches(blob16):
     assert compare_keypoints(rp.keypoints, ri.keypoints)["equal"]
     # resolving roots mid-histogram needs an extra round
     assert ri.report.dependency_depth == len(ri.report.rounds)
+
+
+@pytest.mark.parametrize("mode,weighting", [("interactive", MAGNITUDE_SQUARED),
+                                            ("deferred", MAGNITUDE_SQUARED),
+                                            ("interactive", SQRT_MAGNITUDE)])
+def test_wire_bytes_follow_from_lanes(blob16, monkeypatch, mode, weighting):
+    """A comparison record is 24 B, a sqrt record 12 B and an answer 8 B,
+    so ``len`` of every blob on the wire counts bytes, never lanes."""
+    serialize = protocol.serialize_package
+    packages = []
+
+    def parsing_serialize(*args, **kwargs):
+        blob = serialize(*args, **kwargs)
+        packages.append(protocol.parse_package(blob))
+        return blob
+
+    monkeypatch.setattr(protocol, "serialize_package", parsing_serialize)
+    cfg = PipelineConfig(octaves=1, orientation_weighting=weighting)
+    rounds = run_pipeline(blob16, cfg, mode=mode, seed=SEED).report.rounds
+    assert any(r.n_wire_sqrts for r in rounds) == (weighting == SQRT_MAGNITUDE)
+    if mode == "interactive":
+        assert not packages
+        for r in rounds:
+            assert r.request_bytes == 24 * r.n_wire_comparisons + 12 * r.n_wire_sqrts
+            assert r.response_bytes == 8 * (r.n_wire_comparisons + r.n_wire_sqrts)
+    else:
+        ((r,), (pkg,)) = rounds, packages
+        assert pkg["comparisons"].nbytes == 24 * r.n_wire_comparisons > 0
+        assert pkg["sqrts"].nbytes == 12 * r.n_wire_sqrts
+        assert r.response_bytes == 0
 
 
 def test_sqrt_weighting_cannot_ship_deferred(blob16):

@@ -157,7 +157,12 @@ def test_decoys_pad_to_power_of_two_and_draw_from_real_pool():
     pool = {v for pair in pairs for v in pair}
     assert set(pkg["comparisons"]["lhs"]) <= pool
     assert set(pkg["comparisons"]["rhs"]) <= pool
-    assert set(pkg["comparisons"]["id"]) == set(range(8))
+    # a record's wire id is its position: each comparison's row points at
+    # its own operands, among the decoys
+    positions = [int(ids[0]) for ids in pkg["rows"]]
+    assert len(set(positions)) == 3 and max(positions) < 8
+    real = pkg["comparisons"][positions]
+    assert list(zip(real["lhs"], real["rhs"])) == pairs
 
     plain_blob = serialize_package(prog, DecoyPolicy(enabled=False), seed=5)
     assert len(parse_package(plain_blob)["comparisons"]) == 3
@@ -188,13 +193,15 @@ def test_parse_package_round_trip_and_magic():
     assert len(pick["monomials"]) == 2
     with pytest.raises(ValueError):
         parse_package(b"JUNKJUNK" + bytes(16))
-    with pytest.raises(ValueError):  # the per-slot layout before the pools
-        parse_package(b"DCGPKG01" + bytes(16))
+    blob = bytes(serialize_package(prog, seed=1))
+    for old in (b"DCGPKG01", b"DCGPKG02"):  # the layouts with record ids
+        with pytest.raises(ValueError, match="not a deferred package"):
+            parse_package(old + blob[len(old):])
 
 
 def test_parse_package_rejects_a_truncated_blob():
     with pytest.raises(ValueError):
-        parse_package(b"DCGPKG02")  # the magic and no header
+        parse_package(protocol._PKG_MAGIC)  # the magic and no header
     ctx, b, slots = _toy()
     blob = bytes(serialize_package(lower(b, slots, ctx), seed=1))
     for cut in range(len(protocol._PKG_MAGIC), len(blob)):
@@ -244,6 +251,40 @@ def test_parse_package_rejects_a_reference_out_of_range(patch):
     blob = bytearray(serialize_package(lower(b, slots, ctx), seed=1))
     patch(parse_package(blob))  # the views write through into the blob
     with pytest.raises(ValueError, match="out of range"):
+        parse_package(blob)
+    with pytest.raises(ValueError):
+        Client(ctx).resolve_package(blob)
+
+
+def _select4():
+    """One 4-lane select slot."""
+    ctx = CkksContext(SimParams(depth_budget=20))
+    b = GraphBuilder()
+    v = b.cipher(ctx.encrypt(np.array([4.0, 5.0, 6.0, 7.0])), name="v")
+    return ctx, b, {"sel": b.simplify(b.select(b.compare(v, b.plain(5.5)), v, b.neg(v)))}
+
+
+def _patch_slot_width(blob):
+    protocol._sections(blob)["slots"]["width"][0] = 1  # its tables keep 4 lanes
+
+
+def _patch_unmapped_param(blob):
+    # slot "a" (3 lanes) then reads its comparison's 6-lane row directly
+    parse_package(blob)["slots"]["a"]["params"]["map"][0] = protocol._NONE
+
+
+@pytest.mark.parametrize("toy,patch", [
+    pytest.param(_select4, _patch_slot_width, id="slot_width"),
+    pytest.param(lambda: _reindex_toy(), _patch_unmapped_param, id="unmapped_param"),
+])
+def test_parse_package_rejects_a_width_that_disagrees_with_its_tables(toy, patch):
+    ctx, b, *_, slots = toy()
+    blob = bytearray(serialize_package(lower(b, slots, ctx), seed=1))
+    want = {name: PlainEvaluator(b).eval(e) for name, e in slots.items()}
+    got = Client(ctx).resolve_package(bytes(blob))
+    assert all(np.array_equal(got[name], want[name]) for name in slots)
+    patch(blob)
+    with pytest.raises(ValueError, match="width"):
         parse_package(blob)
     with pytest.raises(ValueError):
         Client(ctx).resolve_package(blob)
@@ -320,19 +361,20 @@ def _sha(blob) -> str:
     return hashlib.sha256(bytes(blob)).hexdigest()
 
 
-# sha256 digests of the pooled layout (DCGPKG02); its comparison and sqrt
-# records are byte for byte those of the per-slot layout before it.  The
-# wire format is a contract, so any change to them is a format change
+# sha256 digests of the sectioned layout (DCGPKG03); its records are
+# those of the layouts before it, less the id that was always their
+# position.  The wire format is a contract, so any change to them is a
+# format change
 PACKAGE_SHA256 = {
-    (True, 0): "abdd53fe7c438c60c86d7be2cf3247f0f8b533018be3fdef81f5cb2f605a2f13",
-    (True, 7): "5551c026c05eae25cbee45e3afe193a464f67efecc78c306bbe718bfff9637f0",
-    (False, 0): "28d2c417f11fd76b71dc394e93858068200c7beb91439ef18d049c8929a481e8",
+    (True, 0): "96a2c0a6ac4d8f080117b9c5b7867ef6b9236ab7ab2f30b38367055818ba104c",
+    (True, 7): "aac68e4e7732077f535ca1fd169441bd5925c4cd16eba58ed3adb2727bf1571e",
+    (False, 0): "e81b903d2fe4fab2f3f230c17f07c88cdba52e3e06ed9aeb1ecd0d1cf2c82fa2",
 }
 REQUEST_SHA256 = [
-    ("c", "bda474dfcba566552c031873b31d8ff4b04fad59f08fc6a93f6fc2a707253e5d"),
-    ("s", "bc1c41cfe0f159d0fedada0e2cd781302a79639588c38c2707ff13a2d33d0dc5"),
-    ("c", "10bdf51abd459765ad409e3869a15df77f35cc37e1241bb8469c80ae39258239"),
-    ("c", "d3c439612a1d5f8e1b97c05122979bacd16cd2285127b16632458b38eb1a0a3b"),
+    ("c", "cbed3e420d7c1f3fe43efec6785d879a71f06b3430e65e62649ff0497b4f7017"),
+    ("s", "9004efeecffac0b418b023cffa0c780bf3634ed95ad0193fc6ef63a095b32beb"),
+    ("c", "b19218a4e1dbb52d6feaac55ad4ddcce6c961a76c3925691815ad23382e3776f"),
+    ("c", "0261df3f68df928a794a076266246b1367bc046edcb5b377352b48ecf277b445"),
 ]
 
 
@@ -603,7 +645,6 @@ def test_comparison_answers_are_encrypted_after_the_operands_are_freed(monkeypat
     ctx = CkksContext(SimParams(depth_budget=20))
     client = Client(ctx)
     recs = np.zeros(8, dtype=protocol.CMP_DTYPE)
-    recs["id"] = np.arange(8)
     recs["lhs"] = np.arange(8.0)
     recs["rhs"] = 3.5
     decrypted = []
@@ -620,7 +661,10 @@ def test_comparison_answers_are_encrypted_after_the_operands_are_freed(monkeypat
 
     monkeypatch.setattr(SecretKey, "decrypt", tracking_decrypt)
     monkeypatch.setattr(CkksContext, "encrypt", checking_encrypt)
-    resp = np.frombuffer(client.resolve_comparisons(recs.tobytes()), dtype=protocol.RESP_DTYPE)
+    blob = client.resolve_comparisons(recs.tobytes())
+    assert len(blob) == 8 * protocol.RESP_DTYPE.itemsize
     assert len(decrypted) == client.attributed_decrypts == 2
     assert ctx.snapshot_counts()["encrypt"] == 8
-    assert np.array_equal(resp["value"], (np.arange(8.0) > 3.5).astype(np.float64))
+    # answer i is request i's, position for position
+    resp = np.frombuffer(blob, dtype=protocol.RESP_DTYPE)
+    assert np.array_equal(resp, (np.arange(8.0) > 3.5).astype(np.float64))
