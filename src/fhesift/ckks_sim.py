@@ -15,6 +15,7 @@ and there are no rotation ops.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,8 +46,8 @@ class SimParams:
     def __post_init__(self):
         if self.depth_budget < 1:
             raise ValueError("depth_budget must be >= 1")
-        if self.noise_per_mul < 0:
-            raise ValueError("noise_per_mul must be >= 0")
+        if not math.isfinite(self.noise_per_mul) or self.noise_per_mul < 0:
+            raise ValueError(f"noise_per_mul must be finite and >= 0, not {self.noise_per_mul!r}")
 
 
 def _as_value(x) -> Value:

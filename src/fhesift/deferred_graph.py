@@ -234,10 +234,18 @@ class GraphBuilder:
     intern to the same node, so repeated subterms share comparisons and
     coefficients for free.  Plain scalars intern by value; array payloads
     and ciphertexts intern by object identity; reindexing maps by content.
+    A ``leaf`` names where its ciphertext comes from instead of holding
+    it, and never interns.
+
+    ``freeze`` ends construction.  A frozen graph can then be ``bind``-ed
+    once per input: each binding is a builder over the same nodes that
+    holds that input's leaf ciphertexts, which the evaluators read.
     """
 
     def __init__(self, allow_sign_resolution: bool = True):
         self.allow_sign_resolution = allow_sign_resolution
+        self.frozen = False
+        self.leaves: dict[int, Ciphertext] = {}  # leaf node id -> bound ciphertext
         self.nodes: list[Expr] = []
         self.comparisons: list[Comparison] = []
         self.sqrts: list[SqrtRequest] = []
@@ -258,6 +266,8 @@ class GraphBuilder:
     def _node(self, op, a=None, c=None, payload=None, key=None, width=1, name=None):
         if key is not None and key in self._intern:
             return self._intern[key]
+        if self.frozen:
+            raise FheSiftError("the graph is frozen; it takes no new node")
         tier = 0 if a is None else a.tier if c is None else max(a.tier, c.tier)
         if op == BOOL or op == SQRT:
             tier += 1
@@ -284,6 +294,46 @@ class GraphBuilder:
         return self._node(
             CIPHER, payload=ct, key=(CIPHER, id(ct)), width=ct.width, name=name
         )
+
+    def leaf(self, source, width: int, name: str | None = None) -> Expr:
+        """A ciphertext leaf of ``width`` lanes that ``source`` describes
+        and each binding supplies (see ``bind``).  Every call makes a new
+        node, as ``cipher`` does for every new ciphertext, and leaves are
+        named from the same count."""
+        if name is None:
+            name = f"v{self._cipher_count}"
+        self._cipher_count += 1
+        return self._node(CIPHER, payload=source, width=width, name=name)
+
+    def leaf_value(self, n: Expr) -> Ciphertext:
+        """The ciphertext leaf ``n`` stands for: its binding, or its own."""
+        ct = self.leaves.get(n.id)
+        if ct is not None:
+            return ct
+        if isinstance(n.payload, Ciphertext):
+            return n.payload
+        raise MissingAssignment(f"leaf {n.name} is not bound to a ciphertext")
+
+    def freeze(self) -> None:
+        """End construction: from now on making a node raises, and the
+        tables only construction reads (interning, comparison pairs, index
+        maps and normal forms) are dropped."""
+        self.frozen = True
+        self._intern, self._cmp_by_pair, self._nf_memo = {}, {}, {}
+        self._index_maps, self._index_objs = {}, {}
+
+    def bind(self, leaves: dict[int, Ciphertext]) -> GraphBuilder:
+        """A frozen builder over this frozen graph's nodes, comparisons,
+        square roots and reindexed parameters, whose leaves read
+        ``leaves`` (leaf node id -> ciphertext).  Nothing is copied."""
+        if not self.frozen:
+            raise ValueError("only a frozen graph can be bound")
+        out = GraphBuilder(self.allow_sign_resolution)
+        out.nodes, out.comparisons, out.sqrts = self.nodes, self.comparisons, self.sqrts
+        out.reindexed, out._param_nodes = self.reindexed, self._param_nodes
+        out.leaves = leaves
+        out.freeze()
+        return out
 
     def plain(self, k, name: str | None = None) -> Expr:
         arr = np.asarray(k, dtype=np.float64)
@@ -601,7 +651,7 @@ class PlainEvaluator:
     def _compute(self, n: Expr) -> Value:
         m = self.memo
         if n.op == CIPHER:
-            return n.payload.value
+            return self.b.leaf_value(n).value
         if n.op == PLAIN:
             return n.payload
         if n.op == ADD:
@@ -640,9 +690,10 @@ class CipherEvaluator:
     negation.
 
     ``memo`` keeps every computed or bound ciphertext until ``declare``
-    names the roots the caller will ask for; from then on each ciphertext,
-    answers included, is dropped after its last read.  Either way each
-    node is computed once, in the same order.
+    names the roots the caller will ask for, or ``follow`` adopts a plan
+    made earlier; from then on each ciphertext, answers included, is
+    dropped after its last read.  Either way each node is computed once,
+    in the same order.
     """
 
     def __init__(self, ctx: CkksContext, builder: GraphBuilder,
@@ -661,29 +712,20 @@ class CipherEvaluator:
         self.memo[param.id] = ct
 
     def declare(self, roots) -> list[Expr]:
-        """Plan the run: name every root the evaluator will be asked for,
-        repeats counted, and return the requests left to answer.
+        """Plan the run over what ``memo`` holds now (see ``RunPlan``),
+        follow the plan, and return the requests left to answer."""
+        plan = RunPlan.over(roots, self.memo)
+        self.follow(plan)
+        return plan.requests
 
-        One walk follows what each node reads once bound (``_bound``) and,
-        past each comparison or sqrt not yet answered, its operands, which
-        the caller asks for once per request.  A node's reads still to come
-        are its asks plus one per node that reads it and is not yet
-        computed.  Each computed node, and each answered ask, uses up one
-        read of what it reads; a ciphertext is dropped from ``memo`` once
-        its reads are used up, and one that nothing declared reads is
-        dropped now.  Afterwards only declared roots and request operands
-        may be asked for, each as often as declared.
-
-        Returns the unanswered comparison and sqrt nodes in id order.
-        """
-        roots = list(roots)
-        kids = lambda n: operands(n) if n.op in (BOOL, SQRT) else _bound(n)
-        order = schedule(roots, self.memo, kids)
-        reads = Counter(r.id for r in roots)
-        reads.update(k.id for n in order for k in kids(n))
-        self._reads = reads
-        self.memo = {i: ct for i, ct in self.memo.items() if i in reads}
-        return [n for n in order if n.op in (BOOL, SQRT)]
+    def follow(self, plan: RunPlan) -> None:
+        """Adopt ``plan``, made over a memo holding what this one holds:
+        copy its read counts and drop every ciphertext nothing reads."""
+        if len(self.memo) != plan.memo_size:
+            raise ValueError(f"the plan was made over {plan.memo_size} evaluated nodes, "
+                             f"not the {len(self.memo)} this evaluator holds")
+        self._reads = Counter(plan.reads)
+        self.memo = {i: ct for i, ct in self.memo.items() if i in self._reads}
 
     def _use(self, nodes) -> None:
         """Use up one read of each node, dropping the ciphertexts read for the last time."""
@@ -700,7 +742,7 @@ class CipherEvaluator:
         m = self.memo
         ctx = self.ctx
         if n.op == CIPHER:
-            return n.payload
+            return self.b.leaf_value(n)
         if n.op == PLAIN:
             # Public constants ride along unencrypted; wrap at full level.
             return Ciphertext(n.payload, ctx.params.depth_budget, 0.0)
@@ -740,6 +782,53 @@ class CipherEvaluator:
         if reads is not None:
             self._use((root,))
         return ct
+
+
+@dataclass(frozen=True)
+class RunPlan:
+    """What a ``CipherEvaluator`` run will read, worked out from the graph
+    alone, so one plan serves every input of a graph.
+
+    One walk from the roots follows what each node reads once bound
+    (``_bound``) and, past each comparison or sqrt not yet answered, its
+    operands, which the caller asks for once per request.  A node's reads
+    are its asks plus one per node that reads it and is not yet computed.
+    Each computed node, and each answered ask, uses up one read of what it
+    reads; a ciphertext is dropped once its reads are used up, and one
+    that nothing reads is dropped when the plan is followed.  Afterwards
+    only the roots and request operands may be asked for, each as often
+    as declared.
+
+    ``requests`` holds the comparison and sqrt nodes left to answer, in id
+    order; ``memo_size`` counts the nodes evaluated before the run.
+    """
+
+    requests: list[Expr]
+    reads: dict[int, int]
+    memo_size: int
+
+    @classmethod
+    def over(cls, roots, done) -> RunPlan:
+        """The plan for ``roots`` once the node ids in ``done`` are evaluated."""
+        roots = list(roots)
+        kids = lambda n: operands(n) if n.op in (BOOL, SQRT) else _bound(n)
+        order = schedule(roots, done, kids)
+        reads = Counter(r.id for r in roots)
+        reads.update(k.id for n in order for k in kids(n))
+        return cls([n for n in order if n.op in (BOOL, SQRT)], dict(reads), len(done))
+
+    @classmethod
+    def after(cls, evaluated, roots) -> RunPlan:
+        """The plan for ``roots`` once every node in ``evaluated`` has been
+        asked for, without a declared plan, from a fresh evaluator."""
+        return cls.over(roots, {n.id for n in schedule(evaluated, (), _bound)})
+
+    def by_tier(self) -> list[tuple[list[Expr], list[Expr]]]:
+        """The requests as (comparisons, sqrts) per tier, lowest tier first."""
+        tiers: dict[int, tuple[list[Expr], list[Expr]]] = {}
+        for n in self.requests:
+            tiers.setdefault(n.tier, ([], []))[n.op == SQRT].append(n)
+        return [tiers[t] for t in sorted(tiers)]
 
 
 def _as_subtraction(n: Expr) -> tuple[Expr, Expr] | None:

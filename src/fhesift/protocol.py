@@ -28,14 +28,17 @@ evaluates the residual tables straight from views into it.
 
 Lowering lives here, next to the layout it targets: ``lower`` turns the
 slots' normal forms into the package's pools and slot tables, so the
-serializer only pads, shuffles and writes them.  The package ships every
-piece once, in pools the slots refer into: one wire-id row per requested
-comparison and sqrt, each lane map, and each coefficient table, pooled
-per coefficient node and width, never by value.  A slot parameter is a
-(row, map or none) reference and a monomial a row of pool indices.  One
-slot evaluator, ``_evaluate_slots``, sums those tables for the client
-and for ``LoweredProgram.evaluate``: it gathers each (row, map) pair once
-for all slots that read it, and the client decrypts each pooled table once.
+serializer only pads, shuffles and writes them.  Those tables follow
+from the graph alone; ``LoweredProgram.bind`` adds one input's
+ciphertexts, so a graph is lowered once however many inputs it runs on.
+The package ships every piece once, in pools the slots refer into: one
+wire-id row per requested comparison and sqrt, each lane map, and each
+coefficient table, pooled per coefficient node and width, never by
+value.  A slot parameter is a (row, map or none) reference and a
+monomial a row of pool indices.  One slot evaluator, ``_evaluate_slots``,
+sums those tables for the client and for ``LoweredProgram.evaluate``: it
+gathers each (row, map) pair once for all slots that read it, and the
+client decrypts each pooled table once.
 
 A reindexed comparison has no records of its own.  In a package its
 parameter is its source comparison's row read through the lane map;
@@ -46,12 +49,20 @@ bound answer.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .ckks_sim import Ciphertext, CkksContext, SecretKey, Value
-from .deferred_graph import SQRT, CipherEvaluator, Comparison, Expr, GraphBuilder, sum_of_products
+from .deferred_graph import (
+    CipherEvaluator,
+    Comparison,
+    Expr,
+    GraphBuilder,
+    RunPlan,
+    SqrtRequest,
+    sum_of_products,
+)
 from .errors import DeferralUnsupported, MissingAssignment
 
 # Wire records.  A record's wire id is its position in its batch, and a
@@ -180,32 +191,49 @@ def _lanes(v: Value, width: int) -> np.ndarray:
 # -- lowering ---------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class LoweredProgram:
     """Requests plus slot tables, in the form the package ships them.
 
-    ``comparisons`` and ``sqrt_args`` hold the requests in id order, and
-    their wire-id rows are numbered in that order, comparisons first.
-    ``slots`` holds, in name order, each slot's ``width``, its (row, map)
-    ``params`` and its ``monomials`` table, as ``parse_package`` returns
-    them.  ``coeff_tables`` pools the coefficients as (ciphertext, slot
-    width): one table per coefficient node and width, never merged by
-    value, so which monomials share a table follows from the graph alone.
-    ``lane_maps`` pools the reindexed parameters' maps, one per builder map.
+    ``comparisons`` and ``sqrts`` hold the requests in id order, and their
+    wire-id rows are numbered in that order, comparisons first.  ``slots``
+    holds, in name order, each slot's ``width``, its (row, map) ``params``
+    and its ``monomials`` table, as ``parse_package`` returns them.
+    ``coeff_nodes`` pools the coefficients as (coefficient node, slot
+    width): one table per node and width, never merged by value, so which
+    monomials share a table follows from the graph alone.  ``lane_maps``
+    pools the reindexed parameters' maps, one per builder map.
+
+    All of that depends on the graph alone.  ``bind`` adds the
+    ciphertexts: ``cmp_operands`` and ``sqrt_args`` by request id, and
+    ``coeff_tables`` as (ciphertext, slot width) per pooled node.
     """
 
     comparisons: list[Comparison]
-    cmp_operands: dict[int, tuple[Ciphertext, Ciphertext]]
-    sqrt_args: dict[int, Ciphertext]
+    sqrts: list[SqrtRequest]
     slots: dict[str, dict]
     leakage: dict[str, int]
-    coeff_tables: list[tuple[Ciphertext, int]]
+    coeff_nodes: list[tuple[Expr, int]]
     lane_maps: list[np.ndarray]
+    cmp_operands: dict[int, tuple[Ciphertext, Ciphertext]] | None = None
+    sqrt_args: dict[int, Ciphertext] | None = None
+    coeff_tables: list[tuple[Ciphertext, int]] | None = None
+
+    def bind(self, evaluator: CipherEvaluator) -> LoweredProgram:
+        """This program with its ciphertexts, which ``evaluator``
+        evaluates: each coefficient table in pool order, then the
+        comparison operands, then the sqrt arguments."""
+        coeff_tables = [(evaluator.eval(e), w) for e, w in self.coeff_nodes]
+        return replace(
+            self, coeff_tables=coeff_tables,
+            cmp_operands={c.id: (evaluator.eval(c.lhs), evaluator.eval(c.rhs))
+                          for c in self.comparisons},
+            sqrt_args={q.id: evaluator.eval(q.arg) for q in self.sqrts})
 
     def evaluate(self, bools: dict[int, Value], sqrts: dict[int, Value] | None = None,
                  decrypt=lambda ct: ct.value) -> dict[str, Value]:
         """Every slot's value from resolved parameters, as the client
-        computes it from a package.
+        computes it from a package of this bound program.
 
         ``bools`` maps comparison ids to their answers and ``sqrts`` sqrt
         ids to their roots.  ``decrypt`` maps a coefficient ciphertext to
@@ -213,32 +241,35 @@ class LoweredProgram:
         """
         sqrts = sqrts or {}
         rows = []
-        for kind, values, ids in (("comparison", bools, self.cmp_operands),
-                                  ("sqrt request", sqrts, self.sqrt_args)):
-            for i in ids:
-                if i not in values:
-                    raise MissingAssignment(f"no value for {kind} {i}")
-                rows.append(values[i])
+        for kind, values, reqs in (("comparison", bools, self.comparisons),
+                                   ("sqrt request", sqrts, self.sqrts)):
+            for r in reqs:
+                if r.id not in values:
+                    raise MissingAssignment(f"no value for {kind} {r.id}")
+                rows.append(values[r.id])
         coeffs = [_lanes(decrypt(ct), w) for ct, w in self.coeff_tables]
         return _evaluate_slots(self.slots, rows, self.lane_maps, coeffs)
 
 
-def lower(builder: GraphBuilder, slots: dict[str, Expr], ctx: CkksContext,
+def lower(builder: GraphBuilder, slots: dict[str, Expr], ctx: CkksContext | None = None,
           evaluator: CipherEvaluator | None = None) -> LoweredProgram:
     """Lower named output slots to requests plus package slot tables.
 
     Every comparison and sqrt argument must be pure arithmetic (no nested
     unresolved parameters), otherwise the program needs mid-stream
-    re-encryption and only the interactive path can run it.  Coefficients
-    are evaluated server-side here, consuming simulator levels; passing a
-    shared evaluator lets successive calls reuse each other's work.
+    re-encryption and only the interactive path can run it.  Given ``ctx``
+    or an ``evaluator``, the program comes back bound: its coefficients
+    and request operands are evaluated server-side, consuming simulator
+    levels, and a shared evaluator lets successive calls reuse each
+    other's work.  Given neither, it holds the structure alone, which
+    depends on the graph only, and ``LoweredProgram.bind`` adds the
+    ciphertexts of each input.
 
     A slot's parameters are numbered slot-locally in normal-form key
     order: plain comparisons, then reindexed ones, then sqrts.  Each
     monomial row is its coefficient table followed by those local indices
     in the same order, padded with ``_NONE`` to the slot's highest degree.
     """
-    ev = evaluator if evaluator is not None else CipherEvaluator(ctx, builder)
     terms = {name: builder.sorted_terms(builder.normal_form(e)) for name, e in slots.items()}
     keys = {name: sorted({k for params, _ in nf for k in params}) for name, nf in terms.items()}
     used = set().union(*keys.values())
@@ -246,7 +277,7 @@ def lower(builder: GraphBuilder, slots: dict[str, Expr], ctx: CkksContext,
                      | {builder.reindexed[pid].source for k, pid in used if k == "r"})
     sqrt_ids = sorted(pid for k, pid in used if k == "s")
     rows = {k: i for i, k in enumerate([("b", c) for c in cmp_ids] + [("s", s) for s in sqrt_ids])}
-    coeff_tables: list[tuple[Ciphertext, int]] = []
+    coeff_nodes: list[tuple[Expr, int]] = []
     coeff_pool: dict[tuple[int, int], int] = {}  # (coefficient node id, width) -> table
     map_pool: dict[int, int] = {}  # builder map id -> pooled map
     lane_maps: list[np.ndarray] = []
@@ -268,34 +299,33 @@ def lower(builder: GraphBuilder, slots: dict[str, Expr], ctx: CkksContext,
         degree = max((len(p) for p, _ in nf), default=0)
         monos = []
         for mono, coeff in nf:
-            ref = coeff_pool.setdefault((coeff.id, width), len(coeff_tables))
-            if ref == len(coeff_tables):
-                coeff_tables.append((ev.eval(coeff), width))
+            ref = coeff_pool.setdefault((coeff.id, width), len(coeff_nodes))
+            if ref == len(coeff_nodes):
+                coeff_nodes.append((coeff, width))
             monos.append([ref, *sorted(local[k] for k in mono), *[_NONE] * (degree - len(mono))])
         tables[name] = {"width": width, "params": params,
                         "monomials": np.array(monos, dtype=_U4).reshape(len(monos), 1 + degree)}
 
-    def shipped(request: str, *exprs: Expr) -> tuple[Ciphertext, ...]:
+    comparisons = [builder.comparisons[cid] for cid in cmp_ids]
+    sqrts = [builder.sqrts[sid] for sid in sqrt_ids]
+    for request, exprs in ([(f"comparison {c.id}", (c.lhs, c.rhs)) for c in comparisons]
+                           + [(f"sqrt request {q.id}", (q.arg,)) for q in sqrts]):
         if any(e.tier > 0 for e in exprs):
             raise DeferralUnsupported(f"{request} depends on other unresolved parameters; "
                                       "it cannot ship in a single deferred package")
-        return tuple(ev.eval(e) for e in exprs)
-
-    comparisons = [builder.comparisons[cid] for cid in cmp_ids]
-    cmp_operands = {c.id: shipped(f"comparison {c.id}", c.lhs, c.rhs) for c in comparisons}
-    sqrt_args = {sid: shipped(f"sqrt request {sid}", builder.sqrts[sid].arg)[0]
-                 for sid in sqrt_ids}
 
     leakage = {
         "bool_params": len(cmp_ids),
         "sqrt_params": len(sqrt_ids),
         "monomials": sum(len(nf) for nf in terms.values()),
-        "coeff_tables": len(coeff_tables),
+        "coeff_tables": len(coeff_nodes),
         "lane_maps": len(lane_maps),
     }
-    return LoweredProgram(comparisons, cmp_operands, sqrt_args,
-                          {name: tables[name] for name in sorted(tables)},
-                          leakage, coeff_tables, lane_maps)
+    program = LoweredProgram(comparisons, sqrts, {name: tables[name] for name in sorted(tables)},
+                             leakage, coeff_nodes, lane_maps)
+    if ctx is None and evaluator is None:
+        return program
+    return program.bind(evaluator if evaluator is not None else CipherEvaluator(ctx, builder))
 
 
 def _evaluate_slots(slots: dict[str, dict], rows: list, maps: list[np.ndarray],
@@ -454,26 +484,25 @@ def _bind_response(width: int, values: np.ndarray, level: int) -> Ciphertext:
 def run_interactive(ctx: CkksContext, builder: GraphBuilder, slots: dict[str, Expr],
                     client: Client, policy: DecoyPolicy = DecoyPolicy(),
                     seed: int = 0, evaluator: CipherEvaluator | None = None,
-                    evaluate_slots: bool = True) -> ProtocolRun:
+                    evaluate_slots: bool = True, run_plan: RunPlan | None = None) -> ProtocolRun:
     """Resolve parameters wave by wave; rounds = dependency depth.
 
     Client answers come back encrypted at the full depth budget, which is
-    the only level-restoration mechanism in the system.  The evaluator's
-    ``declare`` plans the run: it returns the requests, grouped here by
-    tier, and frees each ciphertext, answers included, after its last
-    read; with ``evaluate_slots`` off, the caller must then evaluate each
-    slot once.  Requests the evaluator was built with answers to are not
-    asked again.
+    the only level-restoration mechanism in the system.  The evaluator
+    follows ``run_plan``, or declares the slots to plan the run now: the
+    plan holds the requests, asked here tier by tier, and frees each
+    ciphertext, answers included, after its last read.  With
+    ``evaluate_slots`` off, the caller must then evaluate each slot once.
+    Requests the evaluator was built with answers to are not asked again.
     """
     rng = np.random.default_rng(seed)
     ev = evaluator if evaluator is not None else CipherEvaluator(ctx, builder)
-    by_tier: dict[int, tuple[list[Expr], list[Expr]]] = {}
-    for n in ev.declare(slots.values()):
-        by_tier.setdefault(n.tier, ([], []))[n.op == SQRT].append(n)
+    if run_plan is None:
+        run_plan = RunPlan.over(slots.values(), ev.memo)
+    ev.follow(run_plan)
     trace: list[RoundTrace] = []
     full = ctx.params.depth_budget
-    for round_no, tier in enumerate(sorted(by_tier), start=1):
-        tier_cmps, tier_sqrts = by_tier[tier]
+    for round_no, (tier_cmps, tier_sqrts) in enumerate(run_plan.by_tier(), start=1):
         pairs = [(ev.eval(n.a), ev.eval(n.c)) for n in tier_cmps]
         cwidths = [n.width for n in tier_cmps]
         swidths = [n.width for n in tier_sqrts]

@@ -25,6 +25,21 @@ the orientation argmax (in deferred mode) and descriptor normalization
 happen client side, since none of them is expressible in deferred
 arithmetic.
 
+Compiled once per image shape: the graph, its normal forms and
+everything planned from them depend on the image shape, the config and
+the mode alone.  ``compile_circuit`` builds the graph with leaves that
+name their sources (a DoG layer at gather offsets, or a gradient block
+read whole or through a lane map) instead of holding ciphertexts, lists
+each stage's pure work, plans the protocol (the deferred package's
+lowered tables, or the interactive run's requests and read counts) and
+freezes the graph.  ``run_pipeline`` takes circuits from a memo keyed by
+(image shape, config, mode) that keeps the ``CIRCUIT_MEMO_SIZE`` most
+recently used.  Per image only the ciphertext work runs: scale space,
+the gradient blocks (counted under "orient"), binding the leaves, the
+pure evaluation, the coefficient tables, padding and shuffling, the
+client, and assembly.  A circuit holds no ciphertext, and nothing an
+image writes says whether its circuit came from the memo.
+
 Mode map: "plaintext" runs the branchy reference implementation on raw
 pixels; "interactive" resolves comparisons wave by wave, including a
 server-side select tournament for the orientation argmax; "deferred"
@@ -40,6 +55,7 @@ identical float operations in identical order.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from contextlib import contextmanager
@@ -47,11 +63,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ckks_sim import CkksContext, SimParams, concat, gather
-from .deferred_graph import CipherEvaluator, GraphBuilder
+from .ckks_sim import Ciphertext, CkksContext, SimParams, concat, gather
+from .deferred_graph import CIPHER, CipherEvaluator, Expr, GraphBuilder, RunPlan
 from .errors import ConfigError, DeferralUnsupported, DepthExhausted
 from .kernels import bin_mask, convolve2d, gaussian_kernel1d, vec_argmax_onehot, weighted_histogram
-from .protocol import Client, DecoyPolicy, lower, run_deferred, run_interactive
+from .protocol import Client, DecoyPolicy, LoweredProgram, lower, run_deferred, run_interactive
 
 MARGIN = 5  # descriptor window -4..3 plus the gradient ring
 WINDOW = range(-4, 4)  # descriptor window offsets; orientation reads the inner ones
@@ -79,6 +95,9 @@ class PipelineConfig:
     def __post_init__(self):
         if self.octaves < 1 or self.scales_per_octave < 1:
             raise ConfigError("octaves and scales_per_octave must be positive")
+        for name in ("base_sigma", "contrast_threshold", "edge_threshold"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, not {getattr(self, name)!r}")
         if self.base_sigma <= 0:
             raise ConfigError("base_sigma must be positive")
         if self.orientation_bins < 3:
@@ -259,6 +278,11 @@ class _GraphPlan:
         # these octaves' sites back to back, in octave order
         self.sites: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self.layers: dict[str, int] = {}  # graph name -> its layer index
+        # (ys, xs) pixel lists of each octave's ring (the sites widened by
+        # one sample) and gradient block (widened by the descriptor window)
+        self.ring: list = []
+        self.regions: list = []
+        self.leaves: list = []  # every leaf node, in id order
 
     def add_slot(self, stage: str, name: str, e):
         self.slots[name] = e
@@ -286,6 +310,18 @@ class _GraphPlan:
         b = self.builder
         return {st: sum(b.comparisons[c].width for c in cids if b.comparisons[c].tier == 1)
                 for st, cids in self.stage_cmps.items()}
+
+    def pure(self, stage: str) -> list:
+        """The stage's server work that needs no client answer: pure
+        comparison operands, pure sqrt arguments and the normal-form
+        coefficients of its roots, each once, in first-use order."""
+        b = self.builder
+        exprs = [side for cid in self.stage_cmps[stage]
+                 for side in (b.comparisons[cid].lhs, b.comparisons[cid].rhs)]
+        exprs += [b.sqrts[sid].arg for sid in self.stage_sqrts[stage]]
+        exprs = [e for e in exprs if e.tier == 0]
+        exprs += [c for root in self.stage_roots[stage] for c in b.normal_form(root).values()]
+        return list({e.id: e for e in exprs}.values())
 
     def waiting_stage(self) -> str | None:
         """The first stage owning requests that wait on earlier answers
@@ -347,8 +383,43 @@ def _or(b: GraphBuilder, p, q):
     return b.sub(b.add(p, q), b.mul(p, q))
 
 
-def _build_site_graph(ctx, plan: _GraphPlan, gauss, dog, dims, cfg: PipelineConfig,
-                      with_argmax: bool, report: RunReport):
+@dataclass(frozen=True)
+class _DogLeaf:
+    """Where a graph leaf's lanes come from: DoG layer ``layer`` of each
+    octave with sites, at the pixels of its ``block`` ("sites" or "ring")
+    shifted by (dy, dx), octaves back to back."""
+
+    layer: int
+    block: str
+    dy: int
+    dx: int
+
+
+@dataclass(frozen=True, eq=False)
+class _GradientLeaf:
+    """Where a graph leaf's lanes come from: the x (``axis`` 0) or y
+    (``axis`` 1) gradient block of Gaussian level ``layer``, read through
+    the lane map ``lanes``, or whole."""
+
+    layer: int
+    axis: int
+    lanes: np.ndarray | None = None
+
+
+def _octave_dims(shape: tuple[int, int], octaves: int) -> list[tuple[int, int]]:
+    """Each octave's (height, width); every octave halves the last,
+    rounding up, as ``_scale_space_cipher`` subsamples."""
+    dims = [tuple(shape)]
+    for _ in range(octaves - 1):
+        h, w = dims[-1]
+        dims.append(((h + 1) // 2, (w + 1) // 2))
+    return dims
+
+
+def _build_site_graph(plan: _GraphPlan, dims, cfg: PipelineConfig, with_argmax: bool):
+    """Build the site graph of an image whose octaves have shapes ``dims``.
+    Its leaves name their sources (``_DogLeaf``, ``_GradientLeaf``), so the
+    graph depends on the shapes and ``cfg`` only."""
     b = plan.builder
     s = cfg.scales_per_octave
     sigmas = cfg.sigmas()
@@ -363,11 +434,12 @@ def _build_site_graph(ctx, plan: _GraphPlan, gauss, dog, dims, cfg: PipelineConf
     if not plan.sites:
         return
     octs = list(plan.sites)
+    n_sites = sum(len(ys) for ys, _ in plan.sites.values())
 
     # Gradients are taken once per pixel of the region the descriptor
     # window covers.  Window position (uu, vv) reads them through a lane
     # map from sites to pixels.
-    regions, lanes = _block_maps(plan.sites, WINDOW)
+    plan.regions, lanes = _block_maps(plan.sites, WINDOW)
 
     # one graph per layer index, batching every octave's sites in octave
     # order; it is named after the octaves it spans, so a one-octave
@@ -381,12 +453,12 @@ def _build_site_graph(ctx, plan: _GraphPlan, gauss, dog, dims, cfg: PipelineConf
     # lane, and its min test as (l + dl, l, -d) at the ring lane of p + d,
     # through 9 lane maps that every layer index shares; the graphs of
     # layer indices l and l + 1 share the tests between their layers.
-    ring, ring_maps = _block_maps(plan.sites, range(-1, 2))
+    plan.ring, ring_maps = _block_maps(plan.sites, range(-1, 2))
+    n_ring = sum(len(py) for py, _ in plan.ring)
     ring_tests: dict = {}
 
     def ring_leaf(layer, dy, dx):
-        return b.cipher(concat([gather(dog[o][layer], (py + dy, px + dx))
-                                for o, (py, px) in zip(octs, ring)]))
+        return b.leaf(_DogLeaf(layer, "ring", dy, dx), n_ring)
 
     def ring_test(la, lb, dy, dx):
         key = (la, lb, dy, dx)
@@ -405,9 +477,8 @@ def _build_site_graph(ctx, plan: _GraphPlan, gauss, dog, dims, cfg: PipelineConf
         def dleaf(dl, dy, dx, tag=""):
             key = (dl, dy, dx, tag)
             if key not in dcache:
-                ct = concat([gather(dog[o][l + dl], (ys + dy, xs + dx))
-                             for o, (ys, xs) in plan.sites.items()])
-                dcache[key] = b.cipher(ct, name=f"{p}{tag}d{dl:+d}{dy:+d}{dx:+d}")
+                dcache[key] = b.leaf(_DogLeaf(l + dl, "sites", dy, dx), n_sites,
+                                     name=f"{p}{tag}d{dl:+d}{dy:+d}{dx:+d}")
             return dcache[key]
 
         # detect: strict max or strict min among the 26 neighbors,
@@ -476,19 +547,15 @@ def _build_site_graph(ctx, plan: _GraphPlan, gauss, dog, dims, cfg: PipelineConf
             plan.stage_roots["localize"].append(e)
             plan.add_slot("localize", f"{p}/{name}", e)
 
-        # gradients of the Gaussian level over each octave's pixel block;
-        # orientation reads the window's inner part.  The bin masks below
-        # ask each pixel's comparisons once and reindex them per window
-        # position.  The 1/2 central-difference factor is folded into the
-        # plaintext weights; angles do not see scale.
-        with _stage(ctx, report, "orient"):
-            blocks = [(ctx.sub(gather(g, (py, px + 1)), gather(g, (py, px - 1))),
-                       ctx.sub(gather(g, (py + 1, px)), gather(g, (py - 1, px))))
-                      for g, (py, px) in zip((gauss[o][l] for o in octs), regions)]
-        gx, gy = (concat(block) for block in zip(*blocks))
-        gx_e, gy_e = b.cipher(gx, name=f"{p}gx"), b.cipher(gy, name=f"{p}gy")
-        grads = {(uu, vv): (b.cipher(gather(gx, at), name=f"{p}gx{uu:+d}{vv:+d}"),
-                            b.cipher(gather(gy, at), name=f"{p}gy{uu:+d}{vv:+d}"))
+        # gradients of the Gaussian level over each octave's pixel block
+        # (see ``_gradients``); orientation reads the window's inner part.
+        # The bin masks below ask each pixel's comparisons once and
+        # reindex them per window position.
+        n_block = sum(len(py) for py, _ in plan.regions)
+        gx_e = b.leaf(_GradientLeaf(l, 0), n_block, name=f"{p}gx")
+        gy_e = b.leaf(_GradientLeaf(l, 1), n_block, name=f"{p}gy")
+        grads = {(uu, vv): (b.leaf(_GradientLeaf(l, 0, at), len(at), name=f"{p}gx{uu:+d}{vv:+d}"),
+                            b.leaf(_GradientLeaf(l, 1, at), len(at), name=f"{p}gy{uu:+d}{vv:+d}"))
                  for (uu, vv), at in lanes.items()}
 
         # orientation histogram over the inner window
@@ -593,7 +660,92 @@ def _assemble(plan: _GraphPlan, values: dict, cfg: PipelineConfig,
     return kps
 
 
+# -- compile -----------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Circuit:
+    """The part of an encrypted run that depends on the image shape, the
+    config and the mode alone, compiled once and shared by every image of
+    that kind.  It holds no ciphertext: each image binds the frozen
+    graph's leaves (``GraphBuilder.bind``), evaluates ``pure`` through an
+    evaluator of its own, and binds ``program`` or follows ``run_plan``.
+    """
+
+    plan: _GraphPlan
+    pure: dict[str, list[Expr]]  # stage -> what _evaluate_pure asks for
+    dependency_depth: int
+    cmp_lanes: dict[str, int]
+    waiting_stage: str | None
+    program: LoweredProgram | None  # deferred: the slots lowered, unbound
+    run_plan: RunPlan | None  # interactive: the protocol's plan after _evaluate_pure
+
+
+def compile_circuit(shape: tuple[int, int], cfg: PipelineConfig, mode: str) -> Circuit:
+    """Build, simplify and plan the site graph of a ``shape`` image for
+    ``mode`` ("interactive" or "deferred"), then freeze it."""
+    plan = _GraphPlan(GraphBuilder())
+    _build_site_graph(plan, _octave_dims(shape, cfg.octaves), cfg,
+                      with_argmax=(mode == "interactive"))
+    b = plan.builder
+    pure = {stage: plan.pure(stage) for stage in _GRAPH_STAGES}
+    program = run_plan = None
+    if mode == "deferred":
+        program = lower(b, plan.slots)
+    else:
+        run_plan = RunPlan.after([e for es in pure.values() for e in es], plan.slots.values())
+    plan.leaves = [n for n in b.nodes if n.op == CIPHER]
+    b.freeze()
+    return Circuit(plan, pure, max((e.tier for e in plan.slots.values()), default=0),
+                   plan.cmp_lanes(), plan.waiting_stage(), program, run_plan)
+
+
+CIRCUIT_MEMO_SIZE = 4  # compiled circuits kept, least recently used dropped first
+
+
+@functools.lru_cache(maxsize=CIRCUIT_MEMO_SIZE)
+def _memo_circuit(shape: tuple[int, int], cfg: PipelineConfig, mode: str,
+                  cfg_text: str) -> Circuit:
+    """The circuit for (shape, cfg, mode).  ``cfg_text``, ``repr(cfg)``,
+    only keys the memo: configs that compare equal but differ in a sign
+    (0.0 and -0.0) put differently signed constants on the wire."""
+    return compile_circuit(shape, cfg, mode)
+
+
 # -- run ---------------------------------------------------------------------------
+
+
+def _gradients(ctx, plan: _GraphPlan, gauss) -> dict:
+    """Per layer index, the x and y central differences of its Gaussian
+    level over each octave's gradient block, octaves back to back.  The
+    1/2 central-difference factor is folded into the graph's plaintext
+    weights; angles do not see scale."""
+    out = {}
+    for l in plan.layers.values():
+        blocks = [(ctx.sub(gather(g, (py, px + 1)), gather(g, (py, px - 1))),
+                   ctx.sub(gather(g, (py + 1, px)), gather(g, (py - 1, px))))
+                  for g, (py, px) in zip((gauss[o][l] for o in plan.sites), plan.regions)]
+        out[l] = tuple(concat(block) for block in zip(*blocks))
+    return out
+
+
+def _bind_leaves(plan: _GraphPlan, dog, gradients) -> dict[int, Ciphertext]:
+    """Each leaf's ciphertext, gathered from one image's pyramids; leaves
+    with one DoG source share one ciphertext."""
+    blocks = {"sites": list(plan.sites.values()), "ring": plan.ring}
+    from_dog: dict[_DogLeaf, Ciphertext] = {}
+    out = {}
+    for n in plan.leaves:
+        src = n.payload
+        if isinstance(src, _DogLeaf):
+            if src not in from_dog:
+                from_dog[src] = concat([gather(dog[o][src.layer], (ys + src.dy, xs + src.dx))
+                                        for o, (ys, xs) in zip(plan.sites, blocks[src.block])])
+            out[n.id] = from_dog[src]
+        else:
+            g = gradients[src.layer][src.axis]
+            out[n.id] = g if src.lanes is None else gather(g, src.lanes)
+    return out
 
 
 def run_pipeline(img, cfg: PipelineConfig | None = None, sim: SimParams | None = None,
@@ -617,39 +769,40 @@ def run_pipeline(img, cfg: PipelineConfig | None = None, sim: SimParams | None =
             "sqrt-magnitude orientation weighting resolves square roots "
             "mid-histogram; run it interactively")
 
+    circuit = _memo_circuit(img.shape, cfg, mode, repr(cfg))
+    plan = circuit.plan
     ctx = CkksContext(sim, seed=seed)
     client = Client(ctx)
-    report = RunReport(mode, img.shape, seed, sim.depth_budget)
+    report = RunReport(mode, img.shape, seed, sim.depth_budget,
+                       dependency_depth=circuit.dependency_depth,
+                       cmp_lanes=dict(circuit.cmp_lanes))
 
     with _stage(ctx, report, "scale-space") as note:
-        gauss, dog, dims = _scale_space_cipher(ctx, ctx.encrypt(img), cfg)
+        gauss, dog, _ = _scale_space_cipher(ctx, ctx.encrypt(img), cfg)
         note([g for lv in gauss for g in lv] + [d for lv in dog for d in lv])
-
-    plan = _GraphPlan(GraphBuilder())
-    b = plan.builder
-    _build_site_graph(ctx, plan, gauss, dog, dims, cfg,
-                      with_argmax=(mode == "interactive"), report=report)
-    report.dependency_depth = max((e.tier for e in plan.slots.values()), default=0)
-    report.cmp_lanes = plan.cmp_lanes()
+    with _stage(ctx, report, "orient"):
+        gradients = _gradients(ctx, plan, gauss)
+    b = plan.builder.bind(_bind_leaves(plan, dog, gradients))
     ev = CipherEvaluator(ctx, b)
-    _evaluate_pure(ctx, plan, report, ev)
+    _evaluate_pure(ctx, circuit, report, ev)
 
     if mode == "deferred":
         with _stage(ctx, report, "protocol"):
-            # every ciphertext lowering needs is already in the memo
-            program = lower(b, plan.slots, ctx, evaluator=ev)
-            # the program tables hold every ciphertext that outlives
-            # lowering; dropping the memo releases all intermediates
+            # every ciphertext the program binds is already in the memo
+            program = circuit.program.bind(ev)
+            # the bound program holds every ciphertext that outlives
+            # binding; dropping the memo and the leaves releases the rest
             ev.memo.clear()
+            b.leaves.clear()
             run = run_deferred(program, client, DecoyPolicy(), seed=seed)
         values = plan.split({k: np.atleast_1d(np.asarray(v)) for k, v in run.results.items()})
         report.rounds = run.rounds
         report.leakage = run.leakage
         report.package_bytes = run.package_bytes
     else:
-        with _stage(ctx, report, "protocol", depth_stage=plan.waiting_stage()):
+        with _stage(ctx, report, "protocol", depth_stage=circuit.waiting_stage):
             run = run_interactive(ctx, b, plan.slots, client, DecoyPolicy(), seed=seed,
-                                  evaluator=ev, evaluate_slots=False)
+                                  evaluator=ev, evaluate_slots=False, run_plan=circuit.run_plan)
         report.rounds = run.rounds
         values = {}
         for stage in _GRAPH_STAGES:
@@ -671,20 +824,12 @@ def run_pipeline(img, cfg: PipelineConfig | None = None, sim: SimParams | None =
     return PipelineResult(kps, report, slots=values if keep_slots else None)
 
 
-def _evaluate_pure(ctx, plan: _GraphPlan, report: RunReport, ev: CipherEvaluator):
-    """Evaluate, stage by stage, all server work that needs no client answer:
-    pure comparison operands, pure sqrt arguments and the normal-form
-    coefficients of the stage's roots.  Both protocols then find these
-    ciphertexts in ``ev``'s memo, so running out of depth is attributed
-    to the stage that caused it.
+def _evaluate_pure(ctx, circuit: Circuit, report: RunReport, ev: CipherEvaluator):
+    """Evaluate, stage by stage, all server work that needs no client answer
+    (``_GraphPlan.pure``).  Both protocols then find these ciphertexts in
+    ``ev``'s memo, so running out of depth is attributed to the stage that
+    caused it.
     """
-    b = plan.builder
     for stage in _GRAPH_STAGES:
         with _stage(ctx, report, stage) as note:
-            exprs = [side for cid in plan.stage_cmps[stage]
-                     for side in (b.comparisons[cid].lhs, b.comparisons[cid].rhs)]
-            exprs += [b.sqrts[sid].arg for sid in plan.stage_sqrts[stage]]
-            exprs = [e for e in exprs if e.tier == 0]
-            exprs += [c for root in plan.stage_roots[stage]
-                      for c in b.normal_form(root).values()]
-            note([ev.eval(e) for e in exprs])
+            note([ev.eval(e) for e in circuit.pure[stage]])

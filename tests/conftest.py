@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from fhesift import PipelineConfig, run_pipeline
+from fhesift import PipelineConfig, run_pipeline, sift_pipeline
 from fhesift.pgm import format_pgm, parse_pgm
 
 # 32x32 synthetics run two octaves; the 64x64 image runs the default three.
@@ -75,6 +75,15 @@ def make_blob16() -> np.ndarray:
 
 def config_for(name: str) -> PipelineConfig:
     return CFG64 if name == "natural64" else CFG32
+
+
+@pytest.fixture(autouse=True)
+def cold_circuits():
+    """Every test starts, and leaves, with no compiled circuit memoized,
+    so one that patches graph construction compiles its own."""
+    sift_pipeline._memo_circuit.cache_clear()
+    yield
+    sift_pipeline._memo_circuit.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -12,6 +12,9 @@ def test_params_validation():
         SimParams(depth_budget=0)
     with pytest.raises(ValueError):
         SimParams(noise_per_mul=-1.0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            SimParams(noise_per_mul=bad)
 
 
 def test_encrypt_starts_at_full_level():

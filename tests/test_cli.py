@@ -149,6 +149,10 @@ def test_parse_settings_errors():
         parse_settings(["octaves=0"])
     with pytest.raises(ConfigError):
         parse_settings(["depth_budget=tall"])
+    for bad in ("contrast_threshold=nan", "edge_threshold=inf", "base_sigma=-inf",
+                "noise_per_mul=nan", "noise_per_mul=inf"):
+        with pytest.raises(ConfigError, match="finite"):
+            parse_settings([bad])
 
 
 # -- exit codes -----------------------------------------------------------------
@@ -164,6 +168,14 @@ def test_malformed_image_exits_1(tmp_path, capsys):
     bad.write_bytes(b"P9\n2 2\n255\n")
     assert main(["run", str(bad)]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_non_finite_setting_exits_1(image_path, tmp_path, capsys):
+    rc = main(["run", str(image_path), "--out", str(tmp_path / "o"),
+               "--set", "contrast_threshold=nan"])
+    assert rc == 1
+    assert "contrast_threshold must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_depth_exhaustion_exits_2(image_path, tmp_path, capsys):

@@ -416,7 +416,10 @@ def test_blob16_nodes_are_created_after_their_operands(monkeypatch):
 
     monkeypatch.setattr(GraphBuilder, "__init__", capture)
     run_pipeline(make_blob16(), PipelineConfig(octaves=1), mode="deferred", seed=SEED)
-    (b,) = builders
+    # a cold run compiles the graph, then binds the image's leaves through
+    # a second builder over the same nodes
+    b, bound = builders
+    assert bound.nodes is b.nodes and bound.frozen
     assert b.reindexed
     for i, n in enumerate(b.nodes):
         assert n.id == i

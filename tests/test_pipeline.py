@@ -50,6 +50,11 @@ def test_config_validation():
         PipelineConfig(orientation_bins=2)
     with pytest.raises(ConfigError):
         PipelineConfig(orientation_weighting="cubed")
+    # a nan field would also make the config unequal to itself
+    for name in ("base_sigma", "contrast_threshold", "edge_threshold"):
+        for bad in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ConfigError, match=f"{name} must be finite"):
+                PipelineConfig(**{name: bad})
     with pytest.raises(ConfigError):
         run_pipeline(np.zeros((16, 16)), mode="hybrid")
     with pytest.raises(ConfigError, match="unknown mode"):

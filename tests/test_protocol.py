@@ -564,9 +564,10 @@ def test_declare_returns_the_unanswered_requests_and_declares_their_operands():
     assert run.results["out"].value == pe.eval(slots["out"])
 
 
-def test_one_walk_plans_the_interactive_run(blob16, monkeypatch):
-    """Past the pipeline's pure evaluation, ``declare``'s walk is the only
-    one before the first request batch goes out."""
+def test_no_walk_plans_the_interactive_run(blob16, monkeypatch):
+    """Past the pipeline's pure evaluation, no walk runs before the first
+    request batch goes out: the run's plan was made when the circuit was
+    compiled."""
     calls = {"schedule": 0}
     schedule, request_batch = deferred_graph.schedule, protocol._request_batch
     at_first_batch = []
@@ -589,7 +590,7 @@ def test_one_walk_plans_the_interactive_run(blob16, monkeypatch):
     monkeypatch.setattr(protocol, "_request_batch", recording_batch)
     monkeypatch.setattr(sift_pipeline, "run_interactive", starting_run)
     run_pipeline(blob16, PipelineConfig(octaves=1), mode="interactive", seed=3)
-    assert at_first_batch[0] == 1
+    assert at_first_batch[0] == 0
 
 
 @pytest.mark.parametrize("toy", [_reindex_toy, _wire_toy])
