@@ -9,7 +9,9 @@ and a product too large to expand), 2 multiplicative depth exhausted,
 
 All outputs are deterministic functions of the input image, the
 configuration and the seed; nothing records wall-clock time or host
-state, so identical runs produce byte-identical files.
+state, so identical runs produce byte-identical files.  The one
+exception is opt-in and kept apart: ``run --timings PATH`` writes each
+stage's wall seconds to PATH, and to no other file.
 """
 
 from __future__ import annotations
@@ -168,6 +170,12 @@ def _cmd_run(args) -> int:
     print(f"wrote {out / 'keypoints.txt'}")
     print(f"wrote {out / 'report.kv'}")
     print(f"wrote {out / 'report.txt'}")
+    if args.timings:
+        timings = Path(args.timings)
+        timings.parent.mkdir(parents=True, exist_ok=True)
+        timings.write_text(render_kv((f"wall_s.{stage}", f"{seconds:.6f}") for stage, seconds
+                                     in sorted(result.report.stage_wall_s.items())))
+        print(f"wrote {timings}")
     return EXIT_OK
 
 
@@ -217,6 +225,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--out", default="out", help="output directory")
     p_run.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override a simulator or pipeline option")
+    p_run.add_argument("--timings", metavar="PATH",
+                       help="also write each stage's wall seconds to PATH, as key = value lines")
     p_run.set_defaults(func=_cmd_run)
 
     p_diff = sub.add_parser("diff", help="compare two keypoint files")

@@ -14,9 +14,7 @@ lane serve every lane that reads it.  The engine can:
     resolved inline) and ciphertext (parameters bound to encrypted values
     supplied by a client).
 
-``sum_of_products`` fixes the order in which a normal form's terms are
-summed; ``protocol`` lowers slots to package tables and sums them
-client-side through it.
+``protocol`` lowers slots to package tables, and its client sums them.
 
 Comparison semantics are strict: ``compare(a, b)`` is the boolean [a > b].
 Each unordered operand pair is recorded once; building the reversed
@@ -34,10 +32,11 @@ through ``schedule`` and handles nodes in id order.  Ids are handed out in
 creation order and a node is created after the nodes it reads, so id order
 is topological.  Noise-mode multiplications draw their noise in that order
 too.  Normal forms keep monomials in a canonical order, parameter products
-fold as balanced trees and sums fold left.  The server-side ciphertext
-walk and the client-side residual walk perform the same float operations
-in the same order, so exact-mode results agree bit for bit across
-execution modes.
+fold as balanced trees and sums fold left.  The client-side residual sum
+adds the same terms in the same order; a product of comparison answers,
+each exactly 0 or 1, is the same whatever its order, and a product with
+a square root folds as the server folds it.  So exact-mode results agree
+bit for bit across execution modes.
 """
 
 from __future__ import annotations
@@ -845,21 +844,6 @@ def _as_subtraction(n: Expr) -> tuple[Expr, Expr] | None:
     if n.a.op == NEG:
         return n.c, n.a.a
     return None
-
-
-def sum_of_products(terms) -> Value:
-    """Sum of ``prod(values) * coeff`` over (values, coeff) terms.
-
-    Products fold as balanced trees and terms add left to right, mirroring
-    the server-side walk; the slot evaluator in ``protocol`` sums through
-    here so its results agree with that walk bit for bit.  No terms sum
-    to 0.0.
-    """
-    acc = None
-    for vals, coeff in terms:
-        term = balanced_fold(vals, lambda x, y: x * y) * coeff if vals else coeff
-        acc = term if acc is None else acc + term
-    return 0.0 if acc is None else acc
 
 
 # -- pretty printing ----------------------------------------------------------------

@@ -36,9 +36,9 @@ wire-id row per requested comparison and sqrt, each lane map, and each
 coefficient table, pooled per coefficient node and width, never by
 value.  A slot parameter is a (row, map or none) reference and a
 monomial a row of pool indices.  One slot evaluator, ``_evaluate_slots``,
-sums those tables for the client and for ``LoweredProgram.evaluate``: it
-gathers each (row, map) pair once for all slots that read it, and the
-client decrypts each pooled table once.
+sums those tables in whole-array passes, for the client and for
+``LoweredProgram.evaluate``: a product of 0/1 answers is an AND of bits,
+and the client decrypts each pooled table once.
 
 A reindexed comparison has no records of its own.  In a package its
 parameter is its source comparison's row read through the lane map;
@@ -61,7 +61,7 @@ from .deferred_graph import (
     GraphBuilder,
     RunPlan,
     SqrtRequest,
-    sum_of_products,
+    balanced_fold,
 )
 from .errors import DeferralUnsupported, MissingAssignment
 
@@ -143,7 +143,8 @@ def _sections(buf, lengths: dict[str, list[int]] | None = None) -> dict:
 
 def _runs(lengths: np.ndarray, flat: np.ndarray) -> list[np.ndarray]:
     """A ragged section's runs, one view each."""
-    return np.split(flat, np.cumsum(lengths[:-1], dtype=np.int64)) if len(lengths) else []
+    ends = np.cumsum(lengths, dtype=np.int64).tolist()
+    return [flat[a:b] for a, b in zip([0, *ends], ends)]
 
 
 MIN_RECORDS = 8  # the smallest padded request batch
@@ -235,20 +236,26 @@ class LoweredProgram:
         """Every slot's value from resolved parameters, as the client
         computes it from a package of this bound program.
 
-        ``bools`` maps comparison ids to their answers and ``sqrts`` sqrt
-        ids to their roots.  ``decrypt`` maps a coefficient ciphertext to
-        its value; by default it reads the carried value.
+        ``bools`` maps comparison ids to their answers, each exactly 0.0
+        or 1.0 (else ValueError), and ``sqrts`` sqrt ids to their roots.
+        ``decrypt`` maps a coefficient ciphertext to its value; by default
+        it reads the carried value.
         """
         sqrts = sqrts or {}
-        rows = []
         for kind, values, reqs in (("comparison", bools, self.comparisons),
                                    ("sqrt request", sqrts, self.sqrts)):
             for r in reqs:
                 if r.id not in values:
                     raise MissingAssignment(f"no value for {kind} {r.id}")
-                rows.append(values[r.id])
-        coeffs = [_lanes(decrypt(ct), w) for ct, w in self.coeff_tables]
-        return _evaluate_slots(self.slots, rows, self.lane_maps, coeffs)
+        answers = np.concatenate([np.empty(0)] + [_lanes(bools[c.id], c.width)
+                                                  for c in self.comparisons])
+        ones = answers == 1.0
+        if not np.array_equal(answers, ones) or np.signbit(answers).any():
+            raise ValueError("a comparison answer must be exactly 0.0 or 1.0")
+        roots = [_lanes(sqrts[q.id], q.arg.width) for q in self.sqrts]
+        return _evaluate_slots(self.slots, ones, np.array([c.width for c in self.comparisons]),
+                               roots, self.lane_maps, [w for _, w in self.coeff_tables],
+                               lambda k: decrypt(self.coeff_tables[k][0]))
 
 
 def lower(builder: GraphBuilder, slots: dict[str, Expr], ctx: CkksContext | None = None,
@@ -328,37 +335,74 @@ def lower(builder: GraphBuilder, slots: dict[str, Expr], ctx: CkksContext | None
     return program.bind(evaluator if evaluator is not None else CipherEvaluator(ctx, builder))
 
 
-def _evaluate_slots(slots: dict[str, dict], rows: list, maps: list[np.ndarray],
-                    coeffs: list[Value]) -> dict[str, Value]:
-    """Each slot's value from its tables, given the resolved lanes of every
-    wire-id row and the value of every coefficient table.
-
-    Each (row, map) parameter is gathered once and kept until the last
-    slot that reads it; every slot sums through ``sum_of_products``, so
-    its float operations are the server-side walk's.
+def _evaluate_slots(slots: dict[str, dict], answers: np.ndarray, lengths: np.ndarray,
+                    roots: list[np.ndarray], maps: list[np.ndarray],
+                    table_widths: list[int], table) -> dict[str, Value]:
+    """Each slot's value, given every comparison row's boolean answers
+    back to back (``lengths[r]`` lanes for row r), each sqrt row's roots
+    and coefficient table k as ``table(k)``.  A product of 0/1 answers is
+    an AND of bits, packed once per distinct parameter and slot width; a
+    monomial with a sqrt factor folds its floats as a balanced tree, as
+    the server does.  Terms add in monomial order, left to right.
     """
-    tables = {name: (slot["width"], slot["params"].tolist(), slot["monomials"].tolist())
-              for name, slot in slots.items()}
-    uses = Counter(p for _, params, _ in tables.values() for p in params)
-    gathered: dict[tuple[int, int], Value] = {}
+    stacks = {w: np.empty((n, w)) for w, n in Counter(table_widths).items()}
+    table_row, filled = np.empty(len(table_widths), dtype=np.intp), Counter()
+    for k, w in enumerate(table_widths):
+        table_row[k] = filled[w]
+        filled[w] += 1
+        stacks[w][table_row[k]] = table(k)
+
+    starts = np.concatenate([[0], np.cumsum(lengths, dtype=np.int64)])
+    n_cmp = len(lengths)
+    # each distinct (width, row, map) comparison parameter's row of bits;
+    # row 0 is all ones, for monomial padding and sqrt factors
+    bit_row: dict[tuple[int, int, int], int] = {}
+    reads: dict[tuple[int, int, int], list[int]] = {}  # rows read alike, one gather
+    n_bits: Counter = Counter()
+    local: dict[str, list[int]] = {}  # each slot parameter's bit row, then padding's
+    for name, slot in slots.items():
+        w = slot["width"]
+        local[name] = []
+        for r, m in slot["params"].tolist():
+            if r < n_cmp and (w, r, m) not in bit_row:
+                bit_row[w, r, m] = n_bits[w] = n_bits[w] + 1
+                reads.setdefault((w, m, lengths[r] if m == _NONE else 0), []).append(r)
+            local[name].append(bit_row.get((w, r, m), 0))
+        local[name].append(0)
+    bits = {w: np.full((n_bits[w] + 1, (w + 7) // 8), 0xFF, dtype=np.uint8)
+            for w in {slot["width"] for slot in slots.values()}}
+    for (w, m, n), rows in reads.items():
+        got = answers[starts[rows][:, None] + (np.arange(n) if m == _NONE else maps[m])]
+        bits[w][[bit_row[w, r, m] for r in rows]] = np.packbits(
+            np.broadcast_to(got, (len(rows), w)), axis=1)
+
+    def float_lanes(r: int, m: int) -> np.ndarray:
+        v = answers[starts[r]:starts[r + 1]].astype(np.float64) if r < n_cmp else roots[r - n_cmp]
+        return v if m == _NONE else v[maps[m]]
+
     results: dict[str, Value] = {}
-    for name, (width, params, monos) in tables.items():
-        vals = []
-        for key in params:
-            if key not in gathered:
-                row, lane_map = key
-                v = rows[row]
-                gathered[key] = v if lane_map == _NONE else np.asarray(v)[maps[lane_map]]
-            vals.append(gathered[key])
-            uses[key] -= 1
-            if not uses[key]:
-                del gathered[key]
-        out = sum_of_products(([vals[i] for i in refs if i != _NONE], coeffs[ref])
-                              for ref, *refs in monos)
-        if isinstance(out, np.ndarray) and width == 1:
-            out = float(out[0])
-        results[name] = out
+    for name, slot in slots.items():
+        w, monos, params = slot["width"], slot["monomials"], slot["params"]
+        if not len(monos):
+            results[name] = 0.0
+            continue
+        terms = stacks[w][table_row[monos[:, 0]]]
+        # _NONE padding reads the 0 after the parameters' bit rows
+        factors = np.minimum(monos[:, 1:], len(params))
+        if factors.shape[1]:
+            refs = np.array(local[name])[factors]
+            terms *= np.unpackbits(np.bitwise_and.reduce(bits[w][refs], axis=1), axis=1, count=w)
+        sqrt = np.append(params["row"] >= n_cmp, False)[factors].any(axis=1) if roots else ()
+        for i in np.flatnonzero(sqrt).tolist():
+            vals = [float_lanes(*params[j].tolist()) for j in factors[i] if j < len(params)]
+            terms[i] = balanced_fold(vals, np.multiply) * stacks[w][table_row[monos[i, 0]]]
+        # left to right: a reduction over rows adds row after row onto
+        # -0.0, which leaves the first row's bits as they are; numpy sums
+        # a column of single lanes pairwise, so those accumulate instead
+        results[name] = (np.add.reduce(terms, axis=0, initial=-0.0) if w > 1
+                         else float(np.add.accumulate(terms[:, 0])[-1]))
     return results
+
 
 class Client:
     """Key holder; resolves comparison and sqrt requests, nothing else.
@@ -384,10 +428,10 @@ class Client:
         return self.sk.decrypt_calls - self.attributed_decrypts
 
     def _greater(self, recs: np.ndarray) -> np.ndarray:
-        """[lhs > rhs] as 0.0/1.0 per comparison record; both decrypted
+        """[lhs > rhs] as a boolean per comparison record; both decrypted
         operand columns are freed before this returns."""
         return np.greater(self._decrypt(Ciphertext(recs["lhs"], 0)),
-                          self._decrypt(Ciphertext(recs["rhs"], 0))).astype(np.float64)
+                          self._decrypt(Ciphertext(recs["rhs"], 0)))
 
     def _roots(self, recs: np.ndarray) -> np.ndarray:
         """The square root of each sqrt record's decrypted argument."""
@@ -409,18 +453,19 @@ class Client:
     def resolve_package(self, blob: bytes) -> dict[str, Value]:
         """Decrypt a deferred package and finish the computation locally.
 
-        Each pooled coefficient table is decrypted once and each wire-id
-        row read once; the slots are then summed as ``_evaluate_slots``
-        does for ``LoweredProgram.evaluate``.
+        Every comparison row's answers are gathered in one pass and each
+        pooled coefficient table is decrypted once; ``_evaluate_slots``
+        then sums the slots, as it does for ``LoweredProgram.evaluate``.
         """
         pkg = parse_package(blob)
-        bool_wire = self._greater(pkg["comparisons"])
+        lengths, ids = pkg["cmp_ids"]
+        answers = self._greater(pkg["comparisons"])[ids]
         sqrt_wire = self._roots(pkg["sqrts"]) if len(pkg["sqrts"]) else np.empty(0)
-        rows = [(bool_wire if r < pkg["cmp_rows"] else sqrt_wire)[ids]
-                for r, ids in enumerate(pkg["rows"])]
-        del bool_wire, sqrt_wire
-        coeffs = [self._decrypt(Ciphertext(lanes, level)) for lanes, level in pkg["coeffs"]]
-        return _evaluate_slots(pkg["slots"], rows, pkg["maps"], coeffs)
+        roots = [sqrt_wire[row] for row in pkg["rows"][pkg["cmp_rows"]:]]
+        coeffs = pkg["coeffs"]
+        return _evaluate_slots(pkg["slots"], answers, lengths, roots, pkg["maps"],
+                               [len(lanes) for lanes, _ in coeffs],
+                               lambda k: self._decrypt(Ciphertext(*coeffs[k])))
 
 
 # -- request batching -------------------------------------------------------------
@@ -603,7 +648,8 @@ def parse_package(blob) -> dict:
     """Package tables as views into ``blob``; nothing is copied.
 
     ``rows`` holds the wire-id row of each requested comparison, then of
-    each sqrt (``cmp_rows`` of the first kind); ``coeffs`` holds
+    each sqrt (``cmp_rows`` of the first kind; ``cmp_ids`` holds those as
+    lengths and ids back to back); ``coeffs`` holds
     (lanes, level) per coefficient table.  A slot's ``params`` are
     (row, map) references, map ``_NONE`` for none, and each row of its
     ``monomials`` is a coefficient table index followed by slot-local
@@ -660,7 +706,7 @@ def parse_package(blob) -> dict:
                                          _runs(param_lens, params), _runs(mono_lens, monos))}
     return {"comparisons": sec["comparisons"], "sqrts": sec["sqrts"],
             "rows": _runs(cmp_lens, cmp_ids) + _runs(sqrt_lens, sqrt_ids),
-            "cmp_rows": len(cmp_lens), "maps": maps,
+            "cmp_rows": len(cmp_lens), "cmp_ids": (cmp_lens, cmp_ids), "maps": maps,
             "coeffs": list(zip(_runs(*sec["coeffs"]), sec["levels"].tolist())), "slots": slots}
 
 

@@ -49,8 +49,9 @@ the lowest bin.
 
 Cross-mode agreement is structural, not approximate: every slot the
 modes share is rebuilt into its canonical normal form first, so the
-server-side ciphertext walk and the client-side residual walk perform
-identical float operations in identical order.
+server-side ciphertext walk and the client-side residual sum add the
+same terms in the same order, and their products of 0/1 answers are
+exact.
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -185,6 +187,9 @@ class RunReport:
     rounds: list = field(default_factory=list)
     stage_ops: dict = field(default_factory=dict)
     stage_min_level: dict = field(default_factory=dict)
+    # wall seconds per stage: they depend on the host, so report.kv,
+    # which identical runs must reproduce byte for byte, never shows them
+    stage_wall_s: dict = field(default_factory=dict)
     cmp_lanes: dict = field(default_factory=dict)
     server_decrypt_calls: int = 0
     client_decrypt_calls: int = 0
@@ -336,7 +341,8 @@ class _GraphPlan:
 @contextmanager
 def _stage(ctx: CkksContext, report: RunReport, name: str, depth_stage: str | None = None):
     """Guard one stage: add its simulator ops to ``report.stage_ops[name]``
-    and re-raise DepthExhausted naming ``depth_stage`` (default ``name``).
+    and its wall seconds to ``report.stage_wall_s[name]``, and re-raise
+    DepthExhausted naming ``depth_stage`` (default ``name``).
 
     Yields ``note(cts)``, which lowers ``report.stage_min_level[name]`` to
     the lowest level among ``cts``.
@@ -348,11 +354,14 @@ def _stage(ctx: CkksContext, report: RunReport, name: str, depth_stage: str | No
             report.stage_min_level[name] = min(report.stage_min_level.get(name, low), low)
 
     before = ctx.snapshot_counts()
+    start = time.perf_counter()
     try:
         yield note
     except DepthExhausted as e:
         raise DepthExhausted(str(e), stage=depth_stage or name) from e
     finally:
+        report.stage_wall_s[name] = (report.stage_wall_s.get(name, 0.0)
+                                     + time.perf_counter() - start)
         acc = report.stage_ops.setdefault(name, {})
         for k, n in ctx.snapshot_counts().items():
             d = n - before.get(k, 0)

@@ -8,7 +8,7 @@ from fhesift import deferred_graph
 from fhesift.cli import main, parse_settings
 from fhesift.errors import ConfigError
 from fhesift.pgm import format_pgm
-from fhesift.sift_pipeline import keypoints_from_text
+from fhesift.sift_pipeline import STAGES, keypoints_from_text
 
 MODES = ("plaintext", "interactive", "deferred")
 
@@ -62,13 +62,28 @@ def test_encrypted_reports_embed_oracle_agreement(mode_dirs):
 
 
 def test_identical_runs_are_byte_identical(image_path, tmp_path):
+    """Also when one run writes its stage timings, which go elsewhere."""
     args = ["run", str(image_path), "--mode", "deferred", "--seed", "4",
             "--set", "octaves=1"]
     assert main(args + ["--out", str(tmp_path / "a")]) == 0
-    assert main(args + ["--out", str(tmp_path / "b")]) == 0
+    assert main(args + ["--out", str(tmp_path / "b"),
+                        "--timings", str(tmp_path / "timings.kv")]) == 0
+    assert (tmp_path / "timings.kv").read_text().startswith("wall_s.")
     for name in ("keypoints.txt", "report.kv", "report.txt"):
         assert (tmp_path / "a" / name).read_bytes() == \
             (tmp_path / "b" / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("mode", ["interactive", "deferred"])
+def test_timings_list_every_stage(image_path, tmp_path, capsys, mode):
+    timings = tmp_path / "t" / "timings.kv"
+    assert main(["run", str(image_path), "--mode", mode, "--out", str(tmp_path / "o"),
+                 "--set", "octaves=1", "--timings", str(timings)]) == 0
+    assert f"wrote {timings}" in capsys.readouterr().out
+    kv = dict(line.split(" = ") for line in timings.read_text().splitlines())
+    assert sorted(kv) == sorted(f"wall_s.{stage}" for stage in STAGES)
+    assert all(float(seconds) >= 0.0 for seconds in kv.values())
+    assert "wall_s" not in (tmp_path / "o" / "report.kv").read_text()
 
 
 # -- diff -----------------------------------------------------------------------

@@ -610,6 +610,107 @@ def test_lowered_program_evaluates_as_the_client_resolves_its_package(toy):
         assert np.asarray(got[name]).tobytes() == np.asarray(wire[name]).tobytes(), name
 
 
+def _reference_slots(slots, rows, maps, coeffs):
+    """The slot sum written out monomial by monomial: each product of float
+    factors folds as a balanced tree, is multiplied by its coefficient
+    row, and terms add left to right.  ``rows`` holds every row's float
+    lanes, comparison rows first."""
+    out = {}
+    for name, slot in slots.items():
+        vals = [rows[r] if m == protocol._NONE else rows[r][maps[m]]
+                for r, m in slot["params"].tolist()]
+        acc = None
+        for ref, *refs in slot["monomials"].tolist():
+            factors = [vals[i] for i in refs if i != protocol._NONE]
+            term = (deferred_graph.balanced_fold(factors, lambda x, y: x * y) * coeffs[ref]
+                    if factors else coeffs[ref])
+            acc = term if acc is None else acc + term
+        out[name] = 0.0 if acc is None else float(acc[0]) if slot["width"] == 1 else acc
+    return out
+
+
+def _random_slot_tables(rng, widths):
+    """Random package tables: comparison and sqrt rows of 1 lane or a
+    slot's width, lane maps over 1-lane and full rows, coefficient tables
+    holding signed zeros, and slots of 0 to 60 monomials of degree 0 to 6,
+    with up to 3 sqrt factors, some of whose roots are nan."""
+    NONE = protocol._NONE
+
+    def values(n):
+        v = rng.standard_normal(n) * 10.0 ** rng.integers(-6, 7, n)
+        v[rng.random(n) < 0.15] = 0.0
+        v[rng.random(n) < 0.15] = -0.0
+        return v
+
+    lengths = [int(rng.choice([1, w, w + 3])) for w in widths for _ in range(4)]
+    answers = rng.random(sum(lengths)) < 0.6
+    roots = [np.sqrt(np.abs(values(int(rng.choice([1, w]))))) for w in widths for _ in range(2)]
+    for r in roots:
+        r[rng.random(len(r)) < 0.15] = np.nan  # a negative argument's root
+    maps, reads = [], []  # reads: (row, map) pairs a parameter may use, per width
+    for w in widths:
+        mine = []
+        for r, n in enumerate(lengths):
+            if n in (1, w):
+                mine.append((r, NONE))
+            maps.append(rng.integers(0, n, int(rng.choice([1, w]))))
+            mine.append((r, len(maps) - 1))
+        for q, root in enumerate(roots):
+            if len(root) in (1, w):
+                mine.append((len(lengths) + q, NONE))
+        reads.append(mine)
+    table_widths = [w for w in widths for _ in range(5)]
+    coeffs = [values(w) for w in table_widths]
+    slots = {}
+    for i, (w, mine) in enumerate(zip(widths * 2, reads * 2)):
+        cmp_reads = [p for p in mine if p[0] < len(lengths)]
+        sqrt_reads = [p for p in mine if p[0] >= len(lengths)]
+        picked = [cmp_reads[j] for j in rng.permutation(len(cmp_reads))[:6]]
+        n_cmp = len(picked)
+        picked += [sqrt_reads[j] for j in rng.permutation(len(sqrt_reads))[:rng.integers(0, 4)]]
+        params = np.array(picked, dtype=protocol._PARAM)
+        degree = int(rng.integers(0, 7))
+        n_monos = 12 if w == 1 and i == 0 else int(rng.integers(0, 61))
+        tables = [k for k, tw in enumerate(table_widths) if tw == w]
+        monos = np.full((n_monos, 1 + degree), NONE, dtype=np.uint32)
+        for m in range(n_monos):
+            # half the monomials take every sqrt factor the slot has
+            mono = list(range(n_cmp, len(picked))) if rng.random() < 0.5 else []
+            d = int(rng.integers(0, max(degree - len(mono), 0) + 1))
+            mono += rng.permutation(n_cmp)[:d].tolist()
+            monos[m, 0] = rng.choice(tables)
+            mono = sorted(mono)[:degree]
+            monos[m, 1:1 + len(mono)] = mono
+        slots[f"s{i}"] = {"width": w, "params": params, "monomials": monos}
+    return slots, answers, np.array(lengths), roots, maps, coeffs, table_widths
+
+
+@pytest.mark.parametrize("widths", [[1], [2], [37], [1, 2, 37]])
+def test_slot_evaluator_matches_the_monomial_fold_bitwise(widths):
+    rng = np.random.default_rng(sum(widths))
+    for _ in range(40):
+        tables = _random_slot_tables(rng, widths)
+        slots, answers, lengths, roots, maps, coeffs, table_widths = tables
+        starts = np.concatenate([[0], np.cumsum(lengths)])
+        rows = [answers[a:b].astype(np.float64) for a, b in zip(starts, starts[1:])] + roots
+        want = _reference_slots(slots, rows, maps, coeffs)
+        got = protocol._evaluate_slots(slots, answers, lengths, roots, maps, table_widths,
+                                       lambda k: coeffs[k])
+        assert list(got) == list(want)
+        for name in want:
+            assert type(got[name]) is type(want[name]), name
+            assert np.asarray(got[name]).tobytes() == np.asarray(want[name]).tobytes(), name
+
+
+@pytest.mark.parametrize("answer", [0.5, 2.0, -1.0, -0.0, np.nan])
+def test_evaluate_rejects_an_answer_that_is_not_zero_or_one(answer):
+    ctx, b, slots = _toy()
+    prog = lower(b, slots, ctx)
+    assert prog.evaluate({0: 1.0}, {0: 3.0}) == {"pick": 4.0, "root": 3.0}
+    with pytest.raises(ValueError, match="exactly 0.0 or 1.0"):
+        prog.evaluate({0: answer}, {0: 3.0})
+
+
 def test_pools_share_by_graph_node_never_by_value():
     """A pooled package shows which monomials share a coefficient table,
     which follows from the graph; tables never merge because their lanes
