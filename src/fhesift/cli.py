@@ -11,7 +11,8 @@ All outputs are deterministic functions of the input image, the
 configuration and the seed; nothing records wall-clock time or host
 state, so identical runs produce byte-identical files.  The one
 exception is opt-in and kept apart: ``run --timings PATH`` writes each
-stage's wall seconds to PATH, and to no other file.
+stage's wall seconds to PATH, and to no other file, with the compile's
+as ``wall_s.compile`` when the run compiled its circuit.
 """
 
 from __future__ import annotations
@@ -226,7 +227,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override a simulator or pipeline option")
     p_run.add_argument("--timings", metavar="PATH",
-                       help="also write each stage's wall seconds to PATH, as key = value lines")
+                       help="also write each stage's wall seconds, and the compile's when the run "
+                            "compiles its circuit, to PATH, as key = value lines")
     p_run.set_defaults(func=_cmd_run)
 
     p_diff = sub.add_parser("diff", help="compare two keypoint files")

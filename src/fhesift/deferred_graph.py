@@ -28,7 +28,10 @@ interactive protocol answers a tier's requests in one round.
 
 Evaluation-order discipline: every walk over the graph (normal forms,
 plaintext and ciphertext evaluation, run planning, rendering) goes
-through ``schedule`` and handles nodes in id order.  Ids are handed out in
+through ``schedule`` and handles nodes in id order.  Ciphertext
+evaluation replays tapes of steps written in that order: one per call,
+or, for a planned run, one written with the plan, so each input replays
+it without walking the graph.  Ids are handed out in
 creation order and a node is created after the nodes it reads, so id order
 is topological.  Noise-mode multiplications draw their noise in that order
 too.  Normal forms keep monomials in a canonical order, parameter products
@@ -677,22 +680,65 @@ class PlainEvaluator:
         return self.eval(self.b._param_nodes["b", cmp.id])
 
 
+# Tape opcodes beyond the node opcodes ADD, MUL, NEG and PLAIN: what one
+# replayed step computes.
+SUB = "sub"
+MUL_PLAIN = "mul_plain"
+GATHER = "gather"
+LEAF = "leaf"
+
+
+def _step(n: Expr, free: tuple = ()) -> tuple:
+    """The tape step computing node ``n``: (opcode, destination id, operand
+    id, operand id or public payload, ids read for the last time).
+
+    A subtraction x + (-y) is one SUB of x and y; a product with a plain
+    constant is one MUL_PLAIN carrying the constant; a reindexed BoolVar
+    GATHERs its comparison through the map; a LEAF carries its node and a
+    PLAIN its constant.
+    """
+    if n.op == ADD:
+        sub = _as_subtraction(n)
+        if sub is not None:
+            return SUB, n.id, sub[0].id, sub[1].id, free
+        return ADD, n.id, n.a.id, n.c.id, free
+    if n.op == MUL:
+        if n.a.op == PLAIN:
+            return MUL_PLAIN, n.id, n.c.id, n.a.payload, free
+        if n.c.op == PLAIN:
+            return MUL_PLAIN, n.id, n.a.id, n.c.payload, free
+        return MUL, n.id, n.a.id, n.c.id, free
+    if n.op == NEG:
+        return NEG, n.id, n.a.id, None, free
+    if n.op == REINDEX:
+        return GATHER, n.id, n.a.id, n.b.reindexed[n.payload].index, free
+    if n.op == CIPHER:
+        return LEAF, n.id, n, None, free
+    if n.op == PLAIN:
+        return PLAIN, n.id, n.payload, None, free
+    raise AssertionError(n.op)  # pragma: no cover
+
+
 class CipherEvaluator:
     """Evaluates a DAG to ciphertexts through a simulator context.
 
     BoolVar / Sqrt nodes must be answered with encrypted values through
     ``bind`` (the interactive protocol binds them round by round; the
     constructor binds ``bool_cts`` and ``sqrt_cts``, keyed by comparison
-    and sqrt id); hitting an unbound parameter raises MissingAssignment.
+    and sqrt id); reading an unbound parameter raises MissingAssignment.
     A reindexed BoolVar gathers its bound comparison.  A subtraction,
     built as an ADD with a NEG child, costs one ``ctx.sub`` and no
     negation.
 
-    ``memo`` keeps every computed or bound ciphertext until ``declare``
-    names the roots the caller will ask for, or ``follow`` adopts a plan
-    made earlier; from then on each ciphertext, answers included, is
-    dropped after its last read.  Either way each node is computed once,
-    in the same order.
+    Every evaluation replays a tape of steps (see ``_step``) through one
+    executor.  Until a plan is followed, ``eval`` builds the tape of one
+    call from the nodes its root needs that ``memo`` lacks, in id order,
+    and ``memo`` keeps every computed or bound ciphertext.  ``follow``
+    adopts a ``RunPlan``, whose tape was built with the graph, and
+    ``declare`` makes one and follows it.  From then on each ``eval`` must
+    ask for the plan's next root and replays that root's segment, and each
+    ciphertext, answers included, is dropped after its last read.  Either
+    way each node is computed once, in the same order.
     """
 
     def __init__(self, ctx: CkksContext, builder: GraphBuilder,
@@ -701,7 +747,8 @@ class CipherEvaluator:
         self.ctx = ctx
         self.b = builder
         self.memo: dict[int, Ciphertext] = {}
-        self._reads: Counter | None = None  # node id -> reads still to come
+        self._tape: tuple | None = None  # the followed plan's segments
+        self._next = 0  # the segment the next ask replays
         for kind, cts in (("b", bool_cts), ("s", sqrt_cts)):
             for i, ct in (cts or {}).items():
                 self.bind(builder._param_nodes[kind, i], ct)
@@ -718,116 +765,175 @@ class CipherEvaluator:
         return plan.requests
 
     def follow(self, plan: RunPlan) -> None:
-        """Adopt ``plan``, made over a memo holding what this one holds:
-        copy its read counts and drop every ciphertext nothing reads."""
-        if len(self.memo) != plan.memo_size:
-            raise ValueError(f"the plan was made over {plan.memo_size} evaluated nodes, "
-                             f"not the {len(self.memo)} this evaluator holds")
-        self._reads = Counter(plan.reads)
-        self.memo = {i: ct for i, ct in self.memo.items() if i in self._reads}
+        """Adopt ``plan``, made over a memo holding the nodes this one
+        holds: drop every ciphertext nothing reads and replay the plan's
+        tape from its first ask."""
+        if self.memo.keys() != plan.evaluated:
+            raise ValueError(f"the plan was made over {len(plan.evaluated)} evaluated nodes; "
+                             f"this evaluator holds {len(self.memo)}, "
+                             f"{len(self.memo.keys() - plan.evaluated)} of them not among those")
+        for i in plan.dropped:
+            del self.memo[i]
+        self._tape, self._next = plan.tape, 0
 
-    def _use(self, nodes) -> None:
-        """Use up one read of each node, dropping the ciphertexts read for the last time."""
-        reads, memo = self._reads, self.memo
-        for k in nodes:
-            i = k.id
-            left = reads[i] - 1
-            if left:
-                reads[i] = left
-            else:
-                del reads[i], memo[i]
-
-    def _compute(self, n: Expr) -> Ciphertext:
-        m = self.memo
-        ctx = self.ctx
-        if n.op == CIPHER:
-            return self.b.leaf_value(n)
-        if n.op == PLAIN:
-            # Public constants ride along unencrypted; wrap at full level.
-            return Ciphertext(n.payload, ctx.params.depth_budget, 0.0)
-        if n.op == ADD:
-            sub = _as_subtraction(n)
-            if sub is not None:
-                return ctx.sub(m[sub[0].id], m[sub[1].id])
-            return ctx.add(m[n.a.id], m[n.c.id])
-        if n.op == NEG:
-            return ctx.neg(m[n.a.id])
-        if n.op == MUL:
-            x, y = m[n.a.id], m[n.c.id]
-            if n.a.op == PLAIN:
-                return ctx.mul_plain(y, n.a.payload)
-            if n.c.op == PLAIN:
-                return ctx.mul_plain(x, n.c.payload)
-            return ctx.mul(x, y)
-        if n.op == BOOL:  # bound answers are found in the memo
-            raise MissingAssignment(f"comparison {n.payload} is unresolved")
-        if n.op == SQRT:
-            raise MissingAssignment(f"sqrt request {n.payload} is unresolved")
-        if n.op == REINDEX:
-            return gather(m[n.a.id], self.b.reindexed[n.payload].index)
-        raise AssertionError(n.op)  # pragma: no cover
+    def _replay(self, steps) -> None:
+        """Run tape ``steps`` in order, each into ``memo``, dropping what
+        each reads for the last time."""
+        m, ctx = self.memo, self.ctx
+        for op, dst, x, y, free in steps:
+            if op == MUL:
+                m[dst] = ctx.mul(m[x], m[y])
+            elif op == ADD:
+                m[dst] = ctx.add(m[x], m[y])
+            elif op == SUB:
+                m[dst] = ctx.sub(m[x], m[y])
+            elif op == GATHER:
+                m[dst] = gather(m[x], y)
+            elif op == MUL_PLAIN:
+                m[dst] = ctx.mul_plain(m[x], y)
+            elif op == NEG:
+                m[dst] = ctx.neg(m[x])
+            elif op == LEAF:
+                m[dst] = self.b.leaf_value(x)
+            else:  # PLAIN: public constants ride along unencrypted, at full level
+                m[dst] = Ciphertext(x, ctx.params.depth_budget, 0.0)
+            if free:
+                for i in free:
+                    del m[i]
 
     def eval(self, root: Expr) -> Ciphertext:
-        memo, reads = self.memo, self._reads
-        if reads is not None and root.id not in reads:
-            raise ValueError(f"node {root.id} was not declared, or was asked for "
-                             "more often than declared")
-        if root.id not in memo:  # most calls ask again for an evaluated node
-            for n in schedule([root], memo, _bound):
-                memo[n.id] = self._compute(n)
-                if reads is not None:
-                    self._use(_bound(n))
-        ct = memo[root.id]
-        if reads is not None:
-            self._use((root,))
-        return ct
+        memo, tape = self.memo, self._tape
+        try:
+            if tape is None:
+                if root.id not in memo:  # most calls ask again for an evaluated node
+                    self._replay([_step(n) for n in schedule([root], memo, _bound)
+                                  if n.op != BOOL and n.op != SQRT])
+                return memo[root.id]
+            pos = self._next
+            if pos == len(tape) or tape[pos][0] != root.id:
+                raise ValueError(f"node {root.id} is not the plan's next ask: it was not "
+                                 "declared, is asked out of order, or is asked for more "
+                                 "often than declared")
+            self._next = pos + 1
+            _, steps, last = tape[pos]
+            self._replay(steps)
+            return memo.pop(root.id) if last else memo[root.id]
+        except KeyError as e:  # bound answers are found in the memo
+            n = self.b.nodes[e.args[0]]
+            if n.op not in (BOOL, SQRT):
+                raise
+            kind = "comparison" if n.op == BOOL else "sqrt request"
+            raise MissingAssignment(f"{kind} {n.payload} is unresolved") from None
 
 
 @dataclass(frozen=True)
 class RunPlan:
-    """What a ``CipherEvaluator`` run will read, worked out from the graph
-    alone, so one plan serves every input of a graph.
+    """A ``CipherEvaluator`` run worked out from the graph alone, so one
+    plan serves every input of a graph.
 
-    One walk from the roots follows what each node reads once bound
-    (``_bound``) and, past each comparison or sqrt not yet answered, its
-    operands, which the caller asks for once per request.  A node's reads
-    are its asks plus one per node that reads it and is not yet computed.
-    Each computed node, and each answered ask, uses up one read of what it
-    reads; a ciphertext is dropped once its reads are used up, and one
-    that nothing reads is dropped when the plan is followed.  Afterwards
-    only the roots and request operands may be asked for, each as often
-    as declared.
+    The caller asks, in this order: the ``first`` roots, which read no
+    unanswered request; for each tier, lowest first, each comparison's
+    two operands and then each sqrt's argument, binding the tier's
+    answers before the next tier's asks; then the roots.  Roots are asked
+    in the order given, each as often as given.  ``tape`` holds one
+    segment per ask: (root id, steps, whether this ask is the root's last
+    read).  The steps compute what the ask needs and ``memo`` lacks, in
+    id order, as an unplanned ``eval`` would, and each drops the
+    ciphertexts it reads for the last time.
+
+    One walk from the roots, through ``schedule``, finds what each node
+    reads once bound (``_bound``) and, past each comparison or sqrt not
+    yet answered, its operands, which are asked for instead.  Each node is
+    then given to the first ask that reaches it, and a pass over the run
+    backwards finds each ciphertext's last read.  Every node is computed
+    once, so a plan followed from the start frees everything it reads.
 
     ``requests`` holds the comparison and sqrt nodes left to answer, in id
-    order; ``memo_size`` counts the nodes evaluated before the run.
+    order; ``evaluated`` the ids evaluated before the run, of which
+    ``dropped`` are read by nothing and dropped when the plan is followed.
     """
 
     requests: list[Expr]
-    reads: dict[int, int]
-    memo_size: int
+    evaluated: frozenset[int]
+    dropped: tuple[int, ...]
+    tape: tuple[tuple[int, tuple, bool], ...]
 
     @classmethod
-    def over(cls, roots, done) -> RunPlan:
-        """The plan for ``roots`` once the node ids in ``done`` are evaluated."""
-        roots = list(roots)
-        kids = lambda n: operands(n) if n.op in (BOOL, SQRT) else _bound(n)
-        order = schedule(roots, done, kids)
-        reads = Counter(r.id for r in roots)
-        reads.update(k.id for n in order for k in kids(n))
-        return cls([n for n in order if n.op in (BOOL, SQRT)], dict(reads), len(done))
+    def over(cls, roots, done=(), first=()) -> RunPlan:
+        """The plan for ``roots`` once the node ids in ``done`` are
+        evaluated, asked for after ``first``, which read no request."""
+        first, roots = list(first), list(roots)
+        read: dict[int, tuple] = {}  # node id -> what it reads, as the walk found it
 
-    @classmethod
-    def after(cls, evaluated, roots) -> RunPlan:
-        """The plan for ``roots`` once every node in ``evaluated`` has been
-        asked for, without a declared plan, from a fresh evaluator."""
-        return cls.over(roots, {n.id for n in schedule(evaluated, (), _bound)})
+        def kids(n):
+            """What n reads once bound (``_bound``), but a request its operands."""
+            if n.op == ADD:
+                ks = _as_subtraction(n) or (n.a, n.c)
+            else:
+                ks = () if n.a is None else (n.a,) if n.c is None else (n.a, n.c)
+            read[n.id] = ks
+            return ks
+
+        order = schedule(first + roots, done, kids)
+        requests = [n for n in order if n.op in (BOOL, SQRT)]
+        asks = first + [k for cmps, sqrts in _by_tier(requests)
+                        for k in [side for n in cmps for side in (n.a, n.c)] + [n.a for n in sqrts]]
+        asks += roots
+
+        # An ask computes, in id order, the nodes its root reaches past the
+        # evaluated ones and the answers (each bound before anything reads
+        # it) that no earlier ask reached.  So a node is computed by the
+        # first ask reaching it: the first asking for it, or the first
+        # computing a node that reads it, found readers first.  ``by``
+        # maps a node id to that ask, len(asks) until one reaches it.
+        by = {n.id: len(asks) for n in order if n.op != BOOL and n.op != SQRT}
+        for a, root in enumerate(asks):
+            if by.get(root.id, -1) > a:
+                by[root.id] = a
+        for n in reversed(order):
+            a = by.get(n.id)
+            if a is not None:
+                for k in read[n.id]:
+                    i = k.id
+                    if by.get(i, -1) > a:
+                        by[i] = a
+        computes: list[list[Expr]] = [[] for _ in asks]
+        for n in order:
+            if n.id in by:
+                computes[by[n.id]].append(n)
+
+        # The run is each ask's nodes, then its root.  Walked backwards,
+        # the first read of a node met is its last.
+        seen: set[int] = set()
+        tape = []
+        for root, nodes in zip(reversed(asks), reversed(computes)):
+            last = root.id not in seen
+            seen.add(root.id)
+            steps = []
+            for n in reversed(nodes):
+                free = ()
+                for k in read[n.id]:
+                    i = k.id
+                    if i not in seen:
+                        seen.add(i)
+                        free += (i,)
+                steps.append(_step(n, free))
+            steps.reverse()
+            tape.append((root.id, tuple(steps), last))
+        tape.reverse()
+        dropped = tuple(i for i in done if i not in seen)
+        return cls(requests, frozenset(done), dropped, tuple(tape))
 
     def by_tier(self) -> list[tuple[list[Expr], list[Expr]]]:
         """The requests as (comparisons, sqrts) per tier, lowest tier first."""
-        tiers: dict[int, tuple[list[Expr], list[Expr]]] = {}
-        for n in self.requests:
-            tiers.setdefault(n.tier, ([], []))[n.op == SQRT].append(n)
-        return [tiers[t] for t in sorted(tiers)]
+        return _by_tier(self.requests)
+
+
+def _by_tier(requests) -> list[tuple[list[Expr], list[Expr]]]:
+    tiers: dict[int, tuple[list[Expr], list[Expr]]] = {}
+    for n in requests:
+        tiers.setdefault(n.tier, ([], []))[n.op == SQRT].append(n)
+    return [tiers[t] for t in sorted(tiers)]
 
 
 def _as_subtraction(n: Expr) -> tuple[Expr, Expr] | None:

@@ -6,7 +6,10 @@ resolve comparisons or square roots.  Two shapes of exchange exist:
   * interactive: unresolved parameters are grouped by dependency tier and
     shipped wave by wave.  The client decrypts the operand pair, answers
     with a freshly encrypted 0/1 (or root) at full depth, and the server
-    keeps evaluating.  Rounds equal the comparison dependency depth.
+    keeps evaluating.  Rounds equal the comparison dependency depth.  The
+    server's evaluator follows a ``RunPlan``: the run's requests, and a
+    tape of its steps, ask by ask, made from the graph alone, so a plan
+    made once serves every input and the run walks no graph.
   * deferred: the whole program is lowered to one package of comparison
     operands, sqrt arguments and residual coefficient tables.  One round,
     after which the client finishes the computation locally.
@@ -220,16 +223,22 @@ class LoweredProgram:
     sqrt_args: dict[int, Ciphertext] | None = None
     coeff_tables: list[tuple[Ciphertext, int]] | None = None
 
+    def operands(self) -> list[Expr]:
+        """What ``bind`` asks its evaluator for, in order: each pooled
+        coefficient node, then each comparison's lhs and rhs, then each
+        sqrt argument."""
+        return ([e for e, _ in self.coeff_nodes]
+                + [side for c in self.comparisons for side in (c.lhs, c.rhs)]
+                + [q.arg for q in self.sqrts])
+
     def bind(self, evaluator: CipherEvaluator) -> LoweredProgram:
         """This program with its ciphertexts, which ``evaluator``
-        evaluates: each coefficient table in pool order, then the
-        comparison operands, then the sqrt arguments."""
-        coeff_tables = [(evaluator.eval(e), w) for e, w in self.coeff_nodes]
+        evaluates, asked for as ``operands`` lists them."""
+        cts = iter([evaluator.eval(e) for e in self.operands()])
         return replace(
-            self, coeff_tables=coeff_tables,
-            cmp_operands={c.id: (evaluator.eval(c.lhs), evaluator.eval(c.rhs))
-                          for c in self.comparisons},
-            sqrt_args={q.id: evaluator.eval(q.arg) for q in self.sqrts})
+            self, coeff_tables=[(next(cts), w) for _, w in self.coeff_nodes],
+            cmp_operands={c.id: (next(cts), next(cts)) for c in self.comparisons},
+            sqrt_args={q.id: next(cts) for q in self.sqrts})
 
     def evaluate(self, bools: dict[int, Value], sqrts: dict[int, Value] | None = None,
                  decrypt=lambda ct: ct.value) -> dict[str, Value]:
@@ -357,7 +366,7 @@ def _evaluate_slots(slots: dict[str, dict], answers: np.ndarray, lengths: np.nda
     # each distinct (width, row, map) comparison parameter's row of bits;
     # row 0 is all ones, for monomial padding and sqrt factors
     bit_row: dict[tuple[int, int, int], int] = {}
-    reads: dict[tuple[int, int, int], list[int]] = {}  # rows read alike, one gather
+    reads: dict[tuple[int, int, int], list[int]] = {}  # (width, map, row length) -> rows
     n_bits: Counter = Counter()
     local: dict[str, list[int]] = {}  # each slot parameter's bit row, then padding's
     for name, slot in slots.items():
@@ -366,13 +375,23 @@ def _evaluate_slots(slots: dict[str, dict], answers: np.ndarray, lengths: np.nda
         for r, m in slot["params"].tolist():
             if r < n_cmp and (w, r, m) not in bit_row:
                 bit_row[w, r, m] = n_bits[w] = n_bits[w] + 1
-                reads.setdefault((w, m, lengths[r] if m == _NONE else 0), []).append(r)
+                reads.setdefault((w, m, int(lengths[r])), []).append(r)
             local[name].append(bit_row.get((w, r, m), 0))
         local[name].append(0)
     bits = {w: np.full((n_bits[w] + 1, (w + 7) // 8), 0xFF, dtype=np.uint8)
             for w in {slot["width"] for slot in slots.values()}}
+    # the rows of each length, gathered once into a (rows x length) block;
+    # a lane map then reads its rows' lanes along the block's second axis
+    in_block: dict[int, dict[int, int]] = {}  # length -> row -> its row of the block
+    for (_, _, n), rows in reads.items():
+        at = in_block.setdefault(n, {})
+        for r in rows:
+            at.setdefault(r, len(at))
+    blocks = {n: answers[starts[list(at)][:, None] + np.arange(n)] for n, at in in_block.items()}
     for (w, m, n), rows in reads.items():
-        got = answers[starts[rows][:, None] + (np.arange(n) if m == _NONE else maps[m])]
+        got = blocks[n][[in_block[n][r] for r in rows]]
+        if m != _NONE:
+            got = np.take(got, maps[m], axis=1)
         bits[w][[bit_row[w, r, m] for r in rows]] = np.packbits(
             np.broadcast_to(got, (len(rows), w)), axis=1)
 
@@ -533,18 +552,21 @@ def run_interactive(ctx: CkksContext, builder: GraphBuilder, slots: dict[str, Ex
     """Resolve parameters wave by wave; rounds = dependency depth.
 
     Client answers come back encrypted at the full depth budget, which is
-    the only level-restoration mechanism in the system.  The evaluator
-    follows ``run_plan``, or declares the slots to plan the run now: the
-    plan holds the requests, asked here tier by tier, and frees each
-    ciphertext, answers included, after its last read.  With
-    ``evaluate_slots`` off, the caller must then evaluate each slot once.
+    the only level-restoration mechanism in the system.  ``run_plan`` is
+    the plan ``evaluator`` already follows, made for the slots and
+    already asked for its ``first`` roots; without one, the evaluator
+    declares the slots to plan the run now.  The plan holds the requests,
+    asked here tier by tier, and the tape each ask replays, which frees
+    each ciphertext, answers included, after its last read.  With
+    ``evaluate_slots`` off, the caller must then ask for each slot once,
+    in the order of ``slots``, or of the roots ``run_plan`` was made for.
     Requests the evaluator was built with answers to are not asked again.
     """
     rng = np.random.default_rng(seed)
     ev = evaluator if evaluator is not None else CipherEvaluator(ctx, builder)
     if run_plan is None:
         run_plan = RunPlan.over(slots.values(), ev.memo)
-    ev.follow(run_plan)
+        ev.follow(run_plan)
     trace: list[RoundTrace] = []
     full = ctx.params.depth_budget
     for round_no, (tier_cmps, tier_sqrts) in enumerate(run_plan.by_tier(), start=1):

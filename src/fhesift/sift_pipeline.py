@@ -30,9 +30,10 @@ everything planned from them depend on the image shape, the config and
 the mode alone.  ``compile_circuit`` builds the graph with leaves that
 name their sources (a DoG layer at gather offsets, or a gradient block
 read whole or through a lane map) instead of holding ciphertexts, lists
-each stage's pure work, plans the protocol (the deferred package's
-lowered tables, or the interactive run's requests and read counts) and
-freezes the graph.  ``run_pipeline`` takes circuits from a memo keyed by
+each stage's pure work, lowers the deferred package's tables, plans the
+server's evaluation as a tape that each image replays (the pure work,
+then the package's operands or the interactive run) and freezes the
+graph.  ``run_pipeline`` takes circuits from a memo keyed by
 (image shape, config, mode) that keeps the ``CIRCUIT_MEMO_SIZE`` most
 recently used.  Per image only the ciphertext work runs: scale space,
 the gradient blocks (counted under "orient"), binding the leaves, the
@@ -187,7 +188,8 @@ class RunReport:
     rounds: list = field(default_factory=list)
     stage_ops: dict = field(default_factory=dict)
     stage_min_level: dict = field(default_factory=dict)
-    # wall seconds per stage: they depend on the host, so report.kv,
+    # wall seconds per stage, plus "compile" when the run compiled its
+    # circuit: they depend on the host and on the memo, so report.kv,
     # which identical runs must reproduce byte for byte, never shows them
     stage_wall_s: dict = field(default_factory=dict)
     cmp_lanes: dict = field(default_factory=dict)
@@ -677,8 +679,10 @@ class Circuit:
     """The part of an encrypted run that depends on the image shape, the
     config and the mode alone, compiled once and shared by every image of
     that kind.  It holds no ciphertext: each image binds the frozen
-    graph's leaves (``GraphBuilder.bind``), evaluates ``pure`` through an
-    evaluator of its own, and binds ``program`` or follows ``run_plan``.
+    graph's leaves (``GraphBuilder.bind``) and gives an evaluator of its
+    own ``run_plan``, whose tape replays the image's whole server-side
+    evaluation: ``pure``, then binding ``program`` or the interactive
+    run.
     """
 
     plan: _GraphPlan
@@ -687,7 +691,7 @@ class Circuit:
     cmp_lanes: dict[str, int]
     waiting_stage: str | None
     program: LoweredProgram | None  # deferred: the slots lowered, unbound
-    run_plan: RunPlan | None  # interactive: the protocol's plan after _evaluate_pure
+    run_plan: RunPlan  # _evaluate_pure's asks, then program.bind's or the protocol's
 
 
 def compile_circuit(shape: tuple[int, int], cfg: PipelineConfig, mode: str) -> Circuit:
@@ -698,11 +702,15 @@ def compile_circuit(shape: tuple[int, int], cfg: PipelineConfig, mode: str) -> C
                       with_argmax=(mode == "interactive"))
     b = plan.builder
     pure = {stage: plan.pure(stage) for stage in _GRAPH_STAGES}
-    program = run_plan = None
+    first = [e for es in pure.values() for e in es]
+    program = None
     if mode == "deferred":
         program = lower(b, plan.slots)
+        run_plan = RunPlan.over(program.operands(), first=first)
     else:
-        run_plan = RunPlan.after([e for es in pure.values() for e in es], plan.slots.values())
+        # run_pipeline asks for the slots stage by stage
+        run_plan = RunPlan.over([plan.slots[name] for stage in _GRAPH_STAGES
+                                 for name in plan.stage_slots[stage]], first=first)
     plan.leaves = [n for n in b.nodes if n.op == CIPHER]
     b.freeze()
     return Circuit(plan, pure, max((e.tier for e in plan.slots.values()), default=0),
@@ -778,6 +786,7 @@ def run_pipeline(img, cfg: PipelineConfig | None = None, sim: SimParams | None =
             "sqrt-magnitude orientation weighting resolves square roots "
             "mid-histogram; run it interactively")
 
+    misses, start = _memo_circuit.cache_info().misses, time.perf_counter()
     circuit = _memo_circuit(img.shape, cfg, mode, repr(cfg))
     plan = circuit.plan
     ctx = CkksContext(sim, seed=seed)
@@ -785,6 +794,8 @@ def run_pipeline(img, cfg: PipelineConfig | None = None, sim: SimParams | None =
     report = RunReport(mode, img.shape, seed, sim.depth_budget,
                        dependency_depth=circuit.dependency_depth,
                        cmp_lanes=dict(circuit.cmp_lanes))
+    if _memo_circuit.cache_info().misses > misses:  # this run compiled its circuit
+        report.stage_wall_s["compile"] = time.perf_counter() - start
 
     with _stage(ctx, report, "scale-space") as note:
         gauss, dog, _ = _scale_space_cipher(ctx, ctx.encrypt(img), cfg)
@@ -793,15 +804,16 @@ def run_pipeline(img, cfg: PipelineConfig | None = None, sim: SimParams | None =
         gradients = _gradients(ctx, plan, gauss)
     b = plan.builder.bind(_bind_leaves(plan, dog, gradients))
     ev = CipherEvaluator(ctx, b)
+    ev.follow(circuit.run_plan)
     _evaluate_pure(ctx, circuit, report, ev)
 
     if mode == "deferred":
         with _stage(ctx, report, "protocol"):
-            # every ciphertext the program binds is already in the memo
+            # every ciphertext the program binds is already computed, and
+            # the plan frees each after binding it; the bound program
+            # holds every one that outlives binding, and dropping the
+            # leaves releases the rest
             program = circuit.program.bind(ev)
-            # the bound program holds every ciphertext that outlives
-            # binding; dropping the memo and the leaves releases the rest
-            ev.memo.clear()
             b.leaves.clear()
             run = run_deferred(program, client, DecoyPolicy(), seed=seed)
         values = plan.split({k: np.atleast_1d(np.asarray(v)) for k, v in run.results.items()})
@@ -816,9 +828,10 @@ def run_pipeline(img, cfg: PipelineConfig | None = None, sim: SimParams | None =
         values = {}
         for stage in _GRAPH_STAGES:
             with _stage(ctx, report, stage) as note:
-                # the protocol declared every slot, so the evaluator drops
-                # each slot's ciphertext once it is returned; decrypting it
-                # at once keeps one slot ciphertext alive at a time
+                # the run's plan asks for every slot once, in this order,
+                # so the evaluator drops each slot's ciphertext once it is
+                # returned; decrypting it at once keeps one slot
+                # ciphertext alive at a time
                 for name in plan.stage_slots[stage]:
                     ct = ev.eval(plan.slots[name])
                     note([ct])
@@ -835,9 +848,9 @@ def run_pipeline(img, cfg: PipelineConfig | None = None, sim: SimParams | None =
 
 def _evaluate_pure(ctx, circuit: Circuit, report: RunReport, ev: CipherEvaluator):
     """Evaluate, stage by stage, all server work that needs no client answer
-    (``_GraphPlan.pure``).  Both protocols then find these ciphertexts in
-    ``ev``'s memo, so running out of depth is attributed to the stage that
-    caused it.
+    (``_GraphPlan.pure``), the first asks of the circuit's plan, which
+    ``ev`` follows.  Both protocols then find these ciphertexts computed,
+    so running out of depth is attributed to the stage that caused it.
     """
     for stage in _GRAPH_STAGES:
         with _stage(ctx, report, stage) as note:

@@ -144,6 +144,10 @@ def test_a_memoized_circuit_holds_no_ciphertext(blob16, monkeypatch, mode):
     assert len(bound) == 2 and bound[0].nodes is circuit.plan.builder.nodes
     if mode == "interactive":
         assert any(isinstance(o, Ciphertext) for o in _reachable(bound[-1]))
+        # the interactive run's tape, replayed by both images, is data-free too
+        tape = circuit.run_plan.tape
+        assert any(steps for _, steps, _ in tape)
+        assert not any(isinstance(o, Ciphertext) for o in _reachable(tape))
 
 
 def test_the_memo_keeps_at_most_its_bound():

@@ -76,14 +76,18 @@ def test_identical_runs_are_byte_identical(image_path, tmp_path):
 
 @pytest.mark.parametrize("mode", ["interactive", "deferred"])
 def test_timings_list_every_stage(image_path, tmp_path, capsys, mode):
-    timings = tmp_path / "t" / "timings.kv"
-    assert main(["run", str(image_path), "--mode", mode, "--out", str(tmp_path / "o"),
-                 "--set", "octaves=1", "--timings", str(timings)]) == 0
-    assert f"wrote {timings}" in capsys.readouterr().out
-    kv = dict(line.split(" = ") for line in timings.read_text().splitlines())
-    assert sorted(kv) == sorted(f"wall_s.{stage}" for stage in STAGES)
-    assert all(float(seconds) >= 0.0 for seconds in kv.values())
-    assert "wall_s" not in (tmp_path / "o" / "report.kv").read_text()
+    """A run that compiles its circuit also lists the compile; a run that
+    finds it memoized does not."""
+    for run, compiled in (("cold", True), ("warm", False)):
+        timings = tmp_path / run / "timings.kv"
+        assert main(["run", str(image_path), "--mode", mode, "--out", str(tmp_path / run),
+                     "--set", "octaves=1", "--timings", str(timings)]) == 0
+        assert f"wrote {timings}" in capsys.readouterr().out
+        kv = dict(line.split(" = ") for line in timings.read_text().splitlines())
+        assert sorted(kv) == sorted(f"wall_s.{stage}" for stage
+                                    in STAGES + (("compile",) if compiled else ())), run
+        assert all(float(seconds) >= 0.0 for seconds in kv.values())
+        assert "wall_s" not in (tmp_path / run / "report.kv").read_text()
 
 
 # -- diff -----------------------------------------------------------------------

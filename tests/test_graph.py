@@ -15,6 +15,7 @@ from fhesift import (
     GraphBuilder,
     PipelineConfig,
     PlainEvaluator,
+    RunPlan,
     SimParams,
     format_expr,
     format_normal_form,
@@ -597,6 +598,135 @@ def test_declared_roots_release_every_ciphertext_after_its_last_read():
     assert ctx.snapshot_counts() == keep_ctx.snapshot_counts()  # nothing computed twice
     with pytest.raises(ValueError, match="more often than declared"):
         ev.eval(r1)
+
+
+def _random_program(rng, ctx):
+    """A random program over 4-lane leaves, in the style of acceptance
+    check c03: arithmetic, selects on comparisons (some reindexed, some
+    over operands that wait on earlier answers) and square roots.
+    Returns the builder, its slots and some pure comparison operands, to
+    ask for first, as the pipeline's pure pass does."""
+    b = GraphBuilder()
+    leaves = [b.cipher(ctx.encrypt(rng.uniform(-1.25, 1.25, 4))) for _ in range(5)]
+
+    def pure(depth):
+        r = rng.random()
+        if depth <= 0 or r < 0.3:
+            if rng.random() < 0.25:
+                return b.plain(round(float(rng.uniform(-1.25, 1.25)), 3))
+            return leaves[int(rng.integers(len(leaves)))]
+        if r < 0.9:
+            return (b.add, b.sub, b.mul)[int(rng.integers(3))](pure(depth - 1), pure(depth - 1))
+        return b.neg(pure(depth - 1))
+
+    def impure(depth):
+        r = rng.random()
+        if depth <= 0 or r < 0.2:
+            return pure(min(depth, 3))
+        if r < 0.45:
+            c = b.compare(impure(depth - 3) if rng.random() < 0.4 else pure(2), pure(2))
+            if c.op == "bool" and c.width == 4 and rng.random() < 0.3:
+                c = b.reindex(c, rng.integers(0, 4, 4))
+            return b.select(c, impure(depth - 2), impure(depth - 2))
+        if r < 0.55:
+            e = impure(depth - 3)
+            return b.sqrt_deferred(b.add(b.mul(e, e), b.plain(0.25)))
+        if r < 0.85:
+            return (b.add, b.sub, b.mul)[int(rng.integers(3))](impure(depth - 1),
+                                                               impure(depth - 1))
+        return b.neg(impure(depth - 1))
+
+    slots = {f"s{i}": impure(8) for i in range(12)}
+    pre = [side for c in b.comparisons if c.tier == 1 for side in (c.lhs, c.rhs)]
+    return b, slots, pre[:int(rng.integers(len(pre) + 1))]
+
+
+@pytest.mark.parametrize("noise", [0.0, 1e-9])
+def test_a_replayed_tape_matches_the_walk_on_random_programs(noise):
+    """A followed plan replays its tape; an evaluator with no plan walks
+    each ask.  Asked the same things and given the same answers, both
+    run the same simulator ops in the same order, so every slot agrees
+    bit for bit, level included, with noise injected too."""
+    rng = np.random.default_rng(11)
+    tiers = set()
+    for trial in range(12):
+        enc = _ctx(40)
+        b, slots, pre = _random_program(rng, enc)
+        plan = RunPlan.over(slots.values(), first=pre)
+        pe = PlainEvaluator(b)
+        answers = {n.id: enc.encrypt(pe.eval(n)) for n in plan.requests}
+        tiers.add(len(plan.by_tier()))
+        runs = []
+        for planned in (True, False):
+            ctx = CkksContext(SimParams(depth_budget=40, noise_per_mul=noise), seed=trial)
+            ev = CipherEvaluator(ctx, b)
+            if planned:
+                ev.follow(plan)
+            for e in pre:
+                ev.eval(e)
+            for cmps, sqrts in plan.by_tier():
+                for e in [side for n in cmps for side in (n.a, n.c)] + [n.a for n in sqrts]:
+                    ev.eval(e)
+                for n in cmps + sqrts:
+                    ev.bind(n, answers[n.id])
+            out = [ev.eval(e) for e in slots.values()]
+            assert (ev.memo == {}) == planned, trial
+            runs.append((ctx.snapshot_counts(),
+                         [(np.asarray(ct.value).tobytes(), ct.level) for ct in out]))
+        assert runs[0] == runs[1], trial
+    assert max(tiers) >= 3  # some requests waited on two rounds of answers
+
+
+def _one_request(ctx, b, sqrt=False):
+    x = b.cipher(ctx.encrypt(np.array([1.5, -2.0])), name="x")
+    y = b.cipher(ctx.encrypt(np.array([0.5, 4.0])), name="y")
+    p = b.sqrt_deferred(b.mul(x, x)) if sqrt else b.compare(x, y)
+    return x, y, p, b.mul(p, b.add(x, y))
+
+
+def test_a_followed_plan_takes_its_asks_in_order_and_as_often_as_planned():
+    ctx, b = _ctx(), GraphBuilder()
+    x, y, c, out = _one_request(ctx, b)
+    ev = CipherEvaluator(ctx, b)
+    assert ev.declare([out]) == [c]
+    with pytest.raises(ValueError, match="out of order"):
+        ev.eval(y)  # the comparison's lhs comes first
+    for e in (x, y):
+        ev.eval(e)
+    ev.bind(c, ctx.encrypt(np.array([1.0, 0.0])))
+    assert np.array_equal(ev.eval(out).value, [1.5 + 0.5, 0.0])
+    with pytest.raises(ValueError, match="more often than declared"):
+        ev.eval(out)
+
+
+@pytest.mark.parametrize("sqrt", [False, True])
+def test_reading_an_unbound_answer_on_a_tape_is_a_missing_assignment(sqrt):
+    ctx, b = _ctx(), GraphBuilder()
+    x, y, p, out = _one_request(ctx, b, sqrt)
+    ev = CipherEvaluator(ctx, b)
+    assert ev.declare([out]) == [p]
+    for e in operands(p):
+        ev.eval(e)
+    with pytest.raises(MissingAssignment, match="sqrt request 0" if sqrt else "comparison 0"):
+        ev.eval(out)  # the answer was never bound
+
+
+def test_follow_refuses_a_plan_made_over_other_nodes():
+    """A plan made after evaluating x + y does not fit an evaluator that
+    evaluated x * y instead, though both hold three nodes."""
+    ctx, b = _ctx(), GraphBuilder()
+    x, y = b.cipher(ctx.encrypt(2.0)), b.cipher(ctx.encrypt(3.0))
+    total, prod = b.add(x, y), b.mul(x, y)
+    plan = RunPlan.over([b.add(total, prod)], {x.id, y.id, total.id})
+    ev = CipherEvaluator(ctx, b)
+    ev.eval(prod)
+    assert len(ev.memo) == len(plan.evaluated) == 3
+    with pytest.raises(ValueError, match="1 of them not among those"):
+        ev.follow(plan)
+    fits = CipherEvaluator(ctx, b)
+    fits.eval(total)
+    fits.follow(plan)
+    assert fits.eval(b.add(total, prod)).value == 11.0
 
 
 def test_plain_evaluator_vectorizes_over_lanes():

@@ -547,9 +547,11 @@ def test_declare_returns_the_unanswered_requests_and_declares_their_operands():
 
     ev = CipherEvaluator(ctx, b)
     assert ev.declare(slots.values()) == [c1, s, c2]
-    ev.eval(arg)  # asked for once, by its request
+    # asked for in plan order: c1's operands, then the root's argument
+    for e in (x, y, arg):
+        ev.eval(e)
     with pytest.raises(ValueError, match="more often than declared"):
-        ev.eval(arg)
+        ev.eval(arg)  # asked for once, by its request
 
     # answers given to the constructor are not asked again, nor are their
     # operands declared
