@@ -18,12 +18,16 @@ Every batch is padded with decoy records to a power of two (at least 8)
 and shuffled before it is written.  A record's wire id is its position
 in its batch, so neither says which comparison it belongs to, and an
 answer is one value per record, in request order.  Decoy operands draw
-their values and levels from the real operand pool: a real ciphertext
-shows its level, so a decoy must show one too.
+their values from the real operand pool.  A batch ships at one level,
+the lowest among its real operands, to which a modulus switch of the
+wire copy brings it: an interactive request starts with that level, and
+the package header holds one for its comparisons and one for its sqrts.
+Records carry no level.  This leaks nothing new, since every operand's
+level follows from the circuit alone, not from the data.
 
-Padding is columnar: each operand's values and levels are built as plain
-columns, decoys index those columns, and one permutation gathers every
-column into the wire records.  The deferred package is one header and a
+Padding is staged: the real records are built in entry order, one
+column per operand, decoys draw from those columns, and one permutation
+moves whole records onto the wire.  The deferred package is one header and a
 fixed list of columnar sections, ``_SECTIONS``: the sizer, the writer and
 the parser each walk that list.  It is sized from the lowered program,
 allocated once and filled in place; the client parses it once and
@@ -68,16 +72,16 @@ from .deferred_graph import (
 )
 from .errors import DeferralUnsupported, MissingAssignment
 
+_U4 = np.dtype("<u4")  # lengths, wire ids, lanes, levels and pool references
+
 # Wire records.  A record's wire id is its position in its batch, and a
 # response is one RESP_DTYPE value per request record, in request order.
-CMP_DTYPE = np.dtype([("lhs", "<f8"), ("lhs_level", "<u4"), ("rhs", "<f8"), ("rhs_level", "<u4")])
-SQRT_DTYPE = np.dtype([("value", "<f8"), ("level", "<u4")])
+# A batch's one level rides beside its records: a non-empty interactive
+# request is one _U4 level, then the records; an empty one is no bytes.
+CMP_DTYPE = np.dtype([("lhs", "<f8"), ("rhs", "<f8")])
+SQRT_DTYPE = np.dtype([("value", "<f8")])
 RESP_DTYPE = np.dtype("<f8")  # every answer is encrypted at full depth
-# (value field, level field) of each operand a record carries
-_CMP_OPERANDS = (("lhs", "lhs_level"), ("rhs", "rhs_level"))
-_SQRT_OPERANDS = (("value", "level"),)
 
-_U4 = np.dtype("<u4")  # lengths, wire ids, lanes, levels and pool references
 _SLOT = np.dtype([("width", "<u4"), ("stride", "<u4")])  # stride: _U4s per monomial
 _PARAM = np.dtype([("row", "<u4"), ("map", "<u4")])
 _NONE = 0xFFFFFFFF  # no lane map; an unused monomial column
@@ -103,9 +107,10 @@ _SECTIONS = (
     ("params", _PARAM, "n_slots", True),  # (row, map or _NONE)
     ("monomials", _U4, "n_slots", True),
 )
-_PKG_MAGIC = b"DCGPKG03"
-_HEADER = np.dtype([("magic", "S8")]
-                   + [(f, "<u4") for f in dict.fromkeys(f for _, _, f, _ in _SECTIONS)])
+_PKG_MAGIC = b"DCGPKG04"
+# the magic, the level of each record section's batch, then every count
+_HEADER = np.dtype([("magic", "S8")] + [(f, "<u4") for f in (
+    "cmp_level", "sqrt_level", *dict.fromkeys(f for _, _, f, _ in _SECTIONS))])
 
 
 def _table(buf, off: int, dtype, count: int) -> tuple[np.ndarray, int]:
@@ -115,21 +120,22 @@ def _table(buf, off: int, dtype, count: int) -> tuple[np.ndarray, int]:
     return arr, off + arr.nbytes
 
 
-def _package_size(counts: dict[str, int], lengths: dict[str, list[int]]) -> int:
-    """Bytes in a package with header ``counts`` and ragged run ``lengths``."""
+def _package_size(header: dict[str, int], lengths: dict[str, list[int]]) -> int:
+    """Bytes in a package with ``header``'s counts and ragged run ``lengths``."""
     return _HEADER.itemsize + sum(
-        counts[count] * _U4.itemsize + int(sum(lengths[name])) * dtype.itemsize if ragged
-        else counts[count] * dtype.itemsize for name, dtype, count, ragged in _SECTIONS)
+        header[count] * _U4.itemsize + int(sum(lengths[name])) * dtype.itemsize if ragged
+        else header[count] * dtype.itemsize for name, dtype, count, ragged in _SECTIONS)
 
 
 def _sections(buf, lengths: dict[str, list[int]] | None = None) -> dict:
-    """Every section that ``buf``'s header counts, as views into ``buf``: a
-    plain one as its table, a ragged one as (lengths, flat runs).  Given
-    ``lengths``, each ragged section's lengths are written before the
-    walk reads past them, so the writer and the parser share this walk.
-    Bytes past the last section are a ValueError, like a short table."""
+    """``buf``'s header, as "header", and every section it counts, as
+    views into ``buf``: a plain one as its table, a ragged one as
+    (lengths, flat runs).  Given ``lengths``, each ragged section's
+    lengths are written before the walk reads past them, so the writer
+    and the parser share this walk.  Bytes past the last section are a
+    ValueError, like a short table."""
     header, off = _table(buf, 0, _HEADER, 1)
-    out = {}
+    out = {"header": header[0]}
     for name, dtype, count, ragged in _SECTIONS:
         if not ragged:
             out[name], off = _table(buf, off, dtype, int(header[count][0]))
@@ -446,22 +452,24 @@ class Client:
     def unattributed_decrypts(self) -> int:
         return self.sk.decrypt_calls - self.attributed_decrypts
 
-    def _greater(self, recs: np.ndarray) -> np.ndarray:
-        """[lhs > rhs] as a boolean per comparison record; both decrypted
-        operand columns are freed before this returns."""
-        return np.greater(self._decrypt(Ciphertext(recs["lhs"], 0)),
-                          self._decrypt(Ciphertext(recs["rhs"], 0)))
+    def _greater(self, recs: np.ndarray, level: int) -> np.ndarray:
+        """[lhs > rhs] as a boolean per comparison record of a batch at
+        ``level``; both decrypted operand columns are freed before this
+        returns."""
+        return np.greater(self._decrypt(Ciphertext(recs["lhs"], level)),
+                          self._decrypt(Ciphertext(recs["rhs"], level)))
 
-    def _roots(self, recs: np.ndarray) -> np.ndarray:
-        """The square root of each sqrt record's decrypted argument."""
+    def _roots(self, recs: np.ndarray, level: int) -> np.ndarray:
+        """The square root of each decrypted argument of a sqrt batch at
+        ``level``."""
         with np.errstate(invalid="ignore"):
-            return np.sqrt(self._decrypt(Ciphertext(recs["value"], 0)))
+            return np.sqrt(self._decrypt(Ciphertext(recs["value"], level)))
 
     def resolve_comparisons(self, blob) -> memoryview:
-        return self._response(self._greater(np.frombuffer(blob, dtype=CMP_DTYPE)))
+        return self._response(self._greater(*_parse_request(blob, CMP_DTYPE)))
 
     def resolve_sqrts(self, blob) -> memoryview:
-        return self._response(self._roots(np.frombuffer(blob, dtype=SQRT_DTYPE)))
+        return self._response(self._roots(*_parse_request(blob, SQRT_DTYPE)))
 
     def _response(self, values: np.ndarray) -> memoryview:
         """Answers as wire bytes: each value freshly encrypted at full
@@ -478,8 +486,9 @@ class Client:
         """
         pkg = parse_package(blob)
         lengths, ids = pkg["cmp_ids"]
-        answers = self._greater(pkg["comparisons"])[ids]
-        sqrt_wire = self._roots(pkg["sqrts"]) if len(pkg["sqrts"]) else np.empty(0)
+        answers = self._greater(pkg["comparisons"], pkg["cmp_level"])[ids]
+        sqrt_wire = (self._roots(pkg["sqrts"], pkg["sqrt_level"]) if len(pkg["sqrts"])
+                     else np.empty(0))
         roots = [sqrt_wire[row] for row in pkg["rows"][pkg["cmp_rows"]:]]
         coeffs = pkg["coeffs"]
         return _evaluate_slots(pkg["slots"], answers, lengths, roots, pkg["maps"],
@@ -490,53 +499,70 @@ class Client:
 # -- request batching -------------------------------------------------------------
 
 
-def _pad_and_shuffle(wire: np.ndarray, widths: list[int], operands, operand_fields,
-                     rng) -> np.ndarray:
+def _batch_level(operands) -> int:
+    """The level a batch of ``operands`` (ciphertext lists) ships at: the
+    lowest among them, to which a modulus switch of the wire copy brings
+    the whole batch; 0 for an empty batch."""
+    return min((ct.level for cts in operands for ct in cts), default=0)
+
+
+def _parse_request(blob, dtype: np.dtype) -> tuple[np.ndarray, int]:
+    """An interactive request's records, as a view into ``blob``, and the
+    level of its batch; ValueError unless it is a level, then whole
+    records."""
+    if len(blob) < _U4.itemsize:
+        raise ValueError(f"a {len(blob)}-byte request is shorter than its "
+                         f"{_U4.itemsize}-byte level")
+    if (len(blob) - _U4.itemsize) % dtype.itemsize:
+        raise ValueError(f"a request's {len(blob) - _U4.itemsize} bytes past its level "
+                         f"are not whole {dtype.itemsize}-byte records")
+    return (np.frombuffer(blob, dtype=dtype, offset=_U4.itemsize),
+            int(np.frombuffer(blob, dtype=_U4, count=1)[0]))
+
+
+def _pad_and_shuffle(wire: np.ndarray, widths: list[int], operands, rng) -> np.ndarray:
     """Fill ``wire`` with real lanes plus decoys, shuffled.
 
-    ``operands`` holds, for each (value, level) pair in ``operand_fields``,
-    one ciphertext per entry; entry i contributes ``widths[i]`` lanes.  A
-    decoy operand is a (value, level) draw from the pool of all real
-    operands, so decoy marginals match the real traffic.  Returns the wire
-    ids, that is the positions, of the real lanes in entry order.
+    ``operands`` holds, for each field of ``wire`` in order, one
+    ciphertext per entry; entry i contributes ``widths[i]`` lanes.  A
+    decoy operand's value is a draw from the pool of all real operand
+    values, so decoy marginals match the real traffic.  Records carry no
+    level; the caller writes the batch's one level beside them.  Returns
+    the wire ids, that is the positions, of the real lanes in entry order.
     """
     n = int(sum(widths))
-    total = len(wire)
-    k = len(operand_fields)
-    values, levels = [], []
-    for cts in operands:
-        col = np.empty(total)
-        lev = np.empty(total, dtype=np.uint32)
-        if n:
-            np.concatenate([_lanes(ct.value, w) for w, ct in zip(widths, cts)], out=col[:n])
-            lev[:n] = np.repeat(np.array([ct.level for ct in cts], dtype=np.uint32), widths)
-        values.append(col)
-        levels.append(lev)
+    total, k = len(wire), len(operands)
+    staged = np.empty((total, k))  # the records in entry order, decoys last
+    if n:
+        for j, cts in enumerate(operands):
+            np.concatenate([_lanes(ct.value, w) for w, ct in zip(widths, cts)],
+                           out=staged[:n, j])
     if total > n:
         # the pool is every real operand column back to back: draw i is
         # lane i % n of operand i // n
-        for col, lev in zip(values, levels):
+        for j in range(k):
             src, lane = np.divmod(rng.integers(0, k * n, size=total - n), n)
-            col[n:] = np.choose(src, [c[lane] for c in values])
-            lev[n:] = np.choose(src, [c[lane] for c in levels])
+            staged[n:, j] = staged[lane, src]
         del src, lane
     perm = rng.permutation(total)
-    for v, l in operand_fields:
-        # mode="clip" lets take write straight into the strided field;
-        # popping frees each column once it is on the wire
-        np.take(values.pop(0), perm, out=wire[v], mode="clip")
-        np.take(levels.pop(0), perm, out=wire[l], mode="clip")
+    # every field is a float64, so the wire is a (total, k) array and one
+    # take moves whole records; mode="clip" lets it write there directly
+    np.take(staged, perm, axis=0, out=wire.view(np.float64).reshape(total, k), mode="clip")
     ids = np.empty(total, dtype=np.uint32)
     ids[perm] = np.arange(total, dtype=np.uint32)
     return ids[:n]
 
 
-def _request_batch(dtype: np.dtype, operand_fields, widths: list[int], operands,
+def _request_batch(dtype: np.dtype, widths: list[int], operands,
                    policy: DecoyPolicy, rng) -> tuple[memoryview, np.ndarray]:
-    """One padded, shuffled request batch as wire bytes, plus the wire ids
-    of its real lanes."""
-    buf = np.empty(policy.padded_size(sum(widths)) * dtype.itemsize, dtype=np.uint8)
-    ids = _pad_and_shuffle(buf.view(dtype), widths, operands, operand_fields, rng)
+    """One padded, shuffled request batch as wire bytes, its level then
+    its records, plus the wire ids of its real lanes.  An empty batch is
+    no bytes."""
+    n = policy.padded_size(sum(widths))
+    buf = np.empty(_U4.itemsize + n * dtype.itemsize if n else 0, dtype=np.uint8)
+    ids = _pad_and_shuffle(buf[_U4.itemsize:].view(dtype), widths, operands, rng)
+    if n:
+        buf[:_U4.itemsize].view(_U4)[0] = _batch_level(operands)
     return buf.data, ids
 
 
@@ -574,11 +600,10 @@ def run_interactive(ctx: CkksContext, builder: GraphBuilder, slots: dict[str, Ex
         cwidths = [n.width for n in tier_cmps]
         swidths = [n.width for n in tier_sqrts]
         creq_blob, cids = _request_batch(
-            CMP_DTYPE, _CMP_OPERANDS, cwidths,
-            ([lhs for lhs, _ in pairs], [rhs for _, rhs in pairs]), policy, rng)
-        sreq_blob, sids = _request_batch(
-            SQRT_DTYPE, _SQRT_OPERANDS, swidths, ([ev.eval(n.a) for n in tier_sqrts],),
+            CMP_DTYPE, cwidths, ([lhs for lhs, _ in pairs], [rhs for _, rhs in pairs]),
             policy, rng)
+        sreq_blob, sids = _request_batch(
+            SQRT_DTYPE, swidths, ([ev.eval(n.a) for n in tier_sqrts],), policy, rng)
         cresp_blob = client.resolve_comparisons(creq_blob) if creq_blob else b""
         sresp_blob = client.resolve_sqrts(sreq_blob) if sreq_blob else b""
         cresp = np.frombuffer(cresp_blob, dtype=RESP_DTYPE)
@@ -615,8 +640,13 @@ def serialize_package(program: LoweredProgram, policy: DecoyPolicy = DecoyPolicy
     rng = np.random.default_rng(seed)
     cmp_widths = [c.width for c in program.comparisons]
     sqrt_widths = [a.width for a in program.sqrt_args.values()]
+    pairs = program.cmp_operands.values()
+    cmp_operands = ([lhs for lhs, _ in pairs], [rhs for _, rhs in pairs])
+    sqrt_operands = (list(program.sqrt_args.values()),)
     slots = program.slots.values()
-    counts = {"n_cmp": policy.padded_size(sum(cmp_widths)),
+    header = {"cmp_level": _batch_level(cmp_operands),
+              "sqrt_level": _batch_level(sqrt_operands),
+              "n_cmp": policy.padded_size(sum(cmp_widths)),
               "n_sqrt": policy.padded_size(sum(sqrt_widths)),
               "n_cmp_rows": len(cmp_widths), "n_sqrt_rows": len(sqrt_widths),
               "n_maps": len(program.lane_maps), "n_coeffs": len(program.coeff_tables),
@@ -637,15 +667,11 @@ def serialize_package(program: LoweredProgram, policy: DecoyPolicy = DecoyPolicy
     lengths.update(cmp_rows=cmp_widths, sqrt_rows=sqrt_widths)
 
     # every byte is written below, so the buffer need not be zeroed first
-    buf = np.empty(_package_size(counts, lengths), dtype=np.uint8)
-    buf[:_HEADER.itemsize].view(_HEADER)[0] = (_PKG_MAGIC, *(counts[f] for f in _HEADER.names[1:]))
+    buf = np.empty(_package_size(header, lengths), dtype=np.uint8)
+    buf[:_HEADER.itemsize].view(_HEADER)[0] = (_PKG_MAGIC, *(header[f] for f in _HEADER.names[1:]))
     sec = _sections(buf, lengths)
-    cmp_operands = program.cmp_operands.values()
-    sec["cmp_rows"][1][:] = _pad_and_shuffle(
-        sec["comparisons"], cmp_widths,
-        ([lhs for lhs, _ in cmp_operands], [rhs for _, rhs in cmp_operands]), _CMP_OPERANDS, rng)
-    sec["sqrt_rows"][1][:] = _pad_and_shuffle(
-        sec["sqrts"], sqrt_widths, (list(program.sqrt_args.values()),), _SQRT_OPERANDS, rng)
+    sec["cmp_rows"][1][:] = _pad_and_shuffle(sec["comparisons"], cmp_widths, cmp_operands, rng)
+    sec["sqrt_rows"][1][:] = _pad_and_shuffle(sec["sqrts"], sqrt_widths, sqrt_operands, rng)
     for name, runs in entries.items():
         if name not in lengths:
             sec[name][:] = runs
@@ -669,10 +695,11 @@ def _check_refs(what: str, refs: np.ndarray, count, none_ok: bool = False):
 def parse_package(blob) -> dict:
     """Package tables as views into ``blob``; nothing is copied.
 
-    ``rows`` holds the wire-id row of each requested comparison, then of
-    each sqrt (``cmp_rows`` of the first kind; ``cmp_ids`` holds those as
-    lengths and ids back to back); ``coeffs`` holds
-    (lanes, level) per coefficient table.  A slot's ``params`` are
+    ``cmp_level`` and ``sqrt_level`` are the levels the header gives the
+    comparison and the sqrt records.  ``rows`` holds the wire-id row of
+    each requested comparison, then of each sqrt (``cmp_rows`` of the
+    first kind; ``cmp_ids`` holds those as lengths and ids back to back);
+    ``coeffs`` holds (lanes, level) per coefficient table.  A slot's ``params`` are
     (row, map) references, map ``_NONE`` for none, and each row of its
     ``monomials`` is a coefficient table index followed by slot-local
     parameter indices padded with ``_NONE``.
@@ -727,6 +754,8 @@ def parse_package(blob) -> dict:
              for name, w, k, p, m in zip(names, width.tolist(), stride.tolist(),
                                          _runs(param_lens, params), _runs(mono_lens, monos))}
     return {"comparisons": sec["comparisons"], "sqrts": sec["sqrts"],
+            "cmp_level": int(sec["header"]["cmp_level"]),
+            "sqrt_level": int(sec["header"]["sqrt_level"]),
             "rows": _runs(cmp_lens, cmp_ids) + _runs(sqrt_lens, sqrt_ids),
             "cmp_rows": len(cmp_lens), "cmp_ids": (cmp_lens, cmp_ids), "maps": maps,
             "coeffs": list(zip(_runs(*sec["coeffs"]), sec["levels"].tolist())), "slots": slots}
@@ -745,14 +774,12 @@ def dump_package(blob: bytes) -> str:
     def row_name(r: int) -> str:
         return f"b{r}" if r < n_crows else f"s{r - n_crows}"
 
-    lines = [f"comparisons: {len(pkg['comparisons'])}", f"sqrts: {len(pkg['sqrts'])}"]
+    lines = [f"comparisons: {len(pkg['comparisons'])} @{pkg['cmp_level']}",
+             f"sqrts: {len(pkg['sqrts'])} @{pkg['sqrt_level']}"]
     for i, rec in enumerate(pkg["comparisons"]):
-        lines.append(
-            f"  #{i} lhs={rec['lhs']:.6g}@{int(rec['lhs_level'])}"
-            f" rhs={rec['rhs']:.6g}@{int(rec['rhs_level'])}"
-        )
+        lines.append(f"  #{i} lhs={rec['lhs']:.6g} rhs={rec['rhs']:.6g}")
     for i, rec in enumerate(pkg["sqrts"]):
-        lines.append(f"  #{i} arg={rec['value']:.6g}@{int(rec['level'])}")
+        lines.append(f"  #{i} arg={rec['value']:.6g}")
     lines.append(f"rows: {len(pkg['rows'])}")
     for r, ids in enumerate(pkg["rows"]):
         lines.append(f"  {row_name(r)} -> wire {ids.tolist()}")

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from fhesift import PipelineConfig, run_pipeline, sift_pipeline
+from fhesift import PipelineConfig, protocol, run_pipeline, sift_pipeline
 from fhesift.pgm import format_pgm, parse_pgm
 
 # 32x32 synthetics run two octaves; the 64x64 image runs the default three.
@@ -102,18 +102,47 @@ def blob16() -> np.ndarray:
 def suite_runs(images) -> dict:
     """Every image through every mode, once.
 
-    Returns {(image, mode): PipelineResult} plus "elapsed" in seconds.
-    Encrypted runs keep their decrypted slot tables so the mask and
-    histogram invariants can be checked on every run's real data; the
-    retained arrays are small next to the transient evaluation peaks.
+    Returns {(image, mode): PipelineResult} plus "elapsed" in seconds and
+    "batches": per encrypted (image, mode), each non-empty record batch
+    on the wire as (the level it ships at, the lowest level among its
+    real operand ciphertexts), in the order sent.  Encrypted runs keep
+    their decrypted slot tables so the mask and histogram invariants can
+    be checked on every run's real data; the retained arrays are small
+    next to the transient evaluation peaks.
     """
     runs: dict = {}
+    batches: list = []
+    request_batch, serialize = protocol._request_batch, protocol.serialize_package
+
+    def recording_batch(dtype, widths, operands, policy, rng):
+        blob, ids = request_batch(dtype, widths, operands, policy, rng)
+        if len(blob):
+            batches.append((int(np.frombuffer(blob, dtype="<u4", count=1)[0]),
+                            min(ct.level for cts in operands for ct in cts)))
+        return blob, ids
+
+    def recording_serialize(program, *args, **kwargs):
+        blob = serialize(program, *args, **kwargs)
+        pkg = protocol.parse_package(blob)
+        for level, cts in ((pkg["cmp_level"], [ct for pair in program.cmp_operands.values()
+                                               for ct in pair]),
+                           (pkg["sqrt_level"], list(program.sqrt_args.values()))):
+            if cts:
+                batches.append((level, min(ct.level for ct in cts)))
+        return blob
+
     t0 = time.time()
-    for name in ALL_NAMES:
-        cfg = config_for(name)
-        for mode in MODES:
-            runs[(name, mode)] = run_pipeline(
-                images[name], cfg, mode=mode, seed=SEED,
-                keep_slots=mode != "plaintext")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(protocol, "_request_batch", recording_batch)
+        mp.setattr(protocol, "serialize_package", recording_serialize)
+        for name in ALL_NAMES:
+            cfg = config_for(name)
+            for mode in MODES:
+                runs[(name, mode)] = run_pipeline(
+                    images[name], cfg, mode=mode, seed=SEED,
+                    keep_slots=mode != "plaintext")
+                if mode != "plaintext":
+                    runs.setdefault("batches", {})[name, mode] = batches[:]
+                    batches.clear()
     runs["elapsed"] = time.time() - t0
     return runs

@@ -7,7 +7,7 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import ALL_NAMES, CFG32, SEED, config_for, make_blob16
+from conftest import ALL_NAMES, CFG32, SEED, SYNTHETIC_NAMES, config_for, make_blob16
 
 from fhesift import (
     PipelineConfig,
@@ -343,10 +343,10 @@ BLOB16_SLOTS_SHA256 = {
     "interactive": "3009a0f001f858af0fab65dce5ccb9b10b6bd1ab1df9de758c923c11933efd91",
     "deferred": "9a1e337e87bd44d6435980460f1b14acf4bae18f69b637b2f13895e7a6ed7629",
 }
-BLOB16_PACKAGE_SHA256 = "d00fd164c7e5ffcb7b785748b548299d90850bd34be1b3ccc146385039cfd040"
+BLOB16_PACKAGE_SHA256 = "8716386184aac97125380a5fed79e066c43edd7f151220a06cacb307a610f1f2"
 BLOB16_REPORT_SHA256 = {
-    "interactive": "bae453705a9de7a1d4e6a14e025d32538014d1988e572d169a6ef44defb9417e",
-    "deferred": "e4dd7817c6dcd8692b55c76e258e9a657e4e6cc6fda19422149d171b2bc2b7f9",
+    "interactive": "9f835573d4e96a396a093e3dac8aa6698d8a80003bd57de9a2df1d30756e3212",
+    "deferred": "73de10d52107fc62e98200d39420a1aff79362e84402db148401a30e2f080025",
 }
 
 
@@ -407,8 +407,9 @@ def test_sqrt_weighting_runs_interactively_and_matches(blob16):
                                             ("deferred", MAGNITUDE_SQUARED),
                                             ("interactive", SQRT_MAGNITUDE)])
 def test_wire_bytes_follow_from_lanes(blob16, monkeypatch, mode, weighting):
-    """A comparison record is 24 B, a sqrt record 12 B and an answer 8 B,
-    so ``len`` of every blob on the wire counts bytes, never lanes."""
+    """A comparison record is 16 B, a sqrt record 8 B, a non-empty request
+    batch's level 4 B and an answer 8 B, so ``len`` of every blob on the
+    wire counts bytes, never lanes."""
     serialize = protocol.serialize_package
     packages = []
 
@@ -424,13 +425,30 @@ def test_wire_bytes_follow_from_lanes(blob16, monkeypatch, mode, weighting):
     if mode == "interactive":
         assert not packages
         for r in rounds:
-            assert r.request_bytes == 24 * r.n_wire_comparisons + 12 * r.n_wire_sqrts
+            batches = (r.n_wire_comparisons > 0) + (r.n_wire_sqrts > 0)
+            assert r.request_bytes == 16 * r.n_wire_comparisons + 8 * r.n_wire_sqrts + 4 * batches
             assert r.response_bytes == 8 * (r.n_wire_comparisons + r.n_wire_sqrts)
     else:
         ((r,), (pkg,)) = rounds, packages
-        assert pkg["comparisons"].nbytes == 24 * r.n_wire_comparisons > 0
-        assert pkg["sqrts"].nbytes == 12 * r.n_wire_sqrts
+        assert pkg["comparisons"].nbytes == 16 * r.n_wire_comparisons > 0
+        assert pkg["sqrts"].nbytes == 8 * r.n_wire_sqrts
         assert r.response_bytes == 0
+
+
+def test_batches_ship_at_their_lowest_operand_level_which_follows_from_shape(suite_runs):
+    """Every record batch on the wire, interactive or in a package, ships
+    at the lowest level among its real operands, and that level follows
+    from the image's shape and config alone, never from its pixels."""
+    batches = suite_runs["batches"]
+    for key, got in batches.items():
+        assert got, key
+        assert all(shipped == lowest for shipped, lowest in got), key
+    for mode in ("interactive", "deferred"):
+        levels = [[shipped for shipped, _ in batches[name, mode]] for name in SYNTHETIC_NAMES]
+        assert all(same == levels[0] for same in levels), mode
+    # the header is no constant: natural64's operands sit below full depth
+    (cmp_level,) = [shipped for shipped, _ in batches["natural64", "deferred"]]
+    assert cmp_level < SimParams().depth_budget
 
 
 def test_sqrt_weighting_cannot_ship_deferred(blob16):

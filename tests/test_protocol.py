@@ -154,9 +154,15 @@ def test_decoys_pad_to_power_of_two_and_draw_from_real_pool():
     blob = serialize_package(prog, DecoyPolicy(), seed=5)
     pkg = parse_package(blob)
     assert len(pkg["comparisons"]) == 8
+    # decoys draw values alone from the real pool; records carry no level,
+    # and the batch's one level is the lowest of its real operands'
+    assert pkg["comparisons"].dtype.names == ("lhs", "rhs")
     pool = {v for pair in pairs for v in pair}
     assert set(pkg["comparisons"]["lhs"]) <= pool
     assert set(pkg["comparisons"]["rhs"]) <= pool
+    assert len(set(pkg["comparisons"]["lhs"]) | set(pkg["comparisons"]["rhs"])) > 3
+    assert pkg["cmp_level"] == min(ct.level for pair in prog.cmp_operands.values()
+                                   for ct in pair)
     # a record's wire id is its position: each comparison's row points at
     # its own operands, among the decoys
     positions = [int(ids[0]) for ids in pkg["rows"]]
@@ -194,7 +200,8 @@ def test_parse_package_round_trip_and_magic():
     with pytest.raises(ValueError):
         parse_package(b"JUNKJUNK" + bytes(16))
     blob = bytes(serialize_package(prog, seed=1))
-    for old in (b"DCGPKG01", b"DCGPKG02"):  # the layouts with record ids
+    # the layouts with record ids, then with a level in every record
+    for old in (b"DCGPKG01", b"DCGPKG02", b"DCGPKG03"):
         with pytest.raises(ValueError, match="not a deferred package"):
             parse_package(old + blob[len(old):])
 
@@ -361,20 +368,19 @@ def _sha(blob) -> str:
     return hashlib.sha256(bytes(blob)).hexdigest()
 
 
-# sha256 digests of the sectioned layout (DCGPKG03); its records are
-# those of the layouts before it, less the id that was always their
-# position.  The wire format is a contract, so any change to them is a
-# format change
+# sha256 digests of the sectioned layout (DCGPKG04) and of interactive
+# requests, each a batch's level and then its records.  The wire format
+# is a contract, so any change to them is a format change
 PACKAGE_SHA256 = {
-    (True, 0): "96a2c0a6ac4d8f080117b9c5b7867ef6b9236ab7ab2f30b38367055818ba104c",
-    (True, 7): "aac68e4e7732077f535ca1fd169441bd5925c4cd16eba58ed3adb2727bf1571e",
-    (False, 0): "e81b903d2fe4fab2f3f230c17f07c88cdba52e3e06ed9aeb1ecd0d1cf2c82fa2",
+    (True, 0): "2abceb62097b500336bbe4effcd9d5bee0a98e0f26344b4705701dd6370363e7",
+    (True, 7): "1911a118ebb21eca9aa16361d9ffeb79ad1e24b87e16e709c1a968587403ee8e",
+    (False, 0): "f2d7ace35e400011917418fa5d56d3faa7d29fe2e77eaf9cbdc2197f751ee993",
 }
 REQUEST_SHA256 = [
-    ("c", "cbed3e420d7c1f3fe43efec6785d879a71f06b3430e65e62649ff0497b4f7017"),
-    ("s", "9004efeecffac0b418b023cffa0c780bf3634ed95ad0193fc6ef63a095b32beb"),
-    ("c", "b19218a4e1dbb52d6feaac55ad4ddcce6c961a76c3925691815ad23382e3776f"),
-    ("c", "0261df3f68df928a794a076266246b1367bc046edcb5b377352b48ecf277b445"),
+    ("c", "d4e7a4594146d0306608d498b700963d0c1996846d6b75892453d6f72f4557dd"),
+    ("s", "53d8081c1c9b4f8d65fb75ad99b17b04f299cf52ecc21c5eb5f8917427f14588"),
+    ("c", "60ec0ac3441114b635fe1bec570e7201baea21a7089875586baa2f42ad8e278a"),
+    ("c", "b921a8771e272c18a237d2833e12b8d1708f8585457dd254e3e8fc86ab1648e1"),
 ]
 
 
@@ -765,10 +771,28 @@ def test_comparison_answers_are_encrypted_after_the_operands_are_freed(monkeypat
 
     monkeypatch.setattr(SecretKey, "decrypt", tracking_decrypt)
     monkeypatch.setattr(CkksContext, "encrypt", checking_encrypt)
-    blob = client.resolve_comparisons(recs.tobytes())
+    blob = client.resolve_comparisons(np.array([20], dtype="<u4").tobytes() + recs.tobytes())
     assert len(blob) == 8 * protocol.RESP_DTYPE.itemsize
     assert len(decrypted) == client.attributed_decrypts == 2
     assert ctx.snapshot_counts()["encrypt"] == 8
     # answer i is request i's, position for position
     resp = np.frombuffer(blob, dtype=protocol.RESP_DTYPE)
     assert np.array_equal(resp, (np.arange(8.0) > 3.5).astype(np.float64))
+
+
+@pytest.mark.parametrize("kind,size,reason", [
+    ("comparisons", 0, "shorter than its 4-byte level"),
+    ("comparisons", 3, "shorter than its 4-byte level"),
+    ("comparisons", 4 + 15, "not whole 16-byte records"),
+    ("comparisons", 4 + 24, "not whole 16-byte records"),
+    ("sqrts", 2, "shorter than its 4-byte level"),
+    ("sqrts", 4 + 12, "not whole 8-byte records"),
+])
+def test_a_malformed_request_fails_with_a_reason(kind, size, reason):
+    client = Client(CkksContext(SimParams(depth_budget=20)))
+    resolve = getattr(client, f"resolve_{kind}")
+    with pytest.raises(ValueError, match=reason):
+        resolve(bytes(size))
+    # a level, then whole records, is answered with one value per record
+    record = {"comparisons": protocol.CMP_DTYPE, "sqrts": protocol.SQRT_DTYPE}[kind]
+    assert len(resolve(bytes(4 + 3 * record.itemsize))) == 3 * protocol.RESP_DTYPE.itemsize
