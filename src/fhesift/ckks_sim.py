@@ -11,18 +11,26 @@ a batch of independent ciphertexts that happen to share level bookkeeping;
 uniform circuits keep levels identical lane by lane, which is the only way
 the package ever uses them.  There is no slot packing: lanes never interact
 and there are no rotation ops.
+
+A ``Ciphertext`` is a slotted record that no code mutates: each op builds
+a new one.  The server replays tens of thousands of ops per image, so the
+ops keep their bookkeeping inline and build nothing else per call, and a
+caller done with an operand may hand its value array over to hold the
+result (``out``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DepthExhausted
 
 Value = float | np.ndarray
+_ndarray = np.ndarray
+_F64 = np.dtype(np.float64)
 
 # Injected noise is drawn from a clipped Gaussian so the accumulated
 # noise_bound is a hard bound rather than a high-probability one.
@@ -57,13 +65,23 @@ def _as_value(x) -> Value:
     return arr
 
 
-@dataclass(frozen=True)
 class Ciphertext:
-    """Simulated ciphertext: carried value, remaining levels, error bound."""
+    """Simulated ciphertext: carried value, remaining levels, error bound.
 
-    value: Value
-    level: int
-    noise_bound: Value = 0.0
+    A slotted record that no code mutates: every op builds a new one.
+    Values and bounds may be shared between ciphertexts; a value array is
+    only ever written once its holder is given up as an op's ``out``.
+    """
+
+    __slots__ = ("value", "level", "noise_bound")
+
+    def __init__(self, value: Value, level: int, noise_bound: Value = 0.0):
+        self.value = value
+        self.level = level
+        self.noise_bound = noise_bound
+
+    def __repr__(self) -> str:
+        return f"Ciphertext(value={self.value!r}, level={self.level}, noise_bound={self.noise_bound!r})"
 
     @property
     def width(self) -> int:
@@ -89,7 +107,17 @@ class SecretKey:
 
 
 def _zero_bound(nb: Value) -> bool:
-    return not isinstance(nb, np.ndarray) and nb == 0.0
+    return type(nb) is not _ndarray and nb == 0.0
+
+
+def _into(ufunc, av: Value, bv: Value, out: np.ndarray) -> Value:
+    """``ufunc(av, bv)``, written into ``out`` -- the value array of one
+    operand, which the caller gives up -- when the result has its shape
+    and dtype; the values are the same either way."""
+    if out.dtype is not _F64 or (type(av) is _ndarray and type(bv) is _ndarray
+                                 and av.shape != bv.shape):
+        return ufunc(av, bv)
+    return ufunc(av, bv, out=out)
 
 
 class CkksContext:
@@ -97,6 +125,8 @@ class CkksContext:
 
     All ops are pure with respect to their ciphertext arguments (inputs are
     never mutated); the context itself accumulates counters and RNG state.
+    The one exception is ``out``: a caller done with an operand may hand
+    over its value array, and the result's value is written there.
     """
 
     def __init__(self, params: SimParams | None = None, seed: int = 0):
@@ -110,56 +140,61 @@ class CkksContext:
             "mul_plain": 0,
         }
 
-    # -- helpers ---------------------------------------------------------
-
-    def _count(self, name: str, width: int):
-        self.op_counts[name] += width
-
     def snapshot_counts(self) -> dict[str, int]:
         return dict(self.op_counts)
 
     # -- core ops --------------------------------------------------------
+    #
+    # Each op adds its result's lanes to ``op_counts`` itself: an array
+    # value's size, or one lane for any other value.
 
     def encrypt(self, x) -> Ciphertext:
         v = _as_value(x)
-        if isinstance(v, np.ndarray):
+        if type(v) is _ndarray:
             v = v.copy()
-        ct = Ciphertext(v, self.params.depth_budget, 0.0)
-        self._count("encrypt", ct.width)
-        return ct
+        self.op_counts["encrypt"] += v.size if type(v) is _ndarray else 1
+        return Ciphertext(v, self.params.depth_budget, 0.0)
 
     # Values and bounds are Python floats or float64 arrays, so the plain
     # operators below keep floats as floats and send arrays through numpy.
 
-    def add(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
-        out = Ciphertext(a.value + b.value, min(a.level, b.level), a.noise_bound + b.noise_bound)
-        self._count("add", out.width)
-        return out
+    def add(self, a: Ciphertext, b: Ciphertext, out: np.ndarray | None = None) -> Ciphertext:
+        v = a.value + b.value if out is None else _into(np.add, a.value, b.value, out)
+        self.op_counts["add"] += v.size if type(v) is _ndarray else 1
+        lvl, lb = a.level, b.level
+        return Ciphertext(v, lvl if lvl < lb else lb, a.noise_bound + b.noise_bound)
 
-    def sub(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
-        out = Ciphertext(a.value - b.value, min(a.level, b.level), a.noise_bound + b.noise_bound)
-        self._count("add", out.width)
-        return out
+    def sub(self, a: Ciphertext, b: Ciphertext, out: np.ndarray | None = None) -> Ciphertext:
+        v = a.value - b.value if out is None else _into(np.subtract, a.value, b.value, out)
+        self.op_counts["add"] += v.size if type(v) is _ndarray else 1
+        lvl, lb = a.level, b.level
+        return Ciphertext(v, lvl if lvl < lb else lb, a.noise_bound + b.noise_bound)
 
-    def neg(self, a: Ciphertext) -> Ciphertext:
-        out = Ciphertext(-a.value, a.level, a.noise_bound)
-        self._count("neg", out.width)
-        return out
+    def neg(self, a: Ciphertext, out: np.ndarray | None = None) -> Ciphertext:
+        v = -a.value if out is None else np.negative(a.value, out=out)
+        self.op_counts["neg"] += v.size if type(v) is _ndarray else 1
+        return Ciphertext(v, a.level, a.noise_bound)
 
-    def mul(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
-        lvl = min(a.level, b.level)
+    def mul(self, a: Ciphertext, b: Ciphertext, out: np.ndarray | None = None) -> Ciphertext:
+        lvl, lb = a.level, b.level
+        if lb < lvl:
+            lvl = lb
         if lvl < 1:
             raise DepthExhausted(
                 f"ct-ct multiply at level {lvl}: no multiplicative levels left"
             )
-        v = a.value * b.value
+        av, bv = a.value, b.value
         # |carried - ideal| stays bounded: cross terms use carried magnitudes,
         # which dominate the ideal ones once their own bounds are added in.
+        # The bound reads the operands' values, so it comes before ``out``
+        # is written.
         na, nb = a.noise_bound, b.noise_bound
-        if _zero_bound(na) and _zero_bound(nb):
+        if (type(na) is not _ndarray and na == 0.0
+                and type(nb) is not _ndarray and nb == 0.0):  # _zero_bound, inline
             bound = 0.0
         else:
-            bound = (abs(a.value) + na) * nb + (abs(b.value) + nb) * na + na * nb
+            bound = (abs(av) + na) * nb + (abs(bv) + nb) * na + na * nb
+        v = av * bv if out is None else _into(np.multiply, av, bv, out)
         sigma = self.params.noise_per_mul
         if sigma > 0.0:
             shape = np.shape(v)
@@ -167,11 +202,10 @@ class CkksContext:
             fresh = np.clip(fresh, -_CLIP_SIGMAS * sigma, _CLIP_SIGMAS * sigma)
             v = _as_value(v + fresh)
             bound = bound + _CLIP_SIGMAS * sigma
-        out = Ciphertext(v, lvl - 1, bound)
-        self._count("mul", out.width)
-        return out
+        self.op_counts["mul"] += v.size if type(v) is _ndarray else 1
+        return Ciphertext(v, lvl - 1, bound)
 
-    def mul_plain(self, a: Ciphertext, k) -> Ciphertext:
+    def mul_plain(self, a: Ciphertext, k, out: np.ndarray | None = None) -> Ciphertext:
         lvl = a.level
         if self.params.plain_mul_consumes_level:
             if lvl < 1:
@@ -179,10 +213,18 @@ class CkksContext:
                     f"plaintext multiply at level {lvl}: no multiplicative levels left"
                 )
             lvl -= 1
-        kv = _as_value(k)
-        out = Ciphertext(a.value * kv, lvl, a.noise_bound * abs(kv))
-        self._count("mul_plain", out.width)
-        return out
+        kv = k if type(k) is float else _as_value(k)
+        v = a.value * kv if out is None else _into(np.multiply, a.value, kv, out)
+        self.op_counts["mul_plain"] += v.size if type(v) is _ndarray else 1
+        return Ciphertext(v, lvl, a.noise_bound * abs(kv))
+
+
+def _take(x: Value, index) -> Value:
+    """``x[index]`` as a value.  A float64 array is indexed directly."""
+    if type(x) is _ndarray and x.dtype is _F64:
+        x = x[index]
+        return x if type(x) is _ndarray else float(x)
+    return _as_value(np.asarray(x)[index])
 
 
 def gather(ct: Ciphertext, index) -> Ciphertext:
@@ -190,12 +232,12 @@ def gather(ct: Ciphertext, index) -> Ciphertext:
 
     Rearranging a collection of independent ciphertexts is bookkeeping, not a
     homomorphic operation: no level is consumed and nothing is counted.
+    Callers index with integer arrays, whole or per axis, so the result's
+    value and bound are copies, never views of ``ct``'s.
     """
-    v = _as_value(np.asarray(ct.value)[index])
     nb = ct.noise_bound
-    if isinstance(nb, np.ndarray):
-        nb = _as_value(nb[index])
-    return Ciphertext(v, ct.level, nb)
+    return Ciphertext(_take(ct.value, index), ct.level,
+                      _take(nb, index) if type(nb) is _ndarray else nb)
 
 
 def concat(cts) -> Ciphertext:

@@ -686,11 +686,14 @@ SUB = "sub"
 MUL_PLAIN = "mul_plain"
 GATHER = "gather"
 LEAF = "leaf"
+# Node opcodes whose steps build a new value array.
+_BUILT = frozenset((ADD, MUL, NEG, REINDEX))
 
 
-def _step(n: Expr, free: tuple = ()) -> tuple:
+def _step(n: Expr, free: tuple = (), into: int | None = None) -> tuple:
     """The tape step computing node ``n``: (opcode, destination id, operand
-    id, operand id or public payload, ids read for the last time).
+    id, operand id or public payload, ids read for the last time, the id
+    among those whose value array the result may take, or None).
 
     A subtraction x + (-y) is one SUB of x and y; a product with a plain
     constant is one MUL_PLAIN carrying the constant; a reindexed BoolVar
@@ -700,22 +703,22 @@ def _step(n: Expr, free: tuple = ()) -> tuple:
     if n.op == ADD:
         sub = _as_subtraction(n)
         if sub is not None:
-            return SUB, n.id, sub[0].id, sub[1].id, free
-        return ADD, n.id, n.a.id, n.c.id, free
+            return SUB, n.id, sub[0].id, sub[1].id, free, into
+        return ADD, n.id, n.a.id, n.c.id, free, into
     if n.op == MUL:
         if n.a.op == PLAIN:
-            return MUL_PLAIN, n.id, n.c.id, n.a.payload, free
+            return MUL_PLAIN, n.id, n.c.id, n.a.payload, free, into
         if n.c.op == PLAIN:
-            return MUL_PLAIN, n.id, n.a.id, n.c.payload, free
-        return MUL, n.id, n.a.id, n.c.id, free
+            return MUL_PLAIN, n.id, n.a.id, n.c.payload, free, into
+        return MUL, n.id, n.a.id, n.c.id, free, into
     if n.op == NEG:
-        return NEG, n.id, n.a.id, None, free
+        return NEG, n.id, n.a.id, None, free, into
     if n.op == REINDEX:
-        return GATHER, n.id, n.a.id, n.b.reindexed[n.payload].index, free
+        return GATHER, n.id, n.a.id, n.b.reindexed[n.payload].index, free, None
     if n.op == CIPHER:
-        return LEAF, n.id, n, None, free
+        return LEAF, n.id, n, None, free, None
     if n.op == PLAIN:
-        return PLAIN, n.id, n.payload, None, free
+        return PLAIN, n.id, n.payload, None, free, None
     raise AssertionError(n.op)  # pragma: no cover
 
 
@@ -778,21 +781,23 @@ class CipherEvaluator:
 
     def _replay(self, steps) -> None:
         """Run tape ``steps`` in order, each into ``memo``, dropping what
-        each reads for the last time."""
+        each reads for the last time and handing the op the value array
+        the step names as given up."""
         m, ctx = self.memo, self.ctx
-        for op, dst, x, y, free in steps:
+        for op, dst, x, y, free, into in steps:
+            out = None if into is None else m[into].value
             if op == MUL:
-                m[dst] = ctx.mul(m[x], m[y])
+                m[dst] = ctx.mul(m[x], m[y], out)
             elif op == ADD:
-                m[dst] = ctx.add(m[x], m[y])
+                m[dst] = ctx.add(m[x], m[y], out)
             elif op == SUB:
-                m[dst] = ctx.sub(m[x], m[y])
+                m[dst] = ctx.sub(m[x], m[y], out)
             elif op == GATHER:
                 m[dst] = gather(m[x], y)
             elif op == MUL_PLAIN:
-                m[dst] = ctx.mul_plain(m[x], y)
+                m[dst] = ctx.mul_plain(m[x], y, out)
             elif op == NEG:
-                m[dst] = ctx.neg(m[x])
+                m[dst] = ctx.neg(m[x], out)
             elif op == LEAF:
                 m[dst] = self.b.leaf_value(x)
             else:  # PLAIN: public constants ride along unencrypted, at full level
@@ -839,7 +844,8 @@ class RunPlan:
     segment per ask: (root id, steps, whether this ask is the root's last
     read).  The steps compute what the ask needs and ``memo`` lacks, in
     id order, as an unplanned ``eval`` would, and each drops the
-    ciphertexts it reads for the last time.
+    ciphertexts it reads for the last time, writing its result into the
+    value array of one of them where that is safe (see ``over``).
 
     One walk from the roots, through ``schedule``, finds what each node
     reads once bound (``_bound``) and, past each comparison or sqrt not
@@ -903,7 +909,12 @@ class RunPlan:
                 computes[by[n.id]].append(n)
 
         # The run is each ask's nodes, then its root.  Walked backwards,
-        # the first read of a node met is its last.
+        # the first read of a node met is its last.  A step may write its
+        # result into the value array of a node it reads for the last time
+        # when a step built that array (leaves, constants, answers and the
+        # evaluated nodes share theirs), no ask handed it out, and it has
+        # the result's lanes.
+        asked = {root.id for root in asks}
         seen: set[int] = set()
         tape = []
         for root, nodes in zip(reversed(asks), reversed(computes)):
@@ -911,13 +922,16 @@ class RunPlan:
             seen.add(root.id)
             steps = []
             for n in reversed(nodes):
-                free = ()
+                free, into = (), None
                 for k in read[n.id]:
                     i = k.id
                     if i not in seen:
                         seen.add(i)
                         free += (i,)
-                steps.append(_step(n, free))
+                        if (into is None and k.op in _BUILT and i in by and i not in asked
+                                and k.width == n.width > 1):
+                            into = i
+                steps.append(_step(n, free, into))
             steps.reverse()
             tape.append((root.id, tuple(steps), last))
         tape.reverse()

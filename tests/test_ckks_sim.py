@@ -213,3 +213,122 @@ def test_noisy_mode_is_seed_deterministic():
     a = other.encrypt(1.25)
     b = other.encrypt(-0.75)
     assert other.mul(other.mul(a, b), b).value != outs[0]
+
+
+# -- property test: every op against the reference formulas ------------------------
+
+_WIDTH = 6
+_VALUE_KINDS = ("scalar", "one_lane", "lanes")
+_BOUND_KINDS = ("zero", "np_zero", "zero_lanes", "scalar", "lanes")
+
+
+def _random_ct(rng, value_kind, bound_kind, level):
+    shape = {"scalar": (), "one_lane": (1,), "lanes": (_WIDTH,)}[value_kind]
+    v = float(rng.normal()) if not shape else rng.normal(size=shape)
+    nb = {"zero": lambda: 0.0, "np_zero": lambda: np.float64(0.0),
+          "zero_lanes": lambda: np.zeros(shape or (1,)),
+          "scalar": lambda: float(rng.uniform(1e-9, 1e-6)),
+          "lanes": lambda: rng.uniform(1e-9, 1e-6, shape or (1,))}[bound_kind]()
+    return Ciphertext(v, level, nb)
+
+
+def _as_is(x):
+    """A value or bound as (type, shape, bytes): equal means bit for bit."""
+    return type(x), np.shape(x), np.asarray(x, dtype=np.float64).tobytes()
+
+
+def _reference(op, a, b, k, sigma, rng):
+    """(value, level, bound) of ``op`` by the formulas, drawing noise from
+    ``rng`` as a context seeded alike would."""
+    if op in ("add", "sub"):
+        v = a.value + b.value if op == "add" else a.value - b.value
+        return v, min(a.level, b.level), a.noise_bound + b.noise_bound
+    if op == "neg":
+        return -a.value, a.level, a.noise_bound
+    if op == "mul_plain":
+        kv = float(k) if np.ndim(k) == 0 else np.asarray(k, dtype=np.float64)
+        return a.value * kv, a.level - 1, a.noise_bound * abs(kv)
+    na, nb = a.noise_bound, b.noise_bound
+    if all(not isinstance(x, np.ndarray) and x == 0.0 for x in (na, nb)):
+        bound = 0.0
+    else:
+        bound = (abs(a.value) + na) * nb + (abs(b.value) + nb) * na + na * nb
+    v = a.value * b.value
+    if sigma > 0.0:
+        fresh = rng.normal(0.0, sigma, np.shape(v) or None)
+        v = v + np.clip(fresh, -6.0 * sigma, 6.0 * sigma)
+        v = float(v) if np.ndim(v) == 0 else np.asarray(v, dtype=np.float64)
+        bound = bound + 6.0 * sigma
+    return v, min(a.level, b.level) - 1, bound
+
+
+def _copy(ct):
+    v, nb = ct.value, ct.noise_bound
+    return Ciphertext(v.copy() if isinstance(v, np.ndarray) else v, ct.level,
+                      nb.copy() if isinstance(nb, np.ndarray) else nb)
+
+
+@pytest.mark.parametrize("sigma", [0.0, 1e-7])
+def test_ops_match_the_reference_formulas_bit_for_bit(sigma):
+    """Seeded random operands of every value and bound kind, at levels
+    down to 0, through every op: values, levels, bound types and values,
+    and lane counts all match the formulas, and no input is written.  A
+    second context seeded alike runs each op on copies, handing over one
+    operand's value array as ``out``, and returns the same results."""
+    rng = np.random.default_rng(2024)
+    params = SimParams(depth_budget=9, noise_per_mul=sigma)
+    ctx, reusing = CkksContext(params, seed=7), CkksContext(params, seed=7)
+    draws = np.random.default_rng(7)  # the contexts' noise source, replayed
+    raised = {"mul": 0, "mul_plain": 0}
+    for trial in range(600):
+        op = ("add", "sub", "neg", "mul", "mul_plain")[trial % 5]
+        a, b = (_random_ct(rng, rng.choice(_VALUE_KINDS), rng.choice(_BOUND_KINDS),
+                           int(rng.integers(0, 3))) for _ in range(2))
+        k = (float(rng.normal()), -2, np.float64(0.5), rng.normal(size=_WIDTH))[trial % 4]
+        args = {"add": (a, b), "sub": (a, b), "neg": (a,), "mul": (a, b),
+                "mul_plain": (a, k)}[op]
+        copies = {id(ct): _copy(ct) for ct in (a, b)}
+        reuse_args = tuple(copies.get(id(x), x) for x in args)
+        donor = copies[id(b if op in ("add", "sub", "mul") and trial % 2 else a)].value
+        out = donor if isinstance(donor, np.ndarray) else None
+        before = [_as_is(x) for ct in (a, b) for x in (ct.value, ct.noise_bound)]
+        counts = ctx.snapshot_counts()
+        if op in ("mul", "mul_plain") and min(a.level, b.level if op == "mul" else 9) < 1:
+            for c, xs in ((ctx, args), (reusing, reuse_args)):
+                with pytest.raises(DepthExhausted):
+                    getattr(c, op)(*xs)
+            raised[op] += 1
+            assert ctx.snapshot_counts() == reusing.snapshot_counts() == counts
+            continue
+        want = _reference(op, a, b, k, sigma, draws)
+        for got in (getattr(ctx, op)(*args), getattr(reusing, op)(*reuse_args, out=out)):
+            assert (_as_is(got.value), got.level, _as_is(got.noise_bound)) == \
+                   (_as_is(want[0]), want[1], _as_is(want[2])), (trial, op)
+        name = "add" if op == "sub" else op
+        assert ctx.op_counts[name] - counts[name] == np.size(want[0]), (trial, op)
+        assert {n: c for n, c in ctx.op_counts.items() if n != name} == \
+               {n: c for n, c in counts.items() if n != name}
+        assert reusing.snapshot_counts() == ctx.snapshot_counts()
+        assert [_as_is(x) for ct in (a, b) for x in (ct.value, ct.noise_bound)] == before
+    assert min(raised.values()) > 0  # level 0 was met by both multiplies
+
+
+def test_gather_copies_for_every_index_kind_its_callers_pass():
+    """Callers gather through a 1-D lane map, ``np.ix_`` row and column
+    maps, or one index array per axis; the result never shares memory
+    with its input, value or bound, so it may be written in place."""
+    ctx = CkksContext()
+    flat = Ciphertext(np.arange(12.0), 5, np.linspace(0.0, 1e-6, 12))
+    grid = Ciphertext(np.arange(12.0).reshape(3, 4), 5, np.full((3, 4), 1e-7))
+    cases = [(flat, np.array([3, 0, 3, 11], dtype=np.intp)),
+             (grid, np.ix_(np.array([2, 0]), np.array([1, 3]))),
+             (grid, (np.array([0, 2, 1]), np.array([3, 3, 0])))]
+    for ct, index in cases:
+        before = ctx.snapshot_counts()
+        out = gather(ct, index)
+        assert ctx.snapshot_counts() == before and out.level == ct.level
+        assert np.array_equal(out.value, ct.value[index])
+        assert np.array_equal(out.noise_bound, ct.noise_bound[index])
+        assert not np.shares_memory(out.value, ct.value)
+        assert not np.shares_memory(out.noise_bound, ct.noise_bound)
+    assert gather(Ciphertext(np.arange(4.0), 2, 0.0), np.array([1])).noise_bound == 0.0

@@ -646,13 +646,18 @@ def test_a_replayed_tape_matches_the_walk_on_random_programs(noise):
     """A followed plan replays its tape; an evaluator with no plan walks
     each ask.  Asked the same things and given the same answers, both
     run the same simulator ops in the same order, so every slot agrees
-    bit for bit, level included, with noise injected too."""
+    bit for bit, level included, with noise injected too.  A tape step
+    may write its result into the value array of an operand it reads for
+    the last time, when a step built that array and no ask handed it
+    out, so leaves, answers and every ask's result keep their values to
+    the end of the run."""
     rng = np.random.default_rng(11)
-    tiers = set()
+    tiers, reused = set(), 0
     for trial in range(12):
         enc = _ctx(40)
         b, slots, pre = _random_program(rng, enc)
         plan = RunPlan.over(slots.values(), first=pre)
+        reused += sum(step[5] is not None for _, steps, _ in plan.tape for step in steps)
         pe = PlainEvaluator(b)
         answers = {n.id: enc.encrypt(pe.eval(n)) for n in plan.requests}
         tiers.add(len(plan.by_tier()))
@@ -662,19 +667,30 @@ def test_a_replayed_tape_matches_the_walk_on_random_programs(noise):
             ev = CipherEvaluator(ctx, b)
             if planned:
                 ev.follow(plan)
+            kept = [(ct, np.array(ct.value)) for ct in answers.values()]
+            kept += [(n.payload, np.array(n.payload.value)) for n in b.nodes if n.op == "cipher"]
+
+            def ask(e):
+                ct = ev.eval(e)
+                kept.append((ct, np.array(ct.value)))
+                return ct
+
             for e in pre:
-                ev.eval(e)
+                ask(e)
             for cmps, sqrts in plan.by_tier():
                 for e in [side for n in cmps for side in (n.a, n.c)] + [n.a for n in sqrts]:
-                    ev.eval(e)
+                    ask(e)
                 for n in cmps + sqrts:
                     ev.bind(n, answers[n.id])
-            out = [ev.eval(e) for e in slots.values()]
+            out = [ask(e) for e in slots.values()]
             assert (ev.memo == {}) == planned, trial
+            for ct, value in kept:
+                assert np.asarray(ct.value).tobytes() == value.tobytes(), (trial, planned)
             runs.append((ctx.snapshot_counts(),
                          [(np.asarray(ct.value).tobytes(), ct.level) for ct in out]))
         assert runs[0] == runs[1], trial
     assert max(tiers) >= 3  # some requests waited on two rounds of answers
+    assert reused > 100  # most products and sums write into a freed operand
 
 
 def _one_request(ctx, b, sqrt=False):

@@ -376,6 +376,27 @@ def test_blob16_outputs_match_recorded_digests(blob16, monkeypatch, mode):
     assert hashlib.sha256(report).hexdigest() == BLOB16_REPORT_SHA256[mode]
 
 
+# The slot digests again with noise injected (noise_per_mul=1e-12, which
+# flips no decision on blob16).  Noisy values depend on which multiplies
+# run, in what order, and on their draws, so these pin all three, which
+# exact-mode digests cannot.  The report is the exact run's: noise moves
+# no op count, level or leakage count.
+BLOB16_NOISY_SLOTS_SHA256 = {
+    "interactive": "31dbfe900b84f69809874747aafa308b803539cac2b2fabf6d304bfdda99fde6",
+    "deferred": "9a7e19f93886074b0a66e23cb6e128e24c43438794f6c7cc822ac0155b48ccda",
+}
+
+
+@pytest.mark.parametrize("mode", ["interactive", "deferred"])
+def test_blob16_noisy_outputs_match_recorded_digests(blob16, mode):
+    out = run_pipeline(blob16, CFG16, SimParams(noise_per_mul=1e-12), mode=mode, seed=SEED,
+                       keep_slots=True)
+    assert _slots_sha(out.slots) == BLOB16_NOISY_SLOTS_SHA256[mode]
+    assert BLOB16_NOISY_SLOTS_SHA256[mode] != BLOB16_SLOTS_SHA256[mode]
+    report = render_kv(_flat_report(out.report)).encode()
+    assert hashlib.sha256(report).hexdigest() == BLOB16_REPORT_SHA256[mode]
+
+
 def test_blob16_client_decrypts_each_pooled_table_once(blob16):
     r = run_pipeline(blob16, CFG16, mode="deferred", seed=SEED).report
     kv = dict(_flat_report(r))

@@ -418,6 +418,31 @@ def test_interactive_request_bytes_match_recorded_digests():
     assert np.array_equal(run.results["chain"].value, [2.0, 6.0, 2.0, 4.0, 3.25])
 
 
+def _address(blob) -> int:
+    return np.frombuffer(blob, dtype=np.uint8).ctypes.data
+
+
+def test_wire_records_start_on_an_8_byte_boundary():
+    """A request's records follow its 4-byte level and a package's its
+    44-byte header, so each wire buffer is placed to put them, not its
+    first byte, on an 8-byte boundary; the bytes are the digests' above."""
+    ctx, b, slots = _wire_toy()
+    prog = lower(b, slots, ctx)
+    for decoys, seed in sorted(PACKAGE_SHA256):
+        blob = serialize_package(prog, DecoyPolicy(enabled=decoys), seed=seed)
+        sec = protocol._sections(blob)
+        assert protocol._HEADER.itemsize == 44
+        assert sec["comparisons"].ctypes.data % 8 == 0
+        assert sec["sqrts"].ctypes.data % 8 == 0
+    rng = np.random.default_rng(0)
+    for width in range(1, 40):  # buffers of many sizes, so of many allocations
+        for dtype in (protocol.CMP_DTYPE, protocol.SQRT_DTYPE):
+            operands = [[ctx.encrypt(np.arange(float(width)))]] * len(dtype.names)
+            blob, _ = protocol._request_batch(dtype, [width], operands, DecoyPolicy(), rng)
+            assert (_address(blob) + 4) % 8 == 0, (width, dtype)
+            assert protocol._parse_request(blob, dtype)[0].ctypes.data % 8 == 0
+
+
 @pytest.mark.parametrize("decoys", [True, False])
 def test_run_deferred_parses_the_package_once(monkeypatch, decoys):
     ctx, b, slots = _wire_toy()
