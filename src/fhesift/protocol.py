@@ -42,10 +42,24 @@ The package ships every piece once, in pools the slots refer into: one
 wire-id row per requested comparison and sqrt, each lane map, and each
 coefficient table, pooled per coefficient node and width, never by
 value.  A slot parameter is a (row, map or none) reference and a
-monomial a row of pool indices.  One slot evaluator, ``_evaluate_slots``,
-sums those tables in whole-array passes, for the client and for
-``LoweredProgram.evaluate``: a product of 0/1 answers is an AND of bits,
-and the client decrypts each pooled table once.
+monomial a row of pool indices.
+
+One slot evaluator sums those tables, for the client and for
+``LoweredProgram.evaluate``, in two parts.  A ``SlotPlan`` is made from
+the structure alone: the slot tables, the comparison row lengths and the
+coefficient tables' widths.  It numbers the bit rows of the distinct
+comparison parameters and groups the slots by monomial table shape,
+family by family: a family's slots share a coefficient table sequence.
+``SlotPlan.evaluate`` takes one package's answers, roots, lane maps and
+coefficient tables: a product of 0/1 answers is an AND of bits, taken for
+a block of slots at once, each family's coefficient rows are gathered
+once, and the client decrypts each pooled table once.  The client keeps
+the plans of the ``PLAN_MEMO_SIZE`` most recently used package layouts,
+keyed by the exact bytes of every section a plan depends on (row lengths,
+lane maps, coefficient table lengths, slots, names, parameters and
+monomials), which ``parse_package`` takes in its one walk; wire ids,
+records, coefficient values and levels are not in the key, so packages of
+one circuit share a plan.
 
 A reindexed comparison has no records of its own.  In a package its
 parameter is its source comparison's row read through the lane map;
@@ -57,6 +71,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -268,9 +283,10 @@ class LoweredProgram:
         if not np.array_equal(answers, ones) or np.signbit(answers).any():
             raise ValueError("a comparison answer must be exactly 0.0 or 1.0")
         roots = [_lanes(sqrts[q.id], q.arg.width) for q in self.sqrts]
-        return _evaluate_slots(self.slots, ones, np.array([c.width for c in self.comparisons]),
-                               roots, self.lane_maps, [w for _, w in self.coeff_tables],
-                               lambda k: decrypt(self.coeff_tables[k][0]))
+        plan = SlotPlan(self.slots, [c.width for c in self.comparisons],
+                        [w for _, w in self.coeff_tables])
+        return plan.evaluate(ones, roots, self.lane_maps,
+                             lambda k: decrypt(self.coeff_tables[k][0]))
 
 
 def lower(builder: GraphBuilder, slots: dict[str, Expr], ctx: CkksContext | None = None,
@@ -350,83 +366,242 @@ def lower(builder: GraphBuilder, slots: dict[str, Expr], ctx: CkksContext | None
     return program.bind(evaluator if evaluator is not None else CipherEvaluator(ctx, builder))
 
 
-def _evaluate_slots(slots: dict[str, dict], answers: np.ndarray, lengths: np.ndarray,
-                    roots: list[np.ndarray], maps: list[np.ndarray],
-                    table_widths: list[int], table) -> dict[str, Value]:
-    """Each slot's value, given every comparison row's boolean answers
-    back to back (``lengths[r]`` lanes for row r), each sqrt row's roots
-    and coefficient table k as ``table(k)``.  A product of 0/1 answers is
-    an AND of bits, packed once per distinct parameter and slot width; a
-    monomial with a sqrt factor folds its floats as a balanced tree, as
-    the server does.  Terms add in monomial order, left to right.
+PLAN_MEMO_SIZE = 4  # slot plans kept by package layout, least recently used dropped first
+# each recent package layout's slot plan, least recently used first, keyed
+# by the layout ``parse_package`` returns
+_PLAN_MEMO: dict[tuple[bytes, ...], SlotPlan] = {}
+_BLOCK_BYTES = 1 << 18  # the terms summed in one pass, about an L2 cache's share
+
+
+def _blocks(n_monos: int, family: list[int], width: int) -> list[tuple]:
+    """(first slot, past the last, first lane, past the last, families) of
+    each block of a group's terms: as many whole slots as fit
+    ``_BLOCK_BYTES``, or when one slot does not, that slot's lanes in runs
+    of whole bytes of bits.  ``family`` holds each slot's family; a
+    block's families are that family when it holds one, else each slot's.
+    No block is one lane of one slot, which numpy would sum pairwise."""
+    per_lane = n_monos * 8
+    if per_lane * width <= _BLOCK_BYTES:
+        step = _BLOCK_BYTES // (per_lane * width)
+        bounds = [(lo, min(lo + step, len(family)), 0, width)
+                  for lo in range(0, len(family), step)]
+    else:
+        cuts = list(range(0, width, max(8, _BLOCK_BYTES // per_lane // 8 * 8)))
+        if width - cuts[-1] == 1:
+            cuts.pop()
+        bounds = [(s, s + 1, a, b) for s in range(len(family))
+                  for a, b in zip(cuts, cuts[1:] + [width])]
+    return [(lo, hi, l0, l1, family[lo] if family[lo] == family[hi - 1]
+             else np.array(family[lo:hi])) for lo, hi, l0, l1 in bounds]
+
+
+class _Group(NamedTuple):
+    """Slots of one width and monomial table shape, family by family: the
+    slots of a family name the same coefficient tables in the same order."""
+
+    width: int
+    names: list[str]
+    family: np.ndarray  # each slot's family
+    tables: np.ndarray  # (families x monomials) coefficient tables, as rows of the stack
+    bit_rows: np.ndarray  # (monomials x slots x degree) factors' bit rows; row 0 is all ones
+    # the monomials with a sqrt factor, per factor count: each one's
+    # monomial and slot, and its factors, as rows of its width's float
+    # factors
+    sqrt: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
+    blocks: list[tuple]  # as ``_blocks`` cuts them
+
+
+class SlotPlan:
+    """How to sum a package's residual slots, from its structure alone.
+
+    A plan follows from the slot tables, the comparison row lengths and
+    the coefficient tables' widths, never from a wire id, a value or a
+    level, so one plan serves every package of a layout.  It holds, per
+    slot width:
+
+      * each distinct (row, map) comparison parameter's row of packed
+        bits, packed by (map, row length) from the starts of the rows;
+      * the slots, in groups of one monomial table shape, family by
+        family: a family's slots share a coefficient table sequence, so
+        its coefficient rows are gathered once.  Each monomial's bit rows
+        are held per slot, and a group is summed in blocks of about
+        ``_BLOCK_BYTES``;
+      * the monomials with a sqrt factor, by factor count, with their
+        factors' (row, map).
+
+    Slots without monomials are 0.0.
     """
-    stacks = {w: np.empty((n, w)) for w, n in Counter(table_widths).items()}
-    table_row, filled = np.empty(len(table_widths), dtype=np.intp), Counter()
-    for k, w in enumerate(table_widths):
-        table_row[k] = filled[w]
-        filled[w] += 1
-        stacks[w][table_row[k]] = table(k)
 
-    starts = np.concatenate([[0], np.cumsum(lengths, dtype=np.int64)])
-    n_cmp = len(lengths)
-    # each distinct (width, row, map) comparison parameter's row of bits;
-    # row 0 is all ones, for monomial padding and sqrt factors
-    bit_row: dict[tuple[int, int, int], int] = {}
-    reads: dict[tuple[int, int, int], list[int]] = {}  # (width, map, row length) -> rows
-    n_bits: Counter = Counter()
-    local: dict[str, list[int]] = {}  # each slot parameter's bit row, then padding's
-    for name, slot in slots.items():
-        w = slot["width"]
-        local[name] = []
-        for r, m in slot["params"].tolist():
-            if r < n_cmp and (w, r, m) not in bit_row:
-                bit_row[w, r, m] = n_bits[w] = n_bits[w] + 1
-                reads.setdefault((w, m, int(lengths[r])), []).append(r)
-            local[name].append(bit_row.get((w, r, m), 0))
-        local[name].append(0)
-    bits = {w: np.full((n_bits[w] + 1, (w + 7) // 8), 0xFF, dtype=np.uint8)
-            for w in {slot["width"] for slot in slots.values()}}
-    # the rows of each length, gathered once into a (rows x length) block;
-    # a lane map then reads its rows' lanes along the block's second axis
-    in_block: dict[int, dict[int, int]] = {}  # length -> row -> its row of the block
-    for (_, _, n), rows in reads.items():
-        at = in_block.setdefault(n, {})
-        for r in rows:
-            at.setdefault(r, len(at))
-    blocks = {n: answers[starts[list(at)][:, None] + np.arange(n)] for n, at in in_block.items()}
-    for (w, m, n), rows in reads.items():
-        got = blocks[n][[in_block[n][r] for r in rows]]
-        if m != _NONE:
-            got = np.take(got, maps[m], axis=1)
-        bits[w][[bit_row[w, r, m] for r in rows]] = np.packbits(
-            np.broadcast_to(got, (len(rows), w)), axis=1)
+    def __init__(self, slots: dict[str, dict], lengths, table_widths: list[int]):
+        n_cmp = len(lengths)
+        lengths = np.asarray(lengths, dtype=np.int64)
+        starts = np.concatenate([[0], np.cumsum(lengths)])
+        self.starts = starts.tolist()  # comparison row r's lanes run from [r] to [r + 1]
+        self.names = list(slots)
+        self.stacks: Counter = Counter()  # width -> coefficient tables
+        self.table_at: list[tuple[int, int]] = []  # table -> (width, stack row)
+        for w in table_widths:
+            self.table_at.append((w, self.stacks[w]))
+            self.stacks[w] += 1
+        stack_row = np.array([row for _, row in self.table_at], dtype=np.intp)
 
-    def float_lanes(r: int, m: int) -> np.ndarray:
-        v = answers[starts[r]:starts[r + 1]].astype(np.float64) if r < n_cmp else roots[r - n_cmp]
-        return v if m == _NONE else v[maps[m]]
+        # every slot's parameters back to back, each slot's followed by one
+        # more entry, which its _NONE padding reads
+        tables = list(slots.values())
+        n_params = np.array([len(t["params"]) for t in tables], dtype=np.int64)
+        first = np.cumsum(n_params + 1) - (n_params + 1)  # each slot's first entry
+        at = np.arange(n_params.sum()) + np.repeat(np.arange(len(tables)), n_params)
+        row, lane_map = np.concatenate([np.empty(0, dtype=_U4)] + [
+            t["params"].view(_U4) for t in tables]).astype(np.int64).reshape(-1, 2).T
+        width = np.repeat(np.array([t["width"] for t in tables], dtype=np.int64), n_params)
+        is_cmp = row < n_cmp
 
-    results: dict[str, Value] = {}
-    for name, slot in slots.items():
-        w, monos, params = slot["width"], slot["monomials"], slot["params"]
-        if not len(monos):
-            results[name] = 0.0
-            continue
-        terms = stacks[w][table_row[monos[:, 0]]]
-        # _NONE padding reads the 0 after the parameters' bit rows
-        factors = np.minimum(monos[:, 1:], len(params))
-        if factors.shape[1]:
-            refs = np.array(local[name])[factors]
-            terms *= np.unpackbits(np.bitwise_and.reduce(bits[w][refs], axis=1), axis=1, count=w)
-        sqrt = np.append(params["row"] >= n_cmp, False)[factors].any(axis=1) if roots else ()
-        for i in np.flatnonzero(sqrt).tolist():
-            vals = [float_lanes(*params[j].tolist()) for j in factors[i] if j < len(params)]
-            terms[i] = balanced_fold(vals, np.multiply) * stacks[w][table_row[monos[i, 0]]]
-        # left to right: a reduction over rows adds row after row onto
-        # -0.0, which leaves the first row's bits as they are; numpy sums
-        # a column of single lanes pairwise, so those accumulate instead
-        results[name] = (np.add.reduce(terms, axis=0, initial=-0.0) if w > 1
-                         else float(np.add.accumulate(terms[:, 0])[-1]))
-    return results
+        # each distinct (width, map, row length, row) comparison parameter's
+        # bit row, numbered from 1 per width in that order
+        r = row[is_cmp]
+        keys = np.stack([width[is_cmp], lane_map[is_cmp], lengths[r], r], axis=1)
+        order = np.lexsort(keys.T[::-1])
+        new = np.ones(len(order), dtype=bool)
+        new[1:] = np.any(keys[order[1:]] != keys[order[:-1]], axis=1)
+        uniq = keys[order[new]]
+        inverse = np.empty(len(order), dtype=np.intp)
+        inverse[order] = np.cumsum(new) - 1
+        bit_rows = np.arange(len(uniq)) - np.searchsorted(uniq[:, 0], uniq[:, 0]) + 1
+        self.n_bits = dict.fromkeys((t["width"] for t in tables), 0)  # width -> bit rows, past 0
+        self.n_bits.update(zip(*(v.tolist() for v in np.unique(uniq[:, 0], return_counts=True))))
+        entry_bits = np.zeros(len(at) + len(tables), dtype=np.intp)
+        entry_bits[at[is_cmp]] = bit_rows[inverse]
+        entry_sqrt = np.zeros(len(entry_bits), dtype=bool)
+        entry_sqrt[at[~is_cmp]] = True
+
+        # the rows of each length make one (rows x length) block; the
+        # parameters of one width, map and length are packed together from
+        # their rows of the block, through their map if they have one
+        in_block = {n: np.unique(uniq[uniq[:, 2] == n, 3]) for n in np.unique(uniq[:, 2]).tolist()}
+        self.row_starts = {n: starts[rows] for n, rows in in_block.items()}
+        head = np.ones(len(uniq), dtype=bool)  # the first parameter of each pack
+        head[1:] = np.any(uniq[1:, :3] != uniq[:-1, :3], axis=1)
+        firsts = np.flatnonzero(head).tolist()
+        self.packs = []
+        for lo, hi in zip(firsts, firsts[1:] + [len(uniq)]):
+            w, m, n = uniq[lo, :3].tolist()
+            self.packs.append((w, m, n, np.searchsorted(in_block[n], uniq[lo:hi, 3]),
+                               bit_rows[lo:hi]))
+
+        # the slots of each width and monomial table shape, by coefficient
+        # table sequence
+        shapes: dict[tuple, dict[bytes, list[int]]] = {}  # (width, shape) -> sequence -> slots
+        for s, t in enumerate(tables):
+            monos = t["monomials"]
+            if len(monos):
+                shapes.setdefault((t["width"], monos.shape), {}).setdefault(
+                    monos[:, 0].tobytes(), []).append(s)
+        # each distinct (row, map) factor of a sqrt monomial, per width
+        self.factors: dict[int, dict[tuple[int, int], int]] = {}
+        self.groups = []
+        # the groups with the most terms per slot come first, so that their
+        # transient arrays are made while few results are held
+        by_size = sorted(shapes.items(), key=lambda item: -item[0][0] * item[0][1][0])
+        for (w, (n_monos, _)), seqs in by_size:
+            ss = [s for slots_of in seqs.values() for s in slots_of]  # family by family
+            family = [f for f, slots_of in enumerate(seqs.values()) for _ in slots_of]
+            monos = np.stack([tables[s]["monomials"] for s in ss])  # (slots x monomials x row)
+            entry = first[ss, None, None] + np.minimum(monos[:, :, 1:], n_params[ss, None, None])
+            by_count: dict[int, list] = {}  # factor count -> (monomial, slot, factors)
+            factors = self.factors.setdefault(w, {})
+            for j, on in enumerate(entry_sqrt[entry].any(axis=2).tolist()):
+                if any(on):
+                    refs, rows = tables[ss[j]]["params"].tolist(), monos[j, :, 1:].tolist()
+                    for i in (i for i, sq in enumerate(on) if sq):
+                        fs = [factors.setdefault(refs[f], len(factors))
+                              for f in rows[i] if f < len(refs)]
+                        by_count.setdefault(len(fs), []).append((i, j, fs))
+            first_slots = np.searchsorted(family, range(len(seqs)))  # each family's first
+            self.groups.append(_Group(
+                w, [self.names[s] for s in ss], np.array(family),
+                stack_row[monos[first_slots, :, 0]],
+                np.ascontiguousarray(entry_bits[entry].transpose(1, 0, 2)),
+                [tuple(np.array(col) for col in zip(*ms)) for ms in by_count.values()],
+                _blocks(n_monos, family, w)))
+        self.block_size = max((g.bit_rows.shape[0] * (hi - lo) * (l1 - l0)
+                               for g in self.groups for lo, hi, l0, l1, _ in g.blocks), default=0)
+
+    def evaluate(self, answers: np.ndarray, roots: list[np.ndarray], maps: list[np.ndarray],
+                 table) -> dict[str, Value]:
+        """Each slot's value, given every comparison row's boolean answers
+        back to back, each sqrt row's roots, the lane maps and coefficient
+        table k as ``table(k)``, which is called once per table.
+
+        A product of 0/1 answers is an AND of bits; a monomial with a sqrt
+        factor folds its floats as a balanced tree, as the server does.
+        Terms add in monomial order, left to right.
+        """
+        stacks = {w: np.empty((n, w)) for w, n in self.stacks.items()}
+        for k, (w, row) in enumerate(self.table_at):
+            stacks[w][row] = table(k)
+        # bits in 64-bit words, so a gather moves one item per word
+        bits = {w: np.full((n + 1, (w + 63) // 64), ~np.uint64(0))
+                for w, n in self.n_bits.items()}
+        blocks = {n: answers[starts[:, None] + np.arange(n)]
+                  for n, starts in self.row_starts.items()}
+        for w, m, n, pos, dest in self.packs:
+            got = blocks[n][pos]
+            if m != _NONE:
+                got = np.take(got, maps[m], axis=1)
+            bits[w].view(np.uint8)[dest, :(w + 7) // 8] = np.packbits(
+                np.broadcast_to(got, (len(pos), w)), axis=1)
+
+        # each sqrt monomial factor's float lanes, read through its map
+        n_cmp = len(self.starts) - 1
+        floats = {w: np.empty((len(fs), w)) for w, fs in self.factors.items()}
+        for w, fs in self.factors.items():
+            for (r, m), k in fs.items():
+                v = (answers[self.starts[r]:self.starts[r + 1]] if r < n_cmp
+                     else roots[r - n_cmp])
+                floats[w][k] = v if m == _NONE else v[maps[m]]
+
+        buf = np.empty(self.block_size)
+        results: dict[str, Value] = dict.fromkeys(self.names, 0.0)
+        for g in self.groups:
+            w, family = g.width, None
+            n_monos, n_slots, degree = g.bit_rows.shape
+            # one balanced fold per factor count, over all its monomials at once
+            sqrt = [(at, slot, balanced_fold(list(floats[w][fs].transpose(1, 0, 2)), np.multiply)
+                     * stacks[w][g.tables[g.family[slot], at]]) for at, slot, fs in g.sqrt]
+            sums = np.empty((n_slots, w))
+            for lo, hi, l0, l1, fams in g.blocks:
+                # (monomials x slots or 1 x lanes) coefficients: one family's
+                # rows are gathered once, and a block of several families'
+                # slots gathers each slot's
+                if isinstance(fams, int):
+                    if fams != family:
+                        family, rows = fams, stacks[w][g.tables[fams]][:, None]
+                    coeffs = rows[:, :, l0:l1]
+                else:
+                    coeffs = stacks[w][g.tables[fams], l0:l1].transpose(1, 0, 2)
+                terms = buf[:n_monos * (hi - lo) * (l1 - l0)].reshape(n_monos, hi - lo, l1 - l0)
+                if not degree:
+                    terms[:] = coeffs
+                else:
+                    if l0 == 0:  # a block's slots, at their first lanes
+                        on = np.bitwise_and.reduce(bits[w][g.bit_rows[:, lo:hi]],
+                                                   axis=2).view(np.uint8)
+                    terms[:] = np.unpackbits(on[:, :, l0 // 8:(l1 + 7) // 8], axis=2,
+                                             count=l1 - l0)
+                    np.multiply(terms, coeffs, out=terms)
+                for at, slot, term in sqrt:
+                    inside = (slot >= lo) & (slot < hi)
+                    terms[at[inside], slot[inside] - lo] = term[inside, l0:l1]
+                # left to right: a reduction over the monomial axis adds
+                # row after row onto -0.0, which leaves the first row's
+                # bits as they are; numpy sums a column of single lanes
+                # pairwise, so those accumulate instead
+                if w > 1:
+                    np.add.reduce(terms, axis=0, initial=-0.0, out=sums[lo:hi, l0:l1])
+                else:
+                    sums[lo:hi, 0] = np.add.accumulate(terms[:, :, 0], axis=0)[-1]
+            results.update(zip(g.names, sums if w > 1 else sums[:, 0].tolist()))
+        return results
 
 
 class Client:
@@ -481,8 +656,10 @@ class Client:
         """Decrypt a deferred package and finish the computation locally.
 
         Every comparison row's answers are gathered in one pass and each
-        pooled coefficient table is decrypted once; ``_evaluate_slots``
-        then sums the slots, as it does for ``LoweredProgram.evaluate``.
+        pooled coefficient table is decrypted once; the package layout's
+        ``SlotPlan``, from the memo unless this layout is new or was
+        dropped, then sums the slots, as it does for
+        ``LoweredProgram.evaluate``.
         """
         pkg = parse_package(blob)
         lengths, ids = pkg["cmp_ids"]
@@ -491,9 +668,14 @@ class Client:
                      else np.empty(0))
         roots = [sqrt_wire[row] for row in pkg["rows"][pkg["cmp_rows"]:]]
         coeffs = pkg["coeffs"]
-        return _evaluate_slots(pkg["slots"], answers, lengths, roots, pkg["maps"],
-                               [len(lanes) for lanes, _ in coeffs],
-                               lambda k: self._decrypt(Ciphertext(*coeffs[k])))
+        plan = _PLAN_MEMO.pop(pkg["layout"], None)
+        if plan is None:
+            plan = SlotPlan(pkg["slots"], lengths, [len(lanes) for lanes, _ in coeffs])
+        _PLAN_MEMO[pkg["layout"]] = plan  # the most recently used, last
+        while len(_PLAN_MEMO) > PLAN_MEMO_SIZE:
+            del _PLAN_MEMO[next(iter(_PLAN_MEMO))]
+        return plan.evaluate(answers, roots, pkg["maps"],
+                             lambda k: self._decrypt(Ciphertext(*coeffs[k])))
 
 
 # -- request batching -------------------------------------------------------------
@@ -702,7 +884,7 @@ def _check_refs(what: str, refs: np.ndarray, count, none_ok: bool = False):
 
 
 def parse_package(blob) -> dict:
-    """Package tables as views into ``blob``; nothing is copied.
+    """Package tables as views into ``blob``; only ``layout`` is a copy.
 
     ``cmp_level`` and ``sqrt_level`` are the levels the header gives the
     comparison and the sqrt records.  ``rows`` holds the wire-id row of
@@ -711,7 +893,9 @@ def parse_package(blob) -> dict:
     ``coeffs`` holds (lanes, level) per coefficient table.  A slot's ``params`` are
     (row, map) references, map ``_NONE`` for none, and each row of its
     ``monomials`` is a coefficient table index followed by slot-local
-    parameter indices padded with ``_NONE``.
+    parameter indices padded with ``_NONE``.  ``layout`` holds, as bytes,
+    every section a ``SlotPlan`` depends on; the client's plan memo is
+    keyed by it.
 
     Every reference is checked against what it points into: a wire id
     against its kind's records, a parameter's row and map against the
@@ -758,6 +942,11 @@ def parse_package(blob) -> dict:
     if np.any(coeff_lens[monos[lead]] != width[mono_slot[lead]]):
         raise ValueError("deferred package coefficient table's lanes differ from its slot's width")
 
+    # every section the slot plan depends on, byte for byte
+    layout = (cmp_lens.tobytes(), sqrt_lens.tobytes(), sec["coeffs"][0].tobytes(),
+              sec["slots"].tobytes(),
+              *(part.tobytes() for name in ("maps", "names", "params", "monomials")
+                for part in sec[name]))
     names = [name.tobytes().decode() for name in _runs(*sec["names"])]
     slots = {name: {"width": w, "params": p, "monomials": m.reshape(-1, k)}
              for name, w, k, p, m in zip(names, width.tolist(), stride.tolist(),
@@ -767,7 +956,8 @@ def parse_package(blob) -> dict:
             "sqrt_level": int(sec["header"]["sqrt_level"]),
             "rows": _runs(cmp_lens, cmp_ids) + _runs(sqrt_lens, sqrt_ids),
             "cmp_rows": len(cmp_lens), "cmp_ids": (cmp_lens, cmp_ids), "maps": maps,
-            "coeffs": list(zip(_runs(*sec["coeffs"]), sec["levels"].tolist())), "slots": slots}
+            "coeffs": list(zip(_runs(*sec["coeffs"]), sec["levels"].tolist())), "slots": slots,
+            "layout": layout}
 
 
 def dump_package(blob: bytes) -> str:

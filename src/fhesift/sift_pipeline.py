@@ -297,13 +297,19 @@ class _GraphPlan:
 
     def split(self, values: dict) -> dict:
         """Each graph slot's lanes as one table per octave, named
-        ``o{octave}l{layer}/...`` like the slot tables of a one-octave run."""
-        cuts = np.cumsum([len(ys) for ys, _ in self.sites.values()])[:-1]
+        ``o{octave}l{layer}/...`` like the slot tables of a one-octave run.
+        A one-octave run's tables are the slots' own."""
+        ends = np.cumsum([len(ys) for ys, _ in self.sites.values()]).tolist()
+        bounds = list(zip(self.sites, [0, *ends], ends))
         out = {}
         for name, v in values.items():
             graph, field = name.split("/")
-            for o, part in zip(self.sites, np.split(v, cuts)):
-                out[f"o{o}l{self.layers[graph]}/{field}"] = part
+            layer = self.layers[graph]
+            if len(bounds) == 1:
+                out[f"o{bounds[0][0]}l{layer}/{field}"] = v
+                continue
+            for o, lo, hi in bounds:
+                out[f"o{o}l{layer}/{field}"] = v[lo:hi]
         return out
 
     def mark_stage(self, stage: str, cmp_lo: int, sqrt_lo: int):

@@ -461,13 +461,13 @@ def test_run_deferred_parses_the_package_once(monkeypatch, decoys):
     assert run.rounds[0].n_wire_sqrts == len(pkg["sqrts"])
 
 
-def _reindex_toy():
+def _reindex_toy(v=(1.0, -5.0, 2.5, -0.5, 3.0, -1.0), y=(2.0, 7.0, -1.0), z=(0.5, -4.0, 6.0)):
     """One six-lane comparison read through two lane maps and directly."""
     ctx = CkksContext(SimParams(depth_budget=20))
     b = GraphBuilder()
-    v = b.cipher(ctx.encrypt(np.array([1.0, -5.0, 2.5, -0.5, 3.0, -1.0])), name="v")
-    y = b.cipher(ctx.encrypt(np.array([2.0, 7.0, -1.0])), name="y")
-    z = b.cipher(ctx.encrypt(np.array([0.5, -4.0, 6.0])), name="z")
+    v = b.cipher(ctx.encrypt(np.array(v)), name="v")
+    y = b.cipher(ctx.encrypt(np.array(y)), name="y")
+    z = b.cipher(ctx.encrypt(np.array(z)), name="z")
     c = b.compare(v, b.plain(0.0))
     maps = {"a": np.array([0, 2, 4]), "b": np.array([4, 4, 1])}
     ra, rb = (b.reindex(c, maps[k]) for k in "ab")
@@ -626,6 +626,79 @@ def test_no_walk_plans_the_interactive_run(blob16, monkeypatch):
     assert at_first_batch[0] == 0
 
 
+def _resolve_cold(ctx, blob):
+    """The client's slots for ``blob`` from a plan built afresh."""
+    protocol._PLAN_MEMO.clear()
+    return Client(ctx).resolve_package(blob)
+
+
+def _same_slots(got: dict, want: dict) -> bool:
+    return list(got) == list(want) and all(
+        type(got[k]) is type(want[k])
+        and np.asarray(got[k]).tobytes() == np.asarray(want[k]).tobytes() for k in want)
+
+
+def test_the_slot_plan_memo_tells_package_structures_apart(monkeypatch):
+    """Packages of one shape whose structure differs in one monomial's
+    coefficient table, one lane map's contents or one slot's name each get
+    their own plan: resolved one after another, each gives what a plan
+    built afresh gives, and the memo never holds more plans than its
+    size."""
+    monkeypatch.setattr(protocol, "_PLAN_MEMO", {})
+    monkeypatch.setattr(protocol, "PLAN_MEMO_SIZE", 2)
+    ctx, b, _, _, slots = _reindex_toy()
+    base = bytes(serialize_package(lower(b, slots, ctx), seed=4))
+
+    def table_ref(pkg):
+        monos = pkg["slots"]["a"]["monomials"]
+        others = [k for k, (lanes, _) in enumerate(pkg["coeffs"])
+                  if len(lanes) == 3 and k != monos[0, 0]]
+        monos[0, 0] = others[0]
+
+    def map_lane(pkg):
+        pkg["maps"][0][0] = 1  # [0, 2, 4] becomes [1, 2, 4]
+
+    def slot_name(blob):
+        names = protocol._sections(blob)["names"][1]
+        names[names.tobytes().index(b"b")] = ord("c")
+
+    variants = [base]
+    for patch, via_parse in ((table_ref, True), (map_lane, True), (slot_name, False)):
+        blob = bytearray(base)
+        patch(parse_package(blob) if via_parse else blob)
+        variants.append(bytes(blob))
+    assert "c" in parse_package(variants[3])["slots"]
+    assert len({parse_package(v)["layout"] for v in variants}) == len(variants)
+    cold = [_resolve_cold(ctx, v) for v in variants]
+    # each change shows in the slots: a new table or map changes slot a
+    assert not np.array_equal(cold[1]["a"], cold[0]["a"])
+    assert not np.array_equal(cold[2]["a"], cold[0]["a"])
+    assert list(cold[3]) == ["a", "c", "direct"]
+    for blob, want in list(zip(variants, cold)) * 2:
+        assert _same_slots(Client(ctx).resolve_package(blob), want)
+        assert 0 < len(protocol._PLAN_MEMO) <= protocol.PLAN_MEMO_SIZE
+
+
+def test_a_package_of_a_remembered_layout_gives_its_own_values(monkeypatch):
+    """A second package with the first's layout but other data reuses its
+    plan and gives its own slots, as the plaintext evaluator does."""
+    monkeypatch.setattr(protocol, "_PLAN_MEMO", {})
+    runs = []
+    for values in ({}, {"v": (-2.0, 4.0, -0.25, 8.0, -3.0, 0.5), "y": (1.5, -6.0, 0.0),
+                        "z": (-2.5, 3.0, 9.0)}):
+        ctx, b, _, _, slots = _reindex_toy(**values)
+        blob = bytes(serialize_package(lower(b, slots, ctx), seed=len(runs)))
+        want = {name: PlainEvaluator(b).eval(e) for name, e in slots.items()}
+        runs.append((parse_package(blob)["layout"], Client(ctx).resolve_package(blob), want))
+        assert len(protocol._PLAN_MEMO) == 1
+    (layout1, got1, want1), (layout2, got2, want2) = runs
+    assert layout1 == layout2
+    for got, want in ((got1, want1), (got2, want2)):
+        assert list(got) == sorted(want)
+        assert all(np.array_equal(got[name], want[name]) for name in want)
+    assert not all(np.array_equal(got1[name], got2[name]) for name in got1)
+
+
 @pytest.mark.parametrize("toy", [_reindex_toy, _wire_toy])
 def test_lowered_program_evaluates_as_the_client_resolves_its_package(toy):
     """``LoweredProgram.evaluate`` on plaintext answers and the client on
@@ -666,7 +739,11 @@ def _random_slot_tables(rng, widths):
     """Random package tables: comparison and sqrt rows of 1 lane or a
     slot's width, lane maps over 1-lane and full rows, coefficient tables
     holding signed zeros, and slots of 0 to 60 monomials of degree 0 to 6,
-    with up to 3 sqrt factors, some of whose roots are nan."""
+    with up to 3 sqrt factors, some of whose roots are nan.  Each width
+    has one family of 2 to 40 slots, which share their monomial table's
+    shape and coefficient tables but not their parameters or factors, and
+    one slot of its own, which half the time has the family's shape but
+    other coefficient tables; the slots come in a shuffled order."""
     NONE = protocol._NONE
 
     def values(n):
@@ -694,45 +771,71 @@ def _random_slot_tables(rng, widths):
         reads.append(mine)
     table_widths = [w for w in widths for _ in range(5)]
     coeffs = [values(w) for w in table_widths]
-    slots = {}
-    for i, (w, mine) in enumerate(zip(widths * 2, reads * 2)):
+
+    def slot(w, mine, degree, refs):
         cmp_reads = [p for p in mine if p[0] < len(lengths)]
         sqrt_reads = [p for p in mine if p[0] >= len(lengths)]
         picked = [cmp_reads[j] for j in rng.permutation(len(cmp_reads))[:6]]
         n_cmp = len(picked)
         picked += [sqrt_reads[j] for j in rng.permutation(len(sqrt_reads))[:rng.integers(0, 4)]]
-        params = np.array(picked, dtype=protocol._PARAM)
-        degree = int(rng.integers(0, 7))
-        n_monos = 12 if w == 1 and i == 0 else int(rng.integers(0, 61))
-        tables = [k for k, tw in enumerate(table_widths) if tw == w]
-        monos = np.full((n_monos, 1 + degree), NONE, dtype=np.uint32)
-        for m in range(n_monos):
+        monos = np.full((len(refs), 1 + degree), NONE, dtype=np.uint32)
+        for m, ref in enumerate(refs):
             # half the monomials take every sqrt factor the slot has
             mono = list(range(n_cmp, len(picked))) if rng.random() < 0.5 else []
             d = int(rng.integers(0, max(degree - len(mono), 0) + 1))
             mono += rng.permutation(n_cmp)[:d].tolist()
-            monos[m, 0] = rng.choice(tables)
+            monos[m, 0] = ref
             mono = sorted(mono)[:degree]
             monos[m, 1:1 + len(mono)] = mono
-        slots[f"s{i}"] = {"width": w, "params": params, "monomials": monos}
+        return {"width": w, "params": np.array(picked, dtype=protocol._PARAM), "monomials": monos}
+
+    slots, shape = [], {}
+    for i, (w, mine) in enumerate(zip(widths * 2, reads * 2)):
+        family = i < len(widths)
+        if family or rng.random() < 0.5:
+            shape[w] = int(rng.integers(0, 7)), int(rng.integers(12 if w == 1 else 0, 61))
+        degree, n_monos = shape[w]
+        refs = rng.choice([k for k, tw in enumerate(table_widths) if tw == w], n_monos)
+        slots += [(f"s{i}.{j}", slot(w, mine, degree, refs))
+                  for j in range(int(rng.integers(2, 41)) if family else 1)]
+    slots = dict(slots[j] for j in rng.permutation(len(slots)))
     return slots, answers, np.array(lengths), roots, maps, coeffs, table_widths
 
 
-@pytest.mark.parametrize("widths", [[1], [2], [37], [1, 2, 37]])
-def test_slot_evaluator_matches_the_monomial_fold_bitwise(widths):
-    rng = np.random.default_rng(sum(widths))
-    for _ in range(40):
-        tables = _random_slot_tables(rng, widths)
-        slots, answers, lengths, roots, maps, coeffs, table_widths = tables
-        starts = np.concatenate([[0], np.cumsum(lengths)])
-        rows = [answers[a:b].astype(np.float64) for a, b in zip(starts, starts[1:])] + roots
-        want = _reference_slots(slots, rows, maps, coeffs)
-        got = protocol._evaluate_slots(slots, answers, lengths, roots, maps, table_widths,
-                                       lambda k: coeffs[k])
-        assert list(got) == list(want)
-        for name in want:
-            assert type(got[name]) is type(want[name]), name
-            assert np.asarray(got[name]).tobytes() == np.asarray(want[name]).tobytes(), name
+@pytest.mark.parametrize("widths", [[1], [2], [37], [1, 2, 33]])
+def test_slot_evaluator_matches_the_monomial_fold_bitwise(widths, monkeypatch):
+    """The plan's families, summed a block at a time, add each slot's
+    terms as the reference does, in monomial order onto -0.0.  With
+    4096-byte blocks a 33- or 37-lane family is summed in runs of 8
+    lanes, the last 33-lane run being 9, and narrower families a few
+    slots at a time."""
+    for block_bytes in (protocol._BLOCK_BYTES, 4096):
+        monkeypatch.setattr(protocol, "_BLOCK_BYTES", block_bytes)
+        rng = np.random.default_rng(sum(widths))
+        spans = set()  # (width, blocks > 1) of the families of 2 or more slots
+        for _ in range(40):
+            tables = _random_slot_tables(rng, widths)
+            slots, answers, lengths, roots, maps, coeffs, table_widths = tables
+            starts = np.concatenate([[0], np.cumsum(lengths)])
+            rows = [answers[a:b].astype(np.float64) for a, b in zip(starts, starts[1:])] + roots
+            want = _reference_slots(slots, rows, maps, coeffs)
+            plan = protocol.SlotPlan(slots, lengths, table_widths)
+            for g in plan.groups:
+                for f in np.unique(g.family):
+                    at = np.flatnonzero(g.family == f)
+                    if len(at) > 1:
+                        blocks = [lo for lo, hi, *_ in g.blocks if np.any((at >= lo) & (at < hi))]
+                        spans.add((g.width, len(blocks) > 1))
+            asked = []
+            got = plan.evaluate(answers, roots, maps, lambda k: asked.append(k) or coeffs[k])
+            assert asked == list(range(len(coeffs)))  # each table once
+            assert list(got) == list(want)
+            for name in want:
+                assert type(got[name]) is type(want[name]), name
+                assert np.asarray(got[name]).tobytes() == np.asarray(want[name]).tobytes(), name
+        assert {w for w, _ in spans} == set(widths)
+        if block_bytes == 4096 or 37 in widths:
+            assert any(more for _, more in spans)  # some family spans several blocks
 
 
 @pytest.mark.parametrize("answer", [0.5, 2.0, -1.0, -0.0, np.nan])
