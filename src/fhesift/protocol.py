@@ -30,36 +30,29 @@ column per operand, decoys draw from those columns, and one permutation
 moves whole records onto the wire.  The deferred package is one header and a
 fixed list of columnar sections, ``_SECTIONS``: the sizer, the writer and
 the parser each walk that list.  It is sized from the lowered program,
-allocated once and filled in place; the client parses it once and
-evaluates the residual tables straight from views into it.
+allocated once and filled in place.
 
-Lowering lives here, next to the layout it targets: ``lower`` turns the
-slots' normal forms into the package's pools and slot tables, so the
-serializer only pads, shuffles and writes them.  Those tables follow
-from the graph alone; ``LoweredProgram.bind`` adds one input's
-ciphertexts, so a graph is lowered once however many inputs it runs on.
-The package ships every piece once, in pools the slots refer into: one
-wire-id row per requested comparison and sqrt, each lane map, and each
-coefficient table, pooled per coefficient node and width, never by
-value.  A slot parameter is a (row, map or none) reference and a
-monomial a row of pool indices.
+Those sections are the slot tables' one form.  ``lower`` emits them (the
+slots, names, parameters and monomials), so the serializer copies them,
+and ``LoweredProgram.bind`` adds one input's ciphertexts.  The package ships
+every piece once, in pools the slots refer into: one wire-id row per
+requested comparison and sqrt, each lane map, and each coefficient table,
+pooled per coefficient node and width, never by value.  A slot parameter
+is a (row, map or none) reference and a monomial a row of pool indices.
 
-One slot evaluator sums those tables, for the client and for
-``LoweredProgram.evaluate``, in two parts.  A ``SlotPlan`` is made from
-the structure alone: the slot tables, the comparison row lengths and the
-coefficient tables' widths.  It numbers the bit rows of the distinct
-comparison parameters and groups the slots by monomial table shape,
-family by family: a family's slots share a coefficient table sequence.
-``SlotPlan.evaluate`` takes one package's answers, roots, lane maps and
-coefficient tables: a product of 0/1 answers is an AND of bits, taken for
-a block of slots at once, each family's coefficient rows are gathered
-once, and the client decrypts each pooled table once.  The client keeps
-the plans of the ``PLAN_MEMO_SIZE`` most recently used package layouts,
-keyed by the exact bytes of every section a plan depends on (row lengths,
-lane maps, coefficient table lengths, slots, names, parameters and
-monomials), which ``parse_package`` takes in its one walk; wire ids,
-records, coefficient values and levels are not in the key, so packages of
-one circuit share a plan.
+The client alone sums the slots, in two parts.  A ``SlotPlan`` is made
+from the structural sections: it decodes the names, numbers the bit rows
+of the distinct comparison parameters and groups the slots by monomial
+table shape, family by family: a family's slots share a coefficient table
+sequence.  ``SlotPlan.evaluate`` takes one package's answers and roots,
+each flat, and its coefficient tables: a product of 0/1 answers is an AND
+of bits, taken for a block of slots at once, and each family's
+coefficient rows are gathered once.  The client decrypts each pooled
+table once, and keeps the plans of the ``PLAN_MEMO_SIZE`` most recently
+used layouts, keyed by the exact bytes of every section a plan depends
+on; wire ids, records, coefficient values and levels are not in the key,
+so packages of one circuit share a plan.  A plan holds no view into a
+package, so the memo keeps none alive.
 
 A reindexed comparison has no records of its own.  In a package its
 parameter is its source comparison's row read through the lane map;
@@ -85,7 +78,7 @@ from .deferred_graph import (
     SqrtRequest,
     balanced_fold,
 )
-from .errors import DeferralUnsupported, MissingAssignment
+from .errors import DeferralUnsupported
 
 _U4 = np.dtype("<u4")  # lengths, wire ids, lanes, levels and pool references
 
@@ -165,10 +158,30 @@ def _sections(buf, lengths: dict[str, list[int]] | None = None) -> dict:
     return out
 
 
+def _ragged(runs: list[np.ndarray], dtype) -> tuple[np.ndarray, np.ndarray]:
+    """``runs``, each of ``dtype``, as a ragged section: their _U4
+    lengths, and the runs back to back."""
+    return (np.array([len(run) for run in runs], dtype=_U4),
+            np.concatenate([np.empty(0, dtype), *runs]))
+
+
 def _runs(lengths: np.ndarray, flat: np.ndarray) -> list[np.ndarray]:
     """A ragged section's runs, one view each."""
     ends = np.cumsum(lengths, dtype=np.int64).tolist()
     return [flat[a:b] for a, b in zip([0, *ends], ends)]
+
+
+def _slot_names(lengths: np.ndarray, flat: np.ndarray) -> list[str]:
+    """A ``names`` section's slot names; ValueError unless each is UTF-8
+    and none repeats."""
+    try:
+        names = [run.tobytes().decode() for run in _runs(lengths, flat)]
+    except UnicodeDecodeError as err:
+        raise ValueError(f"deferred package slot name is not UTF-8: {err}") from None
+    twice = [name for name, count in Counter(names).items() if count > 1]
+    if twice:
+        raise ValueError(f"deferred package slot name {twice[0]!r} repeats")
+    return names
 
 
 MIN_RECORDS = 8  # the smallest padded request batch
@@ -221,22 +234,22 @@ class LoweredProgram:
     """Requests plus slot tables, in the form the package ships them.
 
     ``comparisons`` and ``sqrts`` hold the requests in id order, and their
-    wire-id rows are numbered in that order, comparisons first.  ``slots``
-    holds, in name order, each slot's ``width``, its (row, map) ``params``
-    and its ``monomials`` table, as ``parse_package`` returns them.
-    ``coeff_nodes`` pools the coefficients as (coefficient node, slot
-    width): one table per node and width, never merged by value, so which
-    monomials share a table follows from the graph alone.  ``lane_maps``
-    pools the reindexed parameters' maps, one per builder map.
-
-    All of that depends on the graph alone.  ``bind`` adds the
-    ciphertexts: ``cmp_operands`` and ``sqrt_args`` by request id, and
-    ``coeff_tables`` as (ciphertext, slot width) per pooled node.
+    wire-id rows are numbered in that order, comparisons first.
+    ``sections`` holds, as ``parse_package`` returns them, the slot
+    tables in name order: the ``slots`` ((width, stride) each), their
+    ``names``, (row, map) ``params`` and ``monomials``.  ``coeff_nodes``
+    pools the coefficients as (coefficient node, slot width): one table
+    per node and width, never merged by value, so which monomials share a
+    table follows from the graph alone.  ``lane_maps`` pools the
+    reindexed parameters' maps, one per builder map, as the builder holds
+    them.  ``bind`` adds the ciphertexts: ``cmp_operands`` and
+    ``sqrt_args`` by request id, and ``coeff_tables`` as (ciphertext, slot
+    width) per pooled node.
     """
 
     comparisons: list[Comparison]
     sqrts: list[SqrtRequest]
-    slots: dict[str, dict]
+    sections: dict[str, np.ndarray | tuple[np.ndarray, np.ndarray]]
     leakage: dict[str, int]
     coeff_nodes: list[tuple[Expr, int]]
     lane_maps: list[np.ndarray]
@@ -261,37 +274,10 @@ class LoweredProgram:
             cmp_operands={c.id: (next(cts), next(cts)) for c in self.comparisons},
             sqrt_args={q.id: next(cts) for q in self.sqrts})
 
-    def evaluate(self, bools: dict[int, Value], sqrts: dict[int, Value] | None = None,
-                 decrypt=lambda ct: ct.value) -> dict[str, Value]:
-        """Every slot's value from resolved parameters, as the client
-        computes it from a package of this bound program.
-
-        ``bools`` maps comparison ids to their answers, each exactly 0.0
-        or 1.0 (else ValueError), and ``sqrts`` sqrt ids to their roots.
-        ``decrypt`` maps a coefficient ciphertext to its value; by default
-        it reads the carried value.
-        """
-        sqrts = sqrts or {}
-        for kind, values, reqs in (("comparison", bools, self.comparisons),
-                                   ("sqrt request", sqrts, self.sqrts)):
-            for r in reqs:
-                if r.id not in values:
-                    raise MissingAssignment(f"no value for {kind} {r.id}")
-        answers = np.concatenate([np.empty(0)] + [_lanes(bools[c.id], c.width)
-                                                  for c in self.comparisons])
-        ones = answers == 1.0
-        if not np.array_equal(answers, ones) or np.signbit(answers).any():
-            raise ValueError("a comparison answer must be exactly 0.0 or 1.0")
-        roots = [_lanes(sqrts[q.id], q.arg.width) for q in self.sqrts]
-        plan = SlotPlan(self.slots, [c.width for c in self.comparisons],
-                        [w for _, w in self.coeff_tables])
-        return plan.evaluate(ones, roots, self.lane_maps,
-                             lambda k: decrypt(self.coeff_tables[k][0]))
-
 
 def lower(builder: GraphBuilder, slots: dict[str, Expr], ctx: CkksContext | None = None,
           evaluator: CipherEvaluator | None = None) -> LoweredProgram:
-    """Lower named output slots to requests plus package slot tables.
+    """Lower named output slots to requests plus package sections.
 
     Every comparison and sqrt argument must be pure arithmetic (no nested
     unresolved parameters), otherwise the program needs mid-stream
@@ -329,7 +315,7 @@ def lower(builder: GraphBuilder, slots: dict[str, Expr], ctx: CkksContext | None
             lane_maps.append(r.index)
         return rows["b", r.source], map_pool[r.map_id]
 
-    tables: dict[str, dict] = {}
+    tables: dict[str, tuple] = {}  # (width, stride), parameters, monomials; pooled in slot order
     for name, nf in terms.items():
         params = np.array([param(k) for k in keys[name]], dtype=_PARAM)
         local = {k: i for i, k in enumerate(keys[name])}
@@ -341,8 +327,12 @@ def lower(builder: GraphBuilder, slots: dict[str, Expr], ctx: CkksContext | None
             if ref == len(coeff_nodes):
                 coeff_nodes.append((coeff, width))
             monos.append([ref, *sorted(local[k] for k in mono), *[_NONE] * (degree - len(mono))])
-        tables[name] = {"width": width, "params": params,
-                        "monomials": np.array(monos, dtype=_U4).reshape(len(monos), 1 + degree)}
+        tables[name] = (width, 1 + degree), params, np.array(monos, dtype=_U4).ravel()
+    names = sorted(tables)
+    sections = {"slots": np.array([tables[n][0] for n in names], dtype=_SLOT),
+                "names": _ragged([np.frombuffer(n.encode(), np.uint8) for n in names], np.uint8),
+                "params": _ragged([tables[n][1] for n in names], _PARAM),
+                "monomials": _ragged([tables[n][2] for n in names], _U4)}
 
     comparisons = [builder.comparisons[cid] for cid in cmp_ids]
     sqrts = [builder.sqrts[sid] for sid in sqrt_ids]
@@ -359,8 +349,7 @@ def lower(builder: GraphBuilder, slots: dict[str, Expr], ctx: CkksContext | None
         "coeff_tables": len(coeff_nodes),
         "lane_maps": len(lane_maps),
     }
-    program = LoweredProgram(comparisons, sqrts, {name: tables[name] for name in sorted(tables)},
-                             leakage, coeff_nodes, lane_maps)
+    program = LoweredProgram(comparisons, sqrts, sections, leakage, coeff_nodes, lane_maps)
     if ctx is None and evaluator is None:
         return program
     return program.bind(evaluator if evaluator is not None else CipherEvaluator(ctx, builder))
@@ -414,10 +403,10 @@ class _Group(NamedTuple):
 class SlotPlan:
     """How to sum a package's residual slots, from its structure alone.
 
-    A plan follows from the slot tables, the comparison row lengths and
-    the coefficient tables' widths, never from a wire id, a value or a
-    level, so one plan serves every package of a layout.  It holds, per
-    slot width:
+    A plan is made from the sections ``layout`` holds, never from a wire
+    id, a value or a level, so one plan serves every package of a layout.
+    It holds the decoded names, copies of the lane maps, the starts of
+    the rows and tables, and per slot width:
 
       * each distinct (row, map) comparison parameter's row of packed
         bits, packed by (map, row length) from the starts of the rows;
@@ -429,15 +418,20 @@ class SlotPlan:
       * the monomials with a sqrt factor, by factor count, with their
         factors' (row, map).
 
-    Slots without monomials are 0.0.
+    It holds no view into a package.  Slots without monomials are 0.0.
     """
 
-    def __init__(self, slots: dict[str, dict], lengths, table_widths: list[int]):
+    def __init__(self, pkg: dict):
+        lengths = pkg["cmp_rows"][0].astype(np.int64)
         n_cmp = len(lengths)
-        lengths = np.asarray(lengths, dtype=np.int64)
         starts = np.concatenate([[0], np.cumsum(lengths)])
-        self.starts = starts.tolist()  # comparison row r's lanes run from [r] to [r + 1]
-        self.names = list(slots)
+        self.starts = starts.tolist()  # comparison row r's answers run from [r] to [r + 1]
+        # sqrt row q's roots, and coefficient table k's lanes, likewise
+        self.root_starts = [0, *np.cumsum(pkg["sqrt_rows"][0], dtype=np.int64).tolist()]
+        table_widths = pkg["coeffs"][0].tolist()
+        self.table_starts = [0, *np.cumsum(table_widths, dtype=np.int64).tolist()]
+        self.maps = _runs(pkg["maps"][0], pkg["maps"][1].copy())
+        self.names = _slot_names(*pkg["names"])
         self.stacks: Counter = Counter()  # width -> coefficient tables
         self.table_at: list[tuple[int, int]] = []  # table -> (width, stack row)
         for w in table_widths:
@@ -447,13 +441,13 @@ class SlotPlan:
 
         # every slot's parameters back to back, each slot's followed by one
         # more entry, which its _NONE padding reads
-        tables = list(slots.values())
-        n_params = np.array([len(t["params"]) for t in tables], dtype=np.int64)
+        slot_width = pkg["slots"]["width"].astype(np.int64)
+        param_lens, params = pkg["params"]
+        n_params = param_lens.astype(np.int64)
         first = np.cumsum(n_params + 1) - (n_params + 1)  # each slot's first entry
-        at = np.arange(n_params.sum()) + np.repeat(np.arange(len(tables)), n_params)
-        row, lane_map = np.concatenate([np.empty(0, dtype=_U4)] + [
-            t["params"].view(_U4) for t in tables]).astype(np.int64).reshape(-1, 2).T
-        width = np.repeat(np.array([t["width"] for t in tables], dtype=np.int64), n_params)
+        at = np.arange(n_params.sum()) + np.repeat(np.arange(len(n_params)), n_params)
+        row, lane_map = params.view(_U4).astype(np.int64).reshape(-1, 2).T
+        width = np.repeat(slot_width, n_params)
         is_cmp = row < n_cmp
 
         # each distinct (width, map, row length, row) comparison parameter's
@@ -467,9 +461,9 @@ class SlotPlan:
         inverse = np.empty(len(order), dtype=np.intp)
         inverse[order] = np.cumsum(new) - 1
         bit_rows = np.arange(len(uniq)) - np.searchsorted(uniq[:, 0], uniq[:, 0]) + 1
-        self.n_bits = dict.fromkeys((t["width"] for t in tables), 0)  # width -> bit rows, past 0
+        self.n_bits = dict.fromkeys(slot_width.tolist(), 0)  # width -> bit rows, past 0
         self.n_bits.update(zip(*(v.tolist() for v in np.unique(uniq[:, 0], return_counts=True))))
-        entry_bits = np.zeros(len(at) + len(tables), dtype=np.intp)
+        entry_bits = np.zeros(len(at) + len(n_params), dtype=np.intp)
         entry_bits[at[is_cmp]] = bit_rows[inverse]
         entry_sqrt = np.zeros(len(entry_bits), dtype=bool)
         entry_sqrt[at[~is_cmp]] = True
@@ -490,11 +484,13 @@ class SlotPlan:
 
         # the slots of each width and monomial table shape, by coefficient
         # table sequence
+        refs = _runs(param_lens, params)
+        mono_rows = [monos.reshape(-1, stride) for monos, stride in
+                     zip(_runs(*pkg["monomials"]), pkg["slots"]["stride"].tolist())]
         shapes: dict[tuple, dict[bytes, list[int]]] = {}  # (width, shape) -> sequence -> slots
-        for s, t in enumerate(tables):
-            monos = t["monomials"]
+        for s, (w, monos) in enumerate(zip(slot_width.tolist(), mono_rows)):
             if len(monos):
-                shapes.setdefault((t["width"], monos.shape), {}).setdefault(
+                shapes.setdefault((w, monos.shape), {}).setdefault(
                     monos[:, 0].tobytes(), []).append(s)
         # each distinct (row, map) factor of a sqrt monomial, per width
         self.factors: dict[int, dict[tuple[int, int], int]] = {}
@@ -505,16 +501,16 @@ class SlotPlan:
         for (w, (n_monos, _)), seqs in by_size:
             ss = [s for slots_of in seqs.values() for s in slots_of]  # family by family
             family = [f for f, slots_of in enumerate(seqs.values()) for _ in slots_of]
-            monos = np.stack([tables[s]["monomials"] for s in ss])  # (slots x monomials x row)
+            monos = np.stack([mono_rows[s] for s in ss])  # (slots x monomials x row)
             entry = first[ss, None, None] + np.minimum(monos[:, :, 1:], n_params[ss, None, None])
             by_count: dict[int, list] = {}  # factor count -> (monomial, slot, factors)
             factors = self.factors.setdefault(w, {})
             for j, on in enumerate(entry_sqrt[entry].any(axis=2).tolist()):
                 if any(on):
-                    refs, rows = tables[ss[j]]["params"].tolist(), monos[j, :, 1:].tolist()
+                    mine, local = refs[ss[j]].tolist(), monos[j, :, 1:].tolist()
                     for i in (i for i, sq in enumerate(on) if sq):
-                        fs = [factors.setdefault(refs[f], len(factors))
-                              for f in rows[i] if f < len(refs)]
+                        fs = [factors.setdefault(mine[f], len(factors))
+                              for f in local[i] if f < len(mine)]
                         by_count.setdefault(len(fs), []).append((i, j, fs))
             first_slots = np.searchsorted(family, range(len(seqs)))  # each family's first
             self.groups.append(_Group(
@@ -526,10 +522,9 @@ class SlotPlan:
         self.block_size = max((g.bit_rows.shape[0] * (hi - lo) * (l1 - l0)
                                for g in self.groups for lo, hi, l0, l1, _ in g.blocks), default=0)
 
-    def evaluate(self, answers: np.ndarray, roots: list[np.ndarray], maps: list[np.ndarray],
-                 table) -> dict[str, Value]:
+    def evaluate(self, answers: np.ndarray, roots: np.ndarray, table) -> dict[str, Value]:
         """Each slot's value, given every comparison row's boolean answers
-        back to back, each sqrt row's roots, the lane maps and coefficient
+        back to back, every sqrt row's roots back to back, and coefficient
         table k as ``table(k)``, which is called once per table.
 
         A product of 0/1 answers is an AND of bits; a monomial with a sqrt
@@ -547,18 +542,18 @@ class SlotPlan:
         for w, m, n, pos, dest in self.packs:
             got = blocks[n][pos]
             if m != _NONE:
-                got = np.take(got, maps[m], axis=1)
+                got = np.take(got, self.maps[m], axis=1)
             bits[w].view(np.uint8)[dest, :(w + 7) // 8] = np.packbits(
                 np.broadcast_to(got, (len(pos), w)), axis=1)
 
         # each sqrt monomial factor's float lanes, read through its map
-        n_cmp = len(self.starts) - 1
+        n_cmp, at = len(self.starts) - 1, self.root_starts
         floats = {w: np.empty((len(fs), w)) for w, fs in self.factors.items()}
         for w, fs in self.factors.items():
             for (r, m), k in fs.items():
                 v = (answers[self.starts[r]:self.starts[r + 1]] if r < n_cmp
-                     else roots[r - n_cmp])
-                floats[w][k] = v if m == _NONE else v[maps[m]]
+                     else roots[at[r - n_cmp]:at[r - n_cmp + 1]])
+                floats[w][k] = v if m == _NONE else v[self.maps[m]]
 
         buf = np.empty(self.block_size)
         results: dict[str, Value] = dict.fromkeys(self.names, 0.0)
@@ -655,27 +650,25 @@ class Client:
     def resolve_package(self, blob: bytes) -> dict[str, Value]:
         """Decrypt a deferred package and finish the computation locally.
 
-        Every comparison row's answers are gathered in one pass and each
-        pooled coefficient table is decrypted once; the package layout's
-        ``SlotPlan``, from the memo unless this layout is new or was
-        dropped, then sums the slots, as it does for
-        ``LoweredProgram.evaluate``.
+        The package layout's ``SlotPlan`` comes from the memo unless this
+        layout is new or was dropped.  Every comparison row's answers are
+        gathered in one pass, and so are every sqrt row's roots; the plan
+        then sums the slots, decrypting each pooled coefficient table
+        once.
         """
         pkg = parse_package(blob)
-        lengths, ids = pkg["cmp_ids"]
-        answers = self._greater(pkg["comparisons"], pkg["cmp_level"])[ids]
-        sqrt_wire = (self._roots(pkg["sqrts"], pkg["sqrt_level"]) if len(pkg["sqrts"])
-                     else np.empty(0))
-        roots = [sqrt_wire[row] for row in pkg["rows"][pkg["cmp_rows"]:]]
-        coeffs = pkg["coeffs"]
         plan = _PLAN_MEMO.pop(pkg["layout"], None)
         if plan is None:
-            plan = SlotPlan(pkg["slots"], lengths, [len(lanes) for lanes, _ in coeffs])
+            plan = SlotPlan(pkg)
         _PLAN_MEMO[pkg["layout"]] = plan  # the most recently used, last
         while len(_PLAN_MEMO) > PLAN_MEMO_SIZE:
             del _PLAN_MEMO[next(iter(_PLAN_MEMO))]
-        return plan.evaluate(answers, roots, pkg["maps"],
-                             lambda k: self._decrypt(Ciphertext(*coeffs[k])))
+        answers = self._greater(pkg["comparisons"], pkg["cmp_level"])[pkg["cmp_rows"][1]]
+        roots = (self._roots(pkg["sqrts"], pkg["sqrt_level"]) if len(pkg["sqrts"])
+                 else np.empty(0))[pkg["sqrt_rows"][1]]
+        coeffs, levels, at = pkg["coeffs"][1], pkg["levels"].tolist(), plan.table_starts
+        return plan.evaluate(answers, roots, lambda k: self._decrypt(
+            Ciphertext(coeffs[at[k]:at[k + 1]], levels[k])))
 
 
 # -- request batching -------------------------------------------------------------
@@ -825,37 +818,28 @@ def serialize_package(program: LoweredProgram, policy: DecoyPolicy = DecoyPolicy
                       seed: int = 0) -> memoryview:
     """Binary single-round package, laid out as ``_SECTIONS``: the records,
     padded and shuffled like interactive batches, the pools every slot
-    refers into, each piece shipped once, and the slot tables as ``lower``
-    built them.  The size follows from the program and the policy, so the
-    package is allocated once and every section is written in place."""
+    refers into, each piece shipped once, and the slot tables, copied
+    from the sections ``lower`` built.  The size follows from the program
+    and the policy, so the package is allocated once and every section is
+    written in place."""
     rng = np.random.default_rng(seed)
     cmp_widths = [c.width for c in program.comparisons]
     sqrt_widths = [a.width for a in program.sqrt_args.values()]
     pairs = program.cmp_operands.values()
     cmp_operands = ([lhs for lhs, _ in pairs], [rhs for _, rhs in pairs])
     sqrt_operands = (list(program.sqrt_args.values()),)
-    slots = program.slots.values()
+    sections = program.sections
     header = {"cmp_level": _batch_level(cmp_operands),
               "sqrt_level": _batch_level(sqrt_operands),
               "n_cmp": policy.padded_size(sum(cmp_widths)),
               "n_sqrt": policy.padded_size(sum(sqrt_widths)),
               "n_cmp_rows": len(cmp_widths), "n_sqrt_rows": len(sqrt_widths),
               "n_maps": len(program.lane_maps), "n_coeffs": len(program.coeff_tables),
-              "n_slots": len(slots)}
-    # every section's entries but the records' and the rows', which the
-    # shuffle writes
-    entries = {
-        "maps": program.lane_maps,
-        "coeffs": [_lanes(ct.value, w) for ct, w in program.coeff_tables],
-        "levels": [ct.level for ct, _ in program.coeff_tables],
-        "slots": [(slot["width"], slot["monomials"].shape[1]) for slot in slots],
-        "names": [np.frombuffer(name.encode(), dtype=np.uint8) for name in program.slots],
-        "params": [slot["params"] for slot in slots],
-        "monomials": [slot["monomials"].ravel() for slot in slots],
-    }
-    lengths = {name: [len(run) for run in entries[name]]
-               for name, _, _, ragged in _SECTIONS if ragged and name in entries}
-    lengths.update(cmp_rows=cmp_widths, sqrt_rows=sqrt_widths)
+              "n_slots": len(sections["slots"])}
+    lengths = {name: part[0] for name, part in sections.items() if isinstance(part, tuple)}
+    lengths.update(cmp_rows=cmp_widths, sqrt_rows=sqrt_widths,
+                   maps=[len(m) for m in program.lane_maps],
+                   coeffs=[w for _, w in program.coeff_tables])
 
     # every byte is written below, so the buffer need not be zeroed first
     buf = _wire_buffer(_package_size(header, lengths), _HEADER.itemsize)
@@ -863,11 +847,15 @@ def serialize_package(program: LoweredProgram, policy: DecoyPolicy = DecoyPolicy
     sec = _sections(buf, lengths)
     sec["cmp_rows"][1][:] = _pad_and_shuffle(sec["comparisons"], cmp_widths, cmp_operands, rng)
     sec["sqrt_rows"][1][:] = _pad_and_shuffle(sec["sqrts"], sqrt_widths, sqrt_operands, rng)
-    for name, runs in entries.items():
-        if name not in lengths:
-            sec[name][:] = runs
-        elif runs:
-            np.concatenate(runs, out=sec[name][1], casting="unsafe")
+    np.concatenate([np.empty(0, _U4), *program.lane_maps], out=sec["maps"][1], casting="unsafe")
+    np.concatenate([np.empty(0), *(_lanes(ct.value, w) for ct, w in program.coeff_tables)],
+                   out=sec["coeffs"][1])
+    sec["levels"][:] = [ct.level for ct, _ in program.coeff_tables]
+    for name, part in sections.items():
+        if isinstance(part, tuple):
+            sec[name][1][:] = part[1]
+        else:
+            sec[name][:] = part
     return buf.data
 
 
@@ -884,18 +872,18 @@ def _check_refs(what: str, refs: np.ndarray, count, none_ok: bool = False):
 
 
 def parse_package(blob) -> dict:
-    """Package tables as views into ``blob``; only ``layout`` is a copy.
+    """A package's sections as views into ``blob``, as ``_sections`` reads
+    them; only ``layout`` is a copy.
 
     ``cmp_level`` and ``sqrt_level`` are the levels the header gives the
-    comparison and the sqrt records.  ``rows`` holds the wire-id row of
-    each requested comparison, then of each sqrt (``cmp_rows`` of the
-    first kind; ``cmp_ids`` holds those as lengths and ids back to back);
-    ``coeffs`` holds (lanes, level) per coefficient table.  A slot's ``params`` are
-    (row, map) references, map ``_NONE`` for none, and each row of its
-    ``monomials`` is a coefficient table index followed by slot-local
-    parameter indices padded with ``_NONE``.  ``layout`` holds, as bytes,
-    every section a ``SlotPlan`` depends on; the client's plan memo is
-    keyed by it.
+    comparison and the sqrt records.  ``cmp_rows`` and ``sqrt_rows`` hold
+    the wire-id row of each requested comparison and sqrt, ``coeffs`` the
+    coefficient tables and ``levels`` their levels.  Slot i's ``params``
+    are (row, map) references, rows numbered comparisons first and map
+    ``_NONE`` for none, and its ``monomials`` are rows of ``stride``
+    references: a coefficient table, then slot-local parameter indices
+    padded with ``_NONE``.  ``layout`` holds, as bytes, every section a
+    ``SlotPlan`` depends on; the client's plan memo is keyed by it.
 
     Every reference is checked against what it points into: a wire id
     against its kind's records, a parameter's row and map against the
@@ -903,43 +891,53 @@ def parse_package(blob) -> dict:
     parameter indices against the pool and the slot.  So is every width:
     a slot's coefficient tables have its width in lanes, and each of its
     parameters, read through its map if it has one, 1 or that width.  One
-    out of range is a ValueError, like a truncated package.
+    out of range is a ValueError, like a truncated package.  The names
+    are decoded, and checked, where they are read: by ``SlotPlan`` and
+    ``dump_package``.
     """
     if blob[:len(_PKG_MAGIC)] != _PKG_MAGIC:
         raise ValueError("not a deferred package")
     sec = _sections(blob)
+    header = sec.pop("header")
     (cmp_lens, cmp_ids), (sqrt_lens, sqrt_ids) = sec["cmp_rows"], sec["sqrt_rows"]
     _check_refs("comparison wire id", cmp_ids, len(sec["comparisons"]))
     _check_refs("sqrt wire id", sqrt_ids, len(sec["sqrts"]))
     row_lens = np.concatenate([cmp_lens, sqrt_lens]).astype(np.int64)
-    maps = _runs(*sec["maps"])
-    map_lens = sec["maps"][0].astype(np.int64)
-    map_top = np.array([int(m.max()) if len(m) else -1 for m in maps], dtype=np.int64)
+    map_lens, map_lanes = sec["maps"]
+    map_lens = map_lens.astype(np.int64)
+    map_top = np.full(len(map_lens), -1, dtype=np.int64)  # each map's highest lane
+    full = map_lens > 0
+    if full.any():  # reduceat would read an empty map's first lane past its end
+        map_top[full] = np.maximum.reduceat(map_lanes, (np.cumsum(map_lens) - map_lens)[full])
     coeff_lens = sec["coeffs"][0].astype(np.int64)
 
     width = sec["slots"]["width"].astype(np.int64)
     stride = sec["slots"]["stride"].astype(np.int64)
     param_lens, params = sec["params"]
     mono_lens, monos = sec["monomials"]
-    param_slot = np.repeat(np.arange(len(width)), param_lens)  # each parameter's slot
-    _check_refs("parameter row", params["row"], len(row_lens))
-    _check_refs("lane map", params["map"], len(maps), none_ok=True)
-    mapped = params["map"] != _NONE
-    if np.any(map_top[params["map"][mapped]] >= row_lens[params["row"][mapped]]):
+    row, lane_map = params["row"].astype(np.intp), params["map"].astype(np.intp)
+    _check_refs("parameter row", row, len(row_lens))
+    _check_refs("lane map", lane_map, len(map_lens), none_ok=True)
+    lanes = row_lens[row]  # each parameter's, read through its map if it has one
+    mapped = lane_map != _NONE
+    lane_map = lane_map[mapped]
+    if np.any(map_top[lane_map] >= lanes[mapped]):
         raise ValueError("deferred package lane map reads past the end of its row")
-    lanes = row_lens[params["row"]]
-    lanes[mapped] = map_lens[params["map"][mapped]]
-    if np.any((lanes != 1) & (lanes != width[param_slot])):
+    lanes[mapped] = map_lens[lane_map]
+    if np.any((lanes != 1) & (lanes != np.repeat(width, param_lens))):
         raise ValueError("deferred package parameter has neither 1 lane nor its slot's width")
 
     if np.any(stride == 0) or np.any(mono_lens % np.maximum(stride, 1)):
         raise ValueError("deferred package monomials are not whole rows, each naming a table")
-    mono_slot = np.repeat(np.arange(len(width)), mono_lens)  # each reference's slot
-    starts = np.cumsum(mono_lens, dtype=np.int64) - mono_lens
-    lead = (np.arange(len(monos)) - starts[mono_slot]) % stride[mono_slot] == 0
-    _check_refs("coefficient table", monos[lead], len(coeff_lens))
-    _check_refs("parameter index", monos[~lead], param_lens[mono_slot[~lead]], none_ok=True)
-    if np.any(coeff_lens[monos[lead]] != width[mono_slot[lead]]):
+    n_rows = mono_lens // stride  # each slot's monomials
+    row_stride = np.repeat(stride, n_rows)
+    lead = np.zeros(len(monos), dtype=bool)  # each monomial's first reference
+    lead[np.cumsum(row_stride) - row_stride] = True
+    tables = monos[lead]
+    _check_refs("coefficient table", tables, len(coeff_lens))
+    _check_refs("parameter index", monos[~lead], np.repeat(param_lens, mono_lens - n_rows),
+                none_ok=True)
+    if np.any(coeff_lens[tables] != np.repeat(width, n_rows)):
         raise ValueError("deferred package coefficient table's lanes differ from its slot's width")
 
     # every section the slot plan depends on, byte for byte
@@ -947,17 +945,8 @@ def parse_package(blob) -> dict:
               sec["slots"].tobytes(),
               *(part.tobytes() for name in ("maps", "names", "params", "monomials")
                 for part in sec[name]))
-    names = [name.tobytes().decode() for name in _runs(*sec["names"])]
-    slots = {name: {"width": w, "params": p, "monomials": m.reshape(-1, k)}
-             for name, w, k, p, m in zip(names, width.tolist(), stride.tolist(),
-                                         _runs(param_lens, params), _runs(mono_lens, monos))}
-    return {"comparisons": sec["comparisons"], "sqrts": sec["sqrts"],
-            "cmp_level": int(sec["header"]["cmp_level"]),
-            "sqrt_level": int(sec["header"]["sqrt_level"]),
-            "rows": _runs(cmp_lens, cmp_ids) + _runs(sqrt_lens, sqrt_ids),
-            "cmp_rows": len(cmp_lens), "cmp_ids": (cmp_lens, cmp_ids), "maps": maps,
-            "coeffs": list(zip(_runs(*sec["coeffs"]), sec["levels"].tolist())), "slots": slots,
-            "layout": layout}
+    return {**sec, "cmp_level": int(header["cmp_level"]),
+            "sqrt_level": int(header["sqrt_level"]), "layout": layout}
 
 
 def dump_package(blob: bytes) -> str:
@@ -965,10 +954,14 @@ def dump_package(blob: bytes) -> str:
 
     Rows print as ``b<i>`` (comparisons) and ``s<i>`` (sqrts), maps as
     ``m<i>``, coefficient tables as ``k<i>`` and slot parameters as
-    ``p<i>``.
+    ``p<i>``; slots print in name order.
     """
     pkg = parse_package(blob)
-    n_crows = pkg["cmp_rows"]
+    n_crows = len(pkg["cmp_rows"][0])
+    rows = _runs(*pkg["cmp_rows"]) + _runs(*pkg["sqrt_rows"])
+    maps, coeffs = _runs(*pkg["maps"]), _runs(*pkg["coeffs"])
+    slots = zip(_slot_names(*pkg["names"]), pkg["slots"].tolist(),
+                _runs(*pkg["params"]), _runs(*pkg["monomials"]))
 
     def row_name(r: int) -> str:
         return f"b{r}" if r < n_crows else f"s{r - n_crows}"
@@ -979,22 +972,21 @@ def dump_package(blob: bytes) -> str:
         lines.append(f"  #{i} lhs={rec['lhs']:.6g} rhs={rec['rhs']:.6g}")
     for i, rec in enumerate(pkg["sqrts"]):
         lines.append(f"  #{i} arg={rec['value']:.6g}")
-    lines.append(f"rows: {len(pkg['rows'])}")
-    for r, ids in enumerate(pkg["rows"]):
+    lines.append(f"rows: {len(rows)}")
+    for r, ids in enumerate(rows):
         lines.append(f"  {row_name(r)} -> wire {ids.tolist()}")
-    lines.append(f"maps: {len(pkg['maps'])}")
-    for m, lanes in enumerate(pkg["maps"]):
+    lines.append(f"maps: {len(maps)}")
+    for m, lanes in enumerate(maps):
         lines.append(f"  m{m} -> lanes {lanes.tolist()}")
-    lines.append(f"coeffs: {len(pkg['coeffs'])}")
-    for k, (lanes, level) in enumerate(pkg["coeffs"]):
+    lines.append(f"coeffs: {len(coeffs)}")
+    for k, (lanes, level) in enumerate(zip(coeffs, pkg["levels"].tolist())):
         vals = " ".join(f"{v:.6g}" for v in lanes)
         lines.append(f"  k{k} : [{vals}] @{level}")
-    for name in sorted(pkg["slots"]):
-        slot = pkg["slots"][name]
-        lines.append(f"slot {name}: width={slot['width']}")
-        for i, (r, m) in enumerate(slot["params"].tolist()):
+    for name, (width, stride), params, monos in sorted(slots, key=lambda slot: slot[0]):
+        lines.append(f"slot {name}: width={width}")
+        for i, (r, m) in enumerate(params.tolist()):
             lines.append(f"  p{i} = {row_name(r)}" + ("" if m == _NONE else f"[m{m}]"))
-        for ref, *mono in slot["monomials"].tolist():
+        for ref, *mono in monos.reshape(-1, stride).tolist():
             key = "*".join(f"p{i}" for i in mono if i != _NONE) or "1"
             lines.append(f"  {key} : k{ref}")
     return "\n".join(lines) + "\n"

@@ -20,9 +20,11 @@ from fhesift import (
     format_expr,
     format_normal_form,
     lower,
+    run_deferred,
     run_interactive,
     run_pipeline,
 )
+from fhesift import protocol
 from fhesift.deferred_graph import MAX_PRODUCT_TERMS, balanced_fold, operands, schedule
 from fhesift.errors import DeferralUnsupported, FheSiftError, MissingAssignment, SignUnresolvable
 
@@ -764,18 +766,23 @@ def test_lower_emits_requests_and_residuals():
     y = b.cipher(ctx.encrypt(9.0))
     c = b.compare(x, y)
     s = b.sqrt_deferred(y)
-    prog = lower(b, {"pick": b.select(c, x, y), "root": s}, ctx)
+    slots = {"pick": b.select(c, x, y), "root": s}
+    prog = lower(b, slots, ctx)
     assert [c.id for c in prog.comparisons] == [0]
     assert list(prog.sqrt_args) == [0]
     assert prog.leakage == {"bool_params": 1, "sqrt_params": 1, "monomials": 3,
                             "coeff_tables": 3, "lane_maps": 0}
     lhs, rhs = prog.cmp_operands[0]
     assert (lhs.value, rhs.value) == (4.0, 9.0)
-    assert prog.evaluate({0: 0.0}, {0: 3.0}) == {"pick": 9.0, "root": 3.0}
-    with pytest.raises(MissingAssignment):
-        prog.evaluate({}, {0: 3.0})
-    with pytest.raises(MissingAssignment):
-        prog.evaluate({0: 0.0}, {})
+    # the slot tables, in name order: pick is y + [x > y](x - y), root s
+    sections = prog.sections
+    assert bytes(sections["names"][1]).decode() == "pickroot"
+    assert sections["names"][0].tolist() == [4, 4]
+    assert sections["slots"].tolist() == [(1, 2), (1, 2)]
+    assert sections["params"][1].tolist() == [(0, protocol._NONE), (1, protocol._NONE)]
+    assert sections["monomials"][1].tolist() == [0, protocol._NONE, 1, 0, 2, 0]
+    want = {name: PlainEvaluator(b).eval(e) for name, e in slots.items()}
+    assert run_deferred(prog, Client(ctx)).results == want == {"pick": 9.0, "root": 3.0}
 
 
 def test_lower_rejects_impure_comparison_operands():
@@ -818,10 +825,12 @@ def test_residual_evaluate_counts_decrypts():
     x = b.cipher(ctx.encrypt(4.0))
     y = b.cipher(ctx.encrypt(9.0))
     prog = lower(b, {"pick": b.select(b.compare(x, y), x, y)}, ctx)
-    seen = []
-    out = prog.evaluate({0: 1.0}, decrypt=lambda ct: seen.append(ct) or ct.value)
-    assert out == {"pick": 4.0}
-    assert len(seen) == len(prog.coeff_tables) == prog.leakage["monomials"]
+    client = Client(ctx)
+    assert run_deferred(prog, client).results == {"pick": 9.0}
+    # the comparison batch's two operand columns, no sqrt batch, then each
+    # coefficient table once
+    assert len(prog.coeff_tables) == prog.leakage["monomials"] == 2
+    assert client.attributed_decrypts == client.sk.decrypt_calls == 2 + len(prog.coeff_tables)
 
 
 # -- reindexed parameters -----------------------------------------------------------
@@ -902,13 +911,11 @@ def test_reindex_evaluators_and_residual_agree_bitwise():
     assert got.value.tobytes() == np.asarray(want).tobytes()
     prog = lower(b, {"e": e}, ctx)
     # both parameters read the one comparison's row, each through its own map
-    assert prog.slots["e"]["params"].tolist() == [(0, 0), (0, 1)]
+    assert prog.sections["params"][1].tolist() == [(0, 0), (0, 1)]
     assert [m.tolist() for m in prog.lane_maps] == [[2, 0, 1], [1, 1, 3]]
     assert [cmp.id for cmp in prog.comparisons] == [c.payload]
     assert prog.leakage["bool_params"] == 1
-    assert prog.evaluate({c.payload: bits})["e"].tobytes() == np.asarray(want).tobytes()
-    with pytest.raises(MissingAssignment):
-        prog.evaluate({})
+    assert run_deferred(prog, Client(ctx)).results["e"].tobytes() == np.asarray(want).tobytes()
 
 
 def test_reindex_rejects_bad_maps_and_width_mismatch():
