@@ -123,6 +123,8 @@ def _flat_report(report: RunReport) -> list[tuple[str, str]]:
             put(f"leakage.{k}", report.leakage[k])
     if report.package_bytes is not None:
         put("package_bytes", report.package_bytes)
+        for part, size in (report.package_sections or {}).items():
+            put(f"package_bytes.{part}", size)
     if report.oracle_diff is not None:
         d = report.oracle_diff
         put("oracle.equal", d["equal"])

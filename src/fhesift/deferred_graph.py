@@ -3,9 +3,10 @@
 Programs are built as hash-consed expression DAGs.  Arithmetic stays
 server-side; comparisons and square roots become unresolved parameters
 (BoolVar / Sqrt nodes) that only a key-holding client can resolve.  A
-BoolVar can also be reindexed: its lanes gathered through an index map,
-which is free like ``ckks_sim.gather`` and lets one comparison per source
-lane serve every lane that reads it.  The engine can:
+BoolVar, or a pure arithmetic node, can also be reindexed: its lanes
+gathered through an index map, which is free like ``ckks_sim.gather`` and
+lets one comparison or one value per source lane serve every lane that
+reads it.  The engine can:
 
   * simplify an expression to its multilinear normal form over those
     parameters (booleans are idempotent, a squared sqrt collapses to its
@@ -155,12 +156,13 @@ class SqrtRequest:
 
 @dataclass(frozen=True, eq=False)
 class Reindex:
-    """Comparison ``source`` with its lanes gathered through ``index``:
-    lane i of the parameter is lane ``index[i]`` of the comparison.
-    ``map_id`` names the map's content within its builder."""
+    """A node with its lanes gathered through ``index``: lane i is lane
+    ``index[i]`` of comparison ``source``, or, when ``source`` is None, of
+    the pure arithmetic node the REINDEX node reads.  ``map_id`` names the
+    map's content within its builder."""
 
     id: int
-    source: int
+    source: int | None
     index: np.ndarray
     map_id: int
 
@@ -429,19 +431,23 @@ class GraphBuilder:
         return node
 
     def reindex(self, param: Expr, index) -> Expr:
-        """BoolVar ``param`` with its lanes gathered through ``index``.
+        """BoolVar or pure (tier-0) node ``param`` with its lanes gathered
+        through ``index``.
 
-        Lane i of the result is lane ``index[i]`` of the comparison, so one
-        comparison over per-pixel operands serves every window position
-        that reads the pixel.  Free, like ``ckks_sim.gather``.  Equal maps
-        of one parameter intern to one node; an array passed again is
-        recognised by identity, so, like array payloads, it must not change
-        afterwards.  Ids count up in creation order, so within a normal
-        form reindexed parameters sort as the per-position comparisons they
-        stand for would.
+        Lane i of the result is lane ``index[i]`` of ``param``, so one
+        comparison, or one value, over per-pixel operands serves every
+        window position that reads the pixel.  Free, like
+        ``ckks_sim.gather``: no op, no level.  A reindexed comparison is a
+        parameter of its own; a reindexed pure node is pure arithmetic, a
+        normal form's coefficient like any other.  Equal maps of one node
+        intern to one node; an array passed again is recognised by
+        identity, so, like array payloads, it must not change afterwards.
+        Ids count up in creation order, so within a normal form reindexed
+        parameters sort as the per-position comparisons they stand for
+        would.
         """
-        if not isinstance(param, Expr) or param.op != BOOL:
-            raise ValueError("only a comparison parameter can be reindexed")
+        if not isinstance(param, Expr) or (param.op != BOOL and param.tier != 0):
+            raise ValueError("only a comparison parameter or a pure node can be reindexed")
         seen = self._index_objs.get(id(index))
         if seen is not None and seen[0] is index:
             map_id, idx, lo, hi = seen[1]
@@ -457,16 +463,16 @@ class GraphBuilder:
             if isinstance(index, np.ndarray):
                 self._index_objs[id(index)] = (index, entry)
         if param.width < 2 or lo < 0 or hi >= param.width:
-            raise ValueError(
-                f"index map reaches outside the {param.width} lanes of comparison "
-                f"{param.payload}")
-        key = (REINDEX, param.payload, map_id)
+            raise ValueError(f"index map reaches outside the {param.width} lanes of {param!r}")
+        key = (REINDEX, param.id, map_id)
         if key in self._intern:
             return self._intern[key]
         rid = len(self.reindexed)
-        self.reindexed.append(Reindex(rid, param.payload, idx, map_id))
+        source = param.payload if param.op == BOOL else None
+        self.reindexed.append(Reindex(rid, source, idx, map_id))
         node = self._node(REINDEX, a=param, payload=rid, key=key, width=len(idx))
-        self._param_nodes[_param_key(node)] = node
+        if source is not None:
+            self._param_nodes[_param_key(node)] = node
         return node
 
     def select(self, cond, then, els) -> Expr:
@@ -974,7 +980,8 @@ def _prec(op: str) -> int:
 
 
 def format_expr(e: Expr) -> str:
-    """Deterministic infix rendering; add(x, neg(y)) prints as x - y.
+    """Deterministic infix rendering; add(x, neg(y)) prints as x - y, and
+    a reindexed pure node as its operand indexed by the map, ``x[2 0 1]``.
 
     Each node's text is rendered once, after its operands', and dropped
     after its last use, so a long sum renders without deep recursion.
@@ -996,6 +1003,8 @@ def format_expr(e: Expr) -> str:
             s = n.name or f"v{n.id}"
         elif n.op == PLAIN:
             s = f"plain<{n.width}>" if isinstance(n.payload, np.ndarray) else f"{n.payload:g}"
+        elif n.op == REINDEX and n.tier == 0:
+            s = f"{use(n.a, 9)}[{' '.join(map(str, n.b.reindexed[n.payload].index))}]"
         elif n.op in _PARAM_KEYS:
             s = {BOOL: "c", REINDEX: "r", SQRT: "s"}[n.op] + str(n.payload + 1)
         elif n.op == ADD:

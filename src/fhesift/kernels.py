@@ -189,6 +189,11 @@ def convolve2d(ctx: CkksContext, img: Ciphertext, kernel: np.ndarray) -> Ciphert
     a shifted copy is the same collection re-indexed, so each nonzero
     tap costs one plaintext multiply on the whole grid and the result
     sits exactly one plaintext level below the input.
+
+    Each axis's clamped source rows or columns are one (taps x side)
+    table, made once per call.  A column or row kernel shifts along one
+    axis only, so its taps index that axis alone; a 2-D kernel's taps
+    index both through ``np.ix_``.
     """
     kernel = np.asarray(kernel, dtype=np.float64)
     if kernel.ndim == 1:
@@ -200,17 +205,21 @@ def convolve2d(ctx: CkksContext, img: Ciphertext, kernel: np.ndarray) -> Ciphert
     if value.ndim != 2:
         raise ValueError("convolve2d needs a 2-D ciphertext grid")
     h, w = value.shape
-    ys = np.arange(h)
-    xs = np.arange(w)
+    # row a of yi holds the source row of every output row at tap dy = a - kh // 2
+    yi = np.clip(np.arange(h) + np.arange(-(kh // 2), kh // 2 + 1)[:, None], 0, h - 1)
+    xi = np.clip(np.arange(w) + np.arange(-(kw // 2), kw // 2 + 1)[:, None], 0, w - 1)
     acc = None
-    for dy in range(-(kh // 2), kh // 2 + 1):
-        for dx in range(-(kw // 2), kw // 2 + 1):
-            k = float(kernel[dy + kh // 2, dx + kw // 2])
+    for a in range(kh):
+        for c in range(kw):
+            k = float(kernel[a, c])
             if k == 0.0:
                 continue
-            yi = np.clip(ys + dy, 0, h - 1)
-            xi = np.clip(xs + dx, 0, w - 1)
-            shifted = gather(img, np.ix_(yi, xi))
+            if kw == 1:
+                shifted = gather(img, yi[a])
+            elif kh == 1:
+                shifted = gather(img, (slice(None), xi[c]))
+            else:
+                shifted = gather(img, np.ix_(yi[a], xi[c]))
             term = ctx.mul_plain(shifted, k)
             acc = term if acc is None else ctx.add(acc, term)
     if acc is None:

@@ -33,12 +33,19 @@ the parser each walk that list.  It is sized from the lowered program,
 allocated once and filled in place.
 
 Those sections are the slot tables' one form.  ``lower`` emits them (the
-slots, names, parameters and monomials), so the serializer copies them,
-and ``LoweredProgram.bind`` adds one input's ciphertexts.  The package ships
-every piece once, in pools the slots refer into: one wire-id row per
-requested comparison and sqrt, each lane map, and each coefficient table,
-pooled per coefficient node and width, never by value.  A slot parameter
-is a (row, map or none) reference and a monomial a row of pool indices.
+references, slots, names, parameters and monomials), so the serializer
+copies them, and ``LoweredProgram.bind`` adds one input's ciphertexts.
+The package (``DCGPKG05``) ships every piece once, in pools the slots
+refer into: one wire-id row per requested comparison and sqrt, each lane
+map, each coefficient table, pooled per coefficient node and width,
+never by value, and each reference.  A slot parameter is a (row, map or
+none) reference and a monomial a row of pool indices, its coefficient a
+table or a reference.  A reference is a window weight, a coefficient
+``±reindex(pixel node, map) * c``: it ships as (the pixel node's table,
+the map, ±c), so a per-pixel value such as a squared gradient magnitude
+ships once per pixel, not once per window position that reads it.  The
+server never evaluates such a coefficient, and the client makes the
+multiply the server would have made.
 
 The client alone sums the slots, in two parts.  A ``SlotPlan`` is made
 from the structural sections: it decodes the names, numbers the bit rows
@@ -48,7 +55,7 @@ sequence.  ``SlotPlan.evaluate`` takes one package's answers and roots,
 each flat, and its coefficient tables: a product of 0/1 answers is an AND
 of bits, taken for a block of slots at once, and each family's
 coefficient rows are gathered once.  The client decrypts each pooled
-table once, and keeps the plans of the ``PLAN_MEMO_SIZE`` most recently
+table once, fills each reference's row from its table, and keeps the plans of the ``PLAN_MEMO_SIZE`` most recently
 used layouts, keyed by the exact bytes of every section a plan depends
 on; wire ids, records, coefficient values and levels are not in the key,
 so packages of one circuit share a plan.  A plan holds no view into a
@@ -70,10 +77,15 @@ import numpy as np
 
 from .ckks_sim import Ciphertext, CkksContext, SecretKey, Value
 from .deferred_graph import (
+    MUL,
+    NEG,
+    PLAIN,
+    REINDEX,
     CipherEvaluator,
     Comparison,
     Expr,
     GraphBuilder,
+    Reindex,
     RunPlan,
     SqrtRequest,
     balanced_fold,
@@ -92,6 +104,9 @@ RESP_DTYPE = np.dtype("<f8")  # every answer is encrypted at full depth
 
 _SLOT = np.dtype([("width", "<u4"), ("stride", "<u4")])  # stride: _U4s per monomial
 _PARAM = np.dtype([("row", "<u4"), ("map", "<u4")])
+# a window weight: a coefficient table read through a lane map, times a
+# public scale
+_REF = np.dtype([("table", "<u4"), ("map", "<u4"), ("scale", "<f8")])
 _NONE = 0xFFFFFFFF  # no lane map; an unused monomial column
 
 # Deferred package layout, all little-endian and packed: _HEADER, then
@@ -100,8 +115,9 @@ _NONE = 0xFFFFFFFF  # no lane map; an unused monomial column
 # a plain section is that many items; a ragged one is that many _U4
 # lengths, then that many runs back to back.  Rows are the wire ids each
 # requested comparison or sqrt reads; slots are in name order, and each of
-# a slot's monomials is ``stride`` references: its coefficient table, then
-# slot-local parameter indices padded with _NONE.
+# a slot's monomials is ``stride`` references: its coefficient, then
+# slot-local parameter indices padded with _NONE.  Coefficient k is table
+# k, or past the tables, reference k - n_coeffs.
 _SECTIONS = (
     ("comparisons", CMP_DTYPE, "n_cmp", False),
     ("sqrts", SQRT_DTYPE, "n_sqrt", False),
@@ -110,12 +126,13 @@ _SECTIONS = (
     ("maps", _U4, "n_maps", True),
     ("coeffs", np.dtype("<f8"), "n_coeffs", True),
     ("levels", _U4, "n_coeffs", False),
+    ("refs", _REF, "n_refs", False),
     ("slots", _SLOT, "n_slots", False),
     ("names", np.dtype("u1"), "n_slots", True),  # UTF-8
     ("params", _PARAM, "n_slots", True),  # (row, map or _NONE)
     ("monomials", _U4, "n_slots", True),
 )
-_PKG_MAGIC = b"DCGPKG04"
+_PKG_MAGIC = b"DCGPKG05"
 # the magic, the level of each record section's batch, then every count
 _HEADER = np.dtype([("magic", "S8")] + [(f, "<u4") for f in (
     "cmp_level", "sqrt_level", *dict.fromkeys(f for _, _, f, _ in _SECTIONS))])
@@ -155,6 +172,18 @@ def _sections(buf, lengths: dict[str, list[int]] | None = None) -> dict:
         out[name] = lens, flat
     if off != len(buf):
         raise ValueError(f"{len(buf) - off} bytes follow the deferred package's last table")
+    return out
+
+
+def _section_bytes(blob) -> dict[str, int]:
+    """A package's bytes per part: its ``header``, then each of
+    ``_SECTIONS``, a ragged one's lengths included; they sum to
+    ``len(blob)``.  A structural walk, not a parse: nothing is checked
+    but the sizes."""
+    out = {"header": _HEADER.itemsize}
+    for name, part in _sections(blob).items():
+        if name != "header":
+            out[name] = sum(a.nbytes for a in part) if isinstance(part, tuple) else part.nbytes
     return out
 
 
@@ -218,6 +247,7 @@ class ProtocolRun:
     rounds: list[RoundTrace] = field(default_factory=list)
     leakage: dict | None = None
     package_bytes: int | None = None
+    package_sections: dict[str, int] | None = None  # bytes per part, as ``_section_bytes``
 
 
 def _lanes(v: Value, width: int) -> np.ndarray:
@@ -235,13 +265,17 @@ class LoweredProgram:
 
     ``comparisons`` and ``sqrts`` hold the requests in id order, and their
     wire-id rows are numbered in that order, comparisons first.
-    ``sections`` holds, as ``parse_package`` returns them, the slot
-    tables in name order: the ``slots`` ((width, stride) each), their
-    ``names``, (row, map) ``params`` and ``monomials``.  ``coeff_nodes``
-    pools the coefficients as (coefficient node, slot width): one table
-    per node and width, never merged by value, so which monomials share a
-    table follows from the graph alone.  ``lane_maps`` pools the
-    reindexed parameters' maps, one per builder map, as the builder holds
+    ``sections`` holds, as ``parse_package`` returns them, the ``refs``
+    and the slot tables in name order: the ``slots`` ((width, stride)
+    each), their ``names``, (row, map) ``params`` and ``monomials``.
+    ``coeff_nodes`` pools the coefficient tables as (node, slot width):
+    one table per node and width, never merged by value, so which
+    monomials share a table follows from the graph alone.  A window
+    weight, ``±reindex(pixel node, map) * c``, is not a table but a
+    reference (pixel node's table, map, ±c); ``ref_nodes`` holds those
+    coefficient nodes, one per reference, which the server never needs
+    to evaluate.  ``lane_maps`` pools the maps of the reindexed
+    parameters and references, one per builder map, as the builder holds
     them.  ``bind`` adds the ciphertexts: ``cmp_operands`` and
     ``sqrt_args`` by request id, and ``coeff_tables`` as (ciphertext, slot
     width) per pooled node.
@@ -252,6 +286,7 @@ class LoweredProgram:
     sections: dict[str, np.ndarray | tuple[np.ndarray, np.ndarray]]
     leakage: dict[str, int]
     coeff_nodes: list[tuple[Expr, int]]
+    ref_nodes: list[Expr]
     lane_maps: list[np.ndarray]
     cmp_operands: dict[int, tuple[Ciphertext, Ciphertext]] | None = None
     sqrt_args: dict[int, Ciphertext] | None = None
@@ -291,8 +326,11 @@ def lower(builder: GraphBuilder, slots: dict[str, Expr], ctx: CkksContext | None
 
     A slot's parameters are numbered slot-locally in normal-form key
     order: plain comparisons, then reindexed ones, then sqrts.  Each
-    monomial row is its coefficient table followed by those local indices
-    in the same order, padded with ``_NONE`` to the slot's highest degree.
+    monomial row is its coefficient followed by those local indices in
+    the same order, padded with ``_NONE`` to the slot's highest degree.
+    A coefficient of the slot's width that ``_window_weight`` recognises
+    is a reference, and its pixel node a table; references are numbered
+    after the tables.
     """
     terms = {name: builder.sorted_terms(builder.normal_form(e)) for name, e in slots.items()}
     keys = {name: sorted({k for params, _ in nf for k in params}) for name, nf in terms.items()}
@@ -303,36 +341,62 @@ def lower(builder: GraphBuilder, slots: dict[str, Expr], ctx: CkksContext | None
     rows = {k: i for i, k in enumerate([("b", c) for c in cmp_ids] + [("s", s) for s in sqrt_ids])}
     coeff_nodes: list[tuple[Expr, int]] = []
     coeff_pool: dict[tuple[int, int], int] = {}  # (coefficient node id, width) -> table
+    ref_nodes: list[Expr] = []
+    refs: list[tuple[int, int, float]] = []  # (table, map, scale)
+    ref_pool: dict[int, int] = {}  # coefficient node id -> reference
     map_pool: dict[int, int] = {}  # builder map id -> pooled map
     lane_maps: list[np.ndarray] = []
+
+    def lane_map(r) -> int:
+        if r.map_id not in map_pool:
+            map_pool[r.map_id] = len(lane_maps)
+            lane_maps.append(r.index)
+        return map_pool[r.map_id]
 
     def param(key) -> tuple[int, int]:
         if key[0] != "r":
             return rows[key], _NONE
         r = builder.reindexed[key[1]]
-        if r.map_id not in map_pool:
-            map_pool[r.map_id] = len(lane_maps)
-            lane_maps.append(r.index)
-        return rows["b", r.source], map_pool[r.map_id]
+        return rows["b", r.source], lane_map(r)
 
-    tables: dict[str, tuple] = {}  # (width, stride), parameters, monomials; pooled in slot order
+    def table(e: Expr, width: int) -> int:
+        k = coeff_pool.setdefault((e.id, width), len(coeff_nodes))
+        if k == len(coeff_nodes):
+            coeff_nodes.append((e, width))
+        return k
+
+    def coefficient(e: Expr, width: int) -> int:
+        """Table k as k, reference j as -1 - j."""
+        weight = _window_weight(builder, e) if e.width == width else None
+        if weight is None:
+            return table(e, width)
+        if e.id not in ref_pool:
+            pixels, r, scale = weight
+            ref_pool[e.id] = len(refs)
+            refs.append((table(pixels, pixels.width), lane_map(r), scale))
+            ref_nodes.append(e)
+        return -1 - ref_pool[e.id]
+
+    # (width, stride), parameters, monomial rows and their coefficients;
+    # pooled in slot order
+    tables: dict[str, tuple] = {}
     for name, nf in terms.items():
         params = np.array([param(k) for k in keys[name]], dtype=_PARAM)
         local = {k: i for i, k in enumerate(keys[name])}
         width = slots[name].width
         degree = max((len(p) for p, _ in nf), default=0)
-        monos = []
-        for mono, coeff in nf:
-            ref = coeff_pool.setdefault((coeff.id, width), len(coeff_nodes))
-            if ref == len(coeff_nodes):
-                coeff_nodes.append((coeff, width))
-            monos.append([ref, *sorted(local[k] for k in mono), *[_NONE] * (degree - len(mono))])
-        tables[name] = (width, 1 + degree), params, np.array(monos, dtype=_U4).ravel()
+        monos = np.array([[0, *sorted(local[k] for k in mono), *[_NONE] * (degree - len(mono))]
+                          for mono, _ in nf], dtype=_U4).reshape(len(nf), 1 + degree)
+        tables[name] = ((width, 1 + degree), params, monos,
+                        np.array([coefficient(coeff, width) for _, coeff in nf], dtype=np.int64))
+    for _, _, monos, coeffs in tables.values():  # references follow the tables
+        monos[:, 0] = np.where(coeffs >= 0, coeffs, len(coeff_nodes) - 1 - coeffs)
     names = sorted(tables)
-    sections = {"slots": np.array([tables[n][0] for n in names], dtype=_SLOT),
+    sections = {"refs": np.array(refs, dtype=_REF),
+                "slots": np.array([tables[n][0] for n in names], dtype=_SLOT),
                 "names": _ragged([np.frombuffer(n.encode(), np.uint8) for n in names], np.uint8),
                 "params": _ragged([tables[n][1] for n in names], _PARAM),
-                "monomials": _ragged([tables[n][2] for n in names], _U4)}
+                "monomials": _ragged([tables[n][2].ravel() for n in names], _U4)}
 
     comparisons = [builder.comparisons[cid] for cid in cmp_ids]
     sqrts = [builder.sqrts[sid] for sid in sqrt_ids]
@@ -347,12 +411,38 @@ def lower(builder: GraphBuilder, slots: dict[str, Expr], ctx: CkksContext | None
         "sqrt_params": len(sqrt_ids),
         "monomials": sum(len(nf) for nf in terms.values()),
         "coeff_tables": len(coeff_nodes),
+        "coeff_refs": len(refs),
         "lane_maps": len(lane_maps),
     }
-    program = LoweredProgram(comparisons, sqrts, sections, leakage, coeff_nodes, lane_maps)
+    program = LoweredProgram(comparisons, sqrts, sections, leakage, coeff_nodes, ref_nodes,
+                             lane_maps)
     if ctx is None and evaluator is None:
         return program
     return program.bind(evaluator if evaluator is not None else CipherEvaluator(ctx, builder))
+
+
+def _scalar(e: Expr) -> float | None:
+    """A plain scalar node's value, else None."""
+    return e.payload if e.op == PLAIN and not isinstance(e.payload, np.ndarray) else None
+
+
+def _window_weight(builder: GraphBuilder, e: Expr) -> tuple[Expr, Reindex, float] | None:
+    """(pixel node, its reindexing, scale) when coefficient ``e`` is
+    ``±reindex(pixel node, map) * c`` for a plain scalar c (or 1), else
+    None.  The server computes such a node as a gather, a multiply by c
+    and sign flips, each a negation or a multiply by -1.0; a sign flip is
+    exact, so ``pixels[map] * ±c`` gives the same bits."""
+    scale = 1.0
+    while e.op == NEG or (e.op == MUL and -1.0 in (_scalar(e.a), _scalar(e.c))):
+        scale, e = -scale, e.a if e.op == NEG or _scalar(e.c) == -1.0 else e.c
+    if e.op == MUL:
+        c, e = (_scalar(e.a), e.c) if _scalar(e.a) is not None else (_scalar(e.c), e.a)
+        if c is None:
+            return None
+        scale *= c
+    if e.op != REINDEX or e.tier != 0:
+        return None
+    return e.a, builder.reindexed[e.payload], scale
 
 
 PLAN_MEMO_SIZE = 4  # slot plans kept by package layout, least recently used dropped first
@@ -408,11 +498,14 @@ class SlotPlan:
     It holds the decoded names, copies of the lane maps, the starts of
     the rows and tables, and per slot width:
 
+      * a coefficient row per table and per reference; the references of
+        one table fill their rows together, from the maps they read;
       * each distinct (row, map) comparison parameter's row of packed
-        bits, packed by (map, row length) from the starts of the rows;
+        bits, packed by (map, row length) from blocks of the rows'
+        answers, one per set of rows that packs read;
       * the slots, in groups of one monomial table shape, family by
-        family: a family's slots share a coefficient table sequence, so
-        its coefficient rows are gathered once.  Each monomial's bit rows
+        family: a family's slots share a coefficient sequence, so its
+        coefficient rows are gathered once.  Each monomial's bit rows
         are held per slot, and a group is summed in blocks of about
         ``_BLOCK_BYTES``;
       * the monomials with a sqrt factor, by factor count, with their
@@ -432,12 +525,33 @@ class SlotPlan:
         self.table_starts = [0, *np.cumsum(table_widths, dtype=np.int64).tolist()]
         self.maps = _runs(pkg["maps"][0], pkg["maps"][1].copy())
         self.names = _slot_names(*pkg["names"])
-        self.stacks: Counter = Counter()  # width -> coefficient tables
+        self.stacks: Counter = Counter()  # width -> coefficient rows
         self.table_at: list[tuple[int, int]] = []  # table -> (width, stack row)
         for w in table_widths:
             self.table_at.append((w, self.stacks[w]))
             self.stacks[w] += 1
-        stack_row = np.array([row for _, row in self.table_at], dtype=np.intp)
+        # the references of one width and table take consecutive stack
+        # rows, past the tables: (width, first row, table, each one's map
+        # as a row of its width's maps, its scale)
+        refs = pkg["refs"]
+        by_table: dict[tuple[int, int], list[int]] = {}
+        map_rows: dict[int, dict[int, int]] = {}  # width -> map -> its row of self.ref_maps
+        for j, (k, m) in enumerate(zip(refs["table"].tolist(), refs["map"].tolist())):
+            w = len(self.maps[m])
+            by_table.setdefault((w, k), []).append(j)
+            map_rows.setdefault(w, {}).setdefault(m, len(map_rows[w]))
+        # width -> (maps x width) lanes of the maps references read
+        self.ref_maps = {w: np.array([self.maps[m] for m in ms], dtype=np.intp)
+                         for w, ms in map_rows.items()}
+        ref_row = np.empty(len(refs), dtype=np.intp)
+        self.weights = []
+        for (w, k), js in by_table.items():
+            ref_row[js] = self.stacks[w] + np.arange(len(js))
+            self.weights.append((w, self.stacks[w], k,
+                                 np.array([map_rows[w][m] for m in refs["map"][js].tolist()]),
+                                 refs["scale"][js, None]))
+            self.stacks[w] += len(js)
+        stack_row = np.concatenate([[row for _, row in self.table_at], ref_row]).astype(np.intp)
 
         # every slot's parameters back to back, each slot's followed by one
         # more entry, which its _NONE padding reads
@@ -468,19 +582,24 @@ class SlotPlan:
         entry_sqrt = np.zeros(len(entry_bits), dtype=bool)
         entry_sqrt[at[~is_cmp]] = True
 
-        # the rows of each length make one (rows x length) block; the
-        # parameters of one width, map and length are packed together from
-        # their rows of the block, through their map if they have one
-        in_block = {n: np.unique(uniq[uniq[:, 2] == n, 3]) for n in np.unique(uniq[:, 2]).tolist()}
-        self.row_starts = {n: starts[rows] for n, rows in in_block.items()}
+        # the parameters of one width, map and row length are packed
+        # together, (width, map, block, bit rows), from a (rows x length)
+        # block of their rows' answers, through their map if they have
+        # one; packs that read the same rows share a block, held as
+        # (length, the rows' starts)
         head = np.ones(len(uniq), dtype=bool)  # the first parameter of each pack
         head[1:] = np.any(uniq[1:, :3] != uniq[:-1, :3], axis=1)
         firsts = np.flatnonzero(head).tolist()
+        block_of: dict[bytes, int] = {}
+        self.blocks: list[tuple[int, np.ndarray]] = []
         self.packs = []
         for lo, hi in zip(firsts, firsts[1:] + [len(uniq)]):
             w, m, n = uniq[lo, :3].tolist()
-            self.packs.append((w, m, n, np.searchsorted(in_block[n], uniq[lo:hi, 3]),
-                               bit_rows[lo:hi]))
+            rows = starts[uniq[lo:hi, 3]]
+            b = block_of.setdefault(rows.tobytes(), len(self.blocks))
+            if b == len(self.blocks):
+                self.blocks.append((n, rows))
+            self.packs.append((w, m, b, bit_rows[lo:hi]))
 
         # the slots of each width and monomial table shape, by coefficient
         # table sequence
@@ -527,24 +646,29 @@ class SlotPlan:
         back to back, every sqrt row's roots back to back, and coefficient
         table k as ``table(k)``, which is called once per table.
 
-        A product of 0/1 answers is an AND of bits; a monomial with a sqrt
+        A reference's coefficient row is its table's lanes through its
+        map times its scale, the multiply the server would have made.  A
+        product of 0/1 answers is an AND of bits; a monomial with a sqrt
         factor folds its floats as a balanced tree, as the server does.
         Terms add in monomial order, left to right.
         """
         stacks = {w: np.empty((n, w)) for w, n in self.stacks.items()}
         for k, (w, row) in enumerate(self.table_at):
             stacks[w][row] = table(k)
+        for w, lo, k, at, scales in self.weights:
+            rows = stacks[w][lo:lo + len(at)]
+            pixels = stacks[self.table_at[k][0]][self.table_at[k][1]]
+            np.take(np.take(pixels, self.ref_maps[w], mode="clip"), at, axis=0, out=rows,
+                    mode="clip")
+            rows *= scales
         # bits in 64-bit words, so a gather moves one item per word
         bits = {w: np.full((n + 1, (w + 63) // 64), ~np.uint64(0))
                 for w, n in self.n_bits.items()}
-        blocks = {n: answers[starts[:, None] + np.arange(n)]
-                  for n, starts in self.row_starts.items()}
-        for w, m, n, pos, dest in self.packs:
-            got = blocks[n][pos]
-            if m != _NONE:
-                got = np.take(got, self.maps[m], axis=1)
+        blocks = [answers[starts[:, None] + np.arange(n)] for n, starts in self.blocks]
+        for w, m, b, dest in self.packs:
+            got = blocks[b] if m == _NONE else np.take(blocks[b], self.maps[m], axis=1)
             bits[w].view(np.uint8)[dest, :(w + 7) // 8] = np.packbits(
-                np.broadcast_to(got, (len(pos), w)), axis=1)
+                np.broadcast_to(got, (len(dest), w)), axis=1)
 
         # each sqrt monomial factor's float lanes, read through its map
         n_cmp, at = len(self.starts) - 1, self.root_starts
@@ -835,7 +959,7 @@ def serialize_package(program: LoweredProgram, policy: DecoyPolicy = DecoyPolicy
               "n_sqrt": policy.padded_size(sum(sqrt_widths)),
               "n_cmp_rows": len(cmp_widths), "n_sqrt_rows": len(sqrt_widths),
               "n_maps": len(program.lane_maps), "n_coeffs": len(program.coeff_tables),
-              "n_slots": len(sections["slots"])}
+              "n_refs": len(sections["refs"]), "n_slots": len(sections["slots"])}
     lengths = {name: part[0] for name, part in sections.items() if isinstance(part, tuple)}
     lengths.update(cmp_rows=cmp_widths, sqrt_rows=sqrt_widths,
                    maps=[len(m) for m in program.lane_maps],
@@ -878,21 +1002,25 @@ def parse_package(blob) -> dict:
     ``cmp_level`` and ``sqrt_level`` are the levels the header gives the
     comparison and the sqrt records.  ``cmp_rows`` and ``sqrt_rows`` hold
     the wire-id row of each requested comparison and sqrt, ``coeffs`` the
-    coefficient tables and ``levels`` their levels.  Slot i's ``params``
-    are (row, map) references, rows numbered comparisons first and map
-    ``_NONE`` for none, and its ``monomials`` are rows of ``stride``
-    references: a coefficient table, then slot-local parameter indices
-    padded with ``_NONE``.  ``layout`` holds, as bytes, every section a
-    ``SlotPlan`` depends on; the client's plan memo is keyed by it.
+    coefficient tables and ``levels`` their levels, and ``refs`` the
+    window weights as (table, map, scale).  Slot i's ``params`` are (row,
+    map) references, rows numbered comparisons first and map ``_NONE``
+    for none, and its ``monomials`` are rows of ``stride`` references: a
+    coefficient (a table, or past them a reference), then slot-local
+    parameter indices padded with ``_NONE``.  ``layout`` holds, as bytes,
+    every section a ``SlotPlan`` depends on; the client's plan memo is
+    keyed by it.
 
     Every reference is checked against what it points into: a wire id
     against its kind's records, a parameter's row and map against the
-    pools and the map's lanes against the row, a monomial's table and
-    parameter indices against the pool and the slot.  So is every width:
-    a slot's coefficient tables have its width in lanes, and each of its
-    parameters, read through its map if it has one, 1 or that width.  One
-    out of range is a ValueError, like a truncated package.  The names
-    are decoded, and checked, where they are read: by ``SlotPlan`` and
+    pools and the map's lanes against the row, a window weight's table
+    and map against the pools and the map's lanes against the table, a
+    monomial's coefficient and parameter indices against the pools and
+    the slot.  So is every width: a slot's coefficients have its width in
+    lanes, a window weight's being its map's, and each of its parameters,
+    read through its map if it has one, 1 or that width.  One out of
+    range is a ValueError, like a truncated package.  The names are
+    decoded, and checked, where they are read: by ``SlotPlan`` and
     ``dump_package``.
     """
     if blob[:len(_PKG_MAGIC)] != _PKG_MAGIC:
@@ -910,6 +1038,12 @@ def parse_package(blob) -> dict:
     if full.any():  # reduceat would read an empty map's first lane past its end
         map_top[full] = np.maximum.reduceat(map_lanes, (np.cumsum(map_lens) - map_lens)[full])
     coeff_lens = sec["coeffs"][0].astype(np.int64)
+    ref_table, ref_map = sec["refs"]["table"].astype(np.intp), sec["refs"]["map"].astype(np.intp)
+    _check_refs("reference's coefficient table", ref_table, len(coeff_lens))
+    _check_refs("reference's lane map", ref_map, len(map_lens))
+    if np.any(map_top[ref_map] >= coeff_lens[ref_table]):
+        raise ValueError("deferred package reference's lane map reads past the end of its table")
+    coeff_lens = np.concatenate([coeff_lens, map_lens[ref_map]])  # each coefficient's lanes
 
     width = sec["slots"]["width"].astype(np.int64)
     stride = sec["slots"]["stride"].astype(np.int64)
@@ -933,16 +1067,16 @@ def parse_package(blob) -> dict:
     row_stride = np.repeat(stride, n_rows)
     lead = np.zeros(len(monos), dtype=bool)  # each monomial's first reference
     lead[np.cumsum(row_stride) - row_stride] = True
-    tables = monos[lead]
-    _check_refs("coefficient table", tables, len(coeff_lens))
+    coeffs = monos[lead]
+    _check_refs("coefficient", coeffs, len(coeff_lens))
     _check_refs("parameter index", monos[~lead], np.repeat(param_lens, mono_lens - n_rows),
                 none_ok=True)
-    if np.any(coeff_lens[tables] != np.repeat(width, n_rows)):
-        raise ValueError("deferred package coefficient table's lanes differ from its slot's width")
+    if np.any(coeff_lens[coeffs] != np.repeat(width, n_rows)):
+        raise ValueError("deferred package coefficient's lanes differ from its slot's width")
 
     # every section the slot plan depends on, byte for byte
     layout = (cmp_lens.tobytes(), sqrt_lens.tobytes(), sec["coeffs"][0].tobytes(),
-              sec["slots"].tobytes(),
+              sec["refs"].tobytes(), sec["slots"].tobytes(),
               *(part.tobytes() for name in ("maps", "names", "params", "monomials")
                 for part in sec[name]))
     return {**sec, "cmp_level": int(header["cmp_level"]),
@@ -953,11 +1087,11 @@ def dump_package(blob: bytes) -> str:
     """Human-readable package listing, stable for golden comparisons.
 
     Rows print as ``b<i>`` (comparisons) and ``s<i>`` (sqrts), maps as
-    ``m<i>``, coefficient tables as ``k<i>`` and slot parameters as
-    ``p<i>``; slots print in name order.
+    ``m<i>``, coefficient tables as ``k<i>``, references as ``x<i>`` and
+    slot parameters as ``p<i>``; slots print in name order.
     """
     pkg = parse_package(blob)
-    n_crows = len(pkg["cmp_rows"][0])
+    n_crows, n_tables = len(pkg["cmp_rows"][0]), len(pkg["coeffs"][0])
     rows = _runs(*pkg["cmp_rows"]) + _runs(*pkg["sqrt_rows"])
     maps, coeffs = _runs(*pkg["maps"]), _runs(*pkg["coeffs"])
     slots = zip(_slot_names(*pkg["names"]), pkg["slots"].tolist(),
@@ -982,13 +1116,17 @@ def dump_package(blob: bytes) -> str:
     for k, (lanes, level) in enumerate(zip(coeffs, pkg["levels"].tolist())):
         vals = " ".join(f"{v:.6g}" for v in lanes)
         lines.append(f"  k{k} : [{vals}] @{level}")
+    lines.append(f"refs: {len(pkg['refs'])}")
+    for j, (k, m, scale) in enumerate(pkg["refs"].tolist()):
+        lines.append(f"  x{j} = k{k}[m{m}] * {scale:.6g}")
     for name, (width, stride), params, monos in sorted(slots, key=lambda slot: slot[0]):
         lines.append(f"slot {name}: width={width}")
         for i, (r, m) in enumerate(params.tolist()):
             lines.append(f"  p{i} = {row_name(r)}" + ("" if m == _NONE else f"[m{m}]"))
         for ref, *mono in monos.reshape(-1, stride).tolist():
             key = "*".join(f"p{i}" for i in mono if i != _NONE) or "1"
-            lines.append(f"  {key} : k{ref}")
+            coeff = f"k{ref}" if ref < n_tables else f"x{ref - n_tables}"
+            lines.append(f"  {key} : {coeff}")
     return "\n".join(lines) + "\n"
 
 
@@ -1015,4 +1153,5 @@ def run_deferred(program: LoweredProgram, client: Client, policy: DecoyPolicy = 
         rounds=trace,
         leakage=program.leakage,
         package_bytes=len(blob),
+        package_sections=_section_bytes(blob),
     )

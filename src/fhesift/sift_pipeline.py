@@ -18,7 +18,10 @@ pixel of the region the descriptor window covers, read through one map
 per window position; detection once per ordered pair of adjacent DoG
 samples of the site layers, over a ring of the sites widened by one
 sample, read through 9 maps, one per offset of the 3x3 neighbourhood.
-Stage outputs are named graph slots;
+Each pixel's squared gradient magnitude is likewise computed once and
+read through the window position's map, so each window weight is a
+reindexed per-pixel value times a public constant, which a deferred
+package ships once per pixel.  Stage outputs are named graph slots;
 ``_GraphPlan.split`` cuts each back into one table per (octave, layer),
 and the client turns those into the keypoint list.  Subpixel division,
 the orientation argmax (in deferred mode) and descriptor normalization
@@ -28,9 +31,10 @@ arithmetic.
 Compiled once per image shape: the graph, its normal forms and
 everything planned from them depend on the image shape, the config and
 the mode alone.  ``compile_circuit`` builds the graph with leaves that
-name their sources (a DoG layer at gather offsets, or a gradient block
-read whole or through a lane map) instead of holding ciphertexts, lists
-each stage's pure work, lowers the deferred package's tables, plans the
+name their sources (a DoG layer at gather offsets, or a gradient block)
+instead of holding ciphertexts, lists each stage's pure work (in
+deferred mode, less the window weights the client computes), lowers the
+deferred package's tables, plans the
 server's evaluation as a tape that each image replays (the pure work,
 then the package's operands or the interactive run) and freezes the
 graph.  ``run_pipeline`` takes circuits from a memo keyed by
@@ -197,6 +201,7 @@ class RunReport:
     client_decrypt_calls: int = 0
     leakage: dict | None = None
     package_bytes: int | None = None
+    package_sections: dict | None = None  # package bytes per header and section
     oracle_diff: dict | None = None
 
 
@@ -412,15 +417,13 @@ class _DogLeaf:
     dx: int
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class _GradientLeaf:
     """Where a graph leaf's lanes come from: the x (``axis`` 0) or y
-    (``axis`` 1) gradient block of Gaussian level ``layer``, read through
-    the lane map ``lanes``, or whole."""
+    (``axis`` 1) gradient block of Gaussian level ``layer``."""
 
     layer: int
     axis: int
-    lanes: np.ndarray | None = None
 
 
 def _octave_dims(shape: tuple[int, int], octaves: int) -> list[tuple[int, int]]:
@@ -566,14 +569,13 @@ def _build_site_graph(plan: _GraphPlan, dims, cfg: PipelineConfig, with_argmax: 
 
         # gradients of the Gaussian level over each octave's pixel block
         # (see ``_gradients``); orientation reads the window's inner part.
-        # The bin masks below ask each pixel's comparisons once and
-        # reindex them per window position.
+        # The bin masks below ask each pixel's comparisons once, and each
+        # pixel's squared magnitude is computed once; window position
+        # (uu, vv) reads both through its lane map.
         n_block = sum(len(py) for py, _ in plan.regions)
         gx_e = b.leaf(_GradientLeaf(l, 0), n_block, name=f"{p}gx")
         gy_e = b.leaf(_GradientLeaf(l, 1), n_block, name=f"{p}gy")
-        grads = {(uu, vv): (b.leaf(_GradientLeaf(l, 0, at), len(at), name=f"{p}gx{uu:+d}{vv:+d}"),
-                            b.leaf(_GradientLeaf(l, 1, at), len(at), name=f"{p}gy{uu:+d}{vv:+d}"))
-                 for (uu, vv), at in lanes.items()}
+        mag2 = b.add(b.mul(gx_e, gx_e), b.mul(gy_e, gy_e))
 
         # orientation histogram over the inner window
         cmp_lo, sqrt_lo = len(b.comparisons), len(b.sqrts)
@@ -582,14 +584,13 @@ def _build_site_graph(plan: _GraphPlan, dims, cfg: PipelineConfig, with_argmax: 
         quads = []
         for vv in range(-rad, rad + 1):
             for uu in range(-rad, rad + 1):
-                dx_e, dy_e = grads[(uu, vv)]
+                at = lanes[(uu, vv)]
                 gwin = math.exp(-(uu * uu + vv * vv) / (2.0 * sw * sw))
-                mag2 = b.add(b.mul(dx_e, dx_e), b.mul(dy_e, dy_e))
                 if cfg.orientation_weighting == MAGNITUDE_SQUARED:
-                    w = b.mul(mag2, b.plain(0.25 * gwin))
+                    w = b.mul(b.reindex(mag2, at), b.plain(0.25 * gwin))
                 else:
-                    w = b.mul(b.sqrt_deferred(mag2), b.plain(0.5 * gwin))
-                quads.append((gx_e, gy_e, w, lanes[(uu, vv)]))
+                    w = b.mul(b.sqrt_deferred(b.reindex(mag2, at)), b.plain(0.5 * gwin))
+                quads.append((gx_e, gy_e, w, at))
         bins = [b.simplify(e) for e in weighted_histogram(b, quads, nb)]
         wsum = b.simplify(b.sum_([w for _, _, w, _ in quads]))
         # the bins are roots in both modes; the one-hot slots are not,
@@ -611,13 +612,12 @@ def _build_site_graph(plan: _GraphPlan, dims, cfg: PipelineConfig, with_argmax: 
         entries: list = [None] * 128
         for vv in range(-4, 4):
             for uu in range(-4, 4):
-                dx_e, dy_e = grads[(uu, vv)]
+                at = lanes[(uu, vv)]
                 cu, cv = (uu + 4) // 2, (vv + 4) // 2
                 gwin = math.exp(
                     -(uu * uu + vv * vv) / (2.0 * DESCRIPTOR_SIGMA * DESCRIPTOR_SIGMA))
-                mag2 = b.add(b.mul(dx_e, dx_e), b.mul(dy_e, dy_e))
-                w = b.mul(mag2, b.plain(0.25 * gwin))
-                masks = bin_mask(b, gx_e, gy_e, 8, lanes[(uu, vv)])
+                w = b.mul(b.reindex(mag2, at), b.plain(0.25 * gwin))
+                masks = bin_mask(b, gx_e, gy_e, 8, at)
                 for k in range(8):
                     e = (cv * 4 + cu) * 8 + k
                     term = b.mul(masks[k], w)
@@ -707,11 +707,13 @@ def compile_circuit(shape: tuple[int, int], cfg: PipelineConfig, mode: str) -> C
     _build_site_graph(plan, _octave_dims(shape, cfg.octaves), cfg,
                       with_argmax=(mode == "interactive"))
     b = plan.builder
-    pure = {stage: plan.pure(stage) for stage in _GRAPH_STAGES}
+    program = lower(b, plan.slots) if mode == "deferred" else None
+    # the client scales the window weights a package ships as references,
+    # so the server never evaluates them
+    shipped = {e.id for e in program.ref_nodes} if program else set()
+    pure = {stage: [e for e in plan.pure(stage) if e.id not in shipped] for stage in _GRAPH_STAGES}
     first = [e for es in pure.values() for e in es]
-    program = None
-    if mode == "deferred":
-        program = lower(b, plan.slots)
+    if program is not None:
         run_plan = RunPlan.over(program.operands(), first=first)
     else:
         # run_pipeline asks for the slots stage by stage
@@ -766,8 +768,7 @@ def _bind_leaves(plan: _GraphPlan, dog, gradients) -> dict[int, Ciphertext]:
                                         for o, (ys, xs) in zip(plan.sites, blocks[src.block])])
             out[n.id] = from_dog[src]
         else:
-            g = gradients[src.layer][src.axis]
-            out[n.id] = g if src.lanes is None else gather(g, src.lanes)
+            out[n.id] = gradients[src.layer][src.axis]
     return out
 
 
@@ -826,6 +827,7 @@ def run_pipeline(img, cfg: PipelineConfig | None = None, sim: SimParams | None =
         report.rounds = run.rounds
         report.leakage = run.leakage
         report.package_bytes = run.package_bytes
+        report.package_sections = run.package_sections
     else:
         with _stage(ctx, report, "protocol", depth_stage=circuit.waiting_stage):
             run = run_interactive(ctx, b, plan.slots, client, DecoyPolicy(), seed=seed,

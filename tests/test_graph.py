@@ -432,8 +432,9 @@ def test_blob16_nodes_are_created_after_their_operands(monkeypatch):
             reads += [cmp.lhs, cmp.rhs]
         elif n.op == "sqrt":
             reads.append(b.sqrts[n.payload].arg)
-        elif n.op == "reindex":  # its source comparison is a
-            assert (n.a.op, n.a.payload) == ("bool", b.reindexed[n.payload].source)
+        elif n.op == "reindex":  # its source comparison is a, or a is pure
+            source = b.reindexed[n.payload].source
+            assert (n.a.op, n.a.payload) == ("bool", source) if n.a.tier else source is None
         assert all(k.id < n.id for k in reads), n
 
 
@@ -771,7 +772,7 @@ def test_lower_emits_requests_and_residuals():
     assert [c.id for c in prog.comparisons] == [0]
     assert list(prog.sqrt_args) == [0]
     assert prog.leakage == {"bool_params": 1, "sqrt_params": 1, "monomials": 3,
-                            "coeff_tables": 3, "lane_maps": 0}
+                            "coeff_tables": 3, "coeff_refs": 0, "lane_maps": 0}
     lhs, rhs = prog.cmp_operands[0]
     assert (lhs.value, rhs.value) == (4.0, 9.0)
     # the slot tables, in name order: pick is y + [x > y](x - y), root s
@@ -938,6 +939,59 @@ def test_reindex_rejects_bad_maps_and_width_mismatch():
     r = b.reindex(c, np.array([0, 1, 2]))
     with pytest.raises(ValueError, match="width mismatch"):
         b.mul(r, b.cipher(ctx.encrypt(np.zeros(4))))
+
+
+def test_reindex_of_a_pure_node_is_a_free_gather():
+    """A pure node's lanes read through a map: a coefficient, not a
+    parameter, which both evaluators compute as a gather that counts no
+    op and keeps the operand's level, and which the client, given the
+    node as a table, rebuilds bit for bit."""
+    ctx = _ctx()
+    b = GraphBuilder()
+    rng = np.random.default_rng(5)
+    p = b.cipher(ctx.encrypt(rng.uniform(-3, 3, 6)), name="p")
+    mag2 = b.mul(p, p)
+    at = np.array([5, 0, 0, 3])
+    r = b.reindex(mag2, at)
+    assert b.reindex(mag2, at.tolist()) is r  # equal maps intern to one node
+    assert (r.tier, r.width, b.reindexed[r.payload].source) == (0, 4, None)
+    assert b.normal_form(r) == {frozenset(): r}
+    assert format_expr(r) == "(p*p)[5 0 0 3]"
+    c = b.compare(b.cipher(ctx.encrypt(rng.uniform(-1, 1, 4)), name="q"), b.plain(0.0))
+    slots = {"w": b.simplify(b.mul(b.sub(b.plain(1.0), c), b.mul(r, b.plain(0.3))))}
+
+    pe = PlainEvaluator(b)
+    want = np.asarray(pe.eval(slots["w"]))
+    assert pe.eval(r).tobytes() == (pe.eval(mag2)[at]).tobytes()
+    ce = CipherEvaluator(ctx, b, bool_cts={c.payload: ctx.encrypt(pe.bool_value(
+        b.comparisons[c.payload]))})
+    square = ce.eval(mag2)
+    before = ctx.snapshot_counts()
+    got = ce.eval(r)
+    assert ctx.snapshot_counts() == before  # the gather counts nothing
+    assert got.level == square.level
+    assert got.value.tobytes() == square.value[at].tobytes()
+    assert ce.eval(slots["w"]).value.tobytes() == want.tobytes()
+    prog = lower(b, slots)
+    assert (prog.leakage["coeff_tables"], prog.leakage["coeff_refs"]) == (1, 2)
+    assert [e for e, _ in prog.coeff_nodes] == [mag2]
+    assert run_deferred(lower(b, slots, ctx), Client(ctx)).results["w"].tobytes() == \
+        want.tobytes()
+
+
+def test_reindex_refuses_a_node_that_waits_on_a_comparison():
+    ctx = _ctx()
+    b = GraphBuilder()
+    c = _pixel_comparison(ctx, b)
+    pixels = b.cipher(ctx.encrypt(np.arange(4.0)), name="p")
+    with pytest.raises(ValueError, match="pure node"):
+        b.reindex(b.mul(c, pixels), np.array([0, 1]))  # tier 1
+    with pytest.raises(ValueError, match="outside the 4 lanes"):
+        b.reindex(b.mul(pixels, pixels), np.array([0, 4]))
+    with pytest.raises(ValueError):
+        b.reindex(b.mul(pixels, pixels), np.array([-1, 0]))
+    with pytest.raises(ValueError):
+        b.reindex(b.cipher(ctx.encrypt(2.0)), np.array([0, 0]))  # one lane
 
 
 def test_format_renders_reindexed_parameters():

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from fhesift import CkksContext, GraphBuilder, PlainEvaluator, CipherEvaluator, SimParams
+from fhesift import (Ciphertext, CipherEvaluator, CkksContext, GraphBuilder, PlainEvaluator,
+                     SimParams, gather)
 from fhesift.errors import EmptyInput
 from fhesift.kernels import (
     bin_mask,
@@ -227,6 +228,48 @@ def test_convolve2d_one_dimensional_kernel_is_a_row():
     row = convolve2d(ctx, ctx.encrypt(img), k)
     full = convolve2d(ctx, ctx.encrypt(img), k.reshape(1, -1))
     assert np.array_equal(row.value, full.value)
+
+
+def _convolve2d_per_tap(ctx, img, kernel):
+    """The convolution as it was first written: each tap clamps its own
+    rows and columns and gathers them through ``np.ix_``."""
+    kernel = np.asarray(kernel, dtype=np.float64).reshape(np.shape(kernel)[0], -1)
+    kh, kw = kernel.shape
+    h, w = img.value.shape
+    ys, xs = np.arange(h), np.arange(w)
+    acc = None
+    for dy in range(-(kh // 2), kh // 2 + 1):
+        for dx in range(-(kw // 2), kw // 2 + 1):
+            k = float(kernel[dy + kh // 2, dx + kw // 2])
+            if k == 0.0:
+                continue
+            yi = np.clip(ys + dy, 0, h - 1)
+            xi = np.clip(xs + dx, 0, w - 1)
+            term = ctx.mul_plain(gather(img, np.ix_(yi, xi)), k)
+            acc = term if acc is None else ctx.add(acc, term)
+    return acc
+
+
+@pytest.mark.parametrize("shape", [(16, 16), (9, 12), (3, 2), (1, 5)])
+@pytest.mark.parametrize("kernel_shape", ["column", "row", "square"])
+def test_convolve2d_matches_the_per_tap_loop_bitwise(shape, kernel_shape):
+    """Column, row and 2-D kernels give the per-tap loop's values, level,
+    noise bounds and op counts; the 3x2 and 1x5 grids are narrower than
+    the kernel's radius, so most taps clamp."""
+    rng = np.random.default_rng(31)
+    k = gaussian_kernel1d(1.7)  # 13 taps
+    kernel = {"column": k.reshape(-1, 1), "row": k.reshape(1, -1),
+              "square": np.outer(k[3:-3], rng.uniform(-1, 1, 5))}[kernel_shape]
+    kernel[kernel.shape[0] // 2, 0] = 0.0  # a zero tap is skipped by both
+    img = rng.uniform(-2, 2, shape)
+    noise = rng.uniform(0, 1e-9, shape)
+    results = []
+    for conv in (convolve2d, _convolve2d_per_tap):
+        ctx = CkksContext(SimParams(depth_budget=5))
+        out = conv(ctx, Ciphertext(img.copy(), 5, noise.copy()), kernel)
+        results.append((out.value.tobytes(), out.noise_bound.tobytes(), out.level,
+                        ctx.snapshot_counts()))
+    assert results[0] == results[1]
 
 
 def test_convolve2d_rejects_bad_kernels():

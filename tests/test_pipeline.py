@@ -313,7 +313,7 @@ def test_package_structure_does_not_depend_on_the_octave_count(suite_runs, blob1
     # runs (two octaves) and natural64 (three) ship what one octave ships
     one = run_pipeline(blob16, CFG16, mode="deferred", seed=SEED).report.leakage
     assert one == {"bool_params": 234, "sqrt_params": 0, "monomials": 8919,
-                   "coeff_tables": 545, "lane_maps": 73}
+                   "coeff_tables": 20, "coeff_refs": 528, "lane_maps": 73}
     for name in ALL_NAMES:
         assert suite_runs[(name, "deferred")].report.leakage == one, name
 
@@ -343,10 +343,10 @@ BLOB16_SLOTS_SHA256 = {
     "interactive": "3009a0f001f858af0fab65dce5ccb9b10b6bd1ab1df9de758c923c11933efd91",
     "deferred": "9a1e337e87bd44d6435980460f1b14acf4bae18f69b637b2f13895e7a6ed7629",
 }
-BLOB16_PACKAGE_SHA256 = "8716386184aac97125380a5fed79e066c43edd7f151220a06cacb307a610f1f2"
+BLOB16_PACKAGE_SHA256 = "322f3bca1361de92ddbe28fd30f5534b4b55b3f60a30217c5c2055e47918596e"
 BLOB16_REPORT_SHA256 = {
-    "interactive": "9f835573d4e96a396a093e3dac8aa6698d8a80003bd57de9a2df1d30756e3212",
-    "deferred": "73de10d52107fc62e98200d39420a1aff79362e84402db148401a30e2f080025",
+    "interactive": "58c48bd6773b7af1871f4333e1e88a5048d53c5ec9d1a47f5b1766381756fbd5",
+    "deferred": "6e9b2b07d8e38311ef27c29e58146cc193a631b9effc00c0c2b20f62ccc5a5b2",
 }
 
 
@@ -382,8 +382,8 @@ def test_blob16_outputs_match_recorded_digests(blob16, monkeypatch, mode):
 # exact-mode digests cannot.  The report is the exact run's: noise moves
 # no op count, level or leakage count.
 BLOB16_NOISY_SLOTS_SHA256 = {
-    "interactive": "31dbfe900b84f69809874747aafa308b803539cac2b2fabf6d304bfdda99fde6",
-    "deferred": "9a7e19f93886074b0a66e23cb6e128e24c43438794f6c7cc822ac0155b48ccda",
+    "interactive": "829e0fece9b1e6cc0c297b60b1cbc421f8c3d46ba142d09650017a8ac18f1825",
+    "deferred": "96667f06d9134c8e9735201a3196c285cdac4332f508a32cdffda05565f97ba1",
 }
 
 
@@ -409,6 +409,18 @@ def test_blob16_client_decrypts_each_pooled_table_once(blob16):
     # 5x5 positions are among them) and one per offset of detection's 3x3
     # neighbourhood into the ring; every layer index shares them
     assert int(kv["leakage.lane_maps"]) == 64 + 9
+
+
+@pytest.mark.parametrize("name", ["blob16", "natural64"])
+def test_package_bytes_per_part_sum_to_the_package(suite_runs, blob16, name):
+    report = (run_pipeline(blob16, CFG16, mode="deferred", seed=SEED).report if name == "blob16"
+              else suite_runs[name, "deferred"].report)
+    kv = dict(_flat_report(report))
+    parts = {k.split(".", 1)[1]: int(v) for k, v in kv.items() if k.startswith("package_bytes.")}
+    assert list(parts) == ["header", *(section for section, *_ in protocol._SECTIONS)]
+    assert sum(parts.values()) == int(kv["package_bytes"]) == report.package_bytes
+    # each window weight is one 16-byte reference
+    assert parts["refs"] == 16 * int(kv["leakage.coeff_refs"]) > 0
 
 
 # -- orientation weighting variants ----------------------------------------------------

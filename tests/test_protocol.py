@@ -141,7 +141,7 @@ def test_deferred_is_one_round_and_reports_leakage():
     assert run.rounds[0].n_wire_comparisons == 8
     assert run.package_bytes == run.rounds[0].request_bytes > 0
     assert run.leakage == {"bool_params": 1, "sqrt_params": 1, "monomials": 3,
-                            "coeff_tables": 3, "lane_maps": 0}
+                            "coeff_tables": 3, "coeff_refs": 0, "lane_maps": 0}
     assert run.results["pick"] == 9.0
     assert run.results["root"] == 3.0
 
@@ -217,8 +217,9 @@ def test_parse_package_round_trip_and_magic():
     with pytest.raises(ValueError):
         parse_package(b"JUNKJUNK" + bytes(16))
     blob = bytes(serialize_package(prog, seed=1))
-    # the layouts with record ids, then with a level in every record
-    for old in (b"DCGPKG01", b"DCGPKG02", b"DCGPKG03"):
+    # the layouts with record ids, then with a level in every record, then
+    # without references
+    for old in (b"DCGPKG01", b"DCGPKG02", b"DCGPKG03", b"DCGPKG04"):
         with pytest.raises(ValueError, match="not a deferred package"):
             parse_package(old + blob[len(old):])
 
@@ -275,6 +276,92 @@ def test_parse_package_rejects_a_reference_out_of_range(patch):
     blob = bytearray(serialize_package(lower(b, slots, ctx), seed=1))
     patch(parse_package(blob))  # the views write through into the blob
     with pytest.raises(ValueError, match="out of range"):
+        parse_package(blob)
+    with pytest.raises(ValueError):
+        Client(ctx).resolve_package(blob)
+
+
+def _weight_toy():
+    """Window weights as the pipeline builds them: a comparison over 8
+    lanes and a squared 6-lane 'pixel' node, each read through lane maps
+    a (3 lanes) and b (2 lanes), and each slot (1 - [q > 0]) * pixel * c.
+    Each slot's two coefficients, +c and -c times the reindexed pixels,
+    ship as references into the one per-pixel table."""
+    ctx = CkksContext(SimParams(depth_budget=20))
+    b = GraphBuilder()
+    p = b.cipher(ctx.encrypt(np.array([1.0, -5.0, 2.5, -0.5, 3.0, -1.0])), name="p")
+    q = b.cipher(ctx.encrypt(np.array([2.0, -1.0, 0.5, 4.0, -3.0, 1.5, 6.0, -2.0])), name="q")
+    mag2, c = b.mul(p, p), b.compare(q, b.plain(0.0))
+    slots = {name: b.simplify(b.mul(b.sub(b.plain(1.0), b.reindex(c, at)),
+                                    b.mul(b.reindex(mag2, at), b.plain(k))))
+             for name, at, k in (("a", np.array([0, 2, 4]), 0.25), ("b", np.array([5, 1]), 0.1))}
+    return ctx, b, slots
+
+
+def test_window_weights_ship_as_references_and_resolve_bitwise(monkeypatch):
+    monkeypatch.setattr(protocol, "_PLAN_MEMO", {})
+    ctx, b, slots = _weight_toy()
+    prog = lower(b, slots, ctx)
+    assert (prog.leakage["coeff_tables"], prog.leakage["coeff_refs"]) == (1, 4)
+    blob = serialize_package(prog, DecoyPolicy(), seed=1)
+    pkg = parse_package(blob)
+    assert pkg["refs"].tolist() == [(0, 0, 0.25), (0, 0, -0.25), (0, 1, 0.1), (0, 1, -0.1)]
+    assert protocol._runs(*pkg["coeffs"])[0].tolist() == [1.0, 25.0, 6.25, 0.25, 9.0, 1.0]
+    assert {name: monos[:, 0].tolist() for name, (_, _, monos) in
+            _slot_tables(pkg).items()} == {"a": [1, 2], "b": [3, 4]}
+    text = dump_package(blob)
+    assert "refs: 4\n  x0 = k0[m0] * 0.25\n  x1 = k0[m0] * -0.25\n" in text
+    assert "slot a: width=3\n  p0 = b0[m0]\n  1 : x0\n  p0 : x1\n" in text
+    client = Client(ctx)
+    got = client.resolve_package(blob)
+    pe = PlainEvaluator(b)
+    ce = CipherEvaluator(ctx, b, bool_cts={c.id: ctx.encrypt(pe.bool_value(c))
+                                           for c in b.comparisons})
+    for name, e in slots.items():
+        want = np.asarray(pe.eval(e)).tobytes()
+        assert got[name].tobytes() == want == ce.eval(e).value.tobytes(), name
+    # the comparison's two operand columns, and the one per-pixel table
+    assert client.attributed_decrypts == 2 + 1
+
+
+def _patch_ref_table(pkg):
+    pkg["refs"]["table"][0] = len(pkg["coeffs"][0])
+
+
+def _patch_ref_map(pkg):
+    pkg["refs"]["map"][0] = len(pkg["maps"][0])
+
+
+@pytest.mark.parametrize("patch", [_patch_ref_table, _patch_ref_map])
+def test_parse_package_rejects_a_window_weight_out_of_range(patch):
+    ctx, b, slots = _weight_toy()
+    blob = bytearray(serialize_package(lower(b, slots, ctx), seed=1))
+    patch(parse_package(blob))
+    with pytest.raises(ValueError, match="reference's .* out of range"):
+        parse_package(blob)
+    with pytest.raises(ValueError):
+        Client(ctx).resolve_package(blob)
+
+
+def _patch_ref_map_past_its_table(pkg):
+    # lane 6 is inside the comparison's 8-lane row, past the 6-lane table
+    pkg["maps"][1][0] = 6
+
+
+def _patch_ref_width(pkg):
+    # slot a (3 lanes) weighted through map b (2 lanes)
+    pkg["refs"]["map"][pkg["refs"]["map"] == 0] = 1
+
+
+@pytest.mark.parametrize("patch,reason", [
+    (_patch_ref_map_past_its_table, "reads past the end of its table"),
+    (_patch_ref_width, "coefficient's lanes differ from its slot's width"),
+])
+def test_parse_package_rejects_a_window_weight_past_its_table_or_slot(patch, reason):
+    ctx, b, slots = _weight_toy()
+    blob = bytearray(serialize_package(lower(b, slots, ctx), seed=1))
+    patch(parse_package(blob))
+    with pytest.raises(ValueError, match=reason):
         parse_package(blob)
     with pytest.raises(ValueError):
         Client(ctx).resolve_package(blob)
@@ -415,13 +502,13 @@ def _sha(blob) -> str:
     return hashlib.sha256(bytes(blob)).hexdigest()
 
 
-# sha256 digests of the sectioned layout (DCGPKG04) and of interactive
+# sha256 digests of the sectioned layout (DCGPKG05) and of interactive
 # requests, each a batch's level and then its records.  The wire format
 # is a contract, so any change to them is a format change
 PACKAGE_SHA256 = {
-    (True, 0): "2abceb62097b500336bbe4effcd9d5bee0a98e0f26344b4705701dd6370363e7",
-    (True, 7): "1911a118ebb21eca9aa16361d9ffeb79ad1e24b87e16e709c1a968587403ee8e",
-    (False, 0): "f2d7ace35e400011917418fa5d56d3faa7d29fe2e77eaf9cbdc2197f751ee993",
+    (True, 0): "654703893404b082a7420b82c918520e2eeea7698e6a116022c53cf4bfacfa72",
+    (True, 7): "b9809fc29fb93c9997a955139abdf8b21134e6ee139e9513b8ab5baa82bdf5e6",
+    (False, 0): "43066f0eec3a3aa3eebb482031d68a4e8b51b56ce477f4fbf856dc5df856ad20",
 }
 REQUEST_SHA256 = [
     ("c", "d4e7a4594146d0306608d498b700963d0c1996846d6b75892453d6f72f4557dd"),
@@ -471,14 +558,14 @@ def _address(blob) -> int:
 
 def test_wire_records_start_on_an_8_byte_boundary():
     """A request's records follow its 4-byte level and a package's its
-    44-byte header, so each wire buffer is placed to put them, not its
+    48-byte header, so each wire buffer is placed to put them, not its
     first byte, on an 8-byte boundary; the bytes are the digests' above."""
     ctx, b, slots = _wire_toy()
     prog = lower(b, slots, ctx)
     for decoys, seed in sorted(PACKAGE_SHA256):
         blob = serialize_package(prog, DecoyPolicy(enabled=decoys), seed=seed)
         sec = protocol._sections(blob)
-        assert protocol._HEADER.itemsize == 44
+        assert protocol._HEADER.itemsize == 48
         assert sec["comparisons"].ctypes.data % 8 == 0
         assert sec["sqrts"].ctypes.data % 8 == 0
     rng = np.random.default_rng(0)
@@ -727,6 +814,23 @@ def test_the_slot_plan_memo_tells_package_structures_apart(monkeypatch):
         assert 0 < len(protocol._PLAN_MEMO) <= protocol.PLAN_MEMO_SIZE
 
 
+def test_the_slot_plan_memo_tells_reference_scales_apart(monkeypatch):
+    """A plan holds its references' scales, so packages whose references
+    differ in a scale alone get plans of their own."""
+    monkeypatch.setattr(protocol, "_PLAN_MEMO", {})
+    ctx, b, slots = _weight_toy()
+    base = bytes(serialize_package(lower(b, slots, ctx), seed=4))
+    blob = bytearray(base)
+    parse_package(blob)["refs"]["scale"][0] = 0.5
+    variants = [base, bytes(blob)]
+    cold = [_resolve_cold(ctx, v) for v in variants]
+    assert not np.array_equal(cold[0]["a"], cold[1]["a"])
+    protocol._PLAN_MEMO.clear()
+    for blob, want in zip(variants * 2, cold * 2):
+        assert _same_slots(Client(ctx).resolve_package(blob), want)
+    assert len(protocol._PLAN_MEMO) == 2
+
+
 def _arrays(obj, seen=None):
     """Every ndarray ``obj`` holds, through attributes, containers and
     array bases."""
@@ -796,10 +900,12 @@ def _reference_slots(pkg, answers, roots):
     """The slot sum written out monomial by monomial: each product of float
     factors folds as a balanced tree, is multiplied by its coefficient
     row, and terms add left to right.  ``answers`` and ``roots`` hold the
-    comparison and the sqrt rows' lanes back to back."""
+    comparison and the sqrt rows' lanes back to back; a reference's
+    coefficient row is its table read through its map, times its scale."""
     rows = ([run.astype(np.float64) for run in protocol._runs(pkg["cmp_rows"][0], answers)]
             + protocol._runs(pkg["sqrt_rows"][0], roots))
     maps, coeffs = protocol._runs(*pkg["maps"]), protocol._runs(*pkg["coeffs"])
+    coeffs += [coeffs[k][maps[m]] * scale for k, m, scale in pkg["refs"].tolist()]
     out = {}
     for name, (width, params, monos) in _slot_tables(pkg).items():
         vals = [rows[r] if m == protocol._NONE else rows[r][maps[m]]
@@ -814,7 +920,7 @@ def _reference_slots(pkg, answers, roots):
     return out
 
 
-def _random_slot_tables(rng, widths):
+def _random_slot_tables(rng, widths, refs=False):
     """Random package sections, with each row's answers or roots back to
     back: comparison and sqrt rows of 1 lane or a slot's width, lane maps
     over 1-lane and full rows, coefficient tables holding signed zeros,
@@ -823,7 +929,11 @@ def _random_slot_tables(rng, widths):
     to 40 slots, which share their monomial table's shape and coefficient
     tables but not their parameters or factors, and one slot of its own,
     which half the time has the family's shape but other coefficient
-    tables; the slots come in a shuffled order."""
+    tables; the slots come in a shuffled order.  With ``refs``, each width
+    also has 6 references, over two wider tables of their own, through
+    maps of their own, with scales of either sign, ±1 and -0.0 among
+    them, and the slots' coefficients are drawn from the tables and the
+    references of their width."""
     NONE = protocol._NONE
 
     def values(n):
@@ -851,6 +961,20 @@ def _random_slot_tables(rng, widths):
         reads.append(mine)
     table_widths = [w for w in widths for _ in range(5)]
     coeffs = [values(w) for w in table_widths]
+    weights = []  # (table, map, scale)
+    if refs:
+        for w in widths:
+            for _ in range(2):
+                table_widths.append(w + int(rng.integers(1, 6)))
+                coeffs.append(values(table_widths[-1]))
+                for _ in range(3):
+                    maps.append(rng.integers(0, table_widths[-1], w))
+                    scale = rng.choice([1.0, -1.0, -0.0, *(rng.standard_normal(3) * 0.3)])
+                    weights.append((len(coeffs) - 1, len(maps) - 1, scale))
+    # each width's coefficients: its tables, then its references
+    choices = {w: [k for k, tw in enumerate(table_widths) if tw == w]
+               + [len(coeffs) + j for j, (_, m, _) in enumerate(weights) if len(maps[m]) == w]
+               for w in widths}
 
     def slot(w, mine, degree, refs):
         cmp_reads = [p for p in mine if p[0] < len(lengths)]
@@ -875,8 +999,8 @@ def _random_slot_tables(rng, widths):
         if family or rng.random() < 0.5:
             shape[w] = int(rng.integers(0, 7)), int(rng.integers(12 if w == 1 else 0, 61))
         degree, n_monos = shape[w]
-        refs = rng.choice([k for k, tw in enumerate(table_widths) if tw == w], n_monos)
-        slots += [(f"s{i}.{j}", slot(w, mine, degree, refs))
+        coeff_refs = rng.choice(choices[w], n_monos)
+        slots += [(f"s{i}.{j}", slot(w, mine, degree, coeff_refs))
                   for j in range(int(rng.integers(2, 41)) if family else 1)]
     slots = [slots[j] for j in rng.permutation(len(slots))]
     ragged, u4 = protocol._ragged, protocol._U4
@@ -885,6 +1009,7 @@ def _random_slot_tables(rng, widths):
         "sqrt_rows": ragged([np.arange(len(r), dtype=u4) for r in roots], u4),
         "maps": ragged([m.astype(u4) for m in maps], u4),
         "coeffs": ragged(coeffs, np.float64),
+        "refs": np.array(weights, dtype=protocol._REF),
         "slots": np.array([(w, monos.shape[1]) for _, (w, _, monos) in slots],
                           dtype=protocol._SLOT),
         "names": ragged([np.frombuffer(name.encode(), dtype=np.uint8) for name, _ in slots],
@@ -927,6 +1052,30 @@ def test_slot_evaluator_matches_the_monomial_fold_bitwise(widths, monkeypatch):
         assert {w for w, _ in spans} == set(widths)
         if block_bytes == 4096 or 37 in widths:
             assert any(more for _, more in spans)  # some family spans several blocks
+
+
+@pytest.mark.parametrize("widths", [[1], [37], [1, 2, 33]])
+def test_slot_evaluator_scales_references_as_the_monomial_fold_does(widths):
+    """A reference's coefficient row is its table read through its map,
+    times its scale, bit for bit, whether the table is also read directly
+    or only through references; every table is asked for once."""
+    rng = np.random.default_rng(100 + sum(widths))
+    used = 0
+    for _ in range(30):
+        pkg, answers, roots = _random_slot_tables(rng, widths, refs=True)
+        n_tables = len(pkg["coeffs"][0])
+        used += sum(int(np.sum(monos[:, 0] >= n_tables)) for _, _, monos in
+                    _slot_tables(pkg).values())
+        want = _reference_slots(pkg, answers, roots)
+        plan = protocol.SlotPlan(pkg)
+        asked, flat, at = [], pkg["coeffs"][1], plan.table_starts
+        got = plan.evaluate(answers, roots, lambda k: asked.append(k) or flat[at[k]:at[k + 1]])
+        assert asked == list(range(n_tables))
+        assert list(got) == list(want)
+        for name in want:
+            assert type(got[name]) is type(want[name]), name
+            assert np.asarray(got[name]).tobytes() == np.asarray(want[name]).tobytes(), name
+    assert used > 100
 
 
 def test_pools_share_by_graph_node_never_by_value():
