@@ -12,38 +12,40 @@ sites of every octave back to back in octave order, so each comparison
 template covers every site of the layer index at once.  Octaves sit at
 different levels; ``ckks_sim.concat`` joins them at the lowest, for
 free.  The graph, and so the package's structure, does not depend on
-the octave count.  Comparisons are asked once and read through lane
-maps (``GraphBuilder.reindex``), which are free: the bin masks once per
-pixel of the region the descriptor window covers, read through one map
-per window position; detection once per ordered pair of adjacent DoG
-samples of the site layers, over a ring of the sites widened by one
-sample, read through 9 maps, one per offset of the 3x3 neighbourhood.
-Each pixel's squared gradient magnitude is likewise computed once and
-read through the window position's map, so each window weight is a
-reindexed per-pixel value times a public constant, which a deferred
-package ships once per pixel.  Stage outputs are named graph slots;
-``_GraphPlan.split`` cuts each back into one table per (octave, layer),
-and the client turns those into the keypoint list.  Subpixel division,
-the orientation argmax (in deferred mode) and descriptor normalization
-happen client side, since none of them is expressible in deferred
-arithmetic.
+the octave count.  Each pyramid level the graph reads is one leaf over
+a block of pixels, and every offset into it, of a DoG neighbourhood or
+a gradient's central difference, a lane map (``GraphBuilder.reindex``),
+which is free.  Comparisons are asked once and read through maps too: the
+bin masks once per pixel of the region the descriptor window covers,
+read through one map per window position; detection once per ordered
+pair of adjacent DoG samples of the site layers, over a ring of the
+sites widened by one sample, read through 9 maps, one per offset of the
+3x3 neighbourhood.  Each pixel's squared gradient magnitude is likewise
+computed once and read through the window position's map, so each
+window weight is a reindexed per-pixel value times a public constant,
+which a deferred package ships once per pixel.  Stage outputs are named
+graph slots; ``_GraphPlan.split`` cuts each back into one table per
+(octave, layer), and the client turns those into the keypoint list.
+Subpixel division, the orientation argmax (in deferred mode) and
+descriptor normalization happen client side, since none of them is
+expressible in deferred arithmetic.
 
 Compiled once per image shape: the graph, its normal forms and
 everything planned from them depend on the image shape, the config and
 the mode alone.  ``compile_circuit`` builds the graph with leaves that
-name their sources (a DoG layer at gather offsets, or a gradient block)
-instead of holding ciphertexts, lists each stage's pure work (in
-deferred mode, less the window weights the client computes), lowers the
-deferred package's tables, plans the
-server's evaluation as a tape that each image replays (the pure work,
-then the package's operands or the interactive run) and freezes the
-graph.  ``run_pipeline`` takes circuits from a memo keyed by
-(image shape, config, mode) that keeps the ``CIRCUIT_MEMO_SIZE`` most
-recently used.  Per image only the ciphertext work runs: scale space,
-the gradient blocks (counted under "orient"), binding the leaves, the
-pure evaluation, the coefficient tables, padding and shuffling, the
-client, and assembly.  A circuit holds no ciphertext, and nothing an
-image writes says whether its circuit came from the memo.
+name their sources (``_LayerLeaf``: a DoG or Gaussian level) instead
+of holding ciphertexts, lists each stage's pure work (in deferred mode,
+less the window weights the client computes), lowers the deferred
+package's tables, plans the server's evaluation as a tape that each
+image replays (the pure work, gradients included, then the package's
+operands or the interactive run) and freezes the graph.
+``run_pipeline`` takes circuits from a memo keyed by (image shape,
+config, mode) that keeps the ``CIRCUIT_MEMO_SIZE`` most recently used.
+Per image only the ciphertext work runs: scale space, binding the
+leaves (one gather per leaf source and octave), the pure evaluation,
+the coefficient tables, padding and shuffling, the client, and
+assembly.  A circuit holds no ciphertext, and nothing an image writes
+says whether its circuit came from the memo.
 
 Mode map: "plaintext" runs the branchy reference implementation on raw
 pixels; "interactive" resolves comparisons wave by wave, including a
@@ -290,10 +292,10 @@ class _GraphPlan:
         # these octaves' sites back to back, in octave order
         self.sites: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self.layers: dict[str, int] = {}  # graph name -> its layer index
-        # (ys, xs) pixel lists of each octave's ring (the sites widened by
-        # one sample) and gradient block (widened by the descriptor window)
-        self.ring: list = []
-        self.regions: list = []
+        # per pyramid ("dog", "gauss"), the (ys, xs) pixel lists of each
+        # octave's block, which its leaves gather: the sites widened by
+        # two samples, and the descriptor window's region widened by one
+        self.blocks: dict[str, list] = {}
         self.leaves: list = []  # every leaf node, in id order
 
     def add_slot(self, stage: str, name: str, e):
@@ -382,23 +384,23 @@ def _stage(ctx: CkksContext, report: RunReport, name: str, depth_stage: str | No
                 acc[k] = acc.get(k, 0) + d
 
 
-def _block_maps(sites: dict, window: range):
-    """Each octave's pixel block, the sites widened by ``window``, as
-    (ys, xs) pixel lists, and for every offset (u, v) of the window the
-    lane map from sites to block lanes, with the octaves' blocks back to
-    back in octave order.  A map depends on the octaves' shapes only, so
-    every layer index shares it."""
-    regions, parts, offset = [], {}, 0
-    for ys, xs in sites.values():
+def _block_maps(points, window: range):
+    """Each octave's pixel block, its ``points`` (the (ys, xs) of its sites
+    or of an earlier block) widened by ``window``, as (ys, xs) pixel lists,
+    and for every offset (u, v) of the window the lane map from points to
+    block lanes, with the octaves' blocks back to back in octave order.  A
+    map depends on the octaves' shapes only, so every layer index shares it."""
+    blocks, parts, offset = [], {}, 0
+    for ys, xs in points:
         ry = np.arange(ys.min() + window[0], ys.max() + window[-1] + 1)
         rx = np.arange(xs.min() + window[0], xs.max() + window[-1] + 1)
         for vv in window:
             for uu in window:
                 at = offset + (ys + vv - ry[0]) * len(rx) + (xs + uu - rx[0])
                 parts.setdefault((uu, vv), []).append(at)
-        regions.append([a.ravel() for a in np.meshgrid(ry, rx, indexing="ij")])
+        blocks.append(tuple(a.ravel() for a in np.meshgrid(ry, rx, indexing="ij")))
         offset += len(ry) * len(rx)
-    return regions, {key: np.concatenate(at) for key, at in parts.items()}
+    return blocks, {key: np.concatenate(at) for key, at in parts.items()}
 
 
 def _or(b: GraphBuilder, p, q):
@@ -406,24 +408,14 @@ def _or(b: GraphBuilder, p, q):
 
 
 @dataclass(frozen=True)
-class _DogLeaf:
-    """Where a graph leaf's lanes come from: DoG layer ``layer`` of each
-    octave with sites, at the pixels of its ``block`` ("sites" or "ring")
-    shifted by (dy, dx), octaves back to back."""
+class _LayerLeaf:
+    """Where a graph leaf's lanes come from: level ``layer`` of the
+    ``pyramid`` ("dog" or "gauss") at the pixels of that pyramid's block
+    (``_GraphPlan.blocks``) of each octave with sites, octaves back to
+    back."""
 
+    pyramid: str
     layer: int
-    block: str
-    dy: int
-    dx: int
-
-
-@dataclass(frozen=True)
-class _GradientLeaf:
-    """Where a graph leaf's lanes come from: the x (``axis`` 0) or y
-    (``axis`` 1) gradient block of Gaussian level ``layer``."""
-
-    layer: int
-    axis: int
 
 
 def _octave_dims(shape: tuple[int, int], octaves: int) -> list[tuple[int, int]]:
@@ -438,8 +430,8 @@ def _octave_dims(shape: tuple[int, int], octaves: int) -> list[tuple[int, int]]:
 
 def _build_site_graph(plan: _GraphPlan, dims, cfg: PipelineConfig, with_argmax: bool):
     """Build the site graph of an image whose octaves have shapes ``dims``.
-    Its leaves name their sources (``_DogLeaf``, ``_GradientLeaf``), so the
-    graph depends on the shapes and ``cfg`` only."""
+    Its leaves name their sources (``_LayerLeaf``), so the graph depends on
+    the shapes and ``cfg`` only."""
     b = plan.builder
     s = cfg.scales_per_octave
     sigmas = cfg.sigmas()
@@ -454,12 +446,28 @@ def _build_site_graph(plan: _GraphPlan, dims, cfg: PipelineConfig, with_argmax: 
     if not plan.sites:
         return
     octs = list(plan.sites)
-    n_sites = sum(len(ys) for ys, _ in plan.sites.values())
 
-    # Gradients are taken once per pixel of the region the descriptor
-    # window covers.  Window position (uu, vv) reads them through a lane
-    # map from sites to pixels.
-    plan.regions, lanes = _block_maps(plan.sites, WINDOW)
+    # One leaf per pyramid level, and every offset a lane map into it.
+    # Detection reads DoG values over the ring (the sites widened by one
+    # sample) and its neighbours, so the DoG block is the sites widened by
+    # two.  Gradients are taken once per pixel of the region the descriptor
+    # window covers, as central differences of the Gaussian block: that
+    # region widened by one.  Window position (uu, vv) reads them through
+    # a lane map from sites to region pixels.
+    ring, ring_maps = _block_maps(plan.sites.values(), range(-1, 2))
+    region, lanes = _block_maps(plan.sites.values(), WINDOW)
+    plan.blocks["dog"], from_ring = _block_maps(ring, range(-1, 2))
+    plan.blocks["gauss"], from_region = _block_maps(region, range(-1, 2))
+    from_site = {d: at[ring_maps[0, 0]] for d, at in from_ring.items()}
+    leaves: dict = {}
+
+    def level(pyramid, layer, copy=0):
+        """Leaf ``copy`` of a pyramid level; copies share one source."""
+        if (pyramid, layer, copy) not in leaves:
+            width = sum(len(ys) for ys, _ in plan.blocks[pyramid])
+            leaves[pyramid, layer, copy] = b.leaf(_LayerLeaf(pyramid, layer), width,
+                                                  name=f"{pyramid}{layer}" + "'" * copy)
+        return leaves[pyramid, layer, copy]
 
     # one graph per layer index, batching every octave's sites in octave
     # order; it is named after the octaves it spans, so a one-octave
@@ -468,43 +476,35 @@ def _build_site_graph(plan: _GraphPlan, dims, cfg: PipelineConfig, with_argmax: 
 
     # Detection asks [D_la(a) > D_lb(a + d)] once per ordered pair of
     # adjacent samples of site layers (1 <= la, lb <= s, |la - lb| <= 1),
-    # over the ring: the sites widened by one sample.  Site p reads its
-    # max test against neighbour (dl, d) as (l, l + dl, d) at its own ring
-    # lane, and its min test as (l + dl, l, -d) at the ring lane of p + d,
-    # through 9 lane maps that every layer index shares; the graphs of
-    # layer indices l and l + 1 share the tests between their layers.
-    plan.ring, ring_maps = _block_maps(plan.sites, range(-1, 2))
-    n_ring = sum(len(py) for py, _ in plan.ring)
+    # over the ring.  Site p reads its max test against neighbour (dl, d)
+    # as (l, l + dl, d) at its own ring lane, and its min test as
+    # (l + dl, l, -d) at the ring lane of p + d, through 9 lane maps that
+    # every layer index shares; the graphs of layer indices l and l + 1
+    # share the tests between their layers.  A test's left operand reads
+    # the layer's second leaf: over one leaf, (la, lb, 0) and (lb, la, 0)
+    # would be one pair of operands, and the second test the non-strict
+    # 1 - c of the first.
     ring_tests: dict = {}
-
-    def ring_leaf(layer, dy, dx):
-        return b.leaf(_DogLeaf(layer, "ring", dy, dx), n_ring)
 
     def ring_test(la, lb, dy, dx):
         key = (la, lb, dy, dx)
         if key not in ring_tests:
-            # operand leaves of its own: the reversed call on another
-            # test's leaves would be the non-strict 1 - c
-            ring_tests[key] = b.compare(ring_leaf(la, 0, 0), ring_leaf(lb, dy, dx))
+            ring_tests[key] = b.compare(b.reindex(level("dog", la, 1), from_ring[0, 0]),
+                                        b.reindex(level("dog", lb), from_ring[dx, dy]))
         return ring_tests[key]
 
     for l in range(1, s + 1):
         p = f"{span}l{l}"
         plan.layers[p] = l
 
-        dcache: dict = {}
-
-        def dleaf(dl, dy, dx, tag=""):
-            key = (dl, dy, dx, tag)
-            if key not in dcache:
-                dcache[key] = b.leaf(_DogLeaf(l + dl, "sites", dy, dx), n_sites,
-                                     name=f"{p}{tag}d{dl:+d}{dy:+d}{dx:+d}")
-            return dcache[key]
+        def dsite(dl, dy, dx, copy=0):
+            """DoG layer l + dl at the sites shifted by (dy, dx)."""
+            return b.reindex(level("dog", l + dl, copy), from_site[dx, dy])
 
         # detect: strict max or strict min among the 26 neighbors,
         # plus |v| above the contrast threshold.
         cmp_lo, sqrt_lo = len(b.comparisons), len(b.sqrts)
-        v = dleaf(0, 0, 0)
+        v = dsite(0, 0, 0)
 
         def beats(dl, dy, dx, lower):
             """[v > n] against neighbour n = (dl, dy, dx), or [n > v]."""
@@ -513,10 +513,10 @@ def _build_site_graph(plan: _GraphPlan, dims, cfg: PipelineConfig, with_argmax: 
                     return b.reindex(ring_test(l + dl, l, -dy, -dx), ring_maps[dx, dy])
                 return b.reindex(ring_test(l, l + dl, dy, dx), ring_maps[0, 0])
             # DoG layers 0 and s + 1 hold no sites, so no other site reads
-            # this pair: it is asked at the site lanes, the min test on its
-            # own copy of v
-            n = dleaf(dl, dy, dx)
-            return b.compare(n, dleaf(0, 0, 0, "min")) if lower else b.compare(v, n)
+            # this pair: it is asked at the site lanes, the min test on v
+            # read from the layer's second leaf
+            n = dsite(dl, dy, dx)
+            return b.compare(n, dsite(0, 0, 0, copy=1)) if lower else b.compare(v, n)
 
         is_max = b.product([beats(*nb, lower=False) for nb in _NEIGHBORS_26])
         is_min = b.product([beats(*nb, lower=True) for nb in _NEIGHBORS_26])
@@ -527,21 +527,21 @@ def _build_site_graph(plan: _GraphPlan, dims, cfg: PipelineConfig, with_argmax: 
         # localize: central differences, adjugate solve, acceptance
         # and edge tests in cleared (division-free) form.
         cmp_lo, sqrt_lo = len(b.comparisons), len(b.sqrts)
-        d0 = {(dy, dx): dleaf(0, dy, dx) for dy in (-1, 0, 1) for dx in (-1, 0, 1)}
+        d0 = {(dy, dx): dsite(0, dy, dx) for dy in (-1, 0, 1) for dx in (-1, 0, 1)}
         half, quarter = b.plain(0.5), b.plain(0.25)
         gx = b.mul(half, b.sub(d0[(0, 1)], d0[(0, -1)]))
         gy = b.mul(half, b.sub(d0[(1, 0)], d0[(-1, 0)]))
-        gs = b.mul(half, b.sub(dleaf(1, 0, 0), dleaf(-1, 0, 0)))
+        gs = b.mul(half, b.sub(dsite(1, 0, 0), dsite(-1, 0, 0)))
         v2 = b.add(v, v)
         dxx = b.sub(b.add(d0[(0, 1)], d0[(0, -1)]), v2)
         dyy = b.sub(b.add(d0[(1, 0)], d0[(-1, 0)]), v2)
-        dss = b.sub(b.add(dleaf(1, 0, 0), dleaf(-1, 0, 0)), v2)
+        dss = b.sub(b.add(dsite(1, 0, 0), dsite(-1, 0, 0)), v2)
         dxy = b.mul(quarter, b.sub(b.sub(d0[(1, 1)], d0[(1, -1)]),
                                    b.sub(d0[(-1, 1)], d0[(-1, -1)])))
-        dxs = b.mul(quarter, b.sub(b.sub(dleaf(1, 0, 1), dleaf(1, 0, -1)),
-                                   b.sub(dleaf(-1, 0, 1), dleaf(-1, 0, -1))))
-        dys = b.mul(quarter, b.sub(b.sub(dleaf(1, 1, 0), dleaf(1, -1, 0)),
-                                   b.sub(dleaf(-1, 1, 0), dleaf(-1, -1, 0))))
+        dxs = b.mul(quarter, b.sub(b.sub(dsite(1, 0, 1), dsite(1, 0, -1)),
+                                   b.sub(dsite(-1, 0, 1), dsite(-1, 0, -1))))
+        dys = b.mul(quarter, b.sub(b.sub(dsite(1, 1, 0), dsite(1, -1, 0)),
+                                   b.sub(dsite(-1, 1, 0), dsite(-1, -1, 0))))
         a00 = b.sub(b.mul(dyy, dss), b.mul(dys, dys))
         a01 = b.sub(b.mul(dxs, dys), b.mul(dxy, dss))
         a02 = b.sub(b.mul(dxy, dys), b.mul(dyy, dxs))
@@ -567,14 +567,15 @@ def _build_site_graph(plan: _GraphPlan, dims, cfg: PipelineConfig, with_argmax: 
             plan.stage_roots["localize"].append(e)
             plan.add_slot("localize", f"{p}/{name}", e)
 
-        # gradients of the Gaussian level over each octave's pixel block
-        # (see ``_gradients``); orientation reads the window's inner part.
-        # The bin masks below ask each pixel's comparisons once, and each
-        # pixel's squared magnitude is computed once; window position
-        # (uu, vv) reads both through its lane map.
-        n_block = sum(len(py) for py, _ in plan.regions)
-        gx_e = b.leaf(_GradientLeaf(l, 0), n_block, name=f"{p}gx")
-        gy_e = b.leaf(_GradientLeaf(l, 1), n_block, name=f"{p}gy")
+        # x and y central differences of the Gaussian level over the
+        # region; orientation reads the window's inner part.  The 1/2
+        # factor is folded into the plaintext weights; angles do not see
+        # scale.  The bin masks below ask each pixel's comparisons once,
+        # and each pixel's squared magnitude is computed once; window
+        # position (uu, vv) reads both through its lane map.
+        g = level("gauss", l)
+        gx_e = b.sub(b.reindex(g, from_region[1, 0]), b.reindex(g, from_region[-1, 0]))
+        gy_e = b.sub(b.reindex(g, from_region[0, 1]), b.reindex(g, from_region[0, -1]))
         mag2 = b.add(b.mul(gx_e, gx_e), b.mul(gy_e, gy_e))
 
         # orientation histogram over the inner window
@@ -740,36 +741,14 @@ def _memo_circuit(shape: tuple[int, int], cfg: PipelineConfig, mode: str,
 # -- run ---------------------------------------------------------------------------
 
 
-def _gradients(ctx, plan: _GraphPlan, gauss) -> dict:
-    """Per layer index, the x and y central differences of its Gaussian
-    level over each octave's gradient block, octaves back to back.  The
-    1/2 central-difference factor is folded into the graph's plaintext
-    weights; angles do not see scale."""
-    out = {}
-    for l in plan.layers.values():
-        blocks = [(ctx.sub(gather(g, (py, px + 1)), gather(g, (py, px - 1))),
-                   ctx.sub(gather(g, (py + 1, px)), gather(g, (py - 1, px))))
-                  for g, (py, px) in zip((gauss[o][l] for o in plan.sites), plan.regions)]
-        out[l] = tuple(concat(block) for block in zip(*blocks))
-    return out
-
-
-def _bind_leaves(plan: _GraphPlan, dog, gradients) -> dict[int, Ciphertext]:
-    """Each leaf's ciphertext, gathered from one image's pyramids; leaves
-    with one DoG source share one ciphertext."""
-    blocks = {"sites": list(plan.sites.values()), "ring": plan.ring}
-    from_dog: dict[_DogLeaf, Ciphertext] = {}
-    out = {}
-    for n in plan.leaves:
-        src = n.payload
-        if isinstance(src, _DogLeaf):
-            if src not in from_dog:
-                from_dog[src] = concat([gather(dog[o][src.layer], (ys + src.dy, xs + src.dx))
-                                        for o, (ys, xs) in zip(plan.sites, blocks[src.block])])
-            out[n.id] = from_dog[src]
-        else:
-            out[n.id] = gradients[src.layer][src.axis]
-    return out
+def _bind_leaves(plan: _GraphPlan, pyramids: dict) -> dict[int, Ciphertext]:
+    """Each leaf's ciphertext: its level of ``pyramids[pyramid]`` gathered
+    over that pyramid's block of each octave with sites, octaves back to
+    back, once per source."""
+    cts = {src: concat([gather(pyramids[src.pyramid][o][src.layer], block)
+                        for o, block in zip(plan.sites, plan.blocks[src.pyramid])])
+           for src in dict.fromkeys(n.payload for n in plan.leaves)}
+    return {n.id: cts[n.payload] for n in plan.leaves}
 
 
 def run_pipeline(img, cfg: PipelineConfig | None = None, sim: SimParams | None = None,
@@ -807,9 +786,7 @@ def run_pipeline(img, cfg: PipelineConfig | None = None, sim: SimParams | None =
     with _stage(ctx, report, "scale-space") as note:
         gauss, dog, _ = _scale_space_cipher(ctx, ctx.encrypt(img), cfg)
         note([g for lv in gauss for g in lv] + [d for lv in dog for d in lv])
-    with _stage(ctx, report, "orient"):
-        gradients = _gradients(ctx, plan, gauss)
-    b = plan.builder.bind(_bind_leaves(plan, dog, gradients))
+    b = plan.builder.bind(_bind_leaves(plan, {"dog": dog, "gauss": gauss}))
     ev = CipherEvaluator(ctx, b)
     ev.follow(circuit.run_plan)
     _evaluate_pure(ctx, circuit, report, ev)

@@ -20,7 +20,8 @@ import pytest
 
 from conftest import CFG32, SEED, make_synthetic_images
 
-from fhesift import Ciphertext, GraphBuilder, PipelineConfig, protocol, run_pipeline, sift_pipeline
+from fhesift import (Ciphertext, CkksContext, GraphBuilder, PipelineConfig, SimParams, protocol,
+                    run_pipeline, sift_pipeline)
 from fhesift.cli import main
 from fhesift.errors import FheSiftError
 from fhesift.pgm import format_pgm
@@ -188,7 +189,59 @@ def test_a_frozen_graph_takes_no_new_node(blob16):
     b = circuit.plan.builder
     nodes = len(b.nodes)
     with pytest.raises(FheSiftError, match="frozen"):
-        b.add(b.nodes[0], b.nodes[1])
+        b.add(b.nodes[0], b.nodes[0])
     with pytest.raises(FheSiftError, match="frozen"):
         b.bind({}).plain(2.5)
     assert len(b.nodes) == nodes
+
+
+def _with_sites(shape, cfg) -> list[int]:
+    """The octaves of a ``shape`` image that hold interior sites."""
+    dims = sift_pipeline._octave_dims(shape, cfg.octaves)
+    return [o for o, (h, w) in enumerate(dims) if min(h, w) > 2 * sift_pipeline.MARGIN]
+
+
+@pytest.mark.parametrize("shape, cfg", [((16, 16), PipelineConfig(octaves=1)),
+                                        ((64, 64), PipelineConfig(octaves=3)),
+                                        ((23, 40), PipelineConfig(octaves=3))])
+def test_one_leaf_source_per_pyramid_level_gathered_once_per_octave(shape, cfg, monkeypatch):
+    """Every DoG and Gaussian value is read through a lane map of its
+    level's leaf: the leaves' sources are the DoG levels 0..s+1 and the
+    Gaussian levels 1..s, and binding an image gathers each source once
+    per octave with sites.  (23x40's third octave holds no site.)"""
+    s = cfg.scales_per_octave
+    plan = sift_pipeline.compile_circuit(shape, cfg, "deferred").plan
+    sources = {(n.payload.pyramid, n.payload.layer) for n in plan.leaves}
+    assert sources == ({("dog", l) for l in range(s + 2)}
+                       | {("gauss", l) for l in range(1, s + 1)})
+    octaves = _with_sites(shape, cfg)
+    assert list(plan.sites) == octaves
+    ctx = CkksContext(SimParams())
+    img = np.random.default_rng(SEED).uniform(size=shape)
+    gauss, dog, _ = sift_pipeline._scale_space_cipher(ctx, ctx.encrypt(img), cfg)
+    calls = []
+    gather = sift_pipeline.gather
+    monkeypatch.setattr(sift_pipeline, "gather", lambda *a: calls.append(a) or gather(*a))
+    bound = sift_pipeline._bind_leaves(plan, {"dog": dog, "gauss": gauss})
+    assert len(calls) == len(sources) * len(octaves)
+    assert bound.keys() == {n.id for n in plan.leaves}
+    for n in plan.leaves:
+        assert bound[n.id].width == n.width
+        assert all(bound[m.id] is bound[n.id] for m in plan.leaves if m.payload == n.payload)
+
+
+@pytest.mark.parametrize("shape, cfg", [((11, 11), PipelineConfig(octaves=1)),
+                                        ((45, 53), PipelineConfig(octaves=3))])
+def test_every_leaf_block_lies_inside_its_octave(shape, cfg):
+    """numpy would wrap a negative index without a word, so each block
+    a leaf gathers must stay inside its octave, down to the smallest
+    image with a site and odd octave shapes."""
+    plan = sift_pipeline.compile_circuit(shape, cfg, "interactive").plan
+    dims = sift_pipeline._octave_dims(shape, cfg.octaves)
+    assert list(plan.sites) == _with_sites(shape, cfg) and plan.sites
+    assert set(plan.blocks) == {"dog", "gauss"}
+    for blocks in plan.blocks.values():
+        assert len(blocks) == len(plan.sites)
+        for o, (ys, xs) in zip(plan.sites, blocks):
+            h, w = dims[o]
+            assert 0 <= ys.min() and ys.max() < h and 0 <= xs.min() and xs.max() < w

@@ -345,8 +345,8 @@ BLOB16_SLOTS_SHA256 = {
 }
 BLOB16_PACKAGE_SHA256 = "322f3bca1361de92ddbe28fd30f5534b4b55b3f60a30217c5c2055e47918596e"
 BLOB16_REPORT_SHA256 = {
-    "interactive": "58c48bd6773b7af1871f4333e1e88a5048d53c5ec9d1a47f5b1766381756fbd5",
-    "deferred": "6e9b2b07d8e38311ef27c29e58146cc193a631b9effc00c0c2b20f62ccc5a5b2",
+    "interactive": "b28b7d1147150ccedcc514a289a950998946c9cfa178500f2dab619887ca0522",
+    "deferred": "5520e05e0c1c63812e2f7be972378056114afc3b2ca34ad1e0304cf3eb286f63",
 }
 
 
