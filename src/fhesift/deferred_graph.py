@@ -51,12 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ckks_sim import Ciphertext, CkksContext, Value, gather
-from .errors import (
-    DeferralUnsupported,
-    FheSiftError,
-    MissingAssignment,
-    SignUnresolvable,
-)
+from .errors import DeferralUnsupported, FheSiftError, MissingAssignment
 
 # Node opcodes.
 CIPHER = "cipher"
@@ -246,8 +241,7 @@ class GraphBuilder:
     holds that input's leaf ciphertexts, which the evaluators read.
     """
 
-    def __init__(self, allow_sign_resolution: bool = True):
-        self.allow_sign_resolution = allow_sign_resolution
+    def __init__(self):
         self.frozen = False
         self.leaves: dict[int, Ciphertext] = {}  # leaf node id -> bound ciphertext
         self.nodes: list[Expr] = []
@@ -332,7 +326,7 @@ class GraphBuilder:
         ``leaves`` (leaf node id -> ciphertext).  Nothing is copied."""
         if not self.frozen:
             raise ValueError("only a frozen graph can be bound")
-        out = GraphBuilder(self.allow_sign_resolution)
+        out = GraphBuilder()
         out.nodes, out.comparisons, out.sqrts = self.nodes, self.comparisons, self.sqrts
         out.reindexed, out._param_nodes = self.reindexed, self._param_nodes
         out.leaves = leaves
@@ -530,10 +524,6 @@ class GraphBuilder:
         unknown = [q.den for q in (r, s) if q.den_sign == _UNKNOWN]
         if not unknown:
             return self.compare(cb, ad) if flips % 2 == 0 else self.compare(ad, cb)
-        if not self.allow_sign_resolution:
-            raise SignUnresolvable(
-                "denominator sign unknown and sign resolution is disabled"
-            )
         prod = unknown[0] if len(unknown) == 1 else self.mul(unknown[0], unknown[1])
         den_pos = self.compare(prod, self.plain(0.0))
         pos = self.compare(cb, ad) if flips % 2 == 0 else self.compare(ad, cb)
@@ -743,11 +733,11 @@ class CipherEvaluator:
     executor.  Until a plan is followed, ``eval`` builds the tape of one
     call from the nodes its root needs that ``memo`` lacks, in id order,
     and ``memo`` keeps every computed or bound ciphertext.  ``follow``
-    adopts a ``RunPlan``, whose tape was built with the graph, and
-    ``declare`` makes one and follows it.  From then on each ``eval`` must
-    ask for the plan's next root and replays that root's segment, and each
-    ciphertext, answers included, is dropped after its last read.  Either
-    way each node is computed once, in the same order.
+    adopts a ``RunPlan``, whose tape was built with the graph, made by
+    ``RunPlan.over`` from what ``memo`` holds.  From then on each ``eval``
+    must ask for the plan's next root and replays that root's segment, and
+    each ciphertext, answers included, is dropped after its last read.
+    Either way each node is computed once, in the same order.
     """
 
     def __init__(self, ctx: CkksContext, builder: GraphBuilder,
@@ -765,13 +755,6 @@ class CipherEvaluator:
     def bind(self, param: Expr, ct: Ciphertext) -> None:
         """Answer comparison or sqrt node ``param`` with ``ct``."""
         self.memo[param.id] = ct
-
-    def declare(self, roots) -> list[Expr]:
-        """Plan the run over what ``memo`` holds now (see ``RunPlan``),
-        follow the plan, and return the requests left to answer."""
-        plan = RunPlan.over(roots, self.memo)
-        self.follow(plan)
-        return plan.requests
 
     def follow(self, plan: RunPlan) -> None:
         """Adopt ``plan``, made over a memo holding the nodes this one

@@ -20,10 +20,6 @@ class EmptyInput(FheSiftError):
     """An aggregate kernel was called with an empty operand list."""
 
 
-class SignUnresolvable(FheSiftError):
-    """A rational comparison needed a denominator sign and resolution is disabled."""
-
-
 class DeferralUnsupported(FheSiftError):
     """The program cannot be expressed as a single deferred package."""
 

@@ -95,21 +95,8 @@ def vec_argmax_onehot(b: GraphBuilder, xs) -> list[Expr]:
 # -- orientation binning ----------------------------------------------------------
 
 
-def bin_mask(b: GraphBuilder, dx, dy, n_bins: int, index=None) -> list[Expr]:
-    """Sector masks for atan2(dy, dx) over n equal bins from angle 0.
-
-    Boundary j points along angle 2*pi*j/n; the signed cross product
-    u_j = cos*dy - sin*dx is >= 0 iff the gradient lies within half a
-    turn counterclockwise of it.  Bin i is [u_i >= 0] AND [u_{i+1} < 0],
-    which partitions all nonzero gradients exactly (bins narrower than
-    pi), shares each boundary comparison between adjacent bins, and
-    sends a zero gradient to no bin at all.
-
-    With an ``index`` map, each boundary comparison is reindexed through
-    it (see ``GraphBuilder.reindex``), so the masks have one lane per map
-    entry.  Calls over the same dx, dy share their comparisons, whatever
-    the map: per-pixel gradients are then compared once per boundary.
-    """
+def _boundary_tests(b: GraphBuilder, dx, dy, n_bins: int) -> list[Expr]:
+    """[0 > u_j] for each boundary j of ``bin_mask``."""
     if n_bins < 3:
         raise ValueError("need at least 3 bins for sector masks")
     dx, dy = b.as_expr(dx), b.as_expr(dy)
@@ -119,13 +106,26 @@ def bin_mask(b: GraphBuilder, dx, dy, n_bins: int, index=None) -> list[Expr]:
         ang = 2.0 * math.pi * j / n_bins
         u = b.sub(b.mul(b.plain(math.cos(ang)), dy), b.mul(b.plain(math.sin(ang)), dx))
         below.append(b.compare(zero, u))
-    if index is not None:
-        below = [b.reindex(c, index) for c in below]
-    masks = []
-    for i in range(n_bins):
-        at_or_above = b.sub(b.plain(1.0), below[i])
-        masks.append(b.mul(at_or_above, below[(i + 1) % n_bins]))
-    return masks
+    return below
+
+
+def _sectors(b: GraphBuilder, below: list[Expr]) -> list[Expr]:
+    """Bin i as [u_i >= 0] AND [u_{i+1} < 0], from the boundary tests."""
+    n = len(below)
+    return [b.mul(b.sub(b.plain(1.0), below[i]), below[(i + 1) % n]) for i in range(n)]
+
+
+def bin_mask(b: GraphBuilder, dx, dy, n_bins: int) -> list[Expr]:
+    """Sector masks for atan2(dy, dx) over n equal bins from angle 0.
+
+    Boundary j points along angle 2*pi*j/n; the signed cross product
+    u_j = cos*dy - sin*dx is >= 0 iff the gradient lies within half a
+    turn counterclockwise of it.  Bin i is [u_i >= 0] AND [u_{i+1} < 0],
+    which partitions all nonzero gradients exactly (bins narrower than
+    pi), shares each boundary comparison between adjacent bins, and
+    sends a zero gradient to no bin at all.
+    """
+    return _sectors(b, _boundary_tests(b, dx, dy, n_bins))
 
 
 def bin_mask_tan(b: GraphBuilder, dx, dy, n_bins: int) -> list[Expr]:
@@ -147,26 +147,31 @@ def bin_mask_tan(b: GraphBuilder, dx, dy, n_bins: int) -> list[Expr]:
     return masks
 
 
-def weighted_histogram(b: GraphBuilder, grads, n_bins: int) -> list[Expr]:
-    """Histogram of gradient angles with per-gradient weights.
+def weighted_histogram(b: GraphBuilder, dx, dy, n_bins: int, window,
+                       n_cells: int = 1) -> list[Expr]:
+    """Histograms of gradient angles over a window of per-pixel gradients.
 
-    ``grads`` is a sequence of (dx, dy, weight) triples, or of
-    (dx, dy, weight, index) quadruples whose masks are reindexed through
-    ``index`` (see ``bin_mask``).  Every gradient touches every bin
-    (mask * weight, zero or not), so the operation count is independent
-    of the data.
+    ``window`` is a sequence of (lane map, weight, cell) entries.  The
+    boundary tests of ``bin_mask`` are built once, over the per-pixel
+    ``dx, dy``; each entry reads them through its map (see
+    ``GraphBuilder.reindex``) and adds mask_k * weight into bin
+    ``cell * n_bins + k``, in window order.  The result holds ``n_cells``
+    histograms of ``n_bins`` bins back to back.  Every entry touches
+    every bin of its cell (mask * weight, zero or not), so the operation
+    count is independent of the data.
     """
-    grads = list(grads)
-    if not grads:
-        raise EmptyInput("weighted_histogram over no gradients")
-    bins: list[Expr | None] = [None] * n_bins
-    for dx, dy, w, *index in grads:
+    window = list(window)
+    if not window:
+        raise EmptyInput("weighted_histogram over an empty window")
+    below = _boundary_tests(b, dx, dy, n_bins)
+    bins = [b.plain(0.0)] * (n_cells * n_bins)
+    for at, w, cell in window:
         w = b.as_expr(w)
-        masks = bin_mask(b, dx, dy, n_bins, *index)
+        masks = _sectors(b, [b.reindex(c, at) for c in below])
         for k in range(n_bins):
-            term = b.mul(masks[k], w)
-            bins[k] = term if bins[k] is None else b.add(bins[k], term)
-    return list(bins)
+            e = cell * n_bins + k
+            bins[e] = b.add(bins[e], b.mul(masks[k], w))
+    return bins
 
 
 # -- cipher-domain convolution ------------------------------------------------------

@@ -310,19 +310,18 @@ class LoweredProgram:
             sqrt_args={q.id: next(cts) for q in self.sqrts})
 
 
-def lower(builder: GraphBuilder, slots: dict[str, Expr], ctx: CkksContext | None = None,
-          evaluator: CipherEvaluator | None = None) -> LoweredProgram:
+def lower(builder: GraphBuilder, slots: dict[str, Expr],
+          ctx: CkksContext | None = None) -> LoweredProgram:
     """Lower named output slots to requests plus package sections.
 
     Every comparison and sqrt argument must be pure arithmetic (no nested
     unresolved parameters), otherwise the program needs mid-stream
-    re-encryption and only the interactive path can run it.  Given ``ctx``
-    or an ``evaluator``, the program comes back bound: its coefficients
-    and request operands are evaluated server-side, consuming simulator
-    levels, and a shared evaluator lets successive calls reuse each
-    other's work.  Given neither, it holds the structure alone, which
-    depends on the graph only, and ``LoweredProgram.bind`` adds the
-    ciphertexts of each input.
+    re-encryption and only the interactive path can run it.  Given ``ctx``,
+    the program comes back bound: a fresh evaluator follows a plan over
+    its operands and evaluates its coefficients and request operands
+    server-side, consuming simulator levels.  Without it, the program
+    holds the structure alone, which depends on the graph only, and
+    ``LoweredProgram.bind`` adds the ciphertexts of each input.
 
     A slot's parameters are numbered slot-locally in normal-form key
     order: plain comparisons, then reindexed ones, then sqrts.  Each
@@ -416,9 +415,11 @@ def lower(builder: GraphBuilder, slots: dict[str, Expr], ctx: CkksContext | None
     }
     program = LoweredProgram(comparisons, sqrts, sections, leakage, coeff_nodes, ref_nodes,
                              lane_maps)
-    if ctx is None and evaluator is None:
+    if ctx is None:
         return program
-    return program.bind(evaluator if evaluator is not None else CipherEvaluator(ctx, builder))
+    ev = CipherEvaluator(ctx, builder)
+    ev.follow(RunPlan.over(program.operands()))
+    return program.bind(ev)
 
 
 def _scalar(e: Expr) -> float | None:
@@ -888,10 +889,10 @@ def run_interactive(ctx: CkksContext, builder: GraphBuilder, slots: dict[str, Ex
     Client answers come back encrypted at the full depth budget, which is
     the only level-restoration mechanism in the system.  ``run_plan`` is
     the plan ``evaluator`` already follows, made for the slots and
-    already asked for its ``first`` roots; without one, the evaluator
-    declares the slots to plan the run now.  The plan holds the requests,
-    asked here tier by tier, and the tape each ask replays, which frees
-    each ciphertext, answers included, after its last read.  With
+    already asked for its ``first`` roots; without one, the run is planned
+    now, over the slots and what the evaluator holds.  The plan holds the
+    requests, asked here tier by tier, and the tape each ask replays, which
+    frees each ciphertext, answers included, after its last read.  With
     ``evaluate_slots`` off, the caller must then ask for each slot once,
     in the order of ``slots``, or of the roots ``run_plan`` was made for.
     Requests the evaluator was built with answers to are not asked again.

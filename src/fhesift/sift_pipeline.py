@@ -75,6 +75,7 @@ import numpy as np
 from .ckks_sim import Ciphertext, CkksContext, SimParams, concat, gather
 from .deferred_graph import CIPHER, CipherEvaluator, Expr, GraphBuilder, RunPlan
 from .errors import ConfigError, DeferralUnsupported, DepthExhausted
+# bin_mask is unused here but stays importable: benchmark tracing rebinds it by name
 from .kernels import bin_mask, convolve2d, gaussian_kernel1d, vec_argmax_onehot, weighted_histogram
 from .protocol import Client, DecoyPolicy, LoweredProgram, lower, run_deferred, run_interactive
 
@@ -582,7 +583,7 @@ def _build_site_graph(plan: _GraphPlan, dims, cfg: PipelineConfig, with_argmax: 
         cmp_lo, sqrt_lo = len(b.comparisons), len(b.sqrts)
         sw = 1.5 * sigmas[l]
         rad = ORIENTATION_RADIUS
-        quads = []
+        window = []
         for vv in range(-rad, rad + 1):
             for uu in range(-rad, rad + 1):
                 at = lanes[(uu, vv)]
@@ -591,9 +592,9 @@ def _build_site_graph(plan: _GraphPlan, dims, cfg: PipelineConfig, with_argmax: 
                     w = b.mul(b.reindex(mag2, at), b.plain(0.25 * gwin))
                 else:
                     w = b.mul(b.sqrt_deferred(b.reindex(mag2, at)), b.plain(0.5 * gwin))
-                quads.append((gx_e, gy_e, w, at))
-        bins = [b.simplify(e) for e in weighted_histogram(b, quads, nb)]
-        wsum = b.simplify(b.sum_([w for _, _, w, _ in quads]))
+                window.append((at, w, 0))
+        bins = [b.simplify(e) for e in weighted_histogram(b, gx_e, gy_e, nb, window)]
+        wsum = b.simplify(b.sum_([w for _, w, _ in window]))
         # the bins are roots in both modes; the one-hot slots are not,
         # since their coefficients hang on the tournament's answers
         plan.stage_roots["orient"] += [wsum, *bins]
@@ -610,21 +611,16 @@ def _build_site_graph(plan: _GraphPlan, dims, cfg: PipelineConfig, with_argmax: 
         # descriptor: 4x4 cells of 2x2 pixels, 8 angle bins, fixed
         # Gaussian weight, nearest-cell assignment
         cmp_lo, sqrt_lo = len(b.comparisons), len(b.sqrts)
-        entries: list = [None] * 128
+        window = []
         for vv in range(-4, 4):
             for uu in range(-4, 4):
                 at = lanes[(uu, vv)]
-                cu, cv = (uu + 4) // 2, (vv + 4) // 2
                 gwin = math.exp(
                     -(uu * uu + vv * vv) / (2.0 * DESCRIPTOR_SIGMA * DESCRIPTOR_SIGMA))
                 w = b.mul(b.reindex(mag2, at), b.plain(0.25 * gwin))
-                masks = bin_mask(b, gx_e, gy_e, 8, at)
-                for k in range(8):
-                    e = (cv * 4 + cu) * 8 + k
-                    term = b.mul(masks[k], w)
-                    entries[e] = term if entries[e] is None else b.add(entries[e], term)
-        for e in range(128):
-            d = b.simplify(entries[e])
+                window.append((at, w, (vv + 4) // 2 * 4 + (uu + 4) // 2))
+        for e, d in enumerate(weighted_histogram(b, gx_e, gy_e, 8, window, n_cells=16)):
+            d = b.simplify(d)
             plan.stage_roots["descriptor"].append(d)
             plan.add_slot("descriptor", f"{p}/d{e:03d}", d)
         plan.mark_stage("descriptor", cmp_lo, sqrt_lo)

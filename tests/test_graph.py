@@ -26,7 +26,7 @@ from fhesift import (
 )
 from fhesift import protocol
 from fhesift.deferred_graph import MAX_PRODUCT_TERMS, balanced_fold, operands, schedule
-from fhesift.errors import DeferralUnsupported, FheSiftError, MissingAssignment, SignUnresolvable
+from fhesift.errors import DeferralUnsupported, FheSiftError, MissingAssignment
 
 
 def _ctx(budget=30):
@@ -488,16 +488,6 @@ def test_rational_unknown_sign_uses_probe_comparison():
         assert PlainEvaluator(b).eval(e) == float(n1 / d1 < n2 / d2)
 
 
-def test_rational_sign_resolution_can_be_disabled():
-    ctx = _ctx()
-    b = GraphBuilder(allow_sign_resolution=False)
-    n = b.cipher(ctx.encrypt(1.0))
-    d = b.cipher(ctx.encrypt(2.0))
-    r = b.rational_div(n, d)
-    with pytest.raises(SignUnresolvable):
-        b.rational_lt(r, b.rational_div(n, d))
-
-
 def test_rational_gt_and_scalar_coercion():
     ctx = _ctx()
     b = GraphBuilder()
@@ -588,7 +578,9 @@ def test_declared_roots_release_every_ciphertext_after_its_last_read():
         ev = CipherEvaluator(ctx, b, bool_cts={c.payload: Ciphertext((xv > yv) * 1.0, 30)})
         ev.eval(pre)
         if declare:
-            assert ev.declare(roots) == []  # the one comparison is answered
+            plan = RunPlan.over(roots, ev.memo)
+            ev.follow(plan)
+            assert plan.requests == []  # the one comparison is answered
             # y, xy - y and 0.5 were read only to compute pre
             assert sorted(ev.memo) == sorted([x.id, c.id, xy.id, pre.id])
         return ctx, ev, [ev.eval(r) for r in roots]
@@ -707,7 +699,9 @@ def test_a_followed_plan_takes_its_asks_in_order_and_as_often_as_planned():
     ctx, b = _ctx(), GraphBuilder()
     x, y, c, out = _one_request(ctx, b)
     ev = CipherEvaluator(ctx, b)
-    assert ev.declare([out]) == [c]
+    plan = RunPlan.over([out], ev.memo)
+    ev.follow(plan)
+    assert plan.requests == [c]
     with pytest.raises(ValueError, match="out of order"):
         ev.eval(y)  # the comparison's lhs comes first
     for e in (x, y):
@@ -723,7 +717,9 @@ def test_reading_an_unbound_answer_on_a_tape_is_a_missing_assignment(sqrt):
     ctx, b = _ctx(), GraphBuilder()
     x, y, p, out = _one_request(ctx, b, sqrt)
     ev = CipherEvaluator(ctx, b)
-    assert ev.declare([out]) == [p]
+    plan = RunPlan.over([out], ev.memo)
+    ev.follow(plan)
+    assert plan.requests == [p]
     for e in operands(p):
         ev.eval(e)
     with pytest.raises(MissingAssignment, match="sqrt request 0" if sqrt else "comparison 0"):
@@ -805,19 +801,6 @@ def test_lower_rejects_impure_sqrt_arguments():
     s = b.sqrt_deferred(b.select(b.compare(x, y), x, y))
     with pytest.raises(DeferralUnsupported):
         lower(b, {"s": s}, ctx)
-
-
-def test_lower_with_shared_evaluator_reuses_work():
-    ctx = _ctx()
-    b = GraphBuilder()
-    x = b.cipher(ctx.encrypt(2.0))
-    y = b.cipher(ctx.encrypt(3.0))
-    slots = {"m": b.select(b.compare(x, y), b.mul(x, y), b.mul(y, y))}
-    ev = CipherEvaluator(ctx, b)
-    lower(b, slots, ctx, evaluator=ev)
-    snap = ctx.snapshot_counts()
-    lower(b, slots, ctx, evaluator=ev)
-    assert ctx.snapshot_counts() == snap  # every coefficient was memoized
 
 
 def test_residual_evaluate_counts_decrypts():

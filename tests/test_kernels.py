@@ -155,31 +155,40 @@ def test_bin_mask_tan_on_right_half_plane():
 
 
 def test_weighted_histogram_conserves_weight():
+    """Three cells over a window of four positions, each reading four
+    lanes of six per-pixel gradients; pixel 1 is read at three positions
+    and pixel 4 has a zero gradient, which lands in no bin."""
     ctx = CkksContext(SimParams(depth_budget=12))
-    n_bins = 12
+    n_bins, n_cells = 12, 3
     rng = np.random.default_rng(22)
-    grads = []
+    dx, dy = rng.uniform(-2, 2, (2, 6))
+    dx[4] = dy[4] = 0.0
+    maps = [np.array(m) for m in ([0, 1, 2, 3], [1, 5, 4, 0], [3, 3, 2, 1], [5, 4, 0, 2])]
+    cells = [0, 2, 2, 0]  # cell 1 gets no position
+    ws = rng.uniform(0.1, 1.0, (len(maps), 4))
     b = GraphBuilder()
-    total = 0.0
-    raw = []
-    for _ in range(10):
-        dx, dy = rng.uniform(-2, 2, 2)
-        w = rng.uniform(0.1, 1.0)
-        raw.append((dx, dy, w))
-        total += w
-        grads.append((b.cipher(ctx.encrypt(float(dx))), b.cipher(ctx.encrypt(float(dy))),
-                      b.cipher(ctx.encrypt(float(w)))))
-    bins = weighted_histogram(b, grads, n_bins)
+    gx, gy = b.cipher(ctx.encrypt(dx)), b.cipher(ctx.encrypt(dy))
+    window = [(m, b.cipher(ctx.encrypt(w)), c) for m, w, c in zip(maps, ws, cells)]
+    bins = weighted_histogram(b, gx, gy, n_bins, window, n_cells)
+    assert len(bins) == n_cells * n_bins
+    assert len(b.comparisons) == n_bins  # each boundary tested once per pixel
     pe = PlainEvaluator(b)
-    got = [pe.eval(e) for e in bins]
-    assert sum(got) == pytest.approx(total, abs=1e-12)
-    want = [0.0] * n_bins
-    for dx, dy, w in raw:
-        k = int(np.mod(np.arctan2(dy, dx), 2 * math.pi) // (2 * math.pi / n_bins))
-        want[k] += w
-    assert got == pytest.approx(want, abs=1e-12)
+    got = np.array([np.broadcast_to(pe.eval(e), (4,)) for e in bins])
+
+    k = (np.mod(np.arctan2(dy, dx), 2 * math.pi) // (2 * math.pi / n_bins)).astype(int)
+    want = np.zeros((n_cells * n_bins, 4))
+    for m, w, c in zip(maps, ws, cells):
+        hit = (dx[m] != 0.0) | (dy[m] != 0.0)
+        np.add.at(want, (c * n_bins + k[m][hit], np.arange(4)[hit]), w[hit])
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    # per cell, the bins hold the weight of every lane but the zero gradient's
+    per_cell = got.reshape(n_cells, n_bins, 4).sum(axis=1)
+    for c in range(n_cells):
+        mine = [(m, w) for m, w, cc in zip(maps, ws, cells) if cc == c]
+        total = sum(np.where(m == 4, 0.0, w) for m, w in mine) if mine else np.zeros(4)
+        np.testing.assert_allclose(per_cell[c], total, rtol=0, atol=1e-12)
     with pytest.raises(EmptyInput):
-        weighted_histogram(b, [], n_bins)
+        weighted_histogram(b, gx, gy, n_bins, [])
 
 
 def test_gaussian_kernel_shape():

@@ -2,7 +2,9 @@
 attribution, noisy-mode exclusion bands, slot-level mode agreement."""
 
 import hashlib
+import importlib.util
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -546,3 +548,16 @@ def test_exact_mode_has_no_ambiguous_decisions(images):
         _, margins = run_with_margins(images[name], CFG32)
         assert ambiguous_sites(margins, 0.0) == set()
         assert ambiguous_keypoints(margins, 0.0) == set()
+
+
+def test_the_benchmark_tracer_finds_every_name_it_rebinds():
+    """benchmarks/tracing.py times a run by rebinding names where their
+    callers look them up; a rename in the package must leave none of
+    them dangling, and the harness's own tests are not in tier 1."""
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert len(tracing.TARGETS) > 20
+    for owner, attr, _ in tracing.TARGETS:
+        assert callable(getattr(owner, attr, None)), (owner, attr)

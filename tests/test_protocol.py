@@ -15,6 +15,7 @@ from fhesift import (
     GraphBuilder,
     PipelineConfig,
     PlainEvaluator,
+    RunPlan,
     SecretKey,
     SimParams,
     dump_package,
@@ -643,7 +644,7 @@ def test_reindexed_parameters_share_their_comparisons_wire_ids():
     ri = run_interactive(ctx, b, slots, Client(ctx), seed=4, evaluator=ev)
     assert [(r.n_real_comparisons, r.n_wire_comparisons) for r in ri.rounds] == [(6, 8)]
     # one answer per source lane, gathered
-    assert CipherEvaluator(ctx, b).declare(slots.values()) == [c]
+    assert RunPlan.over(slots.values()).requests == [c]
     for name in slots:
         assert rd.results[name].tobytes() == ri.results[name].value.tobytes(), name
         assert np.array_equal(rd.results[name], want[name]), name
@@ -712,7 +713,9 @@ def test_declare_returns_the_unanswered_requests_and_declares_their_operands():
     slots = {"out": b.mul(c2, s)}
 
     ev = CipherEvaluator(ctx, b)
-    assert ev.declare(slots.values()) == [c1, s, c2]
+    plan = RunPlan.over(slots.values(), ev.memo)
+    ev.follow(plan)
+    assert plan.requests == [c1, s, c2]
     # asked for in plan order: c1's operands, then the root's argument
     for e in (x, y, arg):
         ev.eval(e)
@@ -724,7 +727,9 @@ def test_declare_returns_the_unanswered_requests_and_declares_their_operands():
     pe = PlainEvaluator(b)
     answered = CipherEvaluator(ctx, b, {c1.payload: ctx.encrypt(pe.eval(c1))},
                                {s.payload: ctx.encrypt(pe.eval(s))})
-    assert answered.declare(slots.values()) == [c2]
+    plan = RunPlan.over(slots.values(), answered.memo)
+    answered.follow(plan)
+    assert plan.requests == [c2]
     with pytest.raises(ValueError, match="not declared"):
         answered.eval(arg)
     run = run_interactive(ctx, b, slots, Client(ctx), evaluator=answered)
