@@ -297,7 +297,9 @@ class GraphBuilder:
         """A ciphertext leaf of ``width`` lanes that ``source`` describes
         and each binding supplies (see ``bind``).  Every call makes a new
         node, as ``cipher`` does for every new ciphertext, and leaves are
-        named from the same count."""
+        named from the same count.  Leaves of equal (hashable) sources
+        stand for one ciphertext, so a binding gives them the same one,
+        and a deferred package ships them as one table."""
         if name is None:
             name = f"v{self._cipher_count}"
         self._cipher_count += 1
@@ -323,7 +325,8 @@ class GraphBuilder:
     def bind(self, leaves: dict[int, Ciphertext]) -> GraphBuilder:
         """A frozen builder over this frozen graph's nodes, comparisons,
         square roots and reindexed parameters, whose leaves read
-        ``leaves`` (leaf node id -> ciphertext).  Nothing is copied."""
+        ``leaves`` (leaf node id -> ciphertext), one ciphertext for the
+        leaves of one source (see ``leaf``).  Nothing is copied."""
         if not self.frozen:
             raise ValueError("only a frozen graph can be bound")
         out = GraphBuilder()

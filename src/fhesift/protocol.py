@@ -11,8 +11,9 @@ resolve comparisons or square roots.  Two shapes of exchange exist:
     tape of its steps, ask by ask, made from the graph alone, so a plan
     made once serves every input and the run walks no graph.
   * deferred: the whole program is lowered to one package of comparison
-    operands, sqrt arguments and residual coefficient tables.  One round,
-    after which the client finishes the computation locally.
+    operands, sqrt arguments, tables and the comparisons the client forms
+    from tables.  One round, after which the client finishes the
+    computation locally.
 
 Every batch is padded with decoy records to a power of two (at least 8)
 and shuffled before it is written.  A record's wire id is its position
@@ -33,19 +34,34 @@ the parser each walk that list.  It is sized from the lowered program,
 allocated once and filled in place.
 
 Those sections are the slot tables' one form.  ``lower`` emits them (the
-references, slots, names, parameters and monomials), so the serializer
-copies them, and ``LoweredProgram.bind`` adds one input's ciphertexts.
-The package (``DCGPKG05``) ships every piece once, in pools the slots
-refer into: one wire-id row per requested comparison and sqrt, each lane
-map, each coefficient table, pooled per coefficient node and width,
-never by value, and each reference.  A slot parameter is a (row, map or
-none) reference and a monomial a row of pool indices, its coefficient a
-table or a reference.  A reference is a window weight, a coefficient
-``±reindex(pixel node, map) * c``: it ships as (the pixel node's table,
-the map, ±c), so a per-pixel value such as a squared gradient magnitude
-ships once per pixel, not once per window position that reads it.  The
-server never evaluates such a coefficient, and the client makes the
-multiply the server would have made.
+references, formed comparisons, slots, names, parameters and monomials),
+so the serializer copies them, and ``LoweredProgram.bind`` adds one
+input's ciphertexts.  The package (``DCGPKG06``) ships every piece once,
+in pools the slots refer into: one wire-id row per record comparison and
+sqrt, each lane map, each table, pooled per node (a leaf's per source)
+and width, never by value, each reference and each formed comparison.
+A slot parameter is a (row, map or none) reference and a monomial a row
+of pool indices, its coefficient a table or a reference.  A reference
+is a window weight, a coefficient ``±reindex(pixel node, map) * c``: it
+ships as (the pixel node's table, the map, ±c), so a per-pixel value
+such as a squared gradient magnitude ships once per pixel, not once per
+window position that reads it.  The server never evaluates such a
+coefficient, and the client makes the multiply the server would have
+made.
+
+A comparison whose two sides are each a public constant or at most two
+terms ``±c * reindex(T, map)`` or ``±c * T`` over pixel tables T (pure
+nodes of more than one lane, linear in leaf lanes) is formed: it ships
+as one row of those terms, each (T's table, map or none, ±c), and no
+records.  The client forms both sides from the tables with the float
+ops the server would have made, so its answers keep their bits; a
+linear table draws no simulated noise either.  In the pipeline these
+are detection's DoG tests and the orientation and descriptor boundary
+tests over per-pixel gradients: 222 of 234 comparisons.  Localize's
+polynomial tests, and any comparison over products or 1-lane values,
+still ship as records.  A table ships only the lanes its readers read,
+so the client sees no value that was not an operand or a coefficient
+before.
 
 The client alone sums the slots, in two parts.  A ``SlotPlan`` is made
 from the structural sections: it decodes the names, numbers the bit rows
@@ -54,12 +70,14 @@ table shape, family by family: a family's slots share a coefficient table
 sequence.  ``SlotPlan.evaluate`` takes one package's answers and roots,
 each flat, and its coefficient tables: a product of 0/1 answers is an AND
 of bits, taken for a block of slots at once, and each family's
-coefficient rows are gathered once.  The client decrypts each pooled
-table once, fills each reference's row from its table, and keeps the plans of the ``PLAN_MEMO_SIZE`` most recently
-used layouts, keyed by the exact bytes of every section a plan depends
-on; wire ids, records, coefficient values and levels are not in the key,
-so packages of one circuit share a plan.  A plan holds no view into a
-package, so the memo keeps none alive.
+coefficient rows are gathered once, a reference's straight from its
+table's lanes through its map.  The client decrypts each pooled table
+once, forms the formed comparisons from the tables, and keeps the plans
+of the ``PLAN_MEMO_SIZE`` most recently used layouts, keyed by the exact
+bytes of every section a plan depends on; wire ids, records, coefficient
+values and levels are not in the key, so packages of one circuit share
+a plan.  A plan holds no view into a package, so the memo keeps none
+alive.
 
 A reindexed comparison has no records of its own.  In a package its
 parameter is its source comparison's row read through the lane map;
@@ -75,8 +93,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ckks_sim import Ciphertext, CkksContext, SecretKey, Value
+from .ckks_sim import Ciphertext, CkksContext, SecretKey, Value, gather
 from .deferred_graph import (
+    ADD,
+    CIPHER,
     MUL,
     NEG,
     PLAIN,
@@ -89,6 +109,8 @@ from .deferred_graph import (
     RunPlan,
     SqrtRequest,
     balanced_fold,
+    operands,
+    schedule,
 )
 from .errors import DeferralUnsupported
 
@@ -107,17 +129,24 @@ _PARAM = np.dtype([("row", "<u4"), ("map", "<u4")])
 # a window weight: a coefficient table read through a lane map, times a
 # public scale
 _REF = np.dtype([("table", "<u4"), ("map", "<u4"), ("scale", "<f8")])
-_NONE = 0xFFFFFFFF  # no lane map; an unused monomial column
+# a formed comparison, [lhs > rhs] over ``width`` lanes: each side is the
+# sum of its terms whose table is not _NONE, each a table read through
+# its map (or whole, when the map is _NONE) times its scale; a side with
+# no such term is the constant its first term's scale holds
+_FORMED = np.dtype([("width", "<u4"), ("lhs", _REF, (2,)), ("rhs", _REF, (2,))])
+_NONE = 0xFFFFFFFF  # no lane map; an unused monomial column; an absent term
 
 # Deferred package layout, all little-endian and packed: _HEADER, then
 # each section below in order, every one read with one frombuffer.  A
 # section is (name, dtype, the header field counting its entries, ragged):
 # a plain section is that many items; a ragged one is that many _U4
 # lengths, then that many runs back to back.  Rows are the wire ids each
-# requested comparison or sqrt reads; slots are in name order, and each of
+# record comparison or sqrt reads; slots are in name order, and each of
 # a slot's monomials is ``stride`` references: its coefficient, then
 # slot-local parameter indices padded with _NONE.  Coefficient k is table
-# k, or past the tables, reference k - n_coeffs.
+# k, or past the tables, reference k - n_coeffs.  Parameter rows number
+# the record comparisons' rows, then the formed comparisons, then the
+# sqrts' rows.
 _SECTIONS = (
     ("comparisons", CMP_DTYPE, "n_cmp", False),
     ("sqrts", SQRT_DTYPE, "n_sqrt", False),
@@ -127,12 +156,13 @@ _SECTIONS = (
     ("coeffs", np.dtype("<f8"), "n_coeffs", True),
     ("levels", _U4, "n_coeffs", False),
     ("refs", _REF, "n_refs", False),
+    ("formed", _FORMED, "n_formed", False),
     ("slots", _SLOT, "n_slots", False),
     ("names", np.dtype("u1"), "n_slots", True),  # UTF-8
     ("params", _PARAM, "n_slots", True),  # (row, map or _NONE)
     ("monomials", _U4, "n_slots", True),
 )
-_PKG_MAGIC = b"DCGPKG05"
+_PKG_MAGIC = b"DCGPKG06"
 # the magic, the level of each record section's batch, then every count
 _HEADER = np.dtype([("magic", "S8")] + [(f, "<u4") for f in (
     "cmp_level", "sqrt_level", *dict.fromkeys(f for _, _, f, _ in _SECTIONS))])
@@ -263,30 +293,37 @@ def _lanes(v: Value, width: int) -> np.ndarray:
 class LoweredProgram:
     """Requests plus slot tables, in the form the package ships them.
 
-    ``comparisons`` and ``sqrts`` hold the requests in id order, and their
-    wire-id rows are numbered in that order, comparisons first.
-    ``sections`` holds, as ``parse_package`` returns them, the ``refs``
-    and the slot tables in name order: the ``slots`` ((width, stride)
-    each), their ``names``, (row, map) ``params`` and ``monomials``.
-    ``coeff_nodes`` pools the coefficient tables as (node, slot width):
-    one table per node and width, never merged by value, so which
-    monomials share a table follows from the graph alone.  A window
-    weight, ``±reindex(pixel node, map) * c``, is not a table but a
-    reference (pixel node's table, map, ±c); ``ref_nodes`` holds those
-    coefficient nodes, one per reference, which the server never needs
-    to evaluate.  ``lane_maps`` pools the maps of the reindexed
-    parameters and references, one per builder map, as the builder holds
-    them.  ``bind`` adds the ciphertexts: ``cmp_operands`` and
-    ``sqrt_args`` by request id, and ``coeff_tables`` as (ciphertext, slot
-    width) per pooled node.
+    ``comparisons`` holds the comparisons that ship as records and
+    ``formed`` those the client forms from pixel tables, ``sqrts`` the
+    sqrt requests, each in id order; the record comparisons' wire-id rows
+    are numbered in that order, then the sqrts'.  ``sections`` holds, as
+    ``parse_package`` returns them, the ``refs``, the ``formed`` rows and
+    the slot tables in name order: the ``slots`` ((width, stride) each),
+    their ``names``, (row, map) ``params`` and ``monomials``.
+    ``coeff_nodes`` pools the tables as (node, slot width): one table per
+    node and width, or per leaf source and width, never merged by value,
+    so which monomials share a table follows from the graph alone.  A
+    window weight, ``±reindex(pixel node, map) * c``, is not a table but
+    a reference (pixel node's table, map, ±c), and a formed comparison's
+    terms are (pixel table, map or ``_NONE``, ±c) too.  ``table_lanes``
+    holds, per table, the lanes it ships when its readers read only some
+    of them, else None.  ``client_nodes`` holds what the client computes
+    from the tables, so the server need not ask for it: each reference's
+    coefficient node and each formed comparison's operands.  ``lane_maps``
+    pools the maps of the reindexed parameters, references and terms by
+    content.  ``bind`` adds the ciphertexts: ``cmp_operands`` and
+    ``sqrt_args`` by request id, and ``coeff_tables`` as (ciphertext,
+    lanes) per pooled table.
     """
 
     comparisons: list[Comparison]
+    formed: list[Comparison]
     sqrts: list[SqrtRequest]
     sections: dict[str, np.ndarray | tuple[np.ndarray, np.ndarray]]
     leakage: dict[str, int]
     coeff_nodes: list[tuple[Expr, int]]
-    ref_nodes: list[Expr]
+    table_lanes: list[np.ndarray | None]
+    client_nodes: list[Expr]
     lane_maps: list[np.ndarray]
     cmp_operands: dict[int, tuple[Ciphertext, Ciphertext]] | None = None
     sqrt_args: dict[int, Ciphertext] | None = None
@@ -294,18 +331,21 @@ class LoweredProgram:
 
     def operands(self) -> list[Expr]:
         """What ``bind`` asks its evaluator for, in order: each pooled
-        coefficient node, then each comparison's lhs and rhs, then each
-        sqrt argument."""
+        table's node, then each record comparison's lhs and rhs, then
+        each sqrt argument."""
         return ([e for e, _ in self.coeff_nodes]
                 + [side for c in self.comparisons for side in (c.lhs, c.rhs)]
                 + [q.arg for q in self.sqrts])
 
     def bind(self, evaluator: CipherEvaluator) -> LoweredProgram:
         """This program with its ciphertexts, which ``evaluator``
-        evaluates, asked for as ``operands`` lists them."""
+        evaluates, asked for as ``operands`` lists them.  A table that
+        ships some of its lanes is gathered to them, which is free."""
         cts = iter([evaluator.eval(e) for e in self.operands()])
         return replace(
-            self, coeff_tables=[(next(cts), w) for _, w in self.coeff_nodes],
+            self, coeff_tables=[(next(cts), w) if lanes is None
+                                else (gather(next(cts), lanes), len(lanes))
+                                for (_, w), lanes in zip(self.coeff_nodes, self.table_lanes)],
             cmp_operands={c.id: (next(cts), next(cts)) for c in self.comparisons},
             sqrt_args={q.id: next(cts) for q in self.sqrts})
 
@@ -323,6 +363,12 @@ def lower(builder: GraphBuilder, slots: dict[str, Expr],
     holds the structure alone, which depends on the graph only, and
     ``LoweredProgram.bind`` adds the ciphertexts of each input.
 
+    A comparison whose two sides ``_side`` recognises, at least one of
+    them with a term, is formed: the client forms both sides from the
+    terms' pixel tables, so it ships no records and no wire-id row.
+    Every other comparison ships as records.  Rows are numbered record
+    comparisons first, then formed ones, then sqrts, each in id order.
+
     A slot's parameters are numbered slot-locally in normal-form key
     order: plain comparisons, then reindexed ones, then sqrts.  Each
     monomial row is its coefficient followed by those local indices in
@@ -330,6 +376,11 @@ def lower(builder: GraphBuilder, slots: dict[str, Expr],
     A coefficient of the slot's width that ``_window_weight`` recognises
     is a reference, and its pixel node a table; references are numbered
     after the tables.
+
+    A table read only through lane maps, by references and formed terms,
+    ships the union of the lanes they read, and their maps are remapped
+    onto it, so no shipped lane goes unread.  Lane maps are pooled by
+    content.
     """
     terms = {name: builder.sorted_terms(builder.normal_form(e)) for name, e in slots.items()}
     keys = {name: sorted({k for params, _ in nf for k in params}) for name, nf in terms.items()}
@@ -337,47 +388,70 @@ def lower(builder: GraphBuilder, slots: dict[str, Expr],
     cmp_ids = sorted({pid for k, pid in used if k == "b"}
                      | {builder.reindexed[pid].source for k, pid in used if k == "r"})
     sqrt_ids = sorted(pid for k, pid in used if k == "s")
-    rows = {k: i for i, k in enumerate([("b", c) for c in cmp_ids] + [("s", s) for s in sqrt_ids])}
+    linear: dict[int, bool] = {}
+    sides = {cid: _formed(builder, builder.comparisons[cid], linear) for cid in cmp_ids}
+    comparisons = [builder.comparisons[c] for c in cmp_ids if sides[c] is None]
+    formed = [builder.comparisons[c] for c in cmp_ids if sides[c] is not None]
+    rows = {("b", c.id): i for i, c in enumerate(comparisons + formed)}
+    rows.update({("s", s): len(cmp_ids) + i for i, s in enumerate(sqrt_ids)})
     coeff_nodes: list[tuple[Expr, int]] = []
-    coeff_pool: dict[tuple[int, int], int] = {}  # (coefficient node id, width) -> table
-    ref_nodes: list[Expr] = []
-    refs: list[tuple[int, int, float]] = []  # (table, map, scale)
+    coeff_pool: dict[tuple, int] = {}  # (leaf source or node id, width) -> table
+    client_nodes: list[Expr] = []
+    refs: list[tuple[int, int, float]] = []  # (table, map read, scale)
     ref_pool: dict[int, int] = {}  # coefficient node id -> reference
-    map_pool: dict[int, int] = {}  # builder map id -> pooled map
+    whole: set[int] = set()  # the tables some reader reads whole
+    # each read of a table through a lane map, in order: (table, the
+    # builder's reindexing); pooled once the tables' lanes are known
+    table_reads: list[tuple[int, Reindex]] = []
+    map_pool: dict[bytes, int] = {}  # map content -> pooled map
+    by_map: dict[tuple, int] = {}  # (narrowed table or None, builder map id) -> pooled map
     lane_maps: list[np.ndarray] = []
 
-    def lane_map(r) -> int:
-        if r.map_id not in map_pool:
-            map_pool[r.map_id] = len(lane_maps)
-            lane_maps.append(r.index)
-        return map_pool[r.map_id]
+    def lane_map(key: tuple, index: np.ndarray) -> int:
+        if key not in by_map:
+            by_map[key] = map_pool.setdefault(index.tobytes(), len(lane_maps))
+            if by_map[key] == len(lane_maps):
+                lane_maps.append(index)
+        return by_map[key]
 
     def param(key) -> tuple[int, int]:
         if key[0] != "r":
             return rows[key], _NONE
         r = builder.reindexed[key[1]]
-        return rows["b", r.source], lane_map(r)
+        return rows["b", r.source], lane_map((None, r.map_id), r.index)
 
     def table(e: Expr, width: int) -> int:
-        k = coeff_pool.setdefault((e.id, width), len(coeff_nodes))
+        # leaves of one source bind one ciphertext, so they are one table
+        key = ((CIPHER, e.payload) if e.op == CIPHER else e.id, width)
+        k = coeff_pool.setdefault(key, len(coeff_nodes))
         if k == len(coeff_nodes):
             coeff_nodes.append((e, width))
         return k
+
+    def term(pixels: Expr, r: Reindex | None, scale: float) -> tuple[int, int, float]:
+        """(table, table read or _NONE, scale)."""
+        k = table(pixels, pixels.width)
+        if r is None:
+            whole.add(k)
+            return k, _NONE, scale
+        table_reads.append((k, r))
+        return k, len(table_reads) - 1, scale
 
     def coefficient(e: Expr, width: int) -> int:
         """Table k as k, reference j as -1 - j."""
         weight = _window_weight(builder, e) if e.width == width else None
         if weight is None:
-            return table(e, width)
+            k = table(e, width)
+            whole.add(k)
+            return k
         if e.id not in ref_pool:
-            pixels, r, scale = weight
             ref_pool[e.id] = len(refs)
-            refs.append((table(pixels, pixels.width), lane_map(r), scale))
-            ref_nodes.append(e)
+            refs.append(term(*weight))
+            client_nodes.append(e)
         return -1 - ref_pool[e.id]
 
-    # (width, stride), parameters, monomial rows and their coefficients;
-    # pooled in slot order
+    # (width, stride), parameters, monomial rows and their coefficients,
+    # pooled in slot order; then the formed rows
     tables: dict[str, tuple] = {}
     for name, nf in terms.items():
         params = np.array([param(k) for k in keys[name]], dtype=_PARAM)
@@ -388,16 +462,43 @@ def lower(builder: GraphBuilder, slots: dict[str, Expr],
                           for mono, _ in nf], dtype=_U4).reshape(len(nf), 1 + degree)
         tables[name] = ((width, 1 + degree), params, monos,
                         np.array([coefficient(coeff, width) for _, coeff in nf], dtype=np.int64))
+    none = (_NONE, _NONE, 0.0)  # an absent term
+    rows_formed = []
+    for c in formed:
+        lhs, rhs = ([(_NONE, _NONE, s), none] if isinstance(s, float)
+                    else [term(*t) for t in s] + [none] * (2 - len(s)) for s in sides[c.id])
+        rows_formed.append((c.width, lhs, rhs))
+        client_nodes += [c.lhs, c.rhs]
     for _, _, monos, coeffs in tables.values():  # references follow the tables
         monos[:, 0] = np.where(coeffs >= 0, coeffs, len(coeff_nodes) - 1 - coeffs)
+
+    # each table's shipped lanes: all of them, or the union of the lanes
+    # its maps read; then each table read's map is pooled, remapped onto them
+    read: dict[int, np.ndarray] = {}  # table -> the lanes its maps read
+    for k, r in table_reads:
+        if k not in whole:
+            read.setdefault(k, np.zeros(coeff_nodes[k][1], dtype=bool))[r.index] = True
+    keep: list[np.ndarray | None] = [None] * len(coeff_nodes)
+    for k, lanes in read.items():
+        if not lanes.all():
+            keep[k] = np.flatnonzero(lanes)
+    pooled = {_NONE: _NONE}  # table read -> its pooled map
+    for i, (k, r) in enumerate(table_reads):
+        pooled[i] = (lane_map((None, r.map_id), r.index) if keep[k] is None
+                     else lane_map((k, r.map_id), np.searchsorted(keep[k], r.index)))
+
+    def mapped(terms) -> list[tuple]:
+        return [(k, pooled[m], scale) for k, m, scale in terms]
+
     names = sorted(tables)
-    sections = {"refs": np.array(refs, dtype=_REF),
+    sections = {"refs": np.array(mapped(refs), dtype=_REF),
+                "formed": np.array([(w, mapped(lhs), mapped(rhs)) for w, lhs, rhs in rows_formed],
+                                   dtype=_FORMED),
                 "slots": np.array([tables[n][0] for n in names], dtype=_SLOT),
                 "names": _ragged([np.frombuffer(n.encode(), np.uint8) for n in names], np.uint8),
                 "params": _ragged([tables[n][1] for n in names], _PARAM),
                 "monomials": _ragged([tables[n][2].ravel() for n in names], _U4)}
 
-    comparisons = [builder.comparisons[cid] for cid in cmp_ids]
     sqrts = [builder.sqrts[sid] for sid in sqrt_ids]
     for request, exprs in ([(f"comparison {c.id}", (c.lhs, c.rhs)) for c in comparisons]
                            + [(f"sqrt request {q.id}", (q.arg,)) for q in sqrts]):
@@ -407,14 +508,15 @@ def lower(builder: GraphBuilder, slots: dict[str, Expr],
 
     leakage = {
         "bool_params": len(cmp_ids),
+        "formed_rows": len(formed),
         "sqrt_params": len(sqrt_ids),
         "monomials": sum(len(nf) for nf in terms.values()),
         "coeff_tables": len(coeff_nodes),
         "coeff_refs": len(refs),
         "lane_maps": len(lane_maps),
     }
-    program = LoweredProgram(comparisons, sqrts, sections, leakage, coeff_nodes, ref_nodes,
-                             lane_maps)
+    program = LoweredProgram(comparisons, formed, sqrts, sections, leakage, coeff_nodes, keep,
+                             client_nodes, lane_maps)
     if ctx is None:
         return program
     ev = CipherEvaluator(ctx, builder)
@@ -427,12 +529,12 @@ def _scalar(e: Expr) -> float | None:
     return e.payload if e.op == PLAIN and not isinstance(e.payload, np.ndarray) else None
 
 
-def _window_weight(builder: GraphBuilder, e: Expr) -> tuple[Expr, Reindex, float] | None:
-    """(pixel node, its reindexing, scale) when coefficient ``e`` is
-    ``±reindex(pixel node, map) * c`` for a plain scalar c (or 1), else
-    None.  The server computes such a node as a gather, a multiply by c
-    and sign flips, each a negation or a multiply by -1.0; a sign flip is
-    exact, so ``pixels[map] * ±c`` gives the same bits."""
+def _scaled(e: Expr) -> tuple[float, Expr] | None:
+    """(s, x) when ``e`` is x times a public scale s: sign flips, each a
+    negation or a multiply by -1.0, around at most one multiply by a
+    plain scalar c, so s is ±c or ±1.  A sign flip is exact, so x * s
+    gives the server's bits.  None when ``e`` is a product with no plain
+    scalar factor."""
     scale = 1.0
     while e.op == NEG or (e.op == MUL and -1.0 in (_scalar(e.a), _scalar(e.c))):
         scale, e = -scale, e.a if e.op == NEG or _scalar(e.c) == -1.0 else e.c
@@ -441,9 +543,90 @@ def _window_weight(builder: GraphBuilder, e: Expr) -> tuple[Expr, Reindex, float
         if c is None:
             return None
         scale *= c
-    if e.op != REINDEX or e.tier != 0:
+    return scale, e
+
+
+def _window_weight(builder: GraphBuilder, e: Expr) -> tuple[Expr, Reindex, float] | None:
+    """(pixel node, its reindexing, scale) when coefficient ``e`` is
+    ``±reindex(pixel node, map) * c`` for a plain scalar c (or 1), else
+    None.  The server computes such a node as a gather, a multiply by c
+    and sign flips (``_scaled``), so ``pixels[map] * ±c`` gives its bits."""
+    scaled = _scaled(e)
+    if scaled is None or scaled[1].op != REINDEX or scaled[1].tier != 0:
         return None
+    scale, e = scaled
     return e.a, builder.reindexed[e.payload], scale
+
+
+def _linear(e: Expr, memo: dict[int, bool]) -> bool:
+    """Whether ``e`` is linear in leaf lanes: a pure node built from
+    leaves, reindexing, additions, negations and multiplies by a plain
+    scalar alone.  ``memo`` keeps each node's answer by id.  The walk
+    stops at any other node, so a polynomial costs its top node only."""
+
+    def scalar_factor(n: Expr) -> bool:
+        return n.op == MUL and (_scalar(n.a) is not None or _scalar(n.c) is not None)
+
+    def kids(n: Expr) -> tuple:
+        linear_op = n.op in (ADD, NEG, REINDEX) or scalar_factor(n)
+        return operands(n) if n.tier == 0 and linear_op else ()
+
+    for n in schedule([e], memo, kids):
+        if n.tier > 0 or n.op == PLAIN:
+            memo[n.id] = False
+        elif n.op == MUL:
+            memo[n.id] = scalar_factor(n) and memo[(n.c if _scalar(n.a) is not None else n.a).id]
+        else:
+            memo[n.id] = n.op == CIPHER or (n.op in (ADD, NEG, REINDEX)
+                                            and all(memo[k.id] for k in operands(n)))
+    return memo[e.id]
+
+
+def _term(builder: GraphBuilder, e: Expr, linear: dict[int, bool]):
+    """(pixel table, its reindexing or None, scale) when ``e`` is
+    ``±c * reindex(T, map)`` or ``±c * T`` for a pixel table T, else None.
+    A pixel table is a pure node of more than one lane, linear in leaf
+    lanes (``_linear``); the client gets it whole, so ``T[map] * ±c``
+    gives the server's bits (``_scaled``)."""
+    scaled = _scaled(e)
+    if scaled is None:
+        return None
+    scale, e = scaled
+    r = None
+    if e.op == REINDEX and e.tier == 0:
+        r, e = builder.reindexed[e.payload], e.a
+    if e.width < 2 or not _linear(e, linear):
+        return None
+    return e, r, scale
+
+
+def _side(builder: GraphBuilder, e: Expr, linear: dict[int, bool]):
+    """A formed comparison's side: a plain scalar, as a float, or a list of
+    one ``_term``, ``e`` itself, or two, when ``e`` adds two terms over
+    tables that are not leaves; else None.  The server computes the sum
+    as one add (or a subtraction, the same bits), and two terms have no
+    order to choose.  Split into leaves, a difference of two pixel reads
+    such as a gradient would ship the raw pyramid level it reads, where
+    unsplit it ships the gradient, which the comparison reveals anyway."""
+    c = _scalar(e)
+    if c is not None:
+        return c
+    if e.op == ADD:
+        pair = [_term(builder, k, linear) for k in (e.a, e.c)]
+        if None not in pair and all(t[0].op != CIPHER for t in pair):
+            return pair
+    term = _term(builder, e, linear)
+    return None if term is None else [term]
+
+
+def _formed(builder: GraphBuilder, c: Comparison, linear: dict[int, bool]):
+    """Comparison ``c``'s (lhs, rhs) as ``_side``s when both are sides and
+    one has a term, so the client can form it from pixel tables; else
+    None, and it ships as records."""
+    sides = (_side(builder, c.lhs, linear), _side(builder, c.rhs, linear))
+    if None in sides or all(isinstance(s, float) for s in sides):
+        return None
+    return sides
 
 
 PLAN_MEMO_SIZE = 4  # slot plans kept by package layout, least recently used dropped first
@@ -482,7 +665,7 @@ class _Group(NamedTuple):
     width: int
     names: list[str]
     family: np.ndarray  # each slot's family
-    tables: np.ndarray  # (families x monomials) coefficient tables, as rows of the stack
+    coeffs: np.ndarray  # (families x monomials) coefficients: tables, then references
     bit_rows: np.ndarray  # (monomials x slots x degree) factors' bit rows; row 0 is all ones
     # the monomials with a sqrt factor, per factor count: each one's
     # monomial and slot, and its factors, as rows of its width's float
@@ -497,10 +680,14 @@ class SlotPlan:
     A plan is made from the sections ``layout`` holds, never from a wire
     id, a value or a level, so one plan serves every package of a layout.
     It holds the decoded names, copies of the lane maps, the starts of
-    the rows and tables, and per slot width:
+    the rows and tables, and:
 
-      * a coefficient row per table and per reference; the references of
-        one table fill their rows together, from the maps they read;
+      * each formed comparison's lanes and sides, each side a constant or
+        its terms as (table, lanes or None, scale);
+      * per slot width, the rows coefficients are read from: each table
+        of that width, then, per table that references read, its lanes
+        through each map of that width that references read.  A
+        coefficient is one of those rows, a reference's times its scale;
       * each distinct (row, map) comparison parameter's row of packed
         bits, packed by (map, row length) from blocks of the rows'
         answers, one per set of rows that packs read;
@@ -516,8 +703,9 @@ class SlotPlan:
     """
 
     def __init__(self, pkg: dict):
-        lengths = pkg["cmp_rows"][0].astype(np.int64)
-        n_cmp = len(lengths)
+        formed = pkg["formed"]
+        lengths = np.concatenate([pkg["cmp_rows"][0], formed["width"]]).astype(np.int64)
+        n_cmp = len(lengths)  # record comparison rows, then formed ones
         starts = np.concatenate([[0], np.cumsum(lengths)])
         self.starts = starts.tolist()  # comparison row r's answers run from [r] to [r + 1]
         # sqrt row q's roots, and coefficient table k's lanes, likewise
@@ -526,33 +714,44 @@ class SlotPlan:
         self.table_starts = [0, *np.cumsum(table_widths, dtype=np.int64).tolist()]
         self.maps = _runs(pkg["maps"][0], pkg["maps"][1].copy())
         self.names = _slot_names(*pkg["names"])
-        self.stacks: Counter = Counter()  # width -> coefficient rows
-        self.table_at: list[tuple[int, int]] = []  # table -> (width, stack row)
+
+        def side(terms) -> float | list[tuple]:
+            present = [(k, None if m == _NONE else self.maps[m], s)
+                       for k, m, s in terms.tolist() if k != _NONE]
+            return present or float(terms["scale"][0])
+
+        at = self.starts[len(pkg["cmp_rows"][0]):]  # each formed row's first lane
+        self.formed = [(lo, hi, side(lhs), side(rhs))
+                       for lo, hi, lhs, rhs in zip(at, at[1:], formed["lhs"], formed["rhs"])]
+
+        # each width's coefficient rows: its tables, then a block per
+        # table that references of that width read, its lanes through
+        # each of the width's reference maps (``ref_maps``)
+        self.sources: Counter = Counter()  # width -> coefficient rows
+        self.table_at: list[tuple[int, int]] = []  # table -> (width, row)
         for w in table_widths:
-            self.table_at.append((w, self.stacks[w]))
-            self.stacks[w] += 1
-        # the references of one width and table take consecutive stack
-        # rows, past the tables: (width, first row, table, each one's map
-        # as a row of its width's maps, its scale)
+            self.table_at.append((w, self.sources[w]))
+            self.sources[w] += 1
         refs = pkg["refs"]
-        by_table: dict[tuple[int, int], list[int]] = {}
-        map_rows: dict[int, dict[int, int]] = {}  # width -> map -> its row of self.ref_maps
-        for j, (k, m) in enumerate(zip(refs["table"].tolist(), refs["map"].tolist())):
+        map_rows: dict[int, dict[int, int]] = {}  # width -> map -> its row of ref_maps
+        through: dict[tuple[int, int], int] = {}  # (width, table) -> its block's first row
+        ref_rows = []  # each reference's (width, table, map's row of ref_maps)
+        for k, m in zip(refs["table"].tolist(), refs["map"].tolist()):
             w = len(self.maps[m])
-            by_table.setdefault((w, k), []).append(j)
-            map_rows.setdefault(w, {}).setdefault(m, len(map_rows[w]))
+            through[w, k] = 0
+            ref_rows.append((w, k, map_rows.setdefault(w, {}).setdefault(m, len(map_rows[w]))))
         # width -> (maps x width) lanes of the maps references read
         self.ref_maps = {w: np.array([self.maps[m] for m in ms], dtype=np.intp)
                          for w, ms in map_rows.items()}
-        ref_row = np.empty(len(refs), dtype=np.intp)
-        self.weights = []
-        for (w, k), js in by_table.items():
-            ref_row[js] = self.stacks[w] + np.arange(len(js))
-            self.weights.append((w, self.stacks[w], k,
-                                 np.array([map_rows[w][m] for m in refs["map"][js].tolist()]),
-                                 refs["scale"][js, None]))
-            self.stacks[w] += len(js)
-        stack_row = np.concatenate([[row for _, row in self.table_at], ref_row]).astype(np.intp)
+        for w, k in through:
+            through[w, k] = self.sources[w]
+            self.sources[w] += len(self.ref_maps[w])
+        self.through = [(w, lo, k) for (w, k), lo in through.items()]  # (width, first row, table)
+        # each coefficient's row (tables, then references) and scale
+        self.coeff_row = np.array([row for _, row in self.table_at]
+                                  + [through[w, k] + i for w, k, i in ref_rows], dtype=np.intp)
+        self.coeff_scale = np.concatenate([np.ones(len(table_widths)), refs["scale"]])
+        self.is_ref = np.arange(len(self.coeff_row)) >= len(table_widths)
 
         # every slot's parameters back to back, each slot's followed by one
         # more entry, which its _NONE padding reads
@@ -635,7 +834,7 @@ class SlotPlan:
             first_slots = np.searchsorted(family, range(len(seqs)))  # each family's first
             self.groups.append(_Group(
                 w, [self.names[s] for s in ss], np.array(family),
-                stack_row[monos[first_slots, :, 0]],
+                monos[first_slots, :, 0].astype(np.intp),
                 np.ascontiguousarray(entry_bits[entry].transpose(1, 0, 2)),
                 [tuple(np.array(col) for col in zip(*ms)) for ms in by_count.values()],
                 _blocks(n_monos, family, w)))
@@ -643,25 +842,39 @@ class SlotPlan:
                                for g in self.groups for lo, hi, l0, l1, _ in g.blocks), default=0)
 
     def evaluate(self, answers: np.ndarray, roots: np.ndarray, table) -> dict[str, Value]:
-        """Each slot's value, given every comparison row's boolean answers
-        back to back, every sqrt row's roots back to back, and coefficient
-        table k as ``table(k)``, which is called once per table.
+        """Each slot's value, given every record comparison row's boolean
+        answers back to back, every sqrt row's roots back to back, and
+        coefficient table k as ``table(k)``, which is called once per
+        table.
 
-        A reference's coefficient row is its table's lanes through its
-        map times its scale, the multiply the server would have made.  A
-        product of 0/1 answers is an AND of bits; a monomial with a sqrt
-        factor folds its floats as a balanced tree, as the server does.
-        Terms add in monomial order, left to right.
+        The formed comparisons are answered from the tables first
+        (``_form``).  A reference's coefficient row is its table's lanes
+        through its map times its scale, the multiply the server would
+        have made.  A product of 0/1 answers is an AND of bits; a
+        monomial with a sqrt factor folds its floats as a balanced tree,
+        as the server does.  Terms add in monomial order, left to right.
         """
-        stacks = {w: np.empty((n, w)) for w, n in self.stacks.items()}
-        for k, (w, row) in enumerate(self.table_at):
-            stacks[w][row] = table(k)
-        for w, lo, k, at, scales in self.weights:
-            rows = stacks[w][lo:lo + len(at)]
-            pixels = stacks[self.table_at[k][0]][self.table_at[k][1]]
-            np.take(np.take(pixels, self.ref_maps[w], mode="clip"), at, axis=0, out=rows,
+        tables = [table(k) for k in range(len(self.table_at))]
+        answers = self._form(answers, tables)
+        sources = {w: np.empty((n, w)) for w, n in self.sources.items()}
+        for lanes, (w, row) in zip(tables, self.table_at):
+            sources[w][row] = lanes
+        for w, lo, k in self.through:
+            np.take(tables[k], self.ref_maps[w], out=sources[w][lo:lo + len(self.ref_maps[w])],
                     mode="clip")
-            rows *= scales
+
+        def coeffs(w: int, ids: np.ndarray) -> np.ndarray:
+            """Coefficients ``ids``' rows, a reference's scaled, shaped
+            ``ids.shape + (w,)``."""
+            rows = sources[w][self.coeff_row[ids]]
+            scaled = self.is_ref[ids]
+            if scaled.all():
+                rows *= self.coeff_scale[ids][..., None]
+            elif scaled.any():
+                np.multiply(rows, self.coeff_scale[ids][..., None], out=rows,
+                            where=scaled[..., None])
+            return rows
+
         # bits in 64-bit words, so a gather moves one item per word
         bits = {w: np.full((n + 1, (w + 63) // 64), ~np.uint64(0))
                 for w, n in self.n_bits.items()}
@@ -687,7 +900,7 @@ class SlotPlan:
             n_monos, n_slots, degree = g.bit_rows.shape
             # one balanced fold per factor count, over all its monomials at once
             sqrt = [(at, slot, balanced_fold(list(floats[w][fs].transpose(1, 0, 2)), np.multiply)
-                     * stacks[w][g.tables[g.family[slot], at]]) for at, slot, fs in g.sqrt]
+                     * coeffs(w, g.coeffs[g.family[slot], at])) for at, slot, fs in g.sqrt]
             sums = np.empty((n_slots, w))
             for lo, hi, l0, l1, fams in g.blocks:
                 # (monomials x slots or 1 x lanes) coefficients: one family's
@@ -695,20 +908,20 @@ class SlotPlan:
                 # slots gathers each slot's
                 if isinstance(fams, int):
                     if fams != family:
-                        family, rows = fams, stacks[w][g.tables[fams]][:, None]
-                    coeffs = rows[:, :, l0:l1]
+                        family, rows = fams, coeffs(w, g.coeffs[fams])[:, None]
+                    block = rows[:, :, l0:l1]
                 else:
-                    coeffs = stacks[w][g.tables[fams], l0:l1].transpose(1, 0, 2)
+                    block = coeffs(w, g.coeffs[fams])[:, :, l0:l1].transpose(1, 0, 2)
                 terms = buf[:n_monos * (hi - lo) * (l1 - l0)].reshape(n_monos, hi - lo, l1 - l0)
                 if not degree:
-                    terms[:] = coeffs
+                    terms[:] = block
                 else:
                     if l0 == 0:  # a block's slots, at their first lanes
                         on = np.bitwise_and.reduce(bits[w][g.bit_rows[:, lo:hi]],
                                                    axis=2).view(np.uint8)
                     terms[:] = np.unpackbits(on[:, :, l0 // 8:(l1 + 7) // 8], axis=2,
                                              count=l1 - l0)
-                    np.multiply(terms, coeffs, out=terms)
+                    np.multiply(terms, block, out=terms)
                 for at, slot, term in sqrt:
                     inside = (slot >= lo) & (slot < hi)
                     terms[at[inside], slot[inside] - lo] = term[inside, l0:l1]
@@ -722,6 +935,26 @@ class SlotPlan:
                     sums[lo:hi, 0] = np.add.accumulate(terms[:, :, 0], axis=0)[-1]
             results.update(zip(g.names, sums if w > 1 else sums[:, 0].tolist()))
         return results
+
+    def _form(self, answers: np.ndarray, tables: list[np.ndarray]) -> np.ndarray:
+        """Every comparison row's answers back to back: the records', then
+        each formed comparison's, [lhs > rhs] at its own width.  A side is
+        its constant, or its terms, each its table's lanes through its map
+        (or all of them) times its scale, two of them added: the float
+        ops the server would have made, so every answer keeps its bits."""
+        out = np.empty(self.starts[-1], dtype=bool)
+        out[:len(answers)] = answers
+        for lo, hi, lhs, rhs in self.formed:
+            np.greater(_form_side(lhs, tables), _form_side(rhs, tables), out=out[lo:hi])
+        return out
+
+
+def _form_side(side, tables: list[np.ndarray]):
+    """A formed side's value: its constant, or its one or two terms summed."""
+    if isinstance(side, float):
+        return side
+    vals = [(tables[k] if m is None else np.take(tables[k], m)) * s for k, m, s in side]
+    return vals[0] if len(vals) == 1 else vals[0] + vals[1]
 
 
 class Client:
@@ -776,10 +1009,10 @@ class Client:
         """Decrypt a deferred package and finish the computation locally.
 
         The package layout's ``SlotPlan`` comes from the memo unless this
-        layout is new or was dropped.  Every comparison row's answers are
-        gathered in one pass, and so are every sqrt row's roots; the plan
-        then sums the slots, decrypting each pooled coefficient table
-        once.
+        layout is new or was dropped.  Every record comparison row's
+        answers are gathered in one pass, and so are every sqrt row's
+        roots; the plan then forms the other comparisons and sums the
+        slots, decrypting each pooled table once.
         """
         pkg = parse_package(blob)
         plan = _PLAN_MEMO.pop(pkg["layout"], None)
@@ -788,7 +1021,8 @@ class Client:
         _PLAN_MEMO[pkg["layout"]] = plan  # the most recently used, last
         while len(_PLAN_MEMO) > PLAN_MEMO_SIZE:
             del _PLAN_MEMO[next(iter(_PLAN_MEMO))]
-        answers = self._greater(pkg["comparisons"], pkg["cmp_level"])[pkg["cmp_rows"][1]]
+        answers = (self._greater(pkg["comparisons"], pkg["cmp_level"]) if len(pkg["comparisons"])
+                   else np.empty(0, dtype=bool))[pkg["cmp_rows"][1]]
         roots = (self._roots(pkg["sqrts"], pkg["sqrt_level"]) if len(pkg["sqrts"])
                  else np.empty(0))[pkg["sqrt_rows"][1]]
         coeffs, levels, at = pkg["coeffs"][1], pkg["levels"].tolist(), plan.table_starts
@@ -960,7 +1194,8 @@ def serialize_package(program: LoweredProgram, policy: DecoyPolicy = DecoyPolicy
               "n_sqrt": policy.padded_size(sum(sqrt_widths)),
               "n_cmp_rows": len(cmp_widths), "n_sqrt_rows": len(sqrt_widths),
               "n_maps": len(program.lane_maps), "n_coeffs": len(program.coeff_tables),
-              "n_refs": len(sections["refs"]), "n_slots": len(sections["slots"])}
+              "n_refs": len(sections["refs"]), "n_formed": len(sections["formed"]),
+              "n_slots": len(sections["slots"])}
     lengths = {name: part[0] for name, part in sections.items() if isinstance(part, tuple)}
     lengths.update(cmp_rows=cmp_widths, sqrt_rows=sqrt_widths,
                    maps=[len(m) for m in program.lane_maps],
@@ -1002,27 +1237,30 @@ def parse_package(blob) -> dict:
 
     ``cmp_level`` and ``sqrt_level`` are the levels the header gives the
     comparison and the sqrt records.  ``cmp_rows`` and ``sqrt_rows`` hold
-    the wire-id row of each requested comparison and sqrt, ``coeffs`` the
-    coefficient tables and ``levels`` their levels, and ``refs`` the
-    window weights as (table, map, scale).  Slot i's ``params`` are (row,
-    map) references, rows numbered comparisons first and map ``_NONE``
-    for none, and its ``monomials`` are rows of ``stride`` references: a
-    coefficient (a table, or past them a reference), then slot-local
-    parameter indices padded with ``_NONE``.  ``layout`` holds, as bytes,
-    every section a ``SlotPlan`` depends on; the client's plan memo is
-    keyed by it.
+    the wire-id row of each record comparison and sqrt, ``coeffs`` the
+    tables and ``levels`` their levels, ``refs`` the window weights as
+    (table, map, scale), and ``formed`` the comparisons the client forms
+    from the tables (``_FORMED``).  Slot i's ``params`` are (row, map)
+    references, rows numbered record comparisons first, then formed ones,
+    then sqrts, and map ``_NONE`` for none, and its ``monomials`` are
+    rows of ``stride`` references: a coefficient (a table, or past them a
+    reference), then slot-local parameter indices padded with ``_NONE``.
+    ``layout`` holds, as bytes, every section a ``SlotPlan`` depends on;
+    the client's plan memo is keyed by it.
 
     Every reference is checked against what it points into: a wire id
     against its kind's records, a parameter's row and map against the
-    pools and the map's lanes against the row, a window weight's table
-    and map against the pools and the map's lanes against the table, a
-    monomial's coefficient and parameter indices against the pools and
-    the slot.  So is every width: a slot's coefficients have its width in
-    lanes, a window weight's being its map's, and each of its parameters,
-    read through its map if it has one, 1 or that width.  One out of
-    range is a ValueError, like a truncated package.  The names are
-    decoded, and checked, where they are read: by ``SlotPlan`` and
-    ``dump_package``.
+    pools and the map's lanes against the row, a window weight's or a
+    formed term's table and map against the pools and the map's lanes
+    against the table, a monomial's coefficient and parameter indices
+    against the pools and the slot.  So is every width: a slot's
+    coefficients have its width in lanes, a window weight's being its
+    map's, and each of its parameters, read through its map if it has
+    one, 1 or that width; each term of a formed comparison, likewise, 1
+    or its row's width, which is its widest term's (1 with none).  An
+    absent term has no map.  One out of range is
+    a ValueError, like a truncated package.  The names are decoded, and
+    checked, where they are read: by ``SlotPlan`` and ``dump_package``.
     """
     if blob[:len(_PKG_MAGIC)] != _PKG_MAGIC:
         raise ValueError("not a deferred package")
@@ -1031,7 +1269,8 @@ def parse_package(blob) -> dict:
     (cmp_lens, cmp_ids), (sqrt_lens, sqrt_ids) = sec["cmp_rows"], sec["sqrt_rows"]
     _check_refs("comparison wire id", cmp_ids, len(sec["comparisons"]))
     _check_refs("sqrt wire id", sqrt_ids, len(sec["sqrts"]))
-    row_lens = np.concatenate([cmp_lens, sqrt_lens]).astype(np.int64)
+    formed = sec["formed"]
+    row_lens = np.concatenate([cmp_lens, formed["width"], sqrt_lens]).astype(np.int64)
     map_lens, map_lanes = sec["maps"]
     map_lens = map_lens.astype(np.int64)
     map_top = np.full(len(map_lens), -1, dtype=np.int64)  # each map's highest lane
@@ -1044,6 +1283,27 @@ def parse_package(blob) -> dict:
     _check_refs("reference's lane map", ref_map, len(map_lens))
     if np.any(map_top[ref_map] >= coeff_lens[ref_table]):
         raise ValueError("deferred package reference's lane map reads past the end of its table")
+    terms = np.concatenate([formed["lhs"], formed["rhs"]], axis=1)  # (rows x 4 terms)
+    present = terms["table"] != _NONE
+    if np.any(terms["map"][~present] != _NONE):
+        raise ValueError("deferred package formed comparison's absent term has a lane map")
+    term_table = terms["table"][present].astype(np.intp)
+    term_map = terms["map"][present].astype(np.intp)
+    _check_refs("formed term's table", term_table, len(coeff_lens))
+    _check_refs("formed term's lane map", term_map, len(map_lens), none_ok=True)
+    mapped = term_map != _NONE
+    if np.any(map_top[term_map[mapped]] >= coeff_lens[term_table[mapped]]):
+        raise ValueError("deferred package formed term's lane map reads past the end of its table")
+    term_lanes = coeff_lens[term_table]  # each present term's, read through its map if it has one
+    term_lanes[mapped] = map_lens[term_map[mapped]]
+    row_width = np.broadcast_to(formed["width"][:, None], terms.shape)[present]
+    if np.any((term_lanes != 1) & (term_lanes != row_width)):
+        raise ValueError("deferred package formed comparison side has neither 1 lane "
+                         "nor its row's width")
+    widest = np.ones(terms.shape, dtype=np.int64)
+    widest[present] = term_lanes
+    if np.any(widest.max(axis=1, initial=1) != formed["width"]):
+        raise ValueError("deferred package formed comparison's width is not its widest term's")
     coeff_lens = np.concatenate([coeff_lens, map_lens[ref_map]])  # each coefficient's lanes
 
     width = sec["slots"]["width"].astype(np.int64)
@@ -1077,7 +1337,7 @@ def parse_package(blob) -> dict:
 
     # every section the slot plan depends on, byte for byte
     layout = (cmp_lens.tobytes(), sqrt_lens.tobytes(), sec["coeffs"][0].tobytes(),
-              sec["refs"].tobytes(), sec["slots"].tobytes(),
+              sec["refs"].tobytes(), formed.tobytes(), sec["slots"].tobytes(),
               *(part.tobytes() for name in ("maps", "names", "params", "monomials")
                 for part in sec[name]))
     return {**sec, "cmp_level": int(header["cmp_level"]),
@@ -1087,19 +1347,30 @@ def parse_package(blob) -> dict:
 def dump_package(blob: bytes) -> str:
     """Human-readable package listing, stable for golden comparisons.
 
-    Rows print as ``b<i>`` (comparisons) and ``s<i>`` (sqrts), maps as
-    ``m<i>``, coefficient tables as ``k<i>``, references as ``x<i>`` and
-    slot parameters as ``p<i>``; slots print in name order.
+    Rows print as ``b<i>`` (record comparisons), ``f<i>`` (formed
+    comparisons) and ``s<i>`` (sqrts), maps as ``m<i>``, tables as
+    ``k<i>``, references as ``x<i>`` and slot parameters as ``p<i>``; a
+    formed comparison prints as ``f<i> = [lhs] > [rhs]``, each side a
+    constant or its terms ``k<t>[m<m>] * scale``.  Slots print in name
+    order.
     """
     pkg = parse_package(blob)
     n_crows, n_tables = len(pkg["cmp_rows"][0]), len(pkg["coeffs"][0])
+    n_formed = len(pkg["formed"])
     rows = _runs(*pkg["cmp_rows"]) + _runs(*pkg["sqrt_rows"])
     maps, coeffs = _runs(*pkg["maps"]), _runs(*pkg["coeffs"])
     slots = zip(_slot_names(*pkg["names"]), pkg["slots"].tolist(),
                 _runs(*pkg["params"]), _runs(*pkg["monomials"]))
 
     def row_name(r: int) -> str:
-        return f"b{r}" if r < n_crows else f"s{r - n_crows}"
+        if r < n_crows:
+            return f"b{r}"
+        return f"f{r - n_crows}" if r < n_crows + n_formed else f"s{r - n_crows - n_formed}"
+
+    def side(terms) -> str:
+        present = [f"k{k}" + ("" if m == _NONE else f"[m{m}]") + f" * {scale:.6g}"
+                   for k, m, scale in terms.tolist() if k != _NONE]
+        return " + ".join(present) or f"{terms['scale'][0]:.6g}"
 
     lines = [f"comparisons: {len(pkg['comparisons'])} @{pkg['cmp_level']}",
              f"sqrts: {len(pkg['sqrts'])} @{pkg['sqrt_level']}"]
@@ -1109,7 +1380,7 @@ def dump_package(blob: bytes) -> str:
         lines.append(f"  #{i} arg={rec['value']:.6g}")
     lines.append(f"rows: {len(rows)}")
     for r, ids in enumerate(rows):
-        lines.append(f"  {row_name(r)} -> wire {ids.tolist()}")
+        lines.append(f"  {row_name(r if r < n_crows else r + n_formed)} -> wire {ids.tolist()}")
     lines.append(f"maps: {len(maps)}")
     for m, lanes in enumerate(maps):
         lines.append(f"  m{m} -> lanes {lanes.tolist()}")
@@ -1120,6 +1391,10 @@ def dump_package(blob: bytes) -> str:
     lines.append(f"refs: {len(pkg['refs'])}")
     for j, (k, m, scale) in enumerate(pkg["refs"].tolist()):
         lines.append(f"  x{j} = k{k}[m{m}] * {scale:.6g}")
+    lines.append(f"formed: {n_formed}")
+    for i, row in enumerate(pkg["formed"]):
+        lines.append(f"  f{i} = [{side(row['lhs'])}] > [{side(row['rhs'])}] "
+                     f"width={row['width']}")
     for name, (width, stride), params, monos in sorted(slots, key=lambda slot: slot[0]):
         lines.append(f"slot {name}: width={width}")
         for i, (r, m) in enumerate(params.tolist()):

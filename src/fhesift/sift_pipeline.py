@@ -35,7 +35,8 @@ everything planned from them depend on the image shape, the config and
 the mode alone.  ``compile_circuit`` builds the graph with leaves that
 name their sources (``_LayerLeaf``: a DoG or Gaussian level) instead
 of holding ciphertexts, lists each stage's pure work (in deferred mode,
-less the window weights the client computes), lowers the deferred
+less what the client computes from the package's tables: the window
+weights and the operands of the comparisons it forms), lowers the deferred
 package's tables, plans the server's evaluation as a tape that each
 image replays (the pure work, gradients included, then the package's
 operands or the interactive run) and freezes the graph.
@@ -705,9 +706,10 @@ def compile_circuit(shape: tuple[int, int], cfg: PipelineConfig, mode: str) -> C
                       with_argmax=(mode == "interactive"))
     b = plan.builder
     program = lower(b, plan.slots) if mode == "deferred" else None
-    # the client scales the window weights a package ships as references,
-    # so the server never evaluates them
-    shipped = {e.id for e in program.ref_nodes} if program else set()
+    # the client scales the window weights a package ships as references
+    # and forms the comparisons it ships as formed rows, so the server
+    # need not ask for their nodes
+    shipped = {e.id for e in program.client_nodes} if program else set()
     pure = {stage: [e for e in plan.pure(stage) if e.id not in shipped] for stage in _GRAPH_STAGES}
     first = [e for es in pure.values() for e in es]
     if program is not None:

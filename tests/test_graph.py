@@ -767,8 +767,8 @@ def test_lower_emits_requests_and_residuals():
     prog = lower(b, slots, ctx)
     assert [c.id for c in prog.comparisons] == [0]
     assert list(prog.sqrt_args) == [0]
-    assert prog.leakage == {"bool_params": 1, "sqrt_params": 1, "monomials": 3,
-                            "coeff_tables": 3, "coeff_refs": 0, "lane_maps": 0}
+    assert prog.leakage == {"bool_params": 1, "formed_rows": 0, "sqrt_params": 1,
+                            "monomials": 3, "coeff_tables": 3, "coeff_refs": 0, "lane_maps": 0}
     lhs, rhs = prog.cmp_operands[0]
     assert (lhs.value, rhs.value) == (4.0, 9.0)
     # the slot tables, in name order: pick is y + [x > y](x - y), root s
@@ -897,7 +897,9 @@ def test_reindex_evaluators_and_residual_agree_bitwise():
     # both parameters read the one comparison's row, each through its own map
     assert prog.sections["params"][1].tolist() == [(0, 0), (0, 1)]
     assert [m.tolist() for m in prog.lane_maps] == [[2, 0, 1], [1, 1, 3]]
-    assert [cmp.id for cmp in prog.comparisons] == [c.payload]
+    # [p > 0] over a 4-lane leaf is formed from the leaf's table: no records
+    assert ([cmp.id for cmp in prog.comparisons], [cmp.id for cmp in prog.formed]) == \
+        ([], [c.payload])
     assert prog.leakage["bool_params"] == 1
     assert run_deferred(prog, Client(ctx)).results["e"].tobytes() == np.asarray(want).tobytes()
 
@@ -940,7 +942,8 @@ def test_reindex_of_a_pure_node_is_a_free_gather():
     assert (r.tier, r.width, b.reindexed[r.payload].source) == (0, 4, None)
     assert b.normal_form(r) == {frozenset(): r}
     assert format_expr(r) == "(p*p)[5 0 0 3]"
-    c = b.compare(b.cipher(ctx.encrypt(rng.uniform(-1, 1, 4)), name="q"), b.plain(0.0))
+    q = b.cipher(ctx.encrypt(rng.uniform(-1, 1, 4)), name="q")
+    c = b.compare(q, b.plain(0.0))
     slots = {"w": b.simplify(b.mul(b.sub(b.plain(1.0), c), b.mul(r, b.plain(0.3))))}
 
     pe = PlainEvaluator(b)
@@ -956,8 +959,9 @@ def test_reindex_of_a_pure_node_is_a_free_gather():
     assert got.value.tobytes() == square.value[at].tobytes()
     assert ce.eval(slots["w"]).value.tobytes() == want.tobytes()
     prog = lower(b, slots)
-    assert (prog.leakage["coeff_tables"], prog.leakage["coeff_refs"]) == (1, 2)
-    assert [e for e, _ in prog.coeff_nodes] == [mag2]
+    assert (prog.leakage["coeff_tables"], prog.leakage["coeff_refs"]) == (2, 2)
+    # mag2 for the references, and q, from which the client forms [q > 0]
+    assert [e for e, _ in prog.coeff_nodes] == [mag2, q]
     assert run_deferred(lower(b, slots, ctx), Client(ctx)).results["w"].tobytes() == \
         want.tobytes()
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import weakref
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -141,8 +142,8 @@ def test_deferred_is_one_round_and_reports_leakage():
     assert len(run.rounds) == 1
     assert run.rounds[0].n_wire_comparisons == 8
     assert run.package_bytes == run.rounds[0].request_bytes > 0
-    assert run.leakage == {"bool_params": 1, "sqrt_params": 1, "monomials": 3,
-                            "coeff_tables": 3, "coeff_refs": 0, "lane_maps": 0}
+    assert run.leakage == {"bool_params": 1, "formed_rows": 0, "sqrt_params": 1,
+                           "monomials": 3, "coeff_tables": 3, "coeff_refs": 0, "lane_maps": 0}
     assert run.results["pick"] == 9.0
     assert run.results["root"] == 3.0
 
@@ -219,8 +220,8 @@ def test_parse_package_round_trip_and_magic():
         parse_package(b"JUNKJUNK" + bytes(16))
     blob = bytes(serialize_package(prog, seed=1))
     # the layouts with record ids, then with a level in every record, then
-    # without references
-    for old in (b"DCGPKG01", b"DCGPKG02", b"DCGPKG03", b"DCGPKG04"):
+    # without references, then with every comparison shipped as records
+    for old in (b"DCGPKG01", b"DCGPKG02", b"DCGPKG03", b"DCGPKG04", b"DCGPKG05"):
         with pytest.raises(ValueError, match="not a deferred package"):
             parse_package(old + blob[len(old):])
 
@@ -287,7 +288,8 @@ def _weight_toy():
     lanes and a squared 6-lane 'pixel' node, each read through lane maps
     a (3 lanes) and b (2 lanes), and each slot (1 - [q > 0]) * pixel * c.
     Each slot's two coefficients, +c and -c times the reindexed pixels,
-    ship as references into the one per-pixel table."""
+    ship as references into the one per-pixel table, and [q > 0] is
+    formed from q's table."""
     ctx = CkksContext(SimParams(depth_budget=20))
     b = GraphBuilder()
     p = b.cipher(ctx.encrypt(np.array([1.0, -5.0, 2.5, -0.5, 3.0, -1.0])), name="p")
@@ -303,16 +305,21 @@ def test_window_weights_ship_as_references_and_resolve_bitwise(monkeypatch):
     monkeypatch.setattr(protocol, "_PLAN_MEMO", {})
     ctx, b, slots = _weight_toy()
     prog = lower(b, slots, ctx)
-    assert (prog.leakage["coeff_tables"], prog.leakage["coeff_refs"]) == (1, 4)
+    assert (prog.leakage["coeff_tables"], prog.leakage["coeff_refs"]) == (2, 4)
     blob = serialize_package(prog, DecoyPolicy(), seed=1)
     pkg = parse_package(blob)
-    assert pkg["refs"].tolist() == [(0, 0, 0.25), (0, 0, -0.25), (0, 1, 0.1), (0, 1, -0.1)]
-    assert protocol._runs(*pkg["coeffs"])[0].tolist() == [1.0, 25.0, 6.25, 0.25, 9.0, 1.0]
+    # no reference reads pixel lane 3, so the table ships the other five
+    # and the references' maps a and b read them as m2 and m3
+    assert pkg["refs"].tolist() == [(0, 2, 0.25), (0, 2, -0.25), (0, 3, 0.1), (0, 3, -0.1)]
+    assert [m.tolist() for m in protocol._runs(*pkg["maps"])] == \
+        [[0, 2, 4], [5, 1], [0, 2, 3], [4, 1]]
+    assert protocol._runs(*pkg["coeffs"])[0].tolist() == [1.0, 25.0, 6.25, 9.0, 1.0]
     assert {name: monos[:, 0].tolist() for name, (_, _, monos) in
-            _slot_tables(pkg).items()} == {"a": [1, 2], "b": [3, 4]}
+            _slot_tables(pkg).items()} == {"a": [2, 3], "b": [4, 5]}
     text = dump_package(blob)
-    assert "refs: 4\n  x0 = k0[m0] * 0.25\n  x1 = k0[m0] * -0.25\n" in text
-    assert "slot a: width=3\n  p0 = b0[m0]\n  1 : x0\n  p0 : x1\n" in text
+    assert "refs: 4\n  x0 = k0[m2] * 0.25\n  x1 = k0[m2] * -0.25\n" in text
+    assert "formed: 1\n  f0 = [k1 * 1] > [0] width=8\n" in text
+    assert "slot a: width=3\n  p0 = f0[m0]\n  1 : x0\n  p0 : x1\n" in text
     client = Client(ctx)
     got = client.resolve_package(blob)
     pe = PlainEvaluator(b)
@@ -321,8 +328,9 @@ def test_window_weights_ship_as_references_and_resolve_bitwise(monkeypatch):
     for name, e in slots.items():
         want = np.asarray(pe.eval(e)).tobytes()
         assert got[name].tobytes() == want == ce.eval(e).value.tobytes(), name
-    # the comparison's two operand columns, and the one per-pixel table
-    assert client.attributed_decrypts == 2 + 1
+    # the per-pixel table and q's; no comparison ships records
+    assert len(pkg["comparisons"]) == 0
+    assert client.attributed_decrypts == 2
 
 
 def _patch_ref_table(pkg):
@@ -345,13 +353,16 @@ def test_parse_package_rejects_a_window_weight_out_of_range(patch):
 
 
 def _patch_ref_map_past_its_table(pkg):
-    # lane 6 is inside the comparison's 8-lane row, past the 6-lane table
-    pkg["maps"][1][0] = 6
+    # the first reference's map reads one lane past its table
+    lengths, lanes = pkg["maps"]
+    table, m = pkg["refs"][0][["table", "map"]].tolist()
+    lanes[int(lengths[:m].sum())] = pkg["coeffs"][0][table]
 
 
 def _patch_ref_width(pkg):
-    # slot a (3 lanes) weighted through map b (2 lanes)
-    pkg["refs"]["map"][pkg["refs"]["map"] == 0] = 1
+    # slot a (3 lanes) weighted through slot b's map (2 lanes)
+    maps = pkg["refs"]["map"]
+    maps[maps == maps[0]] = maps[-1]
 
 
 @pytest.mark.parametrize("patch,reason", [
@@ -460,6 +471,23 @@ def test_decrypt_accounting_stays_on_the_client():
     assert run.rounds[0].n_wire_sqrts > 0
     assert client.attributed_decrypts == 2 + 1 + run.leakage["coeff_tables"] == 6
 
+    # formed comparisons read their tables as the slots do: each table is
+    # decrypted once, however many rows and monomials read it
+    ctx3, b3, slots3 = _formed_toy()
+    client3 = Client(ctx3)
+    decrypted = []
+
+    def recording(ct):
+        decrypted.append(ct.value.tobytes())
+        return Client._decrypt(client3, ct)
+
+    client3._decrypt = recording
+    run = run_deferred(lower(b3, slots3, ctx3), client3)
+    assert run.rounds[0].n_wire_comparisons == 0
+    assert client3.attributed_decrypts == len(decrypted) == run.leakage["coeff_tables"] == 4
+    assert len(set(decrypted)) == len(decrypted)
+    assert client3.unattributed_decrypts() == 0
+
     ctx2, b2, slots2 = _toy()
     client2 = Client(ctx2)
     run = run_interactive(ctx2, b2, slots2, client2)
@@ -474,11 +502,17 @@ def test_lane_batched_comparisons_ride_one_record_per_lane():
     ctx = CkksContext(SimParams(depth_budget=20))
     b = GraphBuilder()
     v = b.cipher(ctx.encrypt(np.array([1.0, 5.0, -2.0])))
+    # [v * v > 4] is not linear in v, so it ships as records
+    e = b.select(b.compare(b.mul(v, v), b.plain(4.0)), v, b.neg(v))
+    run = run_deferred(lower(b, {"big": b.simplify(e)}, ctx), Client(ctx))
+    assert np.array_equal(run.results["big"], [-1.0, 5.0, 2.0])
+    assert run.rounds[0].n_real_comparisons == 3
+    assert run.rounds[0].n_wire_comparisons == 8
+    # [v > 0] is formed from v's table, so it ships no record
     e = b.select(b.compare(v, b.plain(0.0)), v, b.neg(v))
     run = run_deferred(lower(b, {"abs": b.simplify(e)}, ctx), Client(ctx))
     assert np.array_equal(run.results["abs"], [1.0, 5.0, 2.0])
-    assert run.rounds[0].n_real_comparisons == 3
-    assert run.rounds[0].n_wire_comparisons == 8
+    assert (run.rounds[0].n_real_comparisons, run.rounds[0].n_wire_comparisons) == (0, 0)
 
 
 def _wire_toy():
@@ -503,13 +537,13 @@ def _sha(blob) -> str:
     return hashlib.sha256(bytes(blob)).hexdigest()
 
 
-# sha256 digests of the sectioned layout (DCGPKG05) and of interactive
+# sha256 digests of the sectioned layout (DCGPKG06) and of interactive
 # requests, each a batch's level and then its records.  The wire format
 # is a contract, so any change to them is a format change
 PACKAGE_SHA256 = {
-    (True, 0): "654703893404b082a7420b82c918520e2eeea7698e6a116022c53cf4bfacfa72",
-    (True, 7): "b9809fc29fb93c9997a955139abdf8b21134e6ee139e9513b8ab5baa82bdf5e6",
-    (False, 0): "43066f0eec3a3aa3eebb482031d68a4e8b51b56ce477f4fbf856dc5df856ad20",
+    (True, 0): "6ad13b19295936097068a8de17f70c110d0657830473e7b2e27872c509261835",
+    (True, 7): "04eb22b5f4d47c03904feb734576530324aeb9b23f479d67f6edbf1a03e21503",
+    (False, 0): "881f696381e078dbdfe31db6005ceacdbfbe1c84bc54952315a4bc534693da77",
 }
 REQUEST_SHA256 = [
     ("c", "d4e7a4594146d0306608d498b700963d0c1996846d6b75892453d6f72f4557dd"),
@@ -559,14 +593,14 @@ def _address(blob) -> int:
 
 def test_wire_records_start_on_an_8_byte_boundary():
     """A request's records follow its 4-byte level and a package's its
-    48-byte header, so each wire buffer is placed to put them, not its
+    52-byte header, so each wire buffer is placed to put them, not its
     first byte, on an 8-byte boundary; the bytes are the digests' above."""
     ctx, b, slots = _wire_toy()
     prog = lower(b, slots, ctx)
     for decoys, seed in sorted(PACKAGE_SHA256):
         blob = serialize_package(prog, DecoyPolicy(enabled=decoys), seed=seed)
         sec = protocol._sections(blob)
-        assert protocol._HEADER.itemsize == 48
+        assert protocol._HEADER.itemsize == 52
         assert sec["comparisons"].ctypes.data % 8 == 0
         assert sec["sqrts"].ctypes.data % 8 == 0
     rng = np.random.default_rng(0)
@@ -597,13 +631,14 @@ def test_run_deferred_parses_the_package_once(monkeypatch, decoys):
 
 
 def _reindex_toy(v=(1.0, -5.0, 2.5, -0.5, 3.0, -1.0), y=(2.0, 7.0, -1.0), z=(0.5, -4.0, 6.0)):
-    """One six-lane comparison read through two lane maps and directly."""
+    """One six-lane comparison read through two lane maps and directly:
+    [v * v > 1], which is not linear in v, so it ships as records."""
     ctx = CkksContext(SimParams(depth_budget=20))
     b = GraphBuilder()
     v = b.cipher(ctx.encrypt(np.array(v)), name="v")
     y = b.cipher(ctx.encrypt(np.array(y)), name="y")
     z = b.cipher(ctx.encrypt(np.array(z)), name="z")
-    c = b.compare(v, b.plain(0.0))
+    c = b.compare(b.mul(v, v), b.plain(1.0))
     maps = {"a": np.array([0, 2, 4]), "b": np.array([4, 4, 1])}
     ra, rb = (b.reindex(c, maps[k]) for k in "ab")
     slots = {
@@ -1015,6 +1050,7 @@ def _random_slot_tables(rng, widths, refs=False):
         "maps": ragged([m.astype(u4) for m in maps], u4),
         "coeffs": ragged(coeffs, np.float64),
         "refs": np.array(weights, dtype=protocol._REF),
+        "formed": np.zeros(0, dtype=protocol._FORMED),
         "slots": np.array([(w, monos.shape[1]) for _, (w, _, monos) in slots],
                           dtype=protocol._SLOT),
         "names": ragged([np.frombuffer(name.encode(), dtype=np.uint8) for name, _ in slots],
@@ -1099,9 +1135,10 @@ def test_pools_share_by_graph_node_never_by_value():
     slots = {"a": b.simplify(b.mul(ru, x)), "b": b.simplify(b.mul(rw, y)),
              "c": b.simplify(b.mul(rw, x))}
     prog = lower(b, slots, ctx)
-    assert (prog.leakage["coeff_tables"], prog.leakage["lane_maps"]) == (2, 1)
+    # x and y, then u and w, from which [u > 0] and [w > 0] are formed
+    assert (prog.leakage["coeff_tables"], prog.leakage["lane_maps"]) == (4, 1)
     pkg = parse_package(serialize_package(prog, DecoyPolicy(), seed=1))
-    kx, ky = protocol._runs(*pkg["coeffs"])
+    kx, ky, _, _ = protocol._runs(*pkg["coeffs"])
     assert kx.tobytes() == ky.tobytes()  # equal lanes, still two tables
     refs = {name: monos[:, 0].tolist() for name, (_, _, monos) in _slot_tables(pkg).items()}
     assert refs == {"a": [0], "b": [1], "c": [0]}  # x is one table for two slots
@@ -1109,7 +1146,7 @@ def test_pools_share_by_graph_node_never_by_value():
 
     client = Client(ctx)
     run = run_deferred(lower(b, slots, ctx), client, seed=1)
-    assert client.attributed_decrypts == 2 + 2
+    assert client.attributed_decrypts == 4  # each table once, and no records
     for name, e in slots.items():
         assert np.array_equal(run.results[name], PlainEvaluator(b).eval(e)), name
 
@@ -1159,3 +1196,225 @@ def test_a_malformed_request_fails_with_a_reason(kind, size, reason):
     # a level, then whole records, is answered with one value per record
     record = {"comparisons": protocol.CMP_DTYPE, "sqrts": protocol.SQRT_DTYPE}[kind]
     assert len(resolve(bytes(4 + 3 * record.itemsize))) == 3 * protocol.RESP_DTYPE.itemsize
+
+
+def _formed_program(rng, noise: float):
+    """A random program of comparisons over 2- to 8-lane leaves, each slot
+    a comparison read directly or through a lane map, or a sum of two.
+
+    Sides are constants (0.0 and -0.0 among them, and some a term side's
+    own value at one lane, a tie there), one term or two:
+    a term is c * reindex(T, map) or c * T, T a leaf or a linear node
+    over leaves (a difference of two reads of one leaf, a scaled leaf, a
+    negated sum), maps of 1 lane or the row's width, and scales c among
+    ±1.0, 6.1e-17 and random ones.  Width-1 and non-linear comparisons
+    are mixed in; they ship as records.  Returns (ctx, builder, slots,
+    the formable comparisons, the record ones)."""
+    ctx = CkksContext(SimParams(depth_budget=24, noise_per_mul=noise))
+    b = GraphBuilder()
+    n = int(rng.integers(2, 9))
+
+    def values(k):
+        v = rng.standard_normal(k) * 10.0 ** rng.integers(-3, 4, k)
+        v[rng.random(k) < 0.2] = 0.0
+        return v
+
+    leaves = [b.cipher(ctx.encrypt(values(n)), name=f"l{i}") for i in range(3)]
+
+    def lane_map(k):
+        return rng.integers(0, n, k)
+
+    def reads(leaf):
+        return b.sub(b.reindex(leaf, lane_map(n)), b.reindex(leaf, lane_map(n)))
+
+    pixels = [*leaves, reads(leaves[0]), reads(leaves[2]),
+              b.mul(b.plain(float(rng.standard_normal())), leaves[1]),
+              b.neg(b.add(leaves[0], leaves[1]))]
+    inner = pixels[3:]  # not leaves, so a sum of two terms over them splits
+
+    def term(tables, width):
+        t = tables[int(rng.integers(len(tables)))]
+        if rng.random() < 0.6:
+            t = b.reindex(t, lane_map(width))
+        scale = rng.choice([1.0, -1.0, 6.123233995736766e-17, float(rng.standard_normal())])
+        return b.mul(b.plain(scale), t)
+
+    def side(width):
+        kind = rng.integers(4)
+        if kind == 0:
+            return b.plain(float(rng.choice([0.0, -0.0, rng.standard_normal()])))
+        if kind == 1:
+            return term(pixels, width)
+        add = b.sub if kind == 2 else b.add
+        return add(term(inner, width), term(inner, width))
+
+    formable, records = [], []
+    for _ in range(int(rng.integers(4, 10))):
+        width = n if rng.random() < 0.8 else 1
+        lhs, rhs = side(width), side(width)
+        if lhs.op == "plain" and rhs.op == "plain":
+            continue
+        if rng.random() < 0.3 and lhs.op != "plain":
+            # a tie at one lane: the constant is lhs's value there, so
+            # one rounding step either way flips that lane's answer
+            at = int(rng.integers(lhs.width))
+            rhs = b.plain(float(np.atleast_1d(PlainEvaluator(b).eval(lhs))[at]))
+        c = b.compare(lhs, rhs)
+        if c.op == "bool" and c not in formable:
+            formable.append(c)
+    scalar = b.cipher(ctx.encrypt(float(rng.standard_normal())), name="s")
+    records.append(b.compare(scalar, b.plain(0.0)))  # a 1-lane leaf
+    records.append(b.compare(b.mul(leaves[0], leaves[1]), b.plain(0.5)))  # not linear
+    slots = {}
+    for i, c in enumerate(formable + records):
+        slots[f"c{i}"] = c
+        if c.width > 1:
+            slots[f"r{i}"] = b.reindex(c, lane_map(int(rng.choice([1, 2 * n]))))
+    if formable:
+        slots["sum"] = b.simplify(b.add(formable[0], formable[-1]))
+    return ctx, b, slots, formable, records
+
+
+@pytest.mark.parametrize("noise", [0.0, 1e-12])
+def test_formed_answers_are_bit_identical_to_record_answers(noise, monkeypatch):
+    """A formed comparison, answered by the client from pixel tables, gives
+    every slot the bits the interactive run gets from records, in exact
+    mode and with noise: a linear table draws no noise.  A width-1 or
+    non-linear comparison still ships as records."""
+    monkeypatch.setattr(protocol, "_PLAN_MEMO", {})
+    rng = np.random.default_rng(28 + int(noise > 0))
+    kinds = Counter()
+    for trial in range(60):
+        ctx, b, slots, formable, records = _formed_program(rng, noise)
+        prog = lower(b, slots, ctx)
+        assert [c.id for c in prog.formed] == sorted(c.payload for c in formable)
+        assert [c.id for c in prog.comparisons] == sorted(c.payload for c in records)
+        for row in prog.sections["formed"]:
+            for side in (row["lhs"], row["rhs"]):
+                kinds[int(np.sum(side["table"] != protocol._NONE))] += 1
+        ri = run_interactive(ctx, b, slots, Client(ctx), seed=trial)
+        rd = run_deferred(prog, Client(ctx), seed=trial)
+        for name in slots:
+            want = np.asarray(ri.results[name].value, dtype=np.float64)
+            assert np.asarray(rd.results[name]).tobytes() == want.tobytes(), (trial, name)
+    assert min(kinds[0], kinds[1], kinds[2]) > 20  # constant, one- and two-term sides
+
+
+def _formed_toy():
+    """Two formed comparisons over a 6-lane leaf v, which ships as one
+    table: [v[a] > 0.5] through a 3-lane map a, and [v > 1] whole."""
+    ctx = CkksContext(SimParams(depth_budget=20))
+    b = GraphBuilder()
+    v = b.cipher(ctx.encrypt(np.array([1.0, -5.0, 2.5, 0.5, 3.0, -1.0])), name="v")
+    y = b.cipher(ctx.encrypt(np.array([2.0, 7.0, -1.0])), name="y")
+    z = b.cipher(ctx.encrypt(np.array([0.5, -4.0, 6.0])), name="z")
+    slots = {"a": b.simplify(b.select(b.compare(b.reindex(v, np.array([0, 2, 4])), b.plain(0.5)),
+                                      y, z)),
+             "b": b.compare(v, b.plain(1.0))}
+    return ctx, b, slots
+
+
+def test_formed_comparisons_ship_as_rows_over_tables():
+    ctx, b, slots = _formed_toy()
+    prog = lower(b, slots, ctx)
+    assert (prog.comparisons, len(prog.formed)) == ([], 2)
+    blob = serialize_package(prog, DecoyPolicy(), seed=1)
+    pkg = parse_package(blob)
+    assert (len(pkg["comparisons"]), len(pkg["cmp_rows"][0])) == (0, 0)
+    text = dump_package(blob)
+    # v is table k3, after the slots' coefficient tables
+    assert "formed: 2\n  f0 = [k3[m0] * 1] > [0.5] width=3\n  f1 = [k3 * 1] > [1] width=6\n" in text
+    assert "slot b: width=6\n  p0 = f1\n  p0 : k2\n" in text
+    got = Client(ctx).resolve_package(blob)
+    for name, e in slots.items():
+        assert got[name].tobytes() == np.asarray(PlainEvaluator(b).eval(e)).tobytes(), name
+
+
+def _formed_term(pkg):
+    return pkg["formed"]["lhs"][0]
+
+
+def _patch_term_table(pkg):
+    _formed_term(pkg)["table"][0] = len(pkg["coeffs"][0])
+
+
+def _patch_term_map(pkg):
+    _formed_term(pkg)["map"][0] = len(pkg["maps"][0])
+
+
+def _patch_term_map_past_its_table(pkg):
+    lengths, lanes = pkg["maps"]
+    lanes[int(lengths[:_formed_term(pkg)["map"][0]].sum())] = 6  # v has 6 lanes
+
+
+def _patch_side_width(pkg):
+    pkg["formed"]["width"][0] = 2  # its term reads 3 lanes
+
+
+def _patch_absent_term_map(pkg):
+    pkg["formed"]["rhs"][0]["map"][1] = 0
+
+
+def _patch_row_wider_than_its_terms(pkg):
+    # [v[a] > 0.5] becomes [0 > 0.5], which has no term to give it 3 lanes
+    pkg["formed"]["lhs"][0]["table"][0] = pkg["formed"]["lhs"][0]["map"][0] = protocol._NONE
+
+
+@pytest.mark.parametrize("patch,reason", [
+    (_patch_term_table, "formed term's table .* out of range"),
+    (_patch_term_map, "formed term's lane map .* out of range"),
+    (_patch_term_map_past_its_table, "formed term's lane map reads past the end of its table"),
+    (_patch_side_width, "side has neither 1 lane nor its row's width"),
+    (_patch_absent_term_map, "absent term has a lane map"),
+    (_patch_row_wider_than_its_terms, "width is not its widest term's"),
+])
+def test_parse_package_refuses_a_malformed_formed_comparison(patch, reason):
+    ctx, b, slots = _formed_toy()
+    blob = bytearray(serialize_package(lower(b, slots, ctx), seed=1))
+    patch(parse_package(blob))
+    with pytest.raises(ValueError, match=reason):
+        parse_package(blob)
+    with pytest.raises(ValueError, match=reason):
+        Client(ctx).resolve_package(blob)
+
+
+def _lanes_read(pkg) -> list[np.ndarray]:
+    """Per table, which of its lanes some reader reads: a monomial or a
+    formed term that reads it whole, or a reference or a formed term
+    through its map."""
+    maps, coeffs = protocol._runs(*pkg["maps"]), protocol._runs(*pkg["coeffs"])
+    read = [np.zeros(len(lanes), dtype=bool) for lanes in coeffs]
+    for _, _, monos in _slot_tables(pkg).values():
+        for k in monos[:, 0].tolist():
+            if k < len(read):
+                read[k][:] = True
+    terms = np.concatenate([pkg["refs"], pkg["formed"]["lhs"].ravel(), pkg["formed"]["rhs"].ravel()])
+    for k, m in terms[["table", "map"]].tolist():
+        if k != protocol._NONE:
+            read[k][slice(None) if m == protocol._NONE else maps[m]] = True
+    return read
+
+
+def test_every_shipped_table_lane_is_read(blob16, monkeypatch):
+    """No table ships a lane that no formed comparison, reference or
+    monomial reads: DoG layers 0 and s + 1, read only at the ring, ship
+    64 of the block's 100 lanes.  The client is sent no pixel value a
+    record did not carry before.  No table is a raw Gaussian level: a
+    gradient ships as itself, the comparisons' own operand."""
+    blobs = []
+    serialize = protocol.serialize_package
+    monkeypatch.setattr(protocol, "serialize_package",
+                        lambda *args, **kw: blobs.append(bytes(serialize(*args, **kw))) or
+                        serialize(*args, **kw))
+    run_pipeline(blob16, PipelineConfig(octaves=1), mode="deferred", seed=3)
+    pkg = parse_package(blobs[0])
+    read = _lanes_read(pkg)
+    assert all(r.all() for r in read)
+    assert sorted(len(r) for r in read).count(64) == 2
+    program = sift_pipeline.compile_circuit(blob16.shape, PipelineConfig(octaves=1),
+                                            "deferred").program
+    leaves = [e.payload for e, _ in program.coeff_nodes if e.op == "cipher"]
+    assert sorted((src.pyramid, src.layer) for src in leaves) == [("dog", l) for l in range(5)]
+    assert len(program.formed) == 222 == len(pkg["formed"])
+    # the gradient tables each pair of boundary tests reads
+    assert sum(e.width > 1 and e.op == "add" for e, _ in program.coeff_nodes) >= 6
