@@ -726,8 +726,8 @@ class CipherEvaluator:
 
     BoolVar / Sqrt nodes must be answered with encrypted values through
     ``bind`` (the interactive protocol binds them round by round; the
-    constructor binds ``bool_cts`` and ``sqrt_cts``, keyed by comparison
-    and sqrt id); reading an unbound parameter raises MissingAssignment.
+    constructor binds ``bool_cts``, keyed by comparison id); reading an
+    unbound parameter raises MissingAssignment.
     A reindexed BoolVar gathers its bound comparison.  A subtraction,
     built as an ADD with a NEG child, costs one ``ctx.sub`` and no
     negation.
@@ -737,23 +737,22 @@ class CipherEvaluator:
     call from the nodes its root needs that ``memo`` lacks, in id order,
     and ``memo`` keeps every computed or bound ciphertext.  ``follow``
     adopts a ``RunPlan``, whose tape was built with the graph, made by
-    ``RunPlan.over`` from what ``memo`` holds.  From then on each ``eval``
-    must ask for the plan's next root and replays that root's segment, and
-    each ciphertext, answers included, is dropped after its last read.
+    ``RunPlan.over`` from what ``memo`` holds, and keeps it as ``plan``.
+    From then on each ``eval`` must ask for the plan's next root and
+    replays that root's segment, and each ciphertext, answers included,
+    is dropped after its last read.
     Either way each node is computed once, in the same order.
     """
 
     def __init__(self, ctx: CkksContext, builder: GraphBuilder,
-                 bool_cts: dict[int, Ciphertext] | None = None,
-                 sqrt_cts: dict[int, Ciphertext] | None = None):
+                 bool_cts: dict[int, Ciphertext] | None = None):
         self.ctx = ctx
         self.b = builder
         self.memo: dict[int, Ciphertext] = {}
-        self._tape: tuple | None = None  # the followed plan's segments
-        self._next = 0  # the segment the next ask replays
-        for kind, cts in (("b", bool_cts), ("s", sqrt_cts)):
-            for i, ct in (cts or {}).items():
-                self.bind(builder._param_nodes[kind, i], ct)
+        self.plan: RunPlan | None = None  # the followed plan
+        self._next = 0  # the segment of its tape the next ask replays
+        for i, ct in (bool_cts or {}).items():
+            self.bind(builder._param_nodes["b", i], ct)
 
     def bind(self, param: Expr, ct: Ciphertext) -> None:
         """Answer comparison or sqrt node ``param`` with ``ct``."""
@@ -769,7 +768,7 @@ class CipherEvaluator:
                              f"{len(self.memo.keys() - plan.evaluated)} of them not among those")
         for i in plan.dropped:
             del self.memo[i]
-        self._tape, self._next = plan.tape, 0
+        self.plan, self._next = plan, 0
 
     def _replay(self, steps) -> None:
         """Run tape ``steps`` in order, each into ``memo``, dropping what
@@ -799,14 +798,14 @@ class CipherEvaluator:
                     del m[i]
 
     def eval(self, root: Expr) -> Ciphertext:
-        memo, tape = self.memo, self._tape
+        memo, plan = self.memo, self.plan
         try:
-            if tape is None:
+            if plan is None:
                 if root.id not in memo:  # most calls ask again for an evaluated node
                     self._replay([_step(n) for n in schedule([root], memo, _bound)
                                   if n.op != BOOL and n.op != SQRT])
                 return memo[root.id]
-            pos = self._next
+            pos, tape = self._next, plan.tape
             if pos == len(tape) or tape[pos][0] != root.id:
                 raise ValueError(f"node {root.id} is not the plan's next ask: it was not "
                                  "declared, is asked out of order, or is asked for more "

@@ -41,27 +41,26 @@ in pools the slots refer into: one wire-id row per record comparison and
 sqrt, each lane map, each table, pooled per node (a leaf's per source)
 and width, never by value, each reference and each formed comparison.
 A slot parameter is a (row, map or none) reference and a monomial a row
-of pool indices, its coefficient a table or a reference.  A reference
-is a window weight, a coefficient ``±reindex(pixel node, map) * c``: it
-ships as (the pixel node's table, the map, ±c), so a per-pixel value
-such as a squared gradient magnitude ships once per pixel, not once per
-window position that reads it.  The server never evaluates such a
-coefficient, and the client makes the multiply the server would have
-made.
+of pool indices, its coefficient a table or a reference.
+
+A term is ``±c * reindex(T, map)`` or ``±c * T`` for a pure node T of
+more than one lane and a public scale c.  It ships as (T's table, the
+map or none, ±c), and the client makes the gather and the multiply the
+server would have made, so its values keep their bits.  A reference is
+a window weight, a coefficient that is a term with a map: a per-pixel
+value such as a squared gradient magnitude ships once per pixel, not
+once per window position that reads it, and the server never evaluates
+such a coefficient.
 
 A comparison whose two sides are each a public constant or at most two
-terms ``±c * reindex(T, map)`` or ``±c * T`` over pixel tables T (pure
-nodes of more than one lane, linear in leaf lanes) is formed: it ships
-as one row of those terms, each (T's table, map or none, ±c), and no
-records.  The client forms both sides from the tables with the float
-ops the server would have made, so its answers keep their bits; a
-linear table draws no simulated noise either.  In the pipeline these
-are detection's DoG tests and the orientation and descriptor boundary
-tests over per-pixel gradients: 222 of 234 comparisons.  Localize's
-polynomial tests, and any comparison over products or 1-lane values,
-still ship as records.  A table ships only the lanes its readers read,
-so the client sees no value that was not an operand or a coefficient
-before.
+terms over pixel tables (T linear in leaf lanes) is formed: it ships as
+one row of those terms and no records.  A linear table draws no
+simulated noise.  In the pipeline these are detection's DoG tests and
+the orientation and descriptor boundary tests over per-pixel gradients:
+222 of 234 comparisons.  Localize's polynomial tests, and any
+comparison over products or 1-lane values, still ship as records.  A
+table ships only the lanes its readers read, so the client sees no
+value that was not an operand or a coefficient before.
 
 The client alone sums the slots, in two parts.  A ``SlotPlan`` is made
 from the structural sections: it decodes the names, numbers the bit rows
@@ -126,13 +125,12 @@ RESP_DTYPE = np.dtype("<f8")  # every answer is encrypted at full depth
 
 _SLOT = np.dtype([("width", "<u4"), ("stride", "<u4")])  # stride: _U4s per monomial
 _PARAM = np.dtype([("row", "<u4"), ("map", "<u4")])
-# a window weight: a coefficient table read through a lane map, times a
-# public scale
+# a term: a table read through a lane map, or whole when the map is _NONE
+# (a formed term's alone), times a public scale; a reference is one
 _REF = np.dtype([("table", "<u4"), ("map", "<u4"), ("scale", "<f8")])
 # a formed comparison, [lhs > rhs] over ``width`` lanes: each side is the
-# sum of its terms whose table is not _NONE, each a table read through
-# its map (or whole, when the map is _NONE) times its scale; a side with
-# no such term is the constant its first term's scale holds
+# sum of its terms whose table is not _NONE; a side with no such term is
+# the constant its first term's scale holds
 _FORMED = np.dtype([("width", "<u4"), ("lhs", _REF, (2,)), ("rhs", _REF, (2,))])
 _NONE = 0xFFFFFFFF  # no lane map; an unused monomial column; an absent term
 
@@ -175,20 +173,21 @@ def _table(buf, off: int, dtype, count: int) -> tuple[np.ndarray, int]:
     return arr, off + arr.nbytes
 
 
-def _package_size(header: dict[str, int], lengths: dict[str, list[int]]) -> int:
-    """Bytes in a package with ``header``'s counts and ragged run ``lengths``."""
+def _package_size(sizes: dict) -> int:
+    """Bytes in a package whose sections have ``sizes``: a plain
+    section's item count, a ragged one's run lengths."""
     return _HEADER.itemsize + sum(
-        header[count] * _U4.itemsize + int(sum(lengths[name])) * dtype.itemsize if ragged
-        else header[count] * dtype.itemsize for name, dtype, count, ragged in _SECTIONS)
+        len(sizes[name]) * _U4.itemsize + int(sum(sizes[name])) * dtype.itemsize if ragged
+        else sizes[name] * dtype.itemsize for name, dtype, _, ragged in _SECTIONS)
 
 
-def _sections(buf, lengths: dict[str, list[int]] | None = None) -> dict:
+def _sections(buf, sizes: dict | None = None) -> dict:
     """``buf``'s header, as "header", and every section it counts, as
     views into ``buf``: a plain one as its table, a ragged one as
-    (lengths, flat runs).  Given ``lengths``, each ragged section's
-    lengths are written before the walk reads past them, so the writer
-    and the parser share this walk.  Bytes past the last section are a
-    ValueError, like a short table."""
+    (lengths, flat runs).  Given ``sizes``, as ``_package_size`` takes
+    them, each ragged section's lengths are written before the walk
+    reads past them, so the writer and the parser share this walk.
+    Bytes past the last section are a ValueError, like a short table."""
     header, off = _table(buf, 0, _HEADER, 1)
     out = {"header": header[0]}
     for name, dtype, count, ragged in _SECTIONS:
@@ -196,8 +195,8 @@ def _sections(buf, lengths: dict[str, list[int]] | None = None) -> dict:
             out[name], off = _table(buf, off, dtype, int(header[count][0]))
             continue
         lens, off = _table(buf, off, _U4, int(header[count][0]))
-        if lengths is not None:
-            lens[:] = lengths[name]
+        if sizes is not None:
+            lens[:] = sizes[name]
         flat, off = _table(buf, off, dtype, int(lens.sum(dtype=np.int64)))
         out[name] = lens, flat
     if off != len(buf):
@@ -303,15 +302,14 @@ class LoweredProgram:
     ``coeff_nodes`` pools the tables as (node, slot width): one table per
     node and width, or per leaf source and width, never merged by value,
     so which monomials share a table follows from the graph alone.  A
-    window weight, ``±reindex(pixel node, map) * c``, is not a table but
-    a reference (pixel node's table, map, ±c), and a formed comparison's
-    terms are (pixel table, map or ``_NONE``, ±c) too.  ``table_lanes``
-    holds, per table, the lanes it ships when its readers read only some
-    of them, else None.  ``client_nodes`` holds what the client computes
-    from the tables, so the server need not ask for it: each reference's
-    coefficient node and each formed comparison's operands.  ``lane_maps``
-    pools the maps of the reindexed parameters, references and terms by
-    content.  ``bind`` adds the ciphertexts: ``cmp_operands`` and
+    window weight, a term with a map, is not a table but a reference,
+    and a formed comparison's sides are terms too: each is (T's table,
+    map or ``_NONE``, ±c).  ``table_lanes`` holds, per table, the lanes
+    it ships when its readers read only some of them, else None.
+    ``client_nodes`` holds what the client computes from the tables, so
+    the server need not ask for it: each reference's coefficient node and
+    each formed comparison's operands.  ``lane_maps`` pools the maps of
+    the reindexed parameters and of the terms by content.  ``bind`` adds the ciphertexts: ``cmp_operands`` and
     ``sqrt_args`` by request id, and ``coeff_tables`` as (ciphertext,
     lanes) per pooled table.
     """
@@ -363,19 +361,20 @@ def lower(builder: GraphBuilder, slots: dict[str, Expr],
     holds the structure alone, which depends on the graph only, and
     ``LoweredProgram.bind`` adds the ciphertexts of each input.
 
-    A comparison whose two sides ``_side`` recognises, at least one of
-    them with a term, is formed: the client forms both sides from the
-    terms' pixel tables, so it ships no records and no wire-id row.
-    Every other comparison ships as records.  Rows are numbered record
+    ``_term`` alone recognises a term, ``±c * reindex(T, map)`` or
+    ``±c * T``.  A comparison whose two sides ``_side`` recognises, at
+    least one of them with a term, is formed: the client forms both
+    sides from the terms' pixel tables, so it ships no records and no
+    wire-id row.  Every other comparison ships as records.  Rows are numbered record
     comparisons first, then formed ones, then sqrts, each in id order.
 
     A slot's parameters are numbered slot-locally in normal-form key
     order: plain comparisons, then reindexed ones, then sqrts.  Each
     monomial row is its coefficient followed by those local indices in
     the same order, padded with ``_NONE`` to the slot's highest degree.
-    A coefficient of the slot's width that ``_window_weight`` recognises
-    is a reference, and its pixel node a table; references are numbered
-    after the tables.
+    A coefficient of the slot's width that is a term with a map is a
+    reference, and its T a table; references are numbered after the
+    tables.
 
     A table read only through lane maps, by references and formed terms,
     ships the union of the lanes they read, and their maps are remapped
@@ -439,8 +438,8 @@ def lower(builder: GraphBuilder, slots: dict[str, Expr],
 
     def coefficient(e: Expr, width: int) -> int:
         """Table k as k, reference j as -1 - j."""
-        weight = _window_weight(builder, e) if e.width == width else None
-        if weight is None:
+        weight = _term(builder, e) if e.width == width else None
+        if weight is None or weight[1] is None:
             k = table(e, width)
             whole.add(k)
             return k
@@ -546,18 +545,6 @@ def _scaled(e: Expr) -> tuple[float, Expr] | None:
     return scale, e
 
 
-def _window_weight(builder: GraphBuilder, e: Expr) -> tuple[Expr, Reindex, float] | None:
-    """(pixel node, its reindexing, scale) when coefficient ``e`` is
-    ``±reindex(pixel node, map) * c`` for a plain scalar c (or 1), else
-    None.  The server computes such a node as a gather, a multiply by c
-    and sign flips (``_scaled``), so ``pixels[map] * ±c`` gives its bits."""
-    scaled = _scaled(e)
-    if scaled is None or scaled[1].op != REINDEX or scaled[1].tier != 0:
-        return None
-    scale, e = scaled
-    return e.a, builder.reindexed[e.payload], scale
-
-
 def _linear(e: Expr, memo: dict[int, bool]) -> bool:
     """Whether ``e`` is linear in leaf lanes: a pure node built from
     leaves, reindexing, additions, negations and multiplies by a plain
@@ -582,41 +569,46 @@ def _linear(e: Expr, memo: dict[int, bool]) -> bool:
     return memo[e.id]
 
 
-def _term(builder: GraphBuilder, e: Expr, linear: dict[int, bool]):
-    """(pixel table, its reindexing or None, scale) when ``e`` is
-    ``±c * reindex(T, map)`` or ``±c * T`` for a pixel table T, else None.
-    A pixel table is a pure node of more than one lane, linear in leaf
-    lanes (``_linear``); the client gets it whole, so ``T[map] * ±c``
-    gives the server's bits (``_scaled``)."""
+def _term(builder: GraphBuilder, e: Expr) -> tuple[Expr, Reindex | None, float] | None:
+    """(T, its reindexing or None, scale) when ``e`` is ``±c *
+    reindex(T, map)`` or ``±c * T`` for a pure node T of more than one
+    lane and a plain scalar c (or 1), else None.  The server computes
+    such a node from T as a gather, a multiply by c and sign flips
+    (``_scaled``), so ``T[map] * ±c`` gives its bits."""
     scaled = _scaled(e)
     if scaled is None:
         return None
     scale, e = scaled
     r = None
-    if e.op == REINDEX and e.tier == 0:
+    if e.op == REINDEX:
         r, e = builder.reindexed[e.payload], e.a
-    if e.width < 2 or not _linear(e, linear):
-        return None
-    return e, r, scale
+    return (e, r, scale) if e.tier == 0 and e.width > 1 else None
 
 
 def _side(builder: GraphBuilder, e: Expr, linear: dict[int, bool]):
     """A formed comparison's side: a plain scalar, as a float, or a list of
-    one ``_term``, ``e`` itself, or two, when ``e`` adds two terms over
-    tables that are not leaves; else None.  The server computes the sum
-    as one add (or a subtraction, the same bits), and two terms have no
-    order to choose.  Split into leaves, a difference of two pixel reads
-    such as a gradient would ship the raw pyramid level it reads, where
-    unsplit it ships the gradient, which the comparison reveals anyway."""
+    one ``_term`` over a pixel table, ``e`` itself, or two, when ``e`` adds
+    two such terms over tables that are not leaves; else None.  A pixel
+    table is a T linear in leaf lanes (``_linear``).  The server computes
+    the sum as one add (or a subtraction, the same bits), and two terms
+    have no order to choose.  Split into leaves, a difference of two
+    pixel reads such as a gradient would ship the raw pyramid level it
+    reads, where unsplit it ships the gradient, which the comparison
+    reveals anyway."""
     c = _scalar(e)
     if c is not None:
         return c
+
+    def term(k: Expr):
+        t = _term(builder, k)
+        return t if t is not None and _linear(t[0], linear) else None
+
     if e.op == ADD:
-        pair = [_term(builder, k, linear) for k in (e.a, e.c)]
+        pair = [term(k) for k in (e.a, e.c)]
         if None not in pair and all(t[0].op != CIPHER for t in pair):
             return pair
-    term = _term(builder, e, linear)
-    return None if term is None else [term]
+    t = term(e)
+    return None if t is None else [t]
 
 
 def _formed(builder: GraphBuilder, c: Comparison, linear: dict[int, bool]):
@@ -768,12 +760,8 @@ class SlotPlan:
         # bit row, numbered from 1 per width in that order
         r = row[is_cmp]
         keys = np.stack([width[is_cmp], lane_map[is_cmp], lengths[r], r], axis=1)
-        order = np.lexsort(keys.T[::-1])
-        new = np.ones(len(order), dtype=bool)
-        new[1:] = np.any(keys[order[1:]] != keys[order[:-1]], axis=1)
-        uniq = keys[order[new]]
-        inverse = np.empty(len(order), dtype=np.intp)
-        inverse[order] = np.cumsum(new) - 1
+        uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
+        inverse = inverse.reshape(-1)  # 2-D from an axis= call in some numpy 2 releases
         bit_rows = np.arange(len(uniq)) - np.searchsorted(uniq[:, 0], uniq[:, 0]) + 1
         self.n_bits = dict.fromkeys(slot_width.tolist(), 0)  # width -> bit rows, past 0
         self.n_bits.update(zip(*(v.tolist() for v in np.unique(uniq[:, 0], return_counts=True))))
@@ -1117,28 +1105,28 @@ def _bind_response(width: int, values: np.ndarray, level: int) -> Ciphertext:
 def run_interactive(ctx: CkksContext, builder: GraphBuilder, slots: dict[str, Expr],
                     client: Client, policy: DecoyPolicy = DecoyPolicy(),
                     seed: int = 0, evaluator: CipherEvaluator | None = None,
-                    evaluate_slots: bool = True, run_plan: RunPlan | None = None) -> ProtocolRun:
+                    evaluate_slots: bool = True) -> ProtocolRun:
     """Resolve parameters wave by wave; rounds = dependency depth.
 
     Client answers come back encrypted at the full depth budget, which is
-    the only level-restoration mechanism in the system.  ``run_plan`` is
-    the plan ``evaluator`` already follows, made for the slots and
-    already asked for its ``first`` roots; without one, the run is planned
-    now, over the slots and what the evaluator holds.  The plan holds the
-    requests, asked here tier by tier, and the tape each ask replays, which
-    frees each ciphertext, answers included, after its last read.  With
-    ``evaluate_slots`` off, the caller must then ask for each slot once,
-    in the order of ``slots``, or of the roots ``run_plan`` was made for.
-    Requests the evaluator was built with answers to are not asked again.
+    the only level-restoration mechanism in the system.  An ``evaluator``
+    that already follows a plan (``CipherEvaluator.plan``) runs it: one
+    made for the slots, and already asked for its ``first`` roots;
+    otherwise the run is planned now, over the slots and what the
+    evaluator holds.  The plan holds the requests, asked here tier by
+    tier, and the tape each ask replays, which frees each ciphertext,
+    answers included, after its last read.  With ``evaluate_slots`` off,
+    the caller must then ask for each slot once, in the order of
+    ``slots``, or of the roots the plan was made for.  Requests the
+    evaluator was given answers to are not asked again.
     """
     rng = np.random.default_rng(seed)
     ev = evaluator if evaluator is not None else CipherEvaluator(ctx, builder)
-    if run_plan is None:
-        run_plan = RunPlan.over(slots.values(), ev.memo)
-        ev.follow(run_plan)
+    if ev.plan is None:
+        ev.follow(RunPlan.over(slots.values(), ev.memo))
     trace: list[RoundTrace] = []
     full = ctx.params.depth_budget
-    for round_no, (tier_cmps, tier_sqrts) in enumerate(run_plan.by_tier(), start=1):
+    for round_no, (tier_cmps, tier_sqrts) in enumerate(ev.plan.by_tier(), start=1):
         pairs = [(ev.eval(n.a), ev.eval(n.c)) for n in tier_cmps]
         cwidths = [n.width for n in tier_cmps]
         swidths = [n.width for n in tier_sqrts]
@@ -1188,23 +1176,22 @@ def serialize_package(program: LoweredProgram, policy: DecoyPolicy = DecoyPolicy
     cmp_operands = ([lhs for lhs, _ in pairs], [rhs for _, rhs in pairs])
     sqrt_operands = (list(program.sqrt_args.values()),)
     sections = program.sections
-    header = {"cmp_level": _batch_level(cmp_operands),
-              "sqrt_level": _batch_level(sqrt_operands),
-              "n_cmp": policy.padded_size(sum(cmp_widths)),
-              "n_sqrt": policy.padded_size(sum(sqrt_widths)),
-              "n_cmp_rows": len(cmp_widths), "n_sqrt_rows": len(sqrt_widths),
-              "n_maps": len(program.lane_maps), "n_coeffs": len(program.coeff_tables),
-              "n_refs": len(sections["refs"]), "n_formed": len(sections["formed"]),
-              "n_slots": len(sections["slots"])}
-    lengths = {name: part[0] for name, part in sections.items() if isinstance(part, tuple)}
-    lengths.update(cmp_rows=cmp_widths, sqrt_rows=sqrt_widths,
-                   maps=[len(m) for m in program.lane_maps],
-                   coeffs=[w for _, w in program.coeff_tables])
+    sizes = {"comparisons": policy.padded_size(sum(cmp_widths)),
+             "sqrts": policy.padded_size(sum(sqrt_widths)),
+             "cmp_rows": cmp_widths, "sqrt_rows": sqrt_widths,
+             "maps": [len(m) for m in program.lane_maps],
+             "coeffs": [w for _, w in program.coeff_tables],
+             "levels": len(program.coeff_tables),
+             **{name: part[0] if isinstance(part, tuple) else len(part)
+                for name, part in sections.items()}}
+    header = {"cmp_level": _batch_level(cmp_operands), "sqrt_level": _batch_level(sqrt_operands),
+              **{count: len(sizes[name]) if ragged else sizes[name]
+                 for name, _, count, ragged in _SECTIONS}}
 
     # every byte is written below, so the buffer need not be zeroed first
-    buf = _wire_buffer(_package_size(header, lengths), _HEADER.itemsize)
+    buf = _wire_buffer(_package_size(sizes), _HEADER.itemsize)
     buf[:_HEADER.itemsize].view(_HEADER)[0] = (_PKG_MAGIC, *(header[f] for f in _HEADER.names[1:]))
-    sec = _sections(buf, lengths)
+    sec = _sections(buf, sizes)
     sec["cmp_rows"][1][:] = _pad_and_shuffle(sec["comparisons"], cmp_widths, cmp_operands, rng)
     sec["sqrt_rows"][1][:] = _pad_and_shuffle(sec["sqrts"], sqrt_widths, sqrt_operands, rng)
     np.concatenate([np.empty(0, _U4), *program.lane_maps], out=sec["maps"][1], casting="unsafe")
@@ -1219,12 +1206,11 @@ def serialize_package(program: LoweredProgram, policy: DecoyPolicy = DecoyPolicy
     return buf.data
 
 
-def _check_refs(what: str, refs: np.ndarray, count, none_ok: bool = False):
-    """ValueError unless every reference is below its ``count`` (one for
-    all, or one per reference), or is ``_NONE`` where ``none_ok``."""
-    bad = refs >= count
-    if none_ok:
-        bad &= refs != _NONE
+def _check_refs(what: str, refs: np.ndarray, count, none_ok=False):
+    """ValueError unless every reference is below its ``count``, or is
+    ``_NONE`` where ``none_ok``; each of the two is one for all, or one
+    per reference."""
+    bad = (refs >= count) & ~(np.asarray(none_ok) & (refs == _NONE))
     if bad.any():
         i = np.flatnonzero(bad)[0]
         raise ValueError(f"deferred package {what} {int(refs[i])} is out of range "
@@ -1250,17 +1236,18 @@ def parse_package(blob) -> dict:
 
     Every reference is checked against what it points into: a wire id
     against its kind's records, a parameter's row and map against the
-    pools and the map's lanes against the row, a window weight's or a
-    formed term's table and map against the pools and the map's lanes
-    against the table, a monomial's coefficient and parameter indices
-    against the pools and the slot.  So is every width: a slot's
+    pools and the map's lanes against the row, every term's table and
+    map, the window weights' and the formed sides' in one pass, against
+    the pools and the map's lanes against the table, a monomial's
+    coefficient and parameter indices against the pools and the slot.
+    Only a formed term may have no map.  So is every width: a slot's
     coefficients have its width in lanes, a window weight's being its
     map's, and each of its parameters, read through its map if it has
     one, 1 or that width; each term of a formed comparison, likewise, 1
     or its row's width, which is its widest term's (1 with none).  An
-    absent term has no map.  One out of range is
-    a ValueError, like a truncated package.  The names are decoded, and
-    checked, where they are read: by ``SlotPlan`` and ``dump_package``.
+    absent term has no map.  One out of range is a ValueError, like a
+    truncated package.  The names are decoded, and checked, where they
+    are read: by ``SlotPlan`` and ``dump_package``.
     """
     if blob[:len(_PKG_MAGIC)] != _PKG_MAGIC:
         raise ValueError("not a deferred package")
@@ -1278,33 +1265,32 @@ def parse_package(blob) -> dict:
     if full.any():  # reduceat would read an empty map's first lane past its end
         map_top[full] = np.maximum.reduceat(map_lanes, (np.cumsum(map_lens) - map_lens)[full])
     coeff_lens = sec["coeffs"][0].astype(np.int64)
-    ref_table, ref_map = sec["refs"]["table"].astype(np.intp), sec["refs"]["map"].astype(np.intp)
-    _check_refs("reference's coefficient table", ref_table, len(coeff_lens))
-    _check_refs("reference's lane map", ref_map, len(map_lens))
-    if np.any(map_top[ref_map] >= coeff_lens[ref_table]):
-        raise ValueError("deferred package reference's lane map reads past the end of its table")
-    terms = np.concatenate([formed["lhs"], formed["rhs"]], axis=1)  # (rows x 4 terms)
-    present = terms["table"] != _NONE
-    if np.any(terms["map"][~present] != _NONE):
+    sides = np.concatenate([formed["lhs"], formed["rhs"]], axis=1)  # (rows x 4 terms)
+    present = sides["table"] != _NONE
+    if np.any(sides["map"][~present] != _NONE):
         raise ValueError("deferred package formed comparison's absent term has a lane map")
-    term_table = terms["table"][present].astype(np.intp)
-    term_map = terms["map"][present].astype(np.intp)
-    _check_refs("formed term's table", term_table, len(coeff_lens))
-    _check_refs("formed term's lane map", term_map, len(map_lens), none_ok=True)
+    # every term, the references first; only a formed one may read its table whole
+    n_refs = len(sec["refs"])
+    terms = np.concatenate([sec["refs"], sides[present]])
+    term_table, term_map = terms["table"].astype(np.intp), terms["map"].astype(np.intp)
+    _check_refs("term's table", term_table, len(coeff_lens))
+    _check_refs("term's lane map", term_map, len(map_lens),
+                none_ok=np.arange(len(terms)) >= n_refs)
     mapped = term_map != _NONE
     if np.any(map_top[term_map[mapped]] >= coeff_lens[term_table[mapped]]):
-        raise ValueError("deferred package formed term's lane map reads past the end of its table")
-    term_lanes = coeff_lens[term_table]  # each present term's, read through its map if it has one
+        raise ValueError("deferred package term's lane map reads past the end of its table")
+    term_lanes = coeff_lens[term_table]  # each term's, read through its map if it has one
     term_lanes[mapped] = map_lens[term_map[mapped]]
-    row_width = np.broadcast_to(formed["width"][:, None], terms.shape)[present]
-    if np.any((term_lanes != 1) & (term_lanes != row_width)):
+    side_lanes = term_lanes[n_refs:]
+    row_width = np.broadcast_to(formed["width"][:, None], sides.shape)[present]
+    if np.any((side_lanes != 1) & (side_lanes != row_width)):
         raise ValueError("deferred package formed comparison side has neither 1 lane "
                          "nor its row's width")
-    widest = np.ones(terms.shape, dtype=np.int64)
-    widest[present] = term_lanes
+    widest = np.ones(sides.shape, dtype=np.int64)
+    widest[present] = side_lanes
     if np.any(widest.max(axis=1, initial=1) != formed["width"]):
         raise ValueError("deferred package formed comparison's width is not its widest term's")
-    coeff_lens = np.concatenate([coeff_lens, map_lens[ref_map]])  # each coefficient's lanes
+    coeff_lens = np.concatenate([coeff_lens, term_lanes[:n_refs]])  # each coefficient's lanes
 
     width = sec["slots"]["width"].astype(np.int64)
     stride = sec["slots"]["stride"].astype(np.int64)
@@ -1367,9 +1353,11 @@ def dump_package(blob: bytes) -> str:
             return f"b{r}"
         return f"f{r - n_crows}" if r < n_crows + n_formed else f"s{r - n_crows - n_formed}"
 
+    def term(k: int, m: int, scale: float) -> str:
+        return f"k{k}" + ("" if m == _NONE else f"[m{m}]") + f" * {scale:.6g}"
+
     def side(terms) -> str:
-        present = [f"k{k}" + ("" if m == _NONE else f"[m{m}]") + f" * {scale:.6g}"
-                   for k, m, scale in terms.tolist() if k != _NONE]
+        present = [term(*t) for t in terms.tolist() if t[0] != _NONE]
         return " + ".join(present) or f"{terms['scale'][0]:.6g}"
 
     lines = [f"comparisons: {len(pkg['comparisons'])} @{pkg['cmp_level']}",
@@ -1389,8 +1377,8 @@ def dump_package(blob: bytes) -> str:
         vals = " ".join(f"{v:.6g}" for v in lanes)
         lines.append(f"  k{k} : [{vals}] @{level}")
     lines.append(f"refs: {len(pkg['refs'])}")
-    for j, (k, m, scale) in enumerate(pkg["refs"].tolist()):
-        lines.append(f"  x{j} = k{k}[m{m}] * {scale:.6g}")
+    for j, ref in enumerate(pkg["refs"].tolist()):
+        lines.append(f"  x{j} = {term(*ref)}")
     lines.append(f"formed: {n_formed}")
     for i, row in enumerate(pkg["formed"]):
         lines.append(f"  f{i} = [{side(row['lhs'])}] > [{side(row['rhs'])}] "

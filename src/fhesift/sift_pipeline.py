@@ -75,7 +75,7 @@ import numpy as np
 
 from .ckks_sim import Ciphertext, CkksContext, SimParams, concat, gather
 from .deferred_graph import CIPHER, CipherEvaluator, Expr, GraphBuilder, RunPlan
-from .errors import ConfigError, DeferralUnsupported, DepthExhausted
+from .errors import ConfigError, DepthExhausted
 # bin_mask is unused here but stays importable: benchmark tracing rebinds it by name
 from .kernels import bin_mask, convolve2d, gaussian_kernel1d, vec_argmax_onehot, weighted_histogram
 from .protocol import Client, DecoyPolicy, LoweredProgram, lower, run_deferred, run_interactive
@@ -765,10 +765,6 @@ def run_pipeline(img, cfg: PipelineConfig | None = None, sim: SimParams | None =
         return PipelineResult(kps, report)
     if mode not in ("interactive", "deferred"):
         raise ConfigError(f"unknown mode {mode!r}")
-    if mode == "deferred" and cfg.orientation_weighting == SQRT_MAGNITUDE:
-        raise DeferralUnsupported(
-            "sqrt-magnitude orientation weighting resolves square roots "
-            "mid-histogram; run it interactively")
 
     misses, start = _memo_circuit.cache_info().misses, time.perf_counter()
     circuit = _memo_circuit(img.shape, cfg, mode, repr(cfg))
@@ -806,7 +802,7 @@ def run_pipeline(img, cfg: PipelineConfig | None = None, sim: SimParams | None =
     else:
         with _stage(ctx, report, "protocol", depth_stage=circuit.waiting_stage):
             run = run_interactive(ctx, b, plan.slots, client, DecoyPolicy(), seed=seed,
-                                  evaluator=ev, evaluate_slots=False, run_plan=circuit.run_plan)
+                                  evaluator=ev, evaluate_slots=False)
         report.rounds = run.rounds
         values = {}
         for stage in _GRAPH_STAGES:

@@ -4,10 +4,13 @@ import pytest
 
 from conftest import make_blob16
 
-from fhesift import deferred_graph
+from fhesift import cli, deferred_graph
+from fhesift.ckks_sim import CkksContext, SimParams
 from fhesift.cli import main, parse_settings
+from fhesift.deferred_graph import GraphBuilder
 from fhesift.errors import ConfigError
 from fhesift.pgm import format_pgm
+from fhesift.protocol import lower
 from fhesift.sift_pipeline import STAGES, keypoints_from_text
 
 MODES = ("plaintext", "interactive", "deferred")
@@ -216,12 +219,24 @@ def test_oversized_normal_form_exits_1(image_path, tmp_path, capsys, monkeypatch
     assert not (tmp_path / "o").exists()
 
 
-def test_undeferrable_weighting_exits_3(image_path, tmp_path, capsys):
+def test_undeferrable_program_exits_3(image_path, tmp_path, capsys, monkeypatch):
+    """A program only interactive rounds can run exits 3.  No pipeline
+    config lowers to one, so the run lowers a comparison of a select on
+    another comparison's answer, which ``lower`` refuses."""
+
+    def undeferrable(*args, **kwargs):
+        ctx, b = CkksContext(SimParams()), GraphBuilder()
+        x, y = b.cipher(ctx.encrypt(1.0)), b.cipher(ctx.encrypt(2.0))
+        lower(b, {"out": b.compare(b.select(b.compare(x, y), x, y), b.plain(1.5))})
+
+    monkeypatch.setattr(cli, "run_pipeline", undeferrable)
     rc = main(["run", str(image_path), "--mode", "deferred",
-               "--out", str(tmp_path / "o"), "--set", "octaves=1",
-               "--set", "orientation_weighting=sqrt-magnitude"])
+               "--out", str(tmp_path / "o"), "--set", "octaves=1"])
     assert rc == 3
-    assert "cannot defer" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot defer: comparison ")
+    assert "depends on other unresolved parameters" in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_unknown_mode_is_rejected_by_the_parser(image_path):

@@ -23,7 +23,7 @@ from fhesift import (
     sift_pipeline,
 )
 from fhesift.cli import _flat_report, render_kv
-from fhesift.errors import ConfigError, DeferralUnsupported, DepthExhausted
+from fhesift.errors import ConfigError, DepthExhausted
 from fhesift.oracle import ambiguous_keypoints, ambiguous_sites, run_with_margins, site_of
 from fhesift.sift_pipeline import (
     MAGNITUDE_SQUARED,
@@ -451,7 +451,8 @@ def test_sqrt_weighting_runs_interactively_and_matches(blob16):
 
 @pytest.mark.parametrize("mode,weighting", [("interactive", MAGNITUDE_SQUARED),
                                             ("deferred", MAGNITUDE_SQUARED),
-                                            ("interactive", SQRT_MAGNITUDE)])
+                                            ("interactive", SQRT_MAGNITUDE),
+                                            ("deferred", SQRT_MAGNITUDE)])
 def test_wire_bytes_follow_from_lanes(blob16, monkeypatch, mode, weighting):
     """A comparison record is 16 B, a sqrt record 8 B, a non-empty request
     batch's level 4 B and an answer 8 B, so ``len`` of every blob on the
@@ -497,10 +498,24 @@ def test_batches_ship_at_their_lowest_operand_level_which_follows_from_shape(sui
     assert cmp_level < SimParams().depth_budget
 
 
-def test_sqrt_weighting_cannot_ship_deferred(blob16):
+def test_sqrt_weighting_ships_deferred_in_one_round(blob16):
+    """The window weights' roots feed the orientation histogram's sums
+    alone, and in deferred mode the client takes the argmax, so no root
+    feeds a comparison: the package ships them, and the client multiplies
+    them into the sums as the server would have."""
     cfg = PipelineConfig(octaves=1, orientation_weighting=SQRT_MAGNITUDE)
-    with pytest.raises(DeferralUnsupported):
-        run_pipeline(blob16, cfg, mode="deferred", seed=SEED)
+    rp = run_pipeline(blob16, cfg, mode="plaintext")
+    ri = run_pipeline(blob16, cfg, mode="interactive", seed=SEED, keep_slots=True)
+    rd = run_pipeline(blob16, cfg, mode="deferred", seed=SEED, keep_slots=True)
+    (only,) = rd.report.rounds
+    assert only.n_real_sqrts > 0
+    assert len(rp.keypoints) == 1
+    assert compare_keypoints(rp.keypoints, rd.keypoints)["equal"]
+    assert compare_keypoints(ri.keypoints, rd.keypoints, descriptor_tol=0.0)["equal"]
+    shared = sorted(set(ri.slots) & set(rd.slots))
+    assert shared
+    for k in shared:
+        assert np.array_equal(np.asarray(ri.slots[k]), np.asarray(rd.slots[k])), k
 
 
 # -- shared slots across modes ----------------------------------------------------------

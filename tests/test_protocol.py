@@ -341,12 +341,17 @@ def _patch_ref_map(pkg):
     pkg["refs"]["map"][0] = len(pkg["maps"][0])
 
 
-@pytest.mark.parametrize("patch", [_patch_ref_table, _patch_ref_map])
+def _patch_ref_map_none(pkg):
+    # only a formed term may read its table whole
+    pkg["refs"]["map"][0] = protocol._NONE
+
+
+@pytest.mark.parametrize("patch", [_patch_ref_table, _patch_ref_map, _patch_ref_map_none])
 def test_parse_package_rejects_a_window_weight_out_of_range(patch):
     ctx, b, slots = _weight_toy()
     blob = bytearray(serialize_package(lower(b, slots, ctx), seed=1))
     patch(parse_package(blob))
-    with pytest.raises(ValueError, match="reference's .* out of range"):
+    with pytest.raises(ValueError, match="term's .* out of range"):
         parse_package(blob)
     with pytest.raises(ValueError):
         Client(ctx).resolve_package(blob)
@@ -713,8 +718,9 @@ def _check_release(b: GraphBuilder, slots: dict):
     pe, enc = PlainEvaluator(b), CkksContext(SimParams(depth_budget=20))
     keep_ctx = CkksContext(SimParams(depth_budget=20))
     keep = CipherEvaluator(keep_ctx, b,
-                           {c.id: enc.encrypt(pe.bool_value(c)) for c in b.comparisons},
-                           {q.id: enc.encrypt(np.sqrt(pe.eval(q.arg))) for q in b.sqrts})
+                           {c.id: enc.encrypt(pe.bool_value(c)) for c in b.comparisons})
+    for q in b.sqrts:
+        keep.bind(b.sqrt_deferred(q.arg), enc.encrypt(np.sqrt(pe.eval(q.arg))))
     for e in [e for c in b.comparisons for e in (c.lhs, c.rhs)] + [q.arg for q in b.sqrts]:
         keep.eval(e)
     want = {name: keep.eval(e) for name, e in slots.items()}
@@ -757,11 +763,11 @@ def test_declare_returns_the_unanswered_requests_and_declares_their_operands():
     with pytest.raises(ValueError, match="more often than declared"):
         ev.eval(arg)  # asked for once, by its request
 
-    # answers given to the constructor are not asked again, nor are their
+    # answers bound before planning are not asked again, nor are their
     # operands declared
     pe = PlainEvaluator(b)
-    answered = CipherEvaluator(ctx, b, {c1.payload: ctx.encrypt(pe.eval(c1))},
-                               {s.payload: ctx.encrypt(pe.eval(s))})
+    answered = CipherEvaluator(ctx, b, {c1.payload: ctx.encrypt(pe.eval(c1))})
+    answered.bind(s, ctx.encrypt(pe.eval(s)))
     plan = RunPlan.over(slots.values(), answered.memo)
     answered.follow(plan)
     assert plan.requests == [c2]
@@ -1361,9 +1367,9 @@ def _patch_row_wider_than_its_terms(pkg):
 
 
 @pytest.mark.parametrize("patch,reason", [
-    (_patch_term_table, "formed term's table .* out of range"),
-    (_patch_term_map, "formed term's lane map .* out of range"),
-    (_patch_term_map_past_its_table, "formed term's lane map reads past the end of its table"),
+    (_patch_term_table, "term's table .* out of range"),
+    (_patch_term_map, "term's lane map .* out of range"),
+    (_patch_term_map_past_its_table, "term's lane map reads past the end of its table"),
     (_patch_side_width, "side has neither 1 lane nor its row's width"),
     (_patch_absent_term_map, "absent term has a lane map"),
     (_patch_row_wider_than_its_terms, "width is not its widest term's"),
