@@ -1206,14 +1206,15 @@ def serialize_package(program: LoweredProgram, policy: DecoyPolicy = DecoyPolicy
     return buf.data
 
 
-def _check_refs(what: str, refs: np.ndarray, count, none_ok=False):
+def _check_refs(what, refs: np.ndarray, count, none_ok=False):
     """ValueError unless every reference is below its ``count``, or is
-    ``_NONE`` where ``none_ok``; each of the two is one for all, or one
-    per reference."""
+    ``_NONE`` where ``none_ok``; each of the three, ``what`` naming the
+    reference, is one for all, or one per reference."""
     bad = (refs >= count) & ~(np.asarray(none_ok) & (refs == _NONE))
     if bad.any():
         i = np.flatnonzero(bad)[0]
-        raise ValueError(f"deferred package {what} {int(refs[i])} is out of range "
+        raise ValueError(f"deferred package {np.broadcast_to(what, refs.shape)[i]} "
+                         f"{int(refs[i])} is out of range "
                          f"(there are {int(np.broadcast_to(count, refs.shape)[i])})")
 
 
@@ -1273,12 +1274,16 @@ def parse_package(blob) -> dict:
     n_refs = len(sec["refs"])
     terms = np.concatenate([sec["refs"], sides[present]])
     term_table, term_map = terms["table"].astype(np.intp), terms["map"].astype(np.intp)
-    _check_refs("term's table", term_table, len(coeff_lens))
-    _check_refs("term's lane map", term_map, len(map_lens),
-                none_ok=np.arange(len(terms)) >= n_refs)
+    formed_term = np.arange(len(terms)) >= n_refs
+    whose = np.where(formed_term, "formed term's", "reference's")
+    _check_refs(np.char.add(whose, " table"), term_table, len(coeff_lens))
+    _check_refs(np.char.add(whose, " lane map"), term_map, len(map_lens), none_ok=formed_term)
     mapped = term_map != _NONE
-    if np.any(map_top[term_map[mapped]] >= coeff_lens[term_table[mapped]]):
-        raise ValueError("deferred package term's lane map reads past the end of its table")
+    past = np.zeros(len(terms), dtype=bool)
+    past[mapped] = map_top[term_map[mapped]] >= coeff_lens[term_table[mapped]]
+    if past.any():
+        raise ValueError(f"deferred package {whose[np.flatnonzero(past)[0]]} lane map "
+                         "reads past the end of its table")
     term_lanes = coeff_lens[term_table]  # each term's, read through its map if it has one
     term_lanes[mapped] = map_lens[term_map[mapped]]
     side_lanes = term_lanes[n_refs:]

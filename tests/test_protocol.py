@@ -351,7 +351,7 @@ def test_parse_package_rejects_a_window_weight_out_of_range(patch):
     ctx, b, slots = _weight_toy()
     blob = bytearray(serialize_package(lower(b, slots, ctx), seed=1))
     patch(parse_package(blob))
-    with pytest.raises(ValueError, match="term's .* out of range"):
+    with pytest.raises(ValueError, match="reference's .* out of range"):
         parse_package(blob)
     with pytest.raises(ValueError):
         Client(ctx).resolve_package(blob)
@@ -1367,9 +1367,9 @@ def _patch_row_wider_than_its_terms(pkg):
 
 
 @pytest.mark.parametrize("patch,reason", [
-    (_patch_term_table, "term's table .* out of range"),
-    (_patch_term_map, "term's lane map .* out of range"),
-    (_patch_term_map_past_its_table, "term's lane map reads past the end of its table"),
+    (_patch_term_table, "formed term's table .* out of range"),
+    (_patch_term_map, "formed term's lane map .* out of range"),
+    (_patch_term_map_past_its_table, "formed term's lane map reads past the end of its table"),
     (_patch_side_width, "side has neither 1 lane nor its row's width"),
     (_patch_absent_term_map, "absent term has a lane map"),
     (_patch_row_wider_than_its_terms, "width is not its widest term's"),
