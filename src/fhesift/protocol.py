@@ -4,39 +4,42 @@ The server evaluates arithmetic under the leveled simulator but cannot
 resolve comparisons or square roots.  Two shapes of exchange exist:
 
   * interactive: unresolved parameters are grouped by dependency tier and
-    shipped wave by wave.  The client decrypts the operand pair, answers
-    with a freshly encrypted 0/1 (or root) at full depth, and the server
-    keeps evaluating.  Rounds equal the comparison dependency depth.  The
+    shipped wave by wave.  The client decrypts the records, answers with
+    a freshly encrypted 0/1 (or root) at full depth, and the server keeps
+    evaluating.  Rounds equal the comparison dependency depth.  The
     server's evaluator follows a ``RunPlan``: the run's requests, and a
     tape of its steps, ask by ask, made from the graph alone, so a plan
     made once serves every input and the run walks no graph.
-  * deferred: the whole program is lowered to one package of comparison
-    operands, sqrt arguments, tables and the comparisons the client forms
-    from tables.  One round, after which the client finishes the
-    computation locally.
+  * deferred: the whole program is lowered to one package of records,
+    tables and the comparisons the client forms from tables.  One round,
+    after which the client finishes the computation locally.
 
-Every batch is padded with decoy records to a power of two (at least 8)
-and shuffled before it is written.  A record's wire id is its position
-in its batch, so neither says which comparison it belongs to, and an
-answer is one value per record, in request order.  Decoy operands draw
-their values from the real operand pool.  A batch ships at one level,
-the lowest among its real operands, to which a modulus switch of the
-wire copy brings it: an interactive request starts with that level, and
-the package header holds one for its comparisons and one for its sqrts.
-Records carry no level.  This leaks nothing new, since every operand's
-level follows from the circuit alone, not from the data.
+A record is one value: a sqrt's argument, or a comparison [lhs > rhs]'s
+difference lhs - rhs, one server ``sub``, which consumes no level; the
+client answers [d > 0].  For IEEE doubles with gradual underflow d > 0
+exactly when lhs > rhs: a tiny difference is exact, rounding keeps the
+sign, and an overflow is an infinity of that sign.  Every batch is
+padded with decoy records to a power of two (at least 8) and shuffled
+before it is written.  A record's wire id is its position in its batch,
+so neither says which comparison it belongs to, and an answer is one
+value per record, in request order.  Decoys draw their values from the
+batch's real ones.  A batch ships at one level, the lowest among its
+real records, to which a modulus switch of the wire copy brings it: an
+interactive request starts with that level, and the package header holds
+one for its comparisons and one for its sqrts.  Records carry no level.
+This leaks nothing new, since every record's level follows from the
+circuit alone, not from the data.
 
-Padding is staged: the real records are built in entry order, one
-column per operand, decoys draw from those columns, and one permutation
-moves whole records onto the wire.  The deferred package is one header and a
-fixed list of columnar sections, ``_SECTIONS``: the sizer, the writer and
-the parser each walk that list.  It is sized from the lowered program,
-allocated once and filled in place.
+Padding is staged: the real values are laid out in entry order, decoys
+draw from them, and one permutation moves them onto the wire.  The
+deferred package is one header and a fixed list of columnar sections,
+``_SECTIONS``: the sizer, the writer and the parser each walk that list.
+It is sized from the lowered program, allocated once and filled in place.
 
 Those sections are the slot tables' one form.  ``lower`` emits them (the
 references, formed comparisons, slots, names, parameters and monomials),
 so the serializer copies them, and ``LoweredProgram.bind`` adds one
-input's ciphertexts.  The package (``DCGPKG06``) ships every piece once,
+input's ciphertexts.  The package (``DCGPKG07``) ships every piece once,
 in pools the slots refer into: one wire-id row per record comparison and
 sqrt, each lane map, each table, pooled per node (a leaf's per source)
 and width, never by value, each reference and each formed comparison.
@@ -59,8 +62,8 @@ simulated noise.  In the pipeline these are detection's DoG tests and
 the orientation and descriptor boundary tests over per-pixel gradients:
 222 of 234 comparisons.  Localize's polynomial tests, and any
 comparison over products or 1-lane values, still ship as records.  A
-table ships only the lanes its readers read, so the client sees no
-value that was not an operand or a coefficient before.
+table ships only the lanes its readers read: each a comparison side's
+value or a coefficient.
 
 The client alone sums the slots, in two parts.  A ``SlotPlan`` is made
 from the structural sections: it decodes the names, numbers the bit rows
@@ -115,12 +118,12 @@ from .errors import DeferralUnsupported
 
 _U4 = np.dtype("<u4")  # lengths, wire ids, lanes, levels and pool references
 
-# Wire records.  A record's wire id is its position in its batch, and a
-# response is one RESP_DTYPE value per request record, in request order.
-# A batch's one level rides beside its records: a non-empty interactive
-# request is one _U4 level, then the records; an empty one is no bytes.
-CMP_DTYPE = np.dtype([("lhs", "<f8"), ("rhs", "<f8")])
-SQRT_DTYPE = np.dtype([("value", "<f8")])
+# Wire records: a comparison's lhs - rhs or a sqrt's argument.  A
+# record's wire id is its position in its batch, and a response is one
+# RESP_DTYPE value per request record, in request order.  A batch's one
+# level rides beside its records: a non-empty interactive request is one
+# _U4 level, then the records; an empty one is no bytes.
+RECORD_DTYPE = np.dtype([("value", "<f8")])
 RESP_DTYPE = np.dtype("<f8")  # every answer is encrypted at full depth
 
 _SLOT = np.dtype([("width", "<u4"), ("stride", "<u4")])  # stride: _U4s per monomial
@@ -146,8 +149,8 @@ _NONE = 0xFFFFFFFF  # no lane map; an unused monomial column; an absent term
 # the record comparisons' rows, then the formed comparisons, then the
 # sqrts' rows.
 _SECTIONS = (
-    ("comparisons", CMP_DTYPE, "n_cmp", False),
-    ("sqrts", SQRT_DTYPE, "n_sqrt", False),
+    ("comparisons", RECORD_DTYPE, "n_cmp", False),
+    ("sqrts", RECORD_DTYPE, "n_sqrt", False),
     ("cmp_rows", _U4, "n_cmp_rows", True),
     ("sqrt_rows", _U4, "n_sqrt_rows", True),
     ("maps", _U4, "n_maps", True),
@@ -160,7 +163,7 @@ _SECTIONS = (
     ("params", _PARAM, "n_slots", True),  # (row, map or _NONE)
     ("monomials", _U4, "n_slots", True),
 )
-_PKG_MAGIC = b"DCGPKG06"
+_PKG_MAGIC = b"DCGPKG07"
 # the magic, the level of each record section's batch, then every count
 _HEADER = np.dtype([("magic", "S8")] + [(f, "<u4") for f in (
     "cmp_level", "sqrt_level", *dict.fromkeys(f for _, _, f, _ in _SECTIONS))])
@@ -309,8 +312,9 @@ class LoweredProgram:
     ``client_nodes`` holds what the client computes from the tables, so
     the server need not ask for it: each reference's coefficient node and
     each formed comparison's operands.  ``lane_maps`` pools the maps of
-    the reindexed parameters and of the terms by content.  ``bind`` adds the ciphertexts: ``cmp_operands`` and
-    ``sqrt_args`` by request id, and ``coeff_tables`` as (ciphertext,
+    the reindexed parameters and of the terms by content.  ``bind`` adds
+    the ciphertexts: ``cmp_args``, each record comparison's lhs - rhs,
+    and ``sqrt_args`` by request id, and ``coeff_tables`` as (ciphertext,
     lanes) per pooled table.
     """
 
@@ -323,7 +327,7 @@ class LoweredProgram:
     table_lanes: list[np.ndarray | None]
     client_nodes: list[Expr]
     lane_maps: list[np.ndarray]
-    cmp_operands: dict[int, tuple[Ciphertext, Ciphertext]] | None = None
+    cmp_args: dict[int, Ciphertext] | None = None
     sqrt_args: dict[int, Ciphertext] | None = None
     coeff_tables: list[tuple[Ciphertext, int]] | None = None
 
@@ -338,13 +342,14 @@ class LoweredProgram:
     def bind(self, evaluator: CipherEvaluator) -> LoweredProgram:
         """This program with its ciphertexts, which ``evaluator``
         evaluates, asked for as ``operands`` lists them.  A table that
-        ships some of its lanes is gathered to them, which is free."""
+        ships some of its lanes is gathered to them, which is free, and a
+        record comparison's operands are subtracted in its context."""
         cts = iter([evaluator.eval(e) for e in self.operands()])
         return replace(
             self, coeff_tables=[(next(cts), w) if lanes is None
                                 else (gather(next(cts), lanes), len(lanes))
                                 for (_, w), lanes in zip(self.coeff_nodes, self.table_lanes)],
-            cmp_operands={c.id: (next(cts), next(cts)) for c in self.comparisons},
+            cmp_args={c.id: evaluator.ctx.sub(next(cts), next(cts)) for c in self.comparisons},
             sqrt_args={q.id: next(cts) for q in self.sqrts})
 
 
@@ -757,11 +762,15 @@ class SlotPlan:
         is_cmp = row < n_cmp
 
         # each distinct (width, map, row length, row) comparison parameter's
-        # bit row, numbered from 1 per width in that order
+        # bit row, numbered from 1 per width in that order: the keys, none
+        # negative, sorted, and each run of equal keys numbered
         r = row[is_cmp]
         keys = np.stack([width[is_cmp], lane_map[is_cmp], lengths[r], r], axis=1)
-        uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
-        inverse = inverse.reshape(-1)  # 2-D from an axis= call in some numpy 2 releases
+        order = np.lexsort(keys.T[::-1])
+        keys = keys[order]
+        new = np.diff(keys, axis=0, prepend=-1).any(axis=1)  # each run's first key
+        uniq, inverse = keys[new], np.empty(len(keys), dtype=np.intp)
+        inverse[order] = np.cumsum(new) - 1
         bit_rows = np.arange(len(uniq)) - np.searchsorted(uniq[:, 0], uniq[:, 0]) + 1
         self.n_bits = dict.fromkeys(slot_width.tolist(), 0)  # width -> bit rows, past 0
         self.n_bits.update(zip(*(v.tolist() for v in np.unique(uniq[:, 0], return_counts=True))))
@@ -969,11 +978,10 @@ class Client:
         return self.sk.decrypt_calls - self.attributed_decrypts
 
     def _greater(self, recs: np.ndarray, level: int) -> np.ndarray:
-        """[lhs > rhs] as a boolean per comparison record of a batch at
-        ``level``; both decrypted operand columns are freed before this
-        returns."""
-        return np.greater(self._decrypt(Ciphertext(recs["lhs"], level)),
-                          self._decrypt(Ciphertext(recs["rhs"], level)))
+        """[d > 0], which is [lhs > rhs], as a boolean per difference
+        record of a comparison batch at ``level``; the decrypted column is
+        freed before this returns."""
+        return np.greater(self._decrypt(Ciphertext(recs["value"], level)), 0.0)
 
     def _roots(self, recs: np.ndarray, level: int) -> np.ndarray:
         """The square root of each decrypted argument of a sqrt batch at
@@ -982,10 +990,10 @@ class Client:
             return np.sqrt(self._decrypt(Ciphertext(recs["value"], level)))
 
     def resolve_comparisons(self, blob) -> memoryview:
-        return self._response(self._greater(*_parse_request(blob, CMP_DTYPE)))
+        return self._response(self._greater(*_parse_request(blob)))
 
     def resolve_sqrts(self, blob) -> memoryview:
-        return self._response(self._roots(*_parse_request(blob, SQRT_DTYPE)))
+        return self._response(self._roots(*_parse_request(blob)))
 
     def _response(self, values: np.ndarray) -> memoryview:
         """Answers as wire bytes: each value freshly encrypted at full
@@ -1021,55 +1029,47 @@ class Client:
 # -- request batching -------------------------------------------------------------
 
 
-def _batch_level(operands) -> int:
-    """The level a batch of ``operands`` (ciphertext lists) ships at: the
-    lowest among them, to which a modulus switch of the wire copy brings
-    the whole batch; 0 for an empty batch."""
-    return min((ct.level for cts in operands for ct in cts), default=0)
+def _batch_level(cts: list[Ciphertext]) -> int:
+    """The level a batch of ``cts`` ships at: the lowest among them, to
+    which a modulus switch of the wire copy brings the whole batch; 0 for
+    an empty batch."""
+    return min((ct.level for ct in cts), default=0)
 
 
-def _parse_request(blob, dtype: np.dtype) -> tuple[np.ndarray, int]:
+def _parse_request(blob) -> tuple[np.ndarray, int]:
     """An interactive request's records, as a view into ``blob``, and the
     level of its batch; ValueError unless it is a level, then whole
     records."""
     if len(blob) < _U4.itemsize:
         raise ValueError(f"a {len(blob)}-byte request is shorter than its "
                          f"{_U4.itemsize}-byte level")
-    if (len(blob) - _U4.itemsize) % dtype.itemsize:
+    if (len(blob) - _U4.itemsize) % RECORD_DTYPE.itemsize:
         raise ValueError(f"a request's {len(blob) - _U4.itemsize} bytes past its level "
-                         f"are not whole {dtype.itemsize}-byte records")
-    return (np.frombuffer(blob, dtype=dtype, offset=_U4.itemsize),
+                         f"are not whole {RECORD_DTYPE.itemsize}-byte records")
+    return (np.frombuffer(blob, dtype=RECORD_DTYPE, offset=_U4.itemsize),
             int(np.frombuffer(blob, dtype=_U4, count=1)[0]))
 
 
-def _pad_and_shuffle(wire: np.ndarray, widths: list[int], operands, rng) -> np.ndarray:
+def _pad_and_shuffle(wire: np.ndarray, widths: list[int], cts: list[Ciphertext],
+                     rng) -> np.ndarray:
     """Fill ``wire`` with real lanes plus decoys, shuffled.
 
-    ``operands`` holds, for each field of ``wire`` in order, one
-    ciphertext per entry; entry i contributes ``widths[i]`` lanes.  A
-    decoy operand's value is a draw from the pool of all real operand
-    values, so decoy marginals match the real traffic.  Records carry no
-    level; the caller writes the batch's one level beside them.  Returns
-    the wire ids, that is the positions, of the real lanes in entry order.
+    Entry i of ``cts`` contributes ``widths[i]`` lanes.  A decoy's value
+    is a draw from the pool of all real values, so decoy marginals match
+    the real traffic.  Records carry no level; the caller writes the
+    batch's one level beside them.  Returns the wire ids, that is the
+    positions, of the real lanes in entry order.
     """
     n = int(sum(widths))
-    total, k = len(wire), len(operands)
-    staged = np.empty((total, k))  # the records in entry order, decoys last
+    total = len(wire)
+    staged = np.empty(total)  # the values in entry order, decoys last
     if n:
-        for j, cts in enumerate(operands):
-            np.concatenate([_lanes(ct.value, w) for w, ct in zip(widths, cts)],
-                           out=staged[:n, j])
+        np.concatenate([_lanes(ct.value, w) for w, ct in zip(widths, cts)], out=staged[:n])
     if total > n:
-        # the pool is every real operand column back to back: draw i is
-        # lane i % n of operand i // n
-        for j in range(k):
-            src, lane = np.divmod(rng.integers(0, k * n, size=total - n), n)
-            staged[n:, j] = staged[lane, src]
-        del src, lane
+        staged[n:] = staged[rng.integers(0, n, size=total - n)]
     perm = rng.permutation(total)
-    # every field is a float64, so the wire is a (total, k) array and one
-    # take moves whole records; mode="clip" lets it write there directly
-    np.take(staged, perm, axis=0, out=wire.view(np.float64).reshape(total, k), mode="clip")
+    # mode="clip" lets the take write to the wire directly
+    np.take(staged, perm, out=wire.view(np.float64), mode="clip")
     ids = np.empty(total, dtype=np.uint32)
     ids[perm] = np.arange(total, dtype=np.uint32)
     return ids[:n]
@@ -1084,16 +1084,16 @@ def _wire_buffer(size: int, records_at: int) -> np.ndarray:
     return raw[skip:skip + size]
 
 
-def _request_batch(dtype: np.dtype, widths: list[int], operands,
+def _request_batch(widths: list[int], cts: list[Ciphertext],
                    policy: DecoyPolicy, rng) -> tuple[memoryview, np.ndarray]:
-    """One padded, shuffled request batch as wire bytes, its level then
-    its records, plus the wire ids of its real lanes.  An empty batch is
-    no bytes."""
+    """One padded, shuffled request batch of ``cts`` as wire bytes, its
+    level then its records, plus the wire ids of its real lanes.  An
+    empty batch is no bytes."""
     n = policy.padded_size(sum(widths))
-    buf = _wire_buffer(_U4.itemsize + n * dtype.itemsize if n else 0, _U4.itemsize)
-    ids = _pad_and_shuffle(buf[_U4.itemsize:].view(dtype), widths, operands, rng)
+    buf = _wire_buffer(_U4.itemsize + n * RECORD_DTYPE.itemsize if n else 0, _U4.itemsize)
+    ids = _pad_and_shuffle(buf[_U4.itemsize:].view(RECORD_DTYPE), widths, cts, rng)
     if n:
-        buf[:_U4.itemsize].view(_U4)[0] = _batch_level(operands)
+        buf[:_U4.itemsize].view(_U4)[0] = _batch_level(cts)
     return buf.data, ids
 
 
@@ -1127,14 +1127,11 @@ def run_interactive(ctx: CkksContext, builder: GraphBuilder, slots: dict[str, Ex
     trace: list[RoundTrace] = []
     full = ctx.params.depth_budget
     for round_no, (tier_cmps, tier_sqrts) in enumerate(ev.plan.by_tier(), start=1):
-        pairs = [(ev.eval(n.a), ev.eval(n.c)) for n in tier_cmps]
-        cwidths = [n.width for n in tier_cmps]
-        swidths = [n.width for n in tier_sqrts]
         creq_blob, cids = _request_batch(
-            CMP_DTYPE, cwidths, ([lhs for lhs, _ in pairs], [rhs for _, rhs in pairs]),
-            policy, rng)
+            [n.width for n in tier_cmps],
+            [ctx.sub(ev.eval(n.a), ev.eval(n.c)) for n in tier_cmps], policy, rng)
         sreq_blob, sids = _request_batch(
-            SQRT_DTYPE, swidths, ([ev.eval(n.a) for n in tier_sqrts],), policy, rng)
+            [n.width for n in tier_sqrts], [ev.eval(n.a) for n in tier_sqrts], policy, rng)
         cresp_blob = client.resolve_comparisons(creq_blob) if creq_blob else b""
         sresp_blob = client.resolve_sqrts(sreq_blob) if sreq_blob else b""
         cresp = np.frombuffer(cresp_blob, dtype=RESP_DTYPE)
@@ -1172,9 +1169,7 @@ def serialize_package(program: LoweredProgram, policy: DecoyPolicy = DecoyPolicy
     rng = np.random.default_rng(seed)
     cmp_widths = [c.width for c in program.comparisons]
     sqrt_widths = [a.width for a in program.sqrt_args.values()]
-    pairs = program.cmp_operands.values()
-    cmp_operands = ([lhs for lhs, _ in pairs], [rhs for _, rhs in pairs])
-    sqrt_operands = (list(program.sqrt_args.values()),)
+    cmp_args, sqrt_args = list(program.cmp_args.values()), list(program.sqrt_args.values())
     sections = program.sections
     sizes = {"comparisons": policy.padded_size(sum(cmp_widths)),
              "sqrts": policy.padded_size(sum(sqrt_widths)),
@@ -1184,7 +1179,7 @@ def serialize_package(program: LoweredProgram, policy: DecoyPolicy = DecoyPolicy
              "levels": len(program.coeff_tables),
              **{name: part[0] if isinstance(part, tuple) else len(part)
                 for name, part in sections.items()}}
-    header = {"cmp_level": _batch_level(cmp_operands), "sqrt_level": _batch_level(sqrt_operands),
+    header = {"cmp_level": _batch_level(cmp_args), "sqrt_level": _batch_level(sqrt_args),
               **{count: len(sizes[name]) if ragged else sizes[name]
                  for name, _, count, ragged in _SECTIONS}}
 
@@ -1192,8 +1187,8 @@ def serialize_package(program: LoweredProgram, policy: DecoyPolicy = DecoyPolicy
     buf = _wire_buffer(_package_size(sizes), _HEADER.itemsize)
     buf[:_HEADER.itemsize].view(_HEADER)[0] = (_PKG_MAGIC, *(header[f] for f in _HEADER.names[1:]))
     sec = _sections(buf, sizes)
-    sec["cmp_rows"][1][:] = _pad_and_shuffle(sec["comparisons"], cmp_widths, cmp_operands, rng)
-    sec["sqrt_rows"][1][:] = _pad_and_shuffle(sec["sqrts"], sqrt_widths, sqrt_operands, rng)
+    sec["cmp_rows"][1][:] = _pad_and_shuffle(sec["comparisons"], cmp_widths, cmp_args, rng)
+    sec["sqrt_rows"][1][:] = _pad_and_shuffle(sec["sqrts"], sqrt_widths, sqrt_args, rng)
     np.concatenate([np.empty(0, _U4), *program.lane_maps], out=sec["maps"][1], casting="unsafe")
     np.concatenate([np.empty(0), *(_lanes(ct.value, w) for ct, w in program.coeff_tables)],
                    out=sec["coeffs"][1])
@@ -1368,7 +1363,7 @@ def dump_package(blob: bytes) -> str:
     lines = [f"comparisons: {len(pkg['comparisons'])} @{pkg['cmp_level']}",
              f"sqrts: {len(pkg['sqrts'])} @{pkg['sqrt_level']}"]
     for i, rec in enumerate(pkg["comparisons"]):
-        lines.append(f"  #{i} lhs={rec['lhs']:.6g} rhs={rec['rhs']:.6g}")
+        lines.append(f"  #{i} d={rec['value']:.6g}")
     for i, rec in enumerate(pkg["sqrts"]):
         lines.append(f"  #{i} arg={rec['value']:.6g}")
     lines.append(f"rows: {len(rows)}")

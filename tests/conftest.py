@@ -105,7 +105,8 @@ def suite_runs(images) -> dict:
     Returns {(image, mode): PipelineResult} plus "elapsed" in seconds and
     "batches": per encrypted (image, mode), each non-empty record batch
     on the wire as (the level it ships at, the lowest level among its
-    real operand ciphertexts), in the order sent.  Encrypted runs keep
+    real records' ciphertexts, a comparison's difference at its lower
+    operand's), in the order sent.  Encrypted runs keep
     their decrypted slot tables so the mask and histogram invariants can
     be checked on every run's real data; the retained arrays are small
     next to the transient evaluation peaks.
@@ -114,18 +115,17 @@ def suite_runs(images) -> dict:
     batches: list = []
     request_batch, serialize = protocol._request_batch, protocol.serialize_package
 
-    def recording_batch(dtype, widths, operands, policy, rng):
-        blob, ids = request_batch(dtype, widths, operands, policy, rng)
+    def recording_batch(widths, cts, policy, rng):
+        blob, ids = request_batch(widths, cts, policy, rng)
         if len(blob):
             batches.append((int(np.frombuffer(blob, dtype="<u4", count=1)[0]),
-                            min(ct.level for cts in operands for ct in cts)))
+                            min(ct.level for ct in cts)))
         return blob, ids
 
     def recording_serialize(program, *args, **kwargs):
         blob = serialize(program, *args, **kwargs)
         pkg = protocol.parse_package(blob)
-        for level, cts in ((pkg["cmp_level"], [ct for pair in program.cmp_operands.values()
-                                               for ct in pair]),
+        for level, cts in ((pkg["cmp_level"], list(program.cmp_args.values())),
                            (pkg["sqrt_level"], list(program.sqrt_args.values()))):
             if cts:
                 batches.append((level, min(ct.level for ct in cts)))

@@ -769,8 +769,7 @@ def test_lower_emits_requests_and_residuals():
     assert list(prog.sqrt_args) == [0]
     assert prog.leakage == {"bool_params": 1, "formed_rows": 0, "sqrt_params": 1,
                             "monomials": 3, "coeff_tables": 3, "coeff_refs": 0, "lane_maps": 0}
-    lhs, rhs = prog.cmp_operands[0]
-    assert (lhs.value, rhs.value) == (4.0, 9.0)
+    assert prog.cmp_args[0].value == 4.0 - 9.0  # the record ships lhs - rhs
     # the slot tables, in name order: pick is y + [x > y](x - y), root s
     sections = prog.sections
     assert bytes(sections["names"][1]).decode() == "pickroot"
@@ -811,10 +810,10 @@ def test_residual_evaluate_counts_decrypts():
     prog = lower(b, {"pick": b.select(b.compare(x, y), x, y)}, ctx)
     client = Client(ctx)
     assert run_deferred(prog, client).results == {"pick": 9.0}
-    # the comparison batch's two operand columns, no sqrt batch, then each
-    # coefficient table once
+    # the comparison batch's one column of differences, no sqrt batch,
+    # then each coefficient table once
     assert len(prog.coeff_tables) == prog.leakage["monomials"] == 2
-    assert client.attributed_decrypts == client.sk.decrypt_calls == 2 + len(prog.coeff_tables)
+    assert client.attributed_decrypts == client.sk.decrypt_calls == 1 + len(prog.coeff_tables)
 
 
 # -- reindexed parameters -----------------------------------------------------------

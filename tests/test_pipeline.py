@@ -352,10 +352,10 @@ BLOB16_SLOTS_SHA256 = {
     "interactive": "3009a0f001f858af0fab65dce5ccb9b10b6bd1ab1df9de758c923c11933efd91",
     "deferred": "9a1e337e87bd44d6435980460f1b14acf4bae18f69b637b2f13895e7a6ed7629",
 }
-BLOB16_PACKAGE_SHA256 = "5635ab45cb38c572ce251b41d5bcbbce24f8354de93f6fe240c041592ebcaba2"
+BLOB16_PACKAGE_SHA256 = "c9e5585a918d913011eda2d48aff0e500757e685b0b7f920e911450fcf595687"
 BLOB16_REPORT_SHA256 = {
-    "interactive": "b28b7d1147150ccedcc514a289a950998946c9cfa178500f2dab619887ca0522",
-    "deferred": "cd261141f9d7bf2cabbee493d5ec71436375210dc06fb6d2b2e218206720c7fc",
+    "interactive": "389c3d9750f2a9b2e25c25ffeb6bb1e0123a73fc7f7f47f57d1c167eaa353b1d",
+    "deferred": "5ba27a184c2f8c2281fa4d5a5b12ee9b02d22debc31e5e5b6fa5c37a40b6eaf5",
 }
 
 
@@ -411,8 +411,9 @@ def test_blob16_client_decrypts_each_pooled_table_once(blob16):
     kv = dict(_flat_report(r))
     tables = int(kv["leakage.coeff_tables"])
     sqrt_records = int(r.rounds[0].n_wire_sqrts > 0)
-    # both operand columns, the sqrt arguments if any, each table once
-    assert r.client_decrypt_calls == int(kv["decrypts.client"]) == 2 + sqrt_records + tables
+    # the one column of comparison differences, the sqrt arguments if
+    # any, each table once
+    assert r.client_decrypt_calls == int(kv["decrypts.client"]) == 1 + sqrt_records + tables
     assert tables < int(kv["leakage.monomials"])  # tables are shared, not per monomial
     # one lane map per position of the 8x8 descriptor window (orientation's
     # 5x5 positions are among them) and one per offset of detection's 3x3
@@ -454,9 +455,9 @@ def test_sqrt_weighting_runs_interactively_and_matches(blob16):
                                             ("interactive", SQRT_MAGNITUDE),
                                             ("deferred", SQRT_MAGNITUDE)])
 def test_wire_bytes_follow_from_lanes(blob16, monkeypatch, mode, weighting):
-    """A comparison record is 16 B, a sqrt record 8 B, a non-empty request
-    batch's level 4 B and an answer 8 B, so ``len`` of every blob on the
-    wire counts bytes, never lanes."""
+    """A record of either kind is 8 B (a comparison's difference, a sqrt's
+    argument), a non-empty request batch's level 4 B and an answer 8 B,
+    so ``len`` of every blob on the wire counts bytes, never lanes."""
     serialize = protocol.serialize_package
     packages = []
 
@@ -473,13 +474,30 @@ def test_wire_bytes_follow_from_lanes(blob16, monkeypatch, mode, weighting):
         assert not packages
         for r in rounds:
             batches = (r.n_wire_comparisons > 0) + (r.n_wire_sqrts > 0)
-            assert r.request_bytes == 16 * r.n_wire_comparisons + 8 * r.n_wire_sqrts + 4 * batches
+            assert r.request_bytes == 8 * (r.n_wire_comparisons + r.n_wire_sqrts) + 4 * batches
             assert r.response_bytes == 8 * (r.n_wire_comparisons + r.n_wire_sqrts)
     else:
         ((r,), (pkg,)) = rounds, packages
-        assert pkg["comparisons"].nbytes == 16 * r.n_wire_comparisons > 0
+        assert pkg["comparisons"].nbytes == 8 * r.n_wire_comparisons > 0
         assert pkg["sqrts"].nbytes == 8 * r.n_wire_sqrts
         assert r.response_bytes == 0
+
+
+def test_wire_traffic_follows_from_shape_and_is_pinned(suite_runs, blob16):
+    """Traffic depends on image shape and config alone, so its totals are
+    pinned, at 8 B per record: any 64x64 image with the default config
+    (the benchmark's natural64 workloads), and any 16x16 one at one
+    octave (its small16)."""
+
+    def wire(report) -> int:
+        return sum(r.request_bytes + r.response_bytes for r in report.rounds)
+
+    interactive = suite_runs["natural64", "interactive"].report
+    assert (wire(interactive), len(interactive.rounds)) == (25_952_284, 7)
+    deferred = suite_runs["natural64", "deferred"].report
+    assert wire(deferred) == deferred.package_bytes == 3_122_904
+    assert deferred.package_sections["comparisons"] == 8 * 65_536
+    assert wire(run_pipeline(blob16, CFG16, mode="deferred", seed=SEED).report) == 351_244
 
 
 def test_batches_ship_at_their_lowest_operand_level_which_follows_from_shape(suite_runs):

@@ -170,21 +170,19 @@ def test_decoys_pad_to_power_of_two_and_draw_from_real_pool():
     blob = serialize_package(prog, DecoyPolicy(), seed=5)
     pkg = parse_package(blob)
     assert len(pkg["comparisons"]) == 8
-    # decoys draw values alone from the real pool; records carry no level,
-    # and the batch's one level is the lowest of its real operands'
-    assert pkg["comparisons"].dtype.names == ("lhs", "rhs")
-    pool = {v for pair in pairs for v in pair}
-    assert set(pkg["comparisons"]["lhs"]) <= pool
-    assert set(pkg["comparisons"]["rhs"]) <= pool
-    assert len(set(pkg["comparisons"]["lhs"]) | set(pkg["comparisons"]["rhs"])) > 3
-    assert pkg["cmp_level"] == min(ct.level for pair in prog.cmp_operands.values()
-                                   for ct in pair)
+    # a record is one difference, lhs - rhs; decoys draw values alone from
+    # the real differences; records carry no level, and the batch's one
+    # level is the lowest of its real records'
+    assert pkg["comparisons"].dtype == protocol.RECORD_DTYPE
+    assert pkg["comparisons"].dtype.names == ("value",)
+    diffs = [lv - rv for lv, rv in pairs]
+    assert set(pkg["comparisons"]["value"]) == set(diffs)
+    assert pkg["cmp_level"] == min(ct.level for ct in prog.cmp_args.values())
     # a record's wire id is its position: each comparison's row points at
-    # its own operands, among the decoys
+    # its own difference, among the decoys
     positions = [int(ids[0]) for ids in _rows(pkg)]
     assert len(set(positions)) == 3 and max(positions) < 8
-    real = pkg["comparisons"][positions]
-    assert list(zip(real["lhs"], real["rhs"])) == pairs
+    assert pkg["comparisons"]["value"][positions].tolist() == diffs
 
     plain_blob = serialize_package(prog, DecoyPolicy(enabled=False), seed=5)
     assert len(parse_package(plain_blob)["comparisons"]) == 3
@@ -200,7 +198,7 @@ def test_package_bytes_are_seed_deterministic():
     off = DecoyPolicy(enabled=False)
     ra = parse_package(serialize_package(prog, off, seed=3))["comparisons"]
     rb = parse_package(serialize_package(prog, off, seed=4))["comparisons"]
-    assert sorted(ra["lhs"]) == sorted(rb["lhs"])  # same records, new order
+    assert sorted(ra["value"]) == sorted(rb["value"])  # same records, new order
 
 
 def test_parse_package_round_trip_and_magic():
@@ -220,8 +218,10 @@ def test_parse_package_round_trip_and_magic():
         parse_package(b"JUNKJUNK" + bytes(16))
     blob = bytes(serialize_package(prog, seed=1))
     # the layouts with record ids, then with a level in every record, then
-    # without references, then with every comparison shipped as records
-    for old in (b"DCGPKG01", b"DCGPKG02", b"DCGPKG03", b"DCGPKG04", b"DCGPKG05"):
+    # without references, then with every comparison shipped as records,
+    # then with both operands in every comparison record
+    for old in (b"DCGPKG01", b"DCGPKG02", b"DCGPKG03", b"DCGPKG04", b"DCGPKG05",
+                b"DCGPKG06"):
         with pytest.raises(ValueError, match="not a deferred package"):
             parse_package(old + blob[len(old):])
 
@@ -471,10 +471,11 @@ def test_decrypt_accounting_stays_on_the_client():
     run = run_deferred(lower(b, slots, ctx), client)
     assert client.attributed_decrypts == client.sk.decrypt_calls > 0
     assert client.unattributed_decrypts() == 0
-    # both operand columns, the sqrt arguments, then each pooled
-    # coefficient table once, however many monomials share it
+    # the comparison records' one column of differences, the sqrt
+    # arguments, then each pooled coefficient table once, however many
+    # monomials share it
     assert run.rounds[0].n_wire_sqrts > 0
-    assert client.attributed_decrypts == 2 + 1 + run.leakage["coeff_tables"] == 6
+    assert client.attributed_decrypts == 1 + 1 + run.leakage["coeff_tables"] == 5
 
     # formed comparisons read their tables as the slots do: each table is
     # decrypted once, however many rows and monomials read it
@@ -542,19 +543,19 @@ def _sha(blob) -> str:
     return hashlib.sha256(bytes(blob)).hexdigest()
 
 
-# sha256 digests of the sectioned layout (DCGPKG06) and of interactive
+# sha256 digests of the sectioned layout (DCGPKG07) and of interactive
 # requests, each a batch's level and then its records.  The wire format
 # is a contract, so any change to them is a format change
 PACKAGE_SHA256 = {
-    (True, 0): "6ad13b19295936097068a8de17f70c110d0657830473e7b2e27872c509261835",
-    (True, 7): "04eb22b5f4d47c03904feb734576530324aeb9b23f479d67f6edbf1a03e21503",
-    (False, 0): "881f696381e078dbdfe31db6005ceacdbfbe1c84bc54952315a4bc534693da77",
+    (True, 0): "8da2d595bce7872d8351380357d76828418a1ffe57884ed7aabeb3a7a7946d25",
+    (True, 7): "c45bdb6afa0cd91370f5b51dd9f5901a934cb4cb777109365d3c575839f572b4",
+    (False, 0): "0c86d81a388ca0853b2f9ca57fe9bcb48a2bc8642023e36d3272587f61fe1fcf",
 }
 REQUEST_SHA256 = [
-    ("c", "d4e7a4594146d0306608d498b700963d0c1996846d6b75892453d6f72f4557dd"),
-    ("s", "53d8081c1c9b4f8d65fb75ad99b17b04f299cf52ecc21c5eb5f8917427f14588"),
-    ("c", "60ec0ac3441114b635fe1bec570e7201baea21a7089875586baa2f42ad8e278a"),
-    ("c", "b921a8771e272c18a237d2833e12b8d1708f8585457dd254e3e8fc86ab1648e1"),
+    ("c", "6d0888d1acf855ea9cfa0e4f8f87bf9e88bd5ea72352d1d8c4d16de7a0d7aae8"),
+    ("s", "cd344ec2d7366d4123ae87571a4ac85b1dbfd70248628991788aa43b445affe7"),
+    ("c", "7903e8648c62d4c334c20f8baddca9830affe5df3864001d6d436d00d4ed8abb"),
+    ("c", "ed2c400e59ae83678def7709e2218ff77badc843d3a0754a1cf7a17c69f8b50b"),
 ]
 
 
@@ -609,12 +610,11 @@ def test_wire_records_start_on_an_8_byte_boundary():
         assert sec["comparisons"].ctypes.data % 8 == 0
         assert sec["sqrts"].ctypes.data % 8 == 0
     rng = np.random.default_rng(0)
-    for width in range(1, 40):  # buffers of many sizes, so of many allocations
-        for dtype in (protocol.CMP_DTYPE, protocol.SQRT_DTYPE):
-            operands = [[ctx.encrypt(np.arange(float(width)))]] * len(dtype.names)
-            blob, _ = protocol._request_batch(dtype, [width], operands, DecoyPolicy(), rng)
-            assert (_address(blob) + 4) % 8 == 0, (width, dtype)
-            assert protocol._parse_request(blob, dtype)[0].ctypes.data % 8 == 0
+    for width in range(1, 80):  # buffers of many sizes, so of many allocations
+        cts = [ctx.encrypt(np.arange(float(width)))]
+        blob, _ = protocol._request_batch([width], cts, DecoyPolicy(), rng)
+        assert (_address(blob) + 4) % 8 == 0, width
+        assert protocol._parse_request(blob)[0].ctypes.data % 8 == 0
 
 
 @pytest.mark.parametrize("decoys", [True, False])
@@ -714,15 +714,18 @@ def _check_release(b: GraphBuilder, slots: dict):
     assert len(run.rounds) == max(e.tier for e in slots.values())
 
     # an evaluator that keeps everything, given the same answers, asked
-    # for every request operand and then every slot
+    # for every request record, a comparison's the difference of its
+    # operands, and then every slot
     pe, enc = PlainEvaluator(b), CkksContext(SimParams(depth_budget=20))
     keep_ctx = CkksContext(SimParams(depth_budget=20))
     keep = CipherEvaluator(keep_ctx, b,
                            {c.id: enc.encrypt(pe.bool_value(c)) for c in b.comparisons})
     for q in b.sqrts:
         keep.bind(b.sqrt_deferred(q.arg), enc.encrypt(np.sqrt(pe.eval(q.arg))))
-    for e in [e for c in b.comparisons for e in (c.lhs, c.rhs)] + [q.arg for q in b.sqrts]:
-        keep.eval(e)
+    for c in b.comparisons:
+        keep_ctx.sub(keep.eval(c.lhs), keep.eval(c.rhs))
+    for q in b.sqrts:
+        keep.eval(q.arg)
     want = {name: keep.eval(e) for name, e in slots.items()}
     assert list(run.results) == list(want)
     for name, ct in run.results.items():
@@ -1157,12 +1160,53 @@ def test_pools_share_by_graph_node_never_by_value():
         assert np.array_equal(run.results[name], PlainEvaluator(b).eval(e)), name
 
 
+# (lhs, rhs) pairs whose difference is a tie, a signed zero, a subnormal
+# or an overflow to +-inf: the client's [lhs - rhs > 0] must still be
+# [lhs > rhs].  A build that flushes subnormals to zero answers the
+# subnormal differences 0, and fails.
+_TINY = 2.0 ** -1074
+_SIGN_PAIRS = [
+    (1.0, 1.0), (-3.5, -3.5), (0.0, 0.0), (0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0),
+    (2.0 ** -1070, 2.0 ** -1071), (2.0 ** -1071, 2.0 ** -1070),
+    (-(2.0 ** -1071), -(2.0 ** -1070)), (_TINY, 0.0), (0.0, _TINY), (-0.0, -_TINY),
+    (2.0 ** -1022, 2.0 ** -1022 - _TINY), (2.0 ** -1022 - _TINY, 2.0 ** -1022),
+    (1.0, 1.0 + 2.0 ** -52), (1.0 + 2.0 ** -52, 1.0),
+    (1.7e308, -1.7e308), (-1.7e308, 1.7e308), (1.7976931348623157e308, -1e300),
+    (2.5, -7.0), (-7.0, 2.5),
+]
+
+
+@pytest.mark.parametrize("mode", ["interactive", "deferred"])
+def test_the_client_answers_each_difference_as_its_operands_compare(mode):
+    lhs, rhs = (np.array(side) for side in zip(*_SIGN_PAIRS))
+    with np.errstate(over="ignore"):
+        diffs = lhs - rhs
+    assert (diffs == 0).sum() == 6 and np.isinf(diffs).sum() == 3
+    assert ((diffs != 0) & (np.abs(diffs) < 2.0 ** -1022)).sum() == 8  # subnormal
+    ctx = CkksContext(SimParams(depth_budget=20))
+    b = GraphBuilder()
+    one = b.cipher(ctx.encrypt(np.ones(len(lhs))), name="one")
+    # sides that are products ship as records, not as formed rows
+    x, y = (b.mul(b.cipher(ctx.encrypt(v), name=name), one) for v, name in ((lhs, "x"), (rhs, "y")))
+    slots = {"gt": b.compare(x, y)}
+    client = Client(ctx)
+    with np.errstate(over="ignore"):
+        if mode == "interactive":
+            got = run_interactive(ctx, b, slots, client).results["gt"].value
+        else:
+            prog = lower(b, slots, ctx)
+            assert len(prog.comparisons) == 1 and not prog.formed
+            got = run_deferred(prog, client).results["gt"]
+    assert np.array_equal(got, np.greater(lhs, rhs))
+    # one column of differences; a package also ships the slot's one table
+    assert client.attributed_decrypts == (1 if mode == "interactive" else 2)
+
+
 def test_comparison_answers_are_encrypted_after_the_operands_are_freed(monkeypatch):
     ctx = CkksContext(SimParams(depth_budget=20))
     client = Client(ctx)
-    recs = np.zeros(8, dtype=protocol.CMP_DTYPE)
-    recs["lhs"] = np.arange(8.0)
-    recs["rhs"] = 3.5
+    recs = np.zeros(8, dtype=protocol.RECORD_DTYPE)
+    recs["value"] = np.arange(8.0) - 3.5
     decrypted = []
     decrypt, encrypt = SecretKey.decrypt, CkksContext.encrypt
 
@@ -1172,14 +1216,14 @@ def test_comparison_answers_are_encrypted_after_the_operands_are_freed(monkeypat
         return out
 
     def checking_encrypt(self, x):
-        assert all(ref() is None for ref in decrypted), "an operand column is still held"
+        assert all(ref() is None for ref in decrypted), "a decrypted column is still held"
         return encrypt(self, x)
 
     monkeypatch.setattr(SecretKey, "decrypt", tracking_decrypt)
     monkeypatch.setattr(CkksContext, "encrypt", checking_encrypt)
     blob = client.resolve_comparisons(np.array([20], dtype="<u4").tobytes() + recs.tobytes())
     assert len(blob) == 8 * protocol.RESP_DTYPE.itemsize
-    assert len(decrypted) == client.attributed_decrypts == 2
+    assert len(decrypted) == client.attributed_decrypts == 1  # one column per batch
     assert ctx.snapshot_counts()["encrypt"] == 8
     # answer i is request i's, position for position
     resp = np.frombuffer(blob, dtype=protocol.RESP_DTYPE)
@@ -1189,8 +1233,8 @@ def test_comparison_answers_are_encrypted_after_the_operands_are_freed(monkeypat
 @pytest.mark.parametrize("kind,size,reason", [
     ("comparisons", 0, "shorter than its 4-byte level"),
     ("comparisons", 3, "shorter than its 4-byte level"),
-    ("comparisons", 4 + 15, "not whole 16-byte records"),
-    ("comparisons", 4 + 24, "not whole 16-byte records"),
+    ("comparisons", 4 + 15, "not whole 8-byte records"),
+    ("comparisons", 4 + 20, "not whole 8-byte records"),
     ("sqrts", 2, "shorter than its 4-byte level"),
     ("sqrts", 4 + 12, "not whole 8-byte records"),
 ])
@@ -1200,8 +1244,8 @@ def test_a_malformed_request_fails_with_a_reason(kind, size, reason):
     with pytest.raises(ValueError, match=reason):
         resolve(bytes(size))
     # a level, then whole records, is answered with one value per record
-    record = {"comparisons": protocol.CMP_DTYPE, "sqrts": protocol.SQRT_DTYPE}[kind]
-    assert len(resolve(bytes(4 + 3 * record.itemsize))) == 3 * protocol.RESP_DTYPE.itemsize
+    assert len(resolve(bytes(4 + 3 * protocol.RECORD_DTYPE.itemsize))) == \
+        3 * protocol.RESP_DTYPE.itemsize
 
 
 def _formed_program(rng, noise: float):
