@@ -24,7 +24,7 @@ form a "greater or equal".  Ties therefore resolve deterministically.
 
 Every node carries its resolution tier, set when it is built: 0 for
 pure arithmetic, and for a comparison or square root one more than its
-operands'; any other node takes the highest tier it reads.  The
+argument's; any other node takes the highest tier it reads.  The
 interactive protocol answers a tier's requests in one round.
 
 Evaluation-order discipline: every walk over the graph (normal forms,
@@ -90,8 +90,8 @@ def balanced_fold(items: list, combine):
 class Expr:
     """One DAG node. Construct through a GraphBuilder, never directly.
 
-    ``a`` and ``c`` are what the node reads, a comparison's being its two
-    operands.  ``tier`` is 0 for pure arithmetic.
+    ``a`` and ``c`` are what the node reads, a comparison's being its one
+    argument, lhs - rhs.  ``tier`` is 0 for pure arithmetic.
     """
 
     __slots__ = ("b", "op", "a", "c", "payload", "id", "width", "tier", "name")
@@ -133,11 +133,13 @@ class Expr:
 
 @dataclass(frozen=True)
 class Comparison:
-    """Canonical strict comparison [lhs > rhs]."""
+    """Canonical strict comparison [lhs > rhs], asked as [arg > 0] of its
+    argument node ``arg``, lhs - rhs."""
 
     id: int
     lhs: Expr
     rhs: Expr
+    arg: Expr
     width: int
     tier: int
 
@@ -410,6 +412,11 @@ class GraphBuilder:
         The first orientation seen for an operand pair is canonical; the
         reversed call returns 1 - BoolVar, i.e. a non-strict "rhs >= lhs"
         turned around.  compare(x, x) stays a real BoolVar resolving to 0.
+        The BoolVar reads one node, ``sub(lhs, rhs)``, which interns, so
+        a ``select`` between the same operands shares it.  For IEEE
+        doubles with gradual underflow lhs - rhs > 0 exactly when lhs >
+        rhs: a tiny difference is exact, rounding keeps the sign, and an
+        overflow is an infinity of that sign.
         """
         lhs, rhs = self.as_expr(lhs), self.as_expr(rhs)
         pair = (lhs.id, rhs.id)
@@ -420,9 +427,9 @@ class GraphBuilder:
             canonical = self._param_nodes["b", self._cmp_by_pair[rev]]
             return self.sub(self.plain(1.0), canonical)
         cmp_id = len(self.comparisons)
-        node = self._node(BOOL, lhs, rhs, payload=cmp_id, key=(BOOL, cmp_id),
-                          width=self._bw(lhs, rhs))
-        self.comparisons.append(Comparison(cmp_id, lhs, rhs, node.width, node.tier))
+        arg = self.sub(lhs, rhs)
+        node = self._node(BOOL, arg, payload=cmp_id, key=(BOOL, cmp_id), width=arg.width)
+        self.comparisons.append(Comparison(cmp_id, lhs, rhs, arg, node.width, node.tier))
         self._cmp_by_pair[pair] = cmp_id
         self._param_nodes[_param_key(node)] = node
         return node
@@ -643,6 +650,9 @@ class PlainEvaluator:
 
     Cipher leaves contribute their carried values; boolean parameters
     become exact 0.0/1.0 floats, so masked arithmetic matches a branch.
+    A comparison is answered [lhs > rhs] from its operands, not from its
+    argument, so this reference does not lean on lhs - rhs keeping the
+    sign.
     """
 
     def __init__(self, builder: GraphBuilder):
@@ -662,7 +672,8 @@ class PlainEvaluator:
         if n.op == MUL:
             return m[n.a.id] * m[n.c.id]
         if n.op == BOOL:
-            out = np.greater(m[n.a.id], m[n.c.id]).astype(np.float64)
+            c = self.b.comparisons[n.payload]
+            out = np.greater(m[c.lhs.id], m[c.rhs.id]).astype(np.float64)
             return float(out) if out.ndim == 0 else out
         if n.op == SQRT:
             return np.sqrt(m[n.a.id])
@@ -671,7 +682,9 @@ class PlainEvaluator:
         raise AssertionError(n.op)  # pragma: no cover
 
     def eval(self, root: Expr) -> Value:
-        for n in schedule([root], self.memo, operands):
+        cs = self.b.comparisons  # a comparison reads its operands, not its argument
+        reads = lambda n: (cs[n.payload].lhs, cs[n.payload].rhs) if n.op == BOOL else operands(n)
+        for n in schedule([root], self.memo, reads):
             self.memo[n.id] = self._compute(n)
         return self.memo[root.id]
 
@@ -829,9 +842,9 @@ class RunPlan:
 
     The caller asks, in this order: the ``first`` roots, which read no
     unanswered request; for each tier, lowest first, each comparison's
-    two operands and then each sqrt's argument, binding the tier's
-    answers before the next tier's asks; then the roots.  Roots are asked
-    in the order given, each as often as given.  ``tape`` holds one
+    argument and then each sqrt's, binding the tier's answers before the
+    next tier's asks; then the roots.  Roots are asked in the order
+    given, each as often as given.  ``tape`` holds one
     segment per ask: (root id, steps, whether this ask is the root's last
     read).  The steps compute what the ask needs and ``memo`` lacks, in
     id order, as an unplanned ``eval`` would, and each drops the
@@ -840,7 +853,7 @@ class RunPlan:
 
     One walk from the roots, through ``schedule``, finds what each node
     reads once bound (``_bound``) and, past each comparison or sqrt not
-    yet answered, its operands, which are asked for instead.  Each node is
+    yet answered, its argument, which is asked for instead.  Each node is
     then given to the first ask that reaches it, and a pass over the run
     backwards finds each ciphertext's last read.  Every node is computed
     once, so a plan followed from the start frees everything it reads.
@@ -863,19 +876,13 @@ class RunPlan:
         read: dict[int, tuple] = {}  # node id -> what it reads, as the walk found it
 
         def kids(n):
-            """What n reads once bound (``_bound``), but a request its operands."""
-            if n.op == ADD:
-                ks = _as_subtraction(n) or (n.a, n.c)
-            else:
-                ks = () if n.a is None else (n.a,) if n.c is None else (n.a, n.c)
-            read[n.id] = ks
+            """What n reads once bound (``_bound``), but a request its argument."""
+            read[n.id] = ks = (n.a,) if n.op == BOOL or n.op == SQRT else _bound(n)
             return ks
 
         order = schedule(first + roots, done, kids)
         requests = [n for n in order if n.op in (BOOL, SQRT)]
-        asks = first + [k for cmps, sqrts in _by_tier(requests)
-                        for k in [side for n in cmps for side in (n.a, n.c)] + [n.a for n in sqrts]]
-        asks += roots
+        asks = first + [n.a for cmps, sqrts in _by_tier(requests) for n in cmps + sqrts] + roots
 
         # An ask computes, in id order, the nodes its root reaches past the
         # evaluated ones and the answers (each bound before anything reads

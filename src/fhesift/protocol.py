@@ -14,17 +14,17 @@ resolve comparisons or square roots.  Two shapes of exchange exist:
     tables and the comparisons the client forms from tables.  One round,
     after which the client finishes the computation locally.
 
-A record is one value: a sqrt's argument, or a comparison [lhs > rhs]'s
-difference lhs - rhs, one server ``sub``, which consumes no level; the
-client answers [d > 0].  For IEEE doubles with gradual underflow d > 0
-exactly when lhs > rhs: a tiny difference is exact, rounding keeps the
-sign, and an overflow is an infinity of that sign.  Every batch is
-padded with decoy records to a power of two (at least 8) and shuffled
-before it is written.  A record's wire id is its position in its batch,
-so neither says which comparison it belongs to, and an answer is one
-value per record, in request order.  Decoys draw their values from the
-batch's real ones.  A batch ships at one level, the lowest among its
-real records, to which a modulus switch of the wire copy brings it: an
+A record is one value, a request's argument: a sqrt's, or a comparison
+[lhs > rhs]'s difference lhs - rhs, a graph node the server evaluates in
+the stage that builds the comparison (see ``GraphBuilder.compare``); the
+client answers [d > 0].  Every server op is a graph node an evaluator
+replays; this module makes none of its own.  Every batch is padded with
+decoy records to a power of two (at least 8) and shuffled before it is
+written.  A record's wire id is its position in its batch, so neither
+says which comparison it belongs to, and an answer is one value per
+record, in request order.  Decoys draw their values from the batch's
+real ones.  A batch ships at one level, the lowest among its real
+records, to which a modulus switch of the wire copy brings it: an
 interactive request starts with that level, and the package header holds
 one for its comparisons and one for its sqrts.  Records carry no level.
 This leaks nothing new, since every record's level follows from the
@@ -311,11 +311,11 @@ class LoweredProgram:
     it ships when its readers read only some of them, else None.
     ``client_nodes`` holds what the client computes from the tables, so
     the server need not ask for it: each reference's coefficient node and
-    each formed comparison's operands.  ``lane_maps`` pools the maps of
+    each formed comparison's argument.  ``lane_maps`` pools the maps of
     the reindexed parameters and of the terms by content.  ``bind`` adds
-    the ciphertexts: ``cmp_args``, each record comparison's lhs - rhs,
-    and ``sqrt_args`` by request id, and ``coeff_tables`` as (ciphertext,
-    lanes) per pooled table.
+    the ciphertexts: ``cmp_args``, each record comparison's argument
+    lhs - rhs, and ``sqrt_args`` by request id, and ``coeff_tables`` as
+    (ciphertext, lanes) per pooled table.
     """
 
     comparisons: list[Comparison]
@@ -333,23 +333,20 @@ class LoweredProgram:
 
     def operands(self) -> list[Expr]:
         """What ``bind`` asks its evaluator for, in order: each pooled
-        table's node, then each record comparison's lhs and rhs, then
-        each sqrt argument."""
-        return ([e for e, _ in self.coeff_nodes]
-                + [side for c in self.comparisons for side in (c.lhs, c.rhs)]
-                + [q.arg for q in self.sqrts])
+        table's node, then each record comparison's argument, then each
+        sqrt's."""
+        return [e for e, _ in self.coeff_nodes] + [r.arg for r in self.comparisons + self.sqrts]
 
     def bind(self, evaluator: CipherEvaluator) -> LoweredProgram:
         """This program with its ciphertexts, which ``evaluator``
         evaluates, asked for as ``operands`` lists them.  A table that
-        ships some of its lanes is gathered to them, which is free, and a
-        record comparison's operands are subtracted in its context."""
+        ships some of its lanes is gathered to them, which is free."""
         cts = iter([evaluator.eval(e) for e in self.operands()])
         return replace(
             self, coeff_tables=[(next(cts), w) if lanes is None
                                 else (gather(next(cts), lanes), len(lanes))
                                 for (_, w), lanes in zip(self.coeff_nodes, self.table_lanes)],
-            cmp_args={c.id: evaluator.ctx.sub(next(cts), next(cts)) for c in self.comparisons},
+            cmp_args={c.id: next(cts) for c in self.comparisons},
             sqrt_args={q.id: next(cts) for q in self.sqrts})
 
 
@@ -361,7 +358,7 @@ def lower(builder: GraphBuilder, slots: dict[str, Expr],
     unresolved parameters), otherwise the program needs mid-stream
     re-encryption and only the interactive path can run it.  Given ``ctx``,
     the program comes back bound: a fresh evaluator follows a plan over
-    its operands and evaluates its coefficients and request operands
+    its operands and evaluates its coefficients and request arguments
     server-side, consuming simulator levels.  Without it, the program
     holds the structure alone, which depends on the graph only, and
     ``LoweredProgram.bind`` adds the ciphertexts of each input.
@@ -472,7 +469,7 @@ def lower(builder: GraphBuilder, slots: dict[str, Expr],
         lhs, rhs = ([(_NONE, _NONE, s), none] if isinstance(s, float)
                     else [term(*t) for t in s] + [none] * (2 - len(s)) for s in sides[c.id])
         rows_formed.append((c.width, lhs, rhs))
-        client_nodes += [c.lhs, c.rhs]
+        client_nodes.append(c.arg)
     for _, _, monos, coeffs in tables.values():  # references follow the tables
         monos[:, 0] = np.where(coeffs >= 0, coeffs, len(coeff_nodes) - 1 - coeffs)
 
@@ -504,9 +501,9 @@ def lower(builder: GraphBuilder, slots: dict[str, Expr],
                 "monomials": _ragged([tables[n][2].ravel() for n in names], _U4)}
 
     sqrts = [builder.sqrts[sid] for sid in sqrt_ids]
-    for request, exprs in ([(f"comparison {c.id}", (c.lhs, c.rhs)) for c in comparisons]
-                           + [(f"sqrt request {q.id}", (q.arg,)) for q in sqrts]):
-        if any(e.tier > 0 for e in exprs):
+    for request, arg in ([(f"comparison {c.id}", c.arg) for c in comparisons]
+                         + [(f"sqrt request {q.id}", q.arg) for q in sqrts]):
+        if arg.tier > 0:
             raise DeferralUnsupported(f"{request} depends on other unresolved parameters; "
                                       "it cannot ship in a single deferred package")
 
@@ -1126,30 +1123,22 @@ def run_interactive(ctx: CkksContext, builder: GraphBuilder, slots: dict[str, Ex
         ev.follow(RunPlan.over(slots.values(), ev.memo))
     trace: list[RoundTrace] = []
     full = ctx.params.depth_budget
-    for round_no, (tier_cmps, tier_sqrts) in enumerate(ev.plan.by_tier(), start=1):
-        creq_blob, cids = _request_batch(
-            [n.width for n in tier_cmps],
-            [ctx.sub(ev.eval(n.a), ev.eval(n.c)) for n in tier_cmps], policy, rng)
-        sreq_blob, sids = _request_batch(
-            [n.width for n in tier_sqrts], [ev.eval(n.a) for n in tier_sqrts], policy, rng)
-        cresp_blob = client.resolve_comparisons(creq_blob) if creq_blob else b""
-        sresp_blob = client.resolve_sqrts(sreq_blob) if sreq_blob else b""
-        cresp = np.frombuffer(cresp_blob, dtype=RESP_DTYPE)
-        sresp = np.frombuffer(sresp_blob, dtype=RESP_DTYPE)
-        for nodes, resp, ids in ((tier_cmps, cresp, cids), (tier_sqrts, sresp, sids)):
+    for round_no, tier in enumerate(ev.plan.by_tier(), start=1):
+        sent = []  # (real lanes, request bytes, response bytes) per batch
+        for nodes, resolve in zip(tier, (client.resolve_comparisons, client.resolve_sqrts)):
+            req, ids = _request_batch([n.width for n in nodes], [ev.eval(n.a) for n in nodes],
+                                      policy, rng)
+            resp = np.frombuffer(resolve(req) if req else b"", dtype=RESP_DTYPE)
             pos = 0
             for n in nodes:
                 ev.bind(n, _bind_response(n.width, resp[ids[pos:pos + n.width]], full))
                 pos += n.width
+            sent.append((len(ids), len(req), resp.nbytes))
+        (n_cmp, creq, cresp), (n_sqrt, sreq, sresp) = sent
         trace.append(RoundTrace(
-            round=round_no,
-            n_real_comparisons=len(cids),
-            n_real_sqrts=len(sids),
-            n_wire_comparisons=policy.padded_size(len(cids)),
-            n_wire_sqrts=policy.padded_size(len(sids)),
-            request_bytes=len(creq_blob) + len(sreq_blob),
-            response_bytes=len(cresp_blob) + len(sresp_blob),
-        ))
+            round=round_no, n_real_comparisons=n_cmp, n_real_sqrts=n_sqrt,
+            n_wire_comparisons=policy.padded_size(n_cmp), n_wire_sqrts=policy.padded_size(n_sqrt),
+            request_bytes=creq + sreq, response_bytes=cresp + sresp))
 
     results = {name: ev.eval(e) for name, e in slots.items()} if evaluate_slots else {}
     return ProtocolRun(mode="interactive", results=results, rounds=trace)

@@ -36,10 +36,11 @@ the mode alone.  ``compile_circuit`` builds the graph with leaves that
 name their sources (``_LayerLeaf``: a DoG or Gaussian level) instead
 of holding ciphertexts, lists each stage's pure work (in deferred mode,
 less what the client computes from the package's tables: the window
-weights and the operands of the comparisons it forms), lowers the deferred
+weights and the arguments of the comparisons it forms), lowers the deferred
 package's tables, plans the server's evaluation as a tape that each
-image replays (the pure work, gradients included, then the package's
-operands or the interactive run) and freezes the graph.
+image replays (the pure work, gradients and comparison arguments
+included, then the package's operands or the interactive run) and
+freezes the graph.
 ``run_pipeline`` takes circuits from a memo keyed by (image shape,
 config, mode) that keeps the ``CIRCUIT_MEMO_SIZE`` most recently used.
 Per image only the ciphertext work runs: scale space, binding the
@@ -327,7 +328,7 @@ class _GraphPlan:
         self.stage_sqrts[stage].extend(range(sqrt_lo, len(b.sqrts)))
 
     def cmp_lanes(self) -> dict[str, int]:
-        """Comparison lanes each stage asks of its own pure operands
+        """Comparison lanes each stage asks of its own pure arguments
         (tier 1); comparisons that wait on answers show in the rounds."""
         b = self.builder
         return {st: sum(b.comparisons[c].width for c in cids if b.comparisons[c].tier == 1)
@@ -335,11 +336,11 @@ class _GraphPlan:
 
     def pure(self, stage: str) -> list:
         """The stage's server work that needs no client answer: pure
-        comparison operands, pure sqrt arguments and the normal-form
-        coefficients of its roots, each once, in first-use order."""
+        comparison arguments (lhs - rhs), pure sqrt arguments and the
+        normal-form coefficients of its roots, each once, in first-use
+        order."""
         b = self.builder
-        exprs = [side for cid in self.stage_cmps[stage]
-                 for side in (b.comparisons[cid].lhs, b.comparisons[cid].rhs)]
+        exprs = [b.comparisons[cid].arg for cid in self.stage_cmps[stage]]
         exprs += [b.sqrts[sid].arg for sid in self.stage_sqrts[stage]]
         exprs = [e for e in exprs if e.tier == 0]
         exprs += [c for root in self.stage_roots[stage] for c in b.normal_form(root).values()]
@@ -347,7 +348,7 @@ class _GraphPlan:
 
     def waiting_stage(self) -> str | None:
         """The first stage owning requests that wait on earlier answers
-        (tier > 1), if any.  Past the pure evaluation, only their operands
+        (tier > 1), if any.  Past the pure evaluation, only their arguments
         make the server evaluate while the protocol runs."""
         b = self.builder
         return next((st for st in _GRAPH_STAGES

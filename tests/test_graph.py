@@ -599,7 +599,7 @@ def _random_program(rng, ctx):
     """A random program over 4-lane leaves, in the style of acceptance
     check c03: arithmetic, selects on comparisons (some reindexed, some
     over operands that wait on earlier answers) and square roots.
-    Returns the builder, its slots and some pure comparison operands, to
+    Returns the builder, its slots and some pure comparison arguments, to
     ask for first, as the pipeline's pure pass does."""
     b = GraphBuilder()
     leaves = [b.cipher(ctx.encrypt(rng.uniform(-1.25, 1.25, 4))) for _ in range(5)]
@@ -632,7 +632,7 @@ def _random_program(rng, ctx):
         return b.neg(impure(depth - 1))
 
     slots = {f"s{i}": impure(8) for i in range(12)}
-    pre = [side for c in b.comparisons if c.tier == 1 for side in (c.lhs, c.rhs)]
+    pre = [c.arg for c in b.comparisons if c.tier == 1]
     return b, slots, pre[:int(rng.integers(len(pre) + 1))]
 
 
@@ -673,8 +673,8 @@ def test_a_replayed_tape_matches_the_walk_on_random_programs(noise):
             for e in pre:
                 ask(e)
             for cmps, sqrts in plan.by_tier():
-                for e in [side for n in cmps for side in (n.a, n.c)] + [n.a for n in sqrts]:
-                    ask(e)
+                for n in cmps + sqrts:  # each request is asked as its one argument
+                    ask(n.a)
                 for n in cmps + sqrts:
                     ev.bind(n, answers[n.id])
             out = [ask(e) for e in slots.values()]
@@ -702,10 +702,12 @@ def test_a_followed_plan_takes_its_asks_in_order_and_as_often_as_planned():
     plan = RunPlan.over([out], ev.memo)
     ev.follow(plan)
     assert plan.requests == [c]
-    with pytest.raises(ValueError, match="out of order"):
-        ev.eval(y)  # the comparison's lhs comes first
-    for e in (x, y):
-        ev.eval(e)
+    arg = b.comparisons[c.payload].arg
+    assert operands(c) == (arg,) and format_expr(arg) == "x - y"
+    for e in (x, y):  # the comparison is asked as its argument, not its operands
+        with pytest.raises(ValueError, match="out of order"):
+            ev.eval(e)
+    ev.eval(arg)
     ev.bind(c, ctx.encrypt(np.array([1.0, 0.0])))
     assert np.array_equal(ev.eval(out).value, [1.5 + 0.5, 0.0])
     with pytest.raises(ValueError, match="more often than declared"):

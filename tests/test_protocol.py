@@ -28,8 +28,9 @@ from fhesift import (
     serialize_package,
 )
 from fhesift import deferred_graph, protocol, sift_pipeline
+from fhesift.deferred_graph import operands
 from fhesift.errors import DeferralUnsupported
-from fhesift.kernels import max2, running_max, vec_argmax_onehot
+from fhesift.kernels import max2, running_max, vec_argmax_onehot, vec_max
 
 GOLDEN = Path(__file__).parent / "goldens"
 
@@ -91,6 +92,31 @@ def test_interactive_rounds_follow_dependency_depth():
     run = run_interactive(ctx, b, slots, Client(ctx))
     assert len(run.rounds) == len(vals)
     assert run.results["m"].value == 8.0
+
+
+@pytest.mark.parametrize("kernel,values,adds", [
+    # 7 duels over scalars, in 3 rounds
+    ("vec_max", [3.0, -1.5, 7.25, 0.5, 2.0, 7.25, -4.0, 1.0], 14),
+    # 1 duel over 4 lanes
+    ("max2", [np.array([1.0, -2.0, 0.0, 5.0]), np.array([0.5, -2.0, 3.0, 6.0])], 8),
+])
+def test_each_select_duel_subtracts_once(kernel, values, adds):
+    """max2 is [x > y]*(x - y) + y: the comparison is asked as its
+    argument x - y, and the select scales that same node, so a duel costs
+    two add lanes per lane, its subtraction and its sum, not three."""
+    ctx = CkksContext(SimParams(depth_budget=20))
+    b = GraphBuilder()
+    xs = [b.cipher(ctx.encrypt(v)) for v in values]
+    top = vec_max(b, xs) if kernel == "vec_max" else max2(b, *xs)
+    run = run_interactive(ctx, b, {"top": top}, Client(ctx))
+    assert np.array_equal(run.results["top"].value, np.max(values, axis=0))
+    assert ctx.snapshot_counts()["add"] == adds
+    bools = {n.payload: n for n in b.nodes if n.op == "bool"}
+    scaled = {(n.a, n.c) for n in b.nodes if n.op == "mul"}
+    assert len(b.comparisons) == (7 if kernel == "vec_max" else 1)
+    for c in b.comparisons:
+        assert operands(bools[c.id]) == (c.arg,)
+        assert (bools[c.id], c.arg) in scaled or (c.arg, bools[c.id]) in scaled
 
 
 def test_client_answers_restore_full_level():
@@ -714,7 +740,7 @@ def _check_release(b: GraphBuilder, slots: dict):
     assert len(run.rounds) == max(e.tier for e in slots.values())
 
     # an evaluator that keeps everything, given the same answers, asked
-    # for every request record, a comparison's the difference of its
+    # for every request's argument, a comparison's the difference of its
     # operands, and then every slot
     pe, enc = PlainEvaluator(b), CkksContext(SimParams(depth_budget=20))
     keep_ctx = CkksContext(SimParams(depth_budget=20))
@@ -722,10 +748,8 @@ def _check_release(b: GraphBuilder, slots: dict):
                            {c.id: enc.encrypt(pe.bool_value(c)) for c in b.comparisons})
     for q in b.sqrts:
         keep.bind(b.sqrt_deferred(q.arg), enc.encrypt(np.sqrt(pe.eval(q.arg))))
-    for c in b.comparisons:
-        keep_ctx.sub(keep.eval(c.lhs), keep.eval(c.rhs))
-    for q in b.sqrts:
-        keep.eval(q.arg)
+    for r in b.comparisons + b.sqrts:
+        keep.eval(r.arg)
     want = {name: keep.eval(e) for name, e in slots.items()}
     assert list(run.results) == list(want)
     for name, ct in run.results.items():
@@ -760,8 +784,13 @@ def test_declare_returns_the_unanswered_requests_and_declares_their_operands():
     plan = RunPlan.over(slots.values(), ev.memo)
     ev.follow(plan)
     assert plan.requests == [c1, s, c2]
-    # asked for in plan order: c1's operands, then the root's argument
-    for e in (x, y, arg):
+    # asked for in plan order, each request as its one argument: c1's
+    # x - y, then the root's
+    c1_arg = b.comparisons[c1.payload].arg
+    for e in (x, y):
+        with pytest.raises(ValueError, match="not declared"):
+            ev.eval(e)
+    for e in (c1_arg, arg):
         ev.eval(e)
     with pytest.raises(ValueError, match="more often than declared"):
         ev.eval(arg)  # asked for once, by its request
@@ -1163,7 +1192,8 @@ def test_pools_share_by_graph_node_never_by_value():
 # (lhs, rhs) pairs whose difference is a tie, a signed zero, a subnormal
 # or an overflow to +-inf: the client's [lhs - rhs > 0] must still be
 # [lhs > rhs].  A build that flushes subnormals to zero answers the
-# subnormal differences 0, and fails.
+# subnormal differences 0, and fails.  _SMALL holds signed zeros and
+# subnormals for the comparisons with 0, whose arguments fold.
 _TINY = 2.0 ** -1074
 _SIGN_PAIRS = [
     (1.0, 1.0), (-3.5, -3.5), (0.0, 0.0), (0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0),
@@ -1174,6 +1204,7 @@ _SIGN_PAIRS = [
     (1.7e308, -1.7e308), (-1.7e308, 1.7e308), (1.7976931348623157e308, -1e300),
     (2.5, -7.0), (-7.0, 2.5),
 ]
+_SMALL = [0.0, -0.0, _TINY, -_TINY, 2.0 ** -1071, -(2.0 ** -1070), 2.0 ** -1022 - _TINY]
 
 
 @pytest.mark.parametrize("mode", ["interactive", "deferred"])
@@ -1183,23 +1214,38 @@ def test_the_client_answers_each_difference_as_its_operands_compare(mode):
         diffs = lhs - rhs
     assert (diffs == 0).sum() == 6 and np.isinf(diffs).sum() == 3
     assert ((diffs != 0) & (np.abs(diffs) < 2.0 ** -1022)).sum() == 8  # subnormal
+    small = np.array(_SMALL)
     ctx = CkksContext(SimParams(depth_budget=20))
     b = GraphBuilder()
-    one = b.cipher(ctx.encrypt(np.ones(len(lhs))), name="one")
-    # sides that are products ship as records, not as formed rows
-    x, y = (b.mul(b.cipher(ctx.encrypt(v), name=name), one) for v, name in ((lhs, "x"), (rhs, "y")))
-    slots = {"gt": b.compare(x, y)}
+    # sides that are products ship as records, not as formed rows; z and
+    # w are two nodes, since compare(0.0, z) would complement compare(z, 0.0)
+    x, y, z, w = (b.mul(b.cipher(ctx.encrypt(v)), b.cipher(ctx.encrypt(np.ones(len(v)))))
+                  for v in (lhs, rhs, small, small))
+    slots = {"gt": b.compare(x, y), "pos": b.compare(z, 0.0), "neg": b.compare(0.0, w)}
+    want = {"gt": np.greater(lhs, rhs), "pos": np.greater(small, 0.0),
+            "neg": np.greater(0.0, small)}
+    args = {name: b.comparisons[c.payload].arg for name, c in slots.items()}
+    assert args["pos"] is z  # x - 0 folds to x itself, with no op
+    assert args["neg"].op == "neg" and args["neg"].a is w  # 0 - x folds to one neg
+    pe = PlainEvaluator(b)  # the reference answers from the operands
+    for name, e in slots.items():
+        assert np.array_equal(pe.eval(e), want[name]), name
     client = Client(ctx)
     with np.errstate(over="ignore"):
         if mode == "interactive":
-            got = run_interactive(ctx, b, slots, client).results["gt"].value
+            got = {k: ct.value for k, ct in run_interactive(ctx, b, slots, client).results.items()}
         else:
             prog = lower(b, slots, ctx)
-            assert len(prog.comparisons) == 1 and not prog.formed
-            got = run_deferred(prog, client).results["gt"]
-    assert np.array_equal(got, np.greater(lhs, rhs))
-    # one column of differences; a package also ships the slot's one table
-    assert client.attributed_decrypts == (1 if mode == "interactive" else 2)
+            assert len(prog.comparisons) == 3 and not prog.formed
+            got = run_deferred(prog, client).results
+    for name in slots:
+        assert np.array_equal(got[name], want[name]), name
+    # the server's ops: the operands' products, the one subtraction and the one negation
+    ops = ctx.snapshot_counts()
+    assert (ops["mul"], ops["add"], ops["neg"]) == (2 * len(lhs) + 2 * len(small), len(lhs),
+                                                    len(small))
+    # one column of differences; a package also ships each slot width's one table
+    assert client.attributed_decrypts == (1 if mode == "interactive" else 3)
 
 
 def test_comparison_answers_are_encrypted_after_the_operands_are_freed(monkeypatch):
