@@ -12,6 +12,12 @@ uniform circuits keep levels identical lane by lane, which is the only way
 the package ever uses them.  There is no slot packing: lanes never interact
 and there are no rotation ops.
 
+A window sum, ``CkksContext.window_sum``, adds public multiples of lanes
+gathered from one ciphertext, which in a slot-packed backend is rotations
+and plaintext multiplies (GAZELLE, Juvekar et al., USENIX Security 2018):
+it costs one plaintext level.  Its float work is the module's
+``window_sum`` kernel, which the client calls on decrypted values too.
+
 A ``Ciphertext`` is a slotted record that no code mutates: each op builds
 a new one.  The server replays tens of thousands of ops per image, so the
 ops keep their bookkeeping inline and build nothing else per call, and a
@@ -217,6 +223,40 @@ class CkksContext:
         v = a.value * kv if out is None else _into(np.multiply, a.value, kv, out)
         self.op_counts["mul_plain"] += v.size if type(v) is _ndarray else 1
         return Ciphertext(v, lvl, a.noise_bound * abs(kv))
+
+    def window_sum(self, a: Ciphertext, index: np.ndarray, scales: np.ndarray) -> Ciphertext:
+        """``window_sum(a.value, index, scales)``: one plaintext multiply
+        per (position, lane) of ``index`` and the adds between positions,
+        counted as ``mul_plain`` and ``add`` lanes, at one plaintext level.
+        The bound is the same window sum of the operand's bounds, with
+        |scales|."""
+        lvl = a.level
+        if self.params.plain_mul_consumes_level:
+            if lvl < 1:
+                raise DepthExhausted(
+                    f"window sum at level {lvl}: no multiplicative levels left")
+            lvl -= 1
+        positions, lanes = index.shape
+        nb = a.noise_bound
+        bound = 0.0 if _zero_bound(nb) else window_sum(
+            np.broadcast_to(nb, np.shape(a.value)), index, np.abs(scales))
+        self.op_counts["mul_plain"] += positions * lanes
+        self.op_counts["add"] += (positions - 1) * lanes
+        return Ciphertext(window_sum(a.value, index, scales), lvl, bound)
+
+
+def window_sum(values: Value, index: np.ndarray, scales: np.ndarray) -> np.ndarray:
+    """Lane s of the result is the sum over positions p, in order, of
+    ``values[index[p, s]] * scales[p]``: one (positions x lanes) gather,
+    scaled row by row, and its rows added one after another onto -0.0,
+    which leaves the first row's bits as they are.  numpy may reduce a
+    column of single lanes pairwise, so those accumulate instead; either
+    way each lane adds its terms left to right."""
+    terms = np.take(values, index)
+    np.multiply(terms, np.asarray(scales, dtype=np.float64)[:, None], out=terms)
+    if terms.shape[1] > 1:
+        return np.add.reduce(terms, axis=0, initial=-0.0)
+    return np.add.accumulate(terms, axis=0)[-1]
 
 
 def _take(x: Value, index) -> Value:

@@ -6,7 +6,10 @@ server-side; comparisons and square roots become unresolved parameters
 BoolVar, or a pure arithmetic node, can also be reindexed: its lanes
 gathered through an index map, which is free like ``ckks_sim.gather`` and
 lets one comparison or one value per source lane serve every lane that
-reads it.  The engine can:
+reads it.  A window sum adds public multiples of a node's lanes gathered
+through several maps (``ckks_sim.window_sum``); over pure arithmetic it is
+pure, and over an unresolved node it is one more parameter of normal
+forms.  The engine can:
 
   * simplify an expression to its multilinear normal form over those
     parameters (booleans are idempotent, a squared sqrt collapses to its
@@ -50,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ckks_sim import Ciphertext, CkksContext, Value, gather
+from .ckks_sim import Ciphertext, CkksContext, Value, gather, window_sum
 from .errors import DeferralUnsupported, FheSiftError, MissingAssignment
 
 # Node opcodes.
@@ -62,6 +65,7 @@ MUL = "mul"
 BOOL = "bool"
 SQRT = "sqrt"
 REINDEX = "reindex"
+WSUM = "wsum"
 
 # Most term pairs a normal form may multiply out for one product node.  A
 # product of n complemented comparisons 1 - c has 2^n monomials; the
@@ -164,6 +168,20 @@ class Reindex:
     map_id: int
 
 
+@dataclass(frozen=True, eq=False)
+class WindowSum:
+    """Window sum ``id`` of node ``source``: lane s is sum_p scales[p] *
+    source[index[p, s]], positions p in order.  ``map_ids`` name the rows
+    of ``index`` among the builder's lane maps; window sums of equal maps
+    and scales share ``index`` and ``scales``."""
+
+    id: int
+    source: Expr
+    index: np.ndarray  # (positions x lanes)
+    scales: np.ndarray
+    map_ids: tuple[int, ...]
+
+
 @dataclass(frozen=True)
 class Rational:
     """A division kept symbolic: num/den plus what is known about sign(den)."""
@@ -183,8 +201,9 @@ class Rational:
 
 
 # Normal-form key kind of each parameter opcode: a parameter is keyed
-# (kind, comparison / reindex / sqrt id).
-_PARAM_KEYS = {BOOL: "b", REINDEX: "r", SQRT: "s"}
+# (kind, comparison / reindex / sqrt / window-sum id).  A pure reindex or
+# window sum is no parameter: normal forms take tier-0 nodes whole.
+_PARAM_KEYS = {BOOL: "b", REINDEX: "r", SQRT: "s", WSUM: "w"}
 
 
 def _param_key(n: Expr) -> tuple[str, int]:
@@ -234,7 +253,8 @@ class GraphBuilder:
     Node identity is structural: identical (op, children, payload) terms
     intern to the same node, so repeated subterms share comparisons and
     coefficients for free.  Plain scalars intern by value; array payloads
-    and ciphertexts intern by object identity; reindexing maps by content.
+    and ciphertexts intern by object identity; reindexing maps and windows
+    by content.
     A ``leaf`` names where its ciphertext comes from instead of holding
     it, and never interns.
 
@@ -250,12 +270,15 @@ class GraphBuilder:
         self.comparisons: list[Comparison] = []
         self.sqrts: list[SqrtRequest] = []
         self.reindexed: list[Reindex] = []
+        self.wsums: list[WindowSum] = []
         self._intern: dict = {}
         # map bytes -> (map id, canonical map, lowest and highest lane)
         self._index_maps: dict[bytes, tuple[int, np.ndarray, int, int]] = {}
         # id(array) -> (array, entry): an array passed again skips hashing;
         # holding it keeps its id from being reused
         self._index_objs: dict[int, tuple[np.ndarray, tuple]] = {}
+        # (map ids, scale bytes) -> (index, scales) of the window sums over them
+        self._windows: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
         self._cmp_by_pair: dict[tuple[int, int], int] = {}
         self._param_nodes: dict[tuple, Expr] = {}  # normal-form key -> node
         self._nf_memo: dict[int, dict] = {}
@@ -322,18 +345,18 @@ class GraphBuilder:
         maps and normal forms) are dropped."""
         self.frozen = True
         self._intern, self._cmp_by_pair, self._nf_memo = {}, {}, {}
-        self._index_maps, self._index_objs = {}, {}
+        self._index_maps, self._index_objs, self._windows = {}, {}, {}
 
     def bind(self, leaves: dict[int, Ciphertext]) -> GraphBuilder:
         """A frozen builder over this frozen graph's nodes, comparisons,
-        square roots and reindexed parameters, whose leaves read
+        square roots, reindexed parameters and windows, whose leaves read
         ``leaves`` (leaf node id -> ciphertext), one ciphertext for the
         leaves of one source (see ``leaf``).  Nothing is copied."""
         if not self.frozen:
             raise ValueError("only a frozen graph can be bound")
         out = GraphBuilder()
         out.nodes, out.comparisons, out.sqrts = self.nodes, self.comparisons, self.sqrts
-        out.reindexed, out._param_nodes = self.reindexed, self._param_nodes
+        out.reindexed, out.wsums, out._param_nodes = self.reindexed, self.wsums, self._param_nodes
         out.leaves = leaves
         out.freeze()
         return out
@@ -452,20 +475,7 @@ class GraphBuilder:
         """
         if not isinstance(param, Expr) or (param.op != BOOL and param.tier != 0):
             raise ValueError("only a comparison parameter or a pure node can be reindexed")
-        seen = self._index_objs.get(id(index))
-        if seen is not None and seen[0] is index:
-            map_id, idx, lo, hi = seen[1]
-        else:
-            idx = np.asarray(index)
-            if idx.ndim != 1 or idx.size == 0 or idx.dtype.kind not in "iu":
-                raise ValueError("index map must be a non-empty 1-D integer array")
-            idx = np.ascontiguousarray(idx, dtype=np.intp)
-            raw = idx.tobytes()
-            if raw not in self._index_maps:
-                self._index_maps[raw] = (len(self._index_maps), idx, int(idx.min()), int(idx.max()))
-            map_id, idx, lo, hi = entry = self._index_maps[raw]
-            if isinstance(index, np.ndarray):
-                self._index_objs[id(index)] = (index, entry)
+        map_id, idx, lo, hi = self._lane_map(index)
         if param.width < 2 or lo < 0 or hi >= param.width:
             raise ValueError(f"index map reaches outside the {param.width} lanes of {param!r}")
         key = (REINDEX, param.id, map_id)
@@ -476,6 +486,56 @@ class GraphBuilder:
         self.reindexed.append(Reindex(rid, source, idx, map_id))
         node = self._node(REINDEX, a=param, payload=rid, key=key, width=len(idx))
         if source is not None:
+            self._param_nodes[_param_key(node)] = node
+        return node
+
+    def _lane_map(self, index) -> tuple[int, np.ndarray, int, int]:
+        """(map id, canonical map, lowest lane, highest lane) of ``index``,
+        interned by content; an array passed again is recognised by
+        identity, so it must not change afterwards."""
+        seen = self._index_objs.get(id(index))
+        if seen is not None and seen[0] is index:
+            return seen[1]
+        idx = np.asarray(index)
+        if idx.ndim != 1 or idx.size == 0 or idx.dtype.kind not in "iu":
+            raise ValueError("index map must be a non-empty 1-D integer array")
+        idx = np.ascontiguousarray(idx, dtype=np.intp)
+        raw = idx.tobytes()
+        if raw not in self._index_maps:
+            self._index_maps[raw] = (len(self._index_maps), idx, int(idx.min()), int(idx.max()))
+        entry = self._index_maps[raw]
+        if isinstance(index, np.ndarray):
+            self._index_objs[id(index)] = (index, entry)
+        return entry
+
+    def window_sum(self, h, window) -> Expr:
+        """sum_p c_p * reindex(h, map_p) over ``window``'s (map_p, c_p)
+        pairs, positions in order, as one node (``ckks_sim.window_sum``):
+        h's tier, the maps' width.  The maps intern as ``reindex``'s do,
+        and the window by its maps and scales.  Over a pure h the node is
+        pure; otherwise it is a parameter of normal forms, not an
+        idempotent one: a product of two forms that share it cannot be
+        expanded."""
+        h = self.as_expr(h)
+        window = list(window)
+        if not window:
+            raise ValueError("a window sum needs at least one (map, scale) pair")
+        maps = [self._lane_map(at) for at, _ in window]
+        if len({len(idx) for _, idx, _, _ in maps}) != 1:
+            raise ValueError("a window's maps must have one width")
+        if h.width < 2 or min(m[2] for m in maps) < 0 or max(m[3] for m in maps) >= h.width:
+            raise ValueError(f"a window map reaches outside the {h.width} lanes of {h!r}")
+        scales = np.array([float(c) for _, c in window])
+        key = (tuple(m[0] for m in maps), scales.tobytes())
+        if key not in self._windows:
+            self._windows[key] = np.stack([m[1] for m in maps]), scales
+        node_key = (WSUM, h.id, key)
+        if node_key in self._intern:
+            return self._intern[node_key]
+        index, scales = self._windows[key]
+        node = self._node(WSUM, a=h, payload=len(self.wsums), key=node_key, width=index.shape[1])
+        self.wsums.append(WindowSum(node.payload, h, index, scales, key[0]))
+        if node.tier > 0:
             self._param_nodes[_param_key(node)] = node
         return node
 
@@ -556,7 +616,10 @@ class GraphBuilder:
     # -- multilinear normal form ------------------------------------------------
 
     def _mul_terms(self, p1, c1, p2, c2):
-        # boolean parameters, reindexed or not, are idempotent
+        # boolean parameters, reindexed or not, are idempotent; window sums
+        # are not, and a squared one has no multilinear form
+        if any(k[0] == "w" and k in p2 for k in p1):
+            raise DeferralUnsupported("cannot square a window sum of unresolved values")
         params = {k for k in p1 if k[0] != "s"} | {k for k in p2 if k[0] != "s"}
         sqrt_keys = [k for k in p1 if k[0] == "s"] + [k for k in p2 if k[0] == "s"]
         coeff = self.mul(c1, c2)
@@ -579,9 +642,10 @@ class GraphBuilder:
     def normal_form(self, e: Expr) -> dict:
         """Map frozenset(param keys) -> pure coefficient Expr.
 
-        Parameters are ("b", comparison id), ("r", reindex id) and
-        ("s", sqrt id).  Booleans are idempotent so monomials are genuine
-        sets; a squared sqrt parameter is substituted by its argument.
+        Parameters are ("b", comparison id), ("r", reindex id), ("s",
+        sqrt id) and ("w", window-sum id).  Booleans are idempotent so
+        monomials are genuine sets; a squared sqrt parameter is substituted
+        by its argument, and a squared window sum raises.
         """
         memo = self._nf_memo
         # pure nodes and parameters are a normal form's leaves
@@ -679,6 +743,9 @@ class PlainEvaluator:
             return np.sqrt(m[n.a.id])
         if n.op == REINDEX:
             return np.asarray(m[n.a.id])[self.b.reindexed[n.payload].index]
+        if n.op == WSUM:
+            ws = self.b.wsums[n.payload]
+            return window_sum(m[n.a.id], ws.index, ws.scales)
         raise AssertionError(n.op)  # pragma: no cover
 
     def eval(self, root: Expr) -> Value:
@@ -699,7 +766,7 @@ MUL_PLAIN = "mul_plain"
 GATHER = "gather"
 LEAF = "leaf"
 # Node opcodes whose steps build a new value array.
-_BUILT = frozenset((ADD, MUL, NEG, REINDEX))
+_BUILT = frozenset((ADD, MUL, NEG, REINDEX, WSUM))
 
 
 def _step(n: Expr, free: tuple = (), into: int | None = None) -> tuple:
@@ -709,8 +776,8 @@ def _step(n: Expr, free: tuple = (), into: int | None = None) -> tuple:
 
     A subtraction x + (-y) is one SUB of x and y; a product with a plain
     constant is one MUL_PLAIN carrying the constant; a reindexed BoolVar
-    GATHERs its comparison through the map; a LEAF carries its node and a
-    PLAIN its constant.
+    GATHERs its comparison through the map; a WSUM carries its
+    ``WindowSum``, a LEAF its node and a PLAIN its constant.
     """
     if n.op == ADD:
         sub = _as_subtraction(n)
@@ -727,6 +794,8 @@ def _step(n: Expr, free: tuple = (), into: int | None = None) -> tuple:
         return NEG, n.id, n.a.id, None, free, into
     if n.op == REINDEX:
         return GATHER, n.id, n.a.id, n.b.reindexed[n.payload].index, free, None
+    if n.op == WSUM:
+        return WSUM, n.id, n.a.id, n.b.wsums[n.payload], free, None
     if n.op == CIPHER:
         return LEAF, n.id, n, None, free, None
     if n.op == PLAIN:
@@ -800,6 +869,8 @@ class CipherEvaluator:
                 m[dst] = gather(m[x], y)
             elif op == MUL_PLAIN:
                 m[dst] = ctx.mul_plain(m[x], y, out)
+            elif op == WSUM:
+                m[dst] = ctx.window_sum(m[x], y.index, y.scales)
             elif op == NEG:
                 m[dst] = ctx.neg(m[x], out)
             elif op == LEAF:
@@ -972,8 +1043,9 @@ def _prec(op: str) -> int:
 
 
 def format_expr(e: Expr) -> str:
-    """Deterministic infix rendering; add(x, neg(y)) prints as x - y, and
-    a reindexed pure node as its operand indexed by the map, ``x[2 0 1]``.
+    """Deterministic infix rendering; add(x, neg(y)) prints as x - y, a
+    reindexed pure node as its operand indexed by the map, ``x[2 0 1]``,
+    and a pure window sum as ``wsum<k>(x)``, k its window-sum id plus 1.
 
     Each node's text is rendered once, after its operands', and dropped
     after its last use, so a long sum renders without deep recursion.
@@ -997,8 +1069,10 @@ def format_expr(e: Expr) -> str:
             s = f"plain<{n.width}>" if isinstance(n.payload, np.ndarray) else f"{n.payload:g}"
         elif n.op == REINDEX and n.tier == 0:
             s = f"{use(n.a, 9)}[{' '.join(map(str, n.b.reindexed[n.payload].index))}]"
+        elif n.op == WSUM and n.tier == 0:
+            s = f"wsum{n.payload + 1}({use(n.a, 0)})"
         elif n.op in _PARAM_KEYS:
-            s = {BOOL: "c", REINDEX: "r", SQRT: "s"}[n.op] + str(n.payload + 1)
+            s = {BOOL: "c", REINDEX: "r", SQRT: "s", WSUM: "w"}[n.op] + str(n.payload + 1)
         elif n.op == ADD:
             sub = _as_subtraction(n)
             if sub is not None:
@@ -1023,17 +1097,22 @@ def format_normal_form(builder: GraphBuilder, slots: dict[str, Expr]) -> str:
     """Stable text dump of lowered structure, for golden tests.
 
     A reindexed parameter prints as its comparison indexed by the lane map,
-    ``r1 = c1[2 0 1]``; the comparison is listed with the others.
+    ``r1 = c1[2 0 1]``; the comparison is listed with the others.  A window
+    sum prints as its source, ``w1 = wsum(c1*v)``, whose parameters are
+    listed too.
     """
     lines = []
-    used: dict[str, set[int]] = {"b": set(), "r": set(), "s": set()}
+    used: dict[str, set[int]] = {"b": set(), "r": set(), "s": set(), "w": set()}
     rendered = {}
-    for name in sorted(slots):
-        terms = builder.sorted_terms(builder.normal_form(slots[name]))
-        for params, _ in terms:
+    forms = [builder.normal_form(slots[name]) for name in sorted(slots)]
+    for name, nf in zip(sorted(slots), forms):
+        rendered[name] = builder.sorted_terms(nf)
+    for nf in forms:  # a window sum's source is listed, so its form joins the walk
+        for params in nf:
             for kind, pid in params:
+                if kind == "w" and pid not in used["w"]:
+                    forms.append(builder.normal_form(builder.wsums[pid].source))
                 used[kind].add(pid)
-        rendered[name] = terms
     used["b"].update(builder.reindexed[rid].source for rid in used["r"])
     lines.append("params:")
     for cid in sorted(used["b"]):
@@ -1045,7 +1124,9 @@ def format_normal_form(builder: GraphBuilder, slots: dict[str, Expr]) -> str:
     for sid in sorted(used["s"]):
         req = builder.sqrts[sid]
         lines.append(f"  s{sid + 1} = sqrt({format_expr(req.arg)})")
-    names = {"b": "c", "r": "r", "s": "s"}
+    for wid in sorted(used["w"]):
+        lines.append(f"  w{wid + 1} = wsum({format_expr(builder.wsums[wid].source)})")
+    names = {"b": "c", "r": "r", "s": "s", "w": "w"}
     for name in sorted(slots):
         lines.append(f"slot {name}:")
         for params, coeff in rendered[name]:

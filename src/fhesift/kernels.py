@@ -96,16 +96,17 @@ def vec_argmax_onehot(b: GraphBuilder, xs) -> list[Expr]:
 
 
 def _boundary_tests(b: GraphBuilder, dx, dy, n_bins: int) -> list[Expr]:
-    """[0 > u_j] for each boundary j of ``bin_mask``."""
+    """[0 > u_j] for each boundary j of ``bin_mask``, asked as
+    [sin*dx > cos*dy]: its argument, one subtraction of the two products,
+    is -u_j but for the sign of a zero, so every answer is the same."""
     if n_bins < 3:
         raise ValueError("need at least 3 bins for sector masks")
     dx, dy = b.as_expr(dx), b.as_expr(dy)
-    zero = b.plain(0.0)
     below = []
     for j in range(n_bins):
         ang = 2.0 * math.pi * j / n_bins
-        u = b.sub(b.mul(b.plain(math.cos(ang)), dy), b.mul(b.plain(math.sin(ang)), dx))
-        below.append(b.compare(zero, u))
+        below.append(b.compare(b.mul(b.plain(math.sin(ang)), dx),
+                               b.mul(b.plain(math.cos(ang)), dy)))
     return below
 
 
@@ -147,31 +148,31 @@ def bin_mask_tan(b: GraphBuilder, dx, dy, n_bins: int) -> list[Expr]:
     return masks
 
 
-def weighted_histogram(b: GraphBuilder, dx, dy, n_bins: int, window,
+def weighted_histogram(b: GraphBuilder, dx, dy, n_bins: int, weight, window,
                        n_cells: int = 1) -> list[Expr]:
     """Histograms of gradient angles over a window of per-pixel gradients.
 
-    ``window`` is a sequence of (lane map, weight, cell) entries.  The
-    boundary tests of ``bin_mask`` are built once, over the per-pixel
-    ``dx, dy``; each entry reads them through its map (see
-    ``GraphBuilder.reindex``) and adds mask_k * weight into bin
-    ``cell * n_bins + k``, in window order.  The result holds ``n_cells``
-    histograms of ``n_bins`` bins back to back.  Every entry touches
-    every bin of its cell (mask * weight, zero or not), so the operation
-    count is independent of the data.
+    ``weight`` is the per-pixel weight over the lanes of ``dx, dy``, and
+    ``window`` a sequence of (lane map, public scale, cell) entries.  Each
+    pixel's binned weight h_k = mask_k * weight is built once per bin,
+    from the ``bin_mask`` sectors, in its canonical form
+    (``GraphBuilder.simplify``).  Bin ``cell * n_bins + k`` is the window
+    sum (``GraphBuilder.window_sum``) of h_k over the cell's entries, in
+    window order: sum_p scale_p * h_k[map_p].  The result holds
+    ``n_cells`` histograms of ``n_bins`` bins back to back; a cell with no
+    entry holds zeros.  Every entry touches every bin of its cell (zero
+    or not), so the operation count is independent of the data.
     """
     window = list(window)
     if not window:
         raise EmptyInput("weighted_histogram over an empty window")
-    below = _boundary_tests(b, dx, dy, n_bins)
-    bins = [b.plain(0.0)] * (n_cells * n_bins)
-    for at, w, cell in window:
-        w = b.as_expr(w)
-        masks = _sectors(b, [b.reindex(c, at) for c in below])
-        for k in range(n_bins):
-            e = cell * n_bins + k
-            bins[e] = b.add(bins[e], b.mul(masks[k], w))
-    return bins
+    weight = b.as_expr(weight)
+    binned = [b.simplify(b.mul(mask, weight)) for mask in bin_mask(b, dx, dy, n_bins)]
+    cells = [[] for _ in range(n_cells)]
+    for at, scale, cell in window:
+        cells[cell].append((at, scale))
+    return [b.window_sum(h, entries) if entries else b.plain(0.0)
+            for entries in cells for h in binned]
 
 
 # -- cipher-domain convolution ------------------------------------------------------

@@ -37,23 +37,31 @@ deferred package is one header and a fixed list of columnar sections,
 It is sized from the lowered program, allocated once and filled in place.
 
 Those sections are the slot tables' one form.  ``lower`` emits them (the
-references, formed comparisons, slots, names, parameters and monomials),
-so the serializer copies them, and ``LoweredProgram.bind`` adds one
-input's ciphertexts.  The package (``DCGPKG07``) ships every piece once,
-in pools the slots refer into: one wire-id row per record comparison and
-sqrt, each lane map, each table, pooled per node (a leaf's per source)
-and width, never by value, each reference and each formed comparison.
-A slot parameter is a (row, map or none) reference and a monomial a row
-of pool indices, its coefficient a table or a reference.
+references, formed comparisons, slots, names, parameters, monomials and
+windows), so the serializer copies them, and ``LoweredProgram.bind`` adds
+one input's ciphertexts.  The package (``DCGPKG08``) ships every piece
+once, in pools the slots refer into: one wire-id row per record
+comparison and sqrt, each lane map, each table, pooled per node (a
+leaf's per source) and width, never by value, each reference and each
+formed comparison.  A slot parameter is a (row, map or none) reference
+and a monomial a row of pool indices, its coefficient a table or a
+reference.
 
 A term is ``±c * reindex(T, map)`` or ``±c * T`` for a pure node T of
 more than one lane and a public scale c.  It ships as (T's table, the
 map or none, ±c), and the client makes the gather and the multiply the
 server would have made, so its values keep their bits.  A reference is
-a window weight, a coefficient that is a term with a map: a per-pixel
-value such as a squared gradient magnitude ships once per pixel, not
-once per window position that reads it, and the server never evaluates
-such a coefficient.
+a coefficient that is a term other than its T itself, such as the -w of
+a binned weight (mask * w): the server never evaluates it, and T ships
+once, whatever reads it.
+
+A window is a slot that is one window sum of unresolved values,
+sum_p c_p * h[map_p] (``GraphBuilder.window_sum``), as each histogram bin
+is.  Its source h ships as a slot of its own, once, which the client
+sums like any other but does not return, and the window as a row naming
+its slot and its source, with its weights, each (map, c_p).  The client
+then makes the server's window sum from the source's lanes with the same
+kernel, ``ckks_sim.window_sum``, so the bin keeps its bits.
 
 A comparison whose two sides are each a public constant or at most two
 terms over pixel tables (T linear in leaf lanes) is formed: it ships as
@@ -73,8 +81,9 @@ sequence.  ``SlotPlan.evaluate`` takes one package's answers and roots,
 each flat, and its coefficient tables: a product of 0/1 answers is an AND
 of bits, taken for a block of slots at once, and each family's
 coefficient rows are gathered once, a reference's straight from its
-table's lanes through its map.  The client decrypts each pooled table
-once, forms the formed comparisons from the tables, and keeps the plans
+table's lanes, through its map if it has one; then come the windows.
+The client decrypts each pooled table once, forms the formed
+comparisons from the tables, and keeps the plans
 of the ``PLAN_MEMO_SIZE`` most recently used layouts, keyed by the exact
 bytes of every section a plan depends on; wire ids, records, coefficient
 values and levels are not in the key, so packages of one circuit share
@@ -95,7 +104,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ckks_sim import Ciphertext, CkksContext, SecretKey, Value, gather
+from .ckks_sim import Ciphertext, CkksContext, SecretKey, Value, gather, window_sum
 from .deferred_graph import (
     ADD,
     CIPHER,
@@ -135,6 +144,10 @@ _REF = np.dtype([("table", "<u4"), ("map", "<u4"), ("scale", "<f8")])
 # sum of its terms whose table is not _NONE; a side with no such term is
 # the constant its first term's scale holds
 _FORMED = np.dtype([("width", "<u4"), ("lhs", _REF, (2,)), ("rhs", _REF, (2,))])
+# a window: the slot it fills and the source slot it sums, each weight a
+# lane map into the source and a public scale
+_WINDOW = np.dtype([("slot", "<u4"), ("source", "<u4")])
+_WEIGHT = np.dtype([("map", "<u4"), ("scale", "<f8")])
 _NONE = 0xFFFFFFFF  # no lane map; an unused monomial column; an absent term
 
 # Deferred package layout, all little-endian and packed: _HEADER, then
@@ -147,7 +160,8 @@ _NONE = 0xFFFFFFFF  # no lane map; an unused monomial column; an absent term
 # slot-local parameter indices padded with _NONE.  Coefficient k is table
 # k, or past the tables, reference k - n_coeffs.  Parameter rows number
 # the record comparisons' rows, then the formed comparisons, then the
-# sqrts' rows.
+# sqrts' rows.  A window's slot has no monomials; its weights run in
+# window order.
 _SECTIONS = (
     ("comparisons", RECORD_DTYPE, "n_cmp", False),
     ("sqrts", RECORD_DTYPE, "n_sqrt", False),
@@ -162,8 +176,10 @@ _SECTIONS = (
     ("names", np.dtype("u1"), "n_slots", True),  # UTF-8
     ("params", _PARAM, "n_slots", True),  # (row, map or _NONE)
     ("monomials", _U4, "n_slots", True),
+    ("windows", _WINDOW, "n_windows", False),
+    ("weights", _WEIGHT, "n_windows", True),
 )
-_PKG_MAGIC = b"DCGPKG07"
+_PKG_MAGIC = b"DCGPKG08"
 # the magic, the level of each record section's batch, then every count
 _HEADER = np.dtype([("magic", "S8")] + [(f, "<u4") for f in (
     "cmp_level", "sqrt_level", *dict.fromkeys(f for _, _, f, _ in _SECTIONS))])
@@ -299,15 +315,16 @@ class LoweredProgram:
     ``formed`` those the client forms from pixel tables, ``sqrts`` the
     sqrt requests, each in id order; the record comparisons' wire-id rows
     are numbered in that order, then the sqrts'.  ``sections`` holds, as
-    ``parse_package`` returns them, the ``refs``, the ``formed`` rows and
+    ``parse_package`` returns them, the ``refs``, the ``formed`` rows,
     the slot tables in name order: the ``slots`` ((width, stride) each),
-    their ``names``, (row, map) ``params`` and ``monomials``.
+    their ``names``, (row, map) ``params`` and ``monomials``, and the
+    ``windows`` with their ``weights``.
     ``coeff_nodes`` pools the tables as (node, slot width): one table per
     node and width, or per leaf source and width, never merged by value,
     so which monomials share a table follows from the graph alone.  A
-    window weight, a term with a map, is not a table but a reference,
-    and a formed comparison's sides are terms too: each is (T's table,
-    map or ``_NONE``, ±c).  ``table_lanes`` holds, per table, the lanes
+    coefficient that is a term other than its T is not a table but a
+    reference, and a formed comparison's sides are terms too: each is
+    (T's table, map or ``_NONE``, ±c).  ``table_lanes`` holds, per table, the lanes
     it ships when its readers read only some of them, else None.
     ``client_nodes`` holds what the client computes from the tables, so
     the server need not ask for it: each reference's coefficient node and
@@ -374,15 +391,25 @@ def lower(builder: GraphBuilder, slots: dict[str, Expr],
     order: plain comparisons, then reindexed ones, then sqrts.  Each
     monomial row is its coefficient followed by those local indices in
     the same order, padded with ``_NONE`` to the slot's highest degree.
-    A coefficient of the slot's width that is a term with a map is a
-    reference, and its T a table; references are numbered after the
-    tables.
+    A coefficient of the slot's width that is a term other than its T
+    itself is a reference, and its T a table; references are numbered
+    after the tables.
+
+    A slot whose normal form is one window sum over unresolved values
+    (``GraphBuilder.window_sum``), times 1, is a window.  It ships as a
+    slot with no monomials and a ``windows`` row naming it and its source,
+    with its weights, each a pooled lane map and a scale.  The source, the
+    window sum's operand, ships as a slot the client sums and does not
+    return, once, named after the first window in name order that reads
+    it with ``:source`` appended.  A window sum of unresolved values used
+    otherwise, or read by a source, raises ``DeferralUnsupported``.
 
     A table read only through lane maps, by references and formed terms,
     ships the union of the lanes they read, and their maps are remapped
     onto it, so no shipped lane goes unread.  Lane maps are pooled by
     content.
     """
+    windows, slots = _windows(builder, slots)
     terms = {name: builder.sorted_terms(builder.normal_form(e)) for name, e in slots.items()}
     keys = {name: sorted({k for params, _ in nf for k in params}) for name, nf in terms.items()}
     used = set().union(*keys.values())
@@ -441,7 +468,7 @@ def lower(builder: GraphBuilder, slots: dict[str, Expr],
     def coefficient(e: Expr, width: int) -> int:
         """Table k as k, reference j as -1 - j."""
         weight = _term(builder, e) if e.width == width else None
-        if weight is None or weight[1] is None:
+        if weight is None or weight[0] is e:
             k = table(e, width)
             whole.add(k)
             return k
@@ -463,6 +490,9 @@ def lower(builder: GraphBuilder, slots: dict[str, Expr],
                           for mono, _ in nf], dtype=_U4).reshape(len(nf), 1 + degree)
         tables[name] = ((width, 1 + degree), params, monos,
                         np.array([coefficient(coeff, width) for _, coeff in nf], dtype=np.int64))
+    for name, (_, ws) in windows.items():
+        tables[name] = ((ws.index.shape[1], 1), np.empty(0, _PARAM), np.empty((0, 1), _U4),
+                        np.empty(0, np.int64))
     none = (_NONE, _NONE, 0.0)  # an absent term
     rows_formed = []
     for c in formed:
@@ -492,13 +522,20 @@ def lower(builder: GraphBuilder, slots: dict[str, Expr],
         return [(k, pooled[m], scale) for k, m, scale in terms]
 
     names = sorted(tables)
+    at = {name: i for i, name in enumerate(names)}
+    weights = [np.array([(lane_map((None, m), row), scale)
+                         for m, row, scale in zip(ws.map_ids, ws.index, ws.scales.tolist())],
+                        dtype=_WEIGHT) for _, ws in windows.values()]
     sections = {"refs": np.array(mapped(refs), dtype=_REF),
                 "formed": np.array([(w, mapped(lhs), mapped(rhs)) for w, lhs, rhs in rows_formed],
                                    dtype=_FORMED),
                 "slots": np.array([tables[n][0] for n in names], dtype=_SLOT),
                 "names": _ragged([np.frombuffer(n.encode(), np.uint8) for n in names], np.uint8),
                 "params": _ragged([tables[n][1] for n in names], _PARAM),
-                "monomials": _ragged([tables[n][2].ravel() for n in names], _U4)}
+                "monomials": _ragged([tables[n][2].ravel() for n in names], _U4),
+                "windows": np.array([(at[name], at[src]) for name, (src, _) in windows.items()],
+                                    dtype=_WINDOW),
+                "weights": _ragged(weights, _WEIGHT)}
 
     sqrts = [builder.sqrts[sid] for sid in sqrt_ids]
     for request, arg in ([(f"comparison {c.id}", c.arg) for c in comparisons]
@@ -515,6 +552,7 @@ def lower(builder: GraphBuilder, slots: dict[str, Expr],
         "coeff_tables": len(coeff_nodes),
         "coeff_refs": len(refs),
         "lane_maps": len(lane_maps),
+        "windows": len(windows),
     }
     program = LoweredProgram(comparisons, formed, sqrts, sections, leakage, coeff_nodes, keep,
                              client_nodes, lane_maps)
@@ -523,6 +561,34 @@ def lower(builder: GraphBuilder, slots: dict[str, Expr],
     ev = CipherEvaluator(ctx, builder)
     ev.follow(RunPlan.over(program.operands()))
     return program.bind(ev)
+
+
+def _windows(builder: GraphBuilder, slots: dict[str, Expr]) -> tuple[dict, dict]:
+    """(windows, sums) for ``lower``: each window slot's (source name,
+    ``WindowSum``) in name order, and the slots the client sums, every
+    other slot and each window's source, once per source node."""
+    windows, sums, sources = {}, {}, {}  # sources: source node id -> its name
+    for name in sorted(slots):
+        nf = builder.normal_form(slots[name])
+        atoms = [k for params in nf for k in params if k[0] == "w"]
+        if not atoms:
+            sums[name] = slots[name]
+            continue
+        ((params, coeff),) = nf.items() if len(nf) == 1 else (((), None),)
+        if len(params) != 1 or atoms != list(params) or _scalar(coeff) != 1.0:
+            raise DeferralUnsupported(f"slot {name!r} uses a window sum of unresolved values "
+                                      "other than as the whole slot")
+        ws = builder.wsums[atoms[0][1]]
+        src = sources.setdefault(ws.source.id, f"{name}:source")
+        if src not in sums:
+            if src in slots:
+                raise ValueError(f"slot name {src!r} is taken by a window's source")
+            if any(k[0] == "w" for params in builder.normal_form(ws.source) for k in params):
+                raise DeferralUnsupported(f"the window of slot {name!r} sums a window sum "
+                                          "of unresolved values")
+            sums[src] = ws.source
+        windows[name] = src, ws
+    return windows, sums
 
 
 def _scalar(e: Expr) -> float | None:
@@ -676,12 +742,15 @@ class SlotPlan:
     It holds the decoded names, copies of the lane maps, the starts of
     the rows and tables, and:
 
-      * each formed comparison's lanes and sides, each side a constant or
-        its terms as (table, lanes or None, scale);
+      * the formed comparisons, in sets that read the same tables through
+        the same maps, each formed in one (rows x lanes) pass: their
+        lanes, and their sides, each side a column of constants or its
+        terms as (table, lanes or None, a column of scales);
       * per slot width, the rows coefficients are read from: each table
-        of that width, then, per table that references read, its lanes
-        through each map of that width that references read.  A
-        coefficient is one of those rows, a reference's times its scale;
+        of that width, then, per table that references read through maps,
+        its lanes through each map of that width that references read.  A
+        coefficient is one of those rows, a reference's, which without a
+        map is its table's own row, times its scale;
       * each distinct (row, map) comparison parameter's row of packed
         bits, packed by (map, row length) from blocks of the rows'
         answers, one per set of rows that packs read;
@@ -691,9 +760,14 @@ class SlotPlan:
         are held per slot, and a group is summed in blocks of about
         ``_BLOCK_BYTES``;
       * the monomials with a sqrt factor, by factor count, with their
-        factors' (row, map).
+        factors' (row, map);
+      * each window's slot and source, its weights' (positions x lanes)
+        source lanes and their scales.  The sources are summed as slots,
+        each window from its source through ``ckks_sim.window_sum``, and
+        the sources are not returned.
 
-    It holds no view into a package.  Slots without monomials are 0.0.
+    It holds no view into a package.  Slots without monomials are 0.0,
+    but for the windows'.
     """
 
     def __init__(self, pkg: dict):
@@ -709,14 +783,34 @@ class SlotPlan:
         self.maps = _runs(pkg["maps"][0], pkg["maps"][1].copy())
         self.names = _slot_names(*pkg["names"])
 
-        def side(terms) -> float | list[tuple]:
-            present = [(k, None if m == _NONE else self.maps[m], s)
-                       for k, m, s in terms.tolist() if k != _NONE]
-            return present or float(terms["scale"][0])
-
+        # the formed rows of one width that read the same tables through
+        # the same maps, a constant on the same sides, are formed in one
+        # pass: (its blocks, lhs, rhs), each side a (rows x 1) column of
+        # constants or its terms, each (table, lanes or None, (rows x 1)
+        # scales).  A block is about _BLOCK_BYTES of (rows x lanes): (its
+        # rows, their count, their lanes as one span when they follow
+        # each other, else each row's)
         at = self.starts[len(pkg["cmp_rows"][0]):]  # each formed row's first lane
-        self.formed = [(lo, hi, side(lhs), side(rhs))
-                       for lo, hi, lhs, rhs in zip(at, at[1:], formed["lhs"], formed["rhs"])]
+        by_reads: dict[tuple, list[int]] = {}
+        for i, (w, *sides) in enumerate(formed.tolist()):
+            key = (w, *(tuple((t, k, m) for t, (k, m, _) in enumerate(terms.tolist())
+                              if k != _NONE) for terms in sides))
+            by_reads.setdefault(key, []).append(i)
+        self.formed = []
+        for (w, *reads), rows in by_reads.items():
+            sides = []
+            for name, terms in zip(("lhs", "rhs"), reads):
+                scales = formed[name]["scale"][rows]
+                sides.append([(k, None if m == _NONE else self.maps[m], scales[:, t, None])
+                              for t, k, m in terms] or scales[:, :1])
+            blocks, step = [], max(1, _BLOCK_BYTES // (8 * w))
+            for lo in range(0, len(rows), step):
+                part = rows[lo:lo + step]
+                span = [(at[i], at[i + 1]) for i in part]
+                if part[-1] - part[0] == len(part) - 1:
+                    span = span[0][0], span[-1][1]
+                blocks.append((slice(lo, lo + len(part)), len(part), span))
+            self.formed.append((blocks, *sides))
 
         # each width's coefficient rows: its tables, then a block per
         # table that references of that width read, its lanes through
@@ -729,8 +823,13 @@ class SlotPlan:
         refs = pkg["refs"]
         map_rows: dict[int, dict[int, int]] = {}  # width -> map -> its row of ref_maps
         through: dict[tuple[int, int], int] = {}  # (width, table) -> its block's first row
-        ref_rows = []  # each reference's (width, table, map's row of ref_maps)
+        # each reference's (width, table, map's row of ref_maps), or with
+        # no map (None, table, None)
+        ref_rows = []
         for k, m in zip(refs["table"].tolist(), refs["map"].tolist()):
+            if m == _NONE:
+                ref_rows.append((None, k, None))
+                continue
             w = len(self.maps[m])
             through[w, k] = 0
             ref_rows.append((w, k, map_rows.setdefault(w, {}).setdefault(m, len(map_rows[w]))))
@@ -743,7 +842,8 @@ class SlotPlan:
         self.through = [(w, lo, k) for (w, k), lo in through.items()]  # (width, first row, table)
         # each coefficient's row (tables, then references) and scale
         self.coeff_row = np.array([row for _, row in self.table_at]
-                                  + [through[w, k] + i for w, k, i in ref_rows], dtype=np.intp)
+                                  + [self.table_at[k][1] if w is None else through[w, k] + i
+                                     for w, k, i in ref_rows], dtype=np.intp)
         self.coeff_scale = np.concatenate([np.ones(len(table_widths)), refs["scale"]])
         self.is_ref = np.arange(len(self.coeff_row)) >= len(table_widths)
 
@@ -835,6 +935,20 @@ class SlotPlan:
         self.block_size = max((g.bit_rows.shape[0] * (hi - lo) * (l1 - l0)
                                for g in self.groups for lo, hi, l0, l1, _ in g.blocks), default=0)
 
+        # each window as the kernel takes it: the slot it fills, its
+        # source's, the (positions x lanes) source lanes its maps read,
+        # which windows of one map sequence share, and its scales
+        lanes_of: dict[bytes, np.ndarray] = {}
+        self.windows = []
+        for (slot, src), weights in zip(pkg["windows"].tolist(), _runs(*pkg["weights"])):
+            raw = weights["map"].tobytes()
+            if raw not in lanes_of:
+                lanes_of[raw] = np.array([self.maps[m] for m in weights["map"].tolist()],
+                                         dtype=np.intp)
+            self.windows.append((self.names[slot], self.names[src], lanes_of[raw],
+                                 weights["scale"].copy()))
+        self.hidden = {src for _, src, _, _ in self.windows}  # the sources, not returned
+
     def evaluate(self, answers: np.ndarray, roots: np.ndarray, table) -> dict[str, Value]:
         """Each slot's value, given every record comparison row's boolean
         answers back to back, every sqrt row's roots back to back, and
@@ -842,11 +956,13 @@ class SlotPlan:
         table.
 
         The formed comparisons are answered from the tables first
-        (``_form``).  A reference's coefficient row is its table's lanes
-        through its map times its scale, the multiply the server would
-        have made.  A product of 0/1 answers is an AND of bits; a
+        (``_form``).  A reference's coefficient row is its table's lanes,
+        through its map if it has one, times its scale, the multiply the
+        server would have made.  A product of 0/1 answers is an AND of bits; a
         monomial with a sqrt factor folds its floats as a balanced tree,
         as the server does.  Terms add in monomial order, left to right.
+        Each window is then its source's window sum, and the sources are
+        dropped.
         """
         tables = [table(k) for k in range(len(self.table_at))]
         answers = self._form(answers, tables)
@@ -928,26 +1044,48 @@ class SlotPlan:
                 else:
                     sums[lo:hi, 0] = np.add.accumulate(terms[:, :, 0], axis=0)[-1]
             results.update(zip(g.names, sums if w > 1 else sums[:, 0].tolist()))
+        for name, src, lanes, scales in self.windows:
+            results[name] = window_sum(results[src], lanes, scales)
+        for src in self.hidden:
+            del results[src]
         return results
 
     def _form(self, answers: np.ndarray, tables: list[np.ndarray]) -> np.ndarray:
         """Every comparison row's answers back to back: the records', then
-        each formed comparison's, [lhs > rhs] at its own width.  A side is
-        its constant, or its terms, each its table's lanes through its map
-        (or all of them) times its scale, two of them added: the float
-        ops the server would have made, so every answer keeps its bits."""
+        each formed comparison's, [lhs > rhs] at its own width, a pass per
+        set of rows that read the same tables.  A side is its constant, or
+        its terms, each its table's lanes through its map (or all of them)
+        times its scale, two of them added: the float ops the server would
+        have made, so every answer keeps its bits."""
         out = np.empty(self.starts[-1], dtype=bool)
         out[:len(answers)] = answers
-        for lo, hi, lhs, rhs in self.formed:
-            np.greater(_form_side(lhs, tables), _form_side(rhs, tables), out=out[lo:hi])
+        for blocks, lhs, rhs in self.formed:
+            lhs, rhs = _form_lanes(lhs, tables), _form_lanes(rhs, tables)
+            for rows, n_rows, span in blocks:
+                if isinstance(span, tuple):
+                    np.greater(_form_side(lhs, rows), _form_side(rhs, rows),
+                               out=out[span[0]:span[1]].reshape(n_rows, -1))
+                    continue
+                got = np.greater(_form_side(lhs, rows), _form_side(rhs, rows))
+                for (lo, hi), row in zip(span, got):
+                    out[lo:hi] = row
         return out
 
 
-def _form_side(side, tables: list[np.ndarray]):
-    """A formed side's value: its constant, or its one or two terms summed."""
-    if isinstance(side, float):
+def _form_lanes(side, tables: list[np.ndarray]):
+    """A formed side's constants, or each of its terms as (its table's
+    lanes through its map, or all of them; its scales)."""
+    if not isinstance(side, list):
         return side
-    vals = [(tables[k] if m is None else np.take(tables[k], m)) * s for k, m, s in side]
+    return [(tables[k] if m is None else np.take(tables[k], m), s) for k, m, s in side]
+
+
+def _form_side(side, rows: slice) -> np.ndarray:
+    """A formed side's values at ``rows``, (rows x lanes): its constants,
+    or its one or two terms, each its lanes times its scale, summed."""
+    if not isinstance(side, list):
+        return side[rows]
+    vals = [lanes * s[rows] for lanes, s in side]
     return vals[0] if len(vals) == 1 else vals[0] + vals[1]
 
 
@@ -1209,29 +1347,35 @@ def parse_package(blob) -> dict:
     ``cmp_level`` and ``sqrt_level`` are the levels the header gives the
     comparison and the sqrt records.  ``cmp_rows`` and ``sqrt_rows`` hold
     the wire-id row of each record comparison and sqrt, ``coeffs`` the
-    tables and ``levels`` their levels, ``refs`` the window weights as
-    (table, map, scale), and ``formed`` the comparisons the client forms
+    tables and ``levels`` their levels, ``refs`` the references as
+    (table, map or ``_NONE``, scale), and ``formed`` the comparisons the client forms
     from the tables (``_FORMED``).  Slot i's ``params`` are (row, map)
     references, rows numbered record comparisons first, then formed ones,
     then sqrts, and map ``_NONE`` for none, and its ``monomials`` are
     rows of ``stride`` references: a coefficient (a table, or past them a
     reference), then slot-local parameter indices padded with ``_NONE``.
+    ``windows`` holds each window's (slot, source) and ``weights`` its
+    (map, scale) weights.
     ``layout`` holds, as bytes, every section a ``SlotPlan`` depends on;
     the client's plan memo is keyed by it.
 
     Every reference is checked against what it points into: a wire id
     against its kind's records, a parameter's row and map against the
     pools and the map's lanes against the row, every term's table and
-    map, the window weights' and the formed sides' in one pass, against
-    the pools and the map's lanes against the table, a monomial's
-    coefficient and parameter indices against the pools and the slot.
-    Only a formed term may have no map.  So is every width: a slot's
-    coefficients have its width in lanes, a window weight's being its
-    map's, and each of its parameters, read through its map if it has
-    one, 1 or that width; each term of a formed comparison, likewise, 1
-    or its row's width, which is its widest term's (1 with none).  An
-    absent term has no map.  One out of range is a ValueError, like a
-    truncated package.  The names are decoded, and checked, where they
+    map, the references' and the formed sides' in one pass, against the
+    pools and the map's lanes against the table, a monomial's coefficient
+    and parameter indices against the pools and the slot, a window's slot
+    and source against the slots, and its weights' maps against the pool
+    and their lanes against the source.  So is every width: a slot's
+    coefficients have its width in lanes, a reference's being its map's,
+    or its table's without one, and each of its parameters, read through
+    its map if it has one, 1 or that width; each term of a formed
+    comparison, likewise, 1 or its row's width, which is its widest
+    term's (1 with none); each window weight's map, the width of the
+    window's slot.  An absent term has no map.  A window fills a slot
+    with no monomials that no other window fills, has weights, and sums
+    a source that is no window.  One out of range is a ValueError, like
+    a truncated package.  The names are decoded, and checked, where they
     are read: by ``SlotPlan`` and ``dump_package``.
     """
     if blob[:len(_PKG_MAGIC)] != _PKG_MAGIC:
@@ -1254,14 +1398,13 @@ def parse_package(blob) -> dict:
     present = sides["table"] != _NONE
     if np.any(sides["map"][~present] != _NONE):
         raise ValueError("deferred package formed comparison's absent term has a lane map")
-    # every term, the references first; only a formed one may read its table whole
+    # every term, the references first
     n_refs = len(sec["refs"])
     terms = np.concatenate([sec["refs"], sides[present]])
     term_table, term_map = terms["table"].astype(np.intp), terms["map"].astype(np.intp)
-    formed_term = np.arange(len(terms)) >= n_refs
-    whose = np.where(formed_term, "formed term's", "reference's")
+    whose = np.where(np.arange(len(terms)) >= n_refs, "formed term's", "reference's")
     _check_refs(np.char.add(whose, " table"), term_table, len(coeff_lens))
-    _check_refs(np.char.add(whose, " lane map"), term_map, len(map_lens), none_ok=formed_term)
+    _check_refs(np.char.add(whose, " lane map"), term_map, len(map_lens), none_ok=True)
     mapped = term_map != _NONE
     past = np.zeros(len(terms), dtype=bool)
     past[mapped] = map_top[term_map[mapped]] >= coeff_lens[term_table[mapped]]
@@ -1310,10 +1453,30 @@ def parse_package(blob) -> dict:
     if np.any(coeff_lens[coeffs] != np.repeat(width, n_rows)):
         raise ValueError("deferred package coefficient's lanes differ from its slot's width")
 
+    windows, (weight_lens, weights) = sec["windows"], sec["weights"]
+    slot, source = windows["slot"].astype(np.intp), windows["source"].astype(np.intp)
+    _check_refs("window's slot", slot, len(width))
+    _check_refs("window's source", source, len(width))
+    filled = np.zeros(len(width), dtype=bool)
+    filled[slot] = True
+    if np.count_nonzero(filled) != len(slot):
+        raise ValueError("deferred package slot is filled by two windows")
+    if np.any(filled[source]):
+        raise ValueError("deferred package window reads a window")
+    if np.any(mono_lens[slot] != 0) or np.any(weight_lens == 0):
+        raise ValueError("deferred package window's slot has monomials, or it has no weights")
+    weight_map = weights["map"].astype(np.intp)
+    _check_refs("window weight's lane map", weight_map, len(map_lens))
+    if np.any(map_top[weight_map] >= np.repeat(width[source], weight_lens)):
+        raise ValueError("deferred package window's lane map reads past the end of its source")
+    if np.any(map_lens[weight_map] != np.repeat(width[slot], weight_lens)):
+        raise ValueError("deferred package window weight's lanes differ from its slot's width")
+
     # every section the slot plan depends on, byte for byte
     layout = (cmp_lens.tobytes(), sqrt_lens.tobytes(), sec["coeffs"][0].tobytes(),
               sec["refs"].tobytes(), formed.tobytes(), sec["slots"].tobytes(),
-              *(part.tobytes() for name in ("maps", "names", "params", "monomials")
+              windows.tobytes(),
+              *(part.tobytes() for name in ("maps", "names", "params", "monomials", "weights")
                 for part in sec[name]))
     return {**sec, "cmp_level": int(header["cmp_level"]),
             "sqrt_level": int(header["sqrt_level"]), "layout": layout}
@@ -1327,15 +1490,16 @@ def dump_package(blob: bytes) -> str:
     ``k<i>``, references as ``x<i>`` and slot parameters as ``p<i>``; a
     formed comparison prints as ``f<i> = [lhs] > [rhs]``, each side a
     constant or its terms ``k<t>[m<m>] * scale``.  Slots print in name
-    order.
+    order, then each window as ``slot <- source : weights``, each weight
+    ``m<m> * scale``.
     """
     pkg = parse_package(blob)
     n_crows, n_tables = len(pkg["cmp_rows"][0]), len(pkg["coeffs"][0])
     n_formed = len(pkg["formed"])
     rows = _runs(*pkg["cmp_rows"]) + _runs(*pkg["sqrt_rows"])
     maps, coeffs = _runs(*pkg["maps"]), _runs(*pkg["coeffs"])
-    slots = zip(_slot_names(*pkg["names"]), pkg["slots"].tolist(),
-                _runs(*pkg["params"]), _runs(*pkg["monomials"]))
+    names = _slot_names(*pkg["names"])
+    slots = zip(names, pkg["slots"].tolist(), _runs(*pkg["params"]), _runs(*pkg["monomials"]))
 
     def row_name(r: int) -> str:
         if r < n_crows:
@@ -1380,6 +1544,10 @@ def dump_package(blob: bytes) -> str:
             key = "*".join(f"p{i}" for i in mono if i != _NONE) or "1"
             coeff = f"k{ref}" if ref < n_tables else f"x{ref - n_tables}"
             lines.append(f"  {key} : {coeff}")
+    lines.append(f"windows: {len(pkg['windows'])}")
+    for (slot, src), weights in zip(pkg["windows"].tolist(), _runs(*pkg["weights"])):
+        terms = ", ".join(f"m{m} * {scale:.6g}" for m, scale in weights.tolist())
+        lines.append(f"  {names[slot]} <- {names[src]} : {terms}")
     return "\n".join(lines) + "\n"
 
 

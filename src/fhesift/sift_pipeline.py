@@ -15,15 +15,18 @@ free.  The graph, and so the package's structure, does not depend on
 the octave count.  Each pyramid level the graph reads is one leaf over
 a block of pixels, and every offset into it, of a DoG neighbourhood or
 a gradient's central difference, a lane map (``GraphBuilder.reindex``),
-which is free.  Comparisons are asked once and read through maps too: the
-bin masks once per pixel of the region the descriptor window covers,
-read through one map per window position; detection once per ordered
-pair of adjacent DoG samples of the site layers, over a ring of the
-sites widened by one sample, read through 9 maps, one per offset of the
-3x3 neighbourhood.  Each pixel's squared gradient magnitude is likewise
-computed once and read through the window position's map, so each
-window weight is a reindexed per-pixel value times a public constant,
-which a deferred package ships once per pixel.  Stage outputs are named
+which is free.  Comparisons are asked once and read through maps too:
+detection once per ordered pair of adjacent DoG samples of the site
+layers, over a ring of the sites widened by one sample, read through 9
+maps, one per offset of the 3x3 neighbourhood.  Histograms are window
+sums of per-pixel binned magnitudes: over the region the descriptor
+window covers, each pixel's bin masks are asked once and multiplied into
+its weight (the squared gradient magnitude, or its root) once per bin,
+and each bin of a site sums those binned weights through the lane maps
+of its window positions, each times a public Gaussian constant
+(``GraphBuilder.window_sum``, ``kernels.weighted_histogram``).  A
+deferred package ships each binned weight as one per-pixel source slot,
+and the client makes the server's window sums.  Stage outputs are named
 graph slots; ``_GraphPlan.split`` cuts each back into one table per
 (octave, layer), and the client turns those into the keypoint list.
 Subpixel division, the orientation argmax (in deferred mode) and
@@ -35,8 +38,9 @@ everything planned from them depend on the image shape, the config and
 the mode alone.  ``compile_circuit`` builds the graph with leaves that
 name their sources (``_LayerLeaf``: a DoG or Gaussian level) instead
 of holding ciphertexts, lists each stage's pure work (in deferred mode,
-less what the client computes from the package's tables: the window
-weights and the arguments of the comparisons it forms), lowers the deferred
+less what the client computes from the package's tables: the scaled
+tables it ships as references and the arguments of the comparisons it
+forms), lowers the deferred
 package's tables, plans the server's evaluation as a tape that each
 image replays (the pure work, gradients and comparison arguments
 included, then the package's operands or the interactive run) and
@@ -337,13 +341,17 @@ class _GraphPlan:
     def pure(self, stage: str) -> list:
         """The stage's server work that needs no client answer: pure
         comparison arguments (lhs - rhs), pure sqrt arguments and the
-        normal-form coefficients of its roots, each once, in first-use
-        order."""
+        normal-form coefficients of its roots and of the sources of their
+        window sums, each once, in first-use order."""
         b = self.builder
         exprs = [b.comparisons[cid].arg for cid in self.stage_cmps[stage]]
         exprs += [b.sqrts[sid].arg for sid in self.stage_sqrts[stage]]
         exprs = [e for e in exprs if e.tier == 0]
-        exprs += [c for root in self.stage_roots[stage] for c in b.normal_form(root).values()]
+        roots = list(self.stage_roots[stage])
+        for root in roots:  # a window sum's source joins the roots
+            nf = b.normal_form(root)
+            exprs += nf.values()
+            roots += [b.wsums[k[1]].source for params in nf for k in params if k[0] == "w"]
         return list({e.id: e for e in exprs}.values())
 
     def waiting_stage(self) -> str | None:
@@ -572,31 +580,28 @@ def _build_site_graph(plan: _GraphPlan, dims, cfg: PipelineConfig, with_argmax: 
 
         # x and y central differences of the Gaussian level over the
         # region; orientation reads the window's inner part.  The 1/2
-        # factor is folded into the plaintext weights; angles do not see
-        # scale.  The bin masks below ask each pixel's comparisons once,
-        # and each pixel's squared magnitude is computed once; window
-        # position (uu, vv) reads both through its lane map.
+        # factor is folded into the public window scales; angles do not
+        # see scale.  Each pixel's bin masks and squared magnitude are
+        # computed once, and window position (uu, vv) reads their
+        # products through its lane map.
         g = level("gauss", l)
         gx_e = b.sub(b.reindex(g, from_region[1, 0]), b.reindex(g, from_region[-1, 0]))
         gy_e = b.sub(b.reindex(g, from_region[0, 1]), b.reindex(g, from_region[0, -1]))
         mag2 = b.add(b.mul(gx_e, gx_e), b.mul(gy_e, gy_e))
 
-        # orientation histogram over the inner window
+        # orientation histogram over the inner window, weighted per pixel
+        # by the squared magnitude or by its root, one per pixel
         cmp_lo, sqrt_lo = len(b.comparisons), len(b.sqrts)
         sw = 1.5 * sigmas[l]
         rad = ORIENTATION_RADIUS
-        window = []
-        for vv in range(-rad, rad + 1):
-            for uu in range(-rad, rad + 1):
-                at = lanes[(uu, vv)]
-                gwin = math.exp(-(uu * uu + vv * vv) / (2.0 * sw * sw))
-                if cfg.orientation_weighting == MAGNITUDE_SQUARED:
-                    w = b.mul(b.reindex(mag2, at), b.plain(0.25 * gwin))
-                else:
-                    w = b.mul(b.sqrt_deferred(b.reindex(mag2, at)), b.plain(0.5 * gwin))
-                window.append((at, w, 0))
-        bins = [b.simplify(e) for e in weighted_histogram(b, gx_e, gy_e, nb, window)]
-        wsum = b.simplify(b.sum_([w for _, w, _ in window]))
+        if cfg.orientation_weighting == MAGNITUDE_SQUARED:
+            weight, unit = mag2, 0.25
+        else:
+            weight, unit = b.sqrt_deferred(mag2), 0.5
+        window = [(lanes[(uu, vv)], unit * math.exp(-(uu * uu + vv * vv) / (2.0 * sw * sw)), 0)
+                  for vv in range(-rad, rad + 1) for uu in range(-rad, rad + 1)]
+        bins = weighted_histogram(b, gx_e, gy_e, nb, weight, window)
+        wsum = b.window_sum(weight, [(at, scale) for at, scale, _ in window])
         # the bins are roots in both modes; the one-hot slots are not,
         # since their coefficients hang on the tournament's answers
         plan.stage_roots["orient"] += [wsum, *bins]
@@ -613,16 +618,11 @@ def _build_site_graph(plan: _GraphPlan, dims, cfg: PipelineConfig, with_argmax: 
         # descriptor: 4x4 cells of 2x2 pixels, 8 angle bins, fixed
         # Gaussian weight, nearest-cell assignment
         cmp_lo, sqrt_lo = len(b.comparisons), len(b.sqrts)
-        window = []
-        for vv in range(-4, 4):
-            for uu in range(-4, 4):
-                at = lanes[(uu, vv)]
-                gwin = math.exp(
-                    -(uu * uu + vv * vv) / (2.0 * DESCRIPTOR_SIGMA * DESCRIPTOR_SIGMA))
-                w = b.mul(b.reindex(mag2, at), b.plain(0.25 * gwin))
-                window.append((at, w, (vv + 4) // 2 * 4 + (uu + 4) // 2))
-        for e, d in enumerate(weighted_histogram(b, gx_e, gy_e, 8, window, n_cells=16)):
-            d = b.simplify(d)
+        sd2 = 2.0 * DESCRIPTOR_SIGMA * DESCRIPTOR_SIGMA
+        window = [(lanes[(uu, vv)], 0.25 * math.exp(-(uu * uu + vv * vv) / sd2),
+                   (vv + 4) // 2 * 4 + (uu + 4) // 2)
+                  for vv in range(-4, 4) for uu in range(-4, 4)]
+        for e, d in enumerate(weighted_histogram(b, gx_e, gy_e, 8, mag2, window, n_cells=16)):
             plan.stage_roots["descriptor"].append(d)
             plan.add_slot("descriptor", f"{p}/d{e:03d}", d)
         plan.mark_stage("descriptor", cmp_lo, sqrt_lo)
@@ -707,9 +707,9 @@ def compile_circuit(shape: tuple[int, int], cfg: PipelineConfig, mode: str) -> C
                       with_argmax=(mode == "interactive"))
     b = plan.builder
     program = lower(b, plan.slots) if mode == "deferred" else None
-    # the client scales the window weights a package ships as references
-    # and forms the comparisons it ships as formed rows, so the server
-    # need not ask for their nodes
+    # the client scales the tables a package ships as references and
+    # forms the comparisons it ships as formed rows, so the server need
+    # not ask for their nodes
     shipped = {e.id for e in program.client_nodes} if program else set()
     pure = {stage: [e for e in plan.pure(stage) if e.id not in shipped] for stage in _GRAPH_STAGES}
     first = [e for es in pure.values() for e in es]

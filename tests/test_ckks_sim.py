@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from fhesift import Ciphertext, CkksContext, SecretKey, SimParams, concat, gather
+from fhesift import Ciphertext, CkksContext, GraphBuilder, PlainEvaluator, SecretKey, SimParams
+from fhesift import concat, gather
+from fhesift.ckks_sim import window_sum
 from fhesift.errors import DepthExhausted
 
 
@@ -332,3 +334,73 @@ def test_gather_copies_for_every_index_kind_its_callers_pass():
         assert not np.shares_memory(out.value, ct.value)
         assert not np.shares_memory(out.noise_bound, ct.noise_bound)
     assert gather(Ciphertext(np.arange(4.0), 2, 0.0), np.array([1])).noise_bound == 0.0
+
+
+# values a window sum must add in order: signed zeros, subnormals, and
+# sums that tie, where 1 + 2^-53 rounds back to 1 but 2^-53 + 2^-53 does not
+_AWKWARD = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0, -1.0, 2.0 ** -53,
+            3 * 2.0 ** -53, 1e16, -1e16, 1e300, 0.1)
+
+
+def _loop_window_sum(values, index, scales):
+    """The reference: -0.0, then each position's lanes times its scale,
+    added one by one."""
+    acc = np.full(index.shape[1], -0.0)
+    for at, scale in zip(index, scales):
+        acc = acc + values[at] * scale
+    return acc
+
+
+def test_window_sum_matches_the_loop_in_every_evaluator_bit_for_bit():
+    """The kernel, the cipher op and the plain evaluator's window sum add
+    each position's gathered, scaled lanes in order onto -0.0, as the loop
+    does, bit for bit: over random lanes drawn with signed zeros,
+    subnormals and ties, one lane wide too, where numpy may sum a column
+    pairwise."""
+    rng = np.random.default_rng(11)
+    seen_one_lane = False
+    for _ in range(200):
+        n = int(rng.integers(2, 30))
+        positions, lanes = int(rng.integers(1, 30)), int(rng.choice([1, 2, 7, 33]))
+        values = np.where(rng.random(n) < 0.6, rng.choice(_AWKWARD, n), rng.standard_normal(n))
+        index = rng.integers(0, n, (positions, lanes))
+        scales = rng.choice([1.0, -1.0, 0.5, -0.0, 3.0, 1e-300, *rng.standard_normal(3)], positions)
+        want = _loop_window_sum(values, index, scales).tobytes()
+        assert window_sum(values, index, scales).tobytes() == want
+        ctx = CkksContext()
+        assert ctx.window_sum(ctx.encrypt(values), index, scales).value.tobytes() == want
+        b = GraphBuilder()
+        node = b.window_sum(b.cipher(ctx.encrypt(values)), list(zip(index, scales)))
+        assert np.asarray(PlainEvaluator(b).eval(node)).tobytes() == want
+        seen_one_lane |= lanes == 1 and positions >= 16
+    assert seen_one_lane
+    # one lane of twenty terms: 1.0, then 2^-53 nineteen times, stays 1.0
+    # added in order; numpy's pairwise sum of the same terms in a row counts
+    # the small ones
+    one = np.array([1.0, 2.0 ** -53])
+    index = np.array([[0]] + [[1]] * 19)
+    assert window_sum(one, index, np.ones(20)).tolist() == [1.0]
+    assert np.add.reduce(one[index[:, 0]]) > 1.0
+
+
+def test_window_sum_counts_its_lanes_takes_a_plain_level_and_bounds_noise():
+    values, nb = np.arange(5.0), np.array([0.0, 1e-9, 2e-9, 0.0, 4e-9])
+    index = np.array([[0, 1, 4, 2], [3, 3, 1, 0], [4, 2, 2, 1]])
+    scales = np.array([0.5, -2.0, 0.25])
+    ctx = CkksContext(SimParams(depth_budget=3))
+    out = ctx.window_sum(Ciphertext(values, 2, nb), index, scales)
+    # a multiply per (position, lane), an add per lane between positions
+    assert {k: v for k, v in ctx.op_counts.items() if v} == {"mul_plain": 12, "add": 8}
+    assert out.level == 1
+    # the bound is the window sum of the bounds, with |scales|: lane 0
+    # reads lanes 0, 3 and 4, so 0.25 * 4e-9
+    assert out.noise_bound.tobytes() == _loop_window_sum(nb, index, np.abs(scales)).tobytes()
+    assert out.noise_bound[0] == 1e-9
+    # exact stays the scalar zero; one scalar bound covers every lane
+    assert ctx.window_sum(Ciphertext(values, 2), index, scales).noise_bound == 0.0
+    assert ctx.window_sum(Ciphertext(values, 2, 1e-9), index, scales).noise_bound.tobytes() == \
+        _loop_window_sum(np.full(5, 1e-9), index, np.abs(scales)).tobytes()
+    with pytest.raises(DepthExhausted, match="window sum at level 0"):
+        ctx.window_sum(Ciphertext(values, 0), index, scales)
+    free = CkksContext(SimParams(depth_budget=3, plain_mul_consumes_level=False))
+    assert free.window_sum(Ciphertext(values, 0), index, scales).level == 0

@@ -308,8 +308,10 @@ def test_simplified_roots_reuse_their_normal_form(monkeypatch):
 
     monkeypatch.setattr(GraphBuilder, "simplify", checking_simplify)
     run_pipeline(make_blob16(), PipelineConfig(octaves=1), mode="deferred", seed=SEED)
-    # per layer: five localize slots, 36 bins, the weight sum, 128 descriptors
-    assert len(roots) == 3 * (5 + 36 + 1 + 128)
+    # per layer: five localize slots and the binned weight of each of the
+    # 36 orientation and 8 descriptor bins; the bins and the weight sum
+    # are window sums, canonical as built
+    assert len(roots) == 3 * (5 + 36 + 8)
 
 
 def test_simplify_keeps_the_zero_normal_form():
@@ -770,7 +772,8 @@ def test_lower_emits_requests_and_residuals():
     assert [c.id for c in prog.comparisons] == [0]
     assert list(prog.sqrt_args) == [0]
     assert prog.leakage == {"bool_params": 1, "formed_rows": 0, "sqrt_params": 1,
-                            "monomials": 3, "coeff_tables": 3, "coeff_refs": 0, "lane_maps": 0}
+                            "monomials": 3, "coeff_tables": 3, "coeff_refs": 0, "lane_maps": 0,
+                            "windows": 0}
     assert prog.cmp_args[0].value == 4.0 - 9.0  # the record ships lhs - rhs
     # the slot tables, in name order: pick is y + [x > y](x - y), root s
     sections = prog.sections
@@ -991,6 +994,51 @@ def test_format_renders_reindexed_parameters():
     assert format_expr(r) == "r1"
     text = format_normal_form(b, {"out": b.simplify(b.mul(r, y))})
     assert text == "params:\n  c1 = [p > 0]\n  r1 = c1[2 0 1]\nslot out:\n  r1 : y\n"
+
+
+def test_window_sum_interns_by_content_and_waits_as_a_parameter():
+    """A window sum over a pure node is pure, its own coefficient; over an
+    unresolved one it is one parameter of its normal forms, which simplify
+    keeps as built and which no product may square.  Equal windows intern
+    to one, and one window serves every source."""
+    ctx = _ctx()
+    b = GraphBuilder()
+    c = _pixel_comparison(ctx, b)
+    p = b.comparisons[c.payload].lhs
+    maps = [np.array([0, 2, 3]), np.array([3, 1, 1])]
+    window = [(maps[0], 0.5), (maps[1], -2.0)]
+    pure = b.window_sum(p, window)
+    assert b.window_sum(p, [(m.copy(), k) for m, k in window]) is pure
+    assert (pure.tier, pure.width) == (0, 3)
+    assert b.normal_form(pure) == {frozenset(): pure} and format_expr(pure) == "wsum1(p)"
+    h = b.simplify(b.mul(c, p))
+    w = b.window_sum(h, window)
+    assert b.wsums[w.payload].index is b.wsums[pure.payload].index  # one window, two sources
+    assert b.window_sum(h, [(maps[0], 0.5)]) is not w  # another window
+    assert (w.tier, w.width) == (1, 3)
+    assert b.normal_form(w) == {frozenset({("w", w.payload)}): b.plain(1.0)}
+    assert b.simplify(w) is w
+    r = b.reindex(c, maps[0])
+    assert b.normal_form(b.mul(w, r)) == {frozenset({("r", r.payload), ("w", w.payload)}):
+                                          b.plain(1.0)}
+    with pytest.raises(DeferralUnsupported, match="square a window sum"):
+        b.normal_form(b.mul(w, b.add(w, pure)))
+    assert format_normal_form(b, {"out": w}) == (
+        "params:\n  c1 = [p > 0]\n  w2 = wsum(p*c1)\nslot out:\n  w2 : 1\n")
+    for bad in ([], [(np.array([0, 4, 1]), 1.0)], [(maps[0], 1.0), (np.array([0, 1]), 1.0)]):
+        with pytest.raises(ValueError):
+            b.window_sum(p, bad)
+
+    # sum_p c_p * h[map_p], left to right, from every evaluator
+    pe = PlainEvaluator(b)
+    want = np.full(3, -0.0)
+    for at, k in window:
+        want = want + np.asarray(pe.eval(h))[at] * k
+    ce = CipherEvaluator(ctx, b, bool_cts={0: ctx.encrypt(pe.bool_value(b.comparisons[0]))})
+    before = dict(ctx.op_counts)
+    got = ce.eval(w).value
+    assert ctx.op_counts["mul_plain"] - before["mul_plain"] == 2 * 3
+    assert np.asarray(pe.eval(w)).tobytes() == got.tobytes() == want.tobytes()
 
 
 # -- formatting ---------------------------------------------------------------------

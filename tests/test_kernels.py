@@ -156,8 +156,10 @@ def test_bin_mask_tan_on_right_half_plane():
 
 def test_weighted_histogram_conserves_weight():
     """Three cells over a window of four positions, each reading four
-    lanes of six per-pixel gradients; pixel 1 is read at three positions
-    and pixel 4 has a zero gradient, which lands in no bin."""
+    lanes of six per-pixel gradients and weights; pixel 1 is read at three
+    positions and pixel 4 has a zero gradient, which lands in no bin.
+    Each pixel's binned weights are built once, and each bin is one window
+    sum of them."""
     ctx = CkksContext(SimParams(depth_budget=12))
     n_bins, n_cells = 12, 3
     rng = np.random.default_rng(22)
@@ -165,30 +167,35 @@ def test_weighted_histogram_conserves_weight():
     dx[4] = dy[4] = 0.0
     maps = [np.array(m) for m in ([0, 1, 2, 3], [1, 5, 4, 0], [3, 3, 2, 1], [5, 4, 0, 2])]
     cells = [0, 2, 2, 0]  # cell 1 gets no position
-    ws = rng.uniform(0.1, 1.0, (len(maps), 4))
+    scales = rng.uniform(0.1, 1.0, len(maps))
+    pixel_w = rng.uniform(0.1, 1.0, 6)
     b = GraphBuilder()
     gx, gy = b.cipher(ctx.encrypt(dx)), b.cipher(ctx.encrypt(dy))
-    window = [(m, b.cipher(ctx.encrypt(w)), c) for m, w, c in zip(maps, ws, cells)]
-    bins = weighted_histogram(b, gx, gy, n_bins, window, n_cells)
+    weight = b.cipher(ctx.encrypt(pixel_w))
+    window = list(zip(maps, scales, cells))
+    bins = weighted_histogram(b, gx, gy, n_bins, weight, window, n_cells)
     assert len(bins) == n_cells * n_bins
     assert len(b.comparisons) == n_bins  # each boundary tested once per pixel
+    assert {e.op for e in bins[n_bins:2 * n_bins]} == {"plain"}  # the empty cell
+    assert all(e.op == "wsum" and e.a.width == 6 for e in bins[:n_bins] + bins[2 * n_bins:])
     pe = PlainEvaluator(b)
     got = np.array([np.broadcast_to(pe.eval(e), (4,)) for e in bins])
 
     k = (np.mod(np.arctan2(dy, dx), 2 * math.pi) // (2 * math.pi / n_bins)).astype(int)
     want = np.zeros((n_cells * n_bins, 4))
-    for m, w, c in zip(maps, ws, cells):
+    for m, s, c in zip(maps, scales, cells):
         hit = (dx[m] != 0.0) | (dy[m] != 0.0)
-        np.add.at(want, (c * n_bins + k[m][hit], np.arange(4)[hit]), w[hit])
+        np.add.at(want, (c * n_bins + k[m][hit], np.arange(4)[hit]), s * pixel_w[m][hit])
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
     # per cell, the bins hold the weight of every lane but the zero gradient's
     per_cell = got.reshape(n_cells, n_bins, 4).sum(axis=1)
     for c in range(n_cells):
-        mine = [(m, w) for m, w, cc in zip(maps, ws, cells) if cc == c]
-        total = sum(np.where(m == 4, 0.0, w) for m, w in mine) if mine else np.zeros(4)
+        mine = [(m, s) for m, s, cc in zip(maps, scales, cells) if cc == c]
+        total = (sum(np.where(m == 4, 0.0, s * pixel_w[m]) for m, s in mine) if mine
+                 else np.zeros(4))
         np.testing.assert_allclose(per_cell[c], total, rtol=0, atol=1e-12)
     with pytest.raises(EmptyInput):
-        weighted_histogram(b, gx, gy, n_bins, [])
+        weighted_histogram(b, gx, gy, n_bins, weight, [])
 
 
 def test_gaussian_kernel_shape():

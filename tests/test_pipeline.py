@@ -254,9 +254,10 @@ def test_reports_carry_per_stage_tables(blob16, mode):
     assert set(r.stage_ops) == set(STAGES)
     # the protocol adds no ciphertext of its own to the level table.  In
     # deferred mode the client forms detection's and the descriptor's
-    # comparisons from pixel tables and scales the descriptor's weights,
-    # so those stages evaluate nothing on the server
-    idle = {"detect", "descriptor"} if mode == "deferred" else set()
+    # comparisons from pixel tables, so detection evaluates nothing on the
+    # server, and the descriptor only reads the squared magnitudes its
+    # binned weights ship in, which the orientation stage computes
+    idle = {"detect"} if mode == "deferred" else set()
     assert set(r.stage_min_level) == set(STAGES) - {"protocol"} - idle
     assert all(v >= 0 for ops in r.stage_ops.values() for v in ops.values())
     assert r.stage_min_level["scale-space"] == 28  # two blur levels per octave
@@ -329,8 +330,8 @@ def test_package_structure_does_not_depend_on_the_octave_count(suite_runs, blob1
     # one graph per layer index batches every octave's sites, so the 32 px
     # runs (two octaves) and natural64 (three) ship what one octave ships
     one = run_pipeline(blob16, CFG16, mode="deferred", seed=SEED).report.leakage
-    assert one == {"bool_params": 234, "formed_rows": 222, "sqrt_params": 0, "monomials": 8919,
-                   "coeff_tables": 31, "coeff_refs": 528, "lane_maps": 83}
+    assert one == {"bool_params": 234, "formed_rows": 222, "sqrt_params": 0, "monomials": 711,
+                   "coeff_tables": 31, "coeff_refs": 12, "lane_maps": 83, "windows": 492}
     for name in ALL_NAMES:
         assert suite_runs[(name, "deferred")].report.leakage == one, name
 
@@ -357,13 +358,13 @@ def test_slot_tables_are_split_back_per_octave_and_layer(suite_runs, images, nam
 # the per-stage accounting: op counts, minimum levels, comparison lanes,
 # leakage counts and decrypts.
 BLOB16_SLOTS_SHA256 = {
-    "interactive": "3009a0f001f858af0fab65dce5ccb9b10b6bd1ab1df9de758c923c11933efd91",
-    "deferred": "9a1e337e87bd44d6435980460f1b14acf4bae18f69b637b2f13895e7a6ed7629",
+    "interactive": "05373b19c7d114909d2911a73b7b9e6b39855c6183c5f36c092f46dbc1089a4b",
+    "deferred": "a12171169186602d87b2bbc0ad06f3b640b48f742060e7f474141a3e96b117c7",
 }
-BLOB16_PACKAGE_SHA256 = "c9e5585a918d913011eda2d48aff0e500757e685b0b7f920e911450fcf595687"
+BLOB16_PACKAGE_SHA256 = "c316343812de0669ebfd40dac998e60c32a1dc49ff939673615e9d516cca5a69"
 BLOB16_REPORT_SHA256 = {
-    "interactive": "6370c2286a33950780f29c7b90518c871d171882c9e54be09067760aec620610",
-    "deferred": "69689e93db0bfc0cf4462b696f8ee1897c76aac91f8474e7208875b9ca463c76",
+    "interactive": "ac78f90b0cd32399fa10dc4af7f7442f52d80cde8c11cada3520c372f7734768",
+    "deferred": "f3dc2d85912a5b1c0ac31d024e0b57b9521d5dd884e52847f9f36af2100c41de",
 }
 
 
@@ -401,8 +402,8 @@ def test_blob16_outputs_match_recorded_digests(blob16, monkeypatch, mode):
 # to its boundary than the noise.  blob16's one keypoint is 2e-13 from
 # one, and these draws lose it (about half of all seeds do).
 BLOB16_NOISY_SLOTS_SHA256 = {
-    "interactive": "31184c193f8f92d15dee6260cc08db37a5ba8bfad17bcec1d4b4e4b6577b8ba3",
-    "deferred": "476bf24b0dbe6046bf1e497eb05ae386939288786461baf659234bd98e122046",
+    "interactive": "dfc5eb4151ed91ff6a7bcf5dbc729d82437203c0340ded94ae4385ce77a99086",
+    "deferred": "f8af4cd4b0aa76489d11e35166a258c77b4cebddc988103e1ddf1033a7ea0f0c",
 }
 
 
@@ -448,6 +449,22 @@ def test_package_bytes_per_part_sum_to_the_package(suite_runs, blob16, name):
     assert sum(parts.values()) == int(kv["package_bytes"]) == report.package_bytes
     # each window weight is one 16-byte reference
     assert parts["refs"] == 16 * int(kv["leakage.coeff_refs"]) > 0
+
+
+def test_histograms_multiply_once_per_pixel_and_bin(blob16, suite_runs):
+    """Each pixel's binned weight, mask_k * weight, is formed once per bin
+    (3 multiplies a lane), and each bin is one window sum of them, which
+    multiplies by public scales alone.  Where each bin multiplied per
+    window position, blob16's interactive protocol and descriptor stages
+    took 460,728 multiply lanes and natural64's 43,973,928.  blob16's
+    region holds 169 pixels for its 36 sites, so its fall is the smaller."""
+
+    def muls(report) -> int:
+        return report.stage_ops["protocol"]["mul"] + report.stage_ops["descriptor"]["mul"]
+
+    assert muls(run_pipeline(blob16, CFG16, mode="interactive", seed=SEED).report) == 68_568
+    assert 68_568 <= 0.15 * 460_728
+    assert muls(suite_runs["natural64", "interactive"].report) == 2_167_176 <= 3_000_000
 
 
 # -- orientation weighting variants ----------------------------------------------------
@@ -508,9 +525,9 @@ def test_wire_traffic_follows_from_shape_and_is_pinned(suite_runs, blob16):
     interactive = suite_runs["natural64", "interactive"].report
     assert (wire(interactive), len(interactive.rounds)) == (25_952_284, 7)
     deferred = suite_runs["natural64", "deferred"].report
-    assert wire(deferred) == deferred.package_bytes == 3_122_904
+    assert wire(deferred) == deferred.package_bytes == 3_012_352
     assert deferred.package_sections["comparisons"] == 8 * 65_536
-    assert wire(run_pipeline(blob16, CFG16, mode="deferred", seed=SEED).report) == 351_244
+    assert wire(run_pipeline(blob16, CFG16, mode="deferred", seed=SEED).report) == 240_428
 
 
 def test_batches_ship_at_their_lowest_operand_level_which_follows_from_shape(suite_runs):
@@ -527,6 +544,20 @@ def test_batches_ship_at_their_lowest_operand_level_which_follows_from_shape(sui
     # the header is no constant: natural64's operands sit below full depth
     (cmp_level,) = [shipped for shipped, _ in batches["natural64", "deferred"]]
     assert cmp_level < SimParams().depth_budget
+
+
+def test_sqrt_weighting_asks_one_root_per_pixel(blob16, images):
+    """One root per pixel of the region, per layer index, which each window
+    position reads through its map: 3 roots over blob16's 3 x 169 pixels,
+    where one per window position asked 75 over 2,700 lanes, and a
+    natural64 package of 3,196,246 bytes, where those made it 7,090,624."""
+    cfg = PipelineConfig(octaves=1, orientation_weighting=SQRT_MAGNITUDE)
+    r = run_pipeline(blob16, cfg, mode="deferred", seed=SEED).report
+    assert r.leakage["sqrt_params"] == 3
+    assert (r.rounds[0].n_real_sqrts, r.rounds[0].n_wire_sqrts) == (3 * 169, 512)
+    cfg = replace(config_for("natural64"), orientation_weighting=SQRT_MAGNITUDE)
+    r = run_pipeline(images["natural64"], cfg, mode="deferred", seed=SEED).report
+    assert r.package_bytes == 3_196_246
 
 
 def test_sqrt_weighting_ships_deferred_in_one_round(blob16):

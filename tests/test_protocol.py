@@ -169,7 +169,8 @@ def test_deferred_is_one_round_and_reports_leakage():
     assert run.rounds[0].n_wire_comparisons == 8
     assert run.package_bytes == run.rounds[0].request_bytes > 0
     assert run.leakage == {"bool_params": 1, "formed_rows": 0, "sqrt_params": 1,
-                           "monomials": 3, "coeff_tables": 3, "coeff_refs": 0, "lane_maps": 0}
+                           "monomials": 3, "coeff_tables": 3, "coeff_refs": 0, "lane_maps": 0,
+                           "windows": 0}
     assert run.results["pick"] == 9.0
     assert run.results["root"] == 3.0
 
@@ -368,16 +369,22 @@ def _patch_ref_map(pkg):
 
 
 def _patch_ref_map_none(pkg):
-    # only a formed term may read its table whole
+    # slot a (3 lanes) weighted by the whole 5-lane table: an unmapped
+    # reference is in range, so the width check is what refuses it
     pkg["refs"]["map"][0] = protocol._NONE
 
 
-@pytest.mark.parametrize("patch", [_patch_ref_table, _patch_ref_map, _patch_ref_map_none])
-def test_parse_package_rejects_a_window_weight_out_of_range(patch):
+@pytest.mark.parametrize("patch,reason", [
+    pytest.param(p, reason, id=p.__name__) for p, reason in [
+        (_patch_ref_table, "reference's .* out of range"),
+        (_patch_ref_map, "reference's .* out of range"),
+        (_patch_ref_map_none, "coefficient's lanes differ from its slot's width"),
+    ]])
+def test_parse_package_rejects_a_window_weight_out_of_range(patch, reason):
     ctx, b, slots = _weight_toy()
     blob = bytearray(serialize_package(lower(b, slots, ctx), seed=1))
     patch(parse_package(blob))
-    with pytest.raises(ValueError, match="reference's .* out of range"):
+    with pytest.raises(ValueError, match=reason):
         parse_package(blob)
     with pytest.raises(ValueError):
         Client(ctx).resolve_package(blob)
@@ -402,6 +409,102 @@ def _patch_ref_width(pkg):
 ])
 def test_parse_package_rejects_a_window_weight_past_its_table_or_slot(patch, reason):
     ctx, b, slots = _weight_toy()
+    blob = bytearray(serialize_package(lower(b, slots, ctx), seed=1))
+    patch(parse_package(blob))
+    with pytest.raises(ValueError, match=reason):
+        parse_package(blob)
+    with pytest.raises(ValueError):
+        Client(ctx).resolve_package(blob)
+
+
+def _window_toy():
+    """Windows as the pipeline's histograms make them, over 6 "pixel"
+    lanes: slots a (3 lanes) and b (2 lanes) window-sum one binned
+    weight, [q > 0] * p, which ships formed, and c the same window as a
+    over [q * q > 1] * p, whose comparison ships as records; "pure" is a
+    window sum of p alone, a table the server computes."""
+    ctx = CkksContext(SimParams(depth_budget=20))
+    b = GraphBuilder()
+    p = b.cipher(ctx.encrypt(np.array([1.0, -5.0, 2.5, -0.5, 3.0, 0.0])), name="p")
+    q = b.cipher(ctx.encrypt(np.array([2.0, -1.0, 0.5, 4.0, -3.0, -0.0])), name="q")
+    h = b.simplify(b.mul(b.compare(q, b.plain(0.0)), p))
+    k = b.simplify(b.mul(b.compare(b.mul(q, q), b.plain(1.0)), p))
+    wa = [(np.array([0, 2, 4]), 0.25), (np.array([5, 1, 3]), -0.5)]
+    slots = {"a": b.window_sum(h, wa), "b": b.window_sum(h, [(np.array([1, 0]), 2.0)]),
+             "c": b.window_sum(k, wa), "pure": b.window_sum(p, wa)}
+    return ctx, b, slots
+
+
+def test_windows_ship_their_sources_once_and_resolve_bitwise():
+    ctx, b, slots = _window_toy()
+    prog = lower(b, slots, ctx)
+    assert prog.leakage["windows"] == 3 and prog.leakage["formed_rows"] == 1
+    blob = serialize_package(prog, DecoyPolicy(), seed=3)
+    pkg = parse_package(blob)
+    names = protocol._slot_names(*pkg["names"])
+    assert names == ["a", "a:source", "b", "c", "c:source", "pure"]
+    assert pkg["windows"].tolist() == [(0, 1), (2, 1), (3, 4)]
+    assert [w.tolist() for w in protocol._runs(*pkg["weights"])] == \
+        [[(0, 0.25), (1, -0.5)], [(2, 2.0)], [(0, 0.25), (1, -0.5)]]
+    text = dump_package(blob)
+    assert "windows: 3\n  a <- a:source : m0 * 0.25, m1 * -0.5\n  b <- a:source : m2 * 2\n" in text
+    got = Client(ctx).resolve_package(blob)
+    assert list(got) == ["a", "b", "c", "pure"]  # the sources are not returned
+    pe = PlainEvaluator(b)
+    ce = CipherEvaluator(ctx, b, bool_cts={c.id: ctx.encrypt(pe.bool_value(c))
+                                           for c in b.comparisons})
+    for name, e in slots.items():
+        want = np.asarray(pe.eval(e)).tobytes()
+        assert got[name].tobytes() == want == ce.eval(e).value.tobytes(), name
+
+
+def test_lower_refuses_a_window_sum_it_cannot_ship_as_a_window():
+    ctx, b, slots = _window_toy()
+    w = slots["a"]
+    for bad in ({"x": b.mul(w, 2.0)}, {"x": b.add(w, slots["c"])},
+                {"x": b.window_sum(b.add(w, b.plain(1.0)), [(np.array([0, 1]), 1.0)])}):
+        with pytest.raises(DeferralUnsupported):
+            lower(b, bad)
+    with pytest.raises(ValueError, match="taken by a window's source"):
+        lower(b, {"a": w, "a:source": slots["pure"]})
+
+
+def _patch_window_source(pkg):
+    pkg["windows"]["source"][0] = len(pkg["slots"])
+
+
+def _patch_window_reads_a_window(pkg):
+    pkg["windows"]["source"][2] = pkg["windows"]["slot"][0]
+
+
+def _patch_window_slot_twice(pkg):
+    pkg["windows"]["slot"][1] = pkg["windows"]["slot"][0]
+
+
+def _patch_window_map(pkg):
+    pkg["weights"][1]["map"][0] = len(pkg["maps"][0])
+
+
+def _patch_window_map_past_its_source(pkg):
+    # window a's first map reads lane 6 of its 6-lane source
+    pkg["maps"][1][0] = 6
+
+
+def _patch_window_width(pkg):
+    # window b (2 lanes) weighted through a 3-lane map
+    pkg["weights"][1]["map"][2] = 0
+
+
+@pytest.mark.parametrize("patch,reason", [
+    (_patch_window_source, "window's source 6 is out of range"),
+    (_patch_window_reads_a_window, "window reads a window"),
+    (_patch_window_slot_twice, "filled by two windows"),
+    (_patch_window_map, "window weight's lane map .* out of range"),
+    (_patch_window_map_past_its_source, "reads past the end of its source"),
+    (_patch_window_width, "window weight's lanes differ from its slot's width"),
+])
+def test_parse_package_refuses_a_malformed_window(patch, reason):
+    ctx, b, slots = _window_toy()
     blob = bytearray(serialize_package(lower(b, slots, ctx), seed=1))
     patch(parse_package(blob))
     with pytest.raises(ValueError, match=reason):
@@ -569,13 +672,13 @@ def _sha(blob) -> str:
     return hashlib.sha256(bytes(blob)).hexdigest()
 
 
-# sha256 digests of the sectioned layout (DCGPKG07) and of interactive
+# sha256 digests of the sectioned layout (DCGPKG08) and of interactive
 # requests, each a batch's level and then its records.  The wire format
 # is a contract, so any change to them is a format change
 PACKAGE_SHA256 = {
-    (True, 0): "8da2d595bce7872d8351380357d76828418a1ffe57884ed7aabeb3a7a7946d25",
-    (True, 7): "c45bdb6afa0cd91370f5b51dd9f5901a934cb4cb777109365d3c575839f572b4",
-    (False, 0): "0c86d81a388ca0853b2f9ca57fe9bcb48a2bc8642023e36d3272587f61fe1fcf",
+    (True, 0): "363d846539493d9c9945d8a8dd20fb8f7f2323c89748474eb6ea124c6008c258",
+    (True, 7): "52c2bfd9053ae19a8452d45806ec2b479f8567f67f25352344b4ebfd8a586396",
+    (False, 0): "43dff48cde9bde5271735664b8921b482e4a621936f5d462a629c915948be20d",
 }
 REQUEST_SHA256 = [
     ("c", "6d0888d1acf855ea9cfa0e4f8f87bf9e88bd5ea72352d1d8c4d16de7a0d7aae8"),
@@ -625,14 +728,14 @@ def _address(blob) -> int:
 
 def test_wire_records_start_on_an_8_byte_boundary():
     """A request's records follow its 4-byte level and a package's its
-    52-byte header, so each wire buffer is placed to put them, not its
+    56-byte header, so each wire buffer is placed to put them, not its
     first byte, on an 8-byte boundary; the bytes are the digests' above."""
     ctx, b, slots = _wire_toy()
     prog = lower(b, slots, ctx)
     for decoys, seed in sorted(PACKAGE_SHA256):
         blob = serialize_package(prog, DecoyPolicy(enabled=decoys), seed=seed)
         sec = protocol._sections(blob)
-        assert protocol._HEADER.itemsize == 52
+        assert protocol._HEADER.itemsize == 56
         assert sec["comparisons"].ctypes.data % 8 == 0
         assert sec["sqrts"].ctypes.data % 8 == 0
     rng = np.random.default_rng(0)
@@ -979,11 +1082,13 @@ def _reference_slots(pkg, answers, roots):
     factors folds as a balanced tree, is multiplied by its coefficient
     row, and terms add left to right.  ``answers`` and ``roots`` hold the
     comparison and the sqrt rows' lanes back to back; a reference's
-    coefficient row is its table read through its map, times its scale."""
+    coefficient row is its table, read through its map if it has one,
+    times its scale."""
     rows = ([run.astype(np.float64) for run in protocol._runs(pkg["cmp_rows"][0], answers)]
             + protocol._runs(pkg["sqrt_rows"][0], roots))
     maps, coeffs = protocol._runs(*pkg["maps"]), protocol._runs(*pkg["coeffs"])
-    coeffs += [coeffs[k][maps[m]] * scale for k, m, scale in pkg["refs"].tolist()]
+    coeffs += [(coeffs[k] if m == protocol._NONE else coeffs[k][maps[m]]) * scale
+               for k, m, scale in pkg["refs"].tolist()]
     out = {}
     for name, (width, params, monos) in _slot_tables(pkg).items():
         vals = [rows[r] if m == protocol._NONE else rows[r][maps[m]]
@@ -1009,9 +1114,9 @@ def _random_slot_tables(rng, widths, refs=False):
     which half the time has the family's shape but other coefficient
     tables; the slots come in a shuffled order.  With ``refs``, each width
     also has 6 references, over two wider tables of their own, through
-    maps of their own, with scales of either sign, ±1 and -0.0 among
-    them, and the slots' coefficients are drawn from the tables and the
-    references of their width."""
+    maps of their own, and 2 over its own tables, whole, with scales of
+    either sign, ±1 and -0.0 among them, and the slots' coefficients are
+    drawn from the tables and the references of their width."""
     NONE = protocol._NONE
 
     def values(n):
@@ -1049,9 +1154,13 @@ def _random_slot_tables(rng, widths, refs=False):
                     maps.append(rng.integers(0, table_widths[-1], w))
                     scale = rng.choice([1.0, -1.0, -0.0, *(rng.standard_normal(3) * 0.3)])
                     weights.append((len(coeffs) - 1, len(maps) - 1, scale))
+            for _ in range(2):
+                scale = rng.choice([1.0, -1.0, -0.0, *(rng.standard_normal(3) * 0.3)])
+                weights.append((widths.index(w) * 5 + int(rng.integers(0, 5)), NONE, scale))
     # each width's coefficients: its tables, then its references
+    ref_width = [table_widths[k] if m == NONE else len(maps[m]) for k, m, _ in weights]
     choices = {w: [k for k, tw in enumerate(table_widths) if tw == w]
-               + [len(coeffs) + j for j, (_, m, _) in enumerate(weights) if len(maps[m]) == w]
+               + [len(coeffs) + j for j, rw in enumerate(ref_width) if rw == w]
                for w in widths}
 
     def slot(w, mine, degree, refs):
@@ -1095,6 +1204,8 @@ def _random_slot_tables(rng, widths, refs=False):
                         np.uint8),
         "params": ragged([params for _, (_, params, _) in slots], protocol._PARAM),
         "monomials": ragged([monos.ravel() for _, (_, _, monos) in slots], u4),
+        "windows": np.zeros(0, dtype=protocol._WINDOW),
+        "weights": ragged([], protocol._WEIGHT),
     }
     return pkg, answers, np.concatenate(roots)
 
@@ -1358,6 +1469,17 @@ def _formed_program(rng, noise: float):
         c = b.compare(lhs, rhs)
         if c.op == "bool" and c not in formable:
             formable.append(c)
+    # rows that read the same tables through the same maps and differ in
+    # their scales alone, which the client forms in one pass, now and then
+    # apart, with another formed row between them
+    same, at = [pixels[int(rng.integers(len(pixels)))], pixels[3]], lane_map(n)
+    for _ in range(int(rng.integers(2, 5))):
+        row = b.compare(b.mul(b.plain(float(rng.standard_normal())), b.reindex(same[0], at)),
+                        b.mul(b.plain(float(rng.standard_normal())), same[1]))
+        between = b.compare(b.reindex(leaves[1], lane_map(n)), b.plain(0.25))
+        for c in (row, between) if rng.random() < 0.3 else (row,):
+            if c.op == "bool" and c not in formable:
+                formable.append(c)
     scalar = b.cipher(ctx.encrypt(float(rng.standard_normal())), name="s")
     records.append(b.compare(scalar, b.plain(0.0)))  # a 1-lane leaf
     records.append(b.compare(b.mul(leaves[0], leaves[1]), b.plain(0.5)))  # not linear
@@ -1376,11 +1498,15 @@ def test_formed_answers_are_bit_identical_to_record_answers(noise, monkeypatch):
     """A formed comparison, answered by the client from pixel tables, gives
     every slot the bits the interactive run gets from records, in exact
     mode and with noise: a linear table draws no noise.  A width-1 or
-    non-linear comparison still ships as records."""
+    non-linear comparison still ships as records.  Rows that read the
+    same tables are formed in one pass, block by block, every other
+    program in blocks of 128 bytes, so that a pass spans several."""
     monkeypatch.setattr(protocol, "_PLAN_MEMO", {})
     rng = np.random.default_rng(28 + int(noise > 0))
     kinds = Counter()
+    block_bytes = protocol._BLOCK_BYTES
     for trial in range(60):
+        monkeypatch.setattr(protocol, "_BLOCK_BYTES", 128 if trial % 2 else block_bytes)
         ctx, b, slots, formable, records = _formed_program(rng, noise)
         prog = lower(b, slots, ctx)
         assert [c.id for c in prog.formed] == sorted(c.payload for c in formable)
@@ -1393,7 +1519,16 @@ def test_formed_answers_are_bit_identical_to_record_answers(noise, monkeypatch):
         for name in slots:
             want = np.asarray(ri.results[name].value, dtype=np.float64)
             assert np.asarray(rd.results[name]).tobytes() == want.tobytes(), (trial, name)
+        passes = [blocks for blocks, _, _ in protocol._PLAN_MEMO.popitem()[1].formed]
+        assert sum(n for blocks in passes for _, n, _ in blocks) == len(formable)
+        kinds["blocks of rows apart"] += sum(n > 1 and isinstance(span, list)
+                                             for blocks in passes for _, n, span in blocks)
+        kinds["blocks of rows in a run"] += sum(n > 1 and isinstance(span, tuple)
+                                                for blocks in passes for _, n, span in blocks)
+        kinds["passes of several blocks"] += sum(len(blocks) > 1 for blocks in passes)
     assert min(kinds[0], kinds[1], kinds[2]) > 20  # constant, one- and two-term sides
+    assert min(kinds["blocks of rows apart"], kinds["blocks of rows in a run"],
+               kinds["passes of several blocks"]) > 5
 
 
 def _formed_toy():
