@@ -37,15 +37,18 @@ deferred package is one header and a fixed list of columnar sections,
 It is sized from the lowered program, allocated once and filled in place.
 
 Those sections are the slot tables' one form.  ``lower`` emits them (the
-references, formed comparisons, slots, names, parameters, monomials and
-windows), so the serializer copies them, and ``LoweredProgram.bind`` adds
-one input's ciphertexts.  The package (``DCGPKG08``) ships every piece
-once, in pools the slots refer into: one wire-id row per record
-comparison and sqrt, each lane map, each table, pooled per node (a
-leaf's per source) and width, never by value, each reference and each
-formed comparison.  A slot parameter is a (row, map or none) reference
-and a monomial a row of pool indices, its coefficient a table or a
-reference.
+references, formed comparisons, slots, names, parameters, monomials, lane
+maps and windows), so the serializer copies them, and
+``LoweredProgram.bind`` adds one input's ciphertexts.  The package
+(``DCGPKG09``) ships every piece once, in pools the slots refer into: one
+wire-id row per record comparison and sqrt, each base map, each lane map
+as a (base, shift) entry, each table, pooled per node (a leaf's per
+source) and width, never by value, each reference, each formed
+comparison and each distinct run of window weights.  A lane map that is
+an earlier base of its width plus one constant is that base and shift;
+any other is a base of its own.  A slot parameter is a (row, map or
+none) reference and a monomial a row of pool indices, its coefficient a
+table or a reference.
 
 A term is ``±c * reindex(T, map)`` or ``±c * T`` for a pure node T of
 more than one lane and a public scale c.  It ships as (T's table, the
@@ -53,15 +56,17 @@ map or none, ±c), and the client makes the gather and the multiply the
 server would have made, so its values keep their bits.  A reference is
 a coefficient that is a term other than its T itself, such as the -w of
 a binned weight (mask * w): the server never evaluates it, and T ships
-once, whatever reads it.
+once, whatever reads it.  A public constant coefficient is a reference
+with no table, its scale at any width, so no table of it is decrypted.
 
 A window is a slot that is one window sum of unresolved values,
 sum_p c_p * h[map_p] (``GraphBuilder.window_sum``), as each histogram bin
 is.  Its source h ships as a slot of its own, once, which the client
 sums like any other but does not return, and the window as a row naming
-its slot and its source, with its weights, each (map, c_p).  The client
-then makes the server's window sum from the source's lanes with the same
-kernel, ``ckks_sim.window_sum``, so the bin keeps its bits.
+its slot, its source and its run of weights, each (map, c_p), which
+windows of equal weights share.  The client then makes the server's
+window sum from the source's lanes with the same kernel,
+``ckks_sim.window_sum``, so the bin keeps its bits.
 
 A comparison whose two sides are each a public constant or at most two
 terms over pixel tables (T linear in leaf lanes) is formed: it ships as
@@ -144,10 +149,11 @@ _REF = np.dtype([("table", "<u4"), ("map", "<u4"), ("scale", "<f8")])
 # sum of its terms whose table is not _NONE; a side with no such term is
 # the constant its first term's scale holds
 _FORMED = np.dtype([("width", "<u4"), ("lhs", _REF, (2,)), ("rhs", _REF, (2,))])
-# a window: the slot it fills and the source slot it sums, each weight a
-# lane map into the source and a public scale
-_WINDOW = np.dtype([("slot", "<u4"), ("source", "<u4")])
+# a window: the slot it fills, the source slot it sums and its run of
+# weights, each weight a lane map into the source and a public scale
+_WINDOW = np.dtype([("slot", "<u4"), ("source", "<u4"), ("weights", "<u4")])
 _WEIGHT = np.dtype([("map", "<u4"), ("scale", "<f8")])
+_SHIFT = np.dtype([("base", "<u4"), ("shift", "<i4")])  # a lane map: a base map plus a shift
 _NONE = 0xFFFFFFFF  # no lane map; an unused monomial column; an absent term
 
 # Deferred package layout, all little-endian and packed: _HEADER, then
@@ -160,14 +166,17 @@ _NONE = 0xFFFFFFFF  # no lane map; an unused monomial column; an absent term
 # slot-local parameter indices padded with _NONE.  Coefficient k is table
 # k, or past the tables, reference k - n_coeffs.  Parameter rows number
 # the record comparisons' rows, then the formed comparisons, then the
-# sqrts' rows.  A window's slot has no monomials; its weights run in
-# window order.
+# sqrts' rows.  Lane map i is base map ``shifts[i].base`` with
+# ``shifts[i].shift`` added to every lane.  A reference whose table is
+# _NONE is its scale, a constant of any width.  A window's slot has no
+# monomials, and its weights are one of the pooled runs.
 _SECTIONS = (
     ("comparisons", RECORD_DTYPE, "n_cmp", False),
     ("sqrts", RECORD_DTYPE, "n_sqrt", False),
     ("cmp_rows", _U4, "n_cmp_rows", True),
     ("sqrt_rows", _U4, "n_sqrt_rows", True),
-    ("maps", _U4, "n_maps", True),
+    ("maps", _U4, "n_bases", True),
+    ("shifts", _SHIFT, "n_maps", False),
     ("coeffs", np.dtype("<f8"), "n_coeffs", True),
     ("levels", _U4, "n_coeffs", False),
     ("refs", _REF, "n_refs", False),
@@ -177,9 +186,9 @@ _SECTIONS = (
     ("params", _PARAM, "n_slots", True),  # (row, map or _NONE)
     ("monomials", _U4, "n_slots", True),
     ("windows", _WINDOW, "n_windows", False),
-    ("weights", _WEIGHT, "n_windows", True),
+    ("weights", _WEIGHT, "n_runs", True),
 )
-_PKG_MAGIC = b"DCGPKG08"
+_PKG_MAGIC = b"DCGPKG09"
 # the magic, the level of each record section's batch, then every count
 _HEADER = np.dtype([("magic", "S8")] + [(f, "<u4") for f in (
     "cmp_level", "sqrt_level", *dict.fromkeys(f for _, _, f, _ in _SECTIONS))])
@@ -246,6 +255,13 @@ def _runs(lengths: np.ndarray, flat: np.ndarray) -> list[np.ndarray]:
     """A ragged section's runs, one view each."""
     ends = np.cumsum(lengths, dtype=np.int64).tolist()
     return [flat[a:b] for a, b in zip([0, *ends], ends)]
+
+
+def _lane_maps(pkg: dict) -> list[np.ndarray]:
+    """Every lane map of a package's sections, expanded: its base map's
+    lanes plus its shift."""
+    bases = _runs(*pkg["maps"])
+    return [bases[b].astype(np.intp) + s for b, s in pkg["shifts"].tolist()]
 
 
 def _slot_names(lengths: np.ndarray, flat: np.ndarray) -> list[str]:
@@ -317,19 +333,21 @@ class LoweredProgram:
     are numbered in that order, then the sqrts'.  ``sections`` holds, as
     ``parse_package`` returns them, the ``refs``, the ``formed`` rows,
     the slot tables in name order: the ``slots`` ((width, stride) each),
-    their ``names``, (row, map) ``params`` and ``monomials``, and the
-    ``windows`` with their ``weights``.
+    their ``names``, (row, map) ``params`` and ``monomials``, the base
+    ``maps`` and each lane map's ``shifts`` entry, and the ``windows``
+    with their pooled ``weights`` runs.
     ``coeff_nodes`` pools the tables as (node, slot width): one table per
     node and width, or per leaf source and width, never merged by value,
     so which monomials share a table follows from the graph alone.  A
-    coefficient that is a term other than its T is not a table but a
-    reference, and a formed comparison's sides are terms too: each is
+    coefficient that is a term other than its T, or a public constant, is
+    not a table but a reference, and a formed comparison's sides are terms too: each is
     (T's table, map or ``_NONE``, ±c).  ``table_lanes`` holds, per table, the lanes
     it ships when its readers read only some of them, else None.
     ``client_nodes`` holds what the client computes from the tables, so
     the server need not ask for it: each reference's coefficient node and
     each formed comparison's argument.  ``lane_maps`` pools the maps of
-    the reindexed parameters and of the terms by content.  ``bind`` adds
+    the reindexed parameters, the terms and the windows by content, in
+    full; the sections ship each as a base and shift.  ``bind`` adds
     the ciphertexts: ``cmp_args``, each record comparison's argument
     lhs - rhs, and ``sqrt_args`` by request id, and ``coeff_tables`` as
     (ciphertext, lanes) per pooled table.
@@ -392,13 +410,14 @@ def lower(builder: GraphBuilder, slots: dict[str, Expr],
     monomial row is its coefficient followed by those local indices in
     the same order, padded with ``_NONE`` to the slot's highest degree.
     A coefficient of the slot's width that is a term other than its T
-    itself is a reference, and its T a table; references are numbered
-    after the tables.
+    itself is a reference, and its T a table; so is a plain scalar, with
+    no table; references are numbered after the tables.
 
     A slot whose normal form is one window sum over unresolved values
     (``GraphBuilder.window_sum``), times 1, is a window.  It ships as a
-    slot with no monomials and a ``windows`` row naming it and its source,
-    with its weights, each a pooled lane map and a scale.  The source, the
+    slot with no monomials and a ``windows`` row naming it, its source and
+    its weights run, each weight a pooled lane map and a scale; runs are
+    pooled by content.  The source, the
     window sum's operand, ships as a slot the client sums and does not
     return, once, named after the first window in name order that reads
     it with ``:source`` appended.  A window sum of unresolved values used
@@ -407,7 +426,8 @@ def lower(builder: GraphBuilder, slots: dict[str, Expr],
     A table read only through lane maps, by references and formed terms,
     ships the union of the lanes they read, and their maps are remapped
     onto it, so no shipped lane goes unread.  Lane maps are pooled by
-    content.
+    content, after that remap, each as a base and shift
+    (``_base_and_shift``).
     """
     windows, slots = _windows(builder, slots)
     terms = {name: builder.sorted_terms(builder.normal_form(e)) for name, e in slots.items()}
@@ -434,12 +454,15 @@ def lower(builder: GraphBuilder, slots: dict[str, Expr],
     map_pool: dict[bytes, int] = {}  # map content -> pooled map
     by_map: dict[tuple, int] = {}  # (narrowed table or None, builder map id) -> pooled map
     lane_maps: list[np.ndarray] = []
+    bases: list[np.ndarray] = []
+    shifts: list[tuple[int, int]] = []  # each pooled map's (base, shift)
 
     def lane_map(key: tuple, index: np.ndarray) -> int:
         if key not in by_map:
             by_map[key] = map_pool.setdefault(index.tobytes(), len(lane_maps))
             if by_map[key] == len(lane_maps):
                 lane_maps.append(index)
+                shifts.append(_base_and_shift(bases, index))
         return by_map[key]
 
     def param(key) -> tuple[int, int]:
@@ -467,14 +490,15 @@ def lower(builder: GraphBuilder, slots: dict[str, Expr],
 
     def coefficient(e: Expr, width: int) -> int:
         """Table k as k, reference j as -1 - j."""
-        weight = _term(builder, e) if e.width == width else None
-        if weight is None or weight[0] is e:
+        c = _scalar(e)
+        weight = _term(builder, e) if c is None and e.width == width else None
+        if c is None and (weight is None or weight[0] is e):
             k = table(e, width)
             whole.add(k)
             return k
         if e.id not in ref_pool:
             ref_pool[e.id] = len(refs)
-            refs.append(term(*weight))
+            refs.append((_NONE, _NONE, float(c)) if c is not None else term(*weight))
             client_nodes.append(e)
         return -1 - ref_pool[e.id]
 
@@ -523,9 +547,13 @@ def lower(builder: GraphBuilder, slots: dict[str, Expr],
 
     names = sorted(tables)
     at = {name: i for i, name in enumerate(names)}
-    weights = [np.array([(lane_map((None, m), row), scale)
-                         for m, row, scale in zip(ws.map_ids, ws.index, ws.scales.tolist())],
-                        dtype=_WEIGHT) for _, ws in windows.values()]
+    runs: dict[bytes, int] = {}  # weights run content -> pooled run
+    window_rows = []  # (slot, source, run)
+    for name, (src, ws) in windows.items():
+        run = np.array([(lane_map((None, m), row), scale)
+                        for m, row, scale in zip(ws.map_ids, ws.index, ws.scales.tolist())],
+                       dtype=_WEIGHT)
+        window_rows.append((at[name], at[src], runs.setdefault(run.tobytes(), len(runs))))
     sections = {"refs": np.array(mapped(refs), dtype=_REF),
                 "formed": np.array([(w, mapped(lhs), mapped(rhs)) for w, lhs, rhs in rows_formed],
                                    dtype=_FORMED),
@@ -533,9 +561,10 @@ def lower(builder: GraphBuilder, slots: dict[str, Expr],
                 "names": _ragged([np.frombuffer(n.encode(), np.uint8) for n in names], np.uint8),
                 "params": _ragged([tables[n][1] for n in names], _PARAM),
                 "monomials": _ragged([tables[n][2].ravel() for n in names], _U4),
-                "windows": np.array([(at[name], at[src]) for name, (src, _) in windows.items()],
-                                    dtype=_WINDOW),
-                "weights": _ragged(weights, _WEIGHT)}
+                "maps": _ragged([m.astype(_U4) for m in bases], _U4),
+                "shifts": np.array(shifts, dtype=_SHIFT),
+                "windows": np.array(window_rows, dtype=_WINDOW),
+                "weights": _ragged([np.frombuffer(run, _WEIGHT) for run in runs], _WEIGHT)}
 
     sqrts = [builder.sqrts[sid] for sid in sqrt_ids]
     for request, arg in ([(f"comparison {c.id}", c.arg) for c in comparisons]
@@ -561,6 +590,20 @@ def lower(builder: GraphBuilder, slots: dict[str, Expr],
     ev = CipherEvaluator(ctx, builder)
     ev.follow(RunPlan.over(program.operands()))
     return program.bind(ev)
+
+
+def _base_and_shift(bases: list[np.ndarray], index: np.ndarray) -> tuple[int, int]:
+    """(b, s) when the non-empty lane map ``index`` is ``bases[b] + s``
+    for a constant s, b the first such base; else ``index`` becomes a new
+    base, (itself, 0).  Shifts are found against bases only, so none
+    chains."""
+    for b, base in enumerate(bases):
+        if len(base) == len(index):
+            d = index - base
+            if (d == d[0]).all():
+                return b, int(d[0])
+    bases.append(index)
+    return len(bases) - 1, 0
 
 
 def _windows(builder: GraphBuilder, slots: dict[str, Expr]) -> tuple[dict, dict]:
@@ -739,18 +782,19 @@ class SlotPlan:
 
     A plan is made from the sections ``layout`` holds, never from a wire
     id, a value or a level, so one plan serves every package of a layout.
-    It holds the decoded names, copies of the lane maps, the starts of
-    the rows and tables, and:
+    It holds the decoded names, the lane maps, each expanded once from its
+    base and shift, the starts of the rows and tables, and:
 
       * the formed comparisons, in sets that read the same tables through
         the same maps, each formed in one (rows x lanes) pass: their
         lanes, and their sides, each side a column of constants or its
         terms as (table, lanes or None, a column of scales);
-      * per slot width, the rows coefficients are read from: each table
-        of that width, then, per table that references read through maps,
-        its lanes through each map of that width that references read.  A
-        coefficient is one of those rows, a reference's, which without a
-        map is its table's own row, times its scale;
+      * per slot width, the rows coefficients are read from: a row of
+        ones, each table of that width, then, per table that references
+        read through maps, its lanes through each map of that width that
+        references read.  A coefficient is one of those rows, a
+        reference's, which without a map is its table's own row, or with
+        no table the ones, times its scale;
       * each distinct (row, map) comparison parameter's row of packed
         bits, packed by (map, row length) from blocks of the rows'
         answers, one per set of rows that packs read;
@@ -780,7 +824,7 @@ class SlotPlan:
         self.root_starts = [0, *np.cumsum(pkg["sqrt_rows"][0], dtype=np.int64).tolist()]
         table_widths = pkg["coeffs"][0].tolist()
         self.table_starts = [0, *np.cumsum(table_widths, dtype=np.int64).tolist()]
-        self.maps = _runs(pkg["maps"][0], pkg["maps"][1].copy())
+        self.maps = _lane_maps(pkg)
         self.names = _slot_names(*pkg["names"])
 
         # the formed rows of one width that read the same tables through
@@ -812,10 +856,11 @@ class SlotPlan:
                 blocks.append((slice(lo, lo + len(part)), len(part), span))
             self.formed.append((blocks, *sides))
 
-        # each width's coefficient rows: its tables, then a block per
-        # table that references of that width read, its lanes through
-        # each of the width's reference maps (``ref_maps``)
-        self.sources: Counter = Counter()  # width -> coefficient rows
+        # each width's coefficient rows: a row of ones, which a constant
+        # reference scales, its tables, then a block per table that
+        # references of that width read, its lanes through each of the
+        # width's reference maps (``ref_maps``)
+        self.sources = Counter(dict.fromkeys(pkg["slots"]["width"].tolist() + table_widths, 1))
         self.table_at: list[tuple[int, int]] = []  # table -> (width, row)
         for w in table_widths:
             self.table_at.append((w, self.sources[w]))
@@ -824,11 +869,11 @@ class SlotPlan:
         map_rows: dict[int, dict[int, int]] = {}  # width -> map -> its row of ref_maps
         through: dict[tuple[int, int], int] = {}  # (width, table) -> its block's first row
         # each reference's (width, table, map's row of ref_maps), or with
-        # no map (None, table, None)
+        # no map (None, None, its coefficient row)
         ref_rows = []
         for k, m in zip(refs["table"].tolist(), refs["map"].tolist()):
             if m == _NONE:
-                ref_rows.append((None, k, None))
+                ref_rows.append((None, None, 0 if k == _NONE else self.table_at[k][1]))
                 continue
             w = len(self.maps[m])
             through[w, k] = 0
@@ -842,7 +887,7 @@ class SlotPlan:
         self.through = [(w, lo, k) for (w, k), lo in through.items()]  # (width, first row, table)
         # each coefficient's row (tables, then references) and scale
         self.coeff_row = np.array([row for _, row in self.table_at]
-                                  + [self.table_at[k][1] if w is None else through[w, k] + i
+                                  + [i if w is None else through[w, k] + i
                                      for w, k, i in ref_rows], dtype=np.intp)
         self.coeff_scale = np.concatenate([np.ones(len(table_widths)), refs["scale"]])
         self.is_ref = np.arange(len(self.coeff_row)) >= len(table_widths)
@@ -936,17 +981,18 @@ class SlotPlan:
                                for g in self.groups for lo, hi, l0, l1, _ in g.blocks), default=0)
 
         # each window as the kernel takes it: the slot it fills, its
-        # source's, the (positions x lanes) source lanes its maps read,
-        # which windows of one map sequence share, and its scales
+        # source's, the (positions x lanes) source lanes its run's maps
+        # read, which runs of one map sequence share, and its scales
         lanes_of: dict[bytes, np.ndarray] = {}
-        self.windows = []
-        for (slot, src), weights in zip(pkg["windows"].tolist(), _runs(*pkg["weights"])):
+        runs = []
+        for weights in _runs(*pkg["weights"]):
             raw = weights["map"].tobytes()
             if raw not in lanes_of:
                 lanes_of[raw] = np.array([self.maps[m] for m in weights["map"].tolist()],
                                          dtype=np.intp)
-            self.windows.append((self.names[slot], self.names[src], lanes_of[raw],
-                                 weights["scale"].copy()))
+            runs.append((lanes_of[raw], weights["scale"].copy()))
+        self.windows = [(self.names[slot], self.names[src], *runs[run])
+                        for slot, src, run in pkg["windows"].tolist()]
         self.hidden = {src for _, src, _, _ in self.windows}  # the sources, not returned
 
     def evaluate(self, answers: np.ndarray, roots: np.ndarray, table) -> dict[str, Value]:
@@ -967,6 +1013,8 @@ class SlotPlan:
         tables = [table(k) for k in range(len(self.table_at))]
         answers = self._form(answers, tables)
         sources = {w: np.empty((n, w)) for w, n in self.sources.items()}
+        for rows in sources.values():
+            rows[0] = 1.0
         for lanes, (w, row) in zip(tables, self.table_at):
             sources[w][row] = lanes
         for w, lo, k in self.through:
@@ -1301,7 +1349,6 @@ def serialize_package(program: LoweredProgram, policy: DecoyPolicy = DecoyPolicy
     sizes = {"comparisons": policy.padded_size(sum(cmp_widths)),
              "sqrts": policy.padded_size(sum(sqrt_widths)),
              "cmp_rows": cmp_widths, "sqrt_rows": sqrt_widths,
-             "maps": [len(m) for m in program.lane_maps],
              "coeffs": [w for _, w in program.coeff_tables],
              "levels": len(program.coeff_tables),
              **{name: part[0] if isinstance(part, tuple) else len(part)
@@ -1316,7 +1363,6 @@ def serialize_package(program: LoweredProgram, policy: DecoyPolicy = DecoyPolicy
     sec = _sections(buf, sizes)
     sec["cmp_rows"][1][:] = _pad_and_shuffle(sec["comparisons"], cmp_widths, cmp_args, rng)
     sec["sqrt_rows"][1][:] = _pad_and_shuffle(sec["sqrts"], sqrt_widths, sqrt_args, rng)
-    np.concatenate([np.empty(0, _U4), *program.lane_maps], out=sec["maps"][1], casting="unsafe")
     np.concatenate([np.empty(0), *(_lanes(ct.value, w) for ct, w in program.coeff_tables)],
                    out=sec["coeffs"][1])
     sec["levels"][:] = [ct.level for ct, _ in program.coeff_tables]
@@ -1347,34 +1393,38 @@ def parse_package(blob) -> dict:
     ``cmp_level`` and ``sqrt_level`` are the levels the header gives the
     comparison and the sqrt records.  ``cmp_rows`` and ``sqrt_rows`` hold
     the wire-id row of each record comparison and sqrt, ``coeffs`` the
-    tables and ``levels`` their levels, ``refs`` the references as
-    (table, map or ``_NONE``, scale), and ``formed`` the comparisons the client forms
-    from the tables (``_FORMED``).  Slot i's ``params`` are (row, map)
+    tables and ``levels`` their levels, ``maps`` the base maps and
+    ``shifts`` each lane map's (base, shift), ``refs`` the references as
+    (table or ``_NONE`` for a constant, map or ``_NONE``, scale), and
+    ``formed`` the comparisons the client forms from the tables (``_FORMED``).  Slot i's ``params`` are (row, map)
     references, rows numbered record comparisons first, then formed ones,
     then sqrts, and map ``_NONE`` for none, and its ``monomials`` are
     rows of ``stride`` references: a coefficient (a table, or past them a
     reference), then slot-local parameter indices padded with ``_NONE``.
-    ``windows`` holds each window's (slot, source) and ``weights`` its
-    (map, scale) weights.
+    ``windows`` holds each window's (slot, source, weights run) and
+    ``weights`` the runs of (map, scale) weights.
     ``layout`` holds, as bytes, every section a ``SlotPlan`` depends on;
     the client's plan memo is keyed by it.
 
     Every reference is checked against what it points into: a wire id
-    against its kind's records, a parameter's row and map against the
-    pools and the map's lanes against the row, every term's table and
-    map, the references' and the formed sides' in one pass, against the
-    pools and the map's lanes against the table, a monomial's coefficient
-    and parameter indices against the pools and the slot, a window's slot
-    and source against the slots, and its weights' maps against the pool
-    and their lanes against the source.  So is every width: a slot's
-    coefficients have its width in lanes, a reference's being its map's,
-    or its table's without one, and each of its parameters, read through
-    its map if it has one, 1 or that width; each term of a formed
-    comparison, likewise, 1 or its row's width, which is its widest
-    term's (1 with none); each window weight's map, the width of the
-    window's slot.  An absent term has no map.  A window fills a slot
-    with no monomials that no other window fills, has weights, and sums
-    a source that is no window.  One out of range is a ValueError, like
+    against its kind's records, a lane map's base against the base maps,
+    a parameter's row and map against the pools and the map's lanes, its
+    base's plus its shift, none below 0, against the row, every term's
+    table and map, the references' and the formed sides' in one pass,
+    against the pools and the map's lanes against the table, a monomial's
+    coefficient and parameter indices against the pools and the slot, a
+    window's slot and source against the slots and its run against the
+    runs, and the runs' maps against the pool and their lanes against
+    each source that reads them.  So is every width: no slot is wider
+    than every row, table and map; a slot's coefficients have its width
+    in lanes, a reference's being its map's, or its table's without one,
+    a constant's any; each of its parameters, read through its map if it
+    has one, has 1 lane or that width; each term of a formed comparison,
+    likewise, 1 or its row's width, which is its widest term's (1 with
+    none); each window weight's map, the width of the window's slot.  An
+    absent term, like a constant, has no map.  A window fills a slot with
+    no monomials that no other window fills and sums a source that is no
+    window, and no run is empty.  One out of range is a ValueError, like
     a truncated package.  The names are decoded, and checked, where they
     are read: by ``SlotPlan`` and ``dump_package``.
     """
@@ -1387,20 +1437,33 @@ def parse_package(blob) -> dict:
     _check_refs("sqrt wire id", sqrt_ids, len(sec["sqrts"]))
     formed = sec["formed"]
     row_lens = np.concatenate([cmp_lens, formed["width"], sqrt_lens]).astype(np.int64)
-    map_lens, map_lanes = sec["maps"]
-    map_lens = map_lens.astype(np.int64)
-    map_top = np.full(len(map_lens), -1, dtype=np.int64)  # each map's highest lane
-    full = map_lens > 0
+    base_lens, base_lanes = sec["maps"]
+    base_lens = base_lens.astype(np.int64)
+    base_top = np.full(len(base_lens), -1, dtype=np.int64)  # each base map's highest lane
+    base_low = np.zeros(len(base_lens), dtype=np.int64)  # and its lowest
+    full = base_lens > 0
     if full.any():  # reduceat would read an empty map's first lane past its end
-        map_top[full] = np.maximum.reduceat(map_lanes, (np.cumsum(map_lens) - map_lens)[full])
+        first = (np.cumsum(base_lens) - base_lens)[full]
+        base_top[full] = np.maximum.reduceat(base_lanes, first)
+        base_low[full] = np.minimum.reduceat(base_lanes, first)
+    base, shift = sec["shifts"]["base"].astype(np.intp), sec["shifts"]["shift"].astype(np.int64)
+    _check_refs("lane map's base", base, len(base_lens))
+    if np.any(full[base] & (base_low[base] + shift < 0)):
+        raise ValueError("deferred package lane map's shift takes a lane below 0")
+    map_lens = base_lens[base]
+    map_top = np.where(full[base], base_top[base] + shift, -1)  # each map's highest lane
     coeff_lens = sec["coeffs"][0].astype(np.int64)
     sides = np.concatenate([formed["lhs"], formed["rhs"]], axis=1)  # (rows x 4 terms)
     present = sides["table"] != _NONE
     if np.any(sides["map"][~present] != _NONE):
         raise ValueError("deferred package formed comparison's absent term has a lane map")
+    refs = sec["refs"]
+    live = refs["table"] != _NONE  # the others are constants, their scales
+    if np.any(refs["map"][~live] != _NONE):
+        raise ValueError("deferred package constant reference has a lane map")
     # every term, the references first
-    n_refs = len(sec["refs"])
-    terms = np.concatenate([sec["refs"], sides[present]])
+    n_refs = np.count_nonzero(live)
+    terms = np.concatenate([refs[live], sides[present]])
     term_table, term_map = terms["table"].astype(np.intp), terms["map"].astype(np.intp)
     whose = np.where(np.arange(len(terms)) >= n_refs, "formed term's", "reference's")
     _check_refs(np.char.add(whose, " table"), term_table, len(coeff_lens))
@@ -1422,9 +1485,16 @@ def parse_package(blob) -> dict:
     widest[present] = side_lanes
     if np.any(widest.max(axis=1, initial=1) != formed["width"]):
         raise ValueError("deferred package formed comparison's width is not its widest term's")
-    coeff_lens = np.concatenate([coeff_lens, term_lanes[:n_refs]])  # each coefficient's lanes
+    ref_lanes = np.full(len(refs), -1, dtype=np.int64)  # a constant's: any
+    ref_lanes[live] = term_lanes[:n_refs]
+    coeff_lens = np.concatenate([coeff_lens, ref_lanes])  # each coefficient's lanes
 
     width = sec["slots"]["width"].astype(np.int64)
+    # a slot is no wider than what the package's bytes carry, so that a
+    # slot of constants cannot ask the client for any number of lanes
+    if np.any(width > max(row_lens.max(initial=1), coeff_lens.max(initial=1),
+                          map_lens.max(initial=1))):
+        raise ValueError("deferred package slot is wider than every row, table and lane map")
     stride = sec["slots"]["stride"].astype(np.int64)
     param_lens, params = sec["params"]
     mono_lens, monos = sec["monomials"]
@@ -1450,32 +1520,42 @@ def parse_package(blob) -> dict:
     _check_refs("coefficient", coeffs, len(coeff_lens))
     _check_refs("parameter index", monos[~lead], np.repeat(param_lens, mono_lens - n_rows),
                 none_ok=True)
-    if np.any(coeff_lens[coeffs] != np.repeat(width, n_rows)):
+    got = coeff_lens[coeffs]
+    if np.any((got != np.repeat(width, n_rows)) & (got != -1)):
         raise ValueError("deferred package coefficient's lanes differ from its slot's width")
 
     windows, (weight_lens, weights) = sec["windows"], sec["weights"]
     slot, source = windows["slot"].astype(np.intp), windows["source"].astype(np.intp)
+    run = windows["weights"].astype(np.intp)
     _check_refs("window's slot", slot, len(width))
     _check_refs("window's source", source, len(width))
+    _check_refs("window's weights run", run, len(weight_lens))
     filled = np.zeros(len(width), dtype=bool)
     filled[slot] = True
     if np.count_nonzero(filled) != len(slot):
         raise ValueError("deferred package slot is filled by two windows")
     if np.any(filled[source]):
         raise ValueError("deferred package window reads a window")
-    if np.any(mono_lens[slot] != 0) or np.any(weight_lens == 0):
-        raise ValueError("deferred package window's slot has monomials, or it has no weights")
+    if np.any(mono_lens[slot] != 0):
+        raise ValueError("deferred package window's slot has monomials")
+    if np.any(weight_lens == 0):
+        raise ValueError("deferred package weights run is empty")
     weight_map = weights["map"].astype(np.intp)
     _check_refs("window weight's lane map", weight_map, len(map_lens))
-    if np.any(map_top[weight_map] >= np.repeat(width[source], weight_lens)):
-        raise ValueError("deferred package window's lane map reads past the end of its source")
-    if np.any(map_lens[weight_map] != np.repeat(width[slot], weight_lens)):
-        raise ValueError("deferred package window weight's lanes differ from its slot's width")
+    if len(weight_lens):  # each run's highest lane, and its maps' fewest and most lanes
+        first = np.cumsum(weight_lens, dtype=np.int64) - weight_lens
+        top = np.maximum.reduceat(map_top[weight_map], first)[run]
+        fewest, most = (f.reduceat(map_lens[weight_map], first)[run]
+                        for f in (np.minimum, np.maximum))
+        if np.any(top >= width[source]):
+            raise ValueError("deferred package window's lane map reads past the end of its source")
+        if np.any((fewest != width[slot]) | (most != width[slot])):
+            raise ValueError("deferred package window weight's lanes differ from its slot's width")
 
     # every section the slot plan depends on, byte for byte
     layout = (cmp_lens.tobytes(), sqrt_lens.tobytes(), sec["coeffs"][0].tobytes(),
-              sec["refs"].tobytes(), formed.tobytes(), sec["slots"].tobytes(),
-              windows.tobytes(),
+              refs.tobytes(), formed.tobytes(), sec["slots"].tobytes(),
+              sec["shifts"].tobytes(), windows.tobytes(),
               *(part.tobytes() for name in ("maps", "names", "params", "monomials", "weights")
                 for part in sec[name]))
     return {**sec, "cmp_level": int(header["cmp_level"]),
@@ -1488,8 +1568,10 @@ def dump_package(blob: bytes) -> str:
     Rows print as ``b<i>`` (record comparisons), ``f<i>`` (formed
     comparisons) and ``s<i>`` (sqrts), maps as ``m<i>``, tables as
     ``k<i>``, references as ``x<i>`` and slot parameters as ``p<i>``; a
-    formed comparison prints as ``f<i> = [lhs] > [rhs]``, each side a
-    constant or its terms ``k<t>[m<m>] * scale``.  Slots print in name
+    map shifted from a base that an earlier map is prints as ``m<i> =
+    m<j> + shift``, and a constant reference as its scale; a formed
+    comparison prints as ``f<i> = [lhs] > [rhs]``, each side a constant
+    or its terms ``k<t>[m<m>] * scale``.  Slots print in name
     order, then each window as ``slot <- source : weights``, each weight
     ``m<m> * scale``.
     """
@@ -1497,7 +1579,7 @@ def dump_package(blob: bytes) -> str:
     n_crows, n_tables = len(pkg["cmp_rows"][0]), len(pkg["coeffs"][0])
     n_formed = len(pkg["formed"])
     rows = _runs(*pkg["cmp_rows"]) + _runs(*pkg["sqrt_rows"])
-    maps, coeffs = _runs(*pkg["maps"]), _runs(*pkg["coeffs"])
+    maps, coeffs = _lane_maps(pkg), _runs(*pkg["coeffs"])
     names = _slot_names(*pkg["names"])
     slots = zip(names, pkg["slots"].tolist(), _runs(*pkg["params"]), _runs(*pkg["monomials"]))
 
@@ -1507,6 +1589,8 @@ def dump_package(blob: bytes) -> str:
         return f"f{r - n_crows}" if r < n_crows + n_formed else f"s{r - n_crows - n_formed}"
 
     def term(k: int, m: int, scale: float) -> str:
+        if k == _NONE:
+            return f"{scale:.6g}"
         return f"k{k}" + ("" if m == _NONE else f"[m{m}]") + f" * {scale:.6g}"
 
     def side(terms) -> str:
@@ -1523,8 +1607,11 @@ def dump_package(blob: bytes) -> str:
     for r, ids in enumerate(rows):
         lines.append(f"  {row_name(r if r < n_crows else r + n_formed)} -> wire {ids.tolist()}")
     lines.append(f"maps: {len(maps)}")
-    for m, lanes in enumerate(maps):
-        lines.append(f"  m{m} -> lanes {lanes.tolist()}")
+    shown: dict[int, int] = {}  # base -> the first map that is the base itself
+    for m, ((b, s), lanes) in enumerate(zip(pkg["shifts"].tolist(), maps)):
+        j = shown.setdefault(b, m) if s == 0 else shown.get(b)
+        lines.append(f"  m{m} -> lanes {lanes.tolist()}" if j in (None, m)
+                     else f"  m{m} = m{j} + {s}")
     lines.append(f"coeffs: {len(coeffs)}")
     for k, (lanes, level) in enumerate(zip(coeffs, pkg["levels"].tolist())):
         vals = " ".join(f"{v:.6g}" for v in lanes)
@@ -1545,9 +1632,10 @@ def dump_package(blob: bytes) -> str:
             coeff = f"k{ref}" if ref < n_tables else f"x{ref - n_tables}"
             lines.append(f"  {key} : {coeff}")
     lines.append(f"windows: {len(pkg['windows'])}")
-    for (slot, src), weights in zip(pkg["windows"].tolist(), _runs(*pkg["weights"])):
-        terms = ", ".join(f"m{m} * {scale:.6g}" for m, scale in weights.tolist())
-        lines.append(f"  {names[slot]} <- {names[src]} : {terms}")
+    runs = [", ".join(f"m{m} * {scale:.6g}" for m, scale in weights.tolist())
+            for weights in _runs(*pkg["weights"])]
+    for slot, src, run in pkg["windows"].tolist():
+        lines.append(f"  {names[slot]} <- {names[src]} : {runs[run]}")
     return "\n".join(lines) + "\n"
 
 

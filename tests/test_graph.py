@@ -771,8 +771,9 @@ def test_lower_emits_requests_and_residuals():
     prog = lower(b, slots, ctx)
     assert [c.id for c in prog.comparisons] == [0]
     assert list(prog.sqrt_args) == [0]
+    # the root's coefficient, 1.0, is a constant reference, not a table
     assert prog.leakage == {"bool_params": 1, "formed_rows": 0, "sqrt_params": 1,
-                            "monomials": 3, "coeff_tables": 3, "coeff_refs": 0, "lane_maps": 0,
+                            "monomials": 3, "coeff_tables": 2, "coeff_refs": 1, "lane_maps": 0,
                             "windows": 0}
     assert prog.cmp_args[0].value == 4.0 - 9.0  # the record ships lhs - rhs
     # the slot tables, in name order: pick is y + [x > y](x - y), root s

@@ -329,9 +329,10 @@ def test_comparison_lanes_sum_the_closed_form_over_octaves(suite_runs, images, n
 def test_package_structure_does_not_depend_on_the_octave_count(suite_runs, blob16):
     # one graph per layer index batches every octave's sites, so the 32 px
     # runs (two octaves) and natural64 (three) ship what one octave ships
+    # localize's +1.0 and -1.0 coefficients ship as two constant references
     one = run_pipeline(blob16, CFG16, mode="deferred", seed=SEED).report.leakage
     assert one == {"bool_params": 234, "formed_rows": 222, "sqrt_params": 0, "monomials": 711,
-                   "coeff_tables": 31, "coeff_refs": 12, "lane_maps": 83, "windows": 492}
+                   "coeff_tables": 29, "coeff_refs": 14, "lane_maps": 83, "windows": 492}
     for name in ALL_NAMES:
         assert suite_runs[(name, "deferred")].report.leakage == one, name
 
@@ -361,10 +362,10 @@ BLOB16_SLOTS_SHA256 = {
     "interactive": "05373b19c7d114909d2911a73b7b9e6b39855c6183c5f36c092f46dbc1089a4b",
     "deferred": "a12171169186602d87b2bbc0ad06f3b640b48f742060e7f474141a3e96b117c7",
 }
-BLOB16_PACKAGE_SHA256 = "c316343812de0669ebfd40dac998e60c32a1dc49ff939673615e9d516cca5a69"
+BLOB16_PACKAGE_SHA256 = "17638b44a838e4c47c2a701a12b7c8e2963e9a242da5e09a6d8ef9c1dedf6760"
 BLOB16_REPORT_SHA256 = {
     "interactive": "ac78f90b0cd32399fa10dc4af7f7442f52d80cde8c11cada3520c372f7734768",
-    "deferred": "f3dc2d85912a5b1c0ac31d024e0b57b9521d5dd884e52847f9f36af2100c41de",
+    "deferred": "195dd5f2c469244247b03b881812a1ac59a76a020f268ed7a4b6330dea5cb9ec",
 }
 
 
@@ -513,11 +514,13 @@ def test_wire_bytes_follow_from_lanes(blob16, monkeypatch, mode, weighting):
         assert r.response_bytes == 0
 
 
-def test_wire_traffic_follows_from_shape_and_is_pinned(suite_runs, blob16):
+def test_wire_traffic_follows_from_shape_and_is_pinned(suite_runs, blob16, images):
     """Traffic depends on image shape and config alone, so its totals are
     pinned, at 8 B per record: any 64x64 image with the default config
     (the benchmark's natural64 workloads), and any 16x16 one at one
-    octave (its small16)."""
+    octave (its small16).  A package ships each lane map as a (base,
+    shift) entry over the base maps, and natural64's 83 maps have 15
+    bases."""
 
     def wire(report) -> int:
         return sum(r.request_bytes + r.response_bytes for r in report.rounds)
@@ -525,9 +528,17 @@ def test_wire_traffic_follows_from_shape_and_is_pinned(suite_runs, blob16):
     interactive = suite_runs["natural64", "interactive"].report
     assert (wire(interactive), len(interactive.rounds)) == (25_952_284, 7)
     deferred = suite_runs["natural64", "deferred"].report
-    assert wire(deferred) == deferred.package_bytes == 3_012_352
+    assert wire(deferred) == deferred.package_bytes == 1_965_952
     assert deferred.package_sections["comparisons"] == 8 * 65_536
-    assert wire(run_pipeline(blob16, CFG16, mode="deferred", seed=SEED).report) == 240_428
+    assert deferred.package_sections["maps"] + deferred.package_sections["shifts"] <= 250_000
+    assert wire(run_pipeline(blob16, CFG16, mode="deferred", seed=SEED).report) == 178_864
+    program = sift_pipeline.compile_circuit(images["natural64"].shape, config_for("natural64"),
+                                            "deferred").program
+    bases = protocol._runs(*program.sections["maps"])
+    shifts = program.sections["shifts"].tolist()
+    assert (len(bases), len(shifts)) == (15, len(program.lane_maps)) == (15, 83)
+    for index, (base, shift) in zip(program.lane_maps, shifts):
+        assert np.array_equal(index, bases[base].astype(np.intp) + shift)
 
 
 def test_batches_ship_at_their_lowest_operand_level_which_follows_from_shape(suite_runs):
@@ -550,14 +561,16 @@ def test_sqrt_weighting_asks_one_root_per_pixel(blob16, images):
     """One root per pixel of the region, per layer index, which each window
     position reads through its map: 3 roots over blob16's 3 x 169 pixels,
     where one per window position asked 75 over 2,700 lanes, and a
-    natural64 package of 3,196,246 bytes, where those made it 7,090,624."""
+    natural64 package of 2,073,234 bytes, where those made it 7,090,624
+    (shipping every lane map and weight in full, and each public constant
+    coefficient as a table, made it 3,196,246)."""
     cfg = PipelineConfig(octaves=1, orientation_weighting=SQRT_MAGNITUDE)
     r = run_pipeline(blob16, cfg, mode="deferred", seed=SEED).report
     assert r.leakage["sqrt_params"] == 3
     assert (r.rounds[0].n_real_sqrts, r.rounds[0].n_wire_sqrts) == (3 * 169, 512)
     cfg = replace(config_for("natural64"), orientation_weighting=SQRT_MAGNITUDE)
     r = run_pipeline(images["natural64"], cfg, mode="deferred", seed=SEED).report
-    assert r.package_bytes == 3_196_246
+    assert r.package_bytes == 2_073_234
 
 
 def test_sqrt_weighting_ships_deferred_in_one_round(blob16):

@@ -168,8 +168,9 @@ def test_deferred_is_one_round_and_reports_leakage():
     assert len(run.rounds) == 1
     assert run.rounds[0].n_wire_comparisons == 8
     assert run.package_bytes == run.rounds[0].request_bytes > 0
+    # the root's coefficient, 1.0, ships as a constant reference
     assert run.leakage == {"bool_params": 1, "formed_rows": 0, "sqrt_params": 1,
-                           "monomials": 3, "coeff_tables": 3, "coeff_refs": 0, "lane_maps": 0,
+                           "monomials": 3, "coeff_tables": 2, "coeff_refs": 1, "lane_maps": 0,
                            "windows": 0}
     assert run.results["pick"] == 9.0
     assert run.results["root"] == 3.0
@@ -246,9 +247,10 @@ def test_parse_package_round_trip_and_magic():
     blob = bytes(serialize_package(prog, seed=1))
     # the layouts with record ids, then with a level in every record, then
     # without references, then with every comparison shipped as records,
-    # then with both operands in every comparison record
+    # then with both operands in every comparison record, then without
+    # windows, then with every lane map and window weight written out
     for old in (b"DCGPKG01", b"DCGPKG02", b"DCGPKG03", b"DCGPKG04", b"DCGPKG05",
-                b"DCGPKG06"):
+                b"DCGPKG06", b"DCGPKG07", b"DCGPKG08"):
         with pytest.raises(ValueError, match="not a deferred package"):
             parse_package(old + blob[len(old):])
 
@@ -290,7 +292,7 @@ def _patch_param_map(pkg):
 
 
 def _patch_coeff_ref(pkg):
-    _slot_tables(pkg)["pick"][2][0, 0] = len(pkg["coeffs"][0])
+    _slot_tables(pkg)["pick"][2][0, 0] = len(pkg["coeffs"][0]) + len(pkg["refs"])
 
 
 def _patch_param_index(pkg):
@@ -338,7 +340,7 @@ def test_window_weights_ship_as_references_and_resolve_bitwise(monkeypatch):
     # no reference reads pixel lane 3, so the table ships the other five
     # and the references' maps a and b read them as m2 and m3
     assert pkg["refs"].tolist() == [(0, 2, 0.25), (0, 2, -0.25), (0, 3, 0.1), (0, 3, -0.1)]
-    assert [m.tolist() for m in protocol._runs(*pkg["maps"])] == \
+    assert [m.tolist() for m in protocol._lane_maps(pkg)] == \
         [[0, 2, 4], [5, 1], [0, 2, 3], [4, 1]]
     assert protocol._runs(*pkg["coeffs"])[0].tolist() == [1.0, 25.0, 6.25, 9.0, 1.0]
     assert {name: monos[:, 0].tolist() for name, (_, _, monos) in
@@ -443,9 +445,10 @@ def test_windows_ship_their_sources_once_and_resolve_bitwise():
     pkg = parse_package(blob)
     names = protocol._slot_names(*pkg["names"])
     assert names == ["a", "a:source", "b", "c", "c:source", "pure"]
-    assert pkg["windows"].tolist() == [(0, 1), (2, 1), (3, 4)]
+    # (slot, source, weights run): windows a and c share their run
+    assert pkg["windows"].tolist() == [(0, 1, 0), (2, 1, 1), (3, 4, 0)]
     assert [w.tolist() for w in protocol._runs(*pkg["weights"])] == \
-        [[(0, 0.25), (1, -0.5)], [(2, 2.0)], [(0, 0.25), (1, -0.5)]]
+        [[(0, 0.25), (1, -0.5)], [(2, 2.0)]]
     text = dump_package(blob)
     assert "windows: 3\n  a <- a:source : m0 * 0.25, m1 * -0.5\n  b <- a:source : m2 * 2\n" in text
     got = Client(ctx).resolve_package(blob)
@@ -569,6 +572,141 @@ def test_parse_package_rejects_a_lane_map_past_its_row():
         parse_package(blob)
 
 
+def _shift_toy():
+    """A six-lane comparison [v * v > 1], which ships as records, read
+    through lane maps [1, 3, 5], [0, 2, 4] and [4, 4, 1]: the second is
+    the first shifted by -1, and the third a base of its own."""
+    ctx = CkksContext(SimParams(depth_budget=20))
+    b = GraphBuilder()
+    v = b.cipher(ctx.encrypt(np.array([1.0, -5.0, 2.5, -0.5, 3.0, -1.0])), name="v")
+    y = b.cipher(ctx.encrypt(np.array([2.0, 7.0, -1.0])), name="y")
+    z = b.cipher(ctx.encrypt(np.array([0.5, -4.0, 6.0])), name="z")
+    c = b.compare(b.mul(v, v), b.plain(1.0))
+    slots = {name: b.simplify(b.select(b.reindex(c, np.array(at)), y, z))
+             for name, at in (("a", [1, 3, 5]), ("b", [0, 2, 4]), ("c", [4, 4, 1]))}
+    return ctx, b, slots
+
+
+def test_lane_maps_ship_as_shifts_of_base_maps_and_resolve_bitwise():
+    ctx, b, slots = _shift_toy()
+    prog = lower(b, slots, ctx)
+    assert [m.tolist() for m in prog.lane_maps] == [[1, 3, 5], [0, 2, 4], [4, 4, 1]]
+    blob = serialize_package(prog, DecoyPolicy(), seed=2)
+    pkg = parse_package(blob)
+    assert [m.tolist() for m in protocol._runs(*pkg["maps"])] == [[1, 3, 5], [4, 4, 1]]
+    assert pkg["shifts"].tolist() == [(0, 0), (0, -1), (1, 0)]
+    assert [m.tolist() for m in protocol._lane_maps(pkg)] == [m.tolist() for m in prog.lane_maps]
+    assert ("maps: 3\n  m0 -> lanes [1, 3, 5]\n  m1 = m0 + -1\n  m2 -> lanes [4, 4, 1]\n"
+            in dump_package(blob))
+    got = Client(ctx).resolve_package(blob)
+    for name, e in slots.items():
+        assert got[name].tobytes() == np.asarray(PlainEvaluator(b).eval(e)).tobytes(), name
+
+
+def _patch_shift_base(pkg):
+    pkg["shifts"]["base"][1] = len(pkg["maps"][0])
+
+
+def _patch_shift_below_0(pkg):
+    pkg["shifts"]["shift"][1] = -2  # [1, 3, 5] - 2 reads lane -1
+
+
+def _patch_shift_past_its_row(pkg):
+    pkg["shifts"]["shift"][1] = 1  # [1, 3, 5] + 1 reads lane 6 of 6
+
+
+def _patch_shift_past_its_table(pkg):
+    # the formed term's map [0, 2, 4], shifted, reads lane 6 of v's 6
+    pkg["shifts"]["shift"][_formed_term(pkg)["map"][0]] = 2
+
+
+def _patch_shift_past_its_source(pkg):
+    # window a's first map [0, 2, 4], shifted, reads lane 6 of its 6-lane source
+    pkg["shifts"]["shift"][0] = 2
+
+
+def _patch_window_run(pkg):
+    pkg["windows"]["weights"][0] = len(pkg["weights"][0])
+
+
+def _patch_empty_run(pkg):
+    # the runs of 2 and 1 weights become runs of 0 and 3
+    pkg["weights"][0][:] = (0, 3)
+
+
+def _patch_wide_constant_slot(pkg):
+    # "root", a 1-lane sqrt times the constant 1.0, claims 2 lanes: its
+    # parameter may have 1 lane and its constant any, but no piece of
+    # the package is that wide
+    pkg["slots"]["width"][1] = 2
+
+
+@pytest.mark.parametrize("toy,patch,reason", [
+    pytest.param(*case, id=case[1].__name__) for case in [
+        (_shift_toy, _patch_shift_base, "lane map's base 2 is out of range"),
+        (_shift_toy, _patch_shift_below_0, "shift takes a lane below 0"),
+        (_shift_toy, _patch_shift_past_its_row, "lane map reads past the end of its row"),
+        (lambda: _formed_toy(), _patch_shift_past_its_table,
+         "formed term's lane map reads past the end of its table"),
+        (_window_toy, _patch_shift_past_its_source,
+         "window's lane map reads past the end of its source"),
+        (_window_toy, _patch_window_run, "window's weights run 2 is out of range"),
+        (_window_toy, _patch_empty_run, "weights run is empty"),
+        (_toy, _patch_wide_constant_slot, "slot is wider than every row, table and lane map"),
+    ]])
+def test_parse_package_refuses_a_malformed_shift_weights_run_or_constant_slot(toy, patch, reason):
+    ctx, b, slots = toy()
+    blob = bytearray(serialize_package(lower(b, slots, ctx), seed=1))
+    patch(parse_package(blob))
+    with pytest.raises(ValueError, match=reason):
+        parse_package(blob)
+    with pytest.raises(ValueError, match=reason):
+        Client(ctx).resolve_package(blob)
+
+
+def test_a_mutated_package_is_refused_with_a_reason_or_resolves(blob16, monkeypatch):
+    """Seeded random mutations of a small16 package: a byte, a word
+    anywhere, a word of one section and a truncation, in turn.  Each is
+    refused with a ValueError, by ``parse_package``, the ``SlotPlan`` or
+    ``resolve_package``, or it resolves; nothing else may be raised.  A
+    mutated value may be any float, so float warnings are no fault."""
+    blobs = []
+    serialize = protocol.serialize_package
+    monkeypatch.setattr(protocol, "serialize_package",
+                        lambda *args, **kw: blobs.append(bytes(serialize(*args, **kw))) or
+                        serialize(*args, **kw))
+    monkeypatch.setattr(protocol, "_PLAN_MEMO", {})
+    run_pipeline(blob16, PipelineConfig(octaves=1), mode="deferred", seed=3)
+    (blob,) = blobs
+    # each section's (a ragged one's lengths' and runs') words, by byte offset
+    start = np.frombuffer(blob, np.uint8).ctypes.data
+    words = [arr.ctypes.data - start + 4 * np.arange(arr.nbytes // 4)
+             for name, part in protocol._sections(blob).items() if name != "header"
+             for arr in (part if isinstance(part, tuple) else (part,)) if arr.nbytes >= 4]
+    rng = np.random.default_rng(34)
+    client = Client(CkksContext(SimParams()))
+    outcomes = Counter()
+    for i in range(320):
+        bad = bytearray(blob)
+        value = np.array(rng.choice([0, 1, 2, 0xFFFFFFFF, 0x7FFFFFFF, int(rng.integers(1 << 32))]),
+                         dtype="<u4").tobytes()
+        if i % 4 == 0:
+            bad[rng.integers(len(bad))] = rng.integers(256)
+        elif i % 4 < 3:
+            at = (4 * rng.integers(len(bad) // 4) if i % 4 == 1
+                  else rng.choice(words[rng.integers(len(words))]))
+            bad[at:at + 4] = value
+        else:
+            bad = bad[:rng.integers(len(bad))]
+        try:
+            with np.errstate(all="ignore"):
+                client.resolve_package(bytes(bad))
+            outcomes["resolved"] += 1
+        except ValueError:
+            outcomes["refused"] += 1
+    assert outcomes["resolved"] > 20 and outcomes["refused"] > 150
+
+
 @pytest.mark.parametrize("name,reason", [(b"pick", "'pick' repeats"),
                                          (b"r\xffot", "is not UTF-8")])
 def test_a_package_whose_slot_names_repeat_or_are_not_utf8_is_refused(monkeypatch, name, reason):
@@ -604,7 +742,7 @@ def test_decrypt_accounting_stays_on_the_client():
     # arguments, then each pooled coefficient table once, however many
     # monomials share it
     assert run.rounds[0].n_wire_sqrts > 0
-    assert client.attributed_decrypts == 1 + 1 + run.leakage["coeff_tables"] == 5
+    assert client.attributed_decrypts == 1 + 1 + run.leakage["coeff_tables"] == 4
 
     # formed comparisons read their tables as the slots do: each table is
     # decrypted once, however many rows and monomials read it
@@ -619,7 +757,7 @@ def test_decrypt_accounting_stays_on_the_client():
     client3._decrypt = recording
     run = run_deferred(lower(b3, slots3, ctx3), client3)
     assert run.rounds[0].n_wire_comparisons == 0
-    assert client3.attributed_decrypts == len(decrypted) == run.leakage["coeff_tables"] == 4
+    assert client3.attributed_decrypts == len(decrypted) == run.leakage["coeff_tables"] == 3
     assert len(set(decrypted)) == len(decrypted)
     assert client3.unattributed_decrypts() == 0
 
@@ -672,13 +810,13 @@ def _sha(blob) -> str:
     return hashlib.sha256(bytes(blob)).hexdigest()
 
 
-# sha256 digests of the sectioned layout (DCGPKG08) and of interactive
+# sha256 digests of the sectioned layout (DCGPKG09) and of interactive
 # requests, each a batch's level and then its records.  The wire format
 # is a contract, so any change to them is a format change
 PACKAGE_SHA256 = {
-    (True, 0): "363d846539493d9c9945d8a8dd20fb8f7f2323c89748474eb6ea124c6008c258",
-    (True, 7): "52c2bfd9053ae19a8452d45806ec2b479f8567f67f25352344b4ebfd8a586396",
-    (False, 0): "43dff48cde9bde5271735664b8921b482e4a621936f5d462a629c915948be20d",
+    (True, 0): "2a4bd4fd34502f1d2ff902dd38cdeecad841e604a721723ce9c14a63d2ae9c66",
+    (True, 7): "6d458e349937b7d4eadbc1622aca4370638b11600a1e35fa9a63dd2988f1167e",
+    (False, 0): "204c8f15928876dcfa0858f719eb581f7d0a1f6587e0ab2d60cdbcc65316482a",
 }
 REQUEST_SHA256 = [
     ("c", "6d0888d1acf855ea9cfa0e4f8f87bf9e88bd5ea72352d1d8c4d16de7a0d7aae8"),
@@ -728,14 +866,14 @@ def _address(blob) -> int:
 
 def test_wire_records_start_on_an_8_byte_boundary():
     """A request's records follow its 4-byte level and a package's its
-    56-byte header, so each wire buffer is placed to put them, not its
+    64-byte header, so each wire buffer is placed to put them, not its
     first byte, on an 8-byte boundary; the bytes are the digests' above."""
     ctx, b, slots = _wire_toy()
     prog = lower(b, slots, ctx)
     for decoys, seed in sorted(PACKAGE_SHA256):
         blob = serialize_package(prog, DecoyPolicy(enabled=decoys), seed=seed)
         sec = protocol._sections(blob)
-        assert protocol._HEADER.itemsize == 56
+        assert protocol._HEADER.itemsize == 64
         assert sec["comparisons"].ctypes.data % 8 == 0
         assert sec["sqrts"].ctypes.data % 8 == 0
     rng = np.random.default_rng(0)
@@ -785,7 +923,7 @@ def _reindex_toy(v=(1.0, -5.0, 2.5, -0.5, 3.0, -1.0), y=(2.0, 7.0, -1.0), z=(0.5
 
 def _param_ids(pkg, slot) -> list[list[int]]:
     """Each slot parameter's wire ids: its row, gathered through its map."""
-    rows, maps = _rows(pkg), protocol._runs(*pkg["maps"])
+    rows, maps = _rows(pkg), protocol._lane_maps(pkg)
     return [(rows[r] if m == protocol._NONE else rows[r][maps[m]]).tolist()
             for r, m in _slot_tables(pkg)[slot][1].tolist()]
 
@@ -804,7 +942,7 @@ def test_reindexed_parameters_share_their_comparisons_wire_ids():
     assert _param_ids(pkg, "a") == [a_ids]
     assert _param_ids(pkg, "b") == [a_ids, np.array(direct)[maps["b"]].tolist()]
     # slots "a" and "b" both read through maps["a"]; it ships once
-    assert [m.tolist() for m in protocol._runs(*pkg["maps"])] == \
+    assert [m.tolist() for m in protocol._lane_maps(pkg)] == \
         [maps["a"].tolist(), maps["b"].tolist()]
 
     rd = run_deferred(lower(b, slots, ctx), Client(ctx), seed=4)
@@ -1050,7 +1188,7 @@ def test_a_package_of_a_remembered_layout_gives_its_own_values(monkeypatch):
         assert len(protocol._PLAN_MEMO) == 1
         (plan,) = protocol._PLAN_MEMO.values()
         held = list(_arrays(plan))
-        assert len(held) > 10 and any(a.dtype == np.uint32 for a in held)  # the maps
+        assert len(held) > 10 and any(a.tolist() == [4, 4, 1] for a in held)  # a lane map
         wire = np.frombuffer(blob, dtype=np.uint8)
         assert not any(np.shares_memory(a, wire) for a in held)
     (layout1, got1, want1), (layout2, got2, want2) = runs
@@ -1083,11 +1221,12 @@ def _reference_slots(pkg, answers, roots):
     row, and terms add left to right.  ``answers`` and ``roots`` hold the
     comparison and the sqrt rows' lanes back to back; a reference's
     coefficient row is its table, read through its map if it has one,
-    times its scale."""
+    times its scale, or with no table its scale in every lane."""
     rows = ([run.astype(np.float64) for run in protocol._runs(pkg["cmp_rows"][0], answers)]
             + protocol._runs(pkg["sqrt_rows"][0], roots))
-    maps, coeffs = protocol._runs(*pkg["maps"]), protocol._runs(*pkg["coeffs"])
-    coeffs += [(coeffs[k] if m == protocol._NONE else coeffs[k][maps[m]]) * scale
+    maps, coeffs = protocol._lane_maps(pkg), protocol._runs(*pkg["coeffs"])
+    coeffs += [scale if k == protocol._NONE
+               else (coeffs[k] if m == protocol._NONE else coeffs[k][maps[m]]) * scale
                for k, m, scale in pkg["refs"].tolist()]
     out = {}
     for name, (width, params, monos) in _slot_tables(pkg).items():
@@ -1096,8 +1235,9 @@ def _reference_slots(pkg, answers, roots):
         acc = None
         for ref, *refs in monos.tolist():
             factors = [vals[i] for i in refs if i != protocol._NONE]
-            term = (deferred_graph.balanced_fold(factors, lambda x, y: x * y) * coeffs[ref]
-                    if factors else coeffs[ref])
+            coeff = np.broadcast_to(coeffs[ref], width)  # a constant's, at the slot's width
+            term = (deferred_graph.balanced_fold(factors, lambda x, y: x * y) * coeff
+                    if factors else coeff)
             acc = term if acc is None else acc + term
         out[name] = 0.0 if acc is None else float(acc[0]) if width == 1 else acc
     return out
@@ -1106,7 +1246,8 @@ def _reference_slots(pkg, answers, roots):
 def _random_slot_tables(rng, widths, refs=False):
     """Random package sections, with each row's answers or roots back to
     back: comparison and sqrt rows of 1 lane or a slot's width, lane maps
-    over 1-lane and full rows, coefficient tables holding signed zeros,
+    over 1-lane and full rows, half of them an earlier base map of their
+    width shifted to fit where one does, coefficient tables holding signed zeros,
     and slots of 0 to 60 monomials of degree 0 to 6, with up to 3 sqrt
     factors, some of whose roots are nan.  Each width has one family of 2
     to 40 slots, which share their monomial table's shape and coefficient
@@ -1114,10 +1255,24 @@ def _random_slot_tables(rng, widths, refs=False):
     which half the time has the family's shape but other coefficient
     tables; the slots come in a shuffled order.  With ``refs``, each width
     also has 6 references, over two wider tables of their own, through
-    maps of their own, and 2 over its own tables, whole, with scales of
-    either sign, ±1 and -0.0 among them, and the slots' coefficients are
-    drawn from the tables and the references of their width."""
+    maps of their own, 2 over its own tables, whole, and one constant,
+    with scales of either sign, ±1 and -0.0 among them, and the slots'
+    coefficients are drawn from the tables and the references of their
+    width and the constants."""
     NONE = protocol._NONE
+    bases, shifts = [], []  # the base maps, and each lane map's (base, shift)
+
+    def lane_map(n, k):
+        """k lanes into a row or table of n."""
+        fits = [b for b, m in enumerate(bases) if len(m) == k and m.max() - m.min() < n]
+        if fits and rng.random() < 0.5:
+            b = fits[int(rng.integers(len(fits)))]
+            shifts.append((b, int(rng.integers(-bases[b].min(), n - bases[b].max()))))
+        else:
+            bases.append(rng.integers(0, n, k))
+            shifts.append((len(bases) - 1, 0))
+        b, shift = shifts[-1]
+        return bases[b] + shift
 
     def values(n):
         v = rng.standard_normal(n) * 10.0 ** rng.integers(-6, 7, n)
@@ -1136,7 +1291,7 @@ def _random_slot_tables(rng, widths, refs=False):
         for r, n in enumerate(lengths):
             if n in (1, w):
                 mine.append((r, NONE))
-            maps.append(rng.integers(0, n, int(rng.choice([1, w]))))
+            maps.append(lane_map(n, int(rng.choice([1, w]))))
             mine.append((r, len(maps) - 1))
         for q, root in enumerate(roots):
             if len(root) in (1, w):
@@ -1151,16 +1306,19 @@ def _random_slot_tables(rng, widths, refs=False):
                 table_widths.append(w + int(rng.integers(1, 6)))
                 coeffs.append(values(table_widths[-1]))
                 for _ in range(3):
-                    maps.append(rng.integers(0, table_widths[-1], w))
+                    maps.append(lane_map(table_widths[-1], w))
                     scale = rng.choice([1.0, -1.0, -0.0, *(rng.standard_normal(3) * 0.3)])
                     weights.append((len(coeffs) - 1, len(maps) - 1, scale))
             for _ in range(2):
                 scale = rng.choice([1.0, -1.0, -0.0, *(rng.standard_normal(3) * 0.3)])
                 weights.append((widths.index(w) * 5 + int(rng.integers(0, 5)), NONE, scale))
-    # each width's coefficients: its tables, then its references
-    ref_width = [table_widths[k] if m == NONE else len(maps[m]) for k, m, _ in weights]
+            weights.append((NONE, NONE, rng.choice([1.0, -0.0, *(rng.standard_normal(2) * 0.3)])))
+    # each width's coefficients: its tables, then its references; a
+    # constant has every width
+    ref_width = [None if k == NONE else table_widths[k] if m == NONE else len(maps[m])
+                 for k, m, _ in weights]
     choices = {w: [k for k, tw in enumerate(table_widths) if tw == w]
-               + [len(coeffs) + j for j, rw in enumerate(ref_width) if rw == w]
+               + [len(coeffs) + j for j, rw in enumerate(ref_width) if rw in (w, None)]
                for w in widths}
 
     def slot(w, mine, degree, refs):
@@ -1194,7 +1352,8 @@ def _random_slot_tables(rng, widths, refs=False):
     pkg = {
         "cmp_rows": (np.array(lengths, dtype=u4), np.arange(sum(lengths), dtype=u4)),
         "sqrt_rows": ragged([np.arange(len(r), dtype=u4) for r in roots], u4),
-        "maps": ragged([m.astype(u4) for m in maps], u4),
+        "maps": ragged([m.astype(u4) for m in bases], u4),
+        "shifts": np.array(shifts, dtype=protocol._SHIFT),
         "coeffs": ragged(coeffs, np.float64),
         "refs": np.array(weights, dtype=protocol._REF),
         "formed": np.zeros(0, dtype=protocol._FORMED),
@@ -1291,7 +1450,7 @@ def test_pools_share_by_graph_node_never_by_value():
     assert kx.tobytes() == ky.tobytes()  # equal lanes, still two tables
     refs = {name: monos[:, 0].tolist() for name, (_, _, monos) in _slot_tables(pkg).items()}
     assert refs == {"a": [0], "b": [1], "c": [0]}  # x is one table for two slots
-    assert [m.tolist() for m in protocol._runs(*pkg["maps"])] == [lane_map.tolist()]
+    assert [m.tolist() for m in protocol._lane_maps(pkg)] == [lane_map.tolist()]
 
     client = Client(ctx)
     run = run_deferred(lower(b, slots, ctx), client, seed=1)
@@ -1355,8 +1514,8 @@ def test_the_client_answers_each_difference_as_its_operands_compare(mode):
     ops = ctx.snapshot_counts()
     assert (ops["mul"], ops["add"], ops["neg"]) == (2 * len(lhs) + 2 * len(small), len(lhs),
                                                     len(small))
-    # one column of differences; a package also ships each slot width's one table
-    assert client.attributed_decrypts == (1 if mode == "interactive" else 3)
+    # one column of differences; a package's coefficients, 1.0, are constants
+    assert client.attributed_decrypts == 1
 
 
 def test_comparison_answers_are_encrypted_after_the_operands_are_freed(monkeypatch):
@@ -1553,9 +1712,11 @@ def test_formed_comparisons_ship_as_rows_over_tables():
     pkg = parse_package(blob)
     assert (len(pkg["comparisons"]), len(pkg["cmp_rows"][0])) == (0, 0)
     text = dump_package(blob)
-    # v is table k3, after the slots' coefficient tables
-    assert "formed: 2\n  f0 = [k3[m0] * 1] > [0.5] width=3\n  f1 = [k3 * 1] > [1] width=6\n" in text
-    assert "slot b: width=6\n  p0 = f1\n  p0 : k2\n" in text
+    # v is table k2, after the slots' coefficient tables; slot b's
+    # coefficient 1.0 is the constant reference x0
+    assert "refs: 1\n  x0 = 1\n" in text
+    assert "formed: 2\n  f0 = [k2[m0] * 1] > [0.5] width=3\n  f1 = [k2 * 1] > [1] width=6\n" in text
+    assert "slot b: width=6\n  p0 = f1\n  p0 : x0\n" in text
     got = Client(ctx).resolve_package(blob)
     for name, e in slots.items():
         assert got[name].tobytes() == np.asarray(PlainEvaluator(b).eval(e)).tobytes(), name
@@ -1613,7 +1774,7 @@ def _lanes_read(pkg) -> list[np.ndarray]:
     """Per table, which of its lanes some reader reads: a monomial or a
     formed term that reads it whole, or a reference or a formed term
     through its map."""
-    maps, coeffs = protocol._runs(*pkg["maps"]), protocol._runs(*pkg["coeffs"])
+    maps, coeffs = protocol._lane_maps(pkg), protocol._runs(*pkg["coeffs"])
     read = [np.zeros(len(lanes), dtype=bool) for lanes in coeffs]
     for _, _, monos in _slot_tables(pkg).values():
         for k in monos[:, 0].tolist():
