@@ -155,9 +155,11 @@ class CkksContext:
     # value's size, or one lane for any other value.
 
     def encrypt(self, x) -> Ciphertext:
-        v = _as_value(x)
-        if type(v) is _ndarray:
-            v = v.copy()
+        # one float64 copy, whatever the input's dtype, so the ciphertext
+        # never aliases it; np.array copies by default
+        v = np.array(x, dtype=np.float64)
+        if v.ndim == 0:
+            v = float(v)
         self.op_counts["encrypt"] += v.size if type(v) is _ndarray else 1
         return Ciphertext(v, self.params.depth_budget, 0.0)
 

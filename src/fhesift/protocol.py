@@ -1212,13 +1212,6 @@ class Client:
 # -- request batching -------------------------------------------------------------
 
 
-def _batch_level(cts: list[Ciphertext]) -> int:
-    """The level a batch of ``cts`` ships at: the lowest among them, to
-    which a modulus switch of the wire copy brings the whole batch; 0 for
-    an empty batch."""
-    return min((ct.level for ct in cts), default=0)
-
-
 def _parse_request(blob) -> tuple[np.ndarray, int]:
     """An interactive request's records, as a view into ``blob``, and the
     level of its batch; ValueError unless it is a level, then whole
@@ -1233,29 +1226,52 @@ def _parse_request(blob) -> tuple[np.ndarray, int]:
             int(np.frombuffer(blob, dtype=_U4, count=1)[0]))
 
 
-def _pad_and_shuffle(wire: np.ndarray, widths: list[int], cts: list[Ciphertext],
-                     rng) -> np.ndarray:
-    """Fill ``wire`` with real lanes plus decoys, shuffled.
+_CHUNK = 1 << 16  # positions per step of a permutation's inversion and of the decoys
 
-    Entry i of ``cts`` contributes ``widths[i]`` lanes.  A decoy's value
-    is a draw from the pool of all real values, so decoy marginals match
-    the real traffic.  Records carry no level; the caller writes the
-    batch's one level beside them.  Returns the wire ids, that is the
-    positions, of the real lanes in entry order.
-    """
-    n = int(sum(widths))
-    total = len(wire)
-    staged = np.empty(total)  # the values in entry order, decoys last
-    if n:
-        np.concatenate([_lanes(ct.value, w) for w, ct in zip(widths, cts)], out=staged[:n])
-    if total > n:
-        staged[n:] = staged[rng.integers(0, n, size=total - n)]
+
+def _wire_ids(n: int, total: int, rng) -> tuple[np.ndarray, np.ndarray]:
+    """Where a batch of ``n`` real lanes padded to ``total`` puts each
+    lane, drawn before its wire exists: the wire id, that is the
+    position, of every lane, real lanes in entry order then decoys, and
+    each decoy's draw, the real lane whose value it copies.  Decoys draw
+    from the pool of all real values, so decoy marginals match the real
+    traffic.  The ids invert one ``rng.permutation``, a chunk of positions
+    at a time, and the permutation is dropped before this returns."""
+    draws = rng.integers(0, n, size=total - n) if total > n else np.empty(0, dtype=np.int64)
     perm = rng.permutation(total)
-    # mode="clip" lets the take write to the wire directly
-    np.take(staged, perm, out=wire.view(np.float64), mode="clip")
     ids = np.empty(total, dtype=np.uint32)
-    ids[perm] = np.arange(total, dtype=np.uint32)
-    return ids[:n]
+    for lo in range(0, total, _CHUNK):
+        hi = min(lo + _CHUNK, total)
+        ids[perm[lo:hi]] = np.arange(lo, hi, dtype=np.uint32)
+    return ids, draws
+
+
+def _pad_and_shuffle(wire: np.ndarray, widths: list[int], cts, ids: np.ndarray,
+                     draws: np.ndarray) -> tuple[np.ndarray, int]:
+    """Fill ``wire`` with real lanes plus decoys, shuffled as ``_wire_ids``'s
+    ``ids`` and ``draws`` say.
+
+    Entry i of ``cts``, any iterable, contributes ``widths[i]`` lanes,
+    written straight to their wire ids; each entry is dropped before the
+    next is drawn, so a generator's entries never all live at once.  Each
+    decoy then copies its draw's lane.  Records carry no level; the caller
+    writes the batch's one level beside them.  Returns the wire ids of the
+    real lanes in entry order and that level: the lowest among the
+    entries, to which a modulus switch of the wire copy brings the whole
+    batch, or 0 for an empty batch.
+    """
+    values = wire.view(np.float64)
+    entries, level, pos = iter(cts), None, 0
+    for w in widths:
+        ct = next(entries)
+        # put, not a fancy assignment: about twice as fast through uint32 ids
+        values.put(ids[pos:pos + w], _lanes(ct.value, w))
+        level = ct.level if level is None else min(level, ct.level)
+        pos += w
+        del ct  # freed, if the caller holds it no longer, before the next is drawn
+    for lo in range(0, len(draws), _CHUNK):  # in chunks: decoys may be near half the wire
+        values.put(ids[pos + lo:pos + lo + _CHUNK], values.take(ids[draws[lo:lo + _CHUNK]]))
+    return ids[:pos], 0 if level is None else level
 
 
 def _wire_buffer(size: int, records_at: int) -> np.ndarray:
@@ -1267,17 +1283,20 @@ def _wire_buffer(size: int, records_at: int) -> np.ndarray:
     return raw[skip:skip + size]
 
 
-def _request_batch(widths: list[int], cts: list[Ciphertext],
-                   policy: DecoyPolicy, rng) -> tuple[memoryview, np.ndarray]:
-    """One padded, shuffled request batch of ``cts`` as wire bytes, its
-    level then its records, plus the wire ids of its real lanes.  An
-    empty batch is no bytes."""
-    n = policy.padded_size(sum(widths))
-    buf = _wire_buffer(_U4.itemsize + n * RECORD_DTYPE.itemsize if n else 0, _U4.itemsize)
-    ids = _pad_and_shuffle(buf[_U4.itemsize:].view(RECORD_DTYPE), widths, cts, rng)
-    if n:
-        buf[:_U4.itemsize].view(_U4)[0] = _batch_level(cts)
-    return buf.data, ids
+def _request_batch(widths: list[int], cts, policy: DecoyPolicy,
+                   rng) -> tuple[memoryview, np.ndarray]:
+    """One padded, shuffled request batch of ``cts``, any iterable, as
+    wire bytes, its level then its records, plus the wire ids of its real
+    lanes.  The ids are drawn first, so the wire is allocated only once
+    the permutation behind them is gone.  An empty batch is no bytes."""
+    n = int(sum(widths))
+    total = policy.padded_size(n)
+    ids, draws = _wire_ids(n, total, rng)
+    buf = _wire_buffer(_U4.itemsize + total * RECORD_DTYPE.itemsize if total else 0, _U4.itemsize)
+    real, level = _pad_and_shuffle(buf[_U4.itemsize:].view(RECORD_DTYPE), widths, cts, ids, draws)
+    if total:
+        buf[:_U4.itemsize].view(_U4)[0] = level
+    return buf.data, real
 
 
 def _bind_response(width: int, values: np.ndarray, level: int) -> Ciphertext:
@@ -1312,14 +1331,17 @@ def run_interactive(ctx: CkksContext, builder: GraphBuilder, slots: dict[str, Ex
     for round_no, tier in enumerate(ev.plan.by_tier(), start=1):
         sent = []  # (real lanes, request bytes, response bytes) per batch
         for nodes, resolve in zip(tier, (client.resolve_comparisons, client.resolve_sqrts)):
-            req, ids = _request_batch([n.width for n in nodes], [ev.eval(n.a) for n in nodes],
+            # each argument is drawn, written to the wire and dropped in turn
+            req, ids = _request_batch([n.width for n in nodes], (ev.eval(n.a) for n in nodes),
                                       policy, rng)
-            resp = np.frombuffer(resolve(req) if req else b"", dtype=RESP_DTYPE)
+            n_req = len(req)
+            resp = np.frombuffer(resolve(req) if n_req else b"", dtype=RESP_DTYPE)
+            del req  # the wire is freed before the answers are bound
             pos = 0
             for n in nodes:
                 ev.bind(n, _bind_response(n.width, resp[ids[pos:pos + n.width]], full))
                 pos += n.width
-            sent.append((len(ids), len(req), resp.nbytes))
+            sent.append((len(ids), n_req, resp.nbytes))
         (n_cmp, creq, cresp), (n_sqrt, sreq, sresp) = sent
         trace.append(RoundTrace(
             round=round_no, n_real_comparisons=n_cmp, n_real_sqrts=n_sqrt,
@@ -1344,7 +1366,6 @@ def serialize_package(program: LoweredProgram, policy: DecoyPolicy = DecoyPolicy
     rng = np.random.default_rng(seed)
     cmp_widths = [c.width for c in program.comparisons]
     sqrt_widths = [a.width for a in program.sqrt_args.values()]
-    cmp_args, sqrt_args = list(program.cmp_args.values()), list(program.sqrt_args.values())
     sections = program.sections
     sizes = {"comparisons": policy.padded_size(sum(cmp_widths)),
              "sqrts": policy.padded_size(sum(sqrt_widths)),
@@ -1353,16 +1374,24 @@ def serialize_package(program: LoweredProgram, policy: DecoyPolicy = DecoyPolicy
              "levels": len(program.coeff_tables),
              **{name: part[0] if isinstance(part, tuple) else len(part)
                 for name, part in sections.items()}}
-    header = {"cmp_level": _batch_level(cmp_args), "sqrt_level": _batch_level(sqrt_args),
+    cmp_ids = _wire_ids(sum(cmp_widths), sizes["comparisons"], rng)
+    sqrt_ids = _wire_ids(sum(sqrt_widths), sizes["sqrts"], rng)
+
+    fields = {"magic": _PKG_MAGIC, "cmp_level": 0, "sqrt_level": 0,
               **{count: len(sizes[name]) if ragged else sizes[name]
                  for name, _, count, ragged in _SECTIONS}}
 
-    # every byte is written below, so the buffer need not be zeroed first
+    # every byte is written below, so the buffer need not be zeroed first;
+    # the counts come first, since the section walk reads them, and each
+    # batch's level once its records are written
     buf = _wire_buffer(_package_size(sizes), _HEADER.itemsize)
-    buf[:_HEADER.itemsize].view(_HEADER)[0] = (_PKG_MAGIC, *(header[f] for f in _HEADER.names[1:]))
+    header = buf[:_HEADER.itemsize].view(_HEADER)
+    header[0] = tuple(fields[f] for f in _HEADER.names)
     sec = _sections(buf, sizes)
-    sec["cmp_rows"][1][:] = _pad_and_shuffle(sec["comparisons"], cmp_widths, cmp_args, rng)
-    sec["sqrt_rows"][1][:] = _pad_and_shuffle(sec["sqrts"], sqrt_widths, sqrt_args, rng)
+    sec["cmp_rows"][1][:], header["cmp_level"] = _pad_and_shuffle(
+        sec["comparisons"], cmp_widths, program.cmp_args.values(), *cmp_ids)
+    sec["sqrt_rows"][1][:], header["sqrt_level"] = _pad_and_shuffle(
+        sec["sqrts"], sqrt_widths, program.sqrt_args.values(), *sqrt_ids)
     np.concatenate([np.empty(0), *(_lanes(ct.value, w) for ct, w in program.coeff_tables)],
                    out=sec["coeffs"][1])
     sec["levels"][:] = [ct.level for ct, _ in program.coeff_tables]

@@ -116,6 +116,7 @@ def suite_runs(images) -> dict:
     request_batch, serialize = protocol._request_batch, protocol.serialize_package
 
     def recording_batch(widths, cts, policy, rng):
+        cts = list(cts)  # an iterator of the arguments, read here and by the batch
         blob, ids = request_batch(widths, cts, policy, rng)
         if len(blob):
             batches.append((int(np.frombuffer(blob, dtype="<u4", count=1)[0]),

@@ -1,5 +1,7 @@
 """Simulator semantics: levels, noise accounting, op counters."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -175,6 +177,27 @@ def test_inputs_are_never_mutated():
     v = SecretKey().decrypt(ct)
     v[0] = 77.0
     assert ct.value[0] == 1.0
+
+
+def test_encrypt_makes_exactly_one_float64_copy():
+    """A float64 input is copied, never aliased; a bool input, as the
+    client's answers are, becomes float64 in that same one copy; a scalar
+    stays a float."""
+    ctx = CkksContext(SimParams(depth_budget=6))
+    arr = np.arange(4.0)
+    assert not np.shares_memory(ctx.encrypt(arr).value, arr)
+    assert type(ctx.encrypt(np.float64(2.5)).value) is float
+    assert type(ctx.encrypt(True).value) is float
+    answers = np.arange(1 << 16) % 3 == 0
+    tracemalloc.start()
+    try:
+        ct = ctx.encrypt(answers)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ct.value.dtype == np.float64 and type(ct.value) is np.ndarray
+    assert np.array_equal(ct.value, answers.astype(np.float64))
+    assert peak <= 1.1 * ct.value.nbytes
 
 
 def test_noisy_mode_respects_hard_bound():

@@ -395,6 +395,51 @@ def test_blob16_outputs_match_recorded_digests(blob16, monkeypatch, mode):
     assert hashlib.sha256(report).hexdigest() == BLOB16_REPORT_SHA256[mode]
 
 
+# sha256 of every blob16 interactive request batch at SEED, in the order
+# sent, as (kind, bytes, digest): a batch's level, then its padded and
+# shuffled records.  test_protocol.py's REQUEST_SHA256 pins a toy's
+# batches of 8 and 16 lanes; these pin batches of a real image's size,
+# up to 65,536 lanes, sqrt arguments among them.
+BLOB16_REQUEST_SHA256 = {
+    MAGNITUDE_SQUARED: [
+        ("c", 262_148, "5a75e1391c66aaefc6e9b61e4327bc69d6d3a4f1119f90d9fd923d4f9a04ee17"),
+        ("c", 16_388, "d792230c48f47512878e002d28efc7ccef10c0f36043ca4fda557700a87212fd"),
+        ("c", 8_196, "650e6293f25e5795d5b6e73def112e8b299b95960862038a605de083512545f3"),
+        ("c", 4_100, "2fef00a8d66f3862c3a7fefc24b0de1300ddbdacf19c7398c502aa50220f5743"),
+        ("c", 4_100, "67e093e2753f9fc27dc1daac554d6a75bb0e15c13b46ebf6557d544207f7adfe"),
+        ("c", 2_052, "b459837a013002d892f32a5253c9385e03c36ad3ff47b33865941f8f069c5c91"),
+        ("c", 1_028, "8feb6ea98f476469eab8b6b1096428f3cd1200678e39df5a523aa7a53cd98c20"),
+    ],
+    SQRT_MAGNITUDE: [
+        ("c", 262_148, "5a75e1391c66aaefc6e9b61e4327bc69d6d3a4f1119f90d9fd923d4f9a04ee17"),
+        ("s", 4_100, "afcbcc6bee216651e6da268c46c750fb786549fa689c83912201d30d53fdd862"),
+        ("c", 16_388, "c8a04e7ebcbfe908c90786156e2e85cebab2bd1068d9190f6d70fc5be43ec248"),
+        ("c", 8_196, "f97db4dbbbf663a7c17c0470e6c9f6606134d9862f610c5ea4faad29e3cccbf1"),
+        ("c", 4_100, "37c2343532018063ba0af6e3d18fed6eab173d99ec8ef7a7c9246a856e538ca4"),
+        ("c", 4_100, "683dda6811e03bc4a6d1cbd5cc5358fe619cb40929cc3e84674a04bc6236aac6"),
+        ("c", 2_052, "9f93eaad3fc3c825937aa56077cd6d7cbfdca83df4428d4b0c15329b3a7b6fdc"),
+        ("c", 1_028, "81955b4167af56a7a2a419d1549ecee6a1e61471037d0ece5cfcc5485a9afe5d"),
+    ],
+}
+
+
+@pytest.mark.parametrize("weighting", sorted(BLOB16_REQUEST_SHA256))
+def test_blob16_interactive_requests_match_recorded_digests(blob16, monkeypatch, weighting):
+    requests = []
+    for kind in ("comparisons", "sqrts"):
+        resolve = getattr(protocol.Client, f"resolve_{kind}")
+
+        def recording(client, blob, kind=kind[0], resolve=resolve):
+            requests.append((kind, len(blob), hashlib.sha256(blob).hexdigest()))
+            return resolve(client, blob)
+
+        monkeypatch.setattr(protocol.Client, f"resolve_{kind}", recording)
+    out = run_pipeline(blob16, replace(CFG16, orientation_weighting=weighting),
+                       mode="interactive", seed=SEED)
+    assert requests == BLOB16_REQUEST_SHA256[weighting]
+    assert len(out.keypoints) == 1
+
+
 # The slot digests again with noise injected (noise_per_mul=1e-12).
 # Noisy values depend on which multiplies run, in what order, and on
 # their draws, so these pin all three, which exact-mode digests cannot.
