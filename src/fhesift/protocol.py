@@ -78,22 +78,26 @@ comparison over products or 1-lane values, still ship as records.  A
 table ships only the lanes its readers read: each a comparison side's
 value or a coefficient.
 
-The client alone sums the slots, in two parts.  A ``SlotPlan`` is made
-from the structural sections: it decodes the names, numbers the bit rows
-of the distinct comparison parameters and groups the slots by monomial
-table shape, family by family: a family's slots share a coefficient table
-sequence.  ``SlotPlan.evaluate`` takes one package's answers and roots,
-each flat, and its coefficient tables: a product of 0/1 answers is an AND
-of bits, taken for a block of slots at once, and each family's
-coefficient rows are gathered once, a reference's straight from its
-table's lanes, through its map if it has one; then come the windows.
-The client decrypts each pooled table once, forms the formed
-comparisons from the tables, and keeps the plans
-of the ``PLAN_MEMO_SIZE`` most recently used layouts, keyed by the exact
-bytes of every section a plan depends on; wire ids, records, coefficient
-values and levels are not in the key, so packages of one circuit share
-a plan.  A plan holds no view into a package, so the memo keeps none
-alive.
+The client alone checks a package's layout and sums its slots, in two
+parts.  A ``SlotPlan`` is made from the structural sections, once per
+layout: it checks every rule of the layout (``SlotPlan`` states them),
+refuses one that asks for more than ``MAX_LANES_PER_BYTE`` lanes per
+byte, decodes the names, numbers the bit rows of the distinct comparison
+parameters and groups the slots by monomial table shape, family by
+family: a family's slots share a coefficient table sequence.
+``SlotPlan.evaluate`` takes one package's answers and roots, each flat,
+and its coefficient tables: a product of 0/1 answers is an AND of bits,
+taken for a block of slots at once, and each family's coefficient rows
+are gathered once, a reference's straight from its table's lanes,
+through its map if it has one; then come the windows.  The client
+decrypts each pooled table once, forms the formed comparisons from the
+tables, and keeps the plans of the ``PLAN_MEMO_SIZE`` most recently used
+layouts, keyed by the exact bytes of every section a plan depends on;
+wire ids, records, coefficient values and levels are not in the key, so
+packages of one circuit share a plan.  A plan holds no view into a
+package, so the memo keeps none alive.  ``parse_package`` checks only
+what changes between packages of one layout, and takes the layout's plan
+from the memo or makes it.
 
 A reindexed comparison has no records of its own.  In a package its
 parameter is its source comparison's row read through the lane map;
@@ -733,6 +737,13 @@ def _formed(builder: GraphBuilder, c: Comparison, linear: dict[int, bool]):
 
 
 PLAN_MEMO_SIZE = 4  # slot plans kept by package layout, least recently used dropped first
+# Most lanes a package layout may ask the client to allocate, as
+# ``SlotPlan`` counts them, per byte of the sections its plan reads: the
+# package less its header and records.  The pipeline's layouts ask for at
+# most 8.31: a 16x16 image at one octave 1.39, a 64x64 one 7.44 (8.31 with
+# sqrt-magnitude weighting), and a 64x64 texture tiled to 128x128 7.93 and
+# to 256x256 7.99.
+MAX_LANES_PER_BYTE = 40
 # each recent package layout's slot plan, least recently used first, keyed
 # by the layout ``parse_package`` returns
 _PLAN_MEMO: dict[tuple[bytes, ...], SlotPlan] = {}
@@ -812,19 +823,193 @@ class SlotPlan:
 
     It holds no view into a package.  Slots without monomials are 0.0,
     but for the windows'.
+
+    Making a plan checks the layout, on the arrays the plan derives
+    anyway; a rule broken is a ValueError.  Every reference points into
+    its pool: a lane map's base, a term's table and map (a reference's or
+    a formed side's), a parameter's row and map, a monomial's coefficient
+    and its parameter indices, a window's slot, source and weights run,
+    and a weight's map.  A lane map, its base plus its shift, reads no
+    lane below 0, nor past the end of the row, table or source it reads.
+    No slot is wider than every row, table and map.  A slot's
+    coefficients have its width in lanes, a reference's being its map's,
+    or its table's without one, a constant's any; each parameter, read
+    through its map if it has one, has 1 lane or its slot's width; each
+    term of a formed comparison has 1 lane or its row's width, which is
+    its widest term's (1 with none); each weight's map has its window's
+    width.  An absent term, like a constant reference, has no map.  A
+    window fills a slot with no monomials that no other window fills and
+    sums a source that is no window, and no weights run is empty.  The
+    names are UTF-8 and none repeats.  Before any map is expanded, the
+    lanes the plan and an evaluation allocate are counted from counts
+    and widths alone: each map's lanes, each slot's width once and once
+    per monomial and per parameter, each parameter's row's lanes, each
+    formed row's width, each weight's map's lanes and each width's
+    coefficient rows.  More than ``MAX_LANES_PER_BYTE`` per byte of the
+    sections the plan reads is refused.
     """
 
     def __init__(self, pkg: dict):
-        formed = pkg["formed"]
-        lengths = np.concatenate([pkg["cmp_rows"][0], formed["width"]]).astype(np.int64)
-        n_cmp = len(lengths)  # record comparison rows, then formed ones
-        starts = np.concatenate([[0], np.cumsum(lengths)])
-        self.starts = starts.tolist()  # comparison row r's answers run from [r] to [r + 1]
-        # sqrt row q's roots, and coefficient table k's lanes, likewise
-        self.root_starts = [0, *np.cumsum(pkg["sqrt_rows"][0], dtype=np.int64).tolist()]
-        table_widths = pkg["coeffs"][0].tolist()
-        self.table_starts = [0, *np.cumsum(table_widths, dtype=np.int64).tolist()]
+        formed, refs, slots = pkg["formed"], pkg["refs"], pkg["slots"]
+        windows, (weight_lens, weights) = pkg["windows"], pkg["weights"]
+        cmp_lens, sqrt_lens = pkg["cmp_rows"][0], pkg["sqrt_rows"][0]
+        # each row's lanes: the record comparisons', the formed ones', the sqrts'
+        row_lens = np.concatenate([cmp_lens, formed["width"], sqrt_lens]).astype(np.int64)
+        n_cmp = len(cmp_lens) + len(formed)  # comparison rows
+        starts = np.concatenate([[0], np.cumsum(row_lens)])
+        # comparison row r's answers run from starts[r] to starts[r + 1]; sqrt
+        # row q's roots, and coefficient table k's lanes, likewise
+        self.starts = starts[:n_cmp + 1].tolist()
+        self.root_starts = (starts[n_cmp:] - starts[n_cmp]).tolist()
+        table_lens = pkg["coeffs"][0].astype(np.int64)
+        self.table_starts = [0, *np.cumsum(table_lens).tolist()]
+        base_lens = pkg["maps"][0].astype(np.int64)
+        base = pkg["shifts"]["base"].astype(np.intp)
+        _check_refs("lane map's base", base, len(base_lens))
+        map_lens = base_lens[base]
+        # each read through lane maps, checked once the maps are expanded:
+        # (its fault, the maps, the lanes each may read)
+        map_reads: list[tuple[str, np.ndarray, np.ndarray]] = []
+
+        # every term, the references' and the formed sides', has its table's
+        # lanes, or through its map the map's
+        terms = np.concatenate([formed["lhs"], formed["rhs"]], axis=1)  # (rows x 4 terms)
+        present, live = terms["table"] != _NONE, refs["table"] != _NONE
+        if np.any(terms["map"][~present] != _NONE):
+            raise ValueError("deferred package formed comparison's absent term has a lane map")
+        if np.any(refs["map"][~live] != _NONE):
+            raise ValueError("deferred package constant reference has a lane map")
+        term_lanes = []
+        for whose, read in (("reference's", refs[live]), ("formed term's", terms[present])):
+            k, m = read["table"].astype(np.intp), read["map"].astype(np.intp)
+            _check_refs(f"{whose} table", k, len(table_lens))
+            _check_refs(f"{whose} lane map", m, len(map_lens), none_ok=True)
+            mapped = m != _NONE
+            map_reads.append((f"{whose} lane map reads past the end of its table", m[mapped],
+                              table_lens[k[mapped]]))
+            term_lanes.append(table_lens[k])
+            term_lanes[-1][mapped] = map_lens[m[mapped]]
+        side_lanes = term_lanes[1]
+        if np.any((side_lanes != 1) & (side_lanes != np.broadcast_to(
+                formed["width"][:, None], terms.shape)[present])):
+            raise ValueError("deferred package formed comparison side has neither 1 lane "
+                             "nor its row's width")
+        widest = np.ones(terms.shape, dtype=np.int64)
+        widest[present] = side_lanes
+        if np.any(widest.max(axis=1, initial=1) != formed["width"]):
+            raise ValueError("deferred package formed comparison's width is not its widest term's")
+        ref_lanes = np.full(len(refs), -1, dtype=np.int64)  # a constant's: any
+        ref_lanes[live] = term_lanes[0]
+        coeff_lanes = np.concatenate([table_lens, ref_lanes])  # tables, then references
+
+        # a slot is no wider than what the package's bytes carry, so that a
+        # slot of constants cannot ask the client for any number of lanes
+        width = slots["width"].astype(np.int64)
+        if np.any(width > max(row_lens.max(initial=1), coeff_lanes.max(initial=1),
+                              map_lens.max(initial=1))):
+            raise ValueError("deferred package slot is wider than every row, table and lane map")
+        param_lens, params = pkg["params"]
+        n_params = param_lens.astype(np.int64)
+        row, lane_map = params["row"].astype(np.intp), params["map"].astype(np.intp)
+        _check_refs("parameter row", row, len(row_lens))
+        _check_refs("lane map", lane_map, len(map_lens), none_ok=True)
+        param_width = np.repeat(width, n_params)
+        mapped = lane_map != _NONE
+        map_reads.append(("lane map reads past the end of its row", lane_map[mapped],
+                          row_lens[row[mapped]]))
+        lanes = row_lens[row]  # each parameter's, read through its map if it has one
+        lanes[mapped] = map_lens[lane_map[mapped]]
+        if np.any((lanes != 1) & (lanes != param_width)):
+            raise ValueError("deferred package parameter has neither 1 lane nor its slot's width")
+
+        stride = slots["stride"].astype(np.int64)
+        mono_lens, monos = pkg["monomials"]
+        if np.any(stride == 0) or np.any(mono_lens % np.maximum(stride, 1)):
+            raise ValueError("deferred package monomials are not whole rows, each naming a table")
+        slot_monos = mono_lens // stride  # each slot's monomials
+
+        slot, source, run = (windows[f].astype(np.intp) for f in ("slot", "source", "weights"))
+        _check_refs("window's slot", slot, len(width))
+        _check_refs("window's source", source, len(width))
+        _check_refs("window's weights run", run, len(weight_lens))
+        filled = np.zeros(len(width), dtype=bool)
+        filled[slot] = True
+        if np.count_nonzero(filled) != len(slot):
+            raise ValueError("deferred package slot is filled by two windows")
+        if np.any(filled[source]):
+            raise ValueError("deferred package window reads a window")
+        if np.any(slot_monos[slot] != 0):
+            raise ValueError("deferred package window's slot has monomials")
+        if np.any(weight_lens == 0):
+            raise ValueError("deferred package weights run is empty")
+        weight_map = weights["map"].astype(np.intp)
+        _check_refs("window weight's lane map", weight_map, len(map_lens))
+        if len(weight_lens):  # each run's maps' fewest and most lanes
+            first = np.cumsum(weight_lens, dtype=np.int64) - weight_lens
+            fewest, most = (f.reduceat(map_lens[weight_map], first)[run]
+                            for f in (np.minimum, np.maximum))
+            if np.any((fewest != width[slot]) | (most != width[slot])):
+                raise ValueError("deferred package window weight's lanes differ from its "
+                                 "slot's width")
+        source_lanes = np.full(len(weight_lens), np.iinfo(np.int64).max)  # an unread run's: any
+        np.minimum.at(source_lanes, run, width[source])
+        map_reads.append(("window's lane map reads past the end of its source", weight_map,
+                          np.repeat(source_lanes, weight_lens)))
+
+        # each width's coefficient rows: a row of ones, which a constant
+        # reference scales, its tables, then a block per table that
+        # references of that width read, its lanes through each of the
+        # width's reference maps (``ref_maps``)
+        self.sources = Counter(dict.fromkeys(width.tolist() + table_lens.tolist(), 1))
+        self.table_at: list[tuple[int, int]] = []  # table -> (width, row)
+        for w in table_lens.tolist():
+            self.table_at.append((w, self.sources[w]))
+            self.sources[w] += 1
+        map_rows: dict[int, dict[int, int]] = {}  # width -> map -> its row of ref_maps
+        through: dict[tuple[int, int], int] = {}  # (width, table) -> its block's first row
+        # each reference's (width, table, map's row of ref_maps), or with
+        # no map (None, None, its coefficient row)
+        ref_rows = []
+        for k, m in zip(refs["table"].tolist(), refs["map"].tolist()):
+            if m == _NONE:
+                ref_rows.append((None, None, 0 if k == _NONE else self.table_at[k][1]))
+                continue
+            w = int(map_lens[m])
+            through[w, k] = 0
+            ref_rows.append((w, k, map_rows.setdefault(w, {}).setdefault(m, len(map_rows[w]))))
+        for w, k in through:
+            through[w, k] = self.sources[w]
+            self.sources[w] += len(map_rows[w])
+
+        # the lanes the plan and an evaluation allocate, counted before any
+        # is, against the bytes of the sections the plan reads
+        size = sum(sum(a.nbytes for a in part) if isinstance(part, tuple) else part.nbytes
+                   for name, part in pkg.items() if name not in ("comparisons", "sqrts"))
+        asked = int(map_lens.sum() + np.sum(width * (1 + slot_monos + n_params))
+                    + row_lens[row].sum() + formed["width"].sum(dtype=np.int64)
+                    + map_lens[weight_map].sum() + sum(w * n for w, n in self.sources.items()))
+        if asked > MAX_LANES_PER_BYTE * size:
+            raise ValueError(f"deferred package layout asks for {asked} lanes from {size} bytes, "
+                             f"more than {MAX_LANES_PER_BYTE} a byte")
+
+        row_stride = np.repeat(stride, slot_monos)
+        lead = np.zeros(len(monos), dtype=bool)  # each monomial's coefficient
+        lead[np.cumsum(row_stride) - row_stride] = True
+        _check_refs("coefficient", monos[lead], len(coeff_lanes))
+        _check_refs("parameter index", monos[~lead], np.repeat(param_lens, mono_lens - slot_monos),
+                    none_ok=True)
+        got = coeff_lanes[monos[lead]]
+        if np.any((got != np.repeat(width, slot_monos)) & (got != -1)):
+            raise ValueError("deferred package coefficient's lanes differ from its slot's width")
+
         self.maps = _lane_maps(pkg)
+        bounds = np.array([(m.min(initial=0), m.max(initial=-1)) for m in self.maps],
+                          dtype=np.int64).reshape(-1, 2)  # each map's lowest and highest lane
+        if np.any(bounds[:, 0] < 0):
+            raise ValueError("deferred package lane map's shift takes a lane below 0")
+        for what, m, limit in map_reads:
+            if np.any(bounds[m, 1] >= limit):
+                raise ValueError(f"deferred package {what}")
         self.names = _slot_names(*pkg["names"])
 
         # the formed rows of one width that read the same tables through
@@ -834,7 +1019,7 @@ class SlotPlan:
         # scales).  A block is about _BLOCK_BYTES of (rows x lanes): (its
         # rows, their count, their lanes as one span when they follow
         # each other, else each row's)
-        at = self.starts[len(pkg["cmp_rows"][0]):]  # each formed row's first lane
+        at = self.starts[len(cmp_lens):]  # each formed row's first lane
         by_reads: dict[tuple, list[int]] = {}
         for i, (w, *sides) in enumerate(formed.tolist()):
             key = (w, *(tuple((t, k, m) for t, (k, m, _) in enumerate(terms.tolist())
@@ -856,68 +1041,33 @@ class SlotPlan:
                 blocks.append((slice(lo, lo + len(part)), len(part), span))
             self.formed.append((blocks, *sides))
 
-        # each width's coefficient rows: a row of ones, which a constant
-        # reference scales, its tables, then a block per table that
-        # references of that width read, its lanes through each of the
-        # width's reference maps (``ref_maps``)
-        self.sources = Counter(dict.fromkeys(pkg["slots"]["width"].tolist() + table_widths, 1))
-        self.table_at: list[tuple[int, int]] = []  # table -> (width, row)
-        for w in table_widths:
-            self.table_at.append((w, self.sources[w]))
-            self.sources[w] += 1
-        refs = pkg["refs"]
-        map_rows: dict[int, dict[int, int]] = {}  # width -> map -> its row of ref_maps
-        through: dict[tuple[int, int], int] = {}  # (width, table) -> its block's first row
-        # each reference's (width, table, map's row of ref_maps), or with
-        # no map (None, None, its coefficient row)
-        ref_rows = []
-        for k, m in zip(refs["table"].tolist(), refs["map"].tolist()):
-            if m == _NONE:
-                ref_rows.append((None, None, 0 if k == _NONE else self.table_at[k][1]))
-                continue
-            w = len(self.maps[m])
-            through[w, k] = 0
-            ref_rows.append((w, k, map_rows.setdefault(w, {}).setdefault(m, len(map_rows[w]))))
         # width -> (maps x width) lanes of the maps references read
         self.ref_maps = {w: np.array([self.maps[m] for m in ms], dtype=np.intp)
                          for w, ms in map_rows.items()}
-        for w, k in through:
-            through[w, k] = self.sources[w]
-            self.sources[w] += len(self.ref_maps[w])
         self.through = [(w, lo, k) for (w, k), lo in through.items()]  # (width, first row, table)
         # each coefficient's row (tables, then references) and scale
         self.coeff_row = np.array([row for _, row in self.table_at]
                                   + [i if w is None else through[w, k] + i
                                      for w, k, i in ref_rows], dtype=np.intp)
-        self.coeff_scale = np.concatenate([np.ones(len(table_widths)), refs["scale"]])
-        self.is_ref = np.arange(len(self.coeff_row)) >= len(table_widths)
+        self.coeff_scale = np.concatenate([np.ones(len(table_lens)), refs["scale"]])
+        self.is_ref = np.arange(len(self.coeff_row)) >= len(table_lens)
 
         # every slot's parameters back to back, each slot's followed by one
         # more entry, which its _NONE padding reads
-        slot_width = pkg["slots"]["width"].astype(np.int64)
-        param_lens, params = pkg["params"]
-        n_params = param_lens.astype(np.int64)
         first = np.cumsum(n_params + 1) - (n_params + 1)  # each slot's first entry
         at = np.arange(n_params.sum()) + np.repeat(np.arange(len(n_params)), n_params)
-        row, lane_map = params.view(_U4).astype(np.int64).reshape(-1, 2).T
-        width = np.repeat(slot_width, n_params)
         is_cmp = row < n_cmp
 
         # each distinct (width, map, row length, row) comparison parameter's
-        # bit row, numbered from 1 per width in that order: the keys, none
-        # negative, sorted, and each run of equal keys numbered
+        # bit row, numbered from 1 per width in that order
         r = row[is_cmp]
-        keys = np.stack([width[is_cmp], lane_map[is_cmp], lengths[r], r], axis=1)
-        order = np.lexsort(keys.T[::-1])
-        keys = keys[order]
-        new = np.diff(keys, axis=0, prepend=-1).any(axis=1)  # each run's first key
-        uniq, inverse = keys[new], np.empty(len(keys), dtype=np.intp)
-        inverse[order] = np.cumsum(new) - 1
+        keys = np.stack([param_width[is_cmp], lane_map[is_cmp], row_lens[r], r], axis=1)
+        uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
         bit_rows = np.arange(len(uniq)) - np.searchsorted(uniq[:, 0], uniq[:, 0]) + 1
-        self.n_bits = dict.fromkeys(slot_width.tolist(), 0)  # width -> bit rows, past 0
+        self.n_bits = dict.fromkeys(width.tolist(), 0)  # width -> bit rows, past 0
         self.n_bits.update(zip(*(v.tolist() for v in np.unique(uniq[:, 0], return_counts=True))))
         entry_bits = np.zeros(len(at) + len(n_params), dtype=np.intp)
-        entry_bits[at[is_cmp]] = bit_rows[inverse]
+        entry_bits[at[is_cmp]] = bit_rows[inverse.reshape(-1)]  # 2-D from numpy 2.0.0
         entry_sqrt = np.zeros(len(entry_bits), dtype=bool)
         entry_sqrt[at[~is_cmp]] = True
 
@@ -942,11 +1092,11 @@ class SlotPlan:
 
         # the slots of each width and monomial table shape, by coefficient
         # table sequence
-        refs = _runs(param_lens, params)
-        mono_rows = [monos.reshape(-1, stride) for monos, stride in
-                     zip(_runs(*pkg["monomials"]), pkg["slots"]["stride"].tolist())]
+        slot_params = _runs(param_lens, params)
+        mono_rows = [run.reshape(-1, k)
+                     for run, k in zip(_runs(mono_lens, monos), stride.tolist())]
         shapes: dict[tuple, dict[bytes, list[int]]] = {}  # (width, shape) -> sequence -> slots
-        for s, (w, monos) in enumerate(zip(slot_width.tolist(), mono_rows)):
+        for s, (w, monos) in enumerate(zip(width.tolist(), mono_rows)):
             if len(monos):
                 shapes.setdefault((w, monos.shape), {}).setdefault(
                     monos[:, 0].tobytes(), []).append(s)
@@ -965,7 +1115,7 @@ class SlotPlan:
             factors = self.factors.setdefault(w, {})
             for j, on in enumerate(entry_sqrt[entry].any(axis=2).tolist()):
                 if any(on):
-                    mine, local = refs[ss[j]].tolist(), monos[j, :, 1:].tolist()
+                    mine, local = slot_params[ss[j]].tolist(), monos[j, :, 1:].tolist()
                     for i in (i for i, sq in enumerate(on) if sq):
                         fs = [factors.setdefault(mine[f], len(factors))
                               for f in local[i] if f < len(mine)]
@@ -985,14 +1135,14 @@ class SlotPlan:
         # read, which runs of one map sequence share, and its scales
         lanes_of: dict[bytes, np.ndarray] = {}
         runs = []
-        for weights in _runs(*pkg["weights"]):
+        for weights in _runs(weight_lens, weights):
             raw = weights["map"].tobytes()
             if raw not in lanes_of:
                 lanes_of[raw] = np.array([self.maps[m] for m in weights["map"].tolist()],
                                          dtype=np.intp)
             runs.append((lanes_of[raw], weights["scale"].copy()))
         self.windows = [(self.names[slot], self.names[src], *runs[run])
-                        for slot, src, run in pkg["windows"].tolist()]
+                        for slot, src, run in windows.tolist()]
         self.hidden = {src for _, src, _, _ in self.windows}  # the sources, not returned
 
     def evaluate(self, answers: np.ndarray, roots: np.ndarray, table) -> dict[str, Value]:
@@ -1187,16 +1337,15 @@ class Client:
     def resolve_package(self, blob: bytes) -> dict[str, Value]:
         """Decrypt a deferred package and finish the computation locally.
 
-        The package layout's ``SlotPlan`` comes from the memo unless this
-        layout is new or was dropped.  Every record comparison row's
-        answers are gathered in one pass, and so are every sqrt row's
-        roots; the plan then forms the other comparisons and sums the
-        slots, decrypting each pooled table once.
+        The package layout's ``SlotPlan``, which ``parse_package`` takes
+        from the memo or makes, is remembered as the most recently used.
+        Every record comparison row's answers are gathered in one pass,
+        and so are every sqrt row's roots; the plan then forms the other
+        comparisons and sums the slots, decrypting each pooled table once.
         """
         pkg = parse_package(blob)
-        plan = _PLAN_MEMO.pop(pkg["layout"], None)
-        if plan is None:
-            plan = SlotPlan(pkg)
+        plan = pkg["plan"]
+        _PLAN_MEMO.pop(pkg["layout"], None)
         _PLAN_MEMO[pkg["layout"]] = plan  # the most recently used, last
         while len(_PLAN_MEMO) > PLAN_MEMO_SIZE:
             del _PLAN_MEMO[next(iter(_PLAN_MEMO))]
@@ -1403,21 +1552,19 @@ def serialize_package(program: LoweredProgram, policy: DecoyPolicy = DecoyPolicy
     return buf.data
 
 
-def _check_refs(what, refs: np.ndarray, count, none_ok=False):
-    """ValueError unless every reference is below its ``count``, or is
-    ``_NONE`` where ``none_ok``; each of the three, ``what`` naming the
-    reference, is one for all, or one per reference."""
-    bad = (refs >= count) & ~(np.asarray(none_ok) & (refs == _NONE))
+def _check_refs(what: str, refs: np.ndarray, count, none_ok=False):
+    """ValueError unless every reference is below its ``count``, one for
+    all or one per reference, or is ``_NONE`` where ``none_ok``."""
+    bad = (refs >= count) & ~(none_ok & (refs == _NONE))
     if bad.any():
         i = np.flatnonzero(bad)[0]
-        raise ValueError(f"deferred package {np.broadcast_to(what, refs.shape)[i]} "
-                         f"{int(refs[i])} is out of range "
+        raise ValueError(f"deferred package {what} {int(refs[i])} is out of range "
                          f"(there are {int(np.broadcast_to(count, refs.shape)[i])})")
 
 
 def parse_package(blob) -> dict:
     """A package's sections as views into ``blob``, as ``_sections`` reads
-    them; only ``layout`` is a copy.
+    them, with its ``SlotPlan`` as ``plan``; only ``layout`` is a copy.
 
     ``cmp_level`` and ``sqrt_level`` are the levels the header gives the
     comparison and the sqrt records.  ``cmp_rows`` and ``sqrt_rows`` hold
@@ -1425,170 +1572,40 @@ def parse_package(blob) -> dict:
     tables and ``levels`` their levels, ``maps`` the base maps and
     ``shifts`` each lane map's (base, shift), ``refs`` the references as
     (table or ``_NONE`` for a constant, map or ``_NONE``, scale), and
-    ``formed`` the comparisons the client forms from the tables (``_FORMED``).  Slot i's ``params`` are (row, map)
-    references, rows numbered record comparisons first, then formed ones,
-    then sqrts, and map ``_NONE`` for none, and its ``monomials`` are
-    rows of ``stride`` references: a coefficient (a table, or past them a
-    reference), then slot-local parameter indices padded with ``_NONE``.
-    ``windows`` holds each window's (slot, source, weights run) and
-    ``weights`` the runs of (map, scale) weights.
-    ``layout`` holds, as bytes, every section a ``SlotPlan`` depends on;
-    the client's plan memo is keyed by it.
+    ``formed`` the comparisons the client forms from the tables
+    (``_FORMED``).  Slot i's ``params`` are (row, map) references, rows
+    numbered record comparisons first, then formed ones, then sqrts, and
+    map ``_NONE`` for none, and its ``monomials`` are rows of ``stride``
+    references: a coefficient (a table, or past them a reference), then
+    slot-local parameter indices padded with ``_NONE``.  ``windows``
+    holds each window's (slot, source, weights run) and ``weights`` the
+    runs of (map, scale) weights.  ``layout`` holds, as bytes, every
+    section a ``SlotPlan`` depends on; the client's plan memo is keyed by
+    it.
 
-    Every reference is checked against what it points into: a wire id
-    against its kind's records, a lane map's base against the base maps,
-    a parameter's row and map against the pools and the map's lanes, its
-    base's plus its shift, none below 0, against the row, every term's
-    table and map, the references' and the formed sides' in one pass,
-    against the pools and the map's lanes against the table, a monomial's
-    coefficient and parameter indices against the pools and the slot, a
-    window's slot and source against the slots and its run against the
-    runs, and the runs' maps against the pool and their lanes against
-    each source that reads them.  So is every width: no slot is wider
-    than every row, table and map; a slot's coefficients have its width
-    in lanes, a reference's being its map's, or its table's without one,
-    a constant's any; each of its parameters, read through its map if it
-    has one, has 1 lane or that width; each term of a formed comparison,
-    likewise, 1 or its row's width, which is its widest term's (1 with
-    none); each window weight's map, the width of the window's slot.  An
-    absent term, like a constant, has no map.  A window fills a slot with
-    no monomials that no other window fills and sums a source that is no
-    window, and no run is empty.  One out of range is a ValueError, like
-    a truncated package.  The names are decoded, and checked, where they
-    are read: by ``SlotPlan`` and ``dump_package``.
+    Each package is checked for what can change between packages of one
+    layout: its magic, its sections' sizes against its header and its
+    length (a truncated package or bytes past its last table is a
+    ValueError), and each wire id against its kind's records.  The
+    layout's own rules are checked once per layout, where its plan is
+    made (``SlotPlan``): the plan comes from the memo when it holds this
+    layout, and is made, not remembered, when it does not.
     """
     if blob[:len(_PKG_MAGIC)] != _PKG_MAGIC:
         raise ValueError("not a deferred package")
     sec = _sections(blob)
     header = sec.pop("header")
-    (cmp_lens, cmp_ids), (sqrt_lens, sqrt_ids) = sec["cmp_rows"], sec["sqrt_rows"]
-    _check_refs("comparison wire id", cmp_ids, len(sec["comparisons"]))
-    _check_refs("sqrt wire id", sqrt_ids, len(sec["sqrts"]))
-    formed = sec["formed"]
-    row_lens = np.concatenate([cmp_lens, formed["width"], sqrt_lens]).astype(np.int64)
-    base_lens, base_lanes = sec["maps"]
-    base_lens = base_lens.astype(np.int64)
-    base_top = np.full(len(base_lens), -1, dtype=np.int64)  # each base map's highest lane
-    base_low = np.zeros(len(base_lens), dtype=np.int64)  # and its lowest
-    full = base_lens > 0
-    if full.any():  # reduceat would read an empty map's first lane past its end
-        first = (np.cumsum(base_lens) - base_lens)[full]
-        base_top[full] = np.maximum.reduceat(base_lanes, first)
-        base_low[full] = np.minimum.reduceat(base_lanes, first)
-    base, shift = sec["shifts"]["base"].astype(np.intp), sec["shifts"]["shift"].astype(np.int64)
-    _check_refs("lane map's base", base, len(base_lens))
-    if np.any(full[base] & (base_low[base] + shift < 0)):
-        raise ValueError("deferred package lane map's shift takes a lane below 0")
-    map_lens = base_lens[base]
-    map_top = np.where(full[base], base_top[base] + shift, -1)  # each map's highest lane
-    coeff_lens = sec["coeffs"][0].astype(np.int64)
-    sides = np.concatenate([formed["lhs"], formed["rhs"]], axis=1)  # (rows x 4 terms)
-    present = sides["table"] != _NONE
-    if np.any(sides["map"][~present] != _NONE):
-        raise ValueError("deferred package formed comparison's absent term has a lane map")
-    refs = sec["refs"]
-    live = refs["table"] != _NONE  # the others are constants, their scales
-    if np.any(refs["map"][~live] != _NONE):
-        raise ValueError("deferred package constant reference has a lane map")
-    # every term, the references first
-    n_refs = np.count_nonzero(live)
-    terms = np.concatenate([refs[live], sides[present]])
-    term_table, term_map = terms["table"].astype(np.intp), terms["map"].astype(np.intp)
-    whose = np.where(np.arange(len(terms)) >= n_refs, "formed term's", "reference's")
-    _check_refs(np.char.add(whose, " table"), term_table, len(coeff_lens))
-    _check_refs(np.char.add(whose, " lane map"), term_map, len(map_lens), none_ok=True)
-    mapped = term_map != _NONE
-    past = np.zeros(len(terms), dtype=bool)
-    past[mapped] = map_top[term_map[mapped]] >= coeff_lens[term_table[mapped]]
-    if past.any():
-        raise ValueError(f"deferred package {whose[np.flatnonzero(past)[0]]} lane map "
-                         "reads past the end of its table")
-    term_lanes = coeff_lens[term_table]  # each term's, read through its map if it has one
-    term_lanes[mapped] = map_lens[term_map[mapped]]
-    side_lanes = term_lanes[n_refs:]
-    row_width = np.broadcast_to(formed["width"][:, None], sides.shape)[present]
-    if np.any((side_lanes != 1) & (side_lanes != row_width)):
-        raise ValueError("deferred package formed comparison side has neither 1 lane "
-                         "nor its row's width")
-    widest = np.ones(sides.shape, dtype=np.int64)
-    widest[present] = side_lanes
-    if np.any(widest.max(axis=1, initial=1) != formed["width"]):
-        raise ValueError("deferred package formed comparison's width is not its widest term's")
-    ref_lanes = np.full(len(refs), -1, dtype=np.int64)  # a constant's: any
-    ref_lanes[live] = term_lanes[:n_refs]
-    coeff_lens = np.concatenate([coeff_lens, ref_lanes])  # each coefficient's lanes
-
-    width = sec["slots"]["width"].astype(np.int64)
-    # a slot is no wider than what the package's bytes carry, so that a
-    # slot of constants cannot ask the client for any number of lanes
-    if np.any(width > max(row_lens.max(initial=1), coeff_lens.max(initial=1),
-                          map_lens.max(initial=1))):
-        raise ValueError("deferred package slot is wider than every row, table and lane map")
-    stride = sec["slots"]["stride"].astype(np.int64)
-    param_lens, params = sec["params"]
-    mono_lens, monos = sec["monomials"]
-    row, lane_map = params["row"].astype(np.intp), params["map"].astype(np.intp)
-    _check_refs("parameter row", row, len(row_lens))
-    _check_refs("lane map", lane_map, len(map_lens), none_ok=True)
-    lanes = row_lens[row]  # each parameter's, read through its map if it has one
-    mapped = lane_map != _NONE
-    lane_map = lane_map[mapped]
-    if np.any(map_top[lane_map] >= lanes[mapped]):
-        raise ValueError("deferred package lane map reads past the end of its row")
-    lanes[mapped] = map_lens[lane_map]
-    if np.any((lanes != 1) & (lanes != np.repeat(width, param_lens))):
-        raise ValueError("deferred package parameter has neither 1 lane nor its slot's width")
-
-    if np.any(stride == 0) or np.any(mono_lens % np.maximum(stride, 1)):
-        raise ValueError("deferred package monomials are not whole rows, each naming a table")
-    n_rows = mono_lens // stride  # each slot's monomials
-    row_stride = np.repeat(stride, n_rows)
-    lead = np.zeros(len(monos), dtype=bool)  # each monomial's first reference
-    lead[np.cumsum(row_stride) - row_stride] = True
-    coeffs = monos[lead]
-    _check_refs("coefficient", coeffs, len(coeff_lens))
-    _check_refs("parameter index", monos[~lead], np.repeat(param_lens, mono_lens - n_rows),
-                none_ok=True)
-    got = coeff_lens[coeffs]
-    if np.any((got != np.repeat(width, n_rows)) & (got != -1)):
-        raise ValueError("deferred package coefficient's lanes differ from its slot's width")
-
-    windows, (weight_lens, weights) = sec["windows"], sec["weights"]
-    slot, source = windows["slot"].astype(np.intp), windows["source"].astype(np.intp)
-    run = windows["weights"].astype(np.intp)
-    _check_refs("window's slot", slot, len(width))
-    _check_refs("window's source", source, len(width))
-    _check_refs("window's weights run", run, len(weight_lens))
-    filled = np.zeros(len(width), dtype=bool)
-    filled[slot] = True
-    if np.count_nonzero(filled) != len(slot):
-        raise ValueError("deferred package slot is filled by two windows")
-    if np.any(filled[source]):
-        raise ValueError("deferred package window reads a window")
-    if np.any(mono_lens[slot] != 0):
-        raise ValueError("deferred package window's slot has monomials")
-    if np.any(weight_lens == 0):
-        raise ValueError("deferred package weights run is empty")
-    weight_map = weights["map"].astype(np.intp)
-    _check_refs("window weight's lane map", weight_map, len(map_lens))
-    if len(weight_lens):  # each run's highest lane, and its maps' fewest and most lanes
-        first = np.cumsum(weight_lens, dtype=np.int64) - weight_lens
-        top = np.maximum.reduceat(map_top[weight_map], first)[run]
-        fewest, most = (f.reduceat(map_lens[weight_map], first)[run]
-                        for f in (np.minimum, np.maximum))
-        if np.any(top >= width[source]):
-            raise ValueError("deferred package window's lane map reads past the end of its source")
-        if np.any((fewest != width[slot]) | (most != width[slot])):
-            raise ValueError("deferred package window weight's lanes differ from its slot's width")
-
+    _check_refs("comparison wire id", sec["cmp_rows"][1], len(sec["comparisons"]))
+    _check_refs("sqrt wire id", sec["sqrt_rows"][1], len(sec["sqrts"]))
     # every section the slot plan depends on, byte for byte
-    layout = (cmp_lens.tobytes(), sqrt_lens.tobytes(), sec["coeffs"][0].tobytes(),
-              refs.tobytes(), formed.tobytes(), sec["slots"].tobytes(),
-              sec["shifts"].tobytes(), windows.tobytes(),
+    layout = (sec["cmp_rows"][0].tobytes(), sec["sqrt_rows"][0].tobytes(),
+              sec["coeffs"][0].tobytes(),
+              *(sec[name].tobytes() for name in ("refs", "formed", "slots", "shifts", "windows")),
               *(part.tobytes() for name in ("maps", "names", "params", "monomials", "weights")
                 for part in sec[name]))
+    plan = _PLAN_MEMO.get(layout) or SlotPlan(sec)
     return {**sec, "cmp_level": int(header["cmp_level"]),
-            "sqrt_level": int(header["sqrt_level"]), "layout": layout}
+            "sqrt_level": int(header["sqrt_level"]), "layout": layout, "plan": plan}
 
 
 def dump_package(blob: bytes) -> str:
@@ -1608,8 +1625,7 @@ def dump_package(blob: bytes) -> str:
     n_crows, n_tables = len(pkg["cmp_rows"][0]), len(pkg["coeffs"][0])
     n_formed = len(pkg["formed"])
     rows = _runs(*pkg["cmp_rows"]) + _runs(*pkg["sqrt_rows"])
-    maps, coeffs = _lane_maps(pkg), _runs(*pkg["coeffs"])
-    names = _slot_names(*pkg["names"])
+    maps, names, coeffs = pkg["plan"].maps, pkg["plan"].names, _runs(*pkg["coeffs"])
     slots = zip(names, pkg["slots"].tolist(), _runs(*pkg["params"]), _runs(*pkg["monomials"]))
 
     def row_name(r: int) -> str:

@@ -4,6 +4,7 @@ import hashlib
 import tracemalloc
 import weakref
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -1252,6 +1253,107 @@ def test_a_package_of_a_remembered_layout_gives_its_own_values(monkeypatch):
         assert list(got) == sorted(want)
         assert all(np.array_equal(got[name], want[name]) for name in want)
     assert not all(np.array_equal(got1[name], got2[name]) for name in got1)
+
+
+def _blob16_program(blob16, monkeypatch) -> protocol.LoweredProgram:
+    """The bound program a small16 deferred run ships."""
+    programs = []
+    serialize = protocol.serialize_package
+    monkeypatch.setattr(protocol, "serialize_package",
+                        lambda program, *args, **kw: programs.append(program) or
+                        serialize(program, *args, **kw))
+    run_pipeline(blob16, PipelineConfig(octaves=1), mode="deferred", seed=3)
+    monkeypatch.setattr(protocol, "serialize_package", serialize)
+    (program,) = programs
+    return program
+
+
+def test_a_remembered_layout_is_not_checked_again(blob16, monkeypatch):
+    """A package whose layout the memo holds is checked for what changes
+    between packages, its wire ids, and takes the remembered plan; the
+    layout's rules ran once, when its plan was made."""
+    program = _blob16_program(blob16, monkeypatch)
+    monkeypatch.setattr(protocol, "_PLAN_MEMO", {})
+    first, second = (bytes(serialize_package(program, DecoyPolicy(), seed=s)) for s in (3, 4))
+    assert first != second
+    checks, check_refs = [], protocol._check_refs
+    monkeypatch.setattr(protocol, "_check_refs",
+                        lambda what, *args, **kw: checks.append(what) or
+                        check_refs(what, *args, **kw))
+    Client(CkksContext(SimParams())).resolve_package(first)
+    assert len(checks) > 10
+    checks.clear()
+    pkg = parse_package(second)
+    assert checks == ["comparison wire id", "sqrt wire id"]
+    assert [pkg["plan"]] == list(protocol._PLAN_MEMO.values())
+
+
+def _unread_base(sections: dict, lanes: int, n_maps: int) -> None:
+    """One more base map, ``lanes`` lanes of 0, and ``n_maps`` lane maps
+    that are it, unshifted, in ``sections``."""
+    bases = protocol._runs(*sections["maps"]) + [np.zeros(lanes, dtype=protocol._U4)]
+    sections["maps"] = protocol._ragged(bases, protocol._U4)
+    sections["shifts"] = np.concatenate(
+        [sections["shifts"], np.array([(len(bases) - 1, 0)] * n_maps, dtype=protocol._SHIFT)])
+
+
+def _shifted_maps(program, sections):
+    # 1,024 lane maps of 16,384 lanes, each one 8-byte shift entry
+    _unread_base(sections, 1 << 14, 1024)
+
+
+def _wide_constant_slots(program, sections):
+    # 1,024 slots as wide as a map that nothing reads, each one monomial
+    # of a public constant
+    _unread_base(sections, 1 << 14, 1)
+    constant = len(program.coeff_tables) + len(sections["refs"])
+    sections["refs"] = np.concatenate(
+        [sections["refs"], np.array([(protocol._NONE, protocol._NONE, 1.0)], dtype=protocol._REF)])
+    sections["slots"] = np.concatenate(
+        [sections["slots"], np.array([(1 << 14, 1)] * 1024, dtype=protocol._SLOT)])
+    for name, runs in (("names", [np.frombuffer(f"wide{i}".encode(), np.uint8)
+                                  for i in range(1024)]),
+                       ("params", [np.empty(0, protocol._PARAM)] * 1024),
+                       ("monomials", [np.array([constant], dtype=protocol._U4)] * 1024)):
+        sections[name] = protocol._ragged(protocol._runs(*sections[name]) + runs,
+                                          sections[name][1].dtype)
+
+
+def _crossed_references(program, sections):
+    # a reference through one 4,096-lane map to each of the 29 tables,
+    # and one to table 0 through each of 256 such maps: 285 references
+    # make 29 x 256 coefficient rows
+    first = len(sections["shifts"])
+    _unread_base(sections, 1 << 12, 256)
+    crossed = [(k, first, 1.0) for k in range(len(program.coeff_tables))]
+    crossed += [(0, first + m, 1.0) for m in range(256)]
+    sections["refs"] = np.concatenate([sections["refs"], np.array(crossed, dtype=protocol._REF)])
+
+
+@pytest.mark.parametrize("craft", [_shifted_maps, _wide_constant_slots, _crossed_references])
+def test_a_layout_that_asks_for_more_lanes_than_its_bytes_bound_is_refused(blob16, monkeypatch,
+                                                                         craft):
+    """A layout may ask the client for at most MAX_LANES_PER_BYTE lanes
+    per byte: each of these asks for more than 60, through lane maps,
+    slot widths or coefficient rows.  It is refused from counts and
+    widths, before any map is expanded, for less than twice its own
+    bytes."""
+    program = _blob16_program(blob16, monkeypatch)
+    monkeypatch.setattr(protocol, "_PLAN_MEMO", {})
+    sections = dict(program.sections)
+    craft(program, sections)
+    blob = bytes(serialize_package(replace(program, sections=sections), DecoyPolicy(), seed=3))
+    client = Client(CkksContext(SimParams()))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=rf"asks for \d+ lanes from \d+ bytes, more than "
+                                             rf"{protocol.MAX_LANES_PER_BYTE} a byte"):
+            client.resolve_package(blob)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * len(blob)
+    assert protocol._PLAN_MEMO == {}
 
 
 @pytest.mark.parametrize("toy", [_reindex_toy, _wire_toy])
